@@ -195,6 +195,53 @@ mod tests {
         }
     }
 
+    /// Sends `self.0` messages to chare 1 per message received.
+    struct Spray(u32);
+    impl Chare<Hop> for Spray {
+        fn receive(&mut self, _m: Hop, ctx: &mut Ctx<'_, Hop>) {
+            for _ in 0..self.0 {
+                ctx.send(
+                    ChareId(1),
+                    Hop {
+                        remaining: 0,
+                        payload: 1,
+                    },
+                );
+            }
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// Counts what it receives into reduction slot 1.
+    struct Count(u64);
+    impl Chare<Hop> for Count {
+        fn receive(&mut self, _m: Hop, ctx: &mut Ctx<'_, Hop>) {
+            self.0 += 1;
+            ctx.contribute(1, 1);
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// Chare 0 on PE 0 sprays `n` messages at chare 1 on the last PE.
+    fn spray(cfg: RuntimeConfig, n: u32) -> PhaseStats {
+        let mut rt: Runtime<Hop> = Runtime::new(cfg);
+        rt.add_chare(ChareId(0), 0, Box::new(Spray(n)));
+        rt.add_chare(ChareId(1), cfg.n_pes - 1, Box::new(Count(0)));
+        rt.run_phase(vec![(
+            ChareId(0),
+            Hop {
+                remaining: 0,
+                payload: 0,
+            },
+        )])
+    }
+
     fn build(cfg: RuntimeConfig) -> Runtime<Hop> {
         let mut rt = Runtime::new(cfg);
         for i in 0..10u32 {
@@ -265,6 +312,18 @@ mod tests {
         // Without aggregation every remote message is its own packet.
         assert!(sn.totals().network_packets >= so.totals().network_packets);
         assert_eq!(sn.totals().network_packets, sn.totals().sent_remote);
+        // A burst toward one destination is where aggregation pays: the
+        // lanes collapse it into a handful of packets.
+        let (so, sn) = (spray(opt, 1000), spray(noopt, 1000));
+        assert_eq!(so.reduction(1), 1000);
+        assert_eq!(sn.reduction(1), 1000);
+        let (packets_opt, packets_noopt) =
+            (so.totals().network_packets, sn.totals().network_packets);
+        assert_eq!(packets_noopt, 1000);
+        assert!(
+            packets_noopt > 5 * packets_opt.max(1),
+            "aggregation should collapse packets: {packets_opt} vs {packets_noopt}"
+        );
     }
 
     #[test]
@@ -316,48 +375,10 @@ mod tests {
     fn tram_forwards_on_diagonal_traffic() {
         // Chare 0 on PE 0 sprays chare 1 on PE 15 of a 4×4 grid — a
         // diagonal route that must take two hops via PE 3.
-        struct Spray(u32);
-        impl Chare<Hop> for Spray {
-            fn receive(&mut self, _m: Hop, ctx: &mut Ctx<'_, Hop>) {
-                for _ in 0..self.0 {
-                    ctx.send(
-                        ChareId(1),
-                        Hop {
-                            remaining: 0,
-                            payload: 1,
-                        },
-                    );
-                }
-            }
-
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-        struct Count(u64);
-        impl Chare<Hop> for Count {
-            fn receive(&mut self, _m: Hop, ctx: &mut Ctx<'_, Hop>) {
-                self.0 += 1;
-                ctx.contribute(1, 1);
-            }
-
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
         let mut cfg = RuntimeConfig::sequential(16);
         cfg.smp.pes_per_process = 1;
         cfg.aggregation.tram_2d = true;
-        let mut rt: Runtime<Hop> = Runtime::new(cfg);
-        rt.add_chare(ChareId(0), 0, Box::new(Spray(100)));
-        rt.add_chare(ChareId(1), 15, Box::new(Count(0)));
-        let stats = rt.run_phase(vec![(
-            ChareId(0),
-            Hop {
-                remaining: 0,
-                payload: 0,
-            },
-        )]);
+        let stats = spray(cfg, 100);
         assert_eq!(stats.reduction(1), 100, "all messages delivered");
         assert_eq!(stats.per_pe[3].forwarded, 100, "PE 3 relays the diagonal");
     }

@@ -188,9 +188,9 @@ impl<M: Message> Worker<M> {
         }
     }
 
+    /// Work until completion detection fires (`true`) or the engine shuts
+    /// down (`false`). The caller has already reset the phase counters.
     fn run_phase_loop(&mut self) -> bool {
-        self.stats = PeStats::default();
-        self.reductions.clear();
         loop {
             // Eat everything available without blocking.
             let mut worked = false;
@@ -235,23 +235,20 @@ impl<M: Message> Worker<M> {
 
     fn run(mut self) {
         loop {
-            // Await PhaseStart (or Shutdown).
-            match self.rx.recv() {
-                Ok(Item::PhaseStart) => {}
+            // Await PhaseStart (or Shutdown). A data item that raced ahead
+            // of PhaseStart begins the phase itself; `handle` then ignores
+            // the PhaseStart when it arrives.
+            let raced = match self.rx.recv() {
+                Ok(Item::PhaseStart) => None,
                 Ok(Item::Shutdown) | Err(_) => break,
-                Ok(other) => {
-                    // A data item raced ahead of PhaseStart: treat it as the
-                    // phase having begun.
-                    self.cd.set_idle(self.pe, false);
-                    self.stats = PeStats::default();
-                    self.reductions.clear();
-                    if !self.handle(other) {
-                        break;
-                    }
-                    if !self.run_phase_loop_resume() {
-                        break;
-                    }
-                    continue;
+                Ok(data) => Some(data),
+            };
+            self.stats = PeStats::default();
+            self.reductions.clear();
+            if let Some(item) = raced {
+                self.cd.set_idle(self.pe, false);
+                if !self.handle(item) {
+                    break;
                 }
             }
             if !self.run_phase_loop() {
@@ -263,51 +260,6 @@ impl<M: Message> Worker<M> {
         }
         let chares = std::mem::take(&mut self.chares);
         let _ = self.chares_tx.send(chares);
-    }
-
-    /// Like `run_phase_loop` but without resetting counters (used when a
-    /// data item raced ahead of `PhaseStart`). Consumes the pending
-    /// `PhaseStart` when it arrives.
-    fn run_phase_loop_resume(&mut self) -> bool {
-        loop {
-            let mut worked = false;
-            self.drain_local();
-            while let Ok(item) = self.rx.try_recv() {
-                if !self.handle(item) {
-                    return false;
-                }
-                self.drain_local();
-                worked = true;
-            }
-            if worked {
-                continue;
-            }
-            let packets = self.agg.flush_all();
-            if !packets.is_empty() {
-                for packet in packets {
-                    self.send_packet(packet);
-                }
-                continue;
-            }
-            self.cd.set_idle(self.pe, true);
-            match self.rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(item) => {
-                    self.cd.set_idle(self.pe, false);
-                    if !self.handle(item) {
-                        return false;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.cd.is_done() {
-                        let _ = self
-                            .stats_tx
-                            .send((self.pe, self.stats, self.reductions.clone()));
-                        return true;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return false,
-            }
-        }
     }
 }
 
@@ -462,21 +414,50 @@ impl<M: Message> ThreadEngine<M> {
     /// Stop the workers and collect all chares.
     pub fn into_chares(mut self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
         if !self.started {
-            return self.pending.into_iter().map(|(id, _, c)| (id, c)).collect();
+            let pending = std::mem::take(&mut self.pending);
+            return pending.into_iter().map(|(id, _, c)| (id, c)).collect();
         }
-        for tx in &self.txs {
-            let _ = tx.send(Item::Shutdown);
-        }
-        let rx = self.chares_rx.take().unwrap();
+        self.request_shutdown();
+        let rx = self
+            .chares_rx
+            .take()
+            .expect("a started engine has a chares channel");
         let mut all = Vec::new();
         for _ in 0..self.cfg.n_pes {
             all.extend(rx.recv().expect("worker chares"));
         }
+        self.join_workers();
+        all.sort_by_key(|(id, _)| *id);
+        all
+    }
+
+    /// Tell every worker to leave its loop. Sends to a worker that already
+    /// exited fail and are ignored, so this is safe to repeat.
+    fn request_shutdown(&mut self) {
+        for tx in self.txs.drain(..) {
+            let _ = tx.send(Item::Shutdown);
+        }
+    }
+
+    fn join_workers(&mut self) {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        all.sort_by_key(|(id, _)| *id);
-        all
+    }
+}
+
+/// Dropping an engine without [`ThreadEngine::into_chares`] must not leave
+/// its PE threads parked in `recv` forever: every worker holds a clone of
+/// every sender, so no channel ever disconnects on its own.
+impl<M: Message> Drop for ThreadEngine<M> {
+    fn drop(&mut self) {
+        self.request_shutdown();
+        // A watchdog panic unwinds through here with the phase still hung;
+        // a worker stuck inside it may never read the request, so do not
+        // wait for one.
+        if !std::thread::panicking() {
+            self.join_workers();
+        }
     }
 }
 

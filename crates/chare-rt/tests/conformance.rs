@@ -4,7 +4,7 @@
 //! plan (the negative control) must be caught, not absorbed.
 
 use chare_rt::{
-    Chare, ChareId, Ctx, ExecMode, FaultPlan, Message, Runtime, RuntimeConfig, SmpConfig,
+    Chare, ChareId, Ctx, ExecMode, FaultPlan, Message, PeStats, Runtime, RuntimeConfig, SmpConfig,
 };
 
 #[derive(Debug)]
@@ -67,6 +67,13 @@ const HOPS: u32 = 6;
 /// Run the storm and return (result fingerprint, messages processed,
 /// messages lost).
 fn run_storm(cfg: RuntimeConfig, app_seed: u64) -> (u64, u64, u64) {
+    let (fp, totals) = run_storm_totals(cfg, app_seed);
+    (fp, totals.processed, totals.lost)
+}
+
+/// Run the storm and return its result fingerprint and the counters summed
+/// over PEs.
+fn run_storm_totals(cfg: RuntimeConfig, app_seed: u64) -> (u64, PeStats) {
     let mut rt = Runtime::new(cfg);
     for i in 0..N_CHARES {
         rt.add_chare(
@@ -100,7 +107,7 @@ fn run_storm(cfg: RuntimeConfig, app_seed: u64) -> (u64, u64, u64) {
         let m = chare.into_any().downcast::<Mixer>().unwrap();
         fp = mix(fp ^ mix(id.0 as u64) ^ m.acc);
     }
-    (fp, totals.processed, totals.lost)
+    (fp, totals)
 }
 
 fn base(mode: ExecMode, n_pes: u32) -> RuntimeConfig {
@@ -217,18 +224,25 @@ fn threaded_watchdog_inert_on_healthy_phases() {
 
 /// Aggregation on/off and TRAM routing are schedule changes, not semantic
 /// ones — the DST engine must agree with itself across them under chaos.
+/// What they are allowed to change, they must change: with every PE its
+/// own process, switching aggregation off sends more network packets.
 #[test]
 fn dst_invariant_to_aggregation_and_tram() {
     let reference = run_storm(base(ExecMode::Sequential, 4), 2).0;
     for tram in [false, true] {
-        for agg in [false, true] {
+        let [packets_off, packets_on] = [false, true].map(|agg| {
             let mut cfg = base(ExecMode::VirtualTime, 4);
             cfg.smp.pes_per_process = 1;
             cfg.aggregation.enabled = agg;
             cfg.aggregation.tram_2d = tram;
             cfg.faults = FaultPlan::chaos(13);
-            let got = run_storm(cfg, 2).0;
+            let (got, totals) = run_storm_totals(cfg, 2);
             assert_eq!(got, reference, "tram={tram} agg={agg}");
-        }
+            totals.network_packets
+        });
+        assert!(
+            packets_off > packets_on,
+            "aggregation must change packet counts (tram={tram}: {packets_on} on, {packets_off} off)"
+        );
     }
 }

@@ -10,10 +10,59 @@
 use crate::kernel::{
     simulate_location_day, InfectivityClasses, KernelScratch, LocationDayFeatures,
 };
-use crate::messages::{slots, SharedRef, SimMsg, VisitMsg};
+use crate::messages::{slots, InfectMsg, SharedRef, SimMsg, VisitMsg};
 use crate::person::{person_day, PersonSlot};
 use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
+
+/// Most visits (or infects) one batch message carries: about 20 KB of
+/// visits on the wire, well inside the net engine's 256 KB shm ring. A lane
+/// that reaches the cap is sent at once; the remainder goes at the end of
+/// the phase.
+pub const BATCH_CAP: usize = 1024;
+
+/// A manager's outgoing items for the phase in progress, one lane per
+/// destination chare: the application-aware aggregation of §IV-C. The
+/// manager knows a day's visits toward one LocationManager (or infects
+/// toward one PersonManager) form a batch, so each lane travels as one
+/// message per [`BATCH_CAP`] items instead of one message per item.
+struct Lanes<T> {
+    /// Lane `i` is bound for chare `first_chare + i`.
+    first_chare: u32,
+    /// The [`SimMsg`] variant that carries a lane.
+    wrap: fn(Vec<T>) -> SimMsg,
+    bufs: Vec<Vec<T>>,
+}
+
+impl<T> Lanes<T> {
+    fn new(first_chare: u32, n_lanes: u32, wrap: fn(Vec<T>) -> SimMsg) -> Self {
+        Lanes {
+            first_chare,
+            wrap,
+            bufs: (0..n_lanes).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Queue `item` for chare `to`, sending its lane if that fills it.
+    fn push(&mut self, to: u32, item: T, ctx: &mut Ctx<'_, SimMsg>) {
+        let buf = &mut self.bufs[(to - self.first_chare) as usize];
+        buf.push(item);
+        if buf.len() >= BATCH_CAP {
+            // A lane that filled once will likely fill again today.
+            let full = std::mem::replace(buf, Vec::with_capacity(BATCH_CAP));
+            ctx.send(ChareId(to), (self.wrap)(full));
+        }
+    }
+
+    /// Send what is left in every lane (end of the phase's sends).
+    fn flush(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+        for (to, buf) in (self.first_chare..).zip(&mut self.bufs) {
+            if !buf.is_empty() {
+                ctx.send(ChareId(to), (self.wrap)(std::mem::take(buf)));
+            }
+        }
+    }
+}
 
 /// A PersonManager: owns a set of persons, drives phases 1 and 5.
 pub struct PersonManager {
@@ -22,6 +71,8 @@ pub struct PersonManager {
     symptomatic_state: Option<StateId>,
     /// Scratch buffer reused across days.
     visit_buf: Vec<VisitMsg>,
+    /// The day's outgoing visits, one lane per LocationManager.
+    lanes: Lanes<VisitMsg>,
 }
 
 impl PersonManager {
@@ -39,11 +90,13 @@ impl PersonManager {
     /// §VII load-rebalancing path re-homes persons between epochs).
     pub fn with_states(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
+        let k = shared.layout.k;
         PersonManager {
             shared,
             persons,
             symptomatic_state,
             visit_buf: Vec::new(),
+            lanes: Lanes::new(k, k, SimMsg::Visits),
         }
     }
 
@@ -91,11 +144,12 @@ impl PersonManager {
             infected_now += slot.is_infected() as u64;
             susceptible += shared.ptts.is_susceptible(slot.health.state) as u64;
             visits_sent += self.visit_buf.len() as u64;
-            for msg in self.visit_buf.drain(..) {
-                let lm = shared.layout.lm_of_location[msg.location as usize];
-                ctx.send(ChareId(lm), SimMsg::Visit(msg));
+            for visit in self.visit_buf.drain(..) {
+                let lm = shared.layout.lm_of_location[visit.location as usize];
+                self.lanes.push(lm, visit, ctx);
             }
         }
+        self.lanes.flush(ctx);
         ctx.contribute(slots::SYMPTOMATIC, symptomatic);
         ctx.contribute(slots::INFECTED_NOW, infected_now);
         ctx.contribute(slots::SUSCEPTIBLE, susceptible);
@@ -116,9 +170,11 @@ impl Chare<SimMsg> for PersonManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
             SimMsg::BeginDay { day, effects } => self.begin_day(day, &effects, ctx),
-            SimMsg::Infect(infect) => {
-                let local = self.shared.layout.local_of_person[infect.person as usize] as usize;
-                self.persons[local].record_infection(&infect);
+            SimMsg::Infects(batch) => {
+                for infect in &batch {
+                    let local = self.shared.layout.local_of_person[infect.person as usize];
+                    self.persons[local as usize].record_infection(infect);
+                }
             }
             SimMsg::ApplyDay { day } => self.apply_day(day, ctx),
             other => panic!("PersonManager got unexpected message {other:?}"),
@@ -159,7 +215,9 @@ pub struct LocationManager {
     /// Per-location features summed over every day this LM has computed —
     /// the measured dynamic load the §VII rebalancer feeds on.
     pub feature_totals: Vec<LocationDayFeatures>,
-    infect_buf: Vec<crate::messages::InfectMsg>,
+    infect_buf: Vec<InfectMsg>,
+    /// The day's outgoing infects, one lane per PersonManager.
+    lanes: Lanes<InfectMsg>,
 }
 
 impl LocationManager {
@@ -168,6 +226,7 @@ impl LocationManager {
     pub fn new(shared: SharedRef, location_ids: Vec<u32>) -> Self {
         let n = location_ids.len();
         let classes = InfectivityClasses::new(&shared.ptts);
+        let lanes = Lanes::new(0, shared.layout.k, SimMsg::Infects);
         LocationManager {
             shared,
             locations: location_ids,
@@ -177,6 +236,7 @@ impl LocationManager {
             last_features: vec![LocationDayFeatures::default(); n],
             feature_totals: vec![LocationDayFeatures::default(); n],
             infect_buf: Vec::new(),
+            lanes,
         }
     }
 
@@ -216,9 +276,10 @@ impl LocationManager {
             tot.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
             for infect in self.infect_buf.drain(..) {
                 let pm = shared.layout.pm_of_person[infect.person as usize];
-                ctx.send(ChareId(pm), SimMsg::Infect(infect));
+                self.lanes.push(pm, infect, ctx);
             }
         }
+        self.lanes.flush(ctx);
         ctx.contribute(slots::EVENTS, events);
         ctx.contribute(slots::INTERACTIONS, interactions);
         ctx.contribute(slots::INFECTS_SENT, infects_sent);
@@ -233,9 +294,11 @@ impl LocationManager {
 impl Chare<SimMsg> for LocationManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
-            SimMsg::Visit(v) => {
-                let local = self.shared.layout.local_of_location[v.location as usize] as usize;
-                self.buffers[local].push(v);
+            SimMsg::Visits(batch) => {
+                for v in batch {
+                    let local = self.shared.layout.local_of_location[v.location as usize];
+                    self.buffers[local as usize].push(v);
+                }
             }
             SimMsg::ComputeDay { day, r_eff } => self.compute_day(day, r_eff, ctx),
             other => panic!("LocationManager got unexpected message {other:?}"),

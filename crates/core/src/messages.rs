@@ -90,8 +90,11 @@ pub enum SimMsg {
         /// Intervention effects in force.
         effects: DayEffects,
     },
-    /// A person visiting a location (PM → LM; the aggregated hot path).
-    Visit(VisitMsg),
+    /// One PM → LM lane's visits: application-aware aggregation (§IV-C).
+    /// The sender knows a day's visits toward one LocationManager form a
+    /// batch, so it ships them as one message (at most
+    /// [`crate::managers::BATCH_CAP`] per message).
+    Visits(Vec<VisitMsg>),
     /// Phase 2 kick-off, sent to every LocationManager.
     ComputeDay {
         /// Simulation day.
@@ -99,8 +102,9 @@ pub enum SimMsg {
         /// Effective transmissibility `r × r_scale`.
         r_eff: f64,
     },
-    /// A disease transmission (LM → PM).
-    Infect(InfectMsg),
+    /// One LM → PM lane's disease transmissions, batched like
+    /// [`SimMsg::Visits`].
+    Infects(Vec<InfectMsg>),
     /// Phase 3 kick-off, sent to every PersonManager.
     ApplyDay {
         /// Simulation day.
@@ -109,27 +113,41 @@ pub enum SimMsg {
 }
 
 /// Wire tags for [`SimMsg`] variants (the first byte of the encoding;
-/// DESIGN.md §8 pins them).
+/// DESIGN.md §8 pins them). Tags 1 and 3 were the per-visit `Visit` and
+/// per-transmission `Infect` messages; they are retired and never reused.
 mod tag {
     pub const BEGIN_DAY: u8 = 0;
-    pub const VISIT: u8 = 1;
     pub const COMPUTE_DAY: u8 = 2;
-    pub const INFECT: u8 = 3;
     pub const APPLY_DAY: u8 = 4;
+    pub const VISITS: u8 = 5;
+    pub const INFECTS: u8 = 6;
+}
+
+/// Encoded bytes of one [`VisitMsg`] / [`InfectMsg`] / vaccination order.
+const VISIT_WIRE: usize = 20;
+const INFECT_WIRE: usize = 10;
+const VACCINATION_WIRE: usize = 18;
+
+/// Read a batch header and check that `count × item_wire` bytes follow, so
+/// the allocation below it is bounded by bytes actually present.
+fn batch_len(buf: &mut &[u8], item_wire: usize) -> Option<usize> {
+    if buf.remaining() < 4 {
+        return None;
+    }
+    let n = buf.get_u32_le() as usize;
+    (buf.remaining() >= n.checked_mul(item_wire)?).then_some(n)
 }
 
 impl Message for SimMsg {
+    /// Exactly the length [`Self::wire_encode`] writes, so `remote_bytes`
+    /// is the application payload that crosses the wire.
     fn size_bytes(&self) -> usize {
-        // Wire-size estimates for the bandwidth model: the hot-path
-        // messages are what matter.
         match self {
-            SimMsg::Visit(_) => 20,
-            SimMsg::Infect(_) => 12,
-            SimMsg::BeginDay { effects, .. } => {
-                16 + effects.vaccinations.len() * std::mem::size_of::<VaccinationOrder>()
-            }
-            SimMsg::ComputeDay { .. } => 16,
-            SimMsg::ApplyDay { .. } => 8,
+            SimMsg::BeginDay { effects, .. } => 18 + effects.vaccinations.len() * VACCINATION_WIRE,
+            SimMsg::Visits(batch) => 5 + batch.len() * VISIT_WIRE,
+            SimMsg::ComputeDay { .. } => 13,
+            SimMsg::Infects(batch) => 5 + batch.len() * INFECT_WIRE,
+            SimMsg::ApplyDay { .. } => 5,
         }
     }
 
@@ -147,26 +165,32 @@ impl Message for SimMsg {
                     out.put_f64_le(v.efficacy_factor);
                 }
             }
-            SimMsg::Visit(v) => {
-                out.put_u8(tag::VISIT);
-                out.put_u32_le(v.person);
-                out.put_u32_le(v.location);
-                out.put_u16_le(v.sublocation);
-                out.put_u16_le(v.start_min);
-                out.put_u16_le(v.end_min);
-                out.put_u16_le(v.state.0);
-                out.put_f32_le(v.sus_scale);
+            SimMsg::Visits(batch) => {
+                out.put_u8(tag::VISITS);
+                out.put_u32_le(batch.len() as u32);
+                for v in batch {
+                    out.put_u32_le(v.person);
+                    out.put_u32_le(v.location);
+                    out.put_u16_le(v.sublocation);
+                    out.put_u16_le(v.start_min);
+                    out.put_u16_le(v.end_min);
+                    out.put_u16_le(v.state.0);
+                    out.put_f32_le(v.sus_scale);
+                }
             }
             SimMsg::ComputeDay { day, r_eff } => {
                 out.put_u8(tag::COMPUTE_DAY);
                 out.put_u32_le(*day);
                 out.put_f64_le(*r_eff);
             }
-            SimMsg::Infect(i) => {
-                out.put_u8(tag::INFECT);
-                out.put_u32_le(i.person);
-                out.put_u16_le(i.time_min);
-                out.put_u32_le(i.infector);
+            SimMsg::Infects(batch) => {
+                out.put_u8(tag::INFECTS);
+                out.put_u32_le(batch.len() as u32);
+                for i in batch {
+                    out.put_u32_le(i.person);
+                    out.put_u16_le(i.time_min);
+                    out.put_u32_le(i.infector);
+                }
             }
             SimMsg::ApplyDay { day } => {
                 out.put_u8(tag::APPLY_DAY);
@@ -187,10 +211,7 @@ impl Message for SimMsg {
                 let day = buf.get_u32_le();
                 let closed_kinds = buf.get_u8();
                 let r_scale = buf.get_f64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n.checked_mul(18)? {
-                    return None;
-                }
+                let n = batch_len(buf, VACCINATION_WIRE)?;
                 let mut vaccinations = Vec::with_capacity(n);
                 for _ in 0..n {
                     vaccinations.push(VaccinationOrder {
@@ -208,19 +229,20 @@ impl Message for SimMsg {
                     },
                 })
             }
-            tag::VISIT => {
-                if buf.remaining() < 20 {
-                    return None;
-                }
-                Some(SimMsg::Visit(VisitMsg {
-                    person: buf.get_u32_le(),
-                    location: buf.get_u32_le(),
-                    sublocation: buf.get_u16_le(),
-                    start_min: buf.get_u16_le(),
-                    end_min: buf.get_u16_le(),
-                    state: StateId(buf.get_u16_le()),
-                    sus_scale: buf.get_f32_le(),
-                }))
+            tag::VISITS => {
+                let n = batch_len(buf, VISIT_WIRE)?;
+                let batch = (0..n)
+                    .map(|_| VisitMsg {
+                        person: buf.get_u32_le(),
+                        location: buf.get_u32_le(),
+                        sublocation: buf.get_u16_le(),
+                        start_min: buf.get_u16_le(),
+                        end_min: buf.get_u16_le(),
+                        state: StateId(buf.get_u16_le()),
+                        sus_scale: buf.get_f32_le(),
+                    })
+                    .collect();
+                Some(SimMsg::Visits(batch))
             }
             tag::COMPUTE_DAY => {
                 if buf.remaining() < 12 {
@@ -231,15 +253,16 @@ impl Message for SimMsg {
                     r_eff: buf.get_f64_le(),
                 })
             }
-            tag::INFECT => {
-                if buf.remaining() < 10 {
-                    return None;
-                }
-                Some(SimMsg::Infect(InfectMsg {
-                    person: buf.get_u32_le(),
-                    time_min: buf.get_u16_le(),
-                    infector: buf.get_u32_le(),
-                }))
+            tag::INFECTS => {
+                let n = batch_len(buf, INFECT_WIRE)?;
+                let batch = (0..n)
+                    .map(|_| InfectMsg {
+                        person: buf.get_u32_le(),
+                        time_min: buf.get_u16_le(),
+                        infector: buf.get_u32_le(),
+                    })
+                    .collect();
+                Some(SimMsg::Infects(batch))
             }
             tag::APPLY_DAY => {
                 if buf.remaining() < 4 {
@@ -382,68 +405,91 @@ mod tests {
         assert!(!e.is_closed(200));
     }
 
-    fn roundtrip(msg: &SimMsg) -> SimMsg {
+    fn encode(msg: &SimMsg) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(64);
         msg.wire_encode(&mut buf);
-        let frozen = buf.freeze();
-        let mut slice: &[u8] = &frozen;
+        buf.freeze().to_vec()
+    }
+
+    fn roundtrip(msg: &SimMsg) -> SimMsg {
+        let bytes = encode(msg);
+        let mut slice: &[u8] = &bytes;
         let out = SimMsg::wire_decode(&mut slice).expect("decode");
         assert!(slice.is_empty(), "decode consumed everything");
         out
     }
 
-    #[test]
-    fn wire_codec_roundtrips_every_variant() {
-        let begin = SimMsg::BeginDay {
-            day: 7,
-            effects: DayEffects {
-                closed_kinds: 0b0001_0100,
-                r_scale: 0.75,
-                vaccinations: vec![
-                    VaccinationOrder {
-                        fraction: 0.25,
-                        treatment: TreatmentId(3),
-                        efficacy_factor: 0.5,
-                    },
-                    VaccinationOrder {
-                        fraction: 1.0,
-                        treatment: TreatmentId(0),
-                        efficacy_factor: 0.125,
-                    },
-                ],
-            },
-        };
-        match roundtrip(&begin) {
-            SimMsg::BeginDay { day, effects } => {
-                assert_eq!(day, 7);
-                assert_eq!(effects.closed_kinds, 0b0001_0100);
-                assert_eq!(effects.r_scale, 0.75);
-                assert_eq!(effects.vaccinations.len(), 2);
-                assert_eq!(effects.vaccinations[0].treatment, TreatmentId(3));
-                assert_eq!(effects.vaccinations[1].efficacy_factor, 0.125);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-
-        let visit = SimMsg::Visit(VisitMsg {
-            person: 12345,
+    fn visit(person: u32) -> VisitMsg {
+        VisitMsg {
+            person,
             location: 67890,
             sublocation: 11,
             start_min: 480,
             end_min: 990,
             state: StateId(2),
             sus_scale: 0.625,
-        });
-        match roundtrip(&visit) {
-            SimMsg::Visit(v) => {
-                assert_eq!(v.person, 12345);
-                assert_eq!(v.location, 67890);
-                assert_eq!(v.sublocation, 11);
-                assert_eq!(v.start_min, 480);
-                assert_eq!(v.end_min, 990);
-                assert_eq!(v.state, StateId(2));
-                assert_eq!(v.sus_scale, 0.625);
+        }
+    }
+
+    fn infect(person: u32) -> InfectMsg {
+        InfectMsg {
+            person,
+            time_min: 720,
+            infector: 7,
+        }
+    }
+
+    fn begin_day(n_orders: usize) -> SimMsg {
+        SimMsg::BeginDay {
+            day: 7,
+            effects: DayEffects {
+                closed_kinds: 0b0001_0100,
+                r_scale: 0.75,
+                vaccinations: (0..n_orders)
+                    .map(|i| VaccinationOrder {
+                        fraction: 0.25 * (i + 1) as f64,
+                        treatment: TreatmentId(3 - i as u16),
+                        efficacy_factor: 0.5 / (i + 1) as f64,
+                    })
+                    .collect(),
+            },
+        }
+    }
+
+    /// One of every variant, batches both empty and populated.
+    fn every_variant() -> Vec<SimMsg> {
+        vec![
+            begin_day(0),
+            begin_day(2),
+            SimMsg::Visits(Vec::new()),
+            SimMsg::Visits(vec![visit(1), visit(2), visit(3)]),
+            SimMsg::ComputeDay {
+                day: 3,
+                r_eff: 0.0015,
+            },
+            SimMsg::Infects(Vec::new()),
+            SimMsg::Infects(vec![infect(99), infect(100)]),
+            SimMsg::ApplyDay { day: 11 },
+        ]
+    }
+
+    #[test]
+    fn wire_codec_roundtrips_every_variant() {
+        match roundtrip(&begin_day(2)) {
+            SimMsg::BeginDay { day, effects } => {
+                assert_eq!(day, 7);
+                assert_eq!(effects.closed_kinds, 0b0001_0100);
+                assert_eq!(effects.r_scale, 0.75);
+                assert_eq!(effects.vaccinations.len(), 2);
+                assert_eq!(effects.vaccinations[0].treatment, TreatmentId(3));
+                assert_eq!(effects.vaccinations[1].efficacy_factor, 0.25);
             }
+            other => panic!("wrong variant: {other:?}"),
+        }
+
+        let visits = vec![visit(12345), visit(6)];
+        match roundtrip(&SimMsg::Visits(visits.clone())) {
+            SimMsg::Visits(batch) => assert_eq!(batch, visits),
             other => panic!("wrong variant: {other:?}"),
         }
 
@@ -458,16 +504,9 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
 
-        match roundtrip(&SimMsg::Infect(InfectMsg {
-            person: 99,
-            time_min: 720,
-            infector: 7,
-        })) {
-            SimMsg::Infect(i) => {
-                assert_eq!(i.person, 99);
-                assert_eq!(i.time_min, 720);
-                assert_eq!(i.infector, 7);
-            }
+        let infects = vec![infect(99), infect(3)];
+        match roundtrip(&SimMsg::Infects(infects.clone())) {
+            SimMsg::Infects(batch) => assert_eq!(batch, infects),
             other => panic!("wrong variant: {other:?}"),
         }
 
@@ -479,24 +518,11 @@ mod tests {
 
     #[test]
     fn wire_decode_rejects_garbage() {
-        // Unknown tag.
-        let mut buf: &[u8] = &[200u8, 0, 0, 0, 0];
-        assert!(SimMsg::wire_decode(&mut buf).is_none());
-        // Truncated visit.
-        let mut full = BytesMut::with_capacity(64);
-        SimMsg::Visit(VisitMsg {
-            person: 1,
-            location: 2,
-            sublocation: 3,
-            start_min: 4,
-            end_min: 5,
-            state: StateId(0),
-            sus_scale: 1.0,
-        })
-        .wire_encode(&mut full);
-        let full = full.freeze();
-        let mut short: &[u8] = &full[..full.len() - 1];
-        assert!(SimMsg::wire_decode(&mut short).is_none());
+        // Unknown tag, and the retired per-message tags 1 and 3.
+        for tag in [200u8, 1, 3] {
+            let mut buf: &[u8] = &[tag, 0, 0, 0, 0];
+            assert!(SimMsg::wire_decode(&mut buf).is_none(), "tag {tag}");
+        }
         // Empty buffer.
         let mut empty: &[u8] = &[];
         assert!(SimMsg::wire_decode(&mut empty).is_none());
@@ -512,24 +538,139 @@ mod tests {
         assert!(SimMsg::wire_decode(&mut slice).is_none());
     }
 
+    /// `remote_bytes` accounting rests on this: the size the runtime
+    /// charges is the size the codec writes.
     #[test]
-    fn message_sizes_reflect_payload() {
-        let v = SimMsg::Visit(VisitMsg {
-            person: 1,
-            location: 2,
-            sublocation: 0,
-            start_min: 0,
-            end_min: 100,
-            state: StateId(0),
-            sus_scale: 1.0,
-        });
-        assert_eq!(v.size_bytes(), 20);
-        let i = SimMsg::Infect(InfectMsg {
-            person: 1,
-            time_min: 10,
-            infector: 2,
-        });
-        assert_eq!(i.size_bytes(), 12);
-        assert!(v.size_bytes() > i.size_bytes());
+    fn size_bytes_equals_encoded_length_for_every_variant() {
+        for msg in every_variant() {
+            assert_eq!(msg.size_bytes(), encode(&msg).len(), "{msg:?}");
+        }
+        assert_eq!(
+            SimMsg::Visits(vec![visit(1); 7]).size_bytes(),
+            1 + 4 + 20 * 7
+        );
+        assert_eq!(
+            SimMsg::Infects(vec![infect(1); 7]).size_bytes(),
+            1 + 4 + 10 * 7
+        );
+    }
+
+    /// Every strict prefix of a valid encoding is rejected (never a panic,
+    /// never a short batch), and bytes after a message are left unread.
+    #[test]
+    fn every_truncation_is_rejected_and_trailing_bytes_are_left() {
+        for msg in every_variant() {
+            let full = encode(&msg);
+            for cut in 0..full.len() {
+                let mut short: &[u8] = &full[..cut];
+                assert!(
+                    SimMsg::wire_decode(&mut short).is_none(),
+                    "{msg:?} cut at {cut}"
+                );
+            }
+            let mut padded = full.clone();
+            padded.extend_from_slice(&[0xAB, 0xCD, 0xEF]);
+            let mut slice: &[u8] = &padded;
+            let back = SimMsg::wire_decode(&mut slice).expect("decode");
+            assert_eq!(slice, &[0xAB, 0xCD, 0xEF], "{msg:?}");
+            assert_eq!(encode(&back), full);
+        }
+    }
+
+    /// A batch header whose `count × item size` overflows `usize` or simply
+    /// exceeds the bytes present must be rejected before any allocation.
+    #[test]
+    fn batch_count_overflow_is_rejected() {
+        for tag in [tag::VISITS, tag::INFECTS] {
+            for count in [u32::MAX, u32::MAX / 20 + 1, 2] {
+                let mut bytes = vec![tag];
+                bytes.extend_from_slice(&count.to_le_bytes());
+                bytes.extend_from_slice(&[0u8; 19]); // fewer than two of either item
+                let mut slice: &[u8] = &bytes;
+                assert!(
+                    SimMsg::wire_decode(&mut slice).is_none(),
+                    "tag {tag} count {count}"
+                );
+            }
+        }
+        // checked_mul is what guards the 32-bit case; exercise it directly.
+        let mut header: &[u8] = &u32::MAX.to_le_bytes();
+        assert_eq!(batch_len(&mut header, usize::MAX), None);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_visits() -> impl Strategy<Value = Vec<VisitMsg>> {
+            collection::vec(
+                (any::<u32>(), any::<u32>(), any::<u64>(), 0.0f32..2.0),
+                0..40,
+            )
+            .prop_map(|raw| {
+                raw.into_iter()
+                    .map(|(person, location, bits, sus_scale)| VisitMsg {
+                        person,
+                        location,
+                        sublocation: bits as u16,
+                        start_min: (bits >> 16) as u16,
+                        end_min: (bits >> 32) as u16,
+                        state: StateId((bits >> 48) as u16),
+                        sus_scale,
+                    })
+                    .collect()
+            })
+        }
+
+        fn arb_infects() -> impl Strategy<Value = Vec<InfectMsg>> {
+            collection::vec((any::<u32>(), 0u16..1440, any::<u32>()), 0..40).prop_map(|raw| {
+                raw.into_iter()
+                    .map(|(person, time_min, infector)| InfectMsg {
+                        person,
+                        time_min,
+                        infector,
+                    })
+                    .collect()
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn visit_batches_roundtrip(visits in arb_visits()) {
+                let msg = SimMsg::Visits(visits.clone());
+                prop_assert_eq!(msg.size_bytes(), encode(&msg).len());
+                match roundtrip(&msg) {
+                    SimMsg::Visits(back) => prop_assert_eq!(back, visits),
+                    other => panic!("wrong variant: {other:?}"),
+                }
+            }
+
+            #[test]
+            fn infect_batches_roundtrip(infects in arb_infects()) {
+                let msg = SimMsg::Infects(infects.clone());
+                prop_assert_eq!(msg.size_bytes(), encode(&msg).len());
+                match roundtrip(&msg) {
+                    SimMsg::Infects(back) => prop_assert_eq!(back, infects),
+                    other => panic!("wrong variant: {other:?}"),
+                }
+            }
+
+            /// Decoder totality: arbitrary bytes behind any tag either
+            /// decode to a message that re-encodes to exactly the bytes
+            /// consumed, or are rejected — never a panic or an over-read.
+            #[test]
+            fn decoder_is_total(tag in 0u8..8, body in collection::vec(any::<u8>(), 0..96)) {
+                let mut bytes = vec![tag];
+                bytes.extend_from_slice(&body);
+                let mut slice: &[u8] = &bytes;
+                if let Some(msg) = SimMsg::wire_decode(&mut slice) {
+                    let consumed = bytes.len() - slice.len();
+                    prop_assert_eq!(msg.size_bytes(), consumed);
+                    // NaN payloads re-encode bit-exactly: fields are
+                    // copied, never computed on.
+                    prop_assert_eq!(encode(&msg), &bytes[..consumed]);
+                }
+            }
+        }
     }
 }
