@@ -25,11 +25,12 @@ pub enum ExecMode {
     Net,
 }
 
-/// Which transport carries cross-process BATCH frames in the net engine.
+/// Which transport carries cross-process frames in the net engine.
 ///
-/// Control traffic (phase fencing, completion detection, stats, shutdown,
-/// liveness) always rides the loopback TCP mesh; this knob selects the
-/// *data* path only. When the configured value is [`NetTransport::Auto`],
+/// Application batches and the phase protocol (completion detection, the
+/// phase close, shutdown) travel together on each link's plane; mesh
+/// setup and liveness heartbeats always ride the loopback TCP mesh. When
+/// the configured value is [`NetTransport::Auto`],
 /// the environment variable `ChareNetTransport` (fallback spelling
 /// `CHARE_NET_TRANSPORT`) overrides it with `tcp`, `shm`, `mixed`, or
 /// `auto`; a config that forces a specific plane is not overridden (CI's
@@ -80,18 +81,18 @@ pub struct NetConfig {
     /// Deadline in milliseconds for the socket mesh to come up (worker
     /// spawn → HELLO → PEERS → MESH_OK).
     pub connect_timeout_ms: u32,
-    /// BATCH transport selection (see [`NetTransport`]).
+    /// Transport selection (see [`NetTransport`]).
     pub transport: NetTransport,
     /// Data capacity of each SPSC shared-memory ring in bytes. One ring
-    /// per ordered peer pair; frames larger than half a ring fall back to
+    /// per ordered peer pair; flushes are split into frames of at most
+    /// half a ring, and a single envelope larger than that falls back to
     /// the TCP path.
     pub shm_ring_bytes: u32,
     /// Failure-detector probe interval in milliseconds. `0` (the default)
     /// disables explicit heartbeats; peer loss is then detected only via
     /// socket EOF/write errors. When nonzero, the root's comm thread sends
-    /// HEARTBEAT frames at this cadence and every inbound frame (CD
-    /// replies included — the heartbeats piggyback on probe traffic)
-    /// refreshes the peer's liveness clock.
+    /// HEARTBEAT frames at this cadence and every frame arriving on a
+    /// peer's socket refreshes that peer's liveness clock.
     pub heartbeat_interval_ms: u32,
     /// Failure-detector timeout in milliseconds: a worker whose comm
     /// thread has been silent this long is declared *stalled* (socket

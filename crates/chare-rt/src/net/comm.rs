@@ -1,48 +1,48 @@
 //! The per-process communication thread (§IV-A's dedicated comm thread,
 //! made real). It owns every socket of the process: it drains the compute
 //! side's outbound channel onto the wire, reassembles inbound frames,
-//! deserializes BATCH payloads off the compute thread, answers
-//! completion-detection probes from the shared counters without involving
-//! compute at all, and keeps the wire counters that end up in
-//! [`crate::stats::PeStats`].
+//! deserializes BATCH payloads off the compute thread, hands phase-protocol
+//! frames (CD_PROBE, CD_REPLY, PHASE_RESULT, SHUTDOWN) to compute decoded
+//! but unanswered — only compute knows whether it is idle — answers
+//! heartbeats itself, and keeps the wire counters that end up in
+//! [`crate::stats::PeStats`]. It never polls: between events it blocks in
+//! `poll(2)` on its sockets plus a wake socket that compute signals after
+//! queueing outbound work, timed out at the next heartbeat deadline.
 
 use crate::chare::{ChareId, Message};
 use crate::net::recovery::PeerHealth;
-use crate::net::shm::Doorbell;
+use crate::net::shm::{self, Doorbell, PollFd};
 use crate::net::transport::{write_frame, write_frames, FrameBuf};
 use crate::net::wire::{self, Ctl};
 use crate::net::TransportError;
-use crate::stats::{PeStats, ReductionSlots};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How long the comm thread may sit in `poll(2)` with no heartbeat due.
+/// Nothing depends on it — every reason to run (inbound bytes, outbound
+/// work, `stop`, an injected stall) comes with a wake — it only bounds the
+/// damage of a bug in that reasoning.
+const IDLE_WAIT: Duration = Duration::from_millis(100);
+
 /// State shared between the compute thread and its comm thread.
 #[derive(Debug, Default)]
 pub struct CommShared {
-    /// Wire envelopes this process has produced (sent) this phase.
-    /// Incremented by compute *before* the frame is handed to the comm
-    /// thread, so a probe reply can never under-count in-flight messages.
-    pub produced: AtomicU64,
-    /// Wire envelopes this process has consumed (processed) this phase.
-    pub consumed: AtomicU64,
-    /// Compute-side idle flag: queues drained, lanes flushed, inbound
-    /// empty. Maintained by compute only.
-    pub idle: AtomicBool,
-    /// The phase compute is currently in; probes for any other phase are
-    /// answered not-idle.
-    pub cur_phase: AtomicU64,
     /// Set by compute to stop the comm thread (after the outbound channel
-    /// has been drained onto the wire).
+    /// has been drained onto the wire). Follow with [`CommHandle::wake`].
     pub stop: AtomicBool,
     /// First transport failure, if any; compute checks this every loop.
     pub failed: Mutex<Option<TransportError>>,
-    /// Frames written to sockets.
+    /// Frames written to sockets since compute last harvested the counter
+    /// (compute `swap(0)`s these five into the phase's stats).
     pub frames_sent: AtomicU64,
     /// Frames read from sockets.
     pub frames_recv: AtomicU64,
@@ -55,31 +55,20 @@ pub struct CommShared {
     /// Nanoseconds spent inside socket flushes (cumulative across phases;
     /// the adaptive batch controller consumes deltas of this).
     pub flush_ns: AtomicU64,
-    /// Root only: latest CD reply per worker, indexed by `rank - 1`.
-    pub replies: Mutex<Vec<CdReplyState>>,
+    /// The comm thread is (about to be) blocked in `poll(2)`: whoever
+    /// clears this owes it one byte on the wake socket.
+    sleeping: AtomicBool,
     /// Fault injection: when nonzero, the comm thread sleeps this many
     /// milliseconds (once, resetting the cell) without touching any
     /// socket — the silent-but-connected window the process-stall fault
     /// uses. The compute thread sleeps the same window, so the process is
-    /// indistinguishable from one that received SIGSTOP.
+    /// indistinguishable from one that received SIGSTOP. Follow a store
+    /// with [`CommHandle::wake`].
     pub stall_ms: AtomicU64,
     /// Per-peer liveness classification, indexed by rank (root only;
     /// updated by the failure detector before it records the failure, so
     /// the surfaced [`TransportError`] and this table always agree).
     pub health: Mutex<Vec<PeerHealth>>,
-}
-
-/// The latest completion-detection reply from one worker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CdReplyState {
-    /// Wave this reply answered (0 = never replied).
-    pub wave: u64,
-    /// Worker's produced counter at reply time.
-    pub produced: u64,
-    /// Worker's consumed counter at reply time.
-    pub consumed: u64,
-    /// Worker's idle flag at reply time.
-    pub idle: bool,
 }
 
 impl CommShared {
@@ -95,13 +84,6 @@ impl CommShared {
     /// The recorded failure, if any.
     pub fn failure(&self) -> Option<TransportError> {
         lock_recover(&self.failed).clone()
-    }
-
-    /// The CD reply table, recovering from a poisoned lock: the flag
-    /// state is plain-old-data, so a panic elsewhere never invalidates it
-    /// and the transport must keep limping toward a clean error report.
-    pub fn replies(&self) -> MutexGuard<'_, Vec<CdReplyState>> {
-        lock_recover(&self.replies)
     }
 
     /// The failure detector's per-rank classification (root only; every
@@ -144,52 +126,42 @@ pub enum Event<M: Message> {
         /// The envelopes.
         envelopes: Vec<(ChareId, M)>,
     },
-    /// Root told us to enter a phase.
-    PhaseStart {
-        /// 1-based phase number.
-        phase: u64,
-        /// Topology check: chare count.
-        n_chares: u32,
-        /// Topology check: chare→PE map hash.
-        map_hash: u64,
-    },
-    /// Root's completion detection fired.
-    PhaseEnd {
-        /// The finished phase.
-        phase: u64,
-    },
-    /// Root's merged phase outcome.
-    PhaseResult {
-        /// Merged reductions.
-        reductions: ReductionSlots,
-        /// All PEs' counters.
-        per_pe: Vec<PeStats>,
-    },
-    /// A worker's end-of-phase counters (root side).
-    Stats {
-        /// Reporting worker.
-        rank: u32,
-        /// Its reduction contributions.
-        reductions: ReductionSlots,
-        /// Its `(global pe, counters)` pairs.
-        per_pe: Vec<(u32, PeStats)>,
-    },
-    /// Root is tearing down.
-    Shutdown,
+    /// A decoded phase-protocol frame: CD_PROBE, CD_REPLY, PHASE_RESULT or
+    /// SHUTDOWN. Compute handles it exactly as if it had come off a ring.
+    Ctl(Ctl),
     /// A socket died or a frame failed to decode. Fatal.
     TransportError(TransportError),
 }
 
 /// Compute's handle on the comm thread.
 pub struct CommHandle<M: Message> {
-    /// Outbound frames: `(destination rank, kind, payload)`.
-    pub out_tx: Sender<(u32, u8, Bytes)>,
+    out_tx: Sender<(u32, u8, Bytes)>,
+    wake_tx: UnixStream,
     /// Inbound events.
     pub in_rx: Receiver<Event<M>>,
     /// Shared counters and flags.
     pub shared: Arc<CommShared>,
     /// The thread itself (joined on teardown).
     pub join: Option<JoinHandle<()>>,
+}
+
+impl<M: Message> CommHandle<M> {
+    /// Queue one frame for `dst` on its TCP socket and wake the comm
+    /// thread if it is blocked.
+    pub fn send(&self, dst: u32, kind: u8, payload: Bytes) {
+        let _ = self.out_tx.send((dst, kind, payload));
+        self.wake();
+    }
+
+    /// Make the comm thread take a loop turn now. Costs a syscall only
+    /// when the thread is actually blocked: the `sleeping` swap pairs with
+    /// the comm loop's store-then-recheck, so a frame queued just before
+    /// it blocks is either seen by its recheck or earns this wake byte.
+    pub fn wake(&self) {
+        if self.shared.sleeping.swap(false, Ordering::SeqCst) {
+            let _ = (&self.wake_tx).write(&[1]);
+        }
+    }
 }
 
 struct Peer {
@@ -216,7 +188,7 @@ impl<M: Message> Inbox<M> {
 }
 
 /// Spawn the comm thread over an established socket set. `my_rank` is this
-/// process's rank (used for CD replies); `sockets` maps peer rank →
+/// process's rank (used for heartbeat acks); `sockets` maps peer rank →
 /// connected non-blocking stream; `bell` is compute's own doorbell when
 /// the shm transport is active (rung after every delivered event). Errors
 /// (the OS refusing a thread) are returned, not panicked, so the engine
@@ -229,11 +201,12 @@ pub fn spawn<M: Message>(
 ) -> std::io::Result<CommHandle<M>> {
     let (out_tx, out_rx) = unbounded::<(u32, u8, Bytes)>();
     let (in_tx, in_rx) = unbounded::<Event<M>>();
+    let (wake_tx, wake_rx) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    wake_rx.set_nonblocking(true)?;
     let shared = Arc::new(CommShared::default());
     {
-        let mut replies = shared.replies();
         let max_rank = sockets.iter().map(|(r, _)| *r).max().unwrap_or(0);
-        replies.resize_with(max_rank as usize, CdReplyState::default);
         let mut health = lock_recover(&shared.health);
         health.resize(max_rank as usize + 1, PeerHealth::Alive);
     }
@@ -241,9 +214,10 @@ pub fn spawn<M: Message>(
     let inbox = Inbox { tx: in_tx, bell };
     let join = std::thread::Builder::new()
         .name(format!("net-comm-{my_rank}"))
-        .spawn(move || comm_loop::<M>(my_rank, sockets, out_rx, inbox, shared2, hb))?;
+        .spawn(move || comm_loop::<M>(my_rank, sockets, out_rx, wake_rx, inbox, shared2, hb))?;
     Ok(CommHandle {
         out_tx,
+        wake_tx,
         in_rx,
         shared,
         join: Some(join),
@@ -252,9 +226,9 @@ pub fn spawn<M: Message>(
 
 /// The root-side failure detector's working state (see module docs): a
 /// probe timer plus per-peer liveness clocks. Every inbound frame from a
-/// peer — CD replies, stats, batches, not just heartbeat acks — refreshes
-/// its clock, so the explicit probes only carry liveness across windows
-/// where no other traffic flows.
+/// peer on its socket — batches and CD replies on TCP links, not just
+/// heartbeat acks — refreshes its clock; on shm links the acks are the
+/// only socket traffic, so there they carry liveness alone.
 struct Detector {
     interval: Duration,
     timeout: Duration,
@@ -267,6 +241,7 @@ fn comm_loop<M: Message>(
     my_rank: u32,
     sockets: Vec<(u32, TcpStream)>,
     out_rx: Receiver<(u32, u8, Bytes)>,
+    mut wake_rx: UnixStream,
     in_tx: Inbox<M>,
     shared: Arc<CommShared>,
     hb: Option<HeartbeatCfg>,
@@ -291,18 +266,18 @@ fn comm_loop<M: Message>(
     };
     // Only the root originates probes and classifies peers; workers just
     // answer (and their mesh-link view rides in each ack).
-    let mut detector = hb.filter(|_| my_rank == 0).map(|cfg| Detector {
-        interval: cfg.interval,
-        timeout: cfg.timeout,
+    let mut detector = hb.filter(|_| my_rank == 0).map(|cfg| {
         // simlint: allow(R2) -- liveness clocks; wall time never feeds simulation state
-        next_probe: Instant::now(),
-        seq: 0,
-        last_heard: ranks
-            .iter()
-            // simlint: allow(R2) -- liveness clocks; wall time never feeds simulation state
-            .map(|&r| (r, Instant::now()))
-            .collect(),
+        let started = Instant::now();
+        Detector {
+            interval: cfg.interval,
+            timeout: cfg.timeout,
+            next_probe: started,
+            seq: 0,
+            last_heard: ranks.iter().map(|&r| (r, started)).collect(),
+        }
     });
+    let mut fds: Vec<PollFd> = Vec::with_capacity(ranks.len() + 1);
     loop {
         // Injected process stall: go completely silent (no reads, no
         // writes, sockets open) for the requested window.
@@ -311,6 +286,7 @@ fn comm_loop<M: Message>(
             std::thread::sleep(Duration::from_millis(stall));
         }
         let mut progressed = false;
+        let mut idle_wait = IDLE_WAIT;
 
         // Outbound: drain everything compute has queued, staged per peer,
         // then flush each peer's backlog in one vectored write — one
@@ -448,11 +424,20 @@ fn comm_loop<M: Message>(
                     );
                 }
             }
+            // One pass over the open peers: who has been silent past the
+            // timeout, and when is the earliest anyone else could be — the
+            // idle wait below must not outsleep that moment or the probe.
             let mut stalled: Vec<u32> = Vec::new();
+            let mut wake_at = d.next_probe;
             for (&rank, &heard) in d.last_heard.iter() {
-                let open = peers.get(&rank).map(|p| !p.dead).unwrap_or(false);
-                if open && now.duration_since(heard) > d.timeout {
+                if peers.get(&rank).is_none_or(|p| p.dead) {
+                    continue;
+                }
+                let silent_at = heard + d.timeout;
+                if now > silent_at {
                     stalled.push(rank);
+                } else {
+                    wake_at = wake_at.min(silent_at);
                 }
             }
             for rank in stalled {
@@ -470,6 +455,7 @@ fn comm_loop<M: Message>(
                     ),
                 );
             }
+            idle_wait = idle_wait.min(wake_at.saturating_duration_since(now));
         }
 
         if shared.stop.load(Ordering::SeqCst) {
@@ -485,7 +471,31 @@ fn comm_loop<M: Message>(
             return;
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(50));
+            // Block until a socket has bytes, compute wakes us, or the
+            // next heartbeat is due. Advertise first, then re-check every
+            // compute-side reason to run (see `CommHandle::wake`).
+            shared.sleeping.store(true, Ordering::SeqCst);
+            if out_rx.is_empty()
+                && !shared.stop.load(Ordering::SeqCst)
+                && shared.stall_ms.load(Ordering::SeqCst) == 0
+            {
+                fds.clear();
+                fds.push(PollFd::readable(wake_rx.as_raw_fd()));
+                fds.extend(
+                    peers
+                        .values()
+                        .filter(|p| !p.dead)
+                        .map(|p| PollFd::readable(p.sock.as_raw_fd())),
+                );
+                shm::wait_readable(&mut fds, idle_wait);
+            }
+            shared.sleeping.store(false, Ordering::SeqCst);
+            // Swallow wake bytes unconditionally: a waker that cleared the
+            // flag may write its byte only after this read, and that stray
+            // byte must cost the next wait one early return, not leave the
+            // wake socket readable forever.
+            let mut sink = [0u8; 64];
+            let _ = wake_rx.read(&mut sink);
         }
     }
 }
@@ -513,38 +523,8 @@ fn dispatch<M: Message>(
                 in_tx.send(Event::TransportError(TransportError(msg)));
             }
         },
-        kind::CD_PROBE => {
-            // Answered here, without a compute round-trip: idle only if
-            // compute is both idle and in the probed phase.
-            if let Some(Ctl::CdProbe { phase, wave }) = Ctl::decode(kind_byte, payload) {
-                let idle = shared.idle.load(Ordering::SeqCst)
-                    && shared.cur_phase.load(Ordering::SeqCst) == phase;
-                let reply = Ctl::CdReply {
-                    rank: my_rank,
-                    wave,
-                    produced: shared.produced.load(Ordering::SeqCst),
-                    consumed: shared.consumed.load(Ordering::SeqCst),
-                    idle,
-                };
-                let (k, p) = reply.encode();
-                if let Some(peer) = peers.get_mut(&from) {
-                    match write_frame(&mut peer.sock, k, &p) {
-                        Ok(n) => {
-                            shared.frames_sent.fetch_add(1, Ordering::SeqCst);
-                            shared.bytes_sent.fetch_add(n, Ordering::SeqCst);
-                        }
-                        Err(e) => {
-                            peer.dead = true;
-                            let msg = format!("CD reply to rank {from} failed: {e}");
-                            shared.fail(msg.clone());
-                            in_tx.send(Event::TransportError(TransportError(msg)));
-                        }
-                    }
-                }
-            }
-        }
         kind::HEARTBEAT => {
-            // Answered here, like CD probes — a stalled *compute* thread
+            // Answered here, unlike CD probes — a stalled *compute* thread
             // still acks, which is exactly the distinction the detector
             // wants: heartbeats prove the process is scheduled, CD replies
             // prove compute is advancing. The ack carries this worker's
@@ -602,58 +582,12 @@ fn dispatch<M: Message>(
                 }
             }
         }
-        kind::CD_REPLY => {
-            if let Some(Ctl::CdReply {
-                rank,
-                wave,
-                produced,
-                consumed,
-                idle,
-            }) = Ctl::decode(kind_byte, payload)
-            {
-                let mut replies = shared.replies();
-                let idx = rank as usize - 1;
-                if idx < replies.len() && replies[idx].wave < wave {
-                    replies[idx] = CdReplyState {
-                        wave,
-                        produced,
-                        consumed,
-                        idle,
-                    };
-                }
-            }
-        }
         _ => match Ctl::decode(kind_byte, payload) {
-            Some(Ctl::PhaseStart {
-                phase,
-                n_chares,
-                map_hash,
-            }) => {
-                in_tx.send(Event::PhaseStart {
-                    phase,
-                    n_chares,
-                    map_hash,
-                });
-            }
-            Some(Ctl::PhaseEnd { phase }) => {
-                in_tx.send(Event::PhaseEnd { phase });
-            }
-            Some(Ctl::PhaseResult { reductions, per_pe }) => {
-                in_tx.send(Event::PhaseResult { reductions, per_pe });
-            }
-            Some(Ctl::Stats {
-                rank,
-                reductions,
-                per_pe,
-            }) => {
-                in_tx.send(Event::Stats {
-                    rank,
-                    reductions,
-                    per_pe,
-                });
+            Some(ctl @ (Ctl::CdProbe { .. } | Ctl::CdReply { .. } | Ctl::PhaseResult { .. })) => {
+                in_tx.send(Event::Ctl(ctl));
             }
             Some(Ctl::Shutdown) => {
-                in_tx.send(Event::Shutdown);
+                in_tx.send(Event::Ctl(Ctl::Shutdown));
                 return true;
             }
             _ => {

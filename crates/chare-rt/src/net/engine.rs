@@ -10,13 +10,22 @@
 //!
 //! Cross-process completion detection composes the local produce/consume
 //! idea of [`crate::completion`] with a wire protocol: each process keeps
-//! two counters (wire envelopes produced / consumed) plus an idle flag;
-//! the root probes all workers with CD_PROBE waves and declares the phase
-//! complete when two consecutive waves see every process idle with equal
-//! and unchanged Σproduced == Σconsumed. Producers bump `produced`
-//! *before* a frame reaches the wire and consumers bump `consumed` only
+//! two counters (wire envelopes produced / consumed); the idle root probes
+//! all workers with CD_PROBE waves, each worker's compute thread answers a
+//! probe once it is idle itself (queues drained, lanes flushed, inbound
+//! empty), and the root declares the phase complete when two consecutive
+//! waves see equal and unchanged Σproduced == Σconsumed. Producers bump
+//! `produced` *before* a frame leaves and consumers bump `consumed` only
 //! *after* processing, so an in-flight batch always shows up as an
-//! imbalance.
+//! imbalance. Every reply carries the worker's reductions and counters, so
+//! the second matching wave already holds the phase's outcome and one
+//! PHASE_RESULT broadcast closes the phase: five serialised control legs
+//! per quiet phase. All of it — probes, replies, the close, SHUTDOWN —
+//! travels on the plane the link's data uses (the shm ring where there is
+//! one, the comm thread's socket otherwise) through one send path
+//! ([`NetEngine::send_frame`]) and one receive path
+//! ([`NetEngine::on_batch`] / [`NetEngine::on_ctl`]); only heartbeats are
+//! always TCP (DESIGN.md §8).
 
 use crate::aggregator::{Aggregator, Envelope, Flush};
 use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
@@ -24,11 +33,12 @@ use crate::config::{NetTransport, RuntimeConfig};
 use crate::net::comm::{self, CommHandle, Event};
 use crate::net::launch;
 use crate::net::shm::{Doorbell, RingConsumer, RingProducer, ShmRegion};
-use crate::net::transport::FrameBuf;
+use crate::net::transport::{FrameBuf, MAX_FRAME};
 use crate::net::wire::{self, Ctl};
 use crate::net::TransportError;
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
 use crate::tram::Grid2D;
+use bytes::Bytes;
 use std::collections::VecDeque;
 use std::process::Child;
 use std::sync::atomic::Ordering;
@@ -38,14 +48,15 @@ use std::time::{Duration, Instant};
 /// Messages drained from one local PE's queue before moving on (same
 /// fairness quantum as the sequential engine).
 const QUANTUM: usize = 256;
-/// Iterations an idle worker spins over its rings before futex-parking
+/// Iterations an idle process spins over its rings before futex-parking
 /// (keeps same-host ping-pong in the sub-µs regime; a park costs two
 /// syscalls on the wake path).
 const PARK_SPIN: u32 = 200;
-/// Upper bound on one futex park. Liveness never depends on a wake-up —
-/// CD probes are answered by the comm thread and the park re-checks both
-/// event sources after this timeout at the latest.
-const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+/// Upper bound on one idle wait (futex park, or channel wait on TCP-only
+/// runs). Progress never depends on it — every ring push rings the bell
+/// and the comm thread rings it after every TCP event and every failure —
+/// it only bounds how stale the watchdog and failure-flag checks can get.
+const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 /// Flushes between recomputations of the adaptive batch size.
 const ADAPT_WINDOW: u64 = 32;
 /// EWMA smoothing factor (α = 1/8) for the adaptive controller.
@@ -256,6 +267,15 @@ impl<M: Message> Sender<M> for OutBuf<M> {
     }
 }
 
+/// A worker's newest CD reply of the current phase, as the root holds it.
+struct CdReply {
+    wave: u64,
+    produced: u64,
+    consumed: u64,
+    reductions: ReductionSlots,
+    per_pe: Vec<(u32, PeStats)>,
+}
+
 /// A queued envelope; `wire` marks cross-process origin (its processing
 /// bumps the consumed counter).
 struct Queued<M> {
@@ -301,14 +321,28 @@ pub struct NetEngine<M: Message> {
     recovery_checkpoints: u64,
     /// State rebuilds from a committed epoch so far (cumulative).
     recovery_restores: u64,
-    /// Set when PHASE_END arrives while the worker loop is draining.
-    pending_phase_end: bool,
+    /// Wire envelopes this process produced this phase; bumped *before*
+    /// the frame leaves (the CD soundness invariant).
+    produced: u64,
+    /// Wire envelopes this process consumed this phase; bumped only
+    /// *after* the receiving chare ran.
+    consumed: u64,
+    /// Worker: the newest CD probe not answered yet, as `(phase, wave)`.
+    /// Answered from the compute loop the next time it is idle in `phase`.
+    probe: Option<(u64, u64)>,
+    /// Root: every worker's newest CD reply of this phase, by `rank - 1`.
+    replies: Vec<Option<CdReply>>,
+    /// Worker: the current phase's closing frame, once it arrived.
+    result: Option<PhaseStats>,
+    /// Teardown began: only SHUTDOWN still matters to the receive path.
     shut_down: bool,
-    /// Shared-memory data plane (None on TCP-only and standalone runs).
+    /// Worker: SHUTDOWN arrived.
+    shutdown_seen: bool,
+    /// Shared-memory plane (None on TCP-only and standalone runs).
     shm: Option<ShmPlane>,
-    /// BATCH frames pushed into rings this phase (process-level count).
+    /// Frames pushed into rings since the last stats harvest.
     shm_frames_sent: u64,
-    /// Futex parks taken by the compute thread this phase.
+    /// Futex parks taken by the compute thread since the last harvest.
     shm_parks: u64,
     /// Adaptive batch controller (None unless
     /// [`crate::AggregationConfig::adaptive`] is set on a networked role).
@@ -487,8 +521,13 @@ impl<M: Message> NetEngine<M> {
             stall_at,
             recovery_checkpoints: 0,
             recovery_restores: 0,
-            pending_phase_end: false,
+            produced: 0,
+            consumed: 0,
+            probe: None,
+            replies: Vec::new(),
+            result: None,
             shut_down: false,
+            shutdown_seen: false,
             shm,
             shm_frames_sent: 0,
             shm_parks: 0,
@@ -532,6 +571,12 @@ impl<M: Message> NetEngine<M> {
         transport_abort(self.role, err)
     }
 
+    fn comm_failed(&self) -> bool {
+        self.comm
+            .as_ref()
+            .is_some_and(|c| c.shared.failure().is_some())
+    }
+
     fn fail_if_poisoned(&self) {
         if let Some(comm) = &self.comm {
             if let Some(err) = comm.shared.failure() {
@@ -550,38 +595,78 @@ impl<M: Message> NetEngine<M> {
         if let Some(d) = deadline {
             // simlint: allow(R2) -- hang watchdog check; aborts the run, never feeds results
             if Instant::now() > d {
-                let (p, c, idle) = self.cd_snapshot();
                 panic!(
                     "net watchdog: rank {} stuck in phase {} ({state}) after {}s \
-                     [produced={p} consumed={c} idle={idle}]",
-                    self.rank, self.phase, self.cfg.watchdog_secs
+                     [produced={} consumed={}]",
+                    self.rank, self.phase, self.cfg.watchdog_secs, self.produced, self.consumed
                 );
             }
         }
     }
 
-    fn cd_snapshot(&self) -> (u64, u64, bool) {
-        match &self.comm {
-            Some(comm) => (
-                comm.shared.produced.load(Ordering::SeqCst),
-                comm.shared.consumed.load(Ordering::SeqCst),
-                comm.shared.idle.load(Ordering::SeqCst),
-            ),
-            None => (0, 0, true),
+    /// Send one frame to `dst` on the plane its link uses: pushed into the
+    /// SPSC ring (and the peer's doorbell rung) on a shm link, handed to
+    /// the comm thread's socket otherwise — or when the frame is larger
+    /// than the ring accepts, which [`Self::emit`] allows only for a single
+    /// oversized envelope. Data and control share this path, so a link's
+    /// frames arrive in the order they were sent.
+    fn send_frame(&mut self, dst: u32, kind: u8, payload: Bytes) {
+        let d = dst as usize;
+        let on_ring = self
+            .shm
+            .as_ref()
+            .and_then(|plane| plane.producers[d].as_ref())
+            .is_some_and(|p| payload.len() + 5 <= p.max_frame());
+        if !on_ring {
+            if let Some(comm) = &self.comm {
+                comm.send(dst, kind, payload);
+            }
+            return;
         }
+        let mut plane = self.shm.take().expect("on_ring implies a plane");
+        let mut spins = 0u32;
+        while !plane.producers[d]
+            .as_ref()
+            .is_some_and(|p| p.try_push(kind, &payload))
+        {
+            // Ring full: drain our own inbound rings while retrying so two
+            // mutually-full peers cannot deadlock (each side's consumer
+            // frees the other's producer). A peer that died with its ring
+            // full never frees it; the comm thread's failure flag ends
+            // that wait.
+            self.drain_plane(&mut plane);
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(1024) {
+                self.fail_if_poisoned();
+            }
+            std::hint::spin_loop();
+        }
+        if let Some(bell) = &plane.bells[d] {
+            bell.ring();
+        }
+        self.shm = Some(plane);
+        self.shm_frames_sent += 1;
     }
 
-    fn send_ctl(&self, dst: u32, ctl: &Ctl) {
-        if let Some(comm) = &self.comm {
-            let (kind, payload) = ctl.encode();
-            let _ = comm.out_tx.send((dst, kind, payload));
-        }
+    fn send_ctl(&mut self, dst: u32, ctl: &Ctl) {
+        let (kind, payload) = ctl.encode();
+        self.send_frame(dst, kind, payload);
     }
 
-    fn broadcast(&self, ctl: &Ctl) {
+    fn broadcast(&mut self, ctl: &Ctl) {
+        let (kind, payload) = ctl.encode();
         for r in 1..self.cfg.net.n_procs {
-            self.send_ctl(r, ctl);
+            self.send_frame(r, kind, payload.clone());
         }
+    }
+
+    /// Largest BATCH payload [`Self::send_frame`] can keep on `dst`'s plane.
+    fn batch_limit(&self, dst: u32) -> usize {
+        self.shm
+            .as_ref()
+            .and_then(|p| p.producers[dst as usize].as_ref())
+            .map_or(MAX_FRAME, RingProducer::max_frame)
+            - 5
     }
 
     // ------------------------------------------------------------------
@@ -660,73 +745,45 @@ impl<M: Message> NetEngine<M> {
         }
     }
 
-    /// Serialize a flush onto the data plane. `produced` is bumped before
-    /// the frame leaves the compute thread — the CD soundness invariant.
-    ///
-    /// Shm-linked destinations get the frame pushed straight into the SPSC
-    /// ring, compute thread to compute thread — no comm-thread hop.
-    /// Oversized frames (> half the ring) and TCP links go through the
-    /// comm thread; the two planes may interleave freely because batch
-    /// delivery order within a phase is not part of the determinism
-    /// contract.
+    /// Serialize a flush into BATCH frames, split at envelope boundaries so
+    /// each fits the destination's plane (a lane can hold more than half a
+    /// ring). `produced` is bumped before the first frame leaves the
+    /// compute thread — the CD soundness invariant. Batch delivery order
+    /// within a phase is not part of the determinism contract.
     fn emit(&mut self, lp: usize, flush: Flush<M>, cause: FlushCause) {
         let t0 = self
             .adapt
             .as_ref()
             // simlint: allow(R2) -- flush-cost telemetry for the adaptive batch controller; never feeds the DES
             .map(|_| Instant::now());
-        let (dst_rank, payload, n_envs) = match flush {
+        let (dst_rank, frames, n_envs) = match flush {
             Flush::Packet(packet) => {
-                let payload = wire::encode_batch(self.phase, self.rank, &packet.envelopes);
+                let frames = wire::encode_batches(
+                    self.phase,
+                    self.rank,
+                    &packet.envelopes,
+                    self.batch_limit(packet.dst_pe),
+                );
                 let n = packet.envelopes.len() as u64;
                 self.agg.recycle(packet.envelopes);
-                (packet.dst_pe, payload, n)
+                (packet.dst_pe, frames, n)
             }
             Flush::Single {
                 dst_pe, to, msg, ..
             } => {
                 let env = [Envelope { to, msg }];
-                (dst_pe, wire::encode_batch(self.phase, self.rank, &env), 1)
+                let limit = self.batch_limit(dst_pe);
+                let frames = wire::encode_batches(self.phase, self.rank, &env, limit);
+                (dst_pe, frames, 1)
             }
         };
-        {
-            let comm = self.comm.as_ref().expect("remote flush without comm");
-            comm.shared.produced.fetch_add(n_envs, Ordering::SeqCst);
-        }
-        let mut via_ring = false;
-        if let Some(mut plane) = self.shm.take() {
-            let dst = dst_rank as usize;
-            let fits = plane.producers[dst]
-                .as_ref()
-                .is_some_and(|p| payload.len() + 5 <= p.max_frame());
-            if fits {
-                loop {
-                    let pushed = plane.producers[dst]
-                        .as_ref()
-                        .is_some_and(|p| p.try_push(wire::kind::BATCH, &payload));
-                    if pushed {
-                        break;
-                    }
-                    // Ring full: drain our own inbound rings while
-                    // retrying so two mutually-full peers cannot deadlock
-                    // (each side's consumer frees the other's producer).
-                    self.drain_plane(&mut plane);
-                    std::hint::spin_loop();
-                }
-                if let Some(bell) = &plane.bells[dst] {
-                    bell.ring();
-                }
-                self.shm_frames_sent += 1;
-                via_ring = true;
-            }
-            self.shm = Some(plane);
-        }
-        if !via_ring {
-            let comm = self.comm.as_ref().expect("remote flush without comm");
-            let _ = comm.out_tx.send((dst_rank, wire::kind::BATCH, payload));
+        self.produced += n_envs;
+        let n_frames = frames.len() as u64;
+        for payload in frames {
+            self.send_frame(dst_rank, wire::kind::BATCH, payload);
         }
         let st = &mut self.stats[lp];
-        st.network_packets += 1;
+        st.network_packets += n_frames;
         match cause {
             FlushCause::BatchFull => {
                 st.wire_flush_batch += 1;
@@ -808,9 +865,9 @@ impl<M: Message> NetEngine<M> {
         }
     }
 
-    /// Drain every inbound ring of `plane` into the local queues (the
-    /// plane is passed explicitly so [`Self::emit`]'s backpressure loop can
-    /// drain while holding it). Returns whether current-phase work arrived.
+    /// Drain every inbound ring of `plane` (the plane is passed explicitly
+    /// so [`Self::send_frame`]'s backpressure loop can drain while holding
+    /// it). Returns whether current-phase work arrived.
     fn drain_plane(&mut self, plane: &mut ShmPlane) -> bool {
         let mut worked = false;
         for src in 0..plane.consumers.len() {
@@ -824,13 +881,13 @@ impl<M: Message> NetEngine<M> {
                 ))),
             };
             for (kind, payload) in polled.frames {
-                worked |= self.handle_ring_frame(src as u32, kind, &payload);
+                worked |= self.on_ring_frame(src as u32, kind, &payload);
             }
         }
         worked
     }
 
-    /// Poll the shm data plane (no-op on TCP-only runs). Returns whether
+    /// Poll the shm plane (no-op on TCP-only runs). Returns whether
     /// current-phase work arrived.
     fn poll_rings(&mut self) -> bool {
         let Some(mut plane) = self.shm.take() else {
@@ -841,20 +898,49 @@ impl<M: Message> NetEngine<M> {
         worked
     }
 
-    /// One frame lifted off a ring — same phase discipline as TCP batches:
-    /// current phase is enqueued, next phase is stashed, anything else is a
-    /// protocol error.
-    fn handle_ring_frame(&mut self, src: u32, kind: u8, payload: &[u8]) -> bool {
-        if kind != wire::kind::BATCH {
-            self.transport_fail(TransportError(format!(
-                "unexpected frame kind {kind} on shm ring from rank {src}"
-            )));
+    /// One frame lifted off a ring: decoded here (the comm thread does the
+    /// same for socket frames) and handed to the shared receive path.
+    fn on_ring_frame(&mut self, src: u32, kind: u8, payload: &[u8]) -> bool {
+        if kind == wire::kind::BATCH {
+            let Some((phase, _src, envelopes)) = wire::decode_batch::<M>(payload) else {
+                self.transport_fail(TransportError(format!(
+                    "malformed BATCH on shm ring from rank {src}"
+                )))
+            };
+            return self.on_batch(phase, envelopes);
         }
-        let Some((phase, _src, envelopes)) = wire::decode_batch::<M>(payload) else {
-            self.transport_fail(TransportError(format!(
-                "malformed BATCH on shm ring from rank {src}"
-            )))
-        };
+        match Ctl::decode(kind, payload) {
+            Some(ctl) => self.on_ctl(ctl),
+            None => self.transport_fail(TransportError(format!(
+                "malformed frame of kind {kind} on shm ring from rank {src}"
+            ))),
+        }
+        false
+    }
+
+    /// One event from the comm thread, through the same receive path as a
+    /// ring frame. Returns whether current-phase work was enqueued.
+    fn on_event(&mut self, ev: Event<M>) -> bool {
+        match ev {
+            Event::Batch { phase, envelopes } => self.on_batch(phase, envelopes),
+            Event::Ctl(ctl) => {
+                self.on_ctl(ctl);
+                false
+            }
+            // The root closes its sockets as it leaves — during teardown,
+            // or right behind the last phase's PHASE_RESULT, which on a
+            // shm link overtakes the socket's EOF. With the closing frame
+            // in hand the phase still completes; the failure flag stays
+            // set for whoever runs next.
+            Event::TransportError(_) if self.shut_down || self.result.is_some() => false,
+            Event::TransportError(e) => self.transport_fail(e),
+        }
+    }
+
+    /// A decoded batch, from either plane: the current phase's is enqueued
+    /// (returns `true`), the next phase's is stashed until we enter it,
+    /// anything else is a protocol error.
+    fn on_batch(&mut self, phase: u64, envelopes: Vec<(ChareId, M)>) -> bool {
         if phase == self.phase {
             self.enqueue_wire(envelopes);
             true
@@ -863,14 +949,122 @@ impl<M: Message> NetEngine<M> {
             false
         } else {
             panic!(
-                "net protocol error: ring batch for phase {phase} while rank {} is in {}",
+                "net protocol error: batch for phase {phase} while rank {} is in {}",
                 self.rank, self.phase
             );
         }
     }
 
-    fn rings_have_inbound(&self) -> bool {
-        self.shm.as_ref().is_some_and(ShmPlane::has_inbound)
+    /// A decoded phase-protocol frame, from either plane. Nothing here
+    /// sends: a probe is only recorded — [`Self::answer_probe`] replies
+    /// from the compute loop once this process is idle — so the receive
+    /// path may run inside [`Self::send_frame`]'s backpressure loop.
+    fn on_ctl(&mut self, ctl: Ctl) {
+        // SHUTDOWN can sit right behind the last PHASE_RESULT and be lifted
+        // in the same drain; teardown then finds it already seen (and
+        // `worker_phase` treats it as an abort if another phase starts).
+        let is_shutdown = matches!(ctl, Ctl::Shutdown);
+        if self.shut_down || (is_shutdown && self.result.is_some()) {
+            self.shutdown_seen |= is_shutdown;
+            return;
+        }
+        match (self.role, ctl) {
+            (
+                Role::Worker,
+                Ctl::CdProbe {
+                    phase,
+                    wave,
+                    n_chares,
+                    map_hash,
+                },
+            ) => {
+                assert!(
+                    n_chares as usize == self.pe_of.len() && Some(map_hash) == self.map_hash,
+                    "rank {} built a different chare topology than the root \
+                     ({} chares, map hash {:#x} vs root's {} / {:#x}) — SPMD replay diverged",
+                    self.rank,
+                    self.pe_of.len(),
+                    self.map_hash.unwrap_or(0),
+                    n_chares,
+                    map_hash
+                );
+                // The root may be one phase ahead of a worker whose
+                // PHASE_RESULT took the other plane; never behind it.
+                assert!(
+                    phase == self.phase || phase == self.phase + 1,
+                    "rank {} is in phase {} but the root probed {phase} — SPMD drivers diverged",
+                    self.rank,
+                    self.phase
+                );
+                if self.probe.is_none_or(|held| held < (phase, wave)) {
+                    self.probe = Some((phase, wave));
+                }
+            }
+            (
+                Role::Root,
+                Ctl::CdReply {
+                    rank,
+                    phase,
+                    wave,
+                    produced,
+                    consumed,
+                    reductions,
+                    per_pe,
+                },
+            ) => {
+                // A reply of a closed phase can only trail in when its
+                // wave was abandoned and it took the other plane.
+                if phase != self.phase {
+                    return;
+                }
+                let Some(slot) = (rank as usize)
+                    .checked_sub(1)
+                    .and_then(|i| self.replies.get_mut(i))
+                else {
+                    self.transport_fail(TransportError(format!(
+                        "CD_REPLY from unknown rank {rank}"
+                    )))
+                };
+                if slot.as_ref().is_none_or(|held| held.wave < wave) {
+                    *slot = Some(CdReply {
+                        wave,
+                        produced,
+                        consumed,
+                        reductions,
+                        per_pe,
+                    });
+                }
+            }
+            (
+                Role::Worker,
+                Ctl::PhaseResult {
+                    phase,
+                    reductions,
+                    per_pe,
+                },
+            ) => {
+                assert_eq!(
+                    phase, self.phase,
+                    "rank {} is in phase {} but the root closed {phase} — SPMD drivers diverged",
+                    self.rank, self.phase
+                );
+                self.result = Some(PhaseStats { per_pe, reductions });
+            }
+            (Role::Worker, Ctl::Shutdown) => {
+                // The root aborted (e.g. its transport failed after
+                // another worker died): leave cleanly, not by a crash.
+                self.transport_fail(TransportError(format!(
+                    "root shut down while rank {} was in phase {} — treating as root abort",
+                    self.rank, self.phase
+                )))
+            }
+            (_, other) => self.transport_fail(TransportError(format!(
+                "unexpected frame kind {} on rank {} in phase {}",
+                other.encode().0,
+                self.rank,
+                self.phase
+            ))),
+        }
     }
 
     fn comm_has_event(&self) -> bool {
@@ -918,7 +1112,7 @@ impl<M: Message> NetEngine<M> {
             // TRAM intermediate hop.
             debug_assert!(self.cfg.aggregation.tram_2d);
             if q.wire {
-                self.consume_one();
+                self.consumed += 1;
             }
             self.forward(q.to, q.msg);
             return;
@@ -941,7 +1135,7 @@ impl<M: Message> NetEngine<M> {
         st.busy_ns += elapsed;
         st.processed += 1;
         if q.wire {
-            self.consume_one();
+            self.consumed += 1;
         }
         let mut items = std::mem::take(&mut self.out.items);
         let pe = self.pe_lo + lp as u32;
@@ -949,12 +1143,6 @@ impl<M: Message> NetEngine<M> {
             self.route(pe, to, msg);
         }
         self.out.items = items;
-    }
-
-    fn consume_one(&self) {
-        if let Some(comm) = &self.comm {
-            comm.shared.consumed.fetch_add(1, Ordering::SeqCst);
-        }
     }
 
     fn enqueue_wire(&mut self, envelopes: Vec<(ChareId, M)>) {
@@ -1044,27 +1232,9 @@ impl<M: Message> NetEngine<M> {
         if self.map_hash.is_none() {
             self.map_hash = Some(wire::map_hash(&self.pe_of));
         }
-        self.shm_frames_sent = 0;
-        self.shm_parks = 0;
+        self.produced = 0;
+        self.consumed = 0;
         self.agg_batch_peak = u64::from(self.agg.max_batch());
-        if let Some(comm) = &self.comm {
-            let sh = &comm.shared;
-            sh.produced.store(0, Ordering::SeqCst);
-            sh.consumed.store(0, Ordering::SeqCst);
-            sh.idle.store(false, Ordering::SeqCst);
-            sh.frames_sent.store(0, Ordering::SeqCst);
-            sh.frames_recv.store(0, Ordering::SeqCst);
-            sh.bytes_sent.store(0, Ordering::SeqCst);
-            sh.bytes_recv.store(0, Ordering::SeqCst);
-            sh.coalesced_flushes.store(0, Ordering::SeqCst);
-            // flush_ns stays cumulative — the adaptive controller reads
-            // deltas of it across phase boundaries.
-            for r in sh.replies().iter_mut() {
-                *r = comm::CdReplyState::default();
-            }
-            // Last: only now may probes for this phase be answered idle.
-            sh.cur_phase.store(self.phase, Ordering::SeqCst);
-        }
         match self.role {
             Role::Standalone => {
                 self.inject(injections);
@@ -1093,56 +1263,34 @@ impl<M: Message> NetEngine<M> {
 
     fn root_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
         let deadline = self.deadline();
-        self.broadcast(&Ctl::PhaseStart {
-            phase: self.phase,
-            n_chares: self.pe_of.len() as u32,
-            map_hash: self.map_hash.unwrap(),
-        });
+        self.replies.clear();
+        self.replies
+            .resize_with(self.cfg.net.n_procs as usize - 1, || None);
         self.adopt_pending();
         self.inject(injections);
         self.root_compute_loop(deadline);
-        // Completion fired globally: close the phase and merge stats.
-        self.broadcast(&Ctl::PhaseEnd { phase: self.phase });
-        self.harvest_wire_counters();
-        let n_pes = self.cfg.n_pes as usize;
-        let mut per_pe = vec![PeStats::default(); n_pes];
-        for (i, st) in self.stats.iter().enumerate() {
-            per_pe[self.pe_lo as usize + i] = *st;
+        // Two matching quiet waves: nothing ran anywhere after the second
+        // wave's replies were cut, so the counters they carry are final.
+        let mut per_pe = vec![PeStats::default(); self.cfg.n_pes as usize];
+        for (pe, st) in self.harvest() {
+            per_pe[pe as usize] = st;
         }
         let mut reductions = self.reductions.clone();
-        let mut got = vec![false; self.cfg.net.n_procs as usize];
-        got[0] = true;
-        while got.iter().any(|g| !g) {
-            self.fail_if_poisoned();
-            self.check_deadline(deadline, "gathering worker stats");
-            // Next-phase batches can already be landing on the rings.
-            self.poll_rings();
-            let comm = self.comm.as_ref().expect("root has comm");
-            match comm.in_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(Event::Stats {
-                    rank,
-                    reductions: r,
-                    per_pe: pp,
-                }) => {
-                    reductions.merge(&r);
-                    for (pe, st) in pp {
-                        per_pe[pe as usize] = st;
-                    }
-                    got[rank as usize] = true;
+        for reply in self.replies.drain(..).flatten() {
+            reductions.merge(&reply.reductions);
+            for (pe, st) in reply.per_pe {
+                match per_pe.get_mut(pe as usize) {
+                    Some(slot) => *slot = st,
+                    None => transport_abort(
+                        self.role,
+                        TransportError(format!("CD_REPLY carries stats for unknown PE {pe}")),
+                    ),
                 }
-                Ok(Event::Batch { phase, envelopes }) if phase == self.phase + 1 => {
-                    self.pending.push((phase, envelopes));
-                }
-                Ok(Event::TransportError(e)) => self.transport_fail(e),
-                Ok(other) => panic!(
-                    "net protocol error: unexpected {} while gathering stats",
-                    event_name(&other)
-                ),
-                Err(_) => {}
             }
         }
         let result = PhaseStats { per_pe, reductions };
         self.broadcast(&Ctl::PhaseResult {
+            phase: self.phase,
             reductions: result.reductions.clone(),
             per_pe: result.per_pe.clone(),
         });
@@ -1153,7 +1301,6 @@ impl<M: Message> NetEngine<M> {
     /// workers while idle, return once two consecutive waves agree the
     /// system is quiet.
     fn root_compute_loop(&mut self, deadline: Option<Instant>) {
-        let n_procs = self.cfg.net.n_procs;
         let mut wave = 0u64;
         let mut snapshot: Option<(u64, u64)> = None;
         loop {
@@ -1161,135 +1308,115 @@ impl<M: Message> NetEngine<M> {
             self.check_deadline(deadline, "completion detection");
             let mut worked = self.drain_queues();
             worked |= self.drain_inbound();
-            if worked {
-                self.set_idle(false);
+            if worked || self.flush_idle() {
                 snapshot = None;
                 continue;
             }
-            if self.flush_idle() {
-                snapshot = None;
-                continue;
-            }
-            self.set_idle(true);
-            if n_procs == 1 {
-                return;
-            }
-            // Probe wave.
+            // Idle: probe wave.
             wave += 1;
             self.broadcast(&Ctl::CdProbe {
                 phase: self.phase,
                 wave,
+                n_chares: self.pe_of.len() as u32,
+                map_hash: self.map_hash.expect("set at phase entry"),
             });
             match self.collect_wave(wave, deadline) {
                 None => {
                     // Work arrived mid-wave; abandon it.
                     snapshot = None;
-                    continue;
                 }
-                Some((sum_p, sum_c, all_idle)) => {
-                    let (own_p, own_c, _) = self.cd_snapshot();
-                    let totals = (sum_p + own_p, sum_c + own_c);
-                    if all_idle && totals.0 == totals.1 {
-                        if snapshot == Some(totals) {
-                            return; // two matching waves: globally quiet
-                        }
-                        snapshot = Some(totals);
-                    } else {
+                Some((sum_p, sum_c)) => {
+                    let totals = (sum_p + self.produced, sum_c + self.consumed);
+                    if totals.0 != totals.1 {
                         snapshot = None;
+                    } else if snapshot == Some(totals) {
+                        return; // two matching waves: globally quiet
+                    } else {
+                        snapshot = Some(totals);
                     }
                 }
             }
         }
     }
 
-    /// Wait until every worker answered `wave`. Returns `None` if local
-    /// work arrived meanwhile (the wave is abandoned), else the workers'
-    /// summed counters and combined idleness.
-    fn collect_wave(&mut self, wave: u64, deadline: Option<Instant>) -> Option<(u64, u64, bool)> {
+    /// Wait until every worker answered `wave` — each does so once it is
+    /// idle. Returns `None` if local work arrived meanwhile (the wave is
+    /// abandoned), else the workers' summed produced/consumed counters.
+    fn collect_wave(&mut self, wave: u64, deadline: Option<Instant>) -> Option<(u64, u64)> {
         loop {
             self.fail_if_poisoned();
             self.check_deadline(deadline, "waiting for CD replies");
             if self.drain_inbound() {
-                self.set_idle(false);
                 return None;
             }
-            let comm = self.comm.as_ref().expect("root has comm");
-            let replies = comm.shared.replies();
-            if replies.iter().all(|r| r.wave >= wave) {
-                let sum_p = replies.iter().map(|r| r.produced).sum();
-                let sum_c = replies.iter().map(|r| r.consumed).sum();
-                let all_idle = replies.iter().all(|r| r.idle && r.wave == wave);
-                return Some((sum_p, sum_c, all_idle));
+            if self
+                .replies
+                .iter()
+                .all(|r| r.as_ref().is_some_and(|r| r.wave == wave))
+            {
+                let replies = self.replies.iter().flatten();
+                return Some(replies.fold((0, 0), |(p, c), r| (p + r.produced, c + r.consumed)));
             }
-            drop(replies);
-            std::thread::sleep(Duration::from_micros(50));
+            if self.wait_inbound() {
+                return None;
+            }
         }
     }
 
-    /// Drain inbound events (rings first, then the comm thread's channel)
-    /// without blocking. Returns whether any new work was enqueued. Only
-    /// valid inside a phase's main loop.
+    /// Drain inbound frames (rings first, then the comm thread's channel)
+    /// without blocking. Returns whether current-phase work was enqueued.
     fn drain_inbound(&mut self) -> bool {
         let mut worked = self.poll_rings();
         while let Some(ev) = self.comm.as_ref().and_then(|c| c.in_rx.try_recv().ok()) {
-            match ev {
-                Event::Batch { phase, envelopes } => {
-                    if phase == self.phase {
-                        self.enqueue_wire(envelopes);
-                        worked = true;
-                    } else if phase == self.phase + 1 {
-                        self.pending.push((phase, envelopes));
-                    } else {
-                        panic!(
-                            "net protocol error: batch for phase {phase} while rank {} is in {}",
-                            self.rank, self.phase
-                        );
-                    }
-                }
-                Event::PhaseEnd { phase } if self.role == Role::Worker => {
-                    assert_eq!(phase, self.phase, "PHASE_END for wrong phase");
-                    // Handled by the worker loop via the flag below.
-                    self.pending_phase_end = true;
-                }
-                Event::TransportError(e) => self.transport_fail(e),
-                Event::Shutdown => self.shutdown_mid_run("mid-phase"),
-                other => panic!(
-                    "net protocol error: unexpected {} in phase {} on rank {}",
-                    event_name(&other),
-                    self.phase,
-                    self.rank
-                ),
-            }
+            worked |= self.on_event(ev);
         }
         worked
     }
 
-    /// SHUTDOWN arrived while this rank still had protocol left to run.
-    /// On a worker that means the root aborted (e.g. its transport failed
-    /// after another worker died) — exit cleanly with [`TRANSPORT_EXIT`]
-    /// rather than crash. On the root it can only be a protocol bug.
-    fn shutdown_mid_run(&self, state: &str) -> ! {
-        if self.role == Role::Worker {
-            self.transport_fail(TransportError(format!(
-                "root shut down while rank {} was {state} (phase {}) — treating as root abort",
-                self.rank, self.phase
-            )));
+    /// Block until something may have arrived. With the shm plane active:
+    /// spin briefly over both sources (keeps same-host ping-pong sub-µs),
+    /// then futex-park on our doorbell — remote producers ring it after
+    /// every push and our comm thread after every TCP event. Without it,
+    /// block on the comm thread's channel and run the one event received
+    /// through [`Self::on_event`]; returns whether that enqueued
+    /// current-phase work.
+    fn wait_inbound(&mut self) -> bool {
+        if let Some(plane) = &self.shm {
+            for _ in 0..PARK_SPIN {
+                if plane.has_inbound() || self.comm_has_event() {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            // Snapshot seq, then re-check both sources: a push in between
+            // bumps seq and aborts the park.
+            let seen = plane.my_bell.read_seq();
+            if !plane.has_inbound()
+                && !self.comm_has_event()
+                && plane.my_bell.park(seen, PARK_TIMEOUT)
+            {
+                self.shm_parks += 1;
+            }
+            return false;
         }
-        panic!(
-            "net protocol error: shutdown while rank {} is {state} (phase {})",
-            self.rank, self.phase
-        );
-    }
-
-    fn set_idle(&self, idle: bool) {
-        if let Some(comm) = &self.comm {
-            comm.shared.idle.store(idle, Ordering::SeqCst);
+        let comm = self.comm.as_ref().expect("networked role has comm");
+        match comm.in_rx.recv_timeout(PARK_TIMEOUT) {
+            Ok(ev) => self.on_event(ev),
+            Err(_) => false,
         }
     }
 
     fn worker_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
         let deadline = self.deadline();
-        self.wait_phase_start(deadline);
+        if self.shutdown_seen {
+            // SHUTDOWN was lifted together with the previous phase's
+            // closing frame and taken for the orderly end of the run; a
+            // driver that starts another phase proves it was an abort.
+            self.transport_fail(TransportError(format!(
+                "root shut down before rank {} entered phase {} — treating as root abort",
+                self.rank, self.phase
+            )));
+        }
         if self.kill_phase == Some(self.phase) {
             // Fault injection: die abruptly, mid-protocol, so the root's
             // transport — not a wrong curve — reports the loss.
@@ -1302,10 +1429,10 @@ impl<M: Message> NetEngine<M> {
         if let Some((phase, ms)) = self.stall_at {
             if phase == self.phase {
                 // Fault injection: go silent without dying. The comm
-                // thread sleeps the same window (it swaps `stall_ms` at
-                // its next loop turn), so no probe, heartbeat, or batch is
-                // answered — indistinguishable from SIGSTOP, which is
-                // exactly what the stalled-peer detector must classify.
+                // thread sleeps the same window, so no probe, heartbeat,
+                // or batch is answered — indistinguishable from SIGSTOP,
+                // which is exactly what the stalled-peer detector must
+                // classify.
                 self.stall_at = None;
                 eprintln!(
                     "[net] rank {} stalling {ms}ms at phase {} (fault injection)",
@@ -1313,235 +1440,87 @@ impl<M: Message> NetEngine<M> {
                 );
                 if let Some(comm) = &self.comm {
                     comm.shared.stall_ms.store(ms, Ordering::SeqCst);
+                    comm.wake();
                 }
                 std::thread::sleep(Duration::from_millis(ms));
             }
         }
+        // No barrier at phase entry: a worker starts on its own share at
+        // once, batches from peers that entered earlier are already
+        // stashed, and the topology check rides on the root's probes.
         self.adopt_pending();
         self.inject(injections);
-        self.pending_phase_end = false;
         loop {
-            self.fail_if_poisoned();
-            self.check_deadline(deadline, "worker compute loop");
             let mut worked = self.drain_queues();
             worked |= self.drain_inbound();
-            if self.pending_phase_end {
-                break;
+            // A closing frame already here outranks the failure flag: the
+            // root may drop its sockets right behind the last one.
+            if let Some(result) = self.result.take() {
+                return result;
             }
-            if worked {
-                self.set_idle(false);
+            self.fail_if_poisoned();
+            self.check_deadline(deadline, "worker compute loop");
+            if worked || self.flush_idle() {
                 continue;
             }
-            if self.flush_idle() {
-                continue;
-            }
-            self.set_idle(true);
-            // Wait for the next event; CD probes are answered by the comm
-            // thread meanwhile. With the shm plane active: spin briefly
-            // over the rings (keeps same-host ping-pong sub-µs), then
-            // futex-park on our doorbell — remote producers ring it after
-            // every push and our comm thread after every TCP event, and
-            // the park itself is bounded by [`PARK_TIMEOUT`] so liveness
-            // never hangs off a wake-up.
-            if let Some(bell) = self.shm.as_ref().map(|p| p.my_bell.clone()) {
-                let mut hot = false;
-                for _ in 0..PARK_SPIN {
-                    if self.rings_have_inbound() || self.comm_has_event() {
-                        hot = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                if !hot {
-                    let seen = bell.read_seq();
-                    // Re-check both sources after publishing intent to
-                    // park (via the seq snapshot) — a push between the
-                    // check and the futex call bumps seq and aborts the
-                    // park.
-                    if !self.rings_have_inbound()
-                        && !self.comm_has_event()
-                        && bell.park(seen, PARK_TIMEOUT)
-                    {
-                        self.shm_parks += 1;
-                    }
-                }
-                continue;
-            }
-            let comm = self.comm.as_ref().expect("worker has comm");
-            if comm
-                .in_rx
-                .recv_timeout(Duration::from_micros(200))
-                .is_ok_and(|ev| {
-                    // Re-inject into the normal path.
-                    self.requeue_event(ev);
-                    true
-                })
-            {
-                continue;
-            }
+            // Idle: queues drained, lanes flushed, inbound empty. This is
+            // the only state a probe is answered from, so a busy worker
+            // costs the root one late reply instead of a stream of
+            // not-idle waves.
+            self.answer_probe();
+            self.wait_inbound();
         }
-        // Phase closed globally; report and await the merged result.
-        self.harvest_wire_counters();
-        let per_pe_local: Vec<(u32, PeStats)> = self
-            .stats
+    }
+
+    /// Answer the newest probe of the current phase, if one is waiting.
+    /// Called only when idle; the reply carries the reductions and
+    /// counters so far — final if this wave turns out to close the phase.
+    fn answer_probe(&mut self) {
+        let Some((phase, wave)) = self.probe.filter(|&(p, _)| p == self.phase) else {
+            return;
+        };
+        self.probe = None;
+        let reply = Ctl::CdReply {
+            rank: self.rank,
+            phase,
+            wave,
+            produced: self.produced,
+            consumed: self.consumed,
+            per_pe: self.harvest(),
+            reductions: self.reductions.clone(),
+        };
+        self.send_ctl(0, &reply);
+    }
+
+    /// Fold the process-level counters — the comm thread's wire counters,
+    /// ring frames, parks — into the first local PE's stats (DESIGN.md §8
+    /// documents the attribution) and return this process's
+    /// `(global pe, counters)` pairs. The sources are drained, not read:
+    /// a phase may harvest several times (once per CD reply), and whatever
+    /// happens after its last harvest is counted in the next phase
+    /// instead of nowhere.
+    fn harvest(&mut self) -> Vec<(u32, PeStats)> {
+        let batch_level = self.agg_batch_peak.max(u64::from(self.agg.max_batch()));
+        let st = &mut self.stats[0];
+        if let Some(comm) = &self.comm {
+            let sh = &comm.shared;
+            st.wire_frames_sent += sh.frames_sent.swap(0, Ordering::SeqCst);
+            st.wire_frames_recv += sh.frames_recv.swap(0, Ordering::SeqCst);
+            st.wire_bytes_sent += sh.bytes_sent.swap(0, Ordering::SeqCst);
+            st.wire_bytes_recv += sh.bytes_recv.swap(0, Ordering::SeqCst);
+            st.wire_coalesced_flushes += sh.coalesced_flushes.swap(0, Ordering::SeqCst);
+        }
+        st.shm_frames_sent += std::mem::take(&mut self.shm_frames_sent);
+        st.shm_parks += std::mem::take(&mut self.shm_parks);
+        st.agg_batch = st.agg_batch.max(batch_level);
+        // Cumulative levels, not per-phase counts.
+        st.recovery_checkpoints = self.recovery_checkpoints;
+        st.recovery_restores = self.recovery_restores;
+        self.stats
             .iter()
             .enumerate()
             .map(|(i, st)| (self.pe_lo + i as u32, *st))
-            .collect();
-        self.send_ctl(
-            0,
-            &Ctl::Stats {
-                rank: self.rank,
-                reductions: self.reductions.clone(),
-                per_pe: per_pe_local,
-            },
-        );
-        self.wait_phase_result(deadline)
-    }
-
-    /// Push one blocking-received event through the same handling as
-    /// [`Self::drain_inbound`].
-    fn requeue_event(&mut self, ev: Event<M>) {
-        match ev {
-            Event::Batch { phase, envelopes } => {
-                if phase == self.phase {
-                    self.set_idle(false);
-                    self.enqueue_wire(envelopes);
-                } else if phase == self.phase + 1 {
-                    self.pending.push((phase, envelopes));
-                } else {
-                    panic!(
-                        "net protocol error: batch for phase {phase} while rank {} is in {}",
-                        self.rank, self.phase
-                    );
-                }
-            }
-            Event::PhaseEnd { phase } => {
-                assert_eq!(phase, self.phase, "PHASE_END for wrong phase");
-                self.pending_phase_end = true;
-            }
-            Event::TransportError(e) => self.transport_fail(e),
-            Event::Shutdown => self.shutdown_mid_run("mid-phase"),
-            other => panic!(
-                "net protocol error: unexpected {} in phase {} on rank {}",
-                event_name(&other),
-                self.phase,
-                self.rank
-            ),
-        }
-    }
-
-    fn wait_phase_start(&mut self, deadline: Option<Instant>) {
-        loop {
-            // A faster peer may already be pushing this phase's batches
-            // onto the rings while PHASE_START is still in flight on TCP.
-            self.poll_rings();
-            // Drain queued events before honouring the failure flag (see
-            // wait_phase_result).
-            let comm = self.comm.as_ref().expect("worker has comm");
-            match comm.in_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(Event::PhaseStart {
-                    phase,
-                    n_chares,
-                    map_hash,
-                }) => {
-                    assert_eq!(
-                        phase, self.phase,
-                        "rank {} expected phase {} but root started {phase} — SPMD drivers diverged",
-                        self.rank, self.phase
-                    );
-                    assert!(
-                        n_chares as usize == self.pe_of.len() && Some(map_hash) == self.map_hash,
-                        "rank {} built a different chare topology than the root \
-                         ({} chares, map hash {:#x} vs root's {} / {:#x}) — SPMD replay diverged",
-                        self.rank,
-                        self.pe_of.len(),
-                        self.map_hash.unwrap_or(0),
-                        n_chares,
-                        map_hash
-                    );
-                    return;
-                }
-                Ok(Event::Batch { phase, envelopes }) => {
-                    // A faster peer already entered this phase.
-                    if phase == self.phase {
-                        self.enqueue_wire(envelopes);
-                    } else if phase == self.phase + 1 {
-                        self.pending.push((phase, envelopes));
-                    } else {
-                        panic!(
-                            "net protocol error: batch for phase {phase} before PHASE_START of {}",
-                            self.phase
-                        );
-                    }
-                }
-                Ok(Event::Shutdown) => self.shutdown_mid_run("awaiting PHASE_START"),
-                Ok(Event::TransportError(e)) => self.transport_fail(e),
-                Ok(other) => panic!(
-                    "net protocol error: unexpected {} while awaiting PHASE_START",
-                    event_name(&other)
-                ),
-                Err(_) => {
-                    self.fail_if_poisoned();
-                    self.check_deadline(deadline, "waiting for PHASE_START");
-                }
-            }
-        }
-    }
-
-    fn wait_phase_result(&mut self, deadline: Option<Instant>) -> PhaseStats {
-        loop {
-            // Next-phase batches can land on the rings while we wait.
-            self.poll_rings();
-            // Queued events outrank the failure flag: the root may close
-            // its sockets right after broadcasting PHASE_RESULT of the
-            // final phase, and that EOF must not mask a result already
-            // sitting in the channel.
-            let comm = self.comm.as_ref().expect("worker has comm");
-            match comm.in_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(Event::PhaseResult { reductions, per_pe }) => {
-                    return PhaseStats { per_pe, reductions };
-                }
-                Ok(Event::Batch { phase, envelopes }) if phase == self.phase + 1 => {
-                    self.pending.push((phase, envelopes));
-                }
-                Ok(Event::TransportError(e)) => self.transport_fail(e),
-                Ok(Event::Shutdown) => self.shutdown_mid_run("awaiting PHASE_RESULT"),
-                Ok(other) => panic!(
-                    "net protocol error: unexpected {} while awaiting PHASE_RESULT",
-                    event_name(&other)
-                ),
-                Err(_) => {
-                    self.fail_if_poisoned();
-                    self.check_deadline(deadline, "waiting for PHASE_RESULT");
-                }
-            }
-        }
-    }
-
-    /// Fold the comm thread's wire counters into the first local PE's
-    /// stats (they are per-process quantities; DESIGN.md §8 documents the
-    /// attribution).
-    fn harvest_wire_counters(&mut self) {
-        let ring_frames = self.shm_frames_sent;
-        let parks = self.shm_parks;
-        let batch_level = self.agg_batch_peak.max(u64::from(self.agg.max_batch()));
-        if let Some(comm) = &self.comm {
-            let sh = &comm.shared;
-            let st = &mut self.stats[0];
-            st.wire_frames_sent += sh.frames_sent.load(Ordering::SeqCst);
-            st.wire_frames_recv += sh.frames_recv.load(Ordering::SeqCst);
-            st.wire_bytes_sent += sh.bytes_sent.load(Ordering::SeqCst);
-            st.wire_bytes_recv += sh.bytes_recv.load(Ordering::SeqCst);
-            st.wire_coalesced_flushes += sh.coalesced_flushes.load(Ordering::SeqCst);
-            st.shm_frames_sent += ring_frames;
-            st.shm_parks += parks;
-            st.agg_batch = st.agg_batch.max(batch_level);
-            // Cumulative levels, re-attributed each phase (the per-phase
-            // stats were zeroed at phase start, so += is assignment here).
-            st.recovery_checkpoints += self.recovery_checkpoints;
-            st.recovery_restores += self.recovery_restores;
-        }
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1594,11 +1573,22 @@ impl<M: Message> NetEngine<M> {
         match self.role {
             Role::Standalone => {}
             Role::Root => {
-                if let Some(comm) = &self.comm {
-                    self.broadcast(&Ctl::Shutdown);
-                    comm.shared.stop.store(true, Ordering::SeqCst);
+                let failed = self.comm_failed();
+                for r in 1..self.cfg.net.n_procs {
+                    match &self.comm {
+                        // A dead worker never drains its ring, and a full
+                        // ring would hold this thread forever; survivors
+                        // treat SHUTDOWN as a root abort on either plane.
+                        Some(comm) if failed => {
+                            let (kind, payload) = Ctl::Shutdown.encode();
+                            comm.send(r, kind, payload);
+                        }
+                        _ => self.send_ctl(r, &Ctl::Shutdown),
+                    }
                 }
                 if let Some(comm) = &mut self.comm {
+                    comm.shared.stop.store(true, Ordering::SeqCst);
+                    comm.wake();
                     if let Some(join) = comm.join.take() {
                         let _ = join.join();
                     }
@@ -1606,24 +1596,15 @@ impl<M: Message> NetEngine<M> {
                 // After a transport failure the dead worker will never
                 // answer SHUTDOWN — don't make the recovery driver's
                 // retry loop pay the full orderly-teardown grace for it.
-                let grace = if self
-                    .comm
-                    .as_ref()
-                    .is_some_and(|c| c.shared.failure().is_some())
-                {
-                    Duration::from_secs(1)
-                } else {
-                    Duration::from_secs(10)
-                };
-                let deadline = Instant::now() + grace; // simlint: allow(R2) -- teardown reaping timeout, after all simulation output is final
+                let grace = Duration::from_secs(if failed { 1 } else { 10 });
+                let started = Instant::now(); // simlint: allow(R2) -- teardown reaping timeout, after all simulation output is final
                 self.child_exits = self
                     .children
                     .iter_mut()
                     .map(|child| loop {
                         match child.try_wait() {
                             Ok(Some(status)) => break status.code(),
-                            // simlint: allow(R2) -- teardown reaping timeout, never observed by the DES
-                            Ok(None) if Instant::now() > deadline => {
+                            Ok(None) if started.elapsed() > grace => {
                                 let _ = child.kill();
                                 break child.wait().ok().and_then(|s| s.code());
                             }
@@ -1643,21 +1624,24 @@ impl<M: Message> NetEngine<M> {
                     }
                     return;
                 }
-                // Drain until the root's SHUTDOWN (bounded), then leave.
-                if let Some(comm) = &self.comm {
-                    // simlint: allow(R2) -- bounded teardown drain, post-simulation
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    // simlint: allow(R2) -- bounded teardown drain, post-simulation
-                    while Instant::now() < deadline {
-                        match comm.in_rx.recv_timeout(Duration::from_millis(10)) {
-                            Ok(Event::Shutdown) | Err(_) if comm.shared.failure().is_some() => {
-                                break
-                            }
-                            Ok(Event::Shutdown) => break,
-                            _ => {}
+                // Wait for the root's SHUTDOWN (bounded), then leave. It
+                // arrives on the root link's plane, behind the last
+                // PHASE_RESULT; a failure recorded meanwhile (the root's
+                // sockets closing) ends the wait just the same.
+                if self.comm.is_some() {
+                    // simlint: allow(R2) -- bounded teardown wait, post-simulation
+                    let started = Instant::now();
+                    while !self.shutdown_seen && started.elapsed() < Duration::from_secs(10) {
+                        self.drain_inbound();
+                        if self.comm_failed() {
+                            break;
                         }
+                        self.wait_inbound();
                     }
+                }
+                if let Some(comm) = &self.comm {
                     comm.shared.stop.store(true, Ordering::SeqCst);
+                    comm.wake();
                 }
                 std::process::exit(0);
             }
@@ -1693,17 +1677,5 @@ impl<M: Message> NetEngine<M> {
 impl<M: Message> Drop for NetEngine<M> {
     fn drop(&mut self) {
         self.teardown();
-    }
-}
-
-fn event_name<M: Message>(ev: &Event<M>) -> &'static str {
-    match ev {
-        Event::Batch { .. } => "BATCH",
-        Event::PhaseStart { .. } => "PHASE_START",
-        Event::PhaseEnd { .. } => "PHASE_END",
-        Event::PhaseResult { .. } => "PHASE_RESULT",
-        Event::Stats { .. } => "STATS",
-        Event::Shutdown => "SHUTDOWN",
-        Event::TransportError(_) => "TRANSPORT_ERROR",
     }
 }

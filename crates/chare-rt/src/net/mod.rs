@@ -17,12 +17,13 @@
 //! - [`recovery`] — CRC-framed epoch snapshots, the on-disk epoch store,
 //!   and the jittered backoff shared by reconnects and respawns (§10)
 //!
-//! Two data-plane transports coexist (DESIGN.md §8): loopback TCP (always
-//! present; carries all control traffic and serves as the fallback) and
-//! the shared-memory ring transport (BATCH frames only, compute thread to
-//! compute thread, selected per [`crate::NetTransport`]). Liveness is a
-//! TCP property in both cases, so worker exit codes and the
-//! [`TransportError`] surface are transport-independent.
+//! Two transports coexist (DESIGN.md §8): loopback TCP (always present;
+//! carries mesh setup and heartbeats, and everything on links without a
+//! ring) and the shared-memory ring transport (batches and the phase
+//! protocol, compute thread to compute thread, selected per
+//! [`crate::NetTransport`]). Liveness is a TCP property in both cases, so
+//! worker exit codes and the [`TransportError`] surface are
+//! transport-independent.
 //!
 //! ## The SPMD contract
 //!
@@ -30,7 +31,7 @@
 //! re-executing the current binary: every process runs the *same* driver
 //! code, builds the *same* chare array, and keeps only its share. The
 //! engine validates this (chare count + placement-map hash in every
-//! PHASE_START) and fails loudly on divergence. Phase results are
+//! CD_PROBE) and fails loudly on divergence. Phase results are
 //! all-reduced, so every process observes identical [`crate::stats::PhaseStats`]
 //! and inter-phase driver decisions stay in lockstep.
 //!

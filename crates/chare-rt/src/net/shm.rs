@@ -6,11 +6,11 @@
 //! that share a host: one `memfd` region holds an n×n matrix of
 //! single-producer/single-consumer byte rings, the fd is inherited across
 //! the SPMD re-exec (`launch.rs` passes its number in an env var), and
-//! BATCH frames move compute-thread → ring → compute-thread with no comm
-//! thread and no kernel in the steady state. Control traffic (handshakes,
-//! phase barriers, completion detection, stats, shutdown, liveness) stays
-//! on TCP — peer death is still detected as a socket EOF, so the worker
-//! exit-code contract (16/17) is untouched.
+//! BATCH frames and the phase protocol (completion detection, the phase
+//! close, shutdown) move compute-thread → ring → compute-thread with no
+//! comm thread and no kernel in the steady state. Handshakes and liveness
+//! heartbeats stay on TCP — peer death is still detected as a socket EOF,
+//! so the worker exit-code contract (16/17) is untouched.
 //!
 //! Layout (normative; DESIGN.md §8 carries the diagram):
 //!
@@ -71,7 +71,7 @@ pub const MIN_RING_BYTES: u32 = 4096;
 pub const MAX_RING_BYTES: u32 = 1 << 30;
 
 mod ffi {
-    use std::os::raw::{c_int, c_long, c_uint, c_void};
+    use std::os::raw::{c_int, c_long, c_uint, c_ulong, c_void};
 
     #[repr(C)]
     pub struct Timespec {
@@ -94,6 +94,7 @@ mod ffi {
         pub fn close(fd: c_int) -> c_int;
         pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn syscall(num: c_long, ...) -> c_long;
+        pub fn poll(fds: *mut super::PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
     }
 
     pub const PROT_READ: c_int = 1;
@@ -162,6 +163,41 @@ fn futex_wait(_addr: *const AtomicU32, _expected: u32, timeout: Duration) {
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 fn futex_wake(_addr: *const AtomicU32) {}
+
+/// One `poll(2)` entry: wait for `fd` to become readable (a hang-up or
+/// error on it also ends the wait). Layout is `struct pollfd`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    /// Watch `fd` for readability.
+    pub fn readable(fd: i32) -> PollFd {
+        const POLLIN: i16 = 1;
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+}
+
+/// Block until one of `fds` is readable or `timeout` passes (rounded up to
+/// whole milliseconds). This is the comm thread's idle wait: it says
+/// nothing about *which* fd fired — the caller polls all of its
+/// non-blocking sockets afterwards regardless — and an interrupted or
+/// failed wait just returns early.
+pub fn wait_readable(fds: &mut [PollFd], timeout: Duration) {
+    let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]` pollfd entries and its exact length is passed alongside; the kernel writes only the `revents` fields inside it.
+    unsafe {
+        ffi::poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, ms);
+    }
+}
 
 fn os_err(context: &str) -> io::Error {
     let e = io::Error::last_os_error();
@@ -483,11 +519,11 @@ impl RingProducer {
         })
     }
 
-    /// Largest frame this ring accepts (header + body). The engine routes
-    /// anything bigger over TCP — oversize frames are so rare that the
-    /// occasional reorder against in-ring traffic is indistinguishable
-    /// from normal network reordering, which the phase protocol already
-    /// tolerates.
+    /// Largest frame this ring accepts (header + body). The engine splits
+    /// flushes to fit and routes the rare single frame that is bigger over
+    /// TCP; the resulting reorder against in-ring traffic is
+    /// indistinguishable from normal network reordering, which the phase
+    /// protocol already tolerates.
     pub fn max_frame(&self) -> usize {
         self.cap / 2
     }
@@ -897,6 +933,28 @@ mod tests {
             "wake must beat the timeout"
         );
         t.join().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "poll(2) is unsupported under Miri")]
+    fn wait_readable_returns_on_data_and_on_timeout() {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        let (mut a, b) = UnixStream::pair().unwrap();
+        let mut fds = [PollFd::readable(b.as_raw_fd())];
+        let start = Instant::now(); // simlint: allow(R2) -- test-only latency bound, never feeds the DES
+        wait_readable(&mut fds, Duration::from_millis(30));
+        assert!(
+            start.elapsed() >= Duration::from_millis(25),
+            "nothing to read: must wait"
+        );
+        a.write_all(&[1]).unwrap();
+        wait_readable(&mut fds, Duration::from_secs(5));
+        assert!(
+            start.elapsed() < Duration::from_secs(4),
+            "readable: must not wait"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// First field of HELLO: "EPNT" interpreted little-endian.
 pub const MAGIC: u32 = 0x544E_5045;
 /// Wire protocol version; a mismatch is a setup error, never negotiated.
-/// v2: HEARTBEAT/HEARTBEAT_ACK liveness frames and four new [`PeStats`]
-/// fields (eager flush + recovery counters).
-pub const VERSION: u32 = 2;
+/// v3: the phase protocol is CD_PROBE / CD_REPLY / PHASE_RESULT only —
+/// probes carry the topology check, replies carry the worker's reductions
+/// and counters, and PHASE_START, PHASE_END and STATS are retired.
+pub const VERSION: u32 = 3;
 
 /// Frame kind bytes.
 pub mod kind {
@@ -26,19 +27,18 @@ pub mod kind {
     pub const PEER_HELLO: u8 = 3;
     /// Worker → root: the worker's side of the mesh is fully wired.
     pub const MESH_OK: u8 = 4;
-    /// Root → workers: enter a phase (carries topology check values).
-    pub const PHASE_START: u8 = 5;
+    // 5 (PHASE_START), 9 (PHASE_END) and 10 (STATS) are retired, never
+    // reused: a v3 decoder rejects them like any unknown kind.
     /// Aggregated application envelopes, any process → any process.
     pub const BATCH: u8 = 6;
-    /// Root → workers: completion-detection wave probe.
+    /// Root → workers: completion-detection wave probe (carries the SPMD
+    /// topology check).
     pub const CD_PROBE: u8 = 7;
-    /// Worker → root: the worker's produce/consume/idle snapshot.
+    /// Worker → root: the idle worker's produce/consume snapshot with its
+    /// reductions and per-PE counters.
     pub const CD_REPLY: u8 = 8;
-    /// Root → workers: completion detection fired, phase over.
-    pub const PHASE_END: u8 = 9;
-    /// Worker → root: local per-PE counters and reduction contributions.
-    pub const STATS: u8 = 10;
-    /// Root → workers: globally merged reductions and per-PE stats.
+    /// Root → workers: completion detection fired; the phase is over and
+    /// these are its globally merged reductions and per-PE stats.
     pub const PHASE_RESULT: u8 = 11;
     /// Root → workers: tear down and exit.
     pub const SHUTDOWN: u8 = 12;
@@ -86,54 +86,45 @@ pub enum Ctl {
         /// Reporting worker's rank.
         rank: u32,
     },
-    /// Enter `phase`; `n_chares`/`map_hash` must match on every process
-    /// (the SPMD topology check).
-    PhaseStart {
-        /// 1-based phase number.
+    /// CD wave probe for `phase`. `n_chares`/`map_hash` must match on
+    /// every process (the SPMD topology check rides on every probe, so it
+    /// is checked at least twice before any phase can close).
+    CdProbe {
+        /// 1-based phase the probe belongs to; a worker answers once it is
+        /// idle in that phase.
         phase: u64,
+        /// Wave number, strictly increasing within a phase.
+        wave: u64,
         /// Registered chare count.
         n_chares: u32,
         /// FNV-1a over the chare→PE map.
         map_hash: u64,
     },
-    /// CD wave probe for `phase`.
-    CdProbe {
-        /// Phase the probe belongs to (replies for other phases are
-        /// answered not-idle).
-        phase: u64,
-        /// Wave number, strictly increasing within a phase.
-        wave: u64,
-    },
-    /// CD wave reply.
+    /// CD wave reply, sent by the compute thread only while it is idle in
+    /// `phase`. It carries everything the root needs to close the phase:
+    /// when two matching waves agree, the second wave's replies are final.
     CdReply {
         /// Replying worker's rank.
         rank: u32,
+        /// Echo of the probe's phase.
+        phase: u64,
         /// Echo of the probe's wave.
         wave: u64,
         /// Wire envelopes produced by this process so far this phase.
         produced: u64,
         /// Wire envelopes consumed by this process so far this phase.
         consumed: u64,
-        /// Whether the process was idle in the probed phase.
-        idle: bool,
-    },
-    /// Completion detection fired for `phase`.
-    PhaseEnd {
-        /// The finished phase.
-        phase: u64,
-    },
-    /// A worker's end-of-phase counters.
-    Stats {
-        /// Reporting worker's rank.
-        rank: u32,
-        /// The worker's reduction contributions.
+        /// The worker's reduction contributions so far this phase.
         reductions: ReductionSlots,
         /// `(global pe index, counters)` for each of the worker's PEs.
         per_pe: Vec<(u32, PeStats)>,
     },
-    /// Globally merged phase outcome, broadcast so every process returns
-    /// identical [`crate::stats::PhaseStats`] (SPMD lockstep).
+    /// Completion detection fired: `phase` is over. Carries the globally
+    /// merged outcome so every process returns identical
+    /// [`crate::stats::PhaseStats`] (SPMD lockstep).
     PhaseResult {
+        /// The finished phase.
+        phase: u64,
         /// Merged reductions.
         reductions: ReductionSlots,
         /// Counters for all PEs, indexed by global PE.
@@ -284,54 +275,46 @@ impl Ctl {
                 out.put_u32_le(*rank);
                 kind::MESH_OK
             }
-            Ctl::PhaseStart {
+            Ctl::CdProbe {
                 phase,
+                wave,
                 n_chares,
                 map_hash,
             } => {
                 out.put_u64_le(*phase);
+                out.put_u64_le(*wave);
                 out.put_u32_le(*n_chares);
                 out.put_u64_le(*map_hash);
-                kind::PHASE_START
-            }
-            Ctl::CdProbe { phase, wave } => {
-                out.put_u64_le(*phase);
-                out.put_u64_le(*wave);
                 kind::CD_PROBE
             }
             Ctl::CdReply {
                 rank,
+                phase,
                 wave,
                 produced,
                 consumed,
-                idle,
-            } => {
-                out.put_u32_le(*rank);
-                out.put_u64_le(*wave);
-                out.put_u64_le(*produced);
-                out.put_u64_le(*consumed);
-                out.put_u8(u8::from(*idle));
-                kind::CD_REPLY
-            }
-            Ctl::PhaseEnd { phase } => {
-                out.put_u64_le(*phase);
-                kind::PHASE_END
-            }
-            Ctl::Stats {
-                rank,
                 reductions,
                 per_pe,
             } => {
                 out.put_u32_le(*rank);
+                out.put_u64_le(*phase);
+                out.put_u64_le(*wave);
+                out.put_u64_le(*produced);
+                out.put_u64_le(*consumed);
                 put_reductions(&mut out, reductions);
                 out.put_u32_le(per_pe.len() as u32);
                 for (pe, st) in per_pe {
                     out.put_u32_le(*pe);
                     put_pe_stats(&mut out, st);
                 }
-                kind::STATS
+                kind::CD_REPLY
             }
-            Ctl::PhaseResult { reductions, per_pe } => {
+            Ctl::PhaseResult {
+                phase,
+                reductions,
+                per_pe,
+            } => {
+                out.put_u64_le(*phase);
                 put_reductions(&mut out, reductions);
                 out.put_u32_le(per_pe.len() as u32);
                 for st in per_pe {
@@ -407,80 +390,71 @@ impl Ctl {
                     rank: buf.get_u32_le(),
                 }
             }
-            kind::PHASE_START => {
-                if !need(&buf, 20) {
-                    return None;
-                }
-                Ctl::PhaseStart {
-                    phase: buf.get_u64_le(),
-                    n_chares: buf.get_u32_le(),
-                    map_hash: buf.get_u64_le(),
-                }
-            }
             kind::CD_PROBE => {
-                if !need(&buf, 16) {
+                if !need(&buf, 28) {
                     return None;
                 }
                 Ctl::CdProbe {
                     phase: buf.get_u64_le(),
                     wave: buf.get_u64_le(),
+                    n_chares: buf.get_u32_le(),
+                    map_hash: buf.get_u64_le(),
                 }
             }
             kind::CD_REPLY => {
-                if !need(&buf, 29) {
-                    return None;
-                }
-                Ctl::CdReply {
-                    rank: buf.get_u32_le(),
-                    wave: buf.get_u64_le(),
-                    produced: buf.get_u64_le(),
-                    consumed: buf.get_u64_le(),
-                    idle: buf.get_u8() != 0,
-                }
-            }
-            kind::PHASE_END => {
-                if !need(&buf, 8) {
-                    return None;
-                }
-                Ctl::PhaseEnd {
-                    phase: buf.get_u64_le(),
-                }
-            }
-            kind::STATS => {
-                if !need(&buf, 4) {
+                if !need(&buf, 36) {
                     return None;
                 }
                 let rank = buf.get_u32_le();
+                let phase = buf.get_u64_le();
+                let wave = buf.get_u64_le();
+                let produced = buf.get_u64_le();
+                let consumed = buf.get_u64_le();
                 let reductions = get_reductions(&mut buf)?;
                 if !need(&buf, 4) {
                     return None;
                 }
                 let n = buf.get_u32_le() as usize;
+                if !need(&buf, n.checked_mul(4 + PE_STATS_FIELDS * 8)?) {
+                    return None;
+                }
                 let mut per_pe = Vec::with_capacity(n);
                 for _ in 0..n {
-                    if !need(&buf, 4) {
-                        return None;
-                    }
                     let pe = buf.get_u32_le();
                     per_pe.push((pe, get_pe_stats(&mut buf)?));
                 }
-                Ctl::Stats {
+                Ctl::CdReply {
                     rank,
+                    phase,
+                    wave,
+                    produced,
+                    consumed,
                     reductions,
                     per_pe,
                 }
             }
             kind::PHASE_RESULT => {
+                if !need(&buf, 8) {
+                    return None;
+                }
+                let phase = buf.get_u64_le();
                 let reductions = get_reductions(&mut buf)?;
                 if !need(&buf, 4) {
                     return None;
                 }
                 let n = buf.get_u32_le() as usize;
+                if !need(&buf, n.checked_mul(PE_STATS_FIELDS * 8)?) {
+                    return None;
+                }
                 let mut per_pe = Vec::with_capacity(n);
                 for _ in 0..n {
                     per_pe.push(get_pe_stats(&mut buf)?);
                 }
-                Ctl::PhaseResult { reductions, per_pe }
+                Ctl::PhaseResult {
+                    phase,
+                    reductions,
+                    per_pe,
+                }
             }
             kind::SHUTDOWN => Ctl::Shutdown,
             kind::HEARTBEAT => {
@@ -510,29 +484,53 @@ impl Ctl {
     }
 }
 
-/// Encode a BATCH payload: `phase | src_rank | count`, then per envelope
-/// `chare | payload_len | payload` where `payload` is the application
-/// message's own [`Message::wire_encode`] output. The explicit per-envelope
-/// length lets the decoder isolate each message and verify it was fully
-/// consumed.
-pub fn encode_batch<M: Message>(
+/// Bytes of a BATCH payload ahead of its envelopes: `phase | src_rank |
+/// count`.
+const BATCH_HEADER: usize = 16;
+
+/// Encode one lane flush as BATCH payloads of at most `max_payload` bytes
+/// each, split at envelope boundaries: `phase | src_rank | count`, then per
+/// envelope `chare | payload_len | payload` where `payload` is the
+/// application message's own [`Message::wire_encode`] output. The explicit
+/// per-envelope length lets the decoder isolate each message and verify it
+/// was fully consumed. Every payload holds at least one envelope, so a
+/// single envelope larger than the limit still gets a (too large) payload
+/// of its own — the caller decides what to do with it.
+pub fn encode_batches<M: Message>(
     phase: u64,
     src_rank: u32,
     envelopes: &[crate::aggregator::Envelope<M>],
-) -> Bytes {
-    let mut out = BytesMut::with_capacity(16 + envelopes.len() * 32);
-    out.put_u64_le(phase);
-    out.put_u32_le(src_rank);
-    out.put_u32_le(envelopes.len() as u32);
+    max_payload: usize,
+) -> Vec<Bytes> {
+    let mut frames = Vec::with_capacity(1);
+    let mut body = BytesMut::with_capacity(envelopes.len() * 32);
+    let mut count = 0u32;
+    let mut close = |body: &mut BytesMut, count: &mut u32| {
+        let mut out = BytesMut::with_capacity(BATCH_HEADER + body.len());
+        out.put_u64_le(phase);
+        out.put_u32_le(src_rank);
+        out.put_u32_le(*count);
+        out.put_slice(body.as_slice());
+        frames.push(out.freeze());
+        body.clear();
+        *count = 0;
+    };
     let mut scratch = BytesMut::with_capacity(64);
     for env in envelopes {
+        scratch.clear();
         env.msg.wire_encode(&mut scratch);
-        let frozen = std::mem::take(&mut scratch).freeze();
-        out.put_u32_le(env.to.0);
-        out.put_u32_le(frozen.len() as u32);
-        out.put_slice(&frozen);
+        if count > 0 && BATCH_HEADER + body.len() + 8 + scratch.len() > max_payload {
+            close(&mut body, &mut count);
+        }
+        body.put_u32_le(env.to.0);
+        body.put_u32_le(scratch.len() as u32);
+        body.put_slice(scratch.as_slice());
+        count += 1;
     }
-    out.freeze()
+    if count > 0 {
+        close(&mut body, &mut count);
+    }
+    frames
 }
 
 /// Decode a BATCH payload into `(phase, src_rank, envelopes)`.
@@ -570,7 +568,7 @@ pub fn decode_batch<M: Message>(payload: &[u8]) -> Option<(u64, u32, Vec<(ChareI
     Some((phase, src_rank, envelopes))
 }
 
-/// FNV-1a over the chare→PE map; PHASE_START carries it so a worker whose
+/// FNV-1a over the chare→PE map; every CD_PROBE carries it so a worker whose
 /// SPMD replay built a different topology fails loudly instead of
 /// misrouting messages.
 pub fn map_hash(pe_of: &[u32]) -> u64 {
@@ -613,20 +611,12 @@ mod tests {
             rank: 3,
         });
         roundtrip(Ctl::MeshOk { rank: 1 });
-        roundtrip(Ctl::PhaseStart {
+        roundtrip(Ctl::CdProbe {
             phase: 7,
+            wave: 41,
             n_chares: 120,
             map_hash: 0xdead_beef_cafe_f00d,
         });
-        roundtrip(Ctl::CdProbe { phase: 7, wave: 41 });
-        roundtrip(Ctl::CdReply {
-            rank: 1,
-            wave: 41,
-            produced: 1000,
-            consumed: 998,
-            idle: true,
-        });
-        roundtrip(Ctl::PhaseEnd { phase: 7 });
         let mut reductions = ReductionSlots::default();
         reductions.add(0, 5);
         reductions.add(15, 9);
@@ -641,12 +631,17 @@ mod tests {
             agg_batch: 64,
             ..Default::default()
         };
-        roundtrip(Ctl::Stats {
+        roundtrip(Ctl::CdReply {
             rank: 2,
+            phase: 7,
+            wave: 41,
+            produced: 1000,
+            consumed: 998,
             reductions: reductions.clone(),
             per_pe: vec![(4, st), (5, PeStats::default())],
         });
         roundtrip(Ctl::PhaseResult {
+            phase: 7,
             reductions,
             per_pe: vec![st, PeStats::default(), st],
         });
@@ -725,8 +720,8 @@ mod tests {
                 msg: Tok(u64::MAX),
             },
         ];
-        let payload = encode_batch(5, 2, &envs);
-        let (phase, src, back) = decode_batch::<Tok>(&payload).expect("decodes");
+        let payload = &encode_batches(5, 2, &envs, usize::MAX)[0];
+        let (phase, src, back) = decode_batch::<Tok>(payload).expect("decodes");
         assert_eq!(phase, 5);
         assert_eq!(src, 2);
         assert_eq!(
@@ -741,13 +736,77 @@ mod tests {
             to: ChareId(1),
             msg: Tok(1),
         }];
-        let payload = encode_batch(1, 0, &envs);
+        let payload = &encode_batches(1, 0, &envs, usize::MAX)[0];
         for cut in 1..payload.len() {
             assert!(
                 decode_batch::<Tok>(&payload[..cut]).is_none(),
                 "cut at {cut} must not decode"
             );
         }
+    }
+
+    /// A flush larger than the limit splits at envelope boundaries: every
+    /// payload fits, nothing is lost or reordered, and one envelope that is
+    /// itself over the limit still travels (alone).
+    #[test]
+    fn batches_split_at_envelope_boundaries() {
+        use crate::aggregator::Envelope;
+        let envs: Vec<Envelope<Tok>> = (0..100)
+            .map(|i| Envelope {
+                to: ChareId(i),
+                msg: Tok(u64::from(i) * 3),
+            })
+            .collect();
+        // 16-byte header + 16 bytes per envelope: 7 envelopes per 128 B.
+        let frames = encode_batches(9, 1, &envs, 128);
+        assert_eq!(frames.len(), 100usize.div_ceil(7));
+        let mut back = Vec::new();
+        for f in &frames {
+            assert!(f.len() <= 128, "payload of {} B over the limit", f.len());
+            let (phase, src, envs) = decode_batch::<Tok>(f).expect("decodes");
+            assert_eq!((phase, src), (9, 1));
+            assert!(!envs.is_empty());
+            back.extend(envs);
+        }
+        let want: Vec<_> = envs.iter().map(|e| (e.to, e.msg)).collect();
+        assert_eq!(back, want);
+        // A limit below one envelope: one envelope per (oversized) payload.
+        assert_eq!(encode_batches(9, 1, &envs[..3], 8).len(), 3);
+        assert!(encode_batches::<Tok>(9, 1, &[], 128).is_empty());
+    }
+
+    /// Kinds 5, 9 and 10 (PHASE_START, PHASE_END, STATS in v2) are retired,
+    /// not reused: a v3 peer rejects them.
+    #[test]
+    fn retired_kinds_are_rejected() {
+        for k in [5u8, 9, 10] {
+            assert!(Ctl::decode(k, &[0u8; 64]).is_none(), "kind {k}");
+            assert!(Ctl::decode(k, &[]).is_none(), "kind {k}");
+        }
+    }
+
+    /// A stats-bearing reply is rejected at every truncation point, and a
+    /// count that promises more PEs than the payload holds is rejected
+    /// before anything is reserved for it.
+    #[test]
+    fn cd_reply_truncation_and_lying_count_rejected() {
+        let (kind, payload) = Ctl::CdReply {
+            rank: 1,
+            phase: 3,
+            wave: 2,
+            produced: 5,
+            consumed: 5,
+            reductions: ReductionSlots::default(),
+            per_pe: vec![(2, PeStats::default()), (3, PeStats::default())],
+        }
+        .encode();
+        for cut in 0..payload.len() {
+            assert!(Ctl::decode(kind, &payload[..cut]).is_none(), "cut {cut}");
+        }
+        let count_at = 36 + REDUCTION_SLOTS * 8;
+        let mut lying = payload.to_vec();
+        lying[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Ctl::decode(kind, &lying).is_none());
     }
 
     #[test]

@@ -120,7 +120,10 @@ fn net_four_processes_with_tram_match_sequential() {
 
 #[test]
 fn net_wire_counters_account_for_cross_process_traffic() {
-    let mut rt = build(RuntimeConfig::net(4, 2));
+    // Forced TCP: on a shm link nothing but heartbeats touches a socket.
+    let mut cfg = RuntimeConfig::net(4, 2);
+    cfg.net.transport = NetTransport::Tcp;
+    let mut rt = build(cfg);
     let stats = rt.run_phase(vec![(
         ChareId(0),
         Hop {
@@ -336,8 +339,8 @@ fn net_killed_worker_exit_codes_forced_tcp() {
 }
 
 /// Peer death on the shm plane: a worker killed mid-phase may leave a
-/// torn frame in its outbound rings, but liveness travels over the TCP
-/// control plane, so the root must still surface `TransportError` and the
+/// torn frame in its outbound rings, but liveness travels over the comm
+/// threads' sockets, so the root must still surface `TransportError` and the
 /// exit-code triple must match the TCP plane's (kill=17, survivors=16).
 /// The rings' torn prefix is simply never yielded (FrameBuf buffers it).
 #[test]
@@ -533,4 +536,330 @@ fn net_aggregation_fills_frames_under_burst() {
     assert_eq!(totals.wire_msgs_batch, 64, "every envelope left batch-full");
     assert_eq!(totals.wire_msgs_idle, 0, "no stragglers on this workload");
     assert_eq!(totals.agg_batch, 8, "static batch level is surfaced");
+}
+
+// ---------------------------------------------------------------------
+// Control plane: completion detection and the phase close travel on the
+// link's own plane, probes are answered by the compute thread, and the
+// close is fused into the CD replies. Each property is pinned under
+// forced tcp, forced shm and mixed.
+// ---------------------------------------------------------------------
+
+/// Spends `busy_ms` in its entry method, then sends one message on.
+struct Slow {
+    next: ChareId,
+    busy_ms: u64,
+}
+
+impl Chare<Hop> for Slow {
+    fn receive(&mut self, msg: Hop, ctx: &mut Ctx<'_, Hop>) {
+        std::thread::sleep(std::time::Duration::from_millis(self.busy_ms));
+        ctx.contribute(0, msg.payload);
+        ctx.send(
+            self.next,
+            Hop {
+                remaining: 0,
+                payload: msg.payload + 1,
+            },
+        );
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+/// Sends `remaining` unit messages to `to` from one entry method.
+struct Fan {
+    to: ChareId,
+}
+
+impl Chare<Hop> for Fan {
+    fn receive(&mut self, msg: Hop, ctx: &mut Ctx<'_, Hop>) {
+        for _ in 0..msg.remaining {
+            ctx.send(
+                self.to,
+                Hop {
+                    remaining: 0,
+                    payload: 1,
+                },
+            );
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+fn sink(next: u32) -> Box<Acc> {
+    Box::new(Acc {
+        next: ChareId(next),
+        sum: 0,
+    })
+}
+
+fn two_procs(transport: NetTransport) -> RuntimeConfig {
+    let mut cfg = RuntimeConfig::net(2, 2);
+    cfg.net.transport = transport;
+    cfg
+}
+
+/// Busy-worker soundness. The root has nothing to do and probes at once;
+/// the worker's chare is inside a 25 ms entry method and only then sends
+/// its one remote message. The phase must not close before the root
+/// consumed that message — and because the compute thread answers probes
+/// when it is idle, the wait costs the root a handful of frames, where a
+/// comm thread answering "not idle" was probed some hundred times.
+fn busy_worker_is_waited_for(transport: NetTransport) {
+    let mut rt: Runtime<Hop> = Runtime::new(two_procs(transport));
+    rt.add_chare(ChareId(0), 0, sink(0));
+    rt.add_chare(
+        ChareId(1),
+        1,
+        Box::new(Slow {
+            next: ChareId(0),
+            busy_ms: 25,
+        }),
+    );
+    for phase in 0..2 {
+        let stats = rt.run_phase(vec![(
+            ChareId(1),
+            Hop {
+                remaining: 0,
+                payload: 10,
+            },
+        )]);
+        let totals = stats.totals();
+        assert_eq!(totals.processed, 2, "phase {phase}: both entry methods ran");
+        assert_eq!(
+            stats.reduction(0),
+            10 + 11,
+            "phase {phase}: the late message's contribution is in the reduction"
+        );
+        assert_eq!(totals.sent_remote, 1);
+        let frames = totals.wire_frames_sent + totals.shm_frames_sent;
+        assert!(
+            frames <= 16,
+            "phase {phase}: {frames} frames sent — the root must wait for one late reply, \
+             not stream probe waves at a busy worker"
+        );
+    }
+}
+
+#[test]
+fn net_busy_worker_is_waited_for_tcp() {
+    busy_worker_is_waited_for(NetTransport::Tcp);
+}
+
+#[test]
+fn net_busy_worker_is_waited_for_shm() {
+    busy_worker_is_waited_for(NetTransport::Shm);
+}
+
+#[test]
+fn net_busy_worker_is_waited_for_mixed() {
+    busy_worker_is_waited_for(NetTransport::Mixed);
+}
+
+/// Hop budget. With no remote traffic a phase is two probe waves and one
+/// closing frame: per worker 2 × CD_PROBE out, 2 × CD_REPLY back, then
+/// PHASE_RESULT. Counters travel *in* the replies, so a frame sent after
+/// the sender last cut its counters — the worker's second reply, the
+/// root's PHASE_RESULT — is counted in the next phase: 3 frames sent in
+/// the first phase, 5 in every later one (4 and 5 received). On a shm link
+/// all of them travel on the ring and no socket carries anything
+/// (heartbeats are off here).
+fn quiet_phase_takes_two_waves(transport: NetTransport) {
+    let mut rt: Runtime<Hop> = Runtime::new(two_procs(transport));
+    rt.add_chare(ChareId(0), 0, sink(0));
+    rt.add_chare(ChareId(1), 1, sink(1));
+    let quiet = || {
+        (0..2)
+            .map(|c| {
+                (
+                    ChareId(c),
+                    Hop {
+                        remaining: 0,
+                        payload: 1,
+                    },
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let on_ring = transport == NetTransport::Shm;
+    for (phase, (sent, recv)) in [(3u64, 4u64), (5, 5), (5, 5)].into_iter().enumerate() {
+        let totals = rt.run_phase(quiet()).totals();
+        assert_eq!(totals.processed, 2);
+        assert_eq!(totals.sent_remote, 0, "the workload must stay local");
+        let (ring, sock_out, sock_in) = if on_ring {
+            (sent, 0, 0)
+        } else {
+            (0, sent, recv)
+        };
+        assert_eq!(totals.shm_frames_sent, ring, "phase {phase}: ring frames");
+        assert_eq!(
+            totals.wire_frames_sent, sock_out,
+            "phase {phase}: socket frames"
+        );
+        assert_eq!(
+            totals.wire_frames_recv, sock_in,
+            "phase {phase}: socket frames in"
+        );
+    }
+    // SHUTDOWN follows the last PHASE_RESULT down the same link, and the
+    // root's sockets close right behind both: the worker must still leave
+    // through the orderly exit, not the transport-failure one.
+    assert_eq!(rt.reap_workers(), vec![Some(0)]);
+}
+
+#[test]
+fn net_quiet_phase_takes_two_waves_tcp() {
+    quiet_phase_takes_two_waves(NetTransport::Tcp);
+}
+
+#[test]
+fn net_quiet_phase_takes_two_waves_shm() {
+    quiet_phase_takes_two_waves(NetTransport::Shm);
+}
+
+/// Two processes have only a root link, which `mixed` keeps on TCP.
+#[test]
+fn net_quiet_phase_takes_two_waves_mixed() {
+    quiet_phase_takes_two_waves(NetTransport::Mixed);
+}
+
+#[derive(Clone, Copy)]
+enum Fault {
+    Kill,
+    Stall,
+}
+
+/// Failure while the root is parked waiting for a CD reply. The root has
+/// no work, so from the start of phase 2 it sits in its idle wait — on
+/// its doorbell under shm/mixed, on the comm channel under tcp — and the
+/// reply it waits for never comes. The comm thread's failure (socket EOF
+/// for a kill, heartbeat silence for a stall) must wake it: the panic
+/// payload is the typed `TransportError`, and it surfaces within the
+/// heartbeat timeout (plus scheduling slack), long before the watchdog.
+fn failure_wakes_a_parked_root(transport: NetTransport, fault: Fault) {
+    const TIMEOUT_MS: u32 = 400;
+    let mut cfg = two_procs(transport);
+    cfg.watchdog_secs = 60;
+    cfg.net.heartbeat_interval_ms = 50;
+    cfg.net.heartbeat_timeout_ms = TIMEOUT_MS;
+    match fault {
+        Fault::Kill => {
+            cfg.net.kill_rank = 1;
+            cfg.net.kill_phase = 2;
+        }
+        Fault::Stall => cfg.faults = FaultPlan::proc_stall(7, 1, 2, 5_000),
+    }
+    let mut rt: Runtime<Hop> = Runtime::new(cfg);
+    rt.add_chare(ChareId(0), 0, sink(0));
+    rt.add_chare(ChareId(1), 1, sink(1));
+    let inject = || {
+        vec![(
+            ChareId(1),
+            Hop {
+                remaining: 0,
+                payload: 1,
+            },
+        )]
+    };
+    rt.run_phase(inject());
+    let started = std::time::Instant::now(); // simlint: allow(R2) -- test-only detection-latency bound, never feeds the DES
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.run_phase(inject())))
+        .expect_err("a lost worker must not look like success");
+    let took = started.elapsed();
+    let te = err
+        .downcast_ref::<TransportError>()
+        .expect("panic payload must be a typed TransportError, not the watchdog's message");
+    match fault {
+        Fault::Kill => assert!(
+            te.0.contains("disconnected") || te.0.contains("failed"),
+            "error should describe the peer loss, got: {te}"
+        ),
+        Fault::Stall => assert!(
+            te.0.contains("stalled"),
+            "detector must classify the silence as a stall, got: {te}"
+        ),
+    }
+    assert!(
+        took < std::time::Duration::from_millis(u64::from(TIMEOUT_MS) + 1_500),
+        "the parked root took {took:?} to notice"
+    );
+}
+
+#[test]
+fn net_kill_wakes_a_parked_root_tcp() {
+    failure_wakes_a_parked_root(NetTransport::Tcp, Fault::Kill);
+}
+
+#[test]
+fn net_kill_wakes_a_parked_root_shm() {
+    failure_wakes_a_parked_root(NetTransport::Shm, Fault::Kill);
+}
+
+#[test]
+fn net_kill_wakes_a_parked_root_mixed() {
+    failure_wakes_a_parked_root(NetTransport::Mixed, Fault::Kill);
+}
+
+#[test]
+fn net_stall_wakes_a_parked_root_tcp() {
+    failure_wakes_a_parked_root(NetTransport::Tcp, Fault::Stall);
+}
+
+#[test]
+fn net_stall_wakes_a_parked_root_shm() {
+    failure_wakes_a_parked_root(NetTransport::Shm, Fault::Stall);
+}
+
+#[test]
+fn net_stall_wakes_a_parked_root_mixed() {
+    failure_wakes_a_parked_root(NetTransport::Mixed, Fault::Stall);
+}
+
+/// A lane holding more than half a ring of envelopes is split at envelope
+/// boundaries into ring-sized BATCH frames instead of falling back to the
+/// socket: everything arrives, in the phase it was sent, and no byte of it
+/// is counted on the wire.
+#[test]
+fn net_oversized_flush_is_split_across_the_ring() {
+    const BURST: u32 = 500; // × 20 encoded bytes = 10 KB, five times max_frame
+    let mut cfg = two_procs(NetTransport::Shm);
+    cfg.net.shm_ring_bytes = 4096; // frames of at most 2 KiB
+    cfg.aggregation.adaptive = false;
+    cfg.aggregation.max_batch = 1024;
+    let mut rt: Runtime<Hop> = Runtime::new(cfg);
+    rt.add_chare(ChareId(0), 0, Box::new(Fan { to: ChareId(1) }));
+    rt.add_chare(ChareId(1), 1, sink(1));
+    for phase in 0..2 {
+        let stats = rt.run_phase(vec![(
+            ChareId(0),
+            Hop {
+                remaining: BURST,
+                payload: 0,
+            },
+        )]);
+        let totals = stats.totals();
+        assert_eq!(
+            stats.reduction(0),
+            u64::from(BURST),
+            "phase {phase}: every envelope arrived in its own phase"
+        );
+        assert_eq!(totals.processed, u64::from(BURST) + 1);
+        assert_eq!(totals.wire_flush_idle, 1, "one lane, flushed once");
+        assert!(
+            totals.network_packets >= 5,
+            "the flush must have been split, got {} frames",
+            totals.network_packets
+        );
+        assert_eq!(
+            (totals.wire_frames_sent, totals.wire_bytes_sent),
+            (0, 0),
+            "phase {phase}: nothing may fall back to the socket"
+        );
+    }
 }

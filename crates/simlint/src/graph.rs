@@ -508,7 +508,7 @@ struct Acquisition {
 
 /// Direct acquisitions: `name.lock()` / `.read()` / `.write()` (and
 /// `try_` forms) where `name` is a ranked lock, plus guard-returning
-/// helper calls (`lock_recover(&self.replies)`) whose argument names one.
+/// helper calls (`lock_recover(&self.health)`) whose argument names one.
 fn direct_acquisitions(file: &SourceFile, d: &FnDef, policy: &Policy) -> Vec<Acquisition> {
     const LOCK_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
     let tokens = &file.lexed.tokens;

@@ -132,6 +132,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Drop the contents, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
     /// Read access to the written bytes (trailing-checksum codecs hash
     /// the body before appending the trailer).
     pub fn as_slice(&self) -> &[u8] {
