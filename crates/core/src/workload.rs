@@ -11,7 +11,7 @@
 //! Edges connect persons to the locations they visit, weighted by the
 //! number of daily visits (= messages crossing that edge).
 
-use graph_part::{CsrGraph, GraphBuilder};
+use graph_part::CsrGraph;
 use load_model::{LoadUnits, PiecewiseModel};
 use synthpop::Population;
 
@@ -44,6 +44,15 @@ impl WorkloadLayout {
 }
 
 /// Build the 2-constraint workload graph for a population.
+///
+/// The CSR is written directly, in O(visits): a person's visits are
+/// contiguous, so their few locations are sorted and merged in place to
+/// give the person's row, and the location rows are the transpose, filled
+/// in ascending person order. Both sides come out in the ascending
+/// neighbour order `CsrGraph` requires.
+///
+/// # Panics
+/// If `pop.visits` is not grouped by person as `pop.person_offsets` says.
 pub fn build_workload_graph(
     pop: &Population,
     model: &PiecewiseModel,
@@ -53,35 +62,63 @@ pub fn build_workload_graph(
         n_people: pop.n_people(),
         n_locations: pop.n_locations(),
     };
-    let mut b = GraphBuilder::new(layout.n_vertices(), 2);
+    let n_people = layout.n_people as usize;
+    let n = layout.n_vertices() as usize;
 
-    // Location event counts (2 per visit).
-    let mut events = vec![0u64; pop.locations.len()];
-    for v in &pop.visits {
-        events[v.location.0 as usize] += 2;
+    // Person rows: one entry per distinct location, weight = visit count;
+    // the person's own weight is their visit count too.
+    // `xadj[v + 1]` first counts v's entries, then becomes v's end offset.
+    let mut vwgt = vec![0u64; 2 * n];
+    let mut xadj = vec![0u32; n + 1];
+    let mut adjncy: Vec<u32> = Vec::with_capacity(2 * pop.visits.len());
+    let mut adjwgt: Vec<u32> = Vec::with_capacity(2 * pop.visits.len());
+    let mut row: Vec<u32> = Vec::new();
+    for (p, visits) in pop.iter_people() {
+        vwgt[2 * p.0 as usize] = visits.len().max(1) as u64;
+        row.clear();
+        for v in visits {
+            assert_eq!(v.person, p, "visits must be grouped by person");
+            row.push(layout.location_vertex(v.location.0));
+        }
+        row.sort_unstable();
+        let start = adjncy.len();
+        for &l in &row {
+            if adjncy.len() > start && adjncy.last() == Some(&l) {
+                let w = adjwgt.last_mut().expect("parallel to adjncy");
+                *w = w.saturating_add(1);
+            } else {
+                adjncy.push(l);
+                adjwgt.push(1);
+                xadj[l as usize + 1] += 1;
+            }
+        }
+        xadj[p.0 as usize + 1] = (adjncy.len() - start) as u32;
+    }
+    for v in 0..n {
+        xadj[v + 1] += xadj[v];
+    }
+    // Location rows: the transpose of the person rows.
+    let person_entries = adjncy.len();
+    adjncy.resize(2 * person_entries, 0);
+    adjwgt.resize(2 * person_entries, 0);
+    let mut fill = xadj[n_people..n].to_vec();
+    for p in 0..n_people {
+        for e in xadj[p] as usize..xadj[p + 1] as usize {
+            let at = &mut fill[adjncy[e] as usize - n_people];
+            adjncy[*at as usize] = p as u32;
+            adjwgt[*at as usize] = adjwgt[e];
+            *at += 1;
+        }
     }
 
-    // Person weights: visit counts.
-    for p in 0..pop.n_people() {
-        let visits = pop.person_offsets[p as usize + 1] - pop.person_offsets[p as usize];
-        b.set_vwgt(layout.person_vertex(p), &[visits.max(1) as u64, 0]);
+    // Location weights: the static model at the location's event count.
+    for (l, load) in location_static_loads(pop, model, units)
+        .into_iter()
+        .enumerate()
+    {
+        vwgt[2 * (n_people + l) + 1] = load;
     }
-    // Location weights: static model.
-    for l in 0..pop.n_locations() {
-        let load = model.eval_units(events[l as usize] as f64, units.per_second);
-        b.set_vwgt(layout.location_vertex(l), &[0, load]);
-    }
-    // Edges: one per (person, location) pair, weight = visit count.
-    // Visits are sorted by person, so same-pair visits may not be adjacent;
-    // GraphBuilder merges duplicates.
-    for v in &pop.visits {
-        b.add_edge(
-            layout.person_vertex(v.person.0),
-            layout.location_vertex(v.location.0),
-            1,
-        );
-    }
-    (b.build(), layout)
+    (CsrGraph::from_parts(2, xadj, adjncy, adjwgt, vwgt), layout)
 }
 
 /// The per-location static loads used for Table II / Figures 4–8 (the
@@ -104,6 +141,8 @@ pub fn location_static_loads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitloc::{split_heavy_locations, SplitConfig};
+    use graph_part::GraphBuilder;
     use synthpop::PopulationConfig;
 
     fn setup() -> (Population, CsrGraph, WorkloadLayout) {
@@ -114,6 +153,74 @@ mod tests {
             LoadUnits::default(),
         );
         (pop, g, layout)
+    }
+
+    /// The construction this module replaced: every visit as a unit edge,
+    /// sorted and merged by `GraphBuilder`.
+    fn reference_graph(pop: &Population) -> CsrGraph {
+        let layout = WorkloadLayout {
+            n_people: pop.n_people(),
+            n_locations: pop.n_locations(),
+        };
+        let loads = location_static_loads(
+            pop,
+            &PiecewiseModel::paper_constants(),
+            LoadUnits::default(),
+        );
+        let mut b = GraphBuilder::new(layout.n_vertices(), 2);
+        for p in 0..pop.n_people() {
+            let visits = pop.person_offsets[p as usize + 1] - pop.person_offsets[p as usize];
+            b.set_vwgt(layout.person_vertex(p), &[visits.max(1) as u64, 0]);
+        }
+        for l in 0..pop.n_locations() {
+            b.set_vwgt(layout.location_vertex(l), &[0, loads[l as usize]]);
+        }
+        for v in &pop.visits {
+            b.add_edge(
+                layout.person_vertex(v.person.0),
+                layout.location_vertex(v.location.0),
+                1,
+            );
+        }
+        b.build()
+    }
+
+    #[test]
+    fn direct_csr_equals_builder_reference() {
+        for (people, seed) in [(1u32, 3u64), (40, 1), (700, 2), (2_500, 77), (6_000, 5)] {
+            let pop = Population::generate(&PopulationConfig::small("W", people, seed));
+            let split = split_heavy_locations(
+                &pop,
+                &SplitConfig {
+                    max_partitions: 512,
+                    threshold_override: None,
+                },
+            )
+            .pop;
+            assert!(people < 2_000 || split.n_locations() > pop.n_locations());
+            for pop in [&pop, &split] {
+                let (g, _) = build_workload_graph(
+                    pop,
+                    &PiecewiseModel::paper_constants(),
+                    LoadUnits::default(),
+                );
+                g.validate().unwrap();
+                assert_eq!(g, reference_graph(pop), "{people} people, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "grouped by person")]
+    fn visits_out_of_person_order_are_refused() {
+        let mut pop = Population::generate(&PopulationConfig::small("W", 50, 1));
+        let last = pop.visits.len() - 1;
+        pop.visits.swap(0, last);
+        build_workload_graph(
+            &pop,
+            &PiecewiseModel::paper_constants(),
+            LoadUnits::default(),
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! inside coarse vertices — weight refinement can no longer cut — is
 //! maximized.
 
-use crate::graph::{CsrGraph, GraphBuilder};
+use crate::graph::CsrGraph;
 use ptts::CounterRng;
 
 /// One coarsening level: the coarse graph and the fine→coarse vertex map.
@@ -58,70 +58,116 @@ pub fn coarsen_once(g: &CsrGraph, seed: u64) -> Option<CoarseLevel> {
         }
     }
 
-    // Assign coarse ids: one per matched pair / singleton.
-    let mut map = vec![UNMATCHED; n as usize];
-    let mut next = 0u32;
-    for v in 0..n {
-        if map[v as usize] != UNMATCHED {
-            continue;
-        }
-        let m = mate[v as usize];
-        map[v as usize] = next;
-        if m != v && m != UNMATCHED {
-            map[m as usize] = next;
-        }
-        next += 1;
-    }
-    let coarse_n = next;
+    let (map, coarse_n) = coarse_ids(&mate);
     if (coarse_n as f64) > 0.9 * n as f64 {
         return None;
     }
-
-    // Contract.
-    let mut b = GraphBuilder::new(coarse_n, g.ncon());
-    let mut wbuf = vec![0u64; g.ncon()];
-    let mut acc: Vec<Vec<u64>> = vec![vec![0; g.ncon()]; coarse_n as usize];
-    for v in 0..n {
-        let cv = map[v as usize] as usize;
-        for (c, w) in g.vwgts(v).iter().enumerate() {
-            acc[cv][c] += w;
-        }
-    }
-    for (cv, ws) in acc.iter().enumerate() {
-        wbuf.copy_from_slice(ws);
-        b.set_vwgt(cv as u32, &wbuf);
-    }
-    for v in 0..n {
-        for (u, w) in g.neighbors(v) {
-            if v < u {
-                let (cv, cu) = (map[v as usize], map[u as usize]);
-                if cv != cu {
-                    b.add_edge(cv, cu, w);
-                }
-            }
-        }
-    }
     Some(CoarseLevel {
-        graph: b.build(),
+        graph: contract(g, &mate, &map, coarse_n),
         map,
     })
 }
 
-/// Coarsen until at most `target_n` vertices remain or progress stalls.
-/// Returns the levels from finest to coarsest.
-pub fn coarsen_to(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = g.clone();
-    let mut round = 0u64;
-    while current.n() > target_n {
-        match coarsen_once(&current, seed.wrapping_add(round)) {
-            Some(level) => {
-                current = level.graph.clone();
-                levels.push(level);
-            }
-            None => break,
+/// Coarse ids for a matching (`mate[v] == v` for a singleton): one per
+/// pair, ascending in the pair's smaller member. Returns the fine→coarse
+/// map and the number of coarse vertices.
+fn coarse_ids(mate: &[u32]) -> (Vec<u32>, u32) {
+    let mut map = vec![0u32; mate.len()];
+    let mut next = 0u32;
+    for (v, &m) in mate.iter().enumerate() {
+        if v as u32 <= m {
+            map[v] = next;
+            map[m as usize] = next;
+            next += 1;
         }
-        round += 1;
+    }
+    (map, next)
+}
+
+/// The graph `g` becomes when each `v` and `mate[v]` merge into coarse
+/// vertex `map[v]` (as [`coarse_ids`] numbers them): vertex weights add,
+/// parallel edges add (saturating), edges inside a pair vanish.
+///
+/// Built as a transpose: coarse vertex `c`, taken in ascending order,
+/// appends itself to the list of every coarse neighbour `d`, so each list
+/// fills in ascending id order ([`CsrGraph`]'s invariant) and a repeated
+/// `(c, d)` is always the entry last written to `d`'s list. Lists start
+/// at upper-bound offsets (the members' fine degrees) and are closed up
+/// afterwards: O(m), no sort, no per-vertex allocation.
+fn contract(g: &CsrGraph, mate: &[u32], map: &[u32], coarse_n: u32) -> CsrGraph {
+    let ncon = g.ncon();
+    let coarse_n = coarse_n as usize;
+    let mut vwgt = vec![0u64; coarse_n * ncon];
+    // `xadj[c]` is where c's list starts, `fill[c]` where its next entry goes.
+    let mut xadj = vec![0u32; coarse_n + 1];
+    for v in 0..g.n() {
+        let c = map[v as usize] as usize;
+        xadj[c + 1] += g.degree(v);
+        for (acc, w) in vwgt[c * ncon..(c + 1) * ncon].iter_mut().zip(g.vwgts(v)) {
+            *acc += w;
+        }
+    }
+    for c in 0..coarse_n {
+        xadj[c + 1] += xadj[c];
+    }
+    let mut fill = xadj[..coarse_n].to_vec();
+    let mut adjncy = vec![0u32; xadj[coarse_n] as usize];
+    let mut adjwgt = vec![0u32; xadj[coarse_n] as usize];
+    for v in 0..g.n() {
+        let m = mate[v as usize];
+        if v > m {
+            continue;
+        }
+        let c = map[v as usize];
+        let members = [v, m];
+        for &member in &members[..if m == v { 1 } else { 2 }] {
+            for (u, w) in g.neighbors(member) {
+                let d = map[u as usize] as usize;
+                if d == c as usize {
+                    continue;
+                }
+                let at = fill[d] as usize;
+                if at > xadj[d] as usize && adjncy[at - 1] == c {
+                    adjwgt[at - 1] = adjwgt[at - 1].saturating_add(w);
+                } else {
+                    adjncy[at] = c;
+                    adjwgt[at] = w;
+                    fill[d] += 1;
+                }
+            }
+        }
+    }
+    // Close the gaps the upper bound left between lists.
+    let mut end = 0usize;
+    for c in 0..coarse_n {
+        let (lo, hi) = (xadj[c] as usize, fill[c] as usize);
+        adjncy.copy_within(lo..hi, end);
+        adjwgt.copy_within(lo..hi, end);
+        xadj[c] = end as u32;
+        end += hi - lo;
+    }
+    xadj[coarse_n] = end as u32;
+    adjncy.truncate(end);
+    adjncy.shrink_to_fit();
+    adjwgt.truncate(end);
+    adjwgt.shrink_to_fit();
+    CsrGraph::from_parts(ncon, xadj, adjncy, adjwgt, vwgt)
+}
+
+/// Coarsen until at most `target_n` vertices remain or progress stalls.
+/// Returns the levels from finest to coarsest. Every level is built by
+/// [`CsrGraph::from_parts`], which validates it in debug builds.
+pub fn coarsen_to(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    for round in 0u64.. {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.n() <= target_n {
+            break;
+        }
+        let Some(level) = coarsen_once(current, seed.wrapping_add(round)) else {
+            break;
+        };
+        levels.push(level);
     }
     levels
 }
@@ -129,7 +175,8 @@ pub fn coarsen_to(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::figure2_example;
+    use crate::graph::{figure2_example, GraphBuilder};
+    use proptest::prelude::*;
 
     fn path_graph(n: u32) -> CsrGraph {
         let mut b = GraphBuilder::new(n, 1);
@@ -234,6 +281,148 @@ mod tests {
         let levels = coarsen_to(&g, 4, 9);
         for l in &levels {
             l.graph.validate().unwrap();
+        }
+    }
+
+    /// The contraction this module replaced: hand every surviving fine
+    /// edge to `GraphBuilder` and let it sort and merge.
+    fn contract_reference(g: &CsrGraph, map: &[u32], coarse_n: u32) -> CsrGraph {
+        let mut b = GraphBuilder::new(coarse_n, g.ncon());
+        for v in 0..g.n() {
+            for (c, &w) in g.vwgts(v).iter().enumerate() {
+                b.add_vwgt(map[v as usize], c, w);
+            }
+            for (u, w) in g.neighbors(v) {
+                if v < u {
+                    b.add_edge(map[v as usize], map[u as usize], w);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Contract `g` along `mate` both ways and compare everything:
+    /// structure, edge and vertex weights, neighbour order.
+    fn assert_matches_reference(g: &CsrGraph, mate: &[u32]) {
+        let (map, coarse_n) = coarse_ids(mate);
+        let direct = contract(g, mate, &map, coarse_n);
+        direct.validate().unwrap();
+        assert_eq!(direct, contract_reference(g, &map, coarse_n));
+        assert_eq!(direct.total_weights(), g.total_weights());
+    }
+
+    /// A random matching along edges of `g`: each vertex, in id order,
+    /// pairs with one of its still-free neighbours or stays single.
+    fn random_matching(g: &CsrGraph, rng: &mut CounterRng) -> Vec<u32> {
+        let mut mate: Vec<u32> = (0..g.n()).collect();
+        for v in 0..g.n() {
+            let free: Vec<u32> = g
+                .neighbors(v)
+                .map(|(u, _)| u)
+                .filter(|&u| mate[v as usize] == v && mate[u as usize] == u)
+                .collect();
+            if !free.is_empty() && rng.uniform_u64(4) != 0 {
+                let u = free[rng.uniform_u64(free.len() as u64) as usize];
+                mate[v as usize] = u;
+                mate[u as usize] = v;
+            }
+        }
+        mate
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Direct contraction `==` the `GraphBuilder` reference for random
+        /// graphs (isolated vertices, parallel input edges, near-saturating
+        /// weights) and random matchings.
+        #[test]
+        fn contraction_equals_builder_reference(
+            n in 1u32..48,
+            ncon in 1usize..4,
+            edges in collection::vec((0u32..48, 0u32..48, 0u32..6), 0..160),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = CounterRng::from_key(&[seed]);
+            let mut b = GraphBuilder::new(n, ncon);
+            for v in 0..n {
+                for c in 0..ncon {
+                    b.add_vwgt(v, c, rng.uniform_u64(9));
+                }
+            }
+            for (u, v, w) in edges {
+                // One weight in six is heavy enough that merging it with
+                // almost any other edge passes `u32::MAX`.
+                let w = if w == 0 { u32::MAX - 2 } else { w };
+                b.add_edge(u % n, v % n, w);
+            }
+            let g = b.build();
+            assert_matches_reference(&g, &random_matching(&g, &mut rng));
+        }
+    }
+
+    #[test]
+    fn hub_and_shared_neighbours_contract_like_the_reference() {
+        // Two 5000-neighbour hubs over the same leaves, matched with each
+        // other: every coarse edge merges one edge from each mate.
+        let leaves = 5_000u32;
+        let mut b = GraphBuilder::new(leaves + 2, 2);
+        for v in 0..leaves + 2 {
+            b.set_vwgt(v, &[1, v as u64 % 3]);
+        }
+        b.add_edge(0, 1, 7);
+        for leaf in 2..leaves + 2 {
+            b.add_edge(0, leaf, 1 + leaf % 4);
+            b.add_edge(1, leaf, 2);
+        }
+        let g = b.build();
+        let mut mate: Vec<u32> = (0..g.n()).collect();
+        mate.swap(0, 1);
+        assert_matches_reference(&g, &mate);
+        // One hub matched with a leaf instead, the other single.
+        let mut mate: Vec<u32> = (0..g.n()).collect();
+        mate.swap(0, 4_000);
+        assert_matches_reference(&g, &mate);
+    }
+
+    #[test]
+    fn merged_parallel_edges_saturate() {
+        // 0 and 1 merge; both reach 2 with weights that sum past u32::MAX.
+        let mut b = GraphBuilder::new(4, 1);
+        b.add_edge(0, 1, 1);
+        b.add_edge(0, 2, u32::MAX - 1);
+        b.add_edge(1, 2, 5);
+        b.add_edge(2, 3, 1);
+        let g = b.build();
+        let mate = vec![1, 0, 2, 3];
+        assert_matches_reference(&g, &mate);
+        let (map, coarse_n) = coarse_ids(&mate);
+        let coarse = contract(&g, &mate, &map, coarse_n);
+        assert_eq!(coarse.neighbors(0).collect::<Vec<_>>(), [(1, u32::MAX)]);
+    }
+
+    #[test]
+    fn every_level_of_a_real_hierarchy_matches_the_reference() {
+        // The driver's own matchings on a two-constraint random graph.
+        let n = 2_000u32;
+        let mut rng = CounterRng::from_key(&[5]);
+        let mut b = GraphBuilder::new(n, 2);
+        for v in 0..n {
+            b.set_vwgt(v, &[1 + rng.uniform_u64(4), rng.uniform_u64(3)]);
+            for _ in 0..3 {
+                b.add_edge(v, rng.uniform_u64(n as u64) as u32, 1);
+            }
+        }
+        let g = b.build();
+        let levels = coarsen_to(&g, 32, 3);
+        assert!(levels.len() >= 4, "only {} levels", levels.len());
+        let mut fine = &g;
+        for level in &levels {
+            assert_eq!(
+                level.graph,
+                contract_reference(fine, &level.map, level.graph.n())
+            );
+            fine = &level.graph;
         }
     }
 }

@@ -7,6 +7,16 @@
 
 /// An undirected graph in CSR form with weighted edges and `ncon`
 /// weights per vertex.
+///
+/// **Invariant:** every vertex's neighbour list is in strictly ascending
+/// id order (hence duplicate-free), holds no self-loop, and mirrors the
+/// list of each neighbour with the same weight. Results rest on the
+/// order: heavy-edge matching keeps the *first* of equally heavy
+/// neighbours and refinement visits candidate partitions in the order a
+/// vertex's neighbours name them, so two graphs that differ only in
+/// adjacency order partition differently. [`GraphBuilder::build`]
+/// establishes the invariant, [`CsrGraph::from_parts`] requires it, and
+/// [`CsrGraph::validate`] checks it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     ncon: usize,
@@ -42,12 +52,8 @@ impl CsrGraph {
     /// Neighbors of `v` with edge weights.
     #[inline]
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.xadj[v as usize] as usize;
-        let hi = self.xadj[v as usize + 1] as usize;
-        self.adjncy[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.adjwgt[lo..hi].iter().copied())
+        let (nbrs, wgts) = self.adjacency(v);
+        nbrs.iter().copied().zip(wgts.iter().copied())
     }
 
     /// Degree of `v`.
@@ -85,30 +91,80 @@ impl CsrGraph {
         self.adjwgt.iter().map(|&w| w as u64).sum::<u64>() / 2
     }
 
-    /// Structural validation: symmetric adjacency, no self-loops, weights
-    /// consistent.
+    /// Assemble a graph from CSR arrays laid out as the fields are, for
+    /// producers that emit sorted, symmetric adjacency in O(m) themselves
+    /// (contraction, the bipartite workload graph) and so have no use for
+    /// [`GraphBuilder`]'s sort.
+    ///
+    /// # Panics
+    /// If the array lengths disagree; in debug builds also if the
+    /// [type-level invariant](CsrGraph) does not hold.
+    pub fn from_parts(
+        ncon: usize,
+        xadj: Vec<u32>,
+        adjncy: Vec<u32>,
+        adjwgt: Vec<u32>,
+        vwgt: Vec<u64>,
+    ) -> CsrGraph {
+        assert!(ncon >= 1, "need at least one constraint");
+        assert_eq!(xadj.last().map(|&e| e as usize), Some(adjncy.len()));
+        assert_eq!(adjncy.len(), adjwgt.len());
+        assert_eq!(vwgt.len(), (xadj.len() - 1) * ncon);
+        let g = CsrGraph {
+            ncon,
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
+    /// Check the [type-level invariant](CsrGraph): a consistent layout,
+    /// strictly ascending neighbour lists without self-loops, symmetric
+    /// edges of equal weight. O(m log d), affordable on a full-size world.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.n();
-        if self.adjncy.len() != self.adjwgt.len() {
-            return Err("adjncy/adjwgt length mismatch".into());
+        if self.adjncy.len() != self.adjwgt.len() || self.vwgt.len() != n as usize * self.ncon {
+            return Err("adjncy/adjwgt/vwgt length mismatch".into());
         }
-        if self.vwgt.len() != n as usize * self.ncon {
-            return Err("vwgt length mismatch".into());
+        if self.xadj[0] != 0
+            || self.xadj[n as usize] as usize != self.adjncy.len()
+            || self.xadj.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err("xadj is not a monotone offset array over adjncy".into());
         }
         for v in 0..n {
-            for (u, w) in self.neighbors(v) {
+            let (nbrs, wgts) = self.adjacency(v);
+            if let Some(w) = nbrs.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "neighbours of {v} not strictly ascending ({} then {})",
+                    w[0], w[1]
+                ));
+            }
+            for (&u, &w) in nbrs.iter().zip(wgts) {
                 if u >= n {
                     return Err(format!("edge ({v},{u}) out of range"));
                 }
                 if u == v {
                     return Err(format!("self-loop at {v}"));
                 }
-                if !self.neighbors(u).any(|(x, wx)| x == v && wx == w) {
+                let (back, back_w) = self.adjacency(u);
+                if !back.binary_search(&v).is_ok_and(|i| back_w[i] == w) {
                     return Err(format!("asymmetric edge ({v},{u})"));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Neighbour ids and edge weights of `v` as parallel slices.
+    #[inline]
+    fn adjacency(&self, v: u32) -> (&[u32], &[u32]) {
+        let lo = self.xadj[v as usize] as usize;
+        let hi = self.xadj[v as usize + 1] as usize;
+        (&self.adjncy[lo..hi], &self.adjwgt[lo..hi])
     }
 }
 
@@ -293,6 +349,59 @@ mod tests {
         assert_eq!(g.n(), 5);
         assert_eq!(g.m(), 0);
         assert_eq!(g.degree(3), 0);
+    }
+
+    #[test]
+    fn validate_rejects_each_broken_invariant() {
+        // Path 0-1-2 with vertex 1's list [0, 2]; each case breaks one thing.
+        let path = |xadj: &[u32], adjncy: &[u32], adjwgt: &[u32]| CsrGraph {
+            ncon: 1,
+            xadj: xadj.to_vec(),
+            adjncy: adjncy.to_vec(),
+            adjwgt: adjwgt.to_vec(),
+            vwgt: vec![1; xadj.len() - 1],
+        };
+        path(&[0, 1, 3, 4], &[1, 0, 2, 1], &[5, 5, 6, 6])
+            .validate()
+            .unwrap();
+        let err = |g: CsrGraph| g.validate().unwrap_err();
+        let unsorted = err(path(&[0, 1, 3, 4], &[1, 2, 0, 1], &[5, 6, 5, 6]));
+        assert!(unsorted.contains("ascending"), "{unsorted}");
+        let duplicate = err(path(&[0, 2, 4, 4], &[1, 1, 0, 0], &[1, 1, 1, 1]));
+        assert!(duplicate.contains("ascending"), "{duplicate}");
+        let weight = err(path(&[0, 1, 3, 4], &[1, 0, 2, 1], &[5, 4, 6, 6]));
+        assert!(weight.contains("asymmetric"), "{weight}");
+        let one_way = err(path(&[0, 1, 1, 1], &[1], &[5]));
+        assert!(one_way.contains("asymmetric"), "{one_way}");
+        let self_loop = err(path(&[0, 1, 1, 1], &[0], &[5]));
+        assert!(self_loop.contains("self-loop"), "{self_loop}");
+        let offsets = err(path(&[0, 3, 1, 4], &[1, 0, 2, 1], &[5, 5, 6, 6]));
+        assert!(offsets.contains("xadj"), "{offsets}");
+    }
+
+    #[test]
+    fn validate_is_affordable_on_a_hub() {
+        // 20k leaves on one hub: the old per-edge linear scan made this
+        // 4 × 10^8 compares; binary search makes it a few hundred thousand.
+        let n = 20_001u32;
+        let mut b = GraphBuilder::new(n, 1);
+        for v in 1..n {
+            b.add_edge(0, v, 1);
+        }
+        b.build().validate().unwrap();
+    }
+
+    #[test]
+    fn from_parts_round_trips_a_built_graph() {
+        let g = figure2_example();
+        let again = CsrGraph::from_parts(
+            g.ncon,
+            g.xadj.clone(),
+            g.adjncy.clone(),
+            g.adjwgt.clone(),
+            g.vwgt.clone(),
+        );
+        assert_eq!(g, again);
     }
 
     #[test]

@@ -13,40 +13,59 @@ use ptts::CounterRng;
 use std::collections::BinaryHeap;
 
 /// Track per-partition loads and fullness for multi-constraint balance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadTracker {
     /// loads[p * ncon + c]
     loads: Vec<u64>,
     /// Target load per partition per constraint, `targets[p * ncon + c]`
     /// (uniform total/k unless built with explicit fractions).
     targets: Vec<f64>,
+    /// `fullness[p]`: max over constraints of load/target, recomputed by
+    /// every `add`/`remove` so that reading it costs no division.
+    fullness: Vec<f64>,
     ncon: usize,
 }
 
 impl LoadTracker {
-    /// Build from graph totals with uniform per-partition targets.
-    pub fn new(g: &CsrGraph, k: u32) -> Self {
-        Self::with_fractions(g, &vec![1.0 / k as f64; k as usize])
-    }
-
-    /// Build with per-partition target *fractions* of the total weight
-    /// (used by recursive bisection, whose halves are unequal for odd k).
-    /// `fractions` must be positive; they need not sum exactly to 1.
-    pub fn with_fractions(g: &CsrGraph, fractions: &[f64]) -> Self {
+    /// Start over on graph `g` with `k` partitions, reusing this tracker's
+    /// buffers. Targets are `fractions` of the total weight (positive, need
+    /// not sum to 1; uniform when `None`); loads come from `assignment`,
+    /// which names a partition per vertex or is empty (nothing placed yet).
+    pub fn reset(&mut self, g: &CsrGraph, k: u32, fractions: Option<&[f64]>, assignment: &[u32]) {
         let totals = g.total_weights();
-        let k = fractions.len();
-        let mut targets = Vec::with_capacity(k * g.ncon());
-        for &f in fractions {
+        let ncon = g.ncon();
+        self.ncon = ncon;
+        self.targets.clear();
+        assert!(fractions.is_none_or(|f| f.len() == k as usize));
+        for p in 0..k as usize {
+            let f = fractions.map_or(1.0 / k as f64, |f| f[p]);
             assert!(f > 0.0, "target fractions must be positive");
-            for &t in &totals {
-                targets.push((t as f64 * f).max(1.0));
+            self.targets
+                .extend(totals.iter().map(|&t| (t as f64 * f).max(1.0)));
+        }
+        self.loads.clear();
+        self.loads.resize(k as usize * ncon, 0);
+        for (v, &p) in assignment.iter().enumerate() {
+            let base = p as usize * ncon;
+            for (load, w) in self.loads[base..base + ncon]
+                .iter_mut()
+                .zip(g.vwgts(v as u32))
+            {
+                *load += w;
             }
         }
-        LoadTracker {
-            loads: vec![0; k * g.ncon()],
-            targets,
-            ncon: g.ncon(),
+        self.fullness.clear();
+        self.fullness.resize(k as usize, 0.0);
+        for p in 0..k {
+            self.update_fullness(p);
         }
+    }
+
+    fn update_fullness(&mut self, p: u32) {
+        let base = p as usize * self.ncon;
+        self.fullness[p as usize] = (0..self.ncon)
+            .map(|c| self.loads[base + c] as f64 / self.targets[base + c])
+            .fold(0.0, f64::max);
     }
 
     /// Add vertex `v`'s weights to partition `p`.
@@ -56,6 +75,7 @@ impl LoadTracker {
         for (c, &w) in g.vwgts(v).iter().enumerate() {
             self.loads[base + c] += w;
         }
+        self.update_fullness(p);
     }
 
     /// Remove vertex `v`'s weights from partition `p`.
@@ -65,15 +85,13 @@ impl LoadTracker {
         for (c, &w) in g.vwgts(v).iter().enumerate() {
             self.loads[base + c] -= w;
         }
+        self.update_fullness(p);
     }
 
     /// Fullness of partition `p`: max over constraints of load/target.
     #[inline]
     pub fn fullness(&self, p: u32) -> f64 {
-        let base = p as usize * self.ncon;
-        (0..self.ncon)
-            .map(|c| self.loads[base + c] as f64 / self.targets[base + c])
-            .fold(0.0, f64::max)
+        self.fullness[p as usize]
     }
 
     /// Fullness of `p` if vertex `v` were added.
@@ -85,22 +103,6 @@ impl LoadTracker {
             .enumerate()
             .map(|(c, &w)| (self.loads[base + c] + w) as f64 / self.targets[base + c])
             .fold(0.0, f64::max)
-    }
-
-    /// Load of partition `p` under constraint `c`.
-    #[inline]
-    pub fn load(&self, p: u32, c: usize) -> u64 {
-        self.loads[p as usize * self.ncon + c]
-    }
-
-    /// Number of partitions.
-    pub fn k(&self) -> u32 {
-        (self.loads.len() / self.ncon) as u32
-    }
-
-    /// Maximum fullness over all partitions.
-    pub fn max_fullness(&self) -> f64 {
-        (0..self.k()).map(|p| self.fullness(p)).fold(0.0, f64::max)
     }
 }
 
@@ -124,7 +126,8 @@ pub fn greedy_growing(g: &CsrGraph, k: u32, seed: u64) -> Partition {
 
     const UNASSIGNED: u32 = u32::MAX;
     let mut part = vec![UNASSIGNED; n as usize];
-    let mut tracker = LoadTracker::new(g, k);
+    let mut tracker = LoadTracker::default();
+    tracker.reset(g, k, None, &[]);
     let mut rng = CounterRng::from_key(&[seed, 0x1417]);
 
     // Vertices by descending degree: good seeds first.

@@ -1,11 +1,15 @@
 //! The multilevel k-way driver: coarsen → initial partition → uncoarsen
 //! with refinement at every level (the METIS recipe).
 
-use crate::coarsen::coarsen_to;
+use crate::coarsen::{coarsen_to, CoarseLevel};
 use crate::graph::CsrGraph;
 use crate::initpart::greedy_growing;
-use crate::refine::{refine, RefineConfig};
+use crate::refine::{refine_targets, RefineConfig, RefineScratch};
 use crate::Partition;
+
+/// Coarsening stops at `COARSEN_FACTOR × k` vertices (256 at least): enough
+/// for a meaningful initial partition, few enough that growing it is cheap.
+const COARSEN_FACTOR: u32 = 16;
 
 /// Partitioning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -18,10 +22,6 @@ pub struct PartitionConfig {
     pub ubfactor: f64,
     /// RNG seed (the partitioner is deterministic given the seed).
     pub seed: u64,
-    /// Stop coarsening when at most `coarsen_factor × k` vertices remain.
-    pub coarsen_factor: u32,
-    /// Refinement passes per level.
-    pub refine_passes: u32,
 }
 
 impl PartitionConfig {
@@ -31,8 +31,6 @@ impl PartitionConfig {
             k,
             ubfactor: 1.05,
             seed: 1,
-            coarsen_factor: 16,
-            refine_passes: 8,
         }
     }
 
@@ -47,9 +45,26 @@ impl PartitionConfig {
         self.ubfactor = ub.max(1.0);
         self
     }
+
+    /// The vertex count at which [`kway_partition`] stops coarsening.
+    pub fn coarsen_target(&self) -> u32 {
+        COARSEN_FACTOR.saturating_mul(self.k.max(1)).max(256)
+    }
+
+    /// The refinement parameters both drivers derive from this config.
+    pub(crate) fn refine_config(&self) -> RefineConfig {
+        RefineConfig {
+            ubfactor: self.ubfactor,
+            seed: self.seed,
+        }
+    }
 }
 
 /// Multilevel k-way partitioning of `g`.
+///
+/// Deterministic: the same graph (adjacency order included) and seed give
+/// the same `Partition`, bit for bit, in every build; `tests/pins.rs`
+/// holds the hashes.
 pub fn kway_partition(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
     let k = cfg.k.max(1);
     let n = g.n();
@@ -66,34 +81,23 @@ pub fn kway_partition(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
         };
     }
 
-    // Coarsen. Target keeps enough vertices for a meaningful initial
-    // partition but small enough that greedy growing is cheap.
-    let target = (cfg.coarsen_factor.max(2)).saturating_mul(k).max(256);
-    let levels = coarsen_to(g, target, cfg.seed);
+    let mut levels = coarsen_to(g, cfg.coarsen_target(), cfg.seed);
+    let rcfg = cfg.refine_config();
+    let mut scratch = RefineScratch::default();
 
     // Initial partition on the coarsest graph.
-    let coarsest: &CsrGraph = levels.last().map(|l| &l.graph).unwrap_or(g);
+    let coarsest = levels.last().map_or(g, |l| &l.graph);
     let mut part = greedy_growing(coarsest, k, cfg.seed);
-    let rcfg = RefineConfig {
-        ubfactor: cfg.ubfactor,
-        max_passes: cfg.refine_passes,
-        seed: cfg.seed,
-    };
-    refine(coarsest, &mut part, &rcfg);
+    refine_targets(coarsest, &mut part, &rcfg, None, &mut scratch);
 
     // Uncoarsen: project through each level and refine on the finer graph.
-    for i in (0..levels.len()).rev() {
-        let fine_graph: &CsrGraph = if i == 0 { g } else { &levels[i - 1].graph };
-        let map = &levels[i].map;
-        let mut fine_assignment = vec![0u32; fine_graph.n() as usize];
-        for (v, &c) in map.iter().enumerate() {
-            fine_assignment[v] = part.assignment[c as usize];
-        }
-        part = Partition {
-            k,
-            assignment: fine_assignment,
-        };
-        refine(fine_graph, &mut part, &rcfg);
+    // A level's graph is freed once the partition has left it, so the
+    // stack shrinks as the graphs being refined grow.
+    while let Some(CoarseLevel { graph, map }) = levels.pop() {
+        drop(graph);
+        let fine = levels.last().map_or(g, |l| &l.graph);
+        part.assignment = map.iter().map(|&c| part.assignment[c as usize]).collect();
+        refine_targets(fine, &mut part, &rcfg, None, &mut scratch);
     }
     part
 }

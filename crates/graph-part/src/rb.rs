@@ -9,7 +9,7 @@
 
 use crate::graph::{CsrGraph, GraphBuilder};
 use crate::initpart::LoadTracker;
-use crate::refine::{refine_targets, RefineConfig};
+use crate::refine::{refine_targets, RefineScratch};
 use crate::{kway::PartitionConfig, Partition};
 use ptts::CounterRng;
 use std::collections::BinaryHeap;
@@ -33,12 +33,14 @@ pub fn recursive_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
     }
     let mut assignment = vec![0u32; n as usize];
     let all: Vec<u32> = (0..n).collect();
-    split(g, &all, 0, k, cfg, &mut assignment);
+    let mut local = vec![u32::MAX; n as usize];
+    split(g, &all, 0, k, cfg, &mut assignment, &mut local);
     Partition { k, assignment }
 }
 
 /// Recursively split `vertices` (ids into `g`) into partitions
-/// `base..base + parts`, writing into `assignment`.
+/// `base..base + parts`, writing into `assignment`. `local` is
+/// [`induced_subgraph`]'s scratch, shared by every node of the recursion.
 fn split(
     g: &CsrGraph,
     vertices: &[u32],
@@ -46,6 +48,7 @@ fn split(
     parts: u32,
     cfg: &PartitionConfig,
     assignment: &mut [u32],
+    local: &mut [u32],
 ) {
     if parts == 1 || vertices.is_empty() {
         for &v in vertices {
@@ -55,7 +58,7 @@ fn split(
     }
     let left_parts = parts.div_ceil(2);
     let right_parts = parts - left_parts;
-    let (sub, _back) = induced_subgraph(g, vertices);
+    let sub = induced_subgraph(g, vertices, local);
     let frac_left = left_parts as f64 / parts as f64;
     let side = bisect(&sub, frac_left, cfg);
 
@@ -68,15 +71,14 @@ fn split(
             right.push(v);
         }
     }
-    split(g, &left, base, left_parts, cfg, assignment);
-    split(g, &right, base + left_parts, right_parts, cfg, assignment);
+    split(g, &left, base, left_parts, cfg, assignment, local);
+    let base = base + left_parts;
+    split(g, &right, base, right_parts, cfg, assignment, local);
 }
 
-/// Build the subgraph induced by `vertices`. Returns the subgraph and the
-/// local→global vertex map (which is just `vertices`, returned for
-/// clarity).
-fn induced_subgraph<'a>(g: &CsrGraph, vertices: &'a [u32]) -> (CsrGraph, &'a [u32]) {
-    let mut local = vec![u32::MAX; g.n() as usize];
+/// Build the subgraph induced by `vertices`; its vertex `i` is
+/// `vertices[i]`. `local` is all `u32::MAX` on entry and on return.
+fn induced_subgraph(g: &CsrGraph, vertices: &[u32], local: &mut [u32]) -> CsrGraph {
     for (i, &v) in vertices.iter().enumerate() {
         local[v as usize] = i as u32;
     }
@@ -90,7 +92,10 @@ fn induced_subgraph<'a>(g: &CsrGraph, vertices: &'a [u32]) -> (CsrGraph, &'a [u3
             }
         }
     }
-    (b.build(), vertices)
+    for &v in vertices {
+        local[v as usize] = u32::MAX;
+    }
+    b.build()
 }
 
 /// Greedy-grow one side to `frac_left` of the total weight, then refine the
@@ -100,18 +105,16 @@ fn bisect(g: &CsrGraph, frac_left: f64, cfg: &PartitionConfig) -> Vec<u32> {
     if n <= 1 {
         return vec![0; n as usize];
     }
-    let mut side = vec![1u32; n as usize];
-    let mut tracker = LoadTracker::with_fractions(g, &[frac_left, (1.0 - frac_left).max(1e-9)]);
+    let fractions = [frac_left, (1.0 - frac_left).max(1e-9)];
     // Everything starts on side 1.
-    for v in 0..n {
-        tracker.add(g, 1, v);
-    }
+    let mut side = vec![1u32; n as usize];
+    let mut tracker = LoadTracker::default();
+    tracker.reset(g, 2, Some(&fractions), &side);
     // Grow side 0 from the highest-degree vertex by strongest connection.
     let seed_v = (0..n).max_by_key(|&v| g.degree(v)).unwrap_or(0);
     let mut rng = CounterRng::from_key(&[cfg.seed, 0xB15E]);
     let mut frontier: BinaryHeap<(u64, u64, u32)> = BinaryHeap::new();
     frontier.push((0, 0, seed_v));
-    let mut pending: Vec<u32> = Vec::new();
     while tracker.fullness(0) < 1.0 {
         let v = match frontier.pop() {
             Some((_, _, v)) => v,
@@ -129,10 +132,8 @@ fn bisect(g: &CsrGraph, frac_left: f64, cfg: &PartitionConfig) -> Vec<u32> {
         side[v as usize] = 0;
         tracker.remove(g, 1, v);
         tracker.add(g, 0, v);
-        pending.clear();
         for (u, w) in g.neighbors(v) {
             if side[u as usize] == 1 {
-                pending.push(u);
                 frontier.push((w as u64, rng.uniform_u64(u64::MAX), u));
             }
         }
@@ -141,15 +142,13 @@ fn bisect(g: &CsrGraph, frac_left: f64, cfg: &PartitionConfig) -> Vec<u32> {
         k: 2,
         assignment: side,
     };
+    let scratch = &mut RefineScratch::default();
     refine_targets(
         g,
         &mut part,
-        &RefineConfig {
-            ubfactor: cfg.ubfactor,
-            max_passes: cfg.refine_passes,
-            seed: cfg.seed,
-        },
-        Some(&[frac_left, (1.0 - frac_left).max(1e-9)]),
+        &cfg.refine_config(),
+        Some(&fractions),
+        scratch,
     );
     part.assignment
 }
@@ -257,10 +256,11 @@ mod tests {
         let g = grid_graph(4);
         // Take the left 2×4 column block.
         let vs: Vec<u32> = (0..16).filter(|v| v % 4 < 2).collect();
-        let (sub, back) = induced_subgraph(&g, &vs);
+        let mut local = vec![u32::MAX; 16];
+        let sub = induced_subgraph(&g, &vs, &mut local);
         sub.validate().unwrap();
         assert_eq!(sub.n(), 8);
-        assert_eq!(back.len(), 8);
+        assert!(local.iter().all(|&l| l == u32::MAX));
         // Internal edges: vertical (3 per column × 2) + horizontal (4).
         assert_eq!(sub.m(), 10);
         assert_eq!(sub.total_weights()[0], 8);

@@ -11,6 +11,10 @@ use crate::initpart::LoadTracker;
 use crate::Partition;
 use ptts::CounterRng;
 
+/// Full passes over the vertices per refinement call, at most; a pass
+/// that moves nothing ends the call early.
+pub const MAX_PASSES: u32 = 8;
+
 /// Refinement parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RefineConfig {
@@ -18,8 +22,6 @@ pub struct RefineConfig {
     /// load per constraint (METIS's default is 1.03–1.05; heavy-tailed
     /// graphs need more slack).
     pub ubfactor: f64,
-    /// Maximum number of full passes over the boundary.
-    pub max_passes: u32,
     /// RNG seed for visitation order.
     pub seed: u64,
 }
@@ -28,51 +30,70 @@ impl Default for RefineConfig {
     fn default() -> Self {
         RefineConfig {
             ubfactor: 1.05,
-            max_passes: 8,
             seed: 1,
         }
     }
 }
 
+/// The buffers of one refinement call. A driver that refines at every
+/// level of a V-cycle keeps one and passes it to each call, so they are
+/// allocated once at the finest graph's size.
+#[derive(Debug, Default)]
+pub struct RefineScratch {
+    tracker: LoadTracker,
+    /// Visitation order, reshuffled every pass.
+    order: Vec<u32>,
+    /// `settled[v]`: when `v` was last examined, its own partition held
+    /// strictly more of its edge weight than any other, and neither `v`
+    /// nor a neighbour has moved since. Such a vertex (every interior
+    /// vertex is one) can only leave an overloaded partition, so otherwise
+    /// it is passed over without walking its adjacency.
+    settled: Vec<bool>,
+    /// Connection weight of the current vertex to each partition,
+    /// maintained sparsely via `touched`.
+    conn: Vec<u64>,
+    touched: Vec<u32>,
+}
+
 /// Refine `p` in place. Returns the total cut improvement achieved.
 pub fn refine(g: &CsrGraph, p: &mut Partition, cfg: &RefineConfig) -> u64 {
-    refine_targets(g, p, cfg, None)
+    refine_targets(g, p, cfg, None, &mut RefineScratch::default())
 }
 
 /// Like [`refine`] but with optional per-partition target fractions of the
 /// total weight (recursive bisection refines 2-way cuts with unequal
-/// sides). `None` means uniform.
+/// sides; `None` means uniform) and caller-kept buffers.
 pub fn refine_targets(
     g: &CsrGraph,
     p: &mut Partition,
     cfg: &RefineConfig,
     fractions: Option<&[f64]>,
+    scratch: &mut RefineScratch,
 ) -> u64 {
     let n = g.n();
     let k = p.k;
     if k <= 1 || n == 0 {
         return 0;
     }
-    let mut tracker = match fractions {
-        Some(f) => {
-            assert_eq!(f.len(), k as usize);
-            LoadTracker::with_fractions(g, f)
-        }
-        None => LoadTracker::new(g, k),
-    };
-    for v in 0..n {
-        tracker.add(g, p.assignment[v as usize], v);
-    }
+    let RefineScratch {
+        tracker,
+        order,
+        settled,
+        conn,
+        touched,
+    } = scratch;
+    tracker.reset(g, k, fractions, &p.assignment);
+    order.clear();
+    order.extend(0..n);
+    settled.clear();
+    settled.resize(n as usize, false);
+    conn.clear();
+    conn.resize(k as usize, 0);
 
     let mut rng = CounterRng::from_key(&[cfg.seed, 0x0EF1]);
-    let mut order: Vec<u32> = (0..n).collect();
     let mut total_improvement = 0u64;
-    // Scratch: connection weight of the current vertex to each partition,
-    // maintained sparsely via a touched list.
-    let mut conn = vec![0u64; k as usize];
-    let mut touched: Vec<u32> = Vec::new();
 
-    for _ in 0..cfg.max_passes {
+    for _ in 0..MAX_PASSES {
         // Shuffle visitation order each pass.
         for i in (1..n as usize).rev() {
             let j = rng.uniform_u64((i + 1) as u64) as usize;
@@ -92,34 +113,28 @@ pub fn refine_targets(
             })
             .unwrap_or(0);
 
-        for &v in &order {
+        for &v in order.iter() {
             let from = p.assignment[v as usize];
+            let from_fullness = tracker.fullness(from);
+            let overloaded = from_fullness > cfg.ubfactor;
+            if settled[v as usize] && !overloaded {
+                continue;
+            }
             // Gather connection weights to neighboring partitions.
             touched.clear();
-            let mut is_boundary = false;
             for (u, w) in g.neighbors(v) {
                 let pu = p.assignment[u as usize];
                 if conn[pu as usize] == 0 {
                     touched.push(pu);
                 }
                 conn[pu as usize] += w as u64;
-                if pu != from {
-                    is_boundary = true;
-                }
-            }
-            let from_fullness = tracker.fullness(from);
-            let overloaded = from_fullness > cfg.ubfactor;
-            if !is_boundary && !overloaded {
-                for &t in &touched {
-                    conn[t as usize] = 0;
-                }
-                continue;
             }
             let conn_from = conn[from as usize];
 
             // Best candidate partition among neighbors (plus the lightest
             // partition when the source is overloaded).
             let mut best: Option<(u32, i64, f64)> = None; // (to, gain, to_fullness_after)
+            let mut contested = false;
             let extra = if overloaded && lightest != from && !touched.contains(&lightest) {
                 Some(lightest)
             } else {
@@ -130,20 +145,23 @@ pub fn refine_targets(
                     continue;
                 }
                 let gain = conn[to as usize] as i64 - conn_from as i64;
+                if gain < 0 && !overloaded {
+                    // A cut-worsening move is only ever taken to drain an
+                    // overloaded source; skip the divisions.
+                    continue;
+                }
+                contested |= gain >= 0;
                 let to_after = tracker.fullness_with(g, to, v);
                 let acceptable = if gain > 0 {
                     // Cut-improving: target must stay within the balance
                     // limit, or at least not become worse than the source
                     // already is (min-max fallback for infeasible graphs).
                     to_after <= cfg.ubfactor || to_after < from_fullness
-                } else if gain == 0 {
-                    // Balance-improving sideways move.
-                    to_after < from_fullness - 1e-12
                 } else {
-                    // Cut-worsening move: only to drain an overloaded
-                    // partition, and only if the target remains strictly
-                    // less full than the source was.
-                    overloaded && to_after < from_fullness - 1e-12
+                    // Sideways, or cut-worsening out of an overloaded
+                    // source: only if the target remains strictly less
+                    // full than the source was.
+                    to_after < from_fullness - 1e-12
                 };
                 if acceptable {
                     match best {
@@ -152,17 +170,23 @@ pub fn refine_targets(
                     }
                 }
             }
+            for &t in touched.iter() {
+                conn[t as usize] = 0;
+            }
             if let Some((to, gain, _)) = best {
                 tracker.remove(g, from, v);
                 tracker.add(g, to, v);
                 p.assignment[v as usize] = to;
+                settled[v as usize] = false;
+                for (u, _) in g.neighbors(v) {
+                    settled[u as usize] = false;
+                }
                 if gain > 0 {
                     pass_improvement += gain as u64;
                 }
                 moved = true;
-            }
-            for &t in &touched {
-                conn[t as usize] = 0;
+            } else {
+                settled[v as usize] = !contested;
             }
         }
         total_improvement += pass_improvement;
@@ -178,6 +202,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::metrics::{imbalances, total_edge_cut};
+    use proptest::prelude::*;
 
     fn ring(n: u32) -> CsrGraph {
         let mut b = GraphBuilder::new(n, 1);
@@ -188,6 +213,138 @@ mod tests {
             b.add_edge(v, (v + 1) % n, 1);
         }
         b.build()
+    }
+
+    /// The loop as it was before `settled` and the negative-gain skip:
+    /// every vertex walks its adjacency in every pass and every candidate
+    /// pays for `fullness_with`. Same shuffle, same tie-breaks.
+    fn refine_reference(
+        g: &CsrGraph,
+        p: &mut Partition,
+        cfg: &RefineConfig,
+        fractions: Option<&[f64]>,
+    ) -> u64 {
+        let (n, k) = (g.n(), p.k);
+        if k <= 1 || n == 0 {
+            return 0;
+        }
+        let mut tracker = LoadTracker::default();
+        tracker.reset(g, k, fractions, &p.assignment);
+        let mut rng = CounterRng::from_key(&[cfg.seed, 0x0EF1]);
+        let mut order: Vec<u32> = (0..n).collect();
+        let mut total_improvement = 0u64;
+        for _ in 0..MAX_PASSES {
+            for i in (1..n as usize).rev() {
+                let j = rng.uniform_u64((i + 1) as u64) as usize;
+                order.swap(i, j);
+            }
+            let mut moved = false;
+            let lightest = (0..k)
+                .min_by(|&a, &b| {
+                    tracker
+                        .fullness(a)
+                        .partial_cmp(&tracker.fullness(b))
+                        .unwrap()
+                })
+                .unwrap_or(0);
+            for &v in &order {
+                let from = p.assignment[v as usize];
+                let mut conn = vec![0u64; k as usize];
+                let mut touched: Vec<u32> = Vec::new();
+                for (u, w) in g.neighbors(v) {
+                    let pu = p.assignment[u as usize];
+                    if conn[pu as usize] == 0 {
+                        touched.push(pu);
+                    }
+                    conn[pu as usize] += w as u64;
+                }
+                let from_fullness = tracker.fullness(from);
+                let overloaded = from_fullness > cfg.ubfactor;
+                if touched.iter().all(|&t| t == from) && !overloaded {
+                    continue;
+                }
+                if overloaded && lightest != from && !touched.contains(&lightest) {
+                    touched.push(lightest);
+                }
+                let mut best: Option<(u32, i64, f64)> = None;
+                for &to in touched.iter().filter(|&&to| to != from) {
+                    let gain = conn[to as usize] as i64 - conn[from as usize] as i64;
+                    let to_after = tracker.fullness_with(g, to, v);
+                    let acceptable = if gain > 0 {
+                        to_after <= cfg.ubfactor || to_after < from_fullness
+                    } else if gain == 0 {
+                        to_after < from_fullness - 1e-12
+                    } else {
+                        overloaded && to_after < from_fullness - 1e-12
+                    };
+                    if acceptable {
+                        match best {
+                            Some((_, bg, bf)) if (bg, -bf) >= (gain, -to_after) => {}
+                            _ => best = Some((to, gain, to_after)),
+                        }
+                    }
+                }
+                if let Some((to, gain, _)) = best {
+                    tracker.remove(g, from, v);
+                    tracker.add(g, to, v);
+                    p.assignment[v as usize] = to;
+                    total_improvement += gain.max(0) as u64;
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        total_improvement
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The lean loop takes exactly the moves the plain loop takes, on
+        /// random graphs (isolated vertices, zero-weight vertices, two
+        /// constraints) from random starting partitions, skewed ones that
+        /// overload a partition included, with one scratch reused across
+        /// calls the way the V-cycle reuses it.
+        #[test]
+        fn lean_loop_equals_reference(
+            n in 2u32..70,
+            ncon in 1usize..3,
+            k in 2u32..7,
+            skew in 0u32..3,
+            edges in collection::vec((0u32..70, 0u32..70, 1u32..5), 0..220),
+            ub_step in 0u32..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = CounterRng::from_key(&[seed]);
+            let mut b = GraphBuilder::new(n, ncon);
+            for v in 0..n {
+                for c in 0..ncon {
+                    b.add_vwgt(v, c, rng.uniform_u64(5));
+                }
+            }
+            for (u, v, w) in edges {
+                b.add_edge(u % n, v % n, w);
+            }
+            let g = b.build();
+            let cfg = RefineConfig { ubfactor: 1.0 + 0.05 * ub_step as f64, seed };
+            let fractions: Vec<f64> = (0..k).map(|p| (1 + p % 2) as f64 / k as f64).collect();
+            let mut scratch = RefineScratch::default();
+            for fractions in [None, Some(&fractions[..])] {
+                // skew 0: uniform start; otherwise most vertices start in
+                // partition 0, far over any balance limit.
+                let start: Vec<u32> = (0..n)
+                    .map(|_| if skew > 0 && rng.uniform_u64(4) != 0 { 0 } else { rng.uniform_u64(k as u64) as u32 })
+                    .collect();
+                let mut lean = Partition { k, assignment: start.clone() };
+                let mut plain = Partition { k, assignment: start };
+                let gained = refine_targets(&g, &mut lean, &cfg, fractions, &mut scratch);
+                let expected = refine_reference(&g, &mut plain, &cfg, fractions);
+                prop_assert_eq!(&lean.assignment, &plain.assignment);
+                prop_assert_eq!(gained, expected);
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,240 @@
 //! Data-distribution study: reproduce the paper's §III story on a single
 //! synthetic state — round-robin vs graph partitioning, before and after
-//! heavy-location splitting, including the Figure 2 tradeoff example.
+//! heavy-location splitting, including the Figure 2 tradeoff example — and
+//! then say where the set-up time of a run goes, stage by stage.
 //!
 //! ```sh
-//! cargo run --release --example partition_study
+//! cargo run --release --example partition_study             # 2k, 15k, 30k, 200k people
+//! cargo run --release --example partition_study -- --quick  # set-up block at 2k and 15k only
 //! ```
 
 use episimdemics::core::distribution::{DataDistribution, Strategy};
-use episimdemics::core::workload::location_static_loads;
+use episimdemics::core::splitloc::{split_heavy_locations, SplitConfig};
+use episimdemics::core::workload::{build_workload_graph, location_static_loads};
+use episimdemics::graph_part::coarsen::coarsen_to;
 use episimdemics::graph_part::graph::figure2_example;
 use episimdemics::graph_part::{kway_partition, PartitionConfig, PartitionQuality};
 use episimdemics::load_model::speedup::{speedup_upper_bound, sub_ceiling};
 use episimdemics::load_model::{LoadUnits, PiecewiseModel};
 use episimdemics::synthpop::{Population, PopulationConfig};
+use std::time::Instant;
+
+/// Run `f`, returning its result and the wall time in ms.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64() * 1e3)
+}
+
+/// This process's peak resident set (`VmHWM`) in MB; 0 without `/proc`.
+fn vm_hwm_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// One row of the set-up table: where `DataDistribution::build` spends its
+/// time for one world shape. Times are ms, best of three.
+struct SetupRow {
+    people: u32,
+    generate: f64,
+    split: f64,
+    graph: f64,
+    coarsen: f64,
+    kway: f64,
+    quality: f64,
+    build: f64,
+    levels: usize,
+    /// Σ edges over the finest graph and every coarse level ÷ finest edges:
+    /// how many times the V-cycle walks the input (≈2 when coarsening
+    /// halves the edges per level).
+    edges_walked: f64,
+    edge_cut: u64,
+    hwm_before: f64,
+    hwm_after: f64,
+}
+
+/// Time the stages of set-up for `people` people, composed exactly as
+/// `DataDistribution::build` composes them, then `build` itself.
+fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
+    let model = PiecewiseModel::paper_constants();
+    let split_cfg = SplitConfig {
+        max_partitions: k.saturating_mul(8).max(256),
+        threshold_override: None,
+    };
+    let cfg = PartitionConfig::new(k).with_seed(seed).with_ubfactor(1.10);
+    let mut row = SetupRow {
+        people,
+        generate: f64::INFINITY,
+        split: f64::INFINITY,
+        graph: f64::INFINITY,
+        coarsen: f64::INFINITY,
+        kway: f64::INFINITY,
+        quality: f64::INFINITY,
+        build: f64::INFINITY,
+        levels: 0,
+        edges_walked: 0.0,
+        edge_cut: 0,
+        hwm_before: 0.0,
+        hwm_after: 0.0,
+    };
+    for rep in 0..3 {
+        let (pop, generate) =
+            timed(|| Population::generate(&PopulationConfig::small("EPB", people, seed)));
+        if rep == 0 {
+            // Writing 5 to clear_refs resets VmHWM to the current RSS, so
+            // the pair brackets the first build alone.
+            let _ = std::fs::write("/proc/self/clear_refs", "5");
+            row.hwm_before = vm_hwm_mb();
+        }
+        let (dist, build) = timed(|| DataDistribution::build(&pop, strategy, k, seed));
+        if rep == 0 {
+            row.hwm_after = vm_hwm_mb();
+        }
+        row.edge_cut = dist.quality.as_ref().map_or(0, |q| q.edge_cut);
+        drop(dist);
+
+        let (split_pop, split) = timed(|| {
+            strategy
+                .splits()
+                .then(|| split_heavy_locations(&pop, &split_cfg).pop)
+        });
+        let (graph, graph_ms) = timed(|| {
+            build_workload_graph(
+                split_pop.as_ref().unwrap_or(&pop),
+                &model,
+                LoadUnits::default(),
+            )
+            .0
+        });
+        let (levels, coarsen) = timed(|| coarsen_to(&graph, cfg.coarsen_target(), seed));
+        row.levels = levels.len();
+        let level_edges: u64 = levels.iter().map(|l| l.graph.m()).sum();
+        row.edges_walked = (graph.m() + level_edges) as f64 / graph.m().max(1) as f64;
+        drop(levels);
+        let (part, kway) = timed(|| kway_partition(&graph, &cfg));
+        let (quality, quality_ms) = timed(|| PartitionQuality::compute(&graph, &part));
+        assert_eq!(
+            quality.edge_cut, row.edge_cut,
+            "staged and built partitions differ"
+        );
+
+        row.generate = row.generate.min(generate);
+        row.split = row.split.min(split);
+        row.graph = row.graph.min(graph_ms);
+        row.coarsen = row.coarsen.min(coarsen);
+        row.kway = row.kway.min(kway);
+        row.quality = row.quality.min(quality_ms);
+        row.build = row.build.min(build);
+    }
+    row
+}
+
+/// The world shapes of the set-up table: the benchmark's three, plus one
+/// an order of magnitude larger.
+const SHAPES: [(u32, Strategy, u32); 4] = [
+    (2_000, Strategy::GraphPartition, 4),
+    (15_000, Strategy::GraphPartitionSplit, 2),
+    (30_000, Strategy::GraphPartitionSplit, 8),
+    (200_000, Strategy::GraphPartitionSplit, 8),
+];
+
+/// The set-up table's header. A row's `build` time sits at the same
+/// whitespace-separated position as its title does here.
+const HEADER: &str = " people  k generate splitLoc    graph  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB x linear";
+
+/// Measure one shape and print its row (what a `--setup-row` child does).
+fn print_setup_row(people: u32) {
+    let &(_, strategy, k) = SHAPES
+        .iter()
+        .find(|s| s.0 == people)
+        .expect("--setup-row takes one of the table's population sizes");
+    let r = setup_row(people, strategy, k, 42_000);
+    println!(
+        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1}",
+        r.people,
+        k,
+        r.generate,
+        r.split,
+        r.graph,
+        r.coarsen,
+        r.kway - r.coarsen,
+        r.quality,
+        r.build,
+        r.levels,
+        r.edges_walked,
+        r.edge_cut,
+        r.hwm_before,
+        r.hwm_after,
+    );
+}
+
+/// The "set-up by stage" block: one row per world shape, and each row's
+/// `build` time against linear scaling from the 30k row. Every row is
+/// measured by this program started again, because a process's peak RSS
+/// and its allocator's retained heap carry over from whatever it built
+/// before (the benchmark starts a process per iteration for the same
+/// reason).
+fn setup_by_stage(quick: bool) {
+    println!("\n== set-up by stage (ms, best of 3, seed 42000, one process per row) ==");
+    let exe = std::env::current_exe().expect("own path");
+    let rows: Vec<(f64, f64, String)> = SHAPES[..if quick { 2 } else { 4 }]
+        .iter()
+        .map(|&(people, _, _)| {
+            let out = std::process::Command::new(&exe)
+                .args(["--setup-row", &people.to_string()])
+                .output()
+                .expect("start a --setup-row child");
+            assert!(out.status.success(), "--setup-row {people} failed");
+            let row = String::from_utf8_lossy(&out.stdout).trim_end().to_string();
+            let build_at = HEADER
+                .split_whitespace()
+                .position(|title| title == "build")
+                .expect("a build column");
+            let build: f64 = row
+                .split_whitespace()
+                .nth(build_at)
+                .and_then(|ms| ms.parse().ok())
+                .expect("build ms in the child's row");
+            (people as f64, build, row)
+        })
+        .collect();
+    println!("{HEADER}");
+    let base = rows.iter().find(|r| r.0 == 30_000.0);
+    for (people, build, row) in &rows {
+        // build(n) / build(30k) over n / 30k: 1.00 is linear scaling.
+        match base {
+            Some((base_people, base_build, _)) => println!(
+                "{row} {:>8.2}",
+                (build / base_build) / (people / base_people)
+            ),
+            None => println!("{row} {:>8}", "-"),
+        }
+    }
+    println!("init+refine is kway_partition minus a stand-alone coarsen_to of the same graph");
+    println!(
+        "and seed; VmHWM is the process peak before → after the first DataDistribution::build."
+    );
+}
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => {}
+        ["--quick"] => return setup_by_stage(true),
+        ["--setup-row", people] => {
+            return print_setup_row(people.parse().expect("a population size"))
+        }
+        _ => {
+            eprintln!("usage: partition_study [--quick]");
+            std::process::exit(2);
+        }
+    }
+
     // ---- Part 1: the Figure 2 example graph.
     println!("== Figure 2's 13-node example, 5-way ==");
     let g = figure2_example();
@@ -64,4 +284,7 @@ fn main() {
     }
     println!("\nreading the table like §III: GP cuts remote traffic; splitLoc lifts");
     println!("the Ltot/lmax ceiling; GP-splitLoc gets both — the paper's winner.");
+
+    // ---- Part 3: where set-up goes.
+    setup_by_stage(false);
 }
