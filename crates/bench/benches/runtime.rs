@@ -1,8 +1,7 @@
-//! Benchmarks of the chare runtime and the §IV optimizations in isolation:
-//! message throughput, aggregation on/off (the Figure 12 ablation at
-//! library level), and phase/completion-detection overhead.
+//! Benchmarks of the chare runtime in isolation: threaded message
+//! throughput and phase/completion-detection overhead.
 
-use chare_rt::{AggregationConfig, Chare, ChareId, Ctx, Message, Runtime, RuntimeConfig};
+use chare_rt::{Chare, ChareId, Ctx, Message, Runtime, RuntimeConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -35,54 +34,6 @@ impl Chare<Burst> for Sink {
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
         self
     }
-}
-
-fn spray_runtime(agg: AggregationConfig, n: u32) -> Runtime<Burst> {
-    let mut cfg = RuntimeConfig::sequential(2);
-    cfg.smp.pes_per_process = 1; // force the remote path
-    cfg.aggregation = agg;
-    let mut rt = Runtime::new(cfg);
-    rt.add_chare(
-        ChareId(0),
-        0,
-        Box::new(Sprayer {
-            target: ChareId(1),
-            n,
-        }),
-    );
-    rt.add_chare(ChareId(1), 1, Box::new(Sink));
-    rt
-}
-
-fn bench_aggregation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("message_spray_10k");
-    group.sample_size(20);
-    for (label, agg) in [
-        (
-            "aggregated_64",
-            AggregationConfig {
-                enabled: true,
-                max_batch: 64,
-                tram_2d: false,
-                adaptive: false,
-            },
-        ),
-        (
-            "no_aggregation",
-            AggregationConfig {
-                enabled: false,
-                max_batch: 1,
-                tram_2d: false,
-                adaptive: false,
-            },
-        ),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &agg, |b, &agg| {
-            let mut rt = spray_runtime(agg, 10_000);
-            b.iter(|| black_box(rt.run_phase(vec![(ChareId(0), Burst(1))]).reduction(0)));
-        });
-    }
-    group.finish();
 }
 
 fn bench_phase_overhead(c: &mut Criterion) {
@@ -120,10 +71,5 @@ fn bench_threaded_ping(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_aggregation,
-    bench_phase_overhead,
-    bench_threaded_ping
-);
+criterion_group!(benches, bench_phase_overhead, bench_threaded_ping);
 criterion_main!(benches);

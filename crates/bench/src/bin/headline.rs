@@ -21,8 +21,8 @@ use synthpop::{Population, PopulationConfig};
 
 /// Measured (not projected): drive a small scenario through the
 /// two-process net engine and report the wire-level counters the runtime
-/// collects per PE — frames and bytes in both directions, and why each
-/// packet left (batch full vs idle flush). This run re-executes the
+/// collects per PE — frames and bytes in both directions. This run
+/// re-executes the
 /// binary to create its worker process; the worker exits inside the
 /// runtime teardown and never reaches the projection below.
 fn wire_counters() {
@@ -48,8 +48,6 @@ fn wire_counters() {
             t.wire_frames_recv += p.wire_frames_recv;
             t.wire_bytes_sent += p.wire_bytes_sent;
             t.wire_bytes_recv += p.wire_bytes_recv;
-            t.wire_flush_batch += p.wire_flush_batch;
-            t.wire_flush_idle += p.wire_flush_idle;
         }
     }
     print_table(
@@ -61,11 +59,6 @@ fn wire_counters() {
             vec!["wire frames recv".into(), fnum(t.wire_frames_recv as f64)],
             vec!["wire bytes sent".into(), fnum(t.wire_bytes_sent as f64)],
             vec!["wire bytes recv".into(), fnum(t.wire_bytes_recv as f64)],
-            vec![
-                "flushes (batch full)".into(),
-                fnum(t.wire_flush_batch as f64),
-            ],
-            vec!["flushes (idle)".into(), fnum(t.wire_flush_idle as f64)],
         ],
     );
     let per_msg = if t.sent_remote > 0 {
@@ -74,7 +67,7 @@ fn wire_counters() {
         0.0
     };
     println!(
-        "{:.1} wire bytes per remote message (framing amortized by aggregation)\n",
+        "{:.1} wire bytes per remote message (a day's visits per lane ride one message)\n",
         per_msg
     );
 }

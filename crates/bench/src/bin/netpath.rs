@@ -3,10 +3,8 @@
 //! inter-process path over **both** data planes — loopback TCP (batch
 //! serialization + comm thread + socket) and the shared-memory ring
 //! transport (compute-thread-to-compute-thread SPSC rings + futex
-//! doorbells) — plus an aggregation batch-size sweep per transport and
-//! the adaptive controller's operating point. Writes a machine-readable
-//! `BENCH_netpath.json` (schema "netpath-v2", documented in
-//! EXPERIMENTS.md).
+//! doorbells). Writes a machine-readable `BENCH_netpath.json` (schema
+//! "netpath-v3", documented in EXPERIMENTS.md).
 //!
 //! SPMD note: the inter-process runs re-execute this very binary as their
 //! worker processes. Earlier net-runtime constructions replay standalone
@@ -97,16 +95,10 @@ struct RunResult {
     wire_bytes_sent: u64,
     shm_frames_sent: u64,
     shm_parks: u64,
-    coalesced_flushes: u64,
-    flush_batch: u64,
-    flush_idle: u64,
-    msgs_batch: u64,
-    msgs_idle: u64,
-    agg_batch: u64,
 }
 
 impl RunResult {
-    /// Envelopes per emitted batch frame, over both planes.
+    /// Messages per emitted BATCH frame, over both planes.
     fn msgs_per_frame(&self) -> f64 {
         if self.network_packets > 0 {
             self.remote_msgs as f64 / self.network_packets as f64
@@ -160,12 +152,6 @@ fn run_ring(cfg: RuntimeConfig, phases: u32, inject: u32, hops: u32) -> RunResul
         out.wire_bytes_sent += t.wire_bytes_sent;
         out.shm_frames_sent += t.shm_frames_sent;
         out.shm_parks += t.shm_parks;
-        out.coalesced_flushes += t.wire_coalesced_flushes;
-        out.flush_batch += t.wire_flush_batch;
-        out.flush_idle += t.wire_flush_idle;
-        out.msgs_batch += t.wire_msgs_batch;
-        out.msgs_idle += t.wire_msgs_idle;
-        out.agg_batch = out.agg_batch.max(t.agg_batch);
     }
     out.wall_s = t0.elapsed().as_secs_f64();
     out.ns_per_msg = if out.processed > 0 {
@@ -182,14 +168,12 @@ fn inter_cfg(transport: NetTransport) -> RuntimeConfig {
     cfg
 }
 
-fn run_json(label: &str, max_batch: &str, r: &RunResult) -> String {
+fn run_json(label: &str, r: &RunResult) -> String {
     format!(
-        "{{\"transport\": \"{label}\", \"max_batch\": {max_batch}, \"wall_s\": {:.6}, \
-         \"messages\": {}, \"ns_per_msg\": {:.1}, \"remote_msgs\": {}, \
-         \"msgs_per_frame\": {:.1}, \"wire_frames_sent\": {}, \"wire_bytes_sent\": {}, \
-         \"shm_frames_sent\": {}, \"parks\": {}, \"coalesced_flushes\": {}, \
-         \"flush_batch\": {}, \"flush_idle\": {}, \"msgs_batch\": {}, \"msgs_idle\": {}, \
-         \"agg_batch\": {}}}",
+        "{{\"transport\": \"{label}\", \"wall_s\": {:.6}, \"messages\": {}, \
+         \"ns_per_msg\": {:.1}, \"remote_msgs\": {}, \"msgs_per_frame\": {:.1}, \
+         \"wire_frames_sent\": {}, \"wire_bytes_sent\": {}, \"shm_frames_sent\": {}, \
+         \"parks\": {}}}",
         r.wall_s,
         r.processed,
         r.ns_per_msg,
@@ -199,12 +183,6 @@ fn run_json(label: &str, max_batch: &str, r: &RunResult) -> String {
         r.wire_bytes_sent,
         r.shm_frames_sent,
         r.shm_parks,
-        r.coalesced_flushes,
-        r.flush_batch,
-        r.flush_idle,
-        r.msgs_batch,
-        r.msgs_idle,
-        r.agg_batch,
     )
 }
 
@@ -240,42 +218,9 @@ fn main() {
 
     // Intra-process: the standalone net engine, in-memory queues only.
     let intra = run_ring(RuntimeConfig::net(2, 1), phases, inject, hops);
-    // Inter-process, per data plane. Static batch size (adaptive off) so
-    // the headline numbers compare the transports, not the controller.
-    let mut tcp_cfg = inter_cfg(NetTransport::Tcp);
-    tcp_cfg.aggregation.adaptive = false;
-    let inter_tcp = run_ring(tcp_cfg, phases, inject, hops);
-    let mut shm_cfg = inter_cfg(NetTransport::Shm);
-    shm_cfg.aggregation.adaptive = false;
-    let inter_shm = run_ring(shm_cfg, phases, inject, hops);
-
-    // Aggregation sweep per transport. The injection count scales with the
-    // batch size (≥ 4 full frames in flight) — the v1 sweep injected a
-    // constant 8 messages, so idle flushes capped every row near 3
-    // msgs/frame and the batch knob appeared dead (EXPERIMENTS.md).
-    let batches = [1u32, 8, 64, 256];
-    let transports = [(NetTransport::Tcp, "tcp"), (NetTransport::Shm, "shm")];
-    let mut sweep = Vec::new();
-    for &(t, label) in &transports {
-        for &b in &batches {
-            let mut cfg = inter_cfg(t);
-            cfg.aggregation.adaptive = false;
-            cfg.aggregation.max_batch = b;
-            let inj = inject.max(4 * b);
-            sweep.push((label, b, run_ring(cfg, phases, inj, hops)));
-        }
-    }
-
-    // The adaptive controller's operating point on each transport, under
-    // the same load as the batch-64 sweep row so there is throughput for
-    // the controller to optimize (at 8 in-flight messages the ring is
-    // latency-bound and any batch size looks the same).
-    let mut adaptive = Vec::new();
-    for &(t, label) in &transports {
-        let mut cfg = inter_cfg(t);
-        cfg.aggregation.adaptive = true;
-        adaptive.push((label, run_ring(cfg, phases, inject.max(256), hops)));
-    }
+    // Inter-process, per data plane.
+    let inter_tcp = run_ring(inter_cfg(NetTransport::Tcp), phases, inject, hops);
+    let inter_shm = run_ring(inter_cfg(NetTransport::Shm), phases, inject, hops);
 
     // Workers exited inside their runs; only the root reports.
     if !is_root {
@@ -290,57 +235,26 @@ fn main() {
         }
     };
     let mut j = String::new();
-    j.push_str("{\n  \"schema\": \"netpath-v2\",\n");
+    j.push_str("{\n  \"schema\": \"netpath-v3\",\n");
     let _ = writeln!(
         j,
         "  \"config\": {{\"chares\": {N_CHARES}, \"pes\": 2, \"hops\": {hops}, \"inject\": {inject}, \"phases\": {phases}}},"
     );
-    // The loaded shm number (batch-64 sweep row) is the ROADMAP "<2µs/msg
-    // same-host" acceptance metric: per-message cost when frames actually
-    // fill, as opposed to the latency-bound headline rows above.
-    let shm_loaded_ns = sweep
-        .iter()
-        .find(|(label, b, _)| *label == "shm" && *b == 64)
-        .map(|(_, _, r)| r.ns_per_msg)
-        .unwrap_or(0.0);
     let _ = writeln!(
         j,
-        "  \"summary\": {{\"intra_ns\": {:.1}, \"inter_tcp_ns\": {:.1}, \"inter_shm_ns\": {:.1}, \"inter_shm_loaded_ns\": {:.1}}},",
-        intra.ns_per_msg, inter_tcp.ns_per_msg, inter_shm.ns_per_msg, shm_loaded_ns
+        "  \"summary\": {{\"intra_ns\": {:.1}, \"inter_tcp_ns\": {:.1}, \"inter_shm_ns\": {:.1}}},",
+        intra.ns_per_msg, inter_tcp.ns_per_msg, inter_shm.ns_per_msg
     );
+    let _ = writeln!(j, "  \"intra_process\": {},", run_json("local", &intra));
+    let _ = writeln!(j, "  \"inter_tcp\": {},", run_json("tcp", &inter_tcp));
+    let _ = writeln!(j, "  \"inter_shm\": {},", run_json("shm", &inter_shm));
     let _ = writeln!(
         j,
-        "  \"intra_process\": {},",
-        run_json("local", "64", &intra)
-    );
-    let _ = writeln!(j, "  \"inter_tcp\": {},", run_json("tcp", "64", &inter_tcp));
-    let _ = writeln!(j, "  \"inter_shm\": {},", run_json("shm", "64", &inter_shm));
-    let _ = writeln!(
-        j,
-        "  \"tcp_over_intra\": {:.2},\n  \"shm_over_intra\": {:.2},\n  \"tcp_over_shm\": {:.2},",
+        "  \"tcp_over_intra\": {:.2},\n  \"shm_over_intra\": {:.2},\n  \"tcp_over_shm\": {:.2}\n}}",
         ratio(&inter_tcp, &intra),
         ratio(&inter_shm, &intra),
         ratio(&inter_tcp, &inter_shm)
     );
-    j.push_str("  \"batch_sweep\": [\n");
-    for (i, (label, b, r)) in sweep.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {}{}",
-            run_json(label, &b.to_string(), r),
-            if i + 1 < sweep.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ],\n  \"adaptive\": [\n");
-    for (i, (label, r)) in adaptive.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {}{}",
-            run_json(label, "\"adaptive\"", r),
-            if i + 1 < adaptive.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ]\n}\n");
     std::fs::write(&out_path, &j).expect("write output json");
 
     println!(
@@ -352,21 +266,6 @@ fn main() {
         ratio(&inter_shm, &intra),
         inter_shm.shm_parks
     );
-    for (label, b, r) in &sweep {
-        println!(
-            "netpath: {label} batch {b:>3} → {:>7.0} ns/msg, {:>5.1} msgs/frame ({} full, {} idle)",
-            r.ns_per_msg,
-            r.msgs_per_frame(),
-            r.flush_batch,
-            r.flush_idle
-        );
-    }
-    for (label, r) in &adaptive {
-        println!(
-            "netpath: {label} adaptive  → {:>7.0} ns/msg, settled at batch {}",
-            r.ns_per_msg, r.agg_batch
-        );
-    }
     println!("netpath: wrote {out_path}");
 
     // Optional regression gate against a committed baseline.
@@ -377,7 +276,6 @@ fn main() {
             ("intra_ns", intra.ns_per_msg),
             ("inter_tcp_ns", inter_tcp.ns_per_msg),
             ("inter_shm_ns", inter_shm.ns_per_msg),
-            ("inter_shm_loaded_ns", shm_loaded_ns),
         ] {
             let Some(old_ns) = extract_f64(&base, key) else {
                 eprintln!("netpath: baseline {base_path} lacks \"{key}\" — skipping");

@@ -8,6 +8,15 @@ use crate::stats::ReductionSlots;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChareId(pub u32);
 
+/// An addressed message awaiting delivery.
+#[derive(Debug)]
+pub(crate) struct Envelope<M> {
+    /// Destination chare.
+    pub(crate) to: ChareId,
+    /// Payload.
+    pub(crate) msg: M,
+}
+
 /// Application message. `size_bytes` feeds the bandwidth accounting; the
 /// default charges the in-memory size, which applications with heap payloads
 /// should override.

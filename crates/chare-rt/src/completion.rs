@@ -63,7 +63,7 @@ impl CompletionDetector {
         self.consumed[pe as usize].fetch_add(n, Ordering::SeqCst);
     }
 
-    /// PE `pe` reports whether it is idle (empty queue, flushed buffers).
+    /// PE `pe` reports whether it is idle (empty queue).
     #[inline]
     pub fn set_idle(&self, pe: u32, idle: bool) {
         self.idle[pe as usize].store(idle, Ordering::SeqCst);

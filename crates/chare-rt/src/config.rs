@@ -84,9 +84,8 @@ pub struct NetConfig {
     /// Transport selection (see [`NetTransport`]).
     pub transport: NetTransport,
     /// Data capacity of each SPSC shared-memory ring in bytes. One ring
-    /// per ordered peer pair; flushes are split into frames of at most
-    /// half a ring, and a single envelope larger than that falls back to
-    /// the TCP path.
+    /// per ordered peer pair; a frame may take at most half a ring, and an
+    /// envelope larger than that falls back to the TCP path.
     pub shm_ring_bytes: u32,
     /// Failure-detector probe interval in milliseconds. `0` (the default)
     /// disables explicit heartbeats; peer loss is then detected only via
@@ -117,25 +116,17 @@ impl Default for NetConfig {
     }
 }
 
-/// SMP topology (§IV-A): `n` cores per node, `k` processes per node, one
-/// core per process donated to a communication thread.
+/// SMP topology (§IV-A): PEs are grouped into processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmpConfig {
     /// PEs per process. Sends between PEs of the same process are
     /// intra-process (shared memory); others are inter-process (network).
     pub pes_per_process: u32,
-    /// Whether each process has a dedicated communication thread. This
-    /// affects the *accounting* (offloaded send overhead) used by the
-    /// performance model; message delivery is identical.
-    pub comm_thread: bool,
 }
 
 impl Default for SmpConfig {
     fn default() -> Self {
-        SmpConfig {
-            pes_per_process: 1,
-            comm_thread: false,
-        }
+        SmpConfig { pes_per_process: 1 }
     }
 }
 
@@ -153,49 +144,21 @@ impl SmpConfig {
     }
 }
 
-/// Message aggregation (§IV-C).
+/// Message aggregation (§IV-C). The runtime passes every message on at
+/// once; aggregation is the application's, which batches the items it
+/// knows travel together (one message per PersonManager → LocationManager
+/// lane) and reads the switch from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregationConfig {
-    /// Enabled?
+    /// Batch at the application level. Off, every item is its own
+    /// message: the paper's unaggregated "no-opt" traffic.
     pub enabled: bool,
-    /// Flush a destination buffer at this many messages. Under
-    /// [`AggregationConfig::adaptive`] this is only the *initial* batch
-    /// size; the net engine then resizes it from observed flush cost.
-    pub max_batch: u32,
-    /// Route remote messages through a virtual 2D grid (TRAM, the §IV-C
-    /// footnote): aggregation lanes shrink from O(P) to O(√P) at the cost
-    /// of an extra hop for off-row/off-column destinations.
-    pub tram_2d: bool,
-    /// Adaptive batch sizing (net engine only): the engine measures the
-    /// per-flush serialization+handoff cost and the inter-arrival gap of
-    /// remote sends, and re-derives the batch size that balances amortized
-    /// flush overhead against batching delay (DESIGN.md §8). Batch size
-    /// only moves packet boundaries, which the conformance contract
-    /// explicitly allows to vary.
-    pub adaptive: bool,
 }
 
 impl Default for AggregationConfig {
     fn default() -> Self {
-        AggregationConfig {
-            enabled: true,
-            max_batch: 64,
-            tram_2d: false,
-            adaptive: false,
-        }
+        AggregationConfig { enabled: true }
     }
-}
-
-/// Termination detector choice (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Completion detection: produce/consume counting scoped to the phase.
-    #[default]
-    CompletionDetection,
-    /// Quiescence detection: global idleness. Functionally equivalent here
-    /// but charged a higher synchronization cost by the performance model
-    /// (it requires application-wide quiescence).
-    QuiescenceDetection,
 }
 
 /// Full runtime configuration.
@@ -209,8 +172,6 @@ pub struct RuntimeConfig {
     pub smp: SmpConfig,
     /// Aggregation settings.
     pub aggregation: AggregationConfig,
-    /// Termination detector.
-    pub sync: SyncMode,
     /// Fault schedule. Message-level faults (drop, dup, delay, reorder)
     /// are honoured only by [`ExecMode::VirtualTime`]; the *process-level*
     /// faults ([`FaultPlan::proc_kill`] / [`FaultPlan::proc_stall`]) are
@@ -234,12 +195,8 @@ impl RuntimeConfig {
         RuntimeConfig {
             n_pes,
             mode: ExecMode::Sequential,
-            smp: SmpConfig {
-                pes_per_process: 4,
-                comm_thread: true,
-            },
+            smp: SmpConfig { pes_per_process: 4 },
             aggregation: AggregationConfig::default(),
-            sync: SyncMode::CompletionDetection,
             faults: FaultPlan::none(0),
             watchdog_secs: 0,
             net: NetConfig::default(),
@@ -280,28 +237,22 @@ impl RuntimeConfig {
             mode: ExecMode::Net,
             smp: SmpConfig {
                 pes_per_process: n_pes / n_procs,
-                comm_thread: true,
             },
             net: NetConfig {
                 n_procs,
                 ..NetConfig::default()
-            },
-            aggregation: AggregationConfig {
-                adaptive: true,
-                ..AggregationConfig::default()
             },
             watchdog_secs: 30,
             ..Self::sequential(n_pes)
         }
     }
 
-    /// The paper's "RR no-opt" baseline: no aggregation, no SMP comm
-    /// thread, QD instead of CD.
+    /// The paper's "RR no-opt" traffic: no aggregation (one message per
+    /// visit) and every PE its own process, so every cross-PE message is a
+    /// network message.
     pub fn no_opt(mut self) -> Self {
         self.aggregation.enabled = false;
-        self.smp.comm_thread = false;
         self.smp.pes_per_process = 1;
-        self.sync = SyncMode::QuiescenceDetection;
         self
     }
 }
@@ -312,10 +263,7 @@ mod tests {
 
     #[test]
     fn process_mapping() {
-        let smp = SmpConfig {
-            pes_per_process: 4,
-            comm_thread: true,
-        };
+        let smp = SmpConfig { pes_per_process: 4 };
         assert_eq!(smp.process_of(0), 0);
         assert_eq!(smp.process_of(3), 0);
         assert_eq!(smp.process_of(4), 1);
@@ -325,10 +273,7 @@ mod tests {
 
     #[test]
     fn zero_pes_per_process_is_safe() {
-        let smp = SmpConfig {
-            pes_per_process: 0,
-            comm_thread: false,
-        };
+        let smp = SmpConfig { pes_per_process: 0 };
         assert_eq!(smp.process_of(7), 7);
     }
 
@@ -367,20 +312,17 @@ mod tests {
     }
 
     #[test]
-    fn net_defaults_pick_auto_transport_and_adaptive_batching() {
+    fn net_defaults_pick_auto_transport() {
         let cfg = RuntimeConfig::net(4, 2);
         assert_eq!(cfg.net.transport, NetTransport::Auto);
         assert!(cfg.net.shm_ring_bytes >= 64 * 1024);
-        assert!(cfg.aggregation.adaptive, "net runs adapt the batch size");
-        // Other constructors keep the static batch size.
-        assert!(!RuntimeConfig::sequential(4).aggregation.adaptive);
+        assert!(cfg.aggregation.enabled);
     }
 
     #[test]
     fn no_opt_strips_optimizations() {
         let cfg = RuntimeConfig::sequential(8).no_opt();
         assert!(!cfg.aggregation.enabled);
-        assert!(!cfg.smp.comm_thread);
-        assert_eq!(cfg.sync, SyncMode::QuiescenceDetection);
+        assert_eq!(cfg.smp.pes_per_process, 1);
     }
 }

@@ -3,13 +3,12 @@
 //! Charm++-family codes validate their communication layer by proving the
 //! application outcome is invariant under message delivery timing: the
 //! runtime promises exactly-once delivery and phase completion, and nothing
-//! else — not ordering, not latency, not which aggregation lane flushes
-//! first. This module supplies the adversary for that contract: a
+//! else — not ordering, not latency. This module supplies the adversary for that contract: a
 //! [`FaultPlan`] replayable from a `u64` seed that perturbs the
 //! [`crate::vt::VtEngine`] transport with
 //!
 //! * **delay / reordering** — extra per-packet latency, which reorders
-//!   deliveries across aggregation lanes and TRAM hops,
+//!   deliveries across senders and destinations,
 //! * **duplicate delivery** — a packet arrives twice; the transport's
 //!   take-once slab must suppress the second copy,
 //! * **bounded drop with redelivery** — the first attempt is lost on the
@@ -178,7 +177,7 @@ impl FaultPlan {
         self
     }
 
-    /// Heavy random latency: reorders deliveries across aggregation lanes.
+    /// Heavy random latency: reorders deliveries.
     pub const fn reorder(seed: u64) -> Self {
         FaultPlan {
             delay_permille: 1000,

@@ -5,22 +5,23 @@
 //! is to over-decompose the computation … into smaller units called chares
 //! … and to let the runtime then assign a set of work units to each physical
 //! processor" (paper §II-C). No Charm++ exists for Rust, so this crate is a
-//! from-scratch runtime with the same execution semantics and — critically
-//! for reproducing §IV — the same *optimizations*, each toggleable:
+//! from-scratch runtime with the same execution semantics and the §IV
+//! optimizations that belong to a runtime:
 //!
 //! * **Chare arrays** ([`chare`]): application objects addressed by dense
 //!   ids, mapped to processing elements (PEs) by an arbitrary assignment.
 //! * **SMP mode** ([`config::SmpConfig`]): PEs are grouped into OS-process
-//!   analogues of `k` cores each; one core per process is reserved for a
-//!   communication thread (§IV-A). Intra-process sends are direct memory
-//!   handoffs; inter-process sends pay the network path and are accounted
-//!   separately.
+//!   analogues; intra-process sends are direct memory handoffs,
+//!   inter-process sends pay the network path and are accounted
+//!   separately. The net engine gives each process a dedicated
+//!   communication thread (§IV-A).
 //! * **Completion detection** ([`completion`]): the 4-counter two-wave
-//!   produce/consume algorithm Charm++ exposes as CD (§IV-B), plus a
-//!   quiescence-detection (QD) fallback for comparison.
-//! * **Message aggregation** ([`aggregator`]): per-destination buffers
-//!   flushed on a size threshold or on idle — the application-aware
-//!   aggregation of §IV-C (and the TRAM footnote).
+//!   produce/consume algorithm Charm++ exposes as CD (§IV-B).
+//!
+//! Message aggregation (§IV-C) is the application's: it knows which items
+//! travel together and batches them into one message, and every engine
+//! passes each message on at once. [`config::AggregationConfig`] is the
+//! switch the application reads.
 //!
 //! Four interchangeable engines run the same application code: a
 //! deterministic sequential engine ([`seq`]) that simulates any number of
@@ -35,7 +36,6 @@
 //! identical results under every engine and every benign fault plan; the
 //! conformance suites in this crate and in `episim-core` rely on that.
 
-pub mod aggregator;
 pub mod chare;
 pub mod completion;
 pub mod config;
@@ -45,7 +45,6 @@ pub mod runtime;
 pub mod seq;
 pub mod stats;
 pub mod threads;
-pub mod tram;
 pub mod vt;
 
 pub use chare::{Chare, ChareId, Ctx, Message};

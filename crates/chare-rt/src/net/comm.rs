@@ -42,7 +42,7 @@ pub struct CommShared {
     /// First transport failure, if any; compute checks this every loop.
     pub failed: Mutex<Option<TransportError>>,
     /// Frames written to sockets since compute last harvested the counter
-    /// (compute `swap(0)`s these five into the phase's stats).
+    /// (compute `swap(0)`s these four into the phase's stats).
     pub frames_sent: AtomicU64,
     /// Frames read from sockets.
     pub frames_recv: AtomicU64,
@@ -50,11 +50,6 @@ pub struct CommShared {
     pub bytes_sent: AtomicU64,
     /// Bytes read (including frame headers).
     pub bytes_recv: AtomicU64,
-    /// Socket writes that carried ≥2 frames in one vectored flush.
-    pub coalesced_flushes: AtomicU64,
-    /// Nanoseconds spent inside socket flushes (cumulative across phases;
-    /// the adaptive batch controller consumes deltas of this).
-    pub flush_ns: AtomicU64,
     /// The comm thread is (about to be) blocked in `poll(2)`: whoever
     /// clears this owes it one byte on the wake socket.
     sleeping: AtomicBool,
@@ -119,12 +114,14 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Events the comm thread hands to compute.
 #[derive(Debug)]
 pub enum Event<M: Message> {
-    /// A decoded application batch.
+    /// A decoded application envelope (one BATCH frame).
     Batch {
-        /// Phase the sender stamped on the batch.
+        /// Phase the sender stamped on the frame.
         phase: u64,
-        /// The envelopes.
-        envelopes: Vec<(ChareId, M)>,
+        /// Destination chare.
+        to: ChareId,
+        /// The message.
+        msg: M,
     },
     /// A decoded phase-protocol frame: CD_PROBE, CD_REPLY, PHASE_RESULT or
     /// SHUTDOWN. Compute handles it exactly as if it had come off a ring.
@@ -290,8 +287,7 @@ fn comm_loop<M: Message>(
 
         // Outbound: drain everything compute has queued, staged per peer,
         // then flush each peer's backlog in one vectored write — one
-        // syscall per peer per drain pass instead of one per frame
-        // (§IV-C flush coalescing).
+        // syscall per peer per drain pass instead of one per frame.
         let mut staged: BTreeMap<u32, Vec<(u8, Bytes)>> = BTreeMap::new();
         loop {
             match out_rx.try_recv() {
@@ -307,19 +303,12 @@ fn comm_loop<M: Message>(
             match peers.get_mut(&dst) {
                 Some(p) if !p.dead => {
                     let refs: Vec<(u8, &[u8])> = frames.iter().map(|(k, b)| (*k, &b[..])).collect();
-                    let t0 = Instant::now(); // simlint: allow(R2) -- flush-cost telemetry for the adaptive batch controller, never fed to the DES
                     match write_frames(&mut p.sock, &refs) {
                         Ok(n) => {
-                            shared
-                                .flush_ns
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
                             shared
                                 .frames_sent
                                 .fetch_add(refs.len() as u64, Ordering::SeqCst);
                             shared.bytes_sent.fetch_add(n, Ordering::SeqCst);
-                            if refs.len() >= 2 {
-                                shared.coalesced_flushes.fetch_add(1, Ordering::SeqCst);
-                            }
                         }
                         Err(e) => {
                             p.dead = true;
@@ -514,8 +503,8 @@ fn dispatch<M: Message>(
     use crate::net::wire::kind;
     match kind_byte {
         kind::BATCH => match wire::decode_batch::<M>(payload) {
-            Some((phase, _src, envelopes)) => {
-                in_tx.send(Event::Batch { phase, envelopes });
+            Some((phase, to, msg)) => {
+                in_tx.send(Event::Batch { phase, to, msg });
             }
             None => {
                 let msg = format!("malformed BATCH from rank {from}");

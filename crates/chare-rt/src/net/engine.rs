@@ -6,17 +6,18 @@
 //! Every process runs the same SPMD driver code, registers the same chare
 //! array, keeps only the chares whose PE falls in its contiguous range,
 //! and executes the same compute loop: drain local queues → drain inbound
-//! batches → idle-flush aggregation lanes → report idle.
+//! frames → report idle. A message bound for another process leaves at
+//! once, as one BATCH frame.
 //!
 //! Cross-process completion detection composes the local produce/consume
 //! idea of [`crate::completion`] with a wire protocol: each process keeps
 //! two counters (wire envelopes produced / consumed); the idle root probes
 //! all workers with CD_PROBE waves, each worker's compute thread answers a
-//! probe once it is idle itself (queues drained, lanes flushed, inbound
-//! empty), and the root declares the phase complete when two consecutive
-//! waves see equal and unchanged Σproduced == Σconsumed. Producers bump
+//! probe once it is idle itself (queues drained, inbound empty), and the
+//! root declares the phase complete when two consecutive waves see equal
+//! and unchanged Σproduced == Σconsumed. Producers bump
 //! `produced` *before* a frame leaves and consumers bump `consumed` only
-//! *after* processing, so an in-flight batch always shows up as an
+//! *after* processing, so an in-flight message always shows up as an
 //! imbalance. Every reply carries the worker's reductions and counters, so
 //! the second matching wave already holds the phase's outcome and one
 //! PHASE_RESULT broadcast closes the phase: five serialised control legs
@@ -27,17 +28,15 @@
 //! ([`NetEngine::on_batch`] / [`NetEngine::on_ctl`]); only heartbeats are
 //! always TCP (DESIGN.md §8).
 
-use crate::aggregator::{Aggregator, Envelope, Flush};
 use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
 use crate::config::{NetTransport, RuntimeConfig};
 use crate::net::comm::{self, CommHandle, Event};
 use crate::net::launch;
 use crate::net::shm::{Doorbell, RingConsumer, RingProducer, ShmRegion};
-use crate::net::transport::{FrameBuf, MAX_FRAME};
+use crate::net::transport::FrameBuf;
 use crate::net::wire::{self, Ctl};
 use crate::net::TransportError;
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
-use crate::tram::Grid2D;
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::process::Child;
@@ -57,25 +56,6 @@ const PARK_SPIN: u32 = 200;
 /// and the comm thread rings it after every TCP event and every failure —
 /// it only bounds how stale the watchdog and failure-flag checks can get.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-/// Flushes between recomputations of the adaptive batch size.
-const ADAPT_WINDOW: u64 = 32;
-/// EWMA smoothing factor (α = 1/8) for the adaptive controller.
-const ADAPT_ALPHA: f64 = 0.125;
-/// Bounds on the adaptive batch size.
-const ADAPT_MIN_BATCH: u32 = 2;
-const ADAPT_MAX_BATCH: u32 = 1024;
-/// An idle-flushed packet with at most this many envelopes marks its lane
-/// "near-empty": the traffic toward that destination is too sparse to
-/// fill batches, so waiting for one only adds idle-detection latency.
-const NEAR_EMPTY_MSGS: usize = 2;
-/// Consecutive near-empty idle flushes before a lane turns eager. One
-/// sparse flush can be a phase tail; a streak is a traffic pattern.
-const NEAR_EMPTY_STREAK: u32 = 3;
-/// Eager flushes granted per qualification. Bounding the grant lets a
-/// lane fall back to batching when traffic picks back up: once the grant
-/// is spent the lane must re-qualify through another idle-flush streak
-/// (and any batch-full flush revokes it immediately).
-const EAGER_GRANT: u32 = 64;
 /// Exit code of a worker killed by the `kill_rank`/`kill_phase` fault
 /// knob.
 pub const KILL_EXIT: i32 = 17;
@@ -110,18 +90,6 @@ enum Role {
     /// No networking: either `n_procs == 1`, or a worker replaying an
     /// earlier invocation of its driver to reach its target.
     Standalone,
-}
-
-/// Why a cross-process batch left the process (feeds the
-/// `wire_flush_batch` / `wire_flush_idle` counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushCause {
-    BatchFull,
-    Idle,
-    /// The adaptive controller converged to its minimum batch size — the
-    /// latency-bound regime, where holding a message to fill a batch costs
-    /// more than flushing it at once.
-    Eager,
 }
 
 /// Which inter-process links ride the shared-memory rings.
@@ -212,33 +180,6 @@ impl ShmPlane {
     }
 }
 
-/// State of the adaptive aggregation controller (DESIGN.md §8): per-message
-/// cost of batch size `B` is modelled as `C/B + g·B/2` — amortized
-/// per-flush overhead `C` against queueing delay at inter-message gap `g` —
-/// minimized at `B* = sqrt(2C/g)`. Both inputs are EWMA-smoothed
-/// observations; the lanes are retuned every [`ADAPT_WINDOW`] flushes.
-struct AdaptCtl {
-    /// Start of the current observation window.
-    window_start: Instant,
-    /// Flushes observed this window.
-    emits: u64,
-    /// Envelopes flushed this window.
-    msgs: u64,
-    /// Compute-side nanoseconds spent emitting this window.
-    inline_ns: u64,
-    /// The comm thread's cumulative `flush_ns` at window start (its delta
-    /// adds the socket-write share of the flush cost).
-    comm_ns_mark: u64,
-    /// Smoothed per-flush cost, ns.
-    cost_ewma: f64,
-    /// Smoothed inter-message gap, ns.
-    gap_ewma: f64,
-    /// The controller has converged to [`ADAPT_MIN_BATCH`]: the traffic is
-    /// latency-bound and lanes are flushed eagerly after every push
-    /// instead of waiting to fill.
-    eager: bool,
-}
-
 /// The effective transport: the `ChareNetTransport` env override (fallback
 /// `CHARE_NET_TRANSPORT`) applies when [`RuntimeConfig`] leaves the choice
 /// at [`NetTransport::Auto`]; a config that *forces* a plane keeps it (the
@@ -295,18 +236,14 @@ pub struct NetEngine<M: Message> {
     chares: Vec<Option<Box<dyn Chare<M>>>>,
     pe_of: Vec<u32>,
     queues: Vec<VecDeque<Queued<M>>>,
-    /// Aggregation lanes keyed by destination *process rank* (TRAM lanes
-    /// mapped onto processes when `tram_2d` is set).
-    agg: Aggregator<M>,
-    grid: Grid2D,
     stats: Vec<PeStats>,
     reductions: ReductionSlots,
     out: OutBuf<M>,
     phase: u64,
     map_hash: Option<u64>,
-    /// Batches that arrived tagged one phase ahead, held until we enter
+    /// Envelopes that arrived tagged one phase ahead, held until we enter
     /// that phase.
-    pending: Vec<(u64, Vec<(ChareId, M)>)>,
+    pending: Vec<(ChareId, M)>,
     comm: Option<CommHandle<M>>,
     children: Vec<Child>,
     /// Exit codes of reaped workers, indexed `rank - 1` (root only, filled
@@ -344,21 +281,6 @@ pub struct NetEngine<M: Message> {
     shm_frames_sent: u64,
     /// Futex parks taken by the compute thread since the last harvest.
     shm_parks: u64,
-    /// Adaptive batch controller (None unless
-    /// [`crate::AggregationConfig::adaptive`] is set on a networked role).
-    adapt: Option<AdaptCtl>,
-    /// Per-lane (destination rank) count of consecutive idle flushes that
-    /// carried ≤ [`NEAR_EMPTY_MSGS`] envelopes. Reaching
-    /// [`NEAR_EMPTY_STREAK`] arms the lane's eager grant.
-    lane_idle_streak: Vec<u32>,
-    /// Per-lane remaining eager flushes ([`EAGER_GRANT`] when armed; 0 =
-    /// lane batches normally). Only populated when the adaptive controller
-    /// is active — the heuristic is an extension of its eager regime.
-    lane_eager_left: Vec<u32>,
-    /// Largest batch level in force at any point this phase. The controller
-    /// decays toward [`ADAPT_MIN_BATCH`] in the idle tail of a phase, so
-    /// the end-of-phase level alone would under-report the operating point.
-    agg_batch_peak: u64,
 }
 
 impl<M: Message> NetEngine<M> {
@@ -482,20 +404,6 @@ impl<M: Message> NetEngine<M> {
                 (Some(spawn_comm(rank, sockets, bell)), Vec::new(), plane)
             }
         };
-        let adapt = (cfg.aggregation.enabled
-            && cfg.aggregation.adaptive
-            && role != Role::Standalone)
-            .then(|| AdaptCtl {
-                // simlint: allow(R2) -- batch-controller telemetry window; never feeds the DES
-                window_start: Instant::now(),
-                emits: 0,
-                msgs: 0,
-                inline_ns: 0,
-                comm_ns_mark: 0,
-                cost_ewma: 0.0,
-                gap_ewma: 0.0,
-                eager: false,
-            });
         let n_local = (pe_hi - pe_lo) as usize;
         NetEngine {
             cfg,
@@ -506,8 +414,6 @@ impl<M: Message> NetEngine<M> {
             chares: Vec::new(),
             pe_of: Vec::new(),
             queues: (0..n_local).map(|_| VecDeque::new()).collect(),
-            agg: Aggregator::new(cfg.net.n_procs, cfg.aggregation),
-            grid: Grid2D::new(cfg.net.n_procs),
             stats: vec![PeStats::default(); n_local],
             reductions: ReductionSlots::default(),
             out: OutBuf { items: Vec::new() },
@@ -531,10 +437,6 @@ impl<M: Message> NetEngine<M> {
             shm,
             shm_frames_sent: 0,
             shm_parks: 0,
-            adapt,
-            lane_idle_streak: vec![0; cfg.net.n_procs as usize],
-            lane_eager_left: vec![0; cfg.net.n_procs as usize],
-            agg_batch_peak: 0,
         }
         .with_comm(comm)
     }
@@ -607,9 +509,9 @@ impl<M: Message> NetEngine<M> {
     /// Send one frame to `dst` on the plane its link uses: pushed into the
     /// SPSC ring (and the peer's doorbell rung) on a shm link, handed to
     /// the comm thread's socket otherwise — or when the frame is larger
-    /// than the ring accepts, which [`Self::emit`] allows only for a single
-    /// oversized envelope. Data and control share this path, so a link's
-    /// frames arrive in the order they were sent.
+    /// than the ring accepts (one oversized envelope). Data and control
+    /// share this path, so a link's frames arrive in the order they were
+    /// sent.
     fn send_frame(&mut self, dst: u32, kind: u8, payload: Bytes) {
         let d = dst as usize;
         let on_ring = self
@@ -660,15 +562,6 @@ impl<M: Message> NetEngine<M> {
         }
     }
 
-    /// Largest BATCH payload [`Self::send_frame`] can keep on `dst`'s plane.
-    fn batch_limit(&self, dst: u32) -> usize {
-        self.shm
-            .as_ref()
-            .and_then(|p| p.producers[dst as usize].as_ref())
-            .map_or(MAX_FRAME, RingProducer::max_frame)
-            - 5
-    }
-
     // ------------------------------------------------------------------
     // Routing and execution
     // ------------------------------------------------------------------
@@ -693,176 +586,13 @@ impl<M: Message> NetEngine<M> {
         }
         let st = &mut self.stats[lp];
         st.sent_remote += 1;
+        st.network_packets += 1;
         st.remote_bytes += msg.size_bytes() as u64;
-        let dst_proc = self.cfg.smp.process_of(dst_pe);
-        let hop = if self.cfg.aggregation.tram_2d {
-            self.grid.next_hop(self.rank, dst_proc)
-        } else {
-            dst_proc
-        };
-        match self.agg.push(hop, to, msg) {
-            Some(flush) => self.emit(lp, flush, FlushCause::BatchFull),
-            None => self.eager_flush(lp, hop),
-        }
-    }
-
-    /// Relay an envelope that arrived at this process but belongs to
-    /// another (TRAM intermediate hop over the process grid).
-    fn forward(&mut self, to: ChareId, msg: M) {
-        let dst_proc = self.cfg.smp.process_of(self.pe_of[to.0 as usize]);
-        let hop = self.grid.next_hop(self.rank, dst_proc);
-        self.stats[0].forwarded += 1;
-        match self.agg.push(hop, to, msg) {
-            Some(flush) => self.emit(0, flush, FlushCause::BatchFull),
-            None => self.eager_flush(0, hop),
-        }
-    }
-
-    /// In the latency-bound regime, flush the lane a push just landed in
-    /// instead of letting the message wait for a batch that may never
-    /// fill. Two triggers, both requiring the adaptive controller:
-    /// globally, the controller converged to the minimum batch (every
-    /// lane is latency-bound); per lane, a streak of near-empty idle
-    /// flushes armed a bounded eager grant (see [`NEAR_EMPTY_STREAK`]) —
-    /// that lane's traffic is too sparse to batch even though aggregate
-    /// load keeps the controller at a larger batch size.
-    fn eager_flush(&mut self, lp: usize, hop: u32) {
-        let Some(a) = self.adapt.as_ref() else { return };
-        let granted = self
-            .lane_eager_left
-            .get(hop as usize)
-            .is_some_and(|&left| left > 0);
-        if !a.eager && !granted {
-            return;
-        }
-        if let Some(packet) = self.agg.flush_lane(hop) {
-            if !a.eager && granted {
-                if let Some(left) = self.lane_eager_left.get_mut(hop as usize) {
-                    *left -= 1;
-                }
-            }
-            self.emit(lp, Flush::Packet(packet), FlushCause::Eager);
-        }
-    }
-
-    /// Serialize a flush into BATCH frames, split at envelope boundaries so
-    /// each fits the destination's plane (a lane can hold more than half a
-    /// ring). `produced` is bumped before the first frame leaves the
-    /// compute thread — the CD soundness invariant. Batch delivery order
-    /// within a phase is not part of the determinism contract.
-    fn emit(&mut self, lp: usize, flush: Flush<M>, cause: FlushCause) {
-        let t0 = self
-            .adapt
-            .as_ref()
-            // simlint: allow(R2) -- flush-cost telemetry for the adaptive batch controller; never feeds the DES
-            .map(|_| Instant::now());
-        let (dst_rank, frames, n_envs) = match flush {
-            Flush::Packet(packet) => {
-                let frames = wire::encode_batches(
-                    self.phase,
-                    self.rank,
-                    &packet.envelopes,
-                    self.batch_limit(packet.dst_pe),
-                );
-                let n = packet.envelopes.len() as u64;
-                self.agg.recycle(packet.envelopes);
-                (packet.dst_pe, frames, n)
-            }
-            Flush::Single {
-                dst_pe, to, msg, ..
-            } => {
-                let env = [Envelope { to, msg }];
-                let limit = self.batch_limit(dst_pe);
-                let frames = wire::encode_batches(self.phase, self.rank, &env, limit);
-                (dst_pe, frames, 1)
-            }
-        };
-        self.produced += n_envs;
-        let n_frames = frames.len() as u64;
-        for payload in frames {
-            self.send_frame(dst_rank, wire::kind::BATCH, payload);
-        }
-        let st = &mut self.stats[lp];
-        st.network_packets += n_frames;
-        match cause {
-            FlushCause::BatchFull => {
-                st.wire_flush_batch += 1;
-                st.wire_msgs_batch += n_envs;
-                // A lane that fills whole batches is not near-empty:
-                // revoke any eager grant and restart its qualification.
-                if let Some(s) = self.lane_idle_streak.get_mut(dst_rank as usize) {
-                    *s = 0;
-                }
-                if let Some(left) = self.lane_eager_left.get_mut(dst_rank as usize) {
-                    *left = 0;
-                }
-            }
-            FlushCause::Idle => {
-                st.wire_flush_idle += 1;
-                st.wire_msgs_idle += n_envs;
-            }
-            FlushCause::Eager => {
-                st.wire_flush_eager += 1;
-                st.wire_msgs_eager += n_envs;
-            }
-        }
-        if let Some(t0) = t0 {
-            let spent = t0.elapsed().as_nanos() as u64;
-            let due = match &mut self.adapt {
-                Some(a) => {
-                    a.emits += 1;
-                    a.msgs += n_envs;
-                    a.inline_ns += spent;
-                    a.emits >= ADAPT_WINDOW
-                }
-                None => false,
-            };
-            if due {
-                self.retune_batch();
-            }
-        }
-    }
-
-    /// Close an adaptive-controller window: fold this window's observed
-    /// flush cost and message rate into the EWMAs and retune the lanes to
-    /// `B* = sqrt(2·cost/gap)` (see [`AdaptCtl`]).
-    fn retune_batch(&mut self) {
-        let comm_ns = self
-            .comm
-            .as_ref()
-            .map_or(0, |c| c.shared.flush_ns.load(Ordering::SeqCst));
-        let Some(a) = &mut self.adapt else { return };
-        let wall = a.window_start.elapsed().as_nanos() as f64;
-        let mut target = None;
-        if a.msgs > 0 && a.emits > 0 && wall > 0.0 {
-            let cost =
-                (a.inline_ns + comm_ns.saturating_sub(a.comm_ns_mark)) as f64 / a.emits as f64;
-            let gap = (wall / a.msgs as f64).max(1.0);
-            a.cost_ewma = if a.cost_ewma > 0.0 {
-                a.cost_ewma + ADAPT_ALPHA * (cost - a.cost_ewma)
-            } else {
-                cost
-            };
-            a.gap_ewma = if a.gap_ewma > 0.0 {
-                a.gap_ewma + ADAPT_ALPHA * (gap - a.gap_ewma)
-            } else {
-                gap
-            };
-            let b = (2.0 * a.cost_ewma / a.gap_ewma).sqrt() as u32;
-            let clamped = b.clamp(ADAPT_MIN_BATCH, ADAPT_MAX_BATCH);
-            a.eager = clamped <= ADAPT_MIN_BATCH;
-            target = Some(clamped);
-        }
-        a.emits = 0;
-        a.msgs = 0;
-        a.inline_ns = 0;
-        a.comm_ns_mark = comm_ns;
-        // simlint: allow(R2) -- batch-controller telemetry window; never feeds the DES
-        a.window_start = Instant::now();
-        if let Some(b) = target {
-            self.agg.set_max_batch(b);
-            self.agg_batch_peak = self.agg_batch_peak.max(u64::from(b));
-        }
+        // `produced` goes up before the frame leaves the compute thread:
+        // the CD soundness invariant.
+        self.produced += 1;
+        let payload = wire::encode_batch(self.phase, to, &msg);
+        self.send_frame(self.cfg.smp.process_of(dst_pe), wire::kind::BATCH, payload);
     }
 
     /// Drain every inbound ring of `plane` (the plane is passed explicitly
@@ -902,12 +632,12 @@ impl<M: Message> NetEngine<M> {
     /// same for socket frames) and handed to the shared receive path.
     fn on_ring_frame(&mut self, src: u32, kind: u8, payload: &[u8]) -> bool {
         if kind == wire::kind::BATCH {
-            let Some((phase, _src, envelopes)) = wire::decode_batch::<M>(payload) else {
+            let Some((phase, to, msg)) = wire::decode_batch::<M>(payload) else {
                 self.transport_fail(TransportError(format!(
                     "malformed BATCH on shm ring from rank {src}"
                 )))
             };
-            return self.on_batch(phase, envelopes);
+            return self.on_batch(phase, to, msg);
         }
         match Ctl::decode(kind, payload) {
             Some(ctl) => self.on_ctl(ctl),
@@ -922,7 +652,7 @@ impl<M: Message> NetEngine<M> {
     /// ring frame. Returns whether current-phase work was enqueued.
     fn on_event(&mut self, ev: Event<M>) -> bool {
         match ev {
-            Event::Batch { phase, envelopes } => self.on_batch(phase, envelopes),
+            Event::Batch { phase, to, msg } => self.on_batch(phase, to, msg),
             Event::Ctl(ctl) => {
                 self.on_ctl(ctl);
                 false
@@ -937,15 +667,15 @@ impl<M: Message> NetEngine<M> {
         }
     }
 
-    /// A decoded batch, from either plane: the current phase's is enqueued
-    /// (returns `true`), the next phase's is stashed until we enter it,
-    /// anything else is a protocol error.
-    fn on_batch(&mut self, phase: u64, envelopes: Vec<(ChareId, M)>) -> bool {
+    /// A decoded envelope, from either plane: the current phase's is
+    /// enqueued (returns `true`), the next phase's is stashed until we
+    /// enter it, anything else is a protocol error.
+    fn on_batch(&mut self, phase: u64, to: ChareId, msg: M) -> bool {
         if phase == self.phase {
-            self.enqueue_wire(envelopes);
+            self.enqueue_wire(to, msg);
             true
         } else if phase == self.phase + 1 {
-            self.pending.push((phase, envelopes));
+            self.pending.push((to, msg));
             false
         } else {
             panic!(
@@ -1071,52 +801,8 @@ impl<M: Message> NetEngine<M> {
         self.comm.as_ref().is_some_and(|c| !c.in_rx.is_empty())
     }
 
-    /// Idle flush of every dirty lane. Returns whether anything left.
-    ///
-    /// Each flushed packet is also a lane-occupancy observation for the
-    /// near-empty heuristic: a streak of [`NEAR_EMPTY_STREAK`] idle
-    /// flushes carrying ≤ [`NEAR_EMPTY_MSGS`] envelopes arms the lane's
-    /// eager grant (the lane keeps paying idle-detection latency for a
-    /// batch that never fills), while a well-filled idle flush resets it.
-    fn flush_idle(&mut self) -> bool {
-        if self.agg.is_empty() {
-            return false;
-        }
-        let packets = self.agg.flush_all();
-        let any = !packets.is_empty();
-        for packet in packets {
-            if self.adapt.is_some() {
-                let dst = packet.dst_pe as usize;
-                if packet.envelopes.len() <= NEAR_EMPTY_MSGS {
-                    if let Some(s) = self.lane_idle_streak.get_mut(dst) {
-                        *s = s.saturating_add(1);
-                        if *s >= NEAR_EMPTY_STREAK {
-                            if let Some(left) = self.lane_eager_left.get_mut(dst) {
-                                *left = EAGER_GRANT;
-                            }
-                        }
-                    }
-                } else if let Some(s) = self.lane_idle_streak.get_mut(dst) {
-                    *s = 0;
-                }
-            }
-            self.emit(0, Flush::Packet(packet), FlushCause::Idle);
-        }
-        any
-    }
-
     fn process_one(&mut self, lp: usize, q: Queued<M>) {
         let idx = q.to.0 as usize;
-        let dst_pe = self.pe_of[idx];
-        if !self.is_local_pe(dst_pe) {
-            // TRAM intermediate hop.
-            debug_assert!(self.cfg.aggregation.tram_2d);
-            if q.wire {
-                self.consumed += 1;
-            }
-            self.forward(q.to, q.msg);
-            return;
-        }
         let mut chare = self.chares[idx]
             .take()
             .unwrap_or_else(|| panic!("message for unregistered chare {idx}"));
@@ -1145,20 +831,13 @@ impl<M: Message> NetEngine<M> {
         self.out.items = items;
     }
 
-    fn enqueue_wire(&mut self, envelopes: Vec<(ChareId, M)>) {
-        for (to, msg) in envelopes {
-            let dst_pe = self.pe_of[to.0 as usize];
-            let lp = if self.is_local_pe(dst_pe) {
-                (dst_pe - self.pe_lo) as usize
-            } else {
-                0 // TRAM relay: park on the first local PE's queue
-            };
-            self.queues[lp].push_back(Queued {
-                to,
-                msg,
-                wire: true,
-            });
-        }
+    fn enqueue_wire(&mut self, to: ChareId, msg: M) {
+        let dst_pe = self.pe_of[to.0 as usize];
+        self.queues[(dst_pe - self.pe_lo) as usize].push_back(Queued {
+            to,
+            msg,
+            wire: true,
+        });
     }
 
     /// Drain every local queue once (quantum-bounded). Returns whether any
@@ -1179,20 +858,11 @@ impl<M: Message> NetEngine<M> {
         worked
     }
 
-    /// Move batches stashed for the current phase into the queues.
+    /// Move the envelopes stashed for this phase (they arrived tagged one
+    /// phase ahead, so this is all of them) into the queues.
     fn adopt_pending(&mut self) {
-        let phase = self.phase;
-        let mut adopted = Vec::new();
-        self.pending.retain_mut(|(p, envs)| {
-            if *p == phase {
-                adopted.push(std::mem::take(envs));
-                false
-            } else {
-                true
-            }
-        });
-        for envs in adopted {
-            self.enqueue_wire(envs);
+        for (to, msg) in std::mem::take(&mut self.pending) {
+            self.enqueue_wire(to, msg);
         }
     }
 
@@ -1234,12 +904,10 @@ impl<M: Message> NetEngine<M> {
         }
         self.produced = 0;
         self.consumed = 0;
-        self.agg_batch_peak = u64::from(self.agg.max_batch());
         match self.role {
             Role::Standalone => {
                 self.inject(injections);
-                self.standalone_loop();
-                self.stats[0].agg_batch = u64::from(self.agg.max_batch());
+                while self.drain_queues() {}
                 PhaseStats {
                     per_pe: self.stats.clone(),
                     reductions: self.reductions.clone(),
@@ -1247,17 +915,6 @@ impl<M: Message> NetEngine<M> {
             }
             Role::Root => self.root_phase(injections),
             Role::Worker => self.worker_phase(injections),
-        }
-    }
-
-    fn standalone_loop(&mut self) {
-        loop {
-            if self.drain_queues() {
-                continue;
-            }
-            if !self.flush_idle() {
-                return;
-            }
         }
     }
 
@@ -1308,7 +965,7 @@ impl<M: Message> NetEngine<M> {
             self.check_deadline(deadline, "completion detection");
             let mut worked = self.drain_queues();
             worked |= self.drain_inbound();
-            if worked || self.flush_idle() {
+            if worked {
                 snapshot = None;
                 continue;
             }
@@ -1460,10 +1117,10 @@ impl<M: Message> NetEngine<M> {
             }
             self.fail_if_poisoned();
             self.check_deadline(deadline, "worker compute loop");
-            if worked || self.flush_idle() {
+            if worked {
                 continue;
             }
-            // Idle: queues drained, lanes flushed, inbound empty. This is
+            // Idle: queues drained, inbound empty. This is
             // the only state a probe is answered from, so a busy worker
             // costs the root one late reply instead of a stream of
             // not-idle waves.
@@ -1500,7 +1157,6 @@ impl<M: Message> NetEngine<M> {
     /// happens after its last harvest is counted in the next phase
     /// instead of nowhere.
     fn harvest(&mut self) -> Vec<(u32, PeStats)> {
-        let batch_level = self.agg_batch_peak.max(u64::from(self.agg.max_batch()));
         let st = &mut self.stats[0];
         if let Some(comm) = &self.comm {
             let sh = &comm.shared;
@@ -1508,11 +1164,9 @@ impl<M: Message> NetEngine<M> {
             st.wire_frames_recv += sh.frames_recv.swap(0, Ordering::SeqCst);
             st.wire_bytes_sent += sh.bytes_sent.swap(0, Ordering::SeqCst);
             st.wire_bytes_recv += sh.bytes_recv.swap(0, Ordering::SeqCst);
-            st.wire_coalesced_flushes += sh.coalesced_flushes.swap(0, Ordering::SeqCst);
         }
         st.shm_frames_sent += std::mem::take(&mut self.shm_frames_sent);
         st.shm_parks += std::mem::take(&mut self.shm_parks);
-        st.agg_batch = st.agg_batch.max(batch_level);
         // Cumulative levels, not per-phase counts.
         st.recovery_checkpoints = self.recovery_checkpoints;
         st.recovery_restores = self.recovery_restores;

@@ -3,9 +3,10 @@
 //! Maps the paper's Blue Waters deployment shape onto loopback TCP: one
 //! OS process per "node", each owning a contiguous PE range, a dedicated
 //! comm thread per process owning the socket set (the SMP comm-thread
-//! design of §III), per-destination-process aggregation lanes with
-//! batch + idle flushing (§IV-C), and root-coordinated cross-process
-//! completion detection (§IV-B) layered over per-process counters.
+//! design of §III), one BATCH frame per cross-process message (the
+//! application has already aggregated, §IV-C), and root-coordinated
+//! cross-process completion detection (§IV-B) layered over per-process
+//! counters.
 //!
 //! Layout:
 //! - [`wire`] — frame kinds, little-endian control/batch codecs
@@ -19,7 +20,7 @@
 //!
 //! Two transports coexist (DESIGN.md §8): loopback TCP (always present;
 //! carries mesh setup and heartbeats, and everything on links without a
-//! ring) and the shared-memory ring transport (batches and the phase
+//! ring) and the shared-memory ring transport (BATCH frames and the phase
 //! protocol, compute thread to compute thread, selected per
 //! [`crate::NetTransport`]). Liveness is a TCP property in both cases, so
 //! worker exit codes and the [`TransportError`] surface are

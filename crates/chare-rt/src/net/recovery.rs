@@ -10,7 +10,7 @@
 //!   shard carries one process's chare-state blobs plus an opaque driver
 //!   `meta` blob (counters, intervention state, the curve so far — the
 //!   driver decides). The snapshot also records how many messages were
-//!   still in flight in aggregation/TRAM lanes when it was taken; the
+//!   still in flight (sent, not yet consumed) when it was taken; the
 //!   coordinated barrier guarantees that number is zero, and `decode`
 //!   re-checks it so a snapshot taken outside a quiescent point can never
 //!   be replayed.
@@ -139,8 +139,8 @@ pub struct RecoverySnapshot {
     pub rank: u32,
     /// Total ranks participating in the epoch (the commit rule's quorum).
     pub n_ranks: u32,
-    /// Messages still buffered in aggregation/TRAM lanes when the snapshot
-    /// was taken. Must be zero — the barrier runs at phase quiescence.
+    /// Messages sent but not yet consumed when the snapshot was taken.
+    /// Must be zero — the barrier runs at phase quiescence.
     pub in_flight: u64,
     /// Opaque driver blob: global counters, intervention state, the curve
     /// so far. Identical across ranks by SPMD lockstep.

@@ -519,9 +519,9 @@ impl RingProducer {
         })
     }
 
-    /// Largest frame this ring accepts (header + body). The engine splits
-    /// flushes to fit and routes the rare single frame that is bigger over
-    /// TCP; the resulting reorder against in-ring traffic is
+    /// Largest frame this ring accepts (header + body). The engine routes
+    /// the rare frame that is bigger over TCP; the resulting reorder
+    /// against in-ring traffic is
     /// indistinguishable from normal network reordering, which the phase
     /// protocol already tolerates.
     pub fn max_frame(&self) -> usize {

@@ -15,7 +15,9 @@ pub const MAGIC: u32 = 0x544E_5045;
 /// v3: the phase protocol is CD_PROBE / CD_REPLY / PHASE_RESULT only —
 /// probes carry the topology check, replies carry the worker's reductions
 /// and counters, and PHASE_START, PHASE_END and STATS are retired.
-pub const VERSION: u32 = 3;
+/// v4: a BATCH frame carries exactly one envelope, and [`PeStats`] lost
+/// its six aggregation and relay counters (21 fields).
+pub const VERSION: u32 = 4;
 
 /// Frame kind bytes.
 pub mod kind {
@@ -29,7 +31,7 @@ pub mod kind {
     pub const MESH_OK: u8 = 4;
     // 5 (PHASE_START), 9 (PHASE_END) and 10 (STATS) are retired, never
     // reused: a v3 decoder rejects them like any unknown kind.
-    /// Aggregated application envelopes, any process → any process.
+    /// One application envelope, any process → any process.
     pub const BATCH: u8 = 6;
     /// Root → workers: completion-detection wave probe (carries the SPMD
     /// topology check).
@@ -153,7 +155,7 @@ pub enum Ctl {
 
 /// Number of `u64` fields in [`PeStats`] — the codec writes them all in
 /// declaration order, so this constant pins the layout.
-const PE_STATS_FIELDS: usize = 27;
+const PE_STATS_FIELDS: usize = 21;
 
 fn put_pe_stats(out: &mut BytesMut, s: &PeStats) {
     let fields = [
@@ -162,7 +164,6 @@ fn put_pe_stats(out: &mut BytesMut, s: &PeStats) {
         s.sent_remote,
         s.network_packets,
         s.remote_bytes,
-        s.forwarded,
         s.processed,
         s.busy_ns,
         s.faults_dropped,
@@ -174,14 +175,9 @@ fn put_pe_stats(out: &mut BytesMut, s: &PeStats) {
         s.wire_bytes_recv,
         s.wire_flush_batch,
         s.wire_flush_idle,
-        s.wire_msgs_batch,
-        s.wire_msgs_idle,
-        s.wire_coalesced_flushes,
         s.shm_frames_sent,
         s.shm_parks,
-        s.agg_batch,
         s.wire_flush_eager,
-        s.wire_msgs_eager,
         s.recovery_checkpoints,
         s.recovery_restores,
     ];
@@ -201,7 +197,6 @@ fn get_pe_stats(buf: &mut &[u8]) -> Option<PeStats> {
         sent_remote: buf.get_u64_le(),
         network_packets: buf.get_u64_le(),
         remote_bytes: buf.get_u64_le(),
-        forwarded: buf.get_u64_le(),
         processed: buf.get_u64_le(),
         busy_ns: buf.get_u64_le(),
         faults_dropped: buf.get_u64_le(),
@@ -213,14 +208,9 @@ fn get_pe_stats(buf: &mut &[u8]) -> Option<PeStats> {
         wire_bytes_recv: buf.get_u64_le(),
         wire_flush_batch: buf.get_u64_le(),
         wire_flush_idle: buf.get_u64_le(),
-        wire_msgs_batch: buf.get_u64_le(),
-        wire_msgs_idle: buf.get_u64_le(),
-        wire_coalesced_flushes: buf.get_u64_le(),
         shm_frames_sent: buf.get_u64_le(),
         shm_parks: buf.get_u64_le(),
-        agg_batch: buf.get_u64_le(),
         wire_flush_eager: buf.get_u64_le(),
-        wire_msgs_eager: buf.get_u64_le(),
         recovery_checkpoints: buf.get_u64_le(),
         recovery_restores: buf.get_u64_le(),
     })
@@ -484,88 +474,31 @@ impl Ctl {
     }
 }
 
-/// Bytes of a BATCH payload ahead of its envelopes: `phase | src_rank |
-/// count`.
-const BATCH_HEADER: usize = 16;
-
-/// Encode one lane flush as BATCH payloads of at most `max_payload` bytes
-/// each, split at envelope boundaries: `phase | src_rank | count`, then per
-/// envelope `chare | payload_len | payload` where `payload` is the
-/// application message's own [`Message::wire_encode`] output. The explicit
-/// per-envelope length lets the decoder isolate each message and verify it
-/// was fully consumed. Every payload holds at least one envelope, so a
-/// single envelope larger than the limit still gets a (too large) payload
-/// of its own — the caller decides what to do with it.
-pub fn encode_batches<M: Message>(
-    phase: u64,
-    src_rank: u32,
-    envelopes: &[crate::aggregator::Envelope<M>],
-    max_payload: usize,
-) -> Vec<Bytes> {
-    let mut frames = Vec::with_capacity(1);
-    let mut body = BytesMut::with_capacity(envelopes.len() * 32);
-    let mut count = 0u32;
-    let mut close = |body: &mut BytesMut, count: &mut u32| {
-        let mut out = BytesMut::with_capacity(BATCH_HEADER + body.len());
-        out.put_u64_le(phase);
-        out.put_u32_le(src_rank);
-        out.put_u32_le(*count);
-        out.put_slice(body.as_slice());
-        frames.push(out.freeze());
-        body.clear();
-        *count = 0;
-    };
-    let mut scratch = BytesMut::with_capacity(64);
-    for env in envelopes {
-        scratch.clear();
-        env.msg.wire_encode(&mut scratch);
-        if count > 0 && BATCH_HEADER + body.len() + 8 + scratch.len() > max_payload {
-            close(&mut body, &mut count);
-        }
-        body.put_u32_le(env.to.0);
-        body.put_u32_le(scratch.len() as u32);
-        body.put_slice(scratch.as_slice());
-        count += 1;
-    }
-    if count > 0 {
-        close(&mut body, &mut count);
-    }
-    frames
+/// Encode one envelope as a BATCH payload: `phase | chare | message`,
+/// where `message` is the application's own [`Message::wire_encode`]
+/// output and runs to the end of the payload.
+pub fn encode_batch<M: Message>(phase: u64, to: ChareId, msg: &M) -> Bytes {
+    let mut out = BytesMut::with_capacity(12 + msg.size_bytes());
+    out.put_u64_le(phase);
+    out.put_u32_le(to.0);
+    msg.wire_encode(&mut out);
+    out.freeze()
 }
 
-/// Decode a BATCH payload into `(phase, src_rank, envelopes)`.
-#[allow(clippy::type_complexity)]
-pub fn decode_batch<M: Message>(payload: &[u8]) -> Option<(u64, u32, Vec<(ChareId, M)>)> {
+/// Decode a BATCH payload into `(phase, chare, message)`. `None` if the
+/// header is short or the message codec fails or leaves bytes unread.
+pub fn decode_batch<M: Message>(payload: &[u8]) -> Option<(u64, ChareId, M)> {
     let mut buf = payload;
-    if buf.remaining() < 16 {
+    if buf.remaining() < 12 {
         return None;
     }
     let phase = buf.get_u64_le();
-    let src_rank = buf.get_u32_le();
-    let n = buf.get_u32_le() as usize;
-    let mut envelopes = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 8 {
-            return None;
-        }
-        let to = ChareId(buf.get_u32_le());
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return None;
-        }
-        let (head, tail) = buf.split_at(len);
-        let mut msg_buf = head;
-        let msg = M::wire_decode(&mut msg_buf)?;
-        if msg_buf.remaining() != 0 {
-            return None; // codec under-read its own payload
-        }
-        buf = tail;
-        envelopes.push((to, msg));
-    }
+    let to = ChareId(buf.get_u32_le());
+    let msg = M::wire_decode(&mut buf)?;
     if buf.remaining() != 0 {
-        return None;
+        return None; // codec under-read its own payload
     }
-    Some((phase, src_rank, envelopes))
+    Some((phase, to, msg))
 }
 
 /// FNV-1a over the chare→PE map; every CD_PROBE carries it so a worker whose
@@ -623,12 +556,9 @@ mod tests {
         let st = PeStats {
             sent_remote: 11,
             wire_bytes_sent: 2048,
-            wire_flush_idle: 3,
-            wire_msgs_batch: 40,
-            wire_coalesced_flushes: 6,
             shm_frames_sent: 12,
             shm_parks: 2,
-            agg_batch: 64,
+            recovery_restores: 1,
             ..Default::default()
         };
         roundtrip(Ctl::CdReply {
@@ -709,70 +639,24 @@ mod tests {
 
     #[test]
     fn batch_roundtrip() {
-        use crate::aggregator::Envelope;
-        let envs = vec![
-            Envelope {
-                to: ChareId(3),
-                msg: Tok(10),
-            },
-            Envelope {
-                to: ChareId(7),
-                msg: Tok(u64::MAX),
-            },
-        ];
-        let payload = &encode_batches(5, 2, &envs, usize::MAX)[0];
-        let (phase, src, back) = decode_batch::<Tok>(payload).expect("decodes");
-        assert_eq!(phase, 5);
-        assert_eq!(src, 2);
-        assert_eq!(
-            back,
-            vec![(ChareId(3), Tok(10)), (ChareId(7), Tok(u64::MAX))]
-        );
+        let payload = encode_batch(5, ChareId(3), &Tok(u64::MAX));
+        assert_eq!(payload.len(), 20);
+        let back = decode_batch::<Tok>(&payload).expect("decodes");
+        assert_eq!(back, (5, ChareId(3), Tok(u64::MAX)));
     }
 
     #[test]
-    fn batch_truncation_rejected() {
-        let envs = vec![crate::aggregator::Envelope {
-            to: ChareId(1),
-            msg: Tok(1),
-        }];
-        let payload = &encode_batches(1, 0, &envs, usize::MAX)[0];
-        for cut in 1..payload.len() {
+    fn batch_truncation_and_trailing_bytes_rejected() {
+        let payload = encode_batch(1, ChareId(1), &Tok(1));
+        for cut in 0..payload.len() {
             assert!(
                 decode_batch::<Tok>(&payload[..cut]).is_none(),
                 "cut at {cut} must not decode"
             );
         }
-    }
-
-    /// A flush larger than the limit splits at envelope boundaries: every
-    /// payload fits, nothing is lost or reordered, and one envelope that is
-    /// itself over the limit still travels (alone).
-    #[test]
-    fn batches_split_at_envelope_boundaries() {
-        use crate::aggregator::Envelope;
-        let envs: Vec<Envelope<Tok>> = (0..100)
-            .map(|i| Envelope {
-                to: ChareId(i),
-                msg: Tok(u64::from(i) * 3),
-            })
-            .collect();
-        // 16-byte header + 16 bytes per envelope: 7 envelopes per 128 B.
-        let frames = encode_batches(9, 1, &envs, 128);
-        assert_eq!(frames.len(), 100usize.div_ceil(7));
-        let mut back = Vec::new();
-        for f in &frames {
-            assert!(f.len() <= 128, "payload of {} B over the limit", f.len());
-            let (phase, src, envs) = decode_batch::<Tok>(f).expect("decodes");
-            assert_eq!((phase, src), (9, 1));
-            assert!(!envs.is_empty());
-            back.extend(envs);
-        }
-        let want: Vec<_> = envs.iter().map(|e| (e.to, e.msg)).collect();
-        assert_eq!(back, want);
-        // A limit below one envelope: one envelope per (oversized) payload.
-        assert_eq!(encode_batches(9, 1, &envs[..3], 8).len(), 3);
-        assert!(encode_batches::<Tok>(9, 1, &[], 128).is_empty());
+        let mut trailing = payload.to_vec();
+        trailing.push(0);
+        assert!(decode_batch::<Tok>(&trailing).is_none());
     }
 
     /// Kinds 5, 9 and 10 (PHASE_START, PHASE_END, STATS in v2) are retired,

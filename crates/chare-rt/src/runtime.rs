@@ -195,53 +195,6 @@ mod tests {
         }
     }
 
-    /// Sends `self.0` messages to chare 1 per message received.
-    struct Spray(u32);
-    impl Chare<Hop> for Spray {
-        fn receive(&mut self, _m: Hop, ctx: &mut Ctx<'_, Hop>) {
-            for _ in 0..self.0 {
-                ctx.send(
-                    ChareId(1),
-                    Hop {
-                        remaining: 0,
-                        payload: 1,
-                    },
-                );
-            }
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
-    }
-
-    /// Counts what it receives into reduction slot 1.
-    struct Count(u64);
-    impl Chare<Hop> for Count {
-        fn receive(&mut self, _m: Hop, ctx: &mut Ctx<'_, Hop>) {
-            self.0 += 1;
-            ctx.contribute(1, 1);
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
-    }
-
-    /// Chare 0 on PE 0 sprays `n` messages at chare 1 on the last PE.
-    fn spray(cfg: RuntimeConfig, n: u32) -> PhaseStats {
-        let mut rt: Runtime<Hop> = Runtime::new(cfg);
-        rt.add_chare(ChareId(0), 0, Box::new(Spray(n)));
-        rt.add_chare(ChareId(1), cfg.n_pes - 1, Box::new(Count(0)));
-        rt.run_phase(vec![(
-            ChareId(0),
-            Hop {
-                remaining: 0,
-                payload: 0,
-            },
-        )])
-    }
-
     fn build(cfg: RuntimeConfig) -> Runtime<Hop> {
         let mut rt = Runtime::new(cfg);
         for i in 0..10u32 {
@@ -292,95 +245,22 @@ mod tests {
     }
 
     #[test]
-    fn no_opt_config_same_results_different_packets() {
-        let opt = RuntimeConfig::sequential(4);
-        let noopt = RuntimeConfig::sequential(4).no_opt();
-        let mut rt_o = build(opt);
-        let mut rt_n = build(noopt);
-        let inj = |rt: &mut Runtime<Hop>| {
-            rt.run_phase(vec![(
+    fn no_opt_config_same_results() {
+        let inj = |cfg: RuntimeConfig| {
+            let mut rt = build(cfg);
+            let stats = rt.run_phase(vec![(
                 ChareId(0),
                 Hop {
                     remaining: 200,
                     payload: 1,
                 },
-            )])
+            )]);
+            (stats.reduction(0), stats.totals().processed)
         };
-        let so = inj(&mut rt_o);
-        let sn = inj(&mut rt_n);
-        assert_eq!(so.reduction(0), sn.reduction(0));
-        // Without aggregation every remote message is its own packet.
-        assert!(sn.totals().network_packets >= so.totals().network_packets);
-        assert_eq!(sn.totals().network_packets, sn.totals().sent_remote);
-        // A burst toward one destination is where aggregation pays: the
-        // lanes collapse it into a handful of packets.
-        let (so, sn) = (spray(opt, 1000), spray(noopt, 1000));
-        assert_eq!(so.reduction(1), 1000);
-        assert_eq!(sn.reduction(1), 1000);
-        let (packets_opt, packets_noopt) =
-            (so.totals().network_packets, sn.totals().network_packets);
-        assert_eq!(packets_noopt, 1000);
-        assert!(
-            packets_noopt > 5 * packets_opt.max(1),
-            "aggregation should collapse packets: {packets_opt} vs {packets_noopt}"
+        assert_eq!(
+            inj(RuntimeConfig::sequential(4)),
+            inj(RuntimeConfig::sequential(4).no_opt())
         );
-    }
-
-    #[test]
-    fn tram_routing_preserves_results() {
-        // 16 PEs in a 4×4 TRAM grid, all-to-all ring traffic: identical
-        // reductions with and without topological routing, under both
-        // engines.
-        let mut base_cfg = RuntimeConfig::sequential(16);
-        base_cfg.smp.pes_per_process = 1;
-        let mut tram_cfg = base_cfg;
-        tram_cfg.aggregation.tram_2d = true;
-        let runs: Vec<(u64, u64, u64)> = [base_cfg, tram_cfg]
-            .into_iter()
-            .map(|cfg| {
-                let mut rt = build(cfg);
-                let stats = rt.run_phase(vec![(
-                    ChareId(0),
-                    Hop {
-                        remaining: 500,
-                        payload: 1,
-                    },
-                )]);
-                let t = stats.totals();
-                (stats.reduction(0), t.processed, t.forwarded)
-            })
-            .collect();
-        assert_eq!(runs[0].0, runs[1].0, "TRAM must not change results");
-        assert_eq!(runs[0].1, runs[1].1);
-        assert_eq!(runs[0].2, 0, "no forwarding without TRAM");
-        // The ring hops between PEs 4 apart in a 4-column grid are
-        // same-column (direct), so forwarding may legitimately be rare;
-        // just assert the counter is consistent.
-        let mut thr_cfg = RuntimeConfig::threaded(4);
-        thr_cfg.smp.pes_per_process = 1;
-        thr_cfg.aggregation.tram_2d = true;
-        let mut rt = build(thr_cfg);
-        let stats = rt.run_phase(vec![(
-            ChareId(0),
-            Hop {
-                remaining: 500,
-                payload: 1,
-            },
-        )]);
-        assert_eq!(stats.reduction(0), runs[0].0);
-        rt.into_chares();
-    }
-
-    #[test]
-    fn tram_forwards_on_diagonal_traffic() {
-        // Chare 0 on PE 0 sprays chare 1 on PE 15 of a 4×4 grid — a
-        // diagonal route that must take two hops via PE 3.
-        let mut cfg = RuntimeConfig::sequential(16);
-        cfg.smp.pes_per_process = 1;
-        cfg.aggregation.tram_2d = true;
-        let stats = spray(cfg, 100);
-        assert_eq!(stats.reduction(1), 100, "all messages delivered");
-        assert_eq!(stats.per_pe[3].forwarded, 100, "PE 3 relays the diagonal");
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! simulated PEs on one core and read off per-PE compute times and message
 //! counts.
 
-use crate::aggregator::{Aggregator, Envelope, Flush, Packet};
-use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
+use crate::chare::{Chare, ChareId, Ctx, Envelope, Message, Sender};
 use crate::config::RuntimeConfig;
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
-use crate::tram::Grid2D;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -35,11 +33,9 @@ pub struct SeqEngine<M: Message> {
     chares: Vec<Option<Box<dyn Chare<M>>>>,
     pe_of: Vec<u32>,
     queues: Vec<VecDeque<Envelope<M>>>,
-    aggregators: Vec<Aggregator<M>>,
     stats: Vec<PeStats>,
     reductions: Vec<ReductionSlots>,
     out: OutBuf<M>,
-    grid: Grid2D,
 }
 
 impl<M: Message> SeqEngine<M> {
@@ -50,13 +46,9 @@ impl<M: Message> SeqEngine<M> {
             chares: Vec::new(),
             pe_of: Vec::new(),
             queues: (0..n).map(|_| VecDeque::new()).collect(),
-            aggregators: (0..n)
-                .map(|_| Aggregator::new(cfg.n_pes, cfg.aggregation))
-                .collect(),
             stats: vec![PeStats::default(); n],
             reductions: vec![ReductionSlots::default(); n],
             out: OutBuf { items: Vec::new() },
-            grid: Grid2D::new(cfg.n_pes),
             cfg,
         }
     }
@@ -80,62 +72,19 @@ impl<M: Message> SeqEngine<M> {
         let st = &mut self.stats[src_pe as usize];
         if dst_pe == src_pe {
             st.sent_self += 1;
-            self.queues[dst_pe as usize].push_back(Envelope { to, msg });
         } else if self.cfg.smp.same_process(src_pe, dst_pe) {
             // Direct memory copy between threads of one process (§IV-A).
             st.sent_intra += 1;
-            self.queues[dst_pe as usize].push_back(Envelope { to, msg });
         } else {
             st.sent_remote += 1;
+            st.network_packets += 1;
             st.remote_bytes += msg.size_bytes() as u64;
-            let hop = if self.cfg.aggregation.tram_2d {
-                self.grid.next_hop(src_pe, dst_pe)
-            } else {
-                dst_pe
-            };
-            if let Some(flush) = self.aggregators[src_pe as usize].push(hop, to, msg) {
-                self.deliver(src_pe, flush);
-            }
         }
-    }
-
-    /// Relay an envelope that arrived at an intermediate PE (TRAM).
-    fn forward(&mut self, via_pe: u32, to: ChareId, msg: M) {
-        let dst_pe = self.pe_of[to.0 as usize];
-        let hop = self.grid.next_hop(via_pe, dst_pe);
-        self.stats[via_pe as usize].forwarded += 1;
-        if let Some(flush) = self.aggregators[via_pe as usize].push(hop, to, msg) {
-            self.deliver(via_pe, flush);
-        }
-    }
-
-    /// Move a flush from `src_pe` into the destination queue, recycling the
-    /// drained packet `Vec` back into the sender's aggregator pool.
-    fn deliver(&mut self, src_pe: u32, flush: Flush<M>) {
-        self.stats[src_pe as usize].network_packets += 1;
-        match flush {
-            Flush::Packet(packet) => self.deliver_packet(src_pe, packet),
-            Flush::Single {
-                dst_pe, to, msg, ..
-            } => {
-                self.queues[dst_pe as usize].push_back(Envelope { to, msg });
-            }
-        }
-    }
-
-    fn deliver_packet(&mut self, src_pe: u32, mut packet: Packet<M>) {
-        self.queues[packet.dst_pe as usize].extend(packet.envelopes.drain(..));
-        self.aggregators[src_pe as usize].recycle(packet.envelopes);
+        self.queues[dst_pe as usize].push_back(Envelope { to, msg });
     }
 
     fn process_one(&mut self, pe: u32, env: Envelope<M>) {
         let idx = env.to.0 as usize;
-        if self.pe_of[idx] != pe {
-            // TRAM intermediate hop: relay toward the owner.
-            debug_assert!(self.cfg.aggregation.tram_2d);
-            self.forward(pe, env.to, env.msg);
-            return;
-        }
         let mut chare = self.chares[idx].take().unwrap_or_else(|| {
             panic!("message for unregistered chare {idx}");
         });
@@ -162,7 +111,7 @@ impl<M: Message> SeqEngine<M> {
     }
 
     /// Run one phase to completion: inject, then drain round-robin until no
-    /// queue and no aggregation lane holds a message.
+    /// queue holds a message.
     pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
         let n = self.cfg.n_pes as usize;
         for s in &mut self.stats {
@@ -189,20 +138,7 @@ impl<M: Message> SeqEngine<M> {
                 }
             }
             if !processed_any {
-                // Everyone idle: flush aggregation lanes (the idle-flush of
-                // §IV-C); if nothing was buffered we are complete.
-                let mut flushed_any = false;
-                for pe in 0..n {
-                    let packets = self.aggregators[pe].flush_all();
-                    for packet in packets {
-                        self.stats[pe].network_packets += 1;
-                        self.deliver_packet(pe as u32, packet);
-                        flushed_any = true;
-                    }
-                }
-                if !flushed_any {
-                    break;
-                }
+                break;
             }
         }
         let mut reductions = ReductionSlots::default();
@@ -252,7 +188,7 @@ impl<M: Message> SeqEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AggregationConfig, RuntimeConfig};
+    use crate::config::RuntimeConfig;
 
     /// Token-passing chare: forwards a countdown to the next chare.
     struct Relay {
@@ -348,67 +284,6 @@ mod tests {
         assert_eq!(t.sent_self, 10);
         assert_eq!(t.sent_remote, 0);
         assert_eq!(t.network_packets, 0);
-    }
-
-    #[test]
-    fn aggregation_batches_remote_traffic() {
-        // One sender chare fires many messages at a remote receiver.
-        struct Burst {
-            target: ChareId,
-            n: u32,
-        }
-        impl Chare<Token> for Burst {
-            fn receive(&mut self, _msg: Token, ctx: &mut Ctx<'_, Token>) {
-                for _ in 0..self.n {
-                    ctx.send(self.target, Token(0));
-                }
-            }
-
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-        struct Sink;
-        impl Chare<Token> for Sink {
-            fn receive(&mut self, _m: Token, _c: &mut Ctx<'_, Token>) {}
-
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-        let run = |agg: AggregationConfig| {
-            let mut cfg = RuntimeConfig::sequential(2);
-            cfg.smp.pes_per_process = 1; // PEs in distinct processes
-            cfg.aggregation = agg;
-            let mut eng = SeqEngine::new(cfg);
-            eng.add_chare(
-                ChareId(0),
-                0,
-                Box::new(Burst {
-                    target: ChareId(1),
-                    n: 1000,
-                }),
-            );
-            eng.add_chare(ChareId(1), 1, Box::new(Sink));
-            eng.run_phase(vec![(ChareId(0), Token(0))]).totals()
-        };
-        let on = run(AggregationConfig {
-            enabled: true,
-            max_batch: 100,
-            tram_2d: false,
-            adaptive: false,
-        });
-        let off = run(AggregationConfig {
-            enabled: false,
-            max_batch: 100,
-            tram_2d: false,
-            adaptive: false,
-        });
-        assert_eq!(on.sent_remote, 1000);
-        assert_eq!(off.sent_remote, 1000);
-        assert_eq!(on.network_packets, 10);
-        assert_eq!(off.network_packets, 1000);
-        assert_eq!(on.processed, off.processed);
     }
 
     #[test]

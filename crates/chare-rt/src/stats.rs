@@ -2,9 +2,9 @@
 //!
 //! These counters are the bridge to the `scale-model` crate: the paper's
 //! communication optimizations (§IV) change *these numbers* — remote vs
-//! local message counts, network messages after aggregation, bytes, busy
-//! time — and the performance model turns them into projected time on a
-//! Blue-Waters-like machine.
+//! local message counts, network messages, bytes, busy time — and the
+//! performance model turns them into projected time on a Blue-Waters-like
+//! machine.
 
 /// Number of sum-reduction slots available to applications.
 pub const REDUCTION_SLOTS: usize = 16;
@@ -52,15 +52,14 @@ pub struct PeStats {
     pub sent_self: u64,
     /// Messages sent to other PEs within the same SMP process.
     pub sent_intra: u64,
-    /// Messages sent to PEs in other processes ("network" messages before
-    /// aggregation).
+    /// Messages sent to PEs in other processes ("network" messages).
     pub sent_remote: u64,
-    /// Network packets actually emitted after aggregation (buffer flushes).
+    /// Network packets emitted: one per remote message, since the runtime
+    /// passes every message on at once (the net engine counts BATCH
+    /// frames).
     pub network_packets: u64,
     /// Bytes carried by remote messages.
     pub remote_bytes: u64,
-    /// Envelopes relayed on behalf of other PEs (TRAM intermediate hops).
-    pub forwarded: u64,
     /// Messages processed (consumed) by this PE.
     pub processed: u64,
     /// Nanoseconds spent inside `Chare::receive`.
@@ -83,38 +82,19 @@ pub struct PeStats {
     pub wire_bytes_sent: u64,
     /// Bytes read from sockets, including frame headers (net engine only).
     pub wire_bytes_recv: u64,
-    /// Cross-process batches flushed because a lane reached
-    /// `AggregationConfig::max_batch` (net engine only).
+    /// Always 0: no engine holds messages back to flush them later. Kept
+    /// for readers of the earlier batch-full flush count.
     pub wire_flush_batch: u64,
-    /// Cross-process batches flushed because the sending process went idle
-    /// — the §IV-C idle flush, observed on the wire (net engine only).
+    /// Always 0 (see `wire_flush_batch`); was the idle-flush count.
     pub wire_flush_idle: u64,
-    /// Envelopes carried by batch-full flushes (net engine only). Together
-    /// with `wire_flush_batch` this gives the *fill* of full frames — the
-    /// number the batch-sweep dead-zone regression test pins.
-    pub wire_msgs_batch: u64,
-    /// Envelopes carried by idle flushes (net engine only).
-    pub wire_msgs_idle: u64,
-    /// Socket writes that carried ≥2 frames in one vectored `writev`-style
-    /// flush (net engine, TCP path only).
-    pub wire_coalesced_flushes: u64,
     /// BATCH frames pushed directly into shared-memory rings, bypassing the
     /// comm thread and the socket (net engine, shm transport only).
     pub shm_frames_sent: u64,
     /// Times a worker's compute thread parked on its doorbell futex instead
     /// of spinning while idle (net engine, shm transport only).
     pub shm_parks: u64,
-    /// The adaptive aggregation batch size in force at the end of the phase
-    /// (net engine; equals the static `max_batch` when adaptation is off).
-    /// Merged across PEs as a max, not a sum.
-    pub agg_batch: u64,
-    /// Cross-process batches flushed eagerly because the adaptive batch
-    /// controller converged to its minimum size — the latency-bound
-    /// regime, where waiting for a batch to fill costs more than a flush
-    /// (net engine, adaptive aggregation only).
+    /// Always 0 (see `wire_flush_batch`); was the eager-flush count.
     pub wire_flush_eager: u64,
-    /// Envelopes carried by eager flushes (net engine only).
-    pub wire_msgs_eager: u64,
     /// Recovery snapshots this process has committed to the epoch store so
     /// far in the run (cumulative level, attributed to the process's first
     /// PE at end of phase; net engine + resilient driver only).
@@ -137,7 +117,6 @@ impl PeStats {
         self.sent_remote += o.sent_remote;
         self.network_packets += o.network_packets;
         self.remote_bytes += o.remote_bytes;
-        self.forwarded += o.forwarded;
         self.processed += o.processed;
         self.busy_ns += o.busy_ns;
         self.faults_dropped += o.faults_dropped;
@@ -149,18 +128,11 @@ impl PeStats {
         self.wire_bytes_recv += o.wire_bytes_recv;
         self.wire_flush_batch += o.wire_flush_batch;
         self.wire_flush_idle += o.wire_flush_idle;
-        self.wire_msgs_batch += o.wire_msgs_batch;
-        self.wire_msgs_idle += o.wire_msgs_idle;
-        self.wire_coalesced_flushes += o.wire_coalesced_flushes;
         self.shm_frames_sent += o.shm_frames_sent;
         self.shm_parks += o.shm_parks;
         self.wire_flush_eager += o.wire_flush_eager;
-        self.wire_msgs_eager += o.wire_msgs_eager;
         self.recovery_checkpoints += o.recovery_checkpoints;
         self.recovery_restores += o.recovery_restores;
-        // A batch size is a level, not a flow: the aggregate view reports
-        // the largest batch any PE converged to.
-        self.agg_batch = self.agg_batch.max(o.agg_batch);
     }
 }
 
@@ -222,26 +194,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.sent_total(), 6);
-    }
-
-    #[test]
-    fn agg_batch_merges_as_max_while_counters_sum() {
-        let mut a = PeStats {
-            shm_frames_sent: 2,
-            wire_coalesced_flushes: 1,
-            agg_batch: 8,
-            ..Default::default()
-        };
-        let b = PeStats {
-            shm_frames_sent: 3,
-            wire_coalesced_flushes: 4,
-            agg_batch: 5,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.shm_frames_sent, 5);
-        assert_eq!(a.wire_coalesced_flushes, 5);
-        assert_eq!(a.agg_batch, 8, "batch size is a level, merged as max");
     }
 
     #[test]

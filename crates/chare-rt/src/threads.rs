@@ -6,18 +6,16 @@
 //! 1. the coordinator resets the [`CompletionDetector`], sends `PhaseStart`
 //!    to every worker, then injects the phase's seed messages (counted as
 //!    produced);
-//! 2. workers drain their channels, execute chares, and send; when a worker
-//!    runs dry it flushes its aggregation lanes and raises its idle flag;
+//! 2. workers drain their channels, execute chares, and send each message
+//!    on at once; when a worker runs dry it raises its idle flag;
 //! 3. the coordinator runs two-wave detection; on success it marks the
 //!    phase done, workers observe the flag, report their counters, and
 //!    block awaiting the next `PhaseStart`.
 
-use crate::aggregator::{Aggregator, Envelope, Flush, Packet};
-use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
+use crate::chare::{Chare, ChareId, Ctx, Envelope, Message, Sender};
 use crate::completion::CompletionDetector;
 use crate::config::RuntimeConfig;
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
-use crate::tram::Grid2D;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender as ChSender};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -26,7 +24,6 @@ use std::time::{Duration, Instant};
 
 enum Item<M> {
     Direct(Envelope<M>),
-    Packet(Packet<M>),
     PhaseStart,
     Shutdown,
 }
@@ -59,11 +56,9 @@ struct Worker<M: Message> {
     /// chare id → index into `chares` (only for local chares).
     local_idx: Vec<u32>,
     local_q: VecDeque<Envelope<M>>,
-    agg: Aggregator<M>,
     stats: PeStats,
     reductions: ReductionSlots,
     out: OutBuf<M>,
-    grid: Grid2D,
 }
 
 impl<M: Message> Worker<M> {
@@ -75,68 +70,18 @@ impl<M: Message> Worker<M> {
             return;
         }
         self.cd.produce(self.pe, 1);
-        let hop = if self.cfg.smp.same_process(self.pe, dst_pe) {
-            // Intra-process traffic batches through the aggregation lanes
-            // too: one channel send per packet instead of per message. The
-            // flush is not a network packet (shared memory, §IV-A).
+        if self.cfg.smp.same_process(self.pe, dst_pe) {
+            // Shared memory between threads of one process (§IV-A).
             self.stats.sent_intra += 1;
-            dst_pe
         } else {
             self.stats.sent_remote += 1;
-            self.stats.remote_bytes += msg.size_bytes() as u64;
-            if self.cfg.aggregation.tram_2d {
-                self.grid.next_hop(self.pe, dst_pe)
-            } else {
-                dst_pe
-            }
-        };
-        if let Some(flush) = self.agg.push(hop, to, msg) {
-            self.emit(flush);
-        }
-    }
-
-    /// Relay an envelope that arrived here as a TRAM intermediate hop.
-    fn forward(&mut self, to: ChareId, msg: M) {
-        let dst_pe = self.pe_of[to.0 as usize];
-        let hop = self.grid.next_hop(self.pe, dst_pe);
-        self.stats.forwarded += 1;
-        self.cd.produce(self.pe, 1);
-        if let Some(flush) = self.agg.push(hop, to, msg) {
-            self.emit(flush);
-        }
-    }
-
-    /// Dispatch whatever the aggregator handed back. Only cross-process
-    /// flushes count as network packets.
-    fn emit(&mut self, flush: Flush<M>) {
-        match flush {
-            Flush::Packet(packet) => self.send_packet(packet),
-            Flush::Single {
-                dst_pe, to, msg, ..
-            } => {
-                if !self.cfg.smp.same_process(self.pe, dst_pe) {
-                    self.stats.network_packets += 1;
-                }
-                let _ = self.txs[dst_pe as usize].send(Item::Direct(Envelope { to, msg }));
-            }
-        }
-    }
-
-    fn send_packet(&mut self, packet: Packet<M>) {
-        if !self.cfg.smp.same_process(self.pe, packet.dst_pe) {
             self.stats.network_packets += 1;
+            self.stats.remote_bytes += msg.size_bytes() as u64;
         }
-        let dst = packet.dst_pe as usize;
-        let _ = self.txs[dst].send(Item::Packet(packet));
+        let _ = self.txs[dst_pe as usize].send(Item::Direct(Envelope { to, msg }));
     }
 
     fn execute(&mut self, env: Envelope<M>) {
-        if self.pe_of[env.to.0 as usize] != self.pe {
-            // TRAM intermediate hop: relay toward the owner.
-            debug_assert!(self.cfg.aggregation.tram_2d);
-            self.forward(env.to, env.msg);
-            return;
-        }
         let li = self.local_idx[env.to.0 as usize] as usize;
         let start = Instant::now(); // simlint: allow(R2) -- busy_ns load metric only; load balancing consumes it between phases, DES state never does
         {
@@ -167,16 +112,6 @@ impl<M: Message> Worker<M> {
                 self.cd.consume(self.pe, 1);
                 true
             }
-            Item::Packet(mut packet) => {
-                let n = packet.envelopes.len() as u64;
-                for env in packet.envelopes.drain(..) {
-                    self.execute(env);
-                }
-                // The drained Vec feeds this PE's own lanes.
-                self.agg.recycle(packet.envelopes);
-                self.cd.consume(self.pe, n);
-                true
-            }
             Item::PhaseStart => true, // late arrival; nothing to do
             Item::Shutdown => false,
         }
@@ -205,16 +140,7 @@ impl<M: Message> Worker<M> {
             if worked {
                 continue;
             }
-            // Out of work: flush aggregation lanes so receivers (and
-            // detection) can progress.
-            let packets = self.agg.flush_all();
-            if !packets.is_empty() {
-                for packet in packets {
-                    self.send_packet(packet);
-                }
-                continue;
-            }
-            // Truly idle.
+            // Idle.
             self.cd.set_idle(self.pe, true);
             match self.rx.recv_timeout(Duration::from_micros(200)) {
                 Ok(item) => {
@@ -344,11 +270,9 @@ impl<M: Message> ThreadEngine<M> {
                 chares,
                 local_idx,
                 local_q: VecDeque::new(),
-                agg: Aggregator::new(self.cfg.n_pes, self.cfg.aggregation),
                 stats: PeStats::default(),
                 reductions: ReductionSlots::default(),
                 out: OutBuf { items: Vec::new() },
-                grid: Grid2D::new(self.cfg.n_pes),
             };
             self.handles.push(
                 std::thread::Builder::new()

@@ -6,8 +6,8 @@
 //! a deterministic function of a `u64` fault seed. Any interleaving of
 //! packet delivery the threaded engine could exhibit (and many it is
 //! unlikely to) can be replayed exactly, and the [`crate::faults`] hook in
-//! the send path injects delay, reordering across aggregation lanes,
-//! duplicate delivery, bounded drop-with-redelivery, and PE stalls.
+//! the send path injects delay, reordering, duplicate delivery, bounded
+//! drop-with-redelivery, and PE stalls.
 //!
 //! The engine doubles as a harness for the §IV-B completion-detection
 //! contract: it drives a real [`CompletionDetector`] with the same
@@ -22,19 +22,18 @@
 //!   deliberately lost messages, in which case it must *not* fire and the
 //!   loss is surfaced in [`PeStats::lost`]).
 //!
-//! Transport reliability is modelled with a take-once payload slab: every
-//! packet's payload is stored once and taken by the first arrival; a
-//! duplicate arrival finds it gone and is suppressed (exactly-once delivery
-//! from an at-least-once wire). A drop without redelivery leaves the
-//! payload stranded — counted as lost at phase end, never silently eaten.
+//! Every routed message is its own packet. Transport reliability is
+//! modelled with a take-once payload slab: every packet's envelope is
+//! stored once and taken by the first arrival; a duplicate arrival finds
+//! it gone and is suppressed (exactly-once delivery from an at-least-once
+//! wire). A drop without redelivery leaves the envelope stranded — counted
+//! as lost at phase end, never silently eaten.
 
-use crate::aggregator::{Aggregator, Envelope, Flush};
-use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
+use crate::chare::{Chare, ChareId, Ctx, Envelope, Message, Sender};
 use crate::completion::CompletionDetector;
 use crate::config::RuntimeConfig;
 use crate::faults::{FaultHook, FaultRng, PlanFaults};
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
-use crate::tram::Grid2D;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
@@ -77,13 +76,14 @@ pub struct VtEngine<M: Message, H: FaultHook = PlanFaults> {
     cfg: RuntimeConfig,
     hook: H,
     /// Deterministic stream for schedule-shaping choices the hook does not
-    /// make (duplicate jitter, idle-flush lane order).
+    /// make (duplicate jitter).
     order_rng: FaultRng,
     chares: Vec<Option<Box<dyn Chare<M>>>>,
     pe_of: Vec<u32>,
     heap: BinaryHeap<Reverse<Event>>,
-    /// Take-once payload slab: `Some` = in flight, `None` = delivered.
-    slab: Vec<Option<(u32, Vec<Envelope<M>>)>>,
+    /// Take-once payload slab of `(source PE, envelope)`: `Some` = in
+    /// flight, `None` = delivered.
+    slab: Vec<Option<(u32, Envelope<M>)>>,
     /// Envelopes currently in the slab (produced, not yet consumed).
     in_flight: u64,
     now: u64,
@@ -91,12 +91,10 @@ pub struct VtEngine<M: Message, H: FaultHook = PlanFaults> {
     /// Virtual-time budget accrued from scheduled packets (watchdog).
     deadline: u64,
     stall_until: Vec<u64>,
-    aggregators: Vec<Aggregator<M>>,
     stats: Vec<PeStats>,
     reductions: Vec<ReductionSlots>,
     out: OutBuf<M>,
     local_q: VecDeque<Envelope<M>>,
-    grid: Grid2D,
     cd: CompletionDetector,
 }
 
@@ -123,14 +121,10 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             next_seq: 0,
             deadline: 0,
             stall_until: vec![0; n],
-            aggregators: (0..n)
-                .map(|_| Aggregator::new(cfg.n_pes, cfg.aggregation))
-                .collect(),
             stats: vec![PeStats::default(); n],
             reductions: vec![ReductionSlots::default(); n],
             out: OutBuf { items: Vec::new() },
             local_q: VecDeque::new(),
-            grid: Grid2D::new(cfg.n_pes),
             cd: CompletionDetector::new(cfg.n_pes),
             cfg,
         }
@@ -163,8 +157,9 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
         }));
     }
 
-    /// Ship one packet from `src` to `dst`, consulting the fault hook.
-    fn send_packet(&mut self, src: u32, dst: u32, envelopes: Vec<Envelope<M>>) {
+    /// Ship one envelope from `src` to `dst` as a packet, consulting the
+    /// fault hook.
+    fn send_packet(&mut self, src: u32, dst: u32, env: Envelope<M>) {
         let same_proc = self.cfg.smp.same_process(src, dst);
         if !same_proc {
             self.stats[src as usize].network_packets += 1;
@@ -186,9 +181,9 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             .max(self.now)
             .saturating_add(fate.extra_delay + fate.stall_ticks + 3 * (base + LAT_RETRANSMIT))
             .saturating_add(WATCHDOG_SLACK);
-        self.in_flight += envelopes.len() as u64;
+        self.in_flight += 1;
         let pkt = self.slab.len() as u32;
-        self.slab.push(Some((src, envelopes)));
+        self.slab.push(Some((src, env)));
         if fate.drop {
             self.stats[src as usize].faults_dropped += 1;
             if fate.redeliver {
@@ -206,15 +201,6 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
         }
     }
 
-    fn emit(&mut self, src: u32, flush: Flush<M>) {
-        match flush {
-            Flush::Packet(p) => self.send_packet(src, p.dst_pe, p.envelopes),
-            Flush::Single {
-                dst_pe, to, msg, ..
-            } => self.send_packet(src, dst_pe, vec![Envelope { to, msg }]),
-        }
-    }
-
     /// Route one outgoing message from a chare running on `src`.
     fn route(&mut self, src: u32, to: ChareId, msg: M) {
         let dst = self.pe_of[to.0 as usize];
@@ -225,25 +211,17 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             return;
         }
         self.cd.produce(src, 1);
-        let hop = if self.cfg.smp.same_process(src, dst) {
-            self.stats[src as usize].sent_intra += 1;
-            dst
+        let st = &mut self.stats[src as usize];
+        if self.cfg.smp.same_process(src, dst) {
+            st.sent_intra += 1;
         } else {
-            let st = &mut self.stats[src as usize];
             st.sent_remote += 1;
             st.remote_bytes += msg.size_bytes() as u64;
-            if self.cfg.aggregation.tram_2d {
-                self.grid.next_hop(src, dst)
-            } else {
-                dst
-            }
-        };
-        if let Some(flush) = self.aggregators[src as usize].push(hop, to, msg) {
-            self.emit(src, flush);
         }
+        self.send_packet(src, dst, Envelope { to, msg });
     }
 
-    /// Execute one envelope owned by `pe` (no TRAM relay check here).
+    /// Execute one envelope owned by `pe`.
     fn run_chare(&mut self, pe: u32, env: Envelope<M>) {
         let idx = env.to.0 as usize;
         let mut chare = self.chares[idx]
@@ -270,26 +248,6 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
         self.out.items = items;
     }
 
-    /// Handle one arriving envelope at `pe`: relay it (TRAM intermediate
-    /// hop) or execute it plus everything it self-enqueues.
-    fn handle_envelope(&mut self, pe: u32, env: Envelope<M>) {
-        if self.pe_of[env.to.0 as usize] != pe {
-            debug_assert!(self.cfg.aggregation.tram_2d);
-            self.stats[pe as usize].forwarded += 1;
-            self.cd.produce(pe, 1);
-            let dst = self.pe_of[env.to.0 as usize];
-            let hop = self.grid.next_hop(pe, dst);
-            if let Some(flush) = self.aggregators[pe as usize].push(hop, env.to, env.msg) {
-                self.emit(pe, flush);
-            }
-            return;
-        }
-        self.run_chare(pe, env);
-        while let Some(e) = self.local_q.pop_front() {
-            self.run_chare(pe, e);
-        }
-    }
-
     /// Pop and process one event. Returns `false` when the heap is empty.
     fn step(&mut self) -> bool {
         let Some(Reverse(ev)) = self.heap.pop() else {
@@ -310,21 +268,20 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
                 // duplicate (or the late original the duplicate overtook).
                 self.stats[pe as usize].faults_dup_suppressed += 1;
             }
-            Some((_src, mut envelopes)) => {
-                self.in_flight -= envelopes.len() as u64;
+            Some((_src, env)) => {
+                self.in_flight -= 1;
                 self.cd.set_idle(pe, false);
-                let n = envelopes.len() as u64;
-                for env in envelopes.drain(..) {
-                    self.handle_envelope(pe, env);
+                // The envelope plus everything it self-enqueues.
+                self.run_chare(pe, env);
+                while let Some(e) = self.local_q.pop_front() {
+                    self.run_chare(pe, e);
                 }
-                self.cd.consume(pe, n);
-                self.aggregators[pe as usize].recycle(envelopes);
-                let idle = self.aggregators[pe as usize].is_empty();
-                self.cd.set_idle(pe, idle);
+                self.cd.consume(pe, 1);
+                self.cd.set_idle(pe, true);
             }
         }
         // §IV-B contract, checked on every event: the detector may only
-        // signal when nothing is in flight and no lane holds a message.
+        // signal when nothing is in flight.
         if self.cd.try_detect() {
             assert_eq!(
                 self.in_flight, 0,
@@ -333,30 +290,6 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             );
         }
         true
-    }
-
-    /// Flush every dirty aggregation lane in a seeded order (reordering
-    /// across lanes is itself a fault surface). Returns whether anything
-    /// was flushed.
-    fn idle_flush(&mut self) -> bool {
-        let mut flushed = false;
-        let mut order: Vec<u32> = (0..self.cfg.n_pes).collect();
-        // Fisher–Yates with the engine's deterministic stream.
-        for i in (1..order.len()).rev() {
-            let j = self.order_rng.below(i as u64 + 1) as usize;
-            order.swap(i, j);
-        }
-        for pe in order {
-            let packets = self.aggregators[pe as usize].flush_all_permuted(&mut self.order_rng);
-            for packet in packets {
-                self.send_packet(pe, packet.dst_pe, packet.envelopes);
-                flushed = true;
-            }
-            if self.aggregators[pe as usize].is_empty() {
-                self.cd.set_idle(pe, true);
-            }
-        }
-        flushed
     }
 
     /// Run one phase to completion under the fault schedule.
@@ -374,7 +307,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
         self.slab.clear();
         self.in_flight = 0;
         self.stall_until.iter_mut().for_each(|s| *s = 0);
-        // All PEs start drained and flushed.
+        // All PEs start drained.
         for pe in 0..self.cfg.n_pes {
             self.cd.set_idle(pe, true);
         }
@@ -384,21 +317,15 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             // threaded engine) and ride the faulty transport like any
             // other packet.
             self.cd.produce(pe, 1);
-            self.send_packet(pe, pe, vec![Envelope { to, msg }]);
+            self.send_packet(pe, pe, Envelope { to, msg });
         }
-        loop {
-            while self.step() {}
-            if !self.idle_flush() {
-                break;
-            }
-        }
-        // Quiescence: heap empty, all lanes flushed. Account any payloads a
-        // non-benign plan stranded in the slab.
+        while self.step() {}
+        // Quiescence: the heap is empty. Account any envelopes a non-benign
+        // plan stranded in the slab.
         let mut lost = 0u64;
-        for (src, envelopes) in self.slab.drain(..).flatten() {
-            let n = envelopes.len() as u64;
-            self.stats[src as usize].lost += n;
-            lost += n;
+        for (src, _) in self.slab.drain(..).flatten() {
+            self.stats[src as usize].lost += 1;
+            lost += 1;
         }
         self.in_flight = 0;
         if lost == 0 {
@@ -592,17 +519,6 @@ mod tests {
         assert_eq!(stats.reduction(0), 41);
         assert_eq!(stats.totals().faults_dropped, 0);
         assert_eq!(stats.totals().faults_dup_suppressed, 0);
-    }
-
-    #[test]
-    fn tram_routing_survives_chaos() {
-        let mut cfg = RuntimeConfig::dst(16, FaultPlan::chaos(21));
-        cfg.smp.pes_per_process = 1;
-        cfg.aggregation.tram_2d = true;
-        let mut eng = ring(16, cfg);
-        let stats = eng.run_phase(vec![(ChareId(0), Token(300))]);
-        assert_eq!(stats.reduction(0), 301);
-        assert_eq!(stats.totals().lost, 0);
     }
 
     #[test]

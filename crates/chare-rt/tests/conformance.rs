@@ -113,10 +113,7 @@ fn run_storm_totals(cfg: RuntimeConfig, app_seed: u64) -> (u64, PeStats) {
 fn base(mode: ExecMode, n_pes: u32) -> RuntimeConfig {
     RuntimeConfig {
         mode,
-        smp: SmpConfig {
-            pes_per_process: 2,
-            comm_thread: true,
-        },
+        smp: SmpConfig { pes_per_process: 2 },
         watchdog_secs: 60,
         ..RuntimeConfig::sequential(n_pes)
     }
@@ -222,27 +219,15 @@ fn threaded_watchdog_inert_on_healthy_phases() {
     assert_eq!(healthy.0, reference.0);
 }
 
-/// Aggregation on/off and TRAM routing are schedule changes, not semantic
-/// ones — the DST engine must agree with itself across them under chaos.
-/// What they are allowed to change, they must change: with every PE its
-/// own process, switching aggregation off sends more network packets.
+/// Every PE its own process: every cross-PE message takes the network
+/// path, and the DST engine under chaos must still agree with sequential.
 #[test]
-fn dst_invariant_to_aggregation_and_tram() {
+fn dst_agrees_with_sequential_when_every_pe_is_a_process() {
     let reference = run_storm(base(ExecMode::Sequential, 4), 2).0;
-    for tram in [false, true] {
-        let [packets_off, packets_on] = [false, true].map(|agg| {
-            let mut cfg = base(ExecMode::VirtualTime, 4);
-            cfg.smp.pes_per_process = 1;
-            cfg.aggregation.enabled = agg;
-            cfg.aggregation.tram_2d = tram;
-            cfg.faults = FaultPlan::chaos(13);
-            let (got, totals) = run_storm_totals(cfg, 2);
-            assert_eq!(got, reference, "tram={tram} agg={agg}");
-            totals.network_packets
-        });
-        assert!(
-            packets_off > packets_on,
-            "aggregation must change packet counts (tram={tram}: {packets_on} on, {packets_off} off)"
-        );
-    }
+    let mut cfg = base(ExecMode::VirtualTime, 4);
+    cfg.smp.pes_per_process = 1;
+    cfg.faults = FaultPlan::chaos(13);
+    let (got, totals) = run_storm_totals(cfg, 2);
+    assert_eq!(got, reference);
+    assert_eq!(totals.network_packets, totals.sent_remote);
 }

@@ -1,10 +1,9 @@
-//! Property test: the sequential and threaded engines — under any SMP
-//! topology, aggregation setting, TRAM routing, and PE count — produce
-//! identical application results for randomized message storms.
+//! Property test: the sequential, threaded and DST engines — under any SMP
+//! topology and PE count — produce identical application results for
+//! randomized message storms.
 
 use chare_rt::{
-    AggregationConfig, Chare, ChareId, Ctx, ExecMode, FaultPlan, Message, Runtime, RuntimeConfig,
-    SmpConfig,
+    Chare, ChareId, Ctx, ExecMode, FaultPlan, Message, Runtime, RuntimeConfig, SmpConfig,
 };
 use proptest::prelude::*;
 
@@ -100,25 +99,14 @@ proptest! {
         hops in 0u32..8,
         pes in 1u32..6,
         pes_per_process in 1u32..4,
-        batch in prop_oneof![Just(1u32), Just(4), Just(64)],
-        tram in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let seeds: Vec<u64> = (0..4).map(|i| mix(seed + i)).collect();
         let make = |mode: ExecMode, n_pes: u32| RuntimeConfig {
             n_pes,
             mode,
-            smp: SmpConfig {
-                pes_per_process,
-                comm_thread: true,
-            },
-            aggregation: AggregationConfig {
-                enabled: batch > 1,
-                max_batch: batch,
-                tram_2d: tram,
-                adaptive: false,
-            },
-            sync: Default::default(),
+            smp: SmpConfig { pes_per_process },
+            aggregation: Default::default(),
             faults: FaultPlan::none(0),
             watchdog_secs: 30,
             net: Default::default(),

@@ -110,15 +110,6 @@ fn net_two_processes_match_sequential() {
 }
 
 #[test]
-fn net_four_processes_with_tram_match_sequential() {
-    let reference = run_phases(RuntimeConfig::sequential(8));
-    let mut cfg = RuntimeConfig::net(8, 4);
-    cfg.aggregation.max_batch = 4;
-    cfg.aggregation.tram_2d = true;
-    assert_eq!(run_phases(cfg), reference);
-}
-
-#[test]
 fn net_wire_counters_account_for_cross_process_traffic() {
     // Forced TCP: on a shm link nothing but heartbeats touches a socket.
     let mut cfg = RuntimeConfig::net(4, 2);
@@ -133,15 +124,15 @@ fn net_wire_counters_account_for_cross_process_traffic() {
     )]);
     let totals = stats.totals();
     // A 12-chare ring over 4 PEs in 2 processes crosses the process
-    // boundary on every wrap, so batches must actually hit the wire —
+    // boundary on every wrap, so messages must actually hit the wire —
     // and both directions of every socket are counted somewhere.
     assert!(totals.sent_remote > 0, "ring must cross processes");
-    assert!(totals.wire_frames_sent > 0, "batches must hit the wire");
+    assert!(totals.wire_frames_sent > 0, "messages must hit the wire");
     assert!(totals.wire_frames_recv > 0);
     assert!(totals.wire_bytes_sent > totals.wire_frames_sent);
-    assert!(
-        totals.wire_flush_batch + totals.wire_flush_idle > 0,
-        "every wire packet leaves through a counted flush"
+    assert_eq!(
+        totals.network_packets, totals.sent_remote,
+        "every remote message leaves at once as one frame"
     );
     // Chares survive teardown on the root (workers exit inside).
     let chares = rt.into_chares();
@@ -283,10 +274,6 @@ fn net_forced_shm_matches_sequential_and_uses_rings() {
     assert!(
         totals.shm_frames_sent > 0,
         "forced shm must push batches through the rings"
-    );
-    assert!(
-        totals.agg_batch > 0,
-        "the effective batch level must be surfaced"
     );
 }
 
@@ -504,40 +491,6 @@ fn net_reap_leaves_no_zombies_after_worker_kill_shm() {
     assert_no_zombies_after_kill(NetTransport::Shm);
 }
 
-/// Regression test for the batch-sweep dead zone: when a burst of remote
-/// sends is queued, aggregation must fill frames to `max_batch`, and the
-/// flush-cause histogram must attribute the envelopes to batch-full
-/// flushes. (The old sweep sat at ~3 msgs/frame at every batch setting
-/// because idle flushes dominated its low-injection workload; the
-/// histogram makes that visible and this pins the full-frame path.)
-#[test]
-fn net_aggregation_fills_frames_under_burst() {
-    let mut cfg = RuntimeConfig::net(4, 2);
-    cfg.net.transport = NetTransport::Tcp;
-    cfg.aggregation.adaptive = false;
-    cfg.aggregation.max_batch = 8;
-    let mut rt = build(cfg);
-    // 64 concurrent hops at chare 1 (process 0); every hop sends exactly
-    // one message to chare 2 (process 1) — a 64-message burst into one
-    // aggregation lane, drained in a single quantum.
-    let burst: Vec<(ChareId, Hop)> = (0..64)
-        .map(|_| {
-            (
-                ChareId(1),
-                Hop {
-                    remaining: 1,
-                    payload: 1,
-                },
-            )
-        })
-        .collect();
-    let totals = rt.run_phase(burst).totals();
-    assert_eq!(totals.wire_flush_batch, 8, "64 msgs / batch 8 = 8 flushes");
-    assert_eq!(totals.wire_msgs_batch, 64, "every envelope left batch-full");
-    assert_eq!(totals.wire_msgs_idle, 0, "no stragglers on this workload");
-    assert_eq!(totals.agg_batch, 8, "static batch level is surfaced");
-}
-
 // ---------------------------------------------------------------------
 // Control plane: completion detection and the phase close travel on the
 // link's own plane, probes are answered by the compute thread, and the
@@ -562,29 +515,6 @@ impl Chare<Hop> for Slow {
                 payload: msg.payload + 1,
             },
         );
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
-/// Sends `remaining` unit messages to `to` from one entry method.
-struct Fan {
-    to: ChareId,
-}
-
-impl Chare<Hop> for Fan {
-    fn receive(&mut self, msg: Hop, ctx: &mut Ctx<'_, Hop>) {
-        for _ in 0..msg.remaining {
-            ctx.send(
-                self.to,
-                Hop {
-                    remaining: 0,
-                    payload: 1,
-                },
-            );
-        }
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
@@ -821,45 +751,83 @@ fn net_stall_wakes_a_parked_root_mixed() {
     failure_wakes_a_parked_root(NetTransport::Mixed, Fault::Stall);
 }
 
-/// A lane holding more than half a ring of envelopes is split at envelope
-/// boundaries into ring-sized BATCH frames instead of falling back to the
-/// socket: everything arrives, in the phase it was sent, and no byte of it
-/// is counted on the wire.
+/// A message of any size: a length-prefixed byte string on the wire.
+#[derive(Debug)]
+struct Blob(Vec<u8>);
+
+impl Message for Blob {
+    fn wire_encode(&self, out: &mut BytesMut) {
+        out.put_u32_le(self.0.len() as u32);
+        out.put_slice(&self.0);
+    }
+
+    fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
+        if buf.remaining() < 4 {
+            return None;
+        }
+        let len = buf.get_u32_le() as usize;
+        if buf.remaining() < len {
+            return None;
+        }
+        let (head, tail) = buf.split_at(len);
+        *buf = tail;
+        Some(Blob(head.to_vec()))
+    }
+}
+
+/// Passes every blob on to `to`.
+struct Relay {
+    to: ChareId,
+}
+
+impl Chare<Blob> for Relay {
+    fn receive(&mut self, msg: Blob, ctx: &mut Ctx<'_, Blob>) {
+        ctx.send(self.to, msg);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+/// Counts blobs (slot 1) and their bytes (slot 0).
+struct Tally;
+
+impl Chare<Blob> for Tally {
+    fn receive(&mut self, msg: Blob, ctx: &mut Ctx<'_, Blob>) {
+        ctx.contribute(0, msg.0.len() as u64);
+        ctx.contribute(1, 1);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+/// An envelope larger than a ring frame (half the ring) cannot ride the
+/// shm plane, so that one BATCH frame falls back to the link's socket
+/// while the small ones around it stay on the ring: everything arrives,
+/// in the phase it was sent.
 #[test]
-fn net_oversized_flush_is_split_across_the_ring() {
-    const BURST: u32 = 500; // × 20 encoded bytes = 10 KB, five times max_frame
-    let mut cfg = two_procs(NetTransport::Shm);
-    cfg.net.shm_ring_bytes = 4096; // frames of at most 2 KiB
-    cfg.aggregation.adaptive = false;
-    cfg.aggregation.max_batch = 1024;
-    let mut rt: Runtime<Hop> = Runtime::new(cfg);
-    rt.add_chare(ChareId(0), 0, Box::new(Fan { to: ChareId(1) }));
-    rt.add_chare(ChareId(1), 1, sink(1));
+fn net_oversized_envelope_falls_back_to_the_socket() {
+    const SIZES: [usize; 3] = [16, 4000, 16]; // frames take at most 2 KiB
+    let mut cfg = RuntimeConfig::net(2, 2);
+    cfg.net.transport = NetTransport::Shm;
+    cfg.net.shm_ring_bytes = 4096;
+    let mut rt: Runtime<Blob> = Runtime::new(cfg);
+    rt.add_chare(ChareId(0), 0, Box::new(Relay { to: ChareId(1) }));
+    rt.add_chare(ChareId(1), 1, Box::new(Tally));
     for phase in 0..2 {
-        let stats = rt.run_phase(vec![(
-            ChareId(0),
-            Hop {
-                remaining: BURST,
-                payload: 0,
-            },
-        )]);
+        let blobs = SIZES.map(|n| (ChareId(0), Blob(vec![7; n])));
+        let stats = rt.run_phase(blobs.into());
         let totals = stats.totals();
+        assert_eq!(stats.reduction(1), 3, "phase {phase}: every blob arrived");
+        assert_eq!(stats.reduction(0), SIZES.iter().sum::<usize>() as u64);
+        assert_eq!(totals.network_packets, 3, "one frame per remote message");
         assert_eq!(
-            stats.reduction(0),
-            u64::from(BURST),
-            "phase {phase}: every envelope arrived in its own phase"
+            totals.wire_frames_recv, 1,
+            "phase {phase}: only the oversized frame may take the socket"
         );
-        assert_eq!(totals.processed, u64::from(BURST) + 1);
-        assert_eq!(totals.wire_flush_idle, 1, "one lane, flushed once");
-        assert!(
-            totals.network_packets >= 5,
-            "the flush must have been split, got {} frames",
-            totals.network_packets
-        );
-        assert_eq!(
-            (totals.wire_frames_sent, totals.wire_bytes_sent),
-            (0, 0),
-            "phase {phase}: nothing may fall back to the socket"
-        );
+        assert!(totals.shm_frames_sent > 0);
     }
 }

@@ -79,54 +79,6 @@ impl SusMeta {
     };
 }
 
-/// A location's day buffer with visits grouped by sublocation at insert
-/// time. Groups are kept sorted by sublocation id, so the per-day kernel
-/// only has to order *within* each group (by start then person) instead of
-/// sorting the whole buffer on a three-field key. Group vectors persist
-/// across days ([`VisitBuffer::clear`] keeps capacity), so steady-state
-/// inserts never allocate.
-#[derive(Debug, Clone, Default)]
-pub struct VisitBuffer {
-    /// `(sublocation, visits)`, ordered by sublocation id.
-    groups: Vec<(u16, Vec<VisitMsg>)>,
-    /// Total visits across groups.
-    len: usize,
-}
-
-impl VisitBuffer {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert one visit into its sublocation's group.
-    pub fn push(&mut self, v: VisitMsg) {
-        self.len += 1;
-        match self.groups.binary_search_by_key(&v.sublocation, |g| g.0) {
-            Ok(i) => self.groups[i].1.push(v),
-            Err(i) => self.groups.insert(i, (v.sublocation, vec![v])),
-        }
-    }
-
-    /// Total buffered visits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer holds no visits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop all visits but keep every group's allocation for the next day.
-    pub fn clear(&mut self) {
-        for (_, g) in &mut self.groups {
-            g.clear();
-        }
-        self.len = 0;
-    }
-}
-
 /// Features the dynamic load model consumes (Figure 3b), accumulated per
 /// location per day.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -245,53 +197,6 @@ pub fn simulate_location_day(
             &mut features,
         );
         lo = hi;
-    }
-    features
-}
-
-/// Run one location's DES for one day over a pre-grouped [`VisitBuffer`].
-///
-/// Semantically identical to [`simulate_location_day`] on the same visits:
-/// the buffer already holds groups in ascending sublocation order, so only
-/// the (start, person) order within each group remains to be established.
-#[allow(clippy::too_many_arguments)]
-#[simlint_macros::hot_path]
-pub fn simulate_location_day_grouped(
-    buf: &mut VisitBuffer,
-    ptts: &Ptts,
-    classes: &InfectivityClasses,
-    r_eff: f64,
-    seed: u64,
-    day: u32,
-    scratch: &mut KernelScratch,
-    out: &mut Vec<InfectMsg>,
-) -> LocationDayFeatures {
-    let mut features = LocationDayFeatures {
-        events: 2 * buf.len as u64,
-        ..Default::default()
-    };
-    for (_, group) in &mut buf.groups {
-        if group.is_empty() {
-            continue;
-        }
-        // Same fast path as the flat entry point: a group without an
-        // infectious visitor contributes nothing beyond its (already
-        // counted) events.
-        if !group.iter().any(|v| classes.class(v.state).is_some()) {
-            continue;
-        }
-        group.sort_unstable_by_key(|v| ((v.start_min as u64) << 32) | v.person as u64);
-        simulate_sublocation(
-            group,
-            ptts,
-            classes,
-            r_eff,
-            seed,
-            day,
-            scratch,
-            out,
-            &mut features,
-        );
     }
     features
 }

@@ -12,7 +12,7 @@ use crate::kernel::{
 };
 use crate::messages::{slots, InfectMsg, SharedRef, SimMsg, VisitMsg};
 use crate::person::{person_day, PersonSlot};
-use chare_rt::{Chare, ChareId, Ctx};
+use chare_rt::{AggregationConfig, Chare, ChareId, Ctx};
 use ptts::model::StateId;
 
 /// Most visits (or infects) one batch message carries: about 20 KB of
@@ -21,23 +21,38 @@ use ptts::model::StateId;
 /// the phase.
 pub const BATCH_CAP: usize = 1024;
 
+/// The lane cap a runtime configuration asks for: [`BATCH_CAP`] with
+/// aggregation on, 1 with it off — one message per visit, the paper's
+/// "RR no-opt" traffic (§IV-C).
+pub(crate) fn lane_cap(aggregation: AggregationConfig) -> usize {
+    if aggregation.enabled {
+        BATCH_CAP
+    } else {
+        1
+    }
+}
+
 /// A manager's outgoing items for the phase in progress, one lane per
-/// destination chare: the application-aware aggregation of §IV-C. The
-/// manager knows a day's visits toward one LocationManager (or infects
-/// toward one PersonManager) form a batch, so each lane travels as one
-/// message per [`BATCH_CAP`] items instead of one message per item.
+/// destination chare: the application-aware aggregation of §IV-C, and the
+/// only aggregation level in the system. The manager knows a day's visits
+/// toward one LocationManager (or infects toward one PersonManager) form a
+/// batch, so each lane travels as one message per `cap` items instead of
+/// one message per item.
 struct Lanes<T> {
     /// Lane `i` is bound for chare `first_chare + i`.
     first_chare: u32,
+    /// Items per message ([`lane_cap`]).
+    cap: usize,
     /// The [`SimMsg`] variant that carries a lane.
     wrap: fn(Vec<T>) -> SimMsg,
     bufs: Vec<Vec<T>>,
 }
 
 impl<T> Lanes<T> {
-    fn new(first_chare: u32, n_lanes: u32, wrap: fn(Vec<T>) -> SimMsg) -> Self {
+    fn new(first_chare: u32, n_lanes: u32, cap: usize, wrap: fn(Vec<T>) -> SimMsg) -> Self {
         Lanes {
             first_chare,
+            cap,
             wrap,
             bufs: (0..n_lanes).map(|_| Vec::new()).collect(),
         }
@@ -47,9 +62,9 @@ impl<T> Lanes<T> {
     fn push(&mut self, to: u32, item: T, ctx: &mut Ctx<'_, SimMsg>) {
         let buf = &mut self.bufs[(to - self.first_chare) as usize];
         buf.push(item);
-        if buf.len() >= BATCH_CAP {
+        if buf.len() >= self.cap {
             // A lane that filled once will likely fill again today.
-            let full = std::mem::replace(buf, Vec::with_capacity(BATCH_CAP));
+            let full = std::mem::replace(buf, Vec::with_capacity(self.cap));
             ctx.send(ChareId(to), (self.wrap)(full));
         }
     }
@@ -91,12 +106,13 @@ impl PersonManager {
     pub fn with_states(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
         let k = shared.layout.k;
+        let lanes = Lanes::new(k, k, shared.lane_cap, SimMsg::Visits);
         PersonManager {
             shared,
             persons,
             symptomatic_state,
             visit_buf: Vec::new(),
-            lanes: Lanes::new(k, k, SimMsg::Visits),
+            lanes,
         }
     }
 
@@ -200,11 +216,7 @@ pub struct LocationManager {
     shared: SharedRef,
     /// Global location ids owned, ordered by local slot.
     locations: Vec<u32>,
-    /// Per-location visit buffer for the current day. Kept flat (the kernel
-    /// sorts by a packed sublocation/start/person key): insert-time grouping
-    /// via [`crate::kernel::VisitBuffer`] was measured slower end-to-end,
-    /// because it adds a binary search per received visit on the
-    /// message-receive path — see EXPERIMENTS.md "Performance methodology".
+    /// Per-location visit buffer for the current day.
     buffers: Vec<Vec<VisitMsg>>,
     classes: InfectivityClasses,
     /// DES working memory reused across locations and days.
@@ -226,7 +238,7 @@ impl LocationManager {
     pub fn new(shared: SharedRef, location_ids: Vec<u32>) -> Self {
         let n = location_ids.len();
         let classes = InfectivityClasses::new(&shared.ptts);
-        let lanes = Lanes::new(0, shared.layout.k, SimMsg::Infects);
+        let lanes = Lanes::new(0, shared.layout.k, shared.lane_cap, SimMsg::Infects);
         LocationManager {
             shared,
             locations: location_ids,

@@ -93,7 +93,8 @@ pub enum SimMsg {
     /// One PM → LM lane's visits: application-aware aggregation (§IV-C).
     /// The sender knows a day's visits toward one LocationManager form a
     /// batch, so it ships them as one message (at most
-    /// [`crate::managers::BATCH_CAP`] per message).
+    /// [`crate::managers::BATCH_CAP`] per message; one visit per message
+    /// with aggregation off).
     Visits(Vec<VisitMsg>),
     /// Phase 2 kick-off, sent to every LocationManager.
     ComputeDay {
@@ -382,6 +383,9 @@ pub struct Shared {
     pub r: f64,
     /// Simulation seed.
     pub seed: u64,
+    /// Items per visit/infect batch message: `BATCH_CAP`, or 1 with
+    /// aggregation off.
+    pub lane_cap: usize,
 }
 
 /// Shared handle.

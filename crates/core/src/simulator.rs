@@ -240,6 +240,7 @@ impl Simulator {
             layout: world.layout.clone(),
             r: cfg.r,
             seed: cfg.seed,
+            lane_cap: crate::managers::lane_cap(rt_cfg.aggregation),
         });
 
         // Choose initial infections deterministically (fresh runs only).

@@ -250,10 +250,10 @@ fn negative_control_lossy_transport_changes_the_epidemic() {
 
 /// What MAY vary across engines and benign plans: wall time, the
 /// aggregation setting, per-PE message splits. What must NOT: the curve
-/// hash. A day's visits travel as one batch per PM→LM lane, so each
-/// runtime lane holds at most one message here and aggregation has nothing
-/// to merge; that aggregation does change packet counts is pinned on a
-/// synthetic message storm in `crates/chare-rt/tests/conformance.rs`.
+/// hash. With aggregation off every visit and every infect is its own
+/// message (the count is pinned by `tests/end_to_end.rs`'s
+/// `no_opt_runtime_same_epidemic`), delivered here under a reordering
+/// plan.
 #[test]
 fn aggregation_setting_may_vary_but_curve_may_not() {
     let pop = pop();

@@ -55,21 +55,67 @@ fn full_pipeline_all_strategies_all_engines() {
     assert_eq!(run.curve, oracle);
 }
 
-/// The §IV optimizations change packet counts (pinned on a synthetic burst
-/// in `chare_rt::runtime`'s `no_opt_config_same_results_different_packets`),
-/// never the epidemic.
+/// Visits scheduled on the busiest PM→LM lane of `dist`. A day's visits
+/// are a filter of the schedule, so this bounds what a lane carries on any
+/// day.
+fn max_lane(dist: &DataDistribution, k: u32) -> u64 {
+    use episimdemics::synthpop::PersonId;
+    let mut lane = vec![0u64; (k * k) as usize];
+    for p in 0..dist.pop.n_people() {
+        for v in dist.pop.visits_of(PersonId(p)) {
+            let pm = dist.person_part[p as usize];
+            let lm = dist.location_part[v.location.0 as usize];
+            lane[(pm * k + lm) as usize] += 1;
+        }
+    }
+    *lane.iter().max().unwrap()
+}
+
+/// Person-phase messages with application-aware aggregation on: one
+/// `BeginDay` per PM plus at most ⌈lane / `BATCH_CAP`⌉ `Visits` batches on
+/// each of the k² PM→LM lanes.
+fn batched_person_phase_bound(dist: &DataDistribution, k: u32) -> u64 {
+    use episimdemics::core::managers::BATCH_CAP;
+    u64::from(k) + u64::from(k * k) * max_lane(dist, k).div_ceil(BATCH_CAP as u64)
+}
+
+/// `no_opt()` is the paper's "RR no-opt" traffic on the real runtime: with
+/// aggregation off every visit is its own message, so the person phase
+/// processes the k `BeginDay` messages plus exactly one message per visit,
+/// where the default stays within the batched bound. The epidemic is the
+/// same either way.
 #[test]
 fn no_opt_runtime_same_epidemic() {
     let pop = pop();
-    let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 4, 77);
-    let opt = Simulator::run_curve(&dist, flu_model(), cfg(), RuntimeConfig::sequential(4));
-    let noopt = Simulator::run_curve(
+    let k = 4u32;
+    let dist = DataDistribution::build(&pop, Strategy::RoundRobin, k, 77);
+    let opt = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(k)).run();
+    let noopt = Simulator::new(
         &dist,
         flu_model(),
         cfg(),
-        RuntimeConfig::sequential(4).no_opt(),
+        RuntimeConfig::sequential(k).no_opt(),
+    )
+    .run();
+    assert_eq!(
+        opt.curve, noopt.curve,
+        "§IV optimizations must not change results"
     );
-    assert_eq!(opt, noopt, "§IV optimizations must not change results");
+    let bound = batched_person_phase_bound(&dist, k);
+    for ((o, n), day) in opt.perf.iter().zip(&noopt.perf).zip(&opt.curve.days) {
+        assert_eq!(
+            n.person_phase.totals().processed,
+            u64::from(k) + day.visits,
+            "day {}: no-opt sends one message per visit",
+            day.day
+        );
+        let batched = o.person_phase.totals().processed;
+        assert!(
+            batched <= bound,
+            "day {}: {batched} person-phase messages, bound {bound}",
+            day.day
+        );
+    }
 }
 
 /// Application-aware aggregation (§IV-C): the person phase delivers one
@@ -80,27 +126,15 @@ fn no_opt_runtime_same_epidemic() {
 fn person_phase_sends_batches_per_lane_not_messages_per_visit() {
     use episimdemics::core::managers::BATCH_CAP;
     use episimdemics::core::messages::slots;
-    use episimdemics::synthpop::PersonId;
 
     let pop = pop();
     let k = 2u32;
     let dist = DataDistribution::build(&pop, Strategy::RoundRobin, k, 77);
-    // A day's visits are a filter of the schedule, so the scheduled visits
-    // of a lane bound what it carries on any day.
-    let mut lane = vec![0u64; (k * k) as usize];
-    for p in 0..dist.pop.n_people() {
-        for v in dist.pop.visits_of(PersonId(p)) {
-            let pm = dist.person_part[p as usize];
-            let lm = dist.location_part[v.location.0 as usize];
-            lane[(pm * k + lm) as usize] += 1;
-        }
-    }
-    let max_lane = *lane.iter().max().unwrap();
     assert!(
-        max_lane > BATCH_CAP as u64,
+        max_lane(&dist, k) > BATCH_CAP as u64,
         "a lane must overflow one batch or the cap is never exercised"
     );
-    let bound = u64::from(k) + u64::from(k * k) * max_lane.div_ceil(BATCH_CAP as u64);
+    let bound = batched_person_phase_bound(&dist, k);
 
     let oracle = run_sequential(&pop, &flu_model(), &cfg());
     let run = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(k)).run();
@@ -149,26 +183,6 @@ fn projection_pipeline_prefers_paper_winner() {
         "GP-splitLoc {gp_split} vs GP {}",
         secs["GP"]
     );
-}
-
-#[test]
-fn tram_routing_does_not_change_epidemic() {
-    let pop = pop();
-    let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 9, 77);
-    let mut rt = RuntimeConfig::sequential(9);
-    rt.smp.pes_per_process = 1;
-    let plain = Simulator::new(&dist, flu_model(), cfg(), rt).run();
-    let mut rt_tram = rt;
-    rt_tram.aggregation.tram_2d = true;
-    let tram = Simulator::new(&dist, flu_model(), cfg(), rt_tram).run();
-    assert_eq!(plain.curve, tram.curve);
-    // TRAM relays some visits via intermediate PEs.
-    let forwarded: u64 = tram
-        .perf
-        .iter()
-        .map(|p| p.person_phase.totals().forwarded)
-        .sum();
-    assert!(forwarded > 0, "expected TRAM relays on a 3x3 grid");
 }
 
 #[test]
@@ -253,7 +267,7 @@ fn larger_k_never_changes_epidemiology_only_performance() {
 /// Seed-sweep determinism: the same scenario across 8 simulation seeds
 /// must hash identically under {sequential, threaded, threaded without
 /// aggregation} — the per-seed epidemic is a property of the seed, never
-/// of the engine or the packet schedule (DESIGN.md §7).
+/// of the engine or the message schedule (DESIGN.md §7).
 #[test]
 fn seed_sweep_identical_hashes_across_engines() {
     let pop = Population::generate(&PopulationConfig::small("SWEEP", 1000, 13));

@@ -1,8 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions, exercised in
 //! combination: checkpointing across a rebalanced run, ensembles vs
 //! explicit replicates, endemic dynamics under interventions, and the
-//! everything-on configuration (TRAM + SMP + aggregation + splitLoc +
-//! threads) against the oracle.
+//! everything-on configuration (SMP + aggregation + splitLoc + threads)
+//! against the oracle.
 
 use episimdemics::chare_rt::RuntimeConfig;
 use episimdemics::core::checkpoint::{capture, Checkpoint};
@@ -34,15 +34,13 @@ fn cfg(days: u32) -> SimConfig {
 
 #[test]
 fn everything_on_matches_oracle() {
-    // TRAM + SMP processes + aggregation + GP-splitLoc + threads, all at
-    // once, against the plain sequential oracle.
+    // SMP processes + aggregation + GP-splitLoc + threads, all at once,
+    // against the plain sequential oracle.
     let pop = pop();
     let oracle = run_sequential(&pop, &flu_model(), &cfg(25));
     let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 6, 99);
     let mut rt = RuntimeConfig::threaded(3);
     rt.smp.pes_per_process = 1; // all inter-PE traffic takes the network path
-    rt.aggregation.tram_2d = true;
-    rt.aggregation.max_batch = 8;
     let run = Simulator::new(&dist, flu_model(), cfg(25), rt).run();
     assert_eq!(run.curve, oracle);
 }
