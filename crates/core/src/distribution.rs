@@ -9,7 +9,7 @@ use std::sync::Arc;
 use synthpop::Population;
 
 /// Distribution strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Strategy {
     /// Round-robin object → chare assignment (the original EpiSimdemics
     /// default).
@@ -144,6 +144,23 @@ impl DataDistribution {
         }
     }
 
+    /// Bytes this distribution holds on the heap: the population's node,
+    /// visit and offset arrays plus the three assignment vectors, each as
+    /// length × element size. A cache of built worlds charges this against
+    /// its budget.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let pop = &self.pop;
+        pop.code.len()
+            + size_of_val(pop.people.as_slice())
+            + size_of_val(pop.locations.as_slice())
+            + size_of_val(pop.visits.as_slice())
+            + size_of_val(pop.person_offsets.as_slice())
+            + size_of_val(self.person_part.as_slice())
+            + size_of_val(self.location_part.as_slice())
+            + size_of_val(self.orig_of_location.as_slice())
+    }
+
     /// Persons assigned to partition `p`, ascending.
     pub fn persons_of(&self, p: u32) -> Vec<u32> {
         (0..self.pop.n_people())
@@ -263,6 +280,21 @@ mod tests {
             let total: usize = (0..5).map(|q| d.persons_of(q).len()).sum();
             assert_eq!(total, d.pop.n_people() as usize);
         }
+    }
+
+    #[test]
+    fn heap_bytes_grows_with_the_population() {
+        let small = DataDistribution::build(&pop(), Strategy::RoundRobin, 4, 1);
+        let big = DataDistribution::build(
+            &Population::generate(&PopulationConfig::small("T", 8000, 17)),
+            Strategy::RoundRobin,
+            4,
+            1,
+        );
+        // The visit array dominates, and it grows with the population.
+        let visits = std::mem::size_of_val(small.pop.visits.as_slice());
+        assert!(visits < small.heap_bytes() && small.heap_bytes() < 2 * visits);
+        assert!(big.heap_bytes() > small.heap_bytes() * 3 / 2);
     }
 
     #[test]

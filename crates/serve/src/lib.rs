@@ -20,6 +20,8 @@
 //! * [`queue`] — the bounded FIFO+priority scheduler queue.
 //! * [`manager`] — registry, transition log, lease protocol, topics.
 //! * [`pool`] — worker threads driving the four engines.
+//! * `worlds` — the bounded, single-flight world cache every lease takes
+//!   its population and partition from.
 //! * [`pubsub`] — per-job broadcast with a bounded lagging-subscriber
 //!   drop policy.
 //! * [`server`] / [`client`] — the TCP front-end and the blocking client.
@@ -34,6 +36,7 @@ pub mod pubsub;
 pub mod queue;
 pub mod server;
 pub mod timer;
+mod worlds;
 
 pub use client::{Client, ClientError, EventStream};
 pub use job::{EngineSel, JobId, JobSpec, JobState, Priority, ResourceHints, ScenarioSource};
@@ -43,3 +46,4 @@ pub use protocol::{Event, ProtoError, Request, Response};
 pub use pubsub::{Subscription, Topic};
 pub use server::{Server, ServerConfig};
 pub use timer::{Deadline, Stopwatch};
+pub use worlds::WorldCacheStats;

@@ -12,6 +12,12 @@
 //! `"<seq> job=<id> <from> -> <to>"` — `seq` is a process-monotonic
 //! counter, not a wall-clock timestamp, keeping the control plane inside
 //! the repo's determinism rules (simlint R2).
+//!
+//! The job table is bounded: at most [`RETAINED_TERMINAL_JOBS`] finished
+//! jobs (completed, failed or cancelled) keep their record and topic, and
+//! the one that finished longest ago is forgotten first. Queued, running
+//! and paused jobs are never forgotten; `transitions.log` keeps the whole
+//! history.
 
 use crate::job::{EngineSel, JobId, JobSpec, JobState};
 use crate::protocol::Event;
@@ -19,11 +25,16 @@ use crate::pubsub::{Subscription, Topic};
 use crate::queue::JobQueue;
 use episim_core::output::curve_hash;
 use episim_core::DayStats;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// Finished jobs whose record and topic the manager keeps (a few KB
+/// each: spec, curve, terminal event); a request about an older one gets
+/// `NoSuchJob`.
+pub const RETAINED_TERMINAL_JOBS: usize = 256;
 
 /// Control-flag values a running worker polls at each day boundary.
 pub mod ctl {
@@ -147,6 +158,8 @@ struct ManagerState {
     queue: JobQueue,
     flags: BTreeMap<JobId, Arc<AtomicU8>>,
     running: BTreeMap<u8, u32>,
+    /// Terminal jobs still in `jobs`, in the order they finished.
+    finished: VecDeque<JobId>,
     next_id: JobId,
     seq: u64,
     log: std::fs::File,
@@ -181,6 +194,7 @@ impl Manager {
                 queue: JobQueue::new(queue_cap),
                 flags: BTreeMap::new(),
                 running: BTreeMap::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
                 seq: 0,
                 log,
@@ -309,7 +323,7 @@ impl Manager {
         st.jobs.get(&job).map(|r| (r.state, r.days.len() as u32))
     }
 
-    /// Every job, id-ascending.
+    /// Every job still retained, id-ascending.
     pub fn list(&self) -> Vec<(JobId, JobState)> {
         let st = self.lock_state();
         st.jobs.iter().map(|(&id, r)| (id, r.state)).collect()
@@ -588,6 +602,23 @@ fn transition(st: &mut ManagerState, job: JobId, to: JobState) {
     log_line(st, job, Some(from), to);
     if let Some(topic) = st.topics.get(&job) {
         topic.publish(Event::State { job, state: to });
+    }
+    if to.is_terminal() {
+        retire(st, job);
+    }
+}
+
+/// Count `job` among the finished ones and forget the oldest beyond
+/// [`RETAINED_TERMINAL_JOBS`]. A subscriber already attached to a
+/// forgotten job keeps its stream: it holds the topic, and the terminal
+/// event was published before the job could be forgotten.
+fn retire(st: &mut ManagerState, job: JobId) {
+    st.finished.push_back(job);
+    while st.finished.len() > RETAINED_TERMINAL_JOBS {
+        if let Some(old) = st.finished.pop_front() {
+            st.jobs.remove(&old);
+            st.topics.remove(&old);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The worker pool: OS threads that lease jobs from the
-//! [`Manager`], build the world, and drive the engines through the
-//! day-boundary lifecycle hooks ([`Simulator::run_days_observed`]).
+//! [`Manager`], take the job's world from the [`WorldCache`], and drive
+//! the engines through the day-boundary lifecycle hooks
+//! ([`Simulator::run_days_observed`]).
 //!
 //! A worker is a pure consumer of the lease protocol:
 //!
@@ -18,9 +19,10 @@
 
 use crate::job::{EngineSel, JobSpec, ScenarioSource};
 use crate::manager::{ctl, Lease, Manager};
+use crate::worlds::{WorldCache, WorldSpec};
 use episim_core::{
-    CowWorld, DataDistribution, DayControl, EngineChoice, EnsembleSpec, RunHalt, SimConfig,
-    Simulator, Strategy,
+    CowWorld, DataDistribution, DayControl, EngineChoice, EnsembleSpec, ResultStore, RunHalt,
+    SimConfig, Simulator,
 };
 use ptts::dsl::Scenario;
 use ptts::intervention::InterventionSet;
@@ -28,7 +30,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use synthpop::{Population, PopulationConfig};
 
 /// Pool sizing.
 #[derive(Debug, Clone, Copy)]
@@ -48,14 +49,16 @@ pub struct Pool {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// Spawn `cfg.workers` lease-loop threads against `manager`.
-pub fn spawn(manager: Arc<Manager>, cfg: PoolConfig) -> Pool {
+/// Spawn `cfg.workers` lease-loop threads against `manager`, all taking
+/// their worlds from `worlds`.
+pub(crate) fn spawn(manager: Arc<Manager>, worlds: Arc<WorldCache>, cfg: PoolConfig) -> Pool {
     let handles = (0..cfg.workers.max(1))
         .map(|i| {
             let mgr = Arc::clone(&manager);
+            let worlds = Arc::clone(&worlds);
             std::thread::Builder::new()
                 .name(format!("episerve-worker-{i}"))
-                .spawn(move || worker_loop(&mgr))
+                .spawn(move || worker_loop(&mgr, &worlds))
                 .unwrap_or_else(|e| panic!("spawn worker {i}: {e}"))
         })
         .collect();
@@ -72,10 +75,10 @@ impl Pool {
     }
 }
 
-fn worker_loop(mgr: &Manager) {
+fn worker_loop(mgr: &Manager, worlds: &WorldCache) {
     while let Some(lease) = mgr.lease() {
         let job = lease.job;
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_lease(mgr, &lease)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_lease(mgr, worlds, &lease)));
         if let Err(payload) = outcome {
             let msg = payload
                 .downcast_ref::<String>()
@@ -104,29 +107,49 @@ fn effective_config(spec: &JobSpec, scenario: &Scenario) -> SimConfig {
     }
 }
 
-/// Build the world a spec describes. Deterministic in the spec: the same
-/// hints + seed always produce the same population and distribution,
-/// which is what makes server-side curve hashes comparable to direct
-/// runs of the same spec.
-fn build_distribution(spec: &JobSpec, cfg: &SimConfig) -> DataDistribution {
-    let pop = Population::generate(&PopulationConfig::small(
-        &spec.name,
-        spec.hints.pop_size,
-        spec.hints.pop_seed,
-    ));
-    DataDistribution::build(
-        &pop,
-        Strategy::GraphPartition,
-        spec.hints.n_partitions,
-        cfg.seed,
-    )
+/// The engine a single-curve job runs on; `None` for ensemble sweeps.
+fn engine_choice(engine: EngineSel) -> Option<EngineChoice> {
+    match engine {
+        EngineSel::Seq => Some(EngineChoice::Seq),
+        EngineSel::Threads => Some(EngineChoice::Threads),
+        EngineSel::Vt => Some(EngineChoice::Vt),
+        // In-server net jobs run standalone: the SPMD launcher re-execs
+        // the current binary, which must never fork extra servers.
+        EngineSel::Net => Some(EngineChoice::Net),
+        EngineSel::Ensemble => None,
+    }
+}
+
+/// A sweep job's ensemble over `dist`; `None` when the source is not a
+/// sweep.
+fn sweep(
+    source: &ScenarioSource,
+    scenario: &Scenario,
+    cfg: &SimConfig,
+    dist: &DataDistribution,
+) -> Option<ResultStore> {
+    let ScenarioSource::Sweep {
+        r_values,
+        replicates,
+        workers,
+        ..
+    } = source
+    else {
+        return None;
+    };
+    let world = CowWorld::build(dist, scenario.ptts.clone());
+    let grid = EnsembleSpec::grid(cfg, r_values, *replicates);
+    Some(episim_core::run_sweep(&world, &grid, *workers))
 }
 
 /// Run a spec's *uninterrupted twin* in-process and return its curve
-/// hash: exactly the world-building and engine selection a pool worker
-/// performs, minus the service machinery. The demo and the lifecycle
-/// tests compare server completion events against this — the
-/// service-ification determinism check.
+/// hash (for an ensemble sweep, its `ResultStore` hash): exactly the
+/// world-building and engine selection a pool worker performs, minus the
+/// service machinery and minus the world cache. It builds its world
+/// through [`WorldSpec::build`] every time, so it stays independent of
+/// anything a server has kept; the demo and the lifecycle tests compare
+/// server completion events against it — the service-ification
+/// determinism check.
 pub fn reference_hash(spec: &JobSpec) -> Result<u64, String> {
     let scenario: Scenario = spec
         .source
@@ -134,21 +157,17 @@ pub fn reference_hash(spec: &JobSpec) -> Result<u64, String> {
         .parse()
         .map_err(|e| format!("scenario DSL does not parse: {e}"))?;
     let cfg = effective_config(spec, &scenario);
-    let dist = build_distribution(spec, &cfg);
-    let choice = match spec.engine {
-        EngineSel::Seq => EngineChoice::Seq,
-        EngineSel::Threads => EngineChoice::Threads,
-        EngineSel::Vt => EngineChoice::Vt,
-        EngineSel::Net => EngineChoice::Net,
-        EngineSel::Ensemble => {
-            return Err("ensemble jobs have no single-curve twin".to_string());
-        }
+    let dist = WorldSpec::of(spec, cfg.seed).build();
+    let Some(choice) = engine_choice(spec.engine) else {
+        return sweep(&spec.source, &scenario, &cfg, &dist)
+            .map(|store| store.hash())
+            .ok_or_else(|| "ensemble job without a sweep source".to_string());
     };
     let rt_cfg = choice.runtime_config(spec.hints.n_pes, 1);
     Ok(Simulator::run_curve(&dist, scenario.ptts.clone(), cfg, rt_cfg).hash())
 }
 
-fn run_lease(mgr: &Manager, lease: &Lease) {
+fn run_lease(mgr: &Manager, worlds: &WorldCache, lease: &Lease) {
     let job = lease.job;
     let scenario: Scenario = match lease.spec.source.dsl().parse() {
         Ok(s) => s,
@@ -158,11 +177,11 @@ fn run_lease(mgr: &Manager, lease: &Lease) {
         }
     };
     let cfg = effective_config(&lease.spec, &scenario);
-    let dist = build_distribution(&lease.spec, &cfg);
+    let dist = worlds.get(&WorldSpec::of(&lease.spec, cfg.seed));
 
-    match lease.spec.engine {
-        EngineSel::Ensemble => run_ensemble_lease(mgr, lease, &scenario, &cfg, &dist),
-        engine => run_engine_lease(mgr, lease, engine, &scenario, cfg, &dist),
+    match engine_choice(lease.spec.engine) {
+        None => run_ensemble_lease(mgr, lease, &scenario, &cfg, &dist),
+        Some(choice) => run_engine_lease(mgr, lease, choice, &scenario, cfg, &dist),
     }
 }
 
@@ -181,19 +200,10 @@ fn run_ensemble_lease(
         mgr.finish_cancelled(job);
         return;
     }
-    let ScenarioSource::Sweep {
-        r_values,
-        replicates,
-        workers,
-        ..
-    } = &lease.spec.source
-    else {
+    let Some(store) = sweep(&lease.spec.source, scenario, cfg, dist) else {
         mgr.finish_failed(job, "ensemble job without a sweep source".into());
         return;
     };
-    let world = CowWorld::build(dist, scenario.ptts.clone());
-    let sweep = EnsembleSpec::grid(cfg, r_values, *replicates);
-    let store = episim_core::run_sweep(&world, &sweep, *workers);
     mgr.note_seeds(job, cfg.initial_infections as u64);
     let members = (store.n_points() * store.n_seeds()) as u32;
     mgr.finish_sweep_completed(job, members, store.hash());
@@ -202,24 +212,12 @@ fn run_ensemble_lease(
 fn run_engine_lease(
     mgr: &Manager,
     lease: &Lease,
-    engine: EngineSel,
+    choice: EngineChoice,
     scenario: &Scenario,
     cfg: SimConfig,
     dist: &DataDistribution,
 ) {
     let job = lease.job;
-    let choice = match engine {
-        EngineSel::Seq => EngineChoice::Seq,
-        EngineSel::Threads => EngineChoice::Threads,
-        EngineSel::Vt => EngineChoice::Vt,
-        // In-server net jobs run standalone: the SPMD launcher re-execs
-        // the current binary, which must never fork extra servers.
-        EngineSel::Net => EngineChoice::Net,
-        EngineSel::Ensemble => {
-            mgr.finish_failed(job, "ensemble engine reached the engine path".into());
-            return;
-        }
-    };
     let rt_cfg = choice.runtime_config(lease.spec.hints.n_pes, 1);
     let end = cfg.days;
 
@@ -271,5 +269,91 @@ fn run_engine_lease(
                 Err(e) => mgr.finish_failed(job, format!("checkpoint save failed: {e}")),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::Priority;
+    use crate::worlds::WORLD_CACHE_BUDGET;
+    use episim_core::Strategy;
+
+    /// The world a lease for `spec` asks the cache for.
+    fn key_of(spec: &JobSpec) -> WorldSpec {
+        let scenario: Scenario = spec.source.dsl().parse().expect("scenario parses");
+        WorldSpec::of(spec, effective_config(spec, &scenario).seed)
+    }
+
+    /// Changing any input of the world is a miss; changing anything else a
+    /// job carries is a hit on the world already built.
+    #[test]
+    fn world_key_is_exactly_the_world_inputs() {
+        let dsl =
+            |r: f64, seed: u64| format!("{}\nsim days=5 r={r} seed={seed}\n", ptts::dsl::FLU_DSL);
+        let mut base = JobSpec::dsl("key", &dsl(3e-4, 11), EngineSel::Seq);
+        base.hints.pop_size = 60;
+        base.hints.n_partitions = 2;
+        let variant = |change: &dyn Fn(&mut JobSpec)| {
+            let mut spec = base.clone();
+            change(&mut spec);
+            spec
+        };
+        let cache = WorldCache::new(WORLD_CACHE_BUDGET);
+        cache.get(&key_of(&base));
+
+        let same_world = [
+            ("days", variant(&|s| s.days = Some(9))),
+            (
+                "DSL r",
+                variant(&|s| s.source = ScenarioSource::Dsl(dsl(9e-4, 11))),
+            ),
+            ("engine", variant(&|s| s.engine = EngineSel::Vt)),
+            ("priority", variant(&|s| s.priority = Priority::High)),
+            ("throttle", variant(&|s| s.hints.throttle_ms = 20)),
+            ("PEs", variant(&|s| s.hints.n_pes = 4)),
+            (
+                "sweep over the same world",
+                variant(&|s| {
+                    s.engine = EngineSel::Ensemble;
+                    s.source = ScenarioSource::Sweep {
+                        dsl: dsl(3e-4, 11),
+                        r_values: vec![1e-4],
+                        replicates: 1,
+                        workers: 1,
+                    };
+                }),
+            ),
+        ];
+        for (what, spec) in &same_world {
+            cache.get(&key_of(spec));
+            assert_eq!(cache.stats().misses, 1, "changing {what} rebuilt the world");
+        }
+
+        let other_worlds = [
+            ("name", variant(&|s| s.name = "other".into())),
+            ("pop_size", variant(&|s| s.hints.pop_size = 61)),
+            ("pop_seed", variant(&|s| s.hints.pop_seed += 1)),
+            ("n_partitions", variant(&|s| s.hints.n_partitions = 3)),
+            ("seed override", variant(&|s| s.seed = Some(12))),
+            (
+                "DSL seed",
+                variant(&|s| s.source = ScenarioSource::Dsl(dsl(3e-4, 13))),
+            ),
+        ];
+        for (i, (what, spec)) in other_worlds.iter().enumerate() {
+            cache.get(&key_of(spec));
+            assert_eq!(
+                cache.stats().misses,
+                2 + i as u64,
+                "changing {what} reused a world"
+            );
+        }
+        let mut round_robin = key_of(&base);
+        round_robin.strategy = Strategy::RoundRobin;
+        cache.get(&round_robin);
+        let st = cache.stats();
+        assert_eq!(st.misses, 2 + other_worlds.len() as u64, "strategy");
+        assert_eq!(st.hits, same_world.len() as u64);
     }
 }

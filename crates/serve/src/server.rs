@@ -17,6 +17,7 @@ use crate::pool::{self, Pool, PoolConfig};
 use crate::protocol::{
     decode_request, encode_event, encode_response, errcode, kind, Request, Response, MAGIC, VERSION,
 };
+use crate::worlds::{WorldCache, WorldCacheStats, WORLD_CACHE_BUDGET};
 use chare_rt::{read_frame, write_frame};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -73,6 +74,7 @@ struct Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    worlds: Arc<WorldCache>,
     accept: Option<JoinHandle<()>>,
     pool: Option<Pool>,
 }
@@ -81,7 +83,8 @@ impl Server {
     /// Bind, spawn the pool and the accept loop, and return immediately.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let manager = Manager::new(cfg.data_dir.clone(), cfg.queue_cap, cfg.topic_cap, cfg.caps)?;
-        let pool = pool::spawn(Arc::clone(&manager), cfg.pool);
+        let worlds = Arc::new(WorldCache::new(WORLD_CACHE_BUDGET));
+        let pool = pool::spawn(Arc::clone(&manager), Arc::clone(&worlds), cfg.pool);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -96,6 +99,7 @@ impl Server {
         Ok(Server {
             addr,
             shared,
+            worlds,
             accept: Some(accept),
             pool: Some(pool),
         })
@@ -109,6 +113,11 @@ impl Server {
     /// Direct handle on the manager (tests inspect job state with it).
     pub fn manager(&self) -> Arc<Manager> {
         Arc::clone(&self.shared.manager)
+    }
+
+    /// The world cache's hits, misses, evictions and occupancy so far.
+    pub fn world_cache_stats(&self) -> WorldCacheStats {
+        self.worlds.stats()
     }
 
     /// Begin shutdown: stop accepting, cancel queued jobs, arm

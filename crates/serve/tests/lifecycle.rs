@@ -1,6 +1,7 @@
 //! End-to-end lifecycle tests over localhost TCP: submit → stream →
 //! pause → resume → cancel, the cross-engine pause/resume determinism
-//! pin, and the no-orphan guarantee after cancel + shutdown.
+//! pin, the world cache's hash-neutrality, the bounded job table, and the
+//! no-orphan guarantee after cancel + shutdown.
 
 use episerve::{
     reference_hash, Client, Deadline, EngineSel, Event, EventStream, JobId, JobSpec, JobState,
@@ -131,6 +132,9 @@ fn pause_resume_hash_is_bit_identical_across_all_engines() {
             engine.as_str()
         );
     }
+    // Each resumed lease took the world its first lease built.
+    let worlds = server.world_cache_stats();
+    assert_eq!((worlds.misses, worlds.hits), (4, 4), "{worlds:?}");
 
     server.shutdown();
     server.join();
@@ -204,7 +208,9 @@ fn cancel_mid_run_leaves_no_orphans() {
 
 /// The full service loop over the wire: mixed-engine concurrent jobs,
 /// status, listing, illegal transitions as typed errors, ensemble jobs,
-/// and wire-driven shutdown.
+/// and wire-driven shutdown. Every spec runs twice: the second lease takes
+/// the world the first one built, and both completions hash equal to the
+/// uncached reference twin.
 #[test]
 fn mixed_engine_service_loop() {
     let (server, addr) = start_server("mixed", 3);
@@ -218,17 +224,17 @@ fn mixed_engine_service_loop() {
         .expect_err("bad spec must be refused");
     assert!(err.to_string().contains("does not parse"), "{err}");
 
-    // Mixed engines, submitted together.
-    let jobs: Vec<(JobId, JobSpec)> = [EngineSel::Seq, EngineSel::Threads, EngineSel::Vt]
-        .into_iter()
-        .enumerate()
-        .map(|(i, engine)| {
-            let spec = small_spec(&format!("mix-{i}"), engine);
-            (client.submit(&spec).expect("submit"), spec)
-        })
-        .collect();
-
-    // An ensemble sweep rides alongside.
+    // Mixed engines plus an ensemble sweep, each submitted twice.
+    let mut specs: Vec<JobSpec> = [
+        EngineSel::Seq,
+        EngineSel::Threads,
+        EngineSel::Vt,
+        EngineSel::Net,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, engine)| small_spec(&format!("mix-{i}"), engine))
+    .collect();
     let mut sweep = small_spec("sweep", EngineSel::Ensemble);
     sweep.source = episerve::ScenarioSource::Sweep {
         dsl: scenario_dsl(),
@@ -236,34 +242,47 @@ fn mixed_engine_service_loop() {
         replicates: 2,
         workers: 2,
     };
-    let sweep_job = client.submit(&sweep).expect("submit sweep");
+    specs.push(sweep);
+    let jobs: Vec<(JobId, &JobSpec)> = specs
+        .iter()
+        .chain(&specs)
+        .map(|spec| (client.submit(spec).expect("submit"), spec))
+        .collect();
 
     // Pausing an ensemble job is a typed refusal, not a hang.
+    let sweep_job = jobs[specs.len() - 1].0;
     let err = client.pause(sweep_job).expect_err("ensemble pause refused");
     assert!(err.to_string().contains("atomically"), "{err}");
 
     for (job, spec) in &jobs {
         let (_, stream) = client.subscribe(*job).expect("subscribe");
         let terminal = stream.drain(|_| {}).expect("terminal");
-        let Event::Completed { curve_hash, .. } = terminal else {
+        let Event::Completed {
+            curve_hash, days, ..
+        } = terminal
+        else {
             panic!("job {job} ended {terminal:?}");
         };
-        assert_eq!(curve_hash, reference_hash(spec).expect("twin"));
+        assert_eq!(
+            curve_hash,
+            reference_hash(spec).expect("twin"),
+            "job {job} ({})",
+            spec.engine.as_str()
+        );
+        if spec.engine == EngineSel::Ensemble {
+            assert_eq!(days, 4, "2 r-values x 2 replicates");
+        }
     }
-    let (_, sweep_stream) = client.subscribe(sweep_job).expect("subscribe sweep");
-    let terminal = sweep_stream.drain(|_| {}).expect("terminal");
-    let Event::Completed {
-        curve_hash, days, ..
-    } = terminal
-    else {
-        panic!("sweep ended {terminal:?}");
-    };
-    assert_ne!(curve_hash, 0, "sweep summary carries the store hash");
-    assert_eq!(days, 4, "2 r-values x 2 replicates");
+    let worlds = server.world_cache_stats();
+    assert_eq!(
+        (worlds.misses, worlds.hits, worlds.evictions, worlds.entries),
+        (5, 5, 0, 5),
+        "one miss and one hit per spec: {worlds:?}"
+    );
 
     // Listing shows every job terminal.
     let listed = client.list().expect("list");
-    assert_eq!(listed.len(), 4);
+    assert_eq!(listed.len(), jobs.len());
     assert!(listed.iter().all(|(_, s)| s.is_terminal()));
 
     // Unknown job ids are typed errors on every lifecycle verb.
@@ -279,6 +298,59 @@ fn mixed_engine_service_loop() {
 
     // Wire-driven shutdown: Bye, then the server drains.
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// The job table keeps the most recent `RETAINED_TERMINAL_JOBS` finished
+/// jobs: an older id is a typed `NoSuchJob` on every verb, and a late
+/// subscriber to a retained one still gets its replay and terminal event.
+#[test]
+fn finished_jobs_beyond_the_cap_are_forgotten_oldest_first() {
+    const JOBS: u64 = 300;
+    let retained = episerve::manager::RETAINED_TERMINAL_JOBS as u64;
+    let (server, addr) = start_server("retire", 2);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut spec = small_spec("retire", EngineSel::Seq);
+    spec.hints.pop_size = 50;
+    spec.hints.throttle_ms = 0;
+    spec.days = Some(1);
+    for want in 1..=JOBS {
+        let job = client.submit(&spec).expect("submit");
+        assert_eq!(job, want);
+        let (_, stream) = client.subscribe(job).expect("subscribe");
+        stream.drain(|_| {}).expect("terminal");
+    }
+
+    let listed = client.list().expect("list");
+    assert_eq!(listed.len() as u64, retained);
+    assert!(listed.iter().all(|(_, s)| s.is_terminal()));
+    let oldest_kept = JOBS - retained + 1;
+    assert_eq!(listed.first().map(|(id, _)| *id), Some(oldest_kept));
+
+    let forgotten = oldest_kept - 1;
+    for result in [
+        client.status(forgotten).err(),
+        client.cancel(forgotten).err(),
+        EventStream::open(&addr, forgotten).err(),
+    ] {
+        let err = result.expect("a forgotten job must error");
+        assert!(
+            err.to_string().contains(&format!("no job {forgotten}")),
+            "{err}"
+        );
+    }
+
+    let (state, stream) = client.subscribe(oldest_kept).expect("subscribe");
+    assert_eq!(state, JobState::Completed);
+    let mut days = 0u32;
+    let terminal = stream.drain(|_| days += 1).expect("terminal");
+    assert!(
+        matches!(terminal, Event::Completed { days: 1, .. }),
+        "{terminal:?}"
+    );
+    assert_eq!(days, 1, "replay before the terminal event");
+
+    server.shutdown();
     server.join();
 }
 

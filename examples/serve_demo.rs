@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Prints a per-job table plus the two service metrics EXPERIMENTS.md
-//! records: completed jobs/sec and first-curve-point stream latency.
+//! records: completed jobs/sec and first-curve-point stream latency, and
+//! at shutdown the world cache's counters.
 
 use episimdemics::episerve::{
     reference_hash, Client, EngineSel, Event, JobId, JobSpec, JobState, PoolConfig, Server,
@@ -171,6 +172,15 @@ fn main() {
     println!("mean stream latency to first curve point: {mean_latency:.1}ms");
     println!("paused-then-resumed job {pause_job} matched its uninterrupted twin bit-for-bit");
 
+    let worlds = server.world_cache_stats();
+    println!(
+        "world cache: {} hits, {} misses, {} evictions; {} worlds kept in {:.0} KB",
+        worlds.hits,
+        worlds.misses,
+        worlds.evictions,
+        worlds.entries,
+        worlds.resident_bytes as f64 / 1024.0
+    );
     client.shutdown().expect("shutdown");
     server.join();
     println!("server drained cleanly");
