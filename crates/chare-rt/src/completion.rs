@@ -21,7 +21,7 @@ pub struct CompletionDetector {
     produced: Vec<AtomicU64>,
     consumed: Vec<AtomicU64>,
     idle: Vec<AtomicBool>,
-    /// Set by the coordinator when the phase has completed; workers poll it.
+    /// Set by the one caller of [`Self::claim_done`] that closes the phase.
     done: AtomicBool,
 }
 
@@ -69,16 +69,14 @@ impl CompletionDetector {
         self.idle[pe as usize].store(idle, Ordering::SeqCst);
     }
 
-    /// Coordinator: has the phase been declared complete?
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::SeqCst)
-    }
-
-    /// Coordinator marks the phase complete; workers observe via
-    /// [`Self::is_done`].
-    pub fn mark_done(&self) {
-        self.done.store(true, Ordering::SeqCst);
+    /// Claim the close of a phase whose completion [`Self::try_detect`]
+    /// has just confirmed. Several PEs may detect the same completion;
+    /// exactly one call per phase returns `true`, and its caller closes
+    /// the phase.
+    pub fn claim_done(&self) -> bool {
+        self.done
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     }
 
     fn snapshot(&self) -> Option<(u64, u64)> {
@@ -92,7 +90,8 @@ impl CompletionDetector {
     }
 
     /// One two-wave detection attempt. Returns `true` when completion is
-    /// certain. Non-blocking; the coordinator calls this in a loop.
+    /// certain. Non-blocking; a PE calls it right after raising its idle
+    /// flag, because only an idle transition can complete a phase.
     pub fn try_detect(&self) -> bool {
         let Some((p1, c1)) = self.snapshot() else {
             return false;
@@ -163,12 +162,35 @@ mod tests {
         cd.produce(0, 5);
         cd.consume(0, 5);
         cd.set_idle(0, true);
-        cd.mark_done();
-        assert!(cd.is_done());
+        assert!(cd.claim_done());
+        assert!(!cd.claim_done(), "a phase closes once");
         cd.reset();
-        assert!(!cd.is_done());
         assert_eq!(cd.total_produced(), 0);
         assert!(!cd.try_detect(), "idle flags must reset too");
+        assert!(cd.claim_done(), "reset reopens the claim");
+    }
+
+    #[test]
+    fn claim_done_has_exactly_one_winner() {
+        for _ in 0..200 {
+            let cd = Arc::new(CompletionDetector::new(8));
+            let start = Arc::new(std::sync::Barrier::new(8));
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    let (cd, start) = (cd.clone(), start.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        cd.claim_done()
+                    })
+                })
+                .collect();
+            let winners = handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .filter(|&won| won)
+                .count();
+            assert_eq!(winners, 1);
+        }
     }
 
     #[test]

@@ -179,10 +179,10 @@ pub struct RuntimeConfig {
     /// Keep [`FaultPlan::none`] elsewhere (the default).
     pub faults: FaultPlan,
     /// Threaded/net-engine phase watchdog in seconds (`0` = disabled): if
-    /// completion detection has not fired after this long, the coordinator
-    /// panics with the detector's counters instead of spinning forever — a
-    /// hung conformance run becomes a diagnosable failure, not a CI
-    /// timeout.
+    /// a phase has not closed after this long (on `threads`: no PE has
+    /// reported the close for this long), the coordinator panics with the
+    /// detector's counters instead of waiting forever — a hung
+    /// conformance run becomes a diagnosable failure, not a CI timeout.
     pub watchdog_secs: u16,
     /// Networked-engine settings, honoured only by [`ExecMode::Net`].
     pub net: NetConfig,

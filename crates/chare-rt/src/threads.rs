@@ -3,14 +3,20 @@
 //!
 //! The protocol per phase:
 //!
-//! 1. the coordinator resets the [`CompletionDetector`], sends `PhaseStart`
-//!    to every worker, then injects the phase's seed messages (counted as
-//!    produced);
+//! 1. the coordinator resets the [`CompletionDetector`] and counts every
+//!    injection as produced, then sends `PhaseStart` to every worker and the
+//!    injections after it, so no worker can see an empty phase while an
+//!    injection is still in flight;
 //! 2. workers drain their channels, execute chares, and send each message
-//!    on at once; when a worker runs dry it raises its idle flag;
-//! 3. the coordinator runs two-wave detection; on success it marks the
-//!    phase done, workers observe the flag, report their counters, and
-//!    block awaiting the next `PhaseStart`.
+//!    on at once; a worker that runs dry raises its idle flag and runs the
+//!    two-wave detection itself, since its idle transition may be the one
+//!    that completes the phase;
+//! 3. the one worker whose detection succeeds and whose
+//!    [`CompletionDetector::claim_done`] wins sends `PhaseEnd` to every
+//!    other worker; each worker reports its counters on `PhaseEnd` (the
+//!    winner at once) and blocks awaiting the next `PhaseStart`. Nothing
+//!    polls: idle workers block in `recv`, the coordinator blocks on the
+//!    stats channel.
 
 use crate::chare::{Chare, ChareId, Ctx, Envelope, Message, Sender};
 use crate::completion::CompletionDetector;
@@ -25,6 +31,16 @@ use std::time::{Duration, Instant};
 enum Item<M> {
     Direct(Envelope<M>),
     PhaseStart,
+    /// The phase is complete: report counters and await the next phase.
+    PhaseEnd,
+    Shutdown,
+}
+
+/// How a worker's phase loop ends.
+enum PhaseExit {
+    /// The phase closed; report counters.
+    Closed,
+    /// The engine is shutting down.
     Shutdown,
 }
 
@@ -103,17 +119,17 @@ impl<M: Message> Worker<M> {
         self.out.items = items;
     }
 
-    /// Process one inbound item; returns `false` for control items that end
-    /// the phase loop.
-    fn handle(&mut self, item: Item<M>) -> bool {
+    /// Process one inbound item; `Some` when it ends the phase loop.
+    fn handle(&mut self, item: Item<M>) -> Option<PhaseExit> {
         match item {
             Item::Direct(env) => {
                 self.execute(env);
                 self.cd.consume(self.pe, 1);
-                true
+                None
             }
-            Item::PhaseStart => true, // late arrival; nothing to do
-            Item::Shutdown => false,
+            Item::PhaseEnd => Some(PhaseExit::Closed),
+            Item::Shutdown => Some(PhaseExit::Shutdown),
+            Item::PhaseStart => unreachable!("PhaseStart inside a phase on PE {}", self.pe),
         }
     }
 
@@ -123,66 +139,70 @@ impl<M: Message> Worker<M> {
         }
     }
 
-    /// Work until completion detection fires (`true`) or the engine shuts
-    /// down (`false`). The caller has already reset the phase counters.
-    fn run_phase_loop(&mut self) -> bool {
+    /// Close the phase if this PE's idle transition completed it: detection
+    /// passed and this PE won the claim. Tells every other PE.
+    fn try_close(&self) -> bool {
+        if !(self.cd.try_detect() && self.cd.claim_done()) {
+            return false;
+        }
+        for (pe, tx) in self.txs.iter().enumerate() {
+            if pe as u32 != self.pe {
+                let _ = tx.send(Item::PhaseEnd);
+            }
+        }
+        true
+    }
+
+    /// Work until the phase closes or the engine shuts down. The caller has
+    /// already reset the phase counters.
+    fn run_phase_loop(&mut self) -> PhaseExit {
         loop {
             // Eat everything available without blocking.
-            let mut worked = false;
             self.drain_local();
-            while let Ok(item) = self.rx.try_recv() {
-                if !self.handle(item) {
-                    return false; // shutdown mid-phase
+            if let Ok(item) = self.rx.try_recv() {
+                if let Some(exit) = self.handle(item) {
+                    return exit;
                 }
-                self.drain_local();
-                worked = true;
-            }
-            if worked {
                 continue;
             }
-            // Idle.
+            // Dry: go idle, close the phase if that completed it, else
+            // block until something arrives.
             self.cd.set_idle(self.pe, true);
-            match self.rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(item) => {
-                    self.cd.set_idle(self.pe, false);
-                    if !self.handle(item) {
-                        return false;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.cd.is_done() {
-                        return true;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return false,
+            if self.try_close() {
+                return PhaseExit::Closed;
+            }
+            let Ok(item) = self.rx.recv() else {
+                return PhaseExit::Shutdown;
+            };
+            self.cd.set_idle(self.pe, false);
+            if let Some(exit) = self.handle(item) {
+                return exit;
             }
         }
     }
 
     fn run(mut self) {
         loop {
-            // Await PhaseStart (or Shutdown). A data item that raced ahead
-            // of PhaseStart begins the phase itself; `handle` then ignores
-            // the PhaseStart when it arrives.
-            let raced = match self.rx.recv() {
-                Ok(Item::PhaseStart) => None,
+            // Between phases only `PhaseStart` or `Shutdown` can arrive: the
+            // coordinator sends `PhaseStart` to every worker before any
+            // injection, and a phase's `PhaseEnd` is consumed inside it.
+            match self.rx.recv() {
+                Ok(Item::PhaseStart) => {}
                 Ok(Item::Shutdown) | Err(_) => break,
-                Ok(data) => Some(data),
-            };
-            self.stats = PeStats::default();
-            self.reductions.clear();
-            if let Some(item) = raced {
-                self.cd.set_idle(self.pe, false);
-                if !self.handle(item) {
-                    break;
+                Ok(Item::Direct(_) | Item::PhaseEnd) => {
+                    unreachable!("data or PhaseEnd between phases on PE {}", self.pe)
                 }
             }
-            if !self.run_phase_loop() {
-                break;
+            self.stats = PeStats::default();
+            self.reductions.clear();
+            match self.run_phase_loop() {
+                PhaseExit::Closed => {
+                    let _ = self
+                        .stats_tx
+                        .send((self.pe, self.stats, self.reductions.clone()));
+                }
+                PhaseExit::Shutdown => break,
             }
-            let _ = self
-                .stats_tx
-                .send((self.pe, self.stats, self.reductions.clone()));
         }
         let chares = std::mem::take(&mut self.chares);
         let _ = self.chares_tx.send(chares);
@@ -290,45 +310,41 @@ impl<M: Message> ThreadEngine<M> {
             self.start();
         }
         self.cd.reset();
+        let injections: Vec<(u32, Envelope<M>)> = injections
+            .into_iter()
+            .map(|(to, msg)| {
+                let pe = self.pe_of[to.0 as usize];
+                self.cd.produce(pe, 1);
+                (pe, Envelope { to, msg })
+            })
+            .collect();
         for tx in &self.txs {
             let _ = tx.send(Item::PhaseStart);
         }
-        for (to, msg) in injections {
-            let pe = self.pe_of[to.0 as usize];
-            self.cd.produce(pe, 1);
-            let _ = self.txs[pe as usize].send(Item::Direct(Envelope { to, msg }));
+        for (pe, env) in injections {
+            let _ = self.txs[pe as usize].send(Item::Direct(env));
         }
-        // Detection loop, with an optional wall-clock watchdog so a hung
-        // phase in a conformance run fails with the detector's counters
-        // instead of spinning until the CI timeout.
-        let deadline = (self.cfg.watchdog_secs > 0).then(|| {
-            // simlint: allow(R2) -- hang watchdog arming; never feeds simulation state
-            std::time::Instant::now() + Duration::from_secs(self.cfg.watchdog_secs as u64)
-        });
-        loop {
-            if self.cd.try_detect() {
-                self.cd.mark_done();
-                break;
-            }
-            if let Some(d) = deadline {
-                assert!(
-                    // simlint: allow(R2) -- hang watchdog check; aborts the run, never feeds results
-                    std::time::Instant::now() < d,
-                    "phase watchdog ({}s) expired before completion detection fired \
-                     (produced {}, consumed {})",
-                    self.cfg.watchdog_secs,
-                    self.cd.total_produced(),
-                    self.cd.total_consumed()
-                );
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        // Collect per-PE stats.
+        // Collect per-PE stats as the workers report the close. With a
+        // watchdog, a hung phase fails with the detector's counters
+        // instead of blocking until the CI timeout.
         let rx = self.stats_rx.as_ref().unwrap();
+        let watchdog = Duration::from_secs(u64::from(self.cfg.watchdog_secs));
         let mut per_pe = vec![PeStats::default(); self.cfg.n_pes as usize];
         let mut reductions = ReductionSlots::default();
         for _ in 0..self.cfg.n_pes {
-            let (pe, stats, red) = rx.recv().expect("worker stats");
+            let report = if self.cfg.watchdog_secs > 0 {
+                rx.recv_timeout(watchdog)
+            } else {
+                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            };
+            let (pe, stats, red) = report.unwrap_or_else(|e| {
+                panic!(
+                    "phase did not close ({e:?}; watchdog {}s, produced {}, consumed {})",
+                    self.cfg.watchdog_secs,
+                    self.cd.total_produced(),
+                    self.cd.total_consumed()
+                )
+            });
             per_pe[pe as usize] = stats;
             reductions.merge(&red);
         }
@@ -506,6 +522,41 @@ mod tests {
         let mut eng = ring(4, 2);
         let stats = eng.run_phase(vec![]);
         assert_eq!(stats.totals().processed, 0);
+        eng.into_chares();
+    }
+
+    /// Phase-close stress: 2,000 phases cycling through an empty phase, a
+    /// cross-PE token storm and 64 injections whose chares send nothing.
+    /// An early close (an injection not yet counted), a stale or lost
+    /// `PhaseEnd`, or a double claim shows up as a wrong count, a panic, or
+    /// the watchdog firing, never as a hang.
+    #[test]
+    fn phase_close_stress() {
+        let n_chares = 16;
+        let mut cfg = RuntimeConfig::threaded(4);
+        cfg.watchdog_secs = 30;
+        let mut eng = ThreadEngine::new(cfg);
+        for i in 0..n_chares {
+            let next = ChareId((i + 1) % n_chares);
+            eng.add_chare(ChareId(i), i % 4, Box::new(Relay { next, seen: 0 }));
+        }
+        for phase in 0..2000u64 {
+            let (injections, expect): (Vec<_>, u64) = match phase % 3 {
+                0 => (vec![], 0),
+                1 => {
+                    let hops = phase % 40;
+                    let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
+                    (tokens, 4 * (hops + 1))
+                }
+                _ => {
+                    let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
+                    (quiet, 64)
+                }
+            };
+            let stats = eng.run_phase(injections);
+            assert_eq!(stats.reduction(0), expect, "phase {phase} reduction");
+            assert_eq!(stats.totals().processed, expect, "phase {phase} processed");
+        }
         eng.into_chares();
     }
 

@@ -79,11 +79,20 @@ impl<T> Lanes<T> {
     }
 }
 
-/// A PersonManager: owns a set of persons, drives phases 1 and 5.
+/// A PersonManager: owns a set of persons, drives phase 1, and applies
+/// phase 5's infections as they arrive.
 pub struct PersonManager {
     shared: SharedRef,
     persons: Vec<PersonSlot>,
     symptomatic_state: Option<StateId>,
+    /// The day in progress (set by `BeginDay`).
+    day: u32,
+    /// Per local slot: the winning `(time_min, infector)` key of a person
+    /// this PM infected today; `None` for everyone else. Reset at the next
+    /// `BeginDay`, so it never outlives the day.
+    infected_today: Vec<Option<(u16, u32)>>,
+    /// Local slots set in `infected_today`.
+    touched: Vec<u32>,
     /// Scratch buffer reused across days.
     visit_buf: Vec<VisitMsg>,
     /// The day's outgoing visits, one lane per LocationManager.
@@ -109,8 +118,11 @@ impl PersonManager {
         let lanes = Lanes::new(k, k, shared.lane_cap, SimMsg::Visits);
         PersonManager {
             shared,
+            infected_today: vec![None; persons.len()],
             persons,
             symptomatic_state,
+            day: 0,
+            touched: Vec::new(),
             visit_buf: Vec::new(),
             lanes,
         }
@@ -138,6 +150,10 @@ impl PersonManager {
         effects: &crate::messages::DayEffects,
         ctx: &mut Ctx<'_, SimMsg>,
     ) {
+        self.day = day;
+        for local in self.touched.drain(..) {
+            self.infected_today[local as usize] = None;
+        }
         let shared = self.shared.clone();
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
@@ -172,13 +188,45 @@ impl PersonManager {
         ctx.contribute(slots::VISITS_SENT, visits_sent);
     }
 
-    fn apply_day(&mut self, day: u32, ctx: &mut Ctx<'_, SimMsg>) {
+    /// Phase 5, applied as infects arrive: a person's first infect of the
+    /// day infects them if they are still susceptible; a later infect with
+    /// a smaller `(time_min, infector)` key only re-attributes a person
+    /// infected today. The outcome is the sequential oracle's
+    /// record-then-apply: no location reads person state, and the dwell
+    /// draw is keyed by `(seed, person, day)`, not by which infect won.
+    fn apply_infects(&mut self, batch: &[InfectMsg], ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
+        let day = self.day;
         let mut new_infections = 0u64;
-        for slot in &mut self.persons {
-            new_infections += slot.apply_pending(&shared.ptts, shared.seed, day) as u64;
+        for infect in batch {
+            let local = shared.layout.local_of_person[infect.person as usize];
+            let key = (infect.time_min, infect.infector);
+            let infected_by = (infect.infector != u32::MAX).then_some(infect.infector);
+            let slot = &mut self.persons[local as usize];
+            match &mut self.infected_today[local as usize] {
+                Some(best) => {
+                    if key < *best {
+                        *best = key;
+                        slot.infected_by = infected_by;
+                    }
+                }
+                today @ None => {
+                    if slot
+                        .health
+                        .infect(&shared.ptts, shared.seed, slot.id as u64, day as u64)
+                    {
+                        slot.infected_on = Some(day);
+                        slot.infected_by = infected_by;
+                        *today = Some(key);
+                        self.touched.push(local);
+                        new_infections += 1;
+                    }
+                }
+            }
         }
-        ctx.contribute(slots::NEW_INFECTIONS, new_infections);
+        if new_infections > 0 {
+            ctx.contribute(slots::NEW_INFECTIONS, new_infections);
+        }
     }
 }
 
@@ -186,13 +234,7 @@ impl Chare<SimMsg> for PersonManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
             SimMsg::BeginDay { day, effects } => self.begin_day(day, &effects, ctx),
-            SimMsg::Infects(batch) => {
-                for infect in &batch {
-                    let local = self.shared.layout.local_of_person[infect.person as usize];
-                    self.persons[local as usize].record_infection(infect);
-                }
-            }
-            SimMsg::ApplyDay { day } => self.apply_day(day, ctx),
+            SimMsg::Infects(batch) => self.apply_infects(&batch, ctx),
             other => panic!("PersonManager got unexpected message {other:?}"),
         }
     }
@@ -239,10 +281,15 @@ impl LocationManager {
         let n = location_ids.len();
         let classes = InfectivityClasses::new(&shared.ptts);
         let lanes = Lanes::new(0, shared.layout.k, shared.lane_cap, SimMsg::Infects);
+        // Sized once here, so no day grows a buffer.
+        let buffers = location_ids
+            .iter()
+            .map(|&l| Vec::with_capacity(shared.layout.visits_per_location[l as usize] as usize))
+            .collect();
         LocationManager {
             shared,
             locations: location_ids,
-            buffers: vec![Vec::new(); n],
+            buffers,
             classes,
             scratch: KernelScratch::new(),
             last_features: vec![LocationDayFeatures::default(); n],
@@ -308,8 +355,16 @@ impl Chare<SimMsg> for LocationManager {
         match msg {
             SimMsg::Visits(batch) => {
                 for v in batch {
-                    let local = self.shared.layout.local_of_location[v.location as usize];
-                    self.buffers[local as usize].push(v);
+                    let layout = &self.shared.layout;
+                    let buf =
+                        &mut self.buffers[layout.local_of_location[v.location as usize] as usize];
+                    debug_assert!(
+                        !self.shared.exactly_once
+                            || buf.len() < layout.visits_per_location[v.location as usize] as usize,
+                        "location {} got more visits than its normative schedule",
+                        v.location
+                    );
+                    buf.push(v);
                 }
             }
             SimMsg::ComputeDay { day, r_eff } => self.compute_day(day, r_eff, ctx),

@@ -104,22 +104,18 @@ pub enum SimMsg {
         r_eff: f64,
     },
     /// One LM → PM lane's disease transmissions, batched like
-    /// [`SimMsg::Visits`].
+    /// [`SimMsg::Visits`]. The receiving PersonManager applies them on
+    /// arrival, so a day needs no third phase.
     Infects(Vec<InfectMsg>),
-    /// Phase 3 kick-off, sent to every PersonManager.
-    ApplyDay {
-        /// Simulation day.
-        day: u32,
-    },
 }
 
 /// Wire tags for [`SimMsg`] variants (the first byte of the encoding;
 /// DESIGN.md §8 pins them). Tags 1 and 3 were the per-visit `Visit` and
-/// per-transmission `Infect` messages; they are retired and never reused.
+/// per-transmission `Infect` messages, and tag 4 the `ApplyDay` phase
+/// kick-off; they are retired and never reused.
 mod tag {
     pub const BEGIN_DAY: u8 = 0;
     pub const COMPUTE_DAY: u8 = 2;
-    pub const APPLY_DAY: u8 = 4;
     pub const VISITS: u8 = 5;
     pub const INFECTS: u8 = 6;
 }
@@ -148,7 +144,6 @@ impl Message for SimMsg {
             SimMsg::Visits(batch) => 5 + batch.len() * VISIT_WIRE,
             SimMsg::ComputeDay { .. } => 13,
             SimMsg::Infects(batch) => 5 + batch.len() * INFECT_WIRE,
-            SimMsg::ApplyDay { .. } => 5,
         }
     }
 
@@ -192,10 +187,6 @@ impl Message for SimMsg {
                     out.put_u16_le(i.time_min);
                     out.put_u32_le(i.infector);
                 }
-            }
-            SimMsg::ApplyDay { day } => {
-                out.put_u8(tag::APPLY_DAY);
-                out.put_u32_le(*day);
             }
         }
     }
@@ -265,14 +256,6 @@ impl Message for SimMsg {
                     .collect();
                 Some(SimMsg::Infects(batch))
             }
-            tag::APPLY_DAY => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                Some(SimMsg::ApplyDay {
-                    day: buf.get_u32_le(),
-                })
-            }
             _ => None,
         }
     }
@@ -322,6 +305,10 @@ pub struct WorldLayout {
     /// location → original location id (identity unless splitLoc ran);
     /// the stay-home filter uses it to recognise split home pieces.
     pub orig_of_location: Vec<u32>,
+    /// location → visits in the normative schedule: the most visits the
+    /// location can receive in one day, since a day's schedule only
+    /// filters the normative one.
+    pub visits_per_location: Vec<u32>,
     /// Person ids owned by each partition, in local-slot order.
     pub persons_per_part: Vec<Vec<u32>>,
     /// Location ids owned by each partition, in local-slot order.
@@ -352,6 +339,10 @@ impl WorldLayout {
             local_of_location[l] = locations_per_part[part as usize].len() as u32;
             locations_per_part[part as usize].push(l as u32);
         }
+        let mut visits_per_location = vec![0u32; n_locations];
+        for v in &dist.pop.visits {
+            visits_per_location[v.location.0 as usize] += 1;
+        }
         WorldLayout {
             k,
             pm_of_person,
@@ -359,6 +350,7 @@ impl WorldLayout {
             lm_of_location,
             local_of_location,
             orig_of_location: dist.orig_of_location.clone(),
+            visits_per_location,
             persons_per_part,
             locations_per_part,
         }
@@ -386,6 +378,10 @@ pub struct Shared {
     /// Items per visit/infect batch message: `BATCH_CAP`, or 1 with
     /// aggregation off.
     pub lane_cap: usize,
+    /// Whether the runtime delivers every message exactly once (false only
+    /// under a lossy fault plan, where a lost `ComputeDay` leaves a day's
+    /// visits in their buffers).
+    pub exactly_once: bool,
 }
 
 /// Shared handle.
@@ -473,7 +469,6 @@ mod tests {
             },
             SimMsg::Infects(Vec::new()),
             SimMsg::Infects(vec![infect(99), infect(100)]),
-            SimMsg::ApplyDay { day: 11 },
         ]
     }
 
@@ -513,17 +508,12 @@ mod tests {
             SimMsg::Infects(batch) => assert_eq!(batch, infects),
             other => panic!("wrong variant: {other:?}"),
         }
-
-        match roundtrip(&SimMsg::ApplyDay { day: 11 }) {
-            SimMsg::ApplyDay { day } => assert_eq!(day, 11),
-            other => panic!("wrong variant: {other:?}"),
-        }
     }
 
     #[test]
     fn wire_decode_rejects_garbage() {
-        // Unknown tag, and the retired per-message tags 1 and 3.
-        for tag in [200u8, 1, 3] {
+        // Unknown tag, and the retired tags 1, 3 and 4.
+        for tag in [200u8, 1, 3, 4] {
             let mut buf: &[u8] = &[tag, 0, 0, 0, 0];
             assert!(SimMsg::wire_decode(&mut buf).is_none(), "tag {tag}");
         }

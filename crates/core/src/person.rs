@@ -26,7 +26,9 @@ pub struct PersonSlot {
     /// vaccination).
     pub sus_scale: f32,
     /// Best pending infection for today, if any: `(time, infector)` —
-    /// deterministic dedup keeps the minimum.
+    /// deterministic dedup keeps the minimum. Only the sequential oracle
+    /// records here; a PersonManager applies infects on arrival, so on the
+    /// chare path this stays `None`.
     pub pending: Option<(u16, u32)>,
     /// Day this person was infected (`Some(0)` for seeds).
     pub infected_on: Option<u32>,

@@ -344,7 +344,7 @@ fn run_attempt(
         if day % every == 0 || day == cfg.days || extinct {
             let snap = RecoverySnapshot {
                 epoch: day as u64,
-                next_phase: day as u64 * 3 + 1,
+                next_phase: day as u64 * 2 + 1,
                 rank: sim.net_rank(),
                 n_ranks,
                 in_flight: 0,

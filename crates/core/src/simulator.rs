@@ -45,15 +45,19 @@ impl Default for SimConfig {
     }
 }
 
-/// Per-day runtime counters: one [`PhaseStats`] per §II-B phase.
+/// Per-day runtime counters: one [`PhaseStats`] per runtime phase. A day
+/// is two phases, each closed by one global sync (PAPER.md §1).
 #[derive(Debug, Clone, Default)]
 pub struct DayPerf {
     /// Phase 1+2: person updates and visit messages (ends at the first
     /// completion detection).
     pub person_phase: PhaseStats,
-    /// Phase 3+4: location DES and infect messages.
+    /// Phase 3–6: location DES, infect messages, infection application on
+    /// arrival, and the global reduction (ends at the second completion
+    /// detection).
     pub location_phase: PhaseStats,
-    /// Phase 5+6: infection application and global reduction.
+    /// Always `PhaseStats::default()`: infections are applied inside the
+    /// location phase. Kept only because a benchmark reader still sums it.
     pub apply_phase: PhaseStats,
 }
 
@@ -241,6 +245,7 @@ impl Simulator {
             r: cfg.r,
             seed: cfg.seed,
             lane_cap: crate::managers::lane_cap(rt_cfg.aggregation),
+            exactly_once: rt_cfg.faults.is_benign(),
         });
 
         // Choose initial infections deterministically (fresh runs only).
@@ -353,19 +358,14 @@ impl Simulator {
                 .collect();
             let person_phase = self.runtime.run_phase(injections);
 
-            // Phase 3+4: location phase.
+            // Phase 3–6: location phase; PersonManagers apply infects as
+            // they arrive, so its close also carries the new infections.
             let injections: Vec<(ChareId, SimMsg)> = (0..self.n_lm)
                 .map(|lm| (ChareId(self.n_pm + lm), SimMsg::ComputeDay { day, r_eff }))
                 .collect();
             let location_phase = self.runtime.run_phase(injections);
 
-            // Phase 5+6: apply infections, reduce.
-            let injections: Vec<(ChareId, SimMsg)> = (0..self.n_pm)
-                .map(|pm| (ChareId(pm), SimMsg::ApplyDay { day }))
-                .collect();
-            let apply_phase = self.runtime.run_phase(injections);
-
-            let new_infections = apply_phase.reduction(slots::NEW_INFECTIONS);
+            let new_infections = location_phase.reduction(slots::NEW_INFECTIONS);
             carry.cumulative += new_infections;
             let stats = DayStats {
                 day,
@@ -390,7 +390,7 @@ impl Simulator {
             perf.push(DayPerf {
                 person_phase,
                 location_phase,
-                apply_phase,
+                apply_phase: PhaseStats::default(),
             });
             if self.cfg.stop_when_extinct && infected_now == 0 && new_infections == 0 && day > 0 {
                 halt = RunHalt::Finished { extinct: true };

@@ -28,10 +28,10 @@ use synthpop::{LocationKind, Population, PopulationConfig};
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const DAYS: u32 = 10;
-/// Phase at which the injected fault fires: phases are 1-based with three
-/// per day, so 17 = the ComputeDay phase of day 5 — squarely mid-run,
+/// Phase at which the injected fault fires: phases are 1-based with two
+/// per day, so 12 = the ComputeDay phase of day 5 — squarely mid-run,
 /// with epochs 1..=5 already committed.
-const FAULT_PHASE: u32 = 17;
+const FAULT_PHASE: u32 = 12;
 
 fn fixture() -> (DataDistribution, SimConfig) {
     let pop = Population::generate(&PopulationConfig::small("RZ", 1200, 55));

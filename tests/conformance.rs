@@ -6,10 +6,14 @@
 
 use episimdemics::chare_rt::{align_to_invocation, worker_target, FaultPlan, RuntimeConfig};
 use episimdemics::core::distribution::{DataDistribution, Strategy};
+use episimdemics::core::engine::pe_for_partition;
+use episimdemics::core::person::PersonSlot;
+use episimdemics::core::seq::run_sequential_with_states;
 use episimdemics::core::simulator::{SimConfig, Simulator};
 use episimdemics::core::splitloc::SplitConfig;
 use episimdemics::load_model::PiecewiseModel;
-use episimdemics::ptts::flu_model;
+use episimdemics::ptts::model::{DwellDist, PttsBuilder, TreatmentId};
+use episimdemics::ptts::{flu_model, Ptts};
 use episimdemics::synthpop::{Population, PopulationConfig};
 
 fn pop() -> Population {
@@ -192,7 +196,7 @@ fn ensemble_sweep_hash_is_pinned_and_worker_invariant() {
 
 /// Negative control for the net engine: killing a worker process mid-run
 /// must surface as a transport error on the root, not hang and not produce
-/// a curve. (The killed worker exits abruptly at phase entry; phase 5 is
+/// a curve. (The killed worker exits abruptly at phase entry; phase 4 is
 /// day 1's location phase.)
 #[test]
 fn net_killed_worker_is_a_transport_error() {
@@ -200,7 +204,7 @@ fn net_killed_worker_is_a_transport_error() {
     let dist = DataDistribution::build(&pop, Strategy::GraphPartition, 4, 19);
     let mut rt = RuntimeConfig::net(4, 2);
     rt.net.kill_rank = 1;
-    rt.net.kill_phase = 5;
+    rt.net.kill_phase = 4;
     // Workers re-run this same body; the doomed rank exits inside the
     // runtime before the catch_unwind outcome matters.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -266,4 +270,111 @@ fn aggregation_setting_may_vary_but_curve_may_not() {
         curve_hash_under(&dist, 2, agg_on),
         curve_hash_under(&dist, 2, agg_off)
     );
+}
+
+/// SIS: an infection leaves a person susceptible again after a geometric
+/// dwell, so about half the seeds are susceptible again on day 0 while the
+/// rest are still infectious next to them.
+fn sis_model() -> Ptts {
+    PttsBuilder::new("sis")
+        .state("susceptible", 0.0, 1.0, DwellDist::Forever)
+        .state("infectious", 1.0, 0.0, DwellDist::Geometric(0.5))
+        .transition("infectious", TreatmentId::DEFAULT, &[("susceptible", 1.0)])
+        .start("susceptible")
+        .exposed("infectious")
+        .build()
+        .expect("SIS model validates")
+}
+
+/// `(infected_on, infected_by)` per person: the transmission tree.
+fn tree(states: &[PersonSlot]) -> Vec<(Option<u32>, Option<u32>)> {
+    states
+        .iter()
+        .map(|p| (p.infected_on, p.infected_by))
+        .collect()
+}
+
+/// The transmission tree, not just the curve, is engine-invariant: every
+/// person's `(infected_on, infected_by)` after a run on seq, threads, vt
+/// under the chaos plan, and net with two processes equals the sequential
+/// oracle's. PersonManagers apply an infection when its first infect
+/// arrives, so this pins that a later, smaller infect only re-attributes a
+/// person infected that same day. Day 0 is the sharp case: seeds carry
+/// `infected_on == Some(0)` from before the day starts, and in this world
+/// some of them are susceptible again and infected anew on day 0.
+#[test]
+fn transmission_tree_identical_across_engines() {
+    let pop = pop();
+    let dist = DataDistribution::build(&pop, Strategy::GraphPartition, 4, 19);
+    let cfg = SimConfig {
+        days: 12,
+        r: 0.004,
+        seed: 23,
+        initial_infections: 120,
+        ..Default::default()
+    };
+    let net = RuntimeConfig::net(4, 2);
+    if let Some(target) = worker_target() {
+        align_to_invocation(target);
+        Simulator::new(&dist, sis_model(), cfg, net).run_collecting();
+        return;
+    }
+    let (_, oracle) = run_sequential_with_states(&dist.pop, &sis_model(), &cfg);
+    let oracle = tree(&oracle);
+
+    // The world must reach the day-0 case: a seed infected again on day 0.
+    let seeded = run_sequential_with_states(
+        &dist.pop,
+        &sis_model(),
+        &SimConfig {
+            days: 0,
+            ..cfg.clone()
+        },
+    )
+    .1;
+    let day0 = run_sequential_with_states(
+        &dist.pop,
+        &sis_model(),
+        &SimConfig {
+            days: 1,
+            ..cfg.clone()
+        },
+    )
+    .1;
+    assert!(
+        seeded
+            .iter()
+            .zip(&day0)
+            .any(|(s, d)| s.infected_on.is_some() && d.infected_by.is_some()),
+        "no seed is infected again on day 0: the test would be vacuous"
+    );
+
+    for (name, rt) in [
+        ("seq", RuntimeConfig::sequential(4)),
+        ("threads", RuntimeConfig::threaded(3)),
+        ("vt chaos", RuntimeConfig::dst(4, FaultPlan::chaos(23))),
+    ] {
+        let (_, states, _) = Simulator::new(&dist, sis_model(), cfg.clone(), rt).run_collecting();
+        assert_eq!(tree(&states), oracle, "{name} transmission tree diverged");
+    }
+
+    // A net root reclaims only the persons of its own PersonManagers.
+    let (_, states, _) = Simulator::new(&dist, sis_model(), cfg, net).run_collecting();
+    let states = tree(&states);
+    let on_root: Vec<usize> = (0..states.len())
+        .filter(|&p| {
+            net.smp
+                .same_process(0, pe_for_partition(dist.person_part[p], 4, 4))
+        })
+        .collect();
+    assert!(
+        on_root.iter().any(|&p| oracle[p].1.is_some()),
+        "the root must own infected persons"
+    );
+    for p in on_root {
+        assert_eq!(
+            states[p], oracle[p],
+            "net transmission tree diverged at person {p}"
+        );
+    }
 }
