@@ -10,15 +10,18 @@
 //! * [`CowWorld`] — synthpop, disease model, and the §II-C layout maps are
 //!   computed once and shared immutably (`Arc`) by every member. Building a
 //!   member aliases three pointers; nothing is deep-copied.
-//! * [`MemberArena`] — all per-run mutable state (person slots, visit
-//!   buffers, DES scratch) packed into one reusable arena. A worker runs
-//!   its members back-to-back out of the same arena, so steady-state
-//!   ensemble throughput allocates almost nothing per run.
-//! * [`run_sweep`] — an ensemble scheduler that fans whole runs across a
-//!   worker pool (atomic work counter; workers race, results don't:
-//!   placement into the [`ResultStore`] is by `(param point, seed)` index,
-//!   and each member's epidemic is keyed only by its own seed, so worker
-//!   count and interleaving can never change a bit of output).
+//! * [`MemberArena`] — all per-run mutable state (person slots, the day's
+//!   stay-home draws and sublocation marks, the gather buffer, DES
+//!   scratch) packed into one reusable arena. A worker runs its members
+//!   back-to-back out of the same arena, so steady-state ensemble
+//!   throughput allocates almost nothing per run.
+//! * [`run_sweep`] — an ensemble scheduler that builds one [`SweepLayout`]
+//!   (the member path's visit order, see [`crate::seq`]) and fans whole
+//!   runs over it across a worker pool (atomic work counter; workers race,
+//!   results don't: placement into the [`ResultStore`] is by `(param
+//!   point, seed)` index, and each member's epidemic is keyed only by its
+//!   own seed, so worker count and interleaving can never change a bit of
+//!   output).
 //! * [`EnsembleSpec`] — the sweep front-end: parameter grids over
 //!   transmissibility and intervention variants, driven either
 //!   programmatically or from the ptts DSL's `sweep` directive.
@@ -35,7 +38,7 @@ use crate::kernel::KernelScratch;
 use crate::messages::{InfectMsg, VisitMsg, WorldLayout};
 use crate::output::{curve_hash, EpiCurve};
 use crate::person::PersonSlot;
-use crate::seq::run_sequential_into;
+use crate::seq::{run_sequential_into, SweepLayout};
 use crate::simulator::SimConfig;
 use ptts::intervention::InterventionSet;
 use ptts::Ptts;
@@ -72,8 +75,9 @@ impl CowWorld {
 }
 
 /// All mutable state of one ensemble member, packed together so a worker
-/// can reuse it across runs: person slots, the per-location visit buffers,
-/// the day's infect list, and the DES kernel scratch.
+/// can reuse it across runs: person slots, the day's stay-home draws and
+/// group marks, the gather buffers, the day's infect list, and the DES
+/// kernel scratch.
 ///
 /// [`crate::seq::run_sequential_into`] resets the arena at the start of
 /// every run, so results are bit-identical whether an arena is fresh or has
@@ -82,10 +86,16 @@ impl CowWorld {
 pub struct MemberArena {
     /// Per-person disease state.
     pub(crate) slots: Vec<PersonSlot>,
-    /// Per-location visit buffers for the current day.
-    pub(crate) buffers: Vec<Vec<VisitMsg>>,
-    /// One person's visits being routed (cleared per person).
-    pub(crate) visit_buf: Vec<VisitMsg>,
+    /// Per-person stay-home draw of the current day.
+    pub(crate) stay_home: Vec<bool>,
+    /// Bitset over sublocation groups: attended today by an infectious
+    /// person (cleared as the location pass visits them).
+    pub(crate) marks: Vec<u64>,
+    /// The visits of the group being swept, in canonical order.
+    pub(crate) group: Vec<VisitMsg>,
+    /// Gather rank map: static position in the group → position in
+    /// `group`, or `u32::MAX` for an absent visit.
+    pub(crate) rank: Vec<u32>,
     /// The day's infect messages.
     pub(crate) infects: Vec<InfectMsg>,
     /// DES kernel working memory.
@@ -99,18 +109,15 @@ impl MemberArena {
     }
 
     /// Reset to the initial state for a fresh run over `n_people` persons
-    /// and `n_locations` locations, reusing capacity.
-    pub(crate) fn reset(&mut self, n_people: usize, n_locations: usize, ptts: &Ptts) {
+    /// and `n_groups` sublocation groups, reusing capacity.
+    pub(crate) fn reset(&mut self, n_people: usize, n_groups: usize, ptts: &Ptts) {
         self.slots.clear();
         self.slots
             .extend((0..n_people).map(|p| PersonSlot::new(p as u32, ptts)));
-        if self.buffers.len() < n_locations {
-            self.buffers.resize_with(n_locations, Vec::new);
-        }
-        for b in &mut self.buffers {
-            b.clear();
-        }
-        self.visit_buf.clear();
+        self.stay_home.clear();
+        self.stay_home.resize(n_people, false);
+        self.marks.clear();
+        self.marks.resize(n_groups.div_ceil(64), 0);
         self.infects.clear();
     }
 
@@ -309,8 +316,9 @@ impl ResultStore {
 /// Run every member of `spec` over the shared `world`, fanning whole runs
 /// across `workers` OS threads.
 ///
-/// Each worker owns one [`MemberArena`] and pulls member indices from an
-/// atomic counter until the sweep is drained. Determinism is structural:
+/// The call builds the world's [`SweepLayout`] once and every worker reads
+/// it. Each worker owns one [`MemberArena`] and pulls member indices from
+/// an atomic counter until the sweep is drained. Determinism is structural:
 /// members draw only from counter-based streams keyed by their own seed,
 /// and results land in the store by index — so any worker count, including
 /// 1, yields bit-identical output (the determinism proptest varies it).
@@ -324,12 +332,13 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
     let total = spec.n_members();
     let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
     let workers = (workers.max(1) as usize).min(total.max(1)).min(hw);
+    let layout = SweepLayout::build(&world.pop);
     let next = AtomicUsize::new(0);
     let mut placed: Vec<Option<EpiCurve>> = (0..total).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers {
-            let next = &next;
+            let (next, layout) = (&next, &layout);
             handles.push(scope.spawn(move || {
                 let mut arena = MemberArena::new();
                 let mut out = Vec::new();
@@ -339,7 +348,8 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
                         break;
                     }
                     let cfg = spec.config_for(idx);
-                    let curve = run_sequential_into(&world.pop, &world.ptts, &cfg, &mut arena);
+                    let curve =
+                        run_sequential_into(&world.pop, layout, &world.ptts, &cfg, &mut arena);
                     out.push((idx, curve));
                 }
                 out
@@ -804,6 +814,33 @@ mod tests {
         assert!(ensemble.attack_rate_quantile(0.1) <= ensemble.attack_rate_quantile(0.9));
     }
 
+    /// Every member of `store` against the chare-rt sequential engine,
+    /// which shares only `person_morning`, the sweep body and the PTTS with
+    /// the pull path the sweep runs.
+    fn assert_members_match_engine(
+        dist: &DataDistribution,
+        world: &CowWorld,
+        spec: &EnsembleSpec,
+        store: &ResultStore,
+    ) {
+        for idx in 0..spec.n_members() {
+            let (point, seed) = spec.member(idx);
+            let engine = crate::Simulator::run_curve(
+                dist,
+                (*world.ptts).clone(),
+                spec.config_for(idx),
+                chare_rt::RuntimeConfig::sequential(1),
+            );
+            assert_eq!(
+                store.curve(point, seed),
+                &engine,
+                "member {idx} ({}, seed {})",
+                spec.points[point].label,
+                spec.seeds[seed]
+            );
+        }
+    }
+
     #[test]
     fn sweep_store_is_worker_count_invariant_and_indexed() {
         let (dist, cfg) = setup();
@@ -814,13 +851,44 @@ mod tests {
         assert_eq!(one.hash(), many.hash());
         assert_eq!(one.n_points(), 3);
         assert_eq!(one.n_seeds(), 3);
-        // Index placement: member (point, seed) equals a standalone run of
+        // Index placement: member (point, seed) equals an engine run of
         // that member's config.
-        let cfg12 = spec.config_for(1 * spec.seeds.len() + 2);
-        let standalone = crate::seq::run_sequential(&dist.pop, &world.ptts, &cfg12);
-        assert_eq!(one.curve(1, 2), &standalone);
+        assert_members_match_engine(&dist, &world, &spec, &one);
         // More transmissible points infect more on average.
         assert!(one.mean_attack_rate(0) <= one.mean_attack_rate(2));
+    }
+
+    #[test]
+    fn sweep_with_closure_and_vaccination_matches_the_engine() {
+        use ptts::intervention::{Action, Intervention, Trigger};
+        let (dist, cfg) = setup();
+        let world = CowWorld::build(&dist, flu_model());
+        // A school closure drops visits by kind, the vaccination order
+        // lowers `sus_scale`, and the symptomatic stay home on their own:
+        // all three absences the gather filters out of a group.
+        let package = InterventionSet::new(vec![
+            Intervention {
+                trigger: Trigger::Day(2),
+                action: Action::Vaccinate {
+                    fraction: 0.5,
+                    treatment: ptts::model::TreatmentId(1),
+                    efficacy_factor: 0.3,
+                },
+            },
+            Intervention {
+                trigger: Trigger::Day(4),
+                action: Action::CloseKind {
+                    kind: synthpop::LocationKind::School as u8,
+                    duration: 8,
+                },
+            },
+        ]);
+        let variants = [("none", InterventionSet::none()), ("school+vax", package)];
+        let spec = EnsembleSpec::grid_over(&cfg, &[0.0012, 0.002], &variants, 2);
+        let store = run_sweep(&world, &spec, 2);
+        assert_members_match_engine(&dist, &world, &spec, &store);
+        let (plain, package) = (store.curve(0, 0), store.curve(1, 0));
+        assert_ne!(plain, package, "the package changed nothing");
     }
 
     #[test]
@@ -856,8 +924,9 @@ mod tests {
         // Dirty the arena with a different run first.
         let mut other = cfg.clone();
         other.seed = 7777;
-        let _ = run_sequential_into(&world.pop, &world.ptts, &other, &mut arena);
-        let reused = run_sequential_into(&world.pop, &world.ptts, &cfg, &mut arena);
+        let layout = SweepLayout::build(&world.pop);
+        let _ = run_sequential_into(&world.pop, &layout, &world.ptts, &other, &mut arena);
+        let reused = run_sequential_into(&world.pop, &layout, &world.ptts, &cfg, &mut arena);
         let fresh = crate::seq::run_sequential(&dist.pop, &world.ptts, &cfg);
         assert_eq!(reused, fresh);
     }

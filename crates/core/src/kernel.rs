@@ -26,11 +26,22 @@ use ptts::Ptts;
 pub struct KernelScratch {
     /// Event list: `(key, visit index)` with `key = t << 1 | is_arrive`,
     /// so departs order before arrives at equal times.
-    events: Vec<(u32, u32)>,
-    /// Counting-sort output buffer (same layout as `events`).
-    sorted: Vec<(u32, u32)>,
-    /// Counting-sort bucket offsets, indexed by event key.
-    buckets: Vec<u32>,
+    pub(crate) events: Vec<(u32, u32)>,
+    /// The sweep's working memory, apart from `events` so a caller can
+    /// feed the sweep an event order it holds elsewhere.
+    pub(crate) sweep: SweepScratch,
+}
+
+impl KernelScratch {
+    /// Fresh scratch; buffers are grown lazily on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Working memory of [`sweep_sublocation`].
+#[derive(Debug, Default)]
+pub(crate) struct SweepScratch {
     /// ∫ count_c dt per infectivity class.
     cit: Vec<f64>,
     /// Infectious currently present, per class.
@@ -50,13 +61,6 @@ pub struct KernelScratch {
     lnq: Vec<f64>,
     /// The `(r_eff, s_i)` key the `lnq` memo was built for.
     lnq_key: (f64, f64),
-}
-
-impl KernelScratch {
-    /// Fresh scratch; buffers are grown lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Per-visit sweep state of a susceptible currently inside the sublocation.
@@ -130,7 +134,7 @@ impl InfectivityClasses {
     }
 
     #[inline]
-    fn class(&self, state: ptts::model::StateId) -> Option<usize> {
+    pub(crate) fn class(&self, state: ptts::model::StateId) -> Option<usize> {
         let c = self.class_of_state[state.0 as usize];
         (c != u8::MAX).then_some(c as usize)
     }
@@ -202,11 +206,19 @@ pub fn simulate_location_day(
 }
 
 #[inline]
-fn visit_key(v: &VisitMsg) -> u64 {
-    ((v.sublocation as u64) << 48) | ((v.start_min as u64) << 32) | v.person as u64
+pub(crate) fn visit_key(v: &VisitMsg) -> u64 {
+    canonical_key(v.sublocation, v.start_min, v.person)
 }
 
-/// Sweep events of one sublocation (visits already in canonical order).
+/// The canonical order of a location's visits, as one sort key: by
+/// sublocation, then start, then person.
+#[inline]
+pub(crate) fn canonical_key(sublocation: u16, start_min: u16, person: u32) -> u64 {
+    ((sublocation as u64) << 48) | ((start_min as u64) << 32) | person as u64
+}
+
+/// Sweep events of one sublocation (visits already in canonical order):
+/// order the events, then run the sweep.
 #[allow(clippy::too_many_arguments)]
 #[simlint_macros::hot_path]
 fn simulate_sublocation(
@@ -220,11 +232,86 @@ fn simulate_sublocation(
     out: &mut Vec<InfectMsg>,
     features: &mut LocationDayFeatures,
 ) {
-    let ncls = classes.n();
-    let KernelScratch {
+    let KernelScratch { events, sweep } = scratch;
+    let total_inf_arrivals = order_events(visits, classes, events);
+    sweep_sublocation(
+        visits,
         events,
-        sorted,
-        buckets,
+        total_inf_arrivals,
+        ptts,
+        classes,
+        r_eff,
+        seed,
+        day,
+        sweep,
+        out,
+        features,
+    );
+}
+
+/// Fill `events` with the arrive/depart events of `visits` in sweep order
+/// and return the number of infectious arrivals among them.
+#[inline(always)]
+#[simlint_macros::hot_path]
+pub(crate) fn order_events(
+    visits: &[VisitMsg],
+    classes: &InfectivityClasses,
+    events: &mut Vec<(u32, u32)>,
+) -> u64 {
+    events.clear();
+    let mut total_inf_arrivals = 0u64;
+    for (i, v) in visits.iter().enumerate() {
+        let Some((arrive, depart)) = event_keys(v.start_min, v.end_min) else {
+            continue;
+        };
+        if classes.class(v.state).is_some() {
+            total_inf_arrivals += 1;
+        }
+        events.push((arrive, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
+        events.push((depart, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
+    }
+    sort_events(events);
+    total_inf_arrivals
+}
+
+/// The arrive and depart keys of a visit, `key = t << 1 | is_arrive`, so
+/// at equal times departs sort before arrives and zero-overlap pairs don't
+/// interact. A zero-length visit makes no events.
+#[inline(always)]
+pub(crate) fn event_keys(start_min: u16, end_min: u16) -> Option<(u32, u32)> {
+    (end_min > start_min).then_some((((start_min as u32) << 1) | 1, (end_min as u32) << 1))
+}
+
+/// Sort `(key, visit index)` events into sweep order: by key, ties by
+/// index. Arrive and depart keys of one visit differ, so within one key
+/// the indices are unique and the order is total.
+#[inline(always)]
+pub(crate) fn sort_events(events: &mut [(u32, u32)]) {
+    events.sort_unstable_by_key(|&(k, vi)| ((k as u64) << 32) | vi as u64);
+}
+
+/// The event sweep of one sublocation. `ordered` holds the `(key, visit
+/// index)` events of `visits` in the order [`order_events`] produces, and
+/// `total_inf_arrivals` counts its infectious arrivals. Inlined into both
+/// callers, so the engines' kernel compiles as one function.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+#[simlint_macros::hot_path]
+pub(crate) fn sweep_sublocation(
+    visits: &[VisitMsg],
+    ordered: &[(u32, u32)],
+    total_inf_arrivals: u64,
+    ptts: &Ptts,
+    classes: &InfectivityClasses,
+    r_eff: f64,
+    seed: u64,
+    day: u32,
+    sweep: &mut SweepScratch,
+    out: &mut Vec<InfectMsg>,
+    features: &mut LocationDayFeatures,
+) {
+    let ncls = classes.n();
+    let SweepScratch {
         cit,
         present,
         sus_meta,
@@ -233,62 +320,7 @@ fn simulate_sublocation(
         probs,
         lnq,
         lnq_key,
-    } = scratch;
-
-    // Event list: key = t << 1 | is_arrive, so at equal times departs sort
-    // before arrives and zero-overlap pairs don't interact. Pushed in visit
-    // order, which is the tie-break the sorts below preserve.
-    events.clear();
-    let mut max_key = 0u32;
-    let mut total_inf_arrivals = 0u64;
-    for (i, v) in visits.iter().enumerate() {
-        if v.end_min <= v.start_min {
-            continue;
-        }
-        if classes.class(v.state).is_some() {
-            total_inf_arrivals += 1;
-        }
-        let arrive = ((v.start_min as u32) << 1) | 1;
-        let depart = (v.end_min as u32) << 1;
-        events.push((arrive, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-        events.push((depart, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-        max_key = max_key.max(depart).max(arrive);
-    }
-    // Order events by key with push-order tie-break. Counting sort is O(n +
-    // buckets) and branch-free, but zeroing the bucket array dominates for
-    // sparse sublocations — fall back to a comparison sort on the identical
-    // total order (key, then push index = visit index) when buckets would
-    // outnumber events 4:1.
-    let nbuckets = max_key as usize + 1;
-    let ordered: &[(u32, u32)] = if events.is_empty() {
-        events
-    } else if nbuckets <= 4 * events.len() {
-        buckets.clear();
-        buckets.resize(nbuckets, 0); // simlint: allow(R6) -- reused scratch: counting-sort buckets sized to the day's max key, capacity reused across invocations
-        for &(k, _) in events.iter() {
-            buckets[k as usize] += 1;
-        }
-        let mut acc = 0u32;
-        for b in buckets.iter_mut() {
-            let c = *b;
-            *b = acc;
-            acc += c;
-        }
-        sorted.clear();
-        sorted.resize(events.len(), (0, 0)); // simlint: allow(R6) -- reused scratch: sorted buffer tracks events.len(), capacity reused across invocations
-        for &(k, vi) in events.iter() {
-            let slot = &mut buckets[k as usize];
-            sorted[*slot as usize] = (k, vi);
-            *slot += 1;
-        }
-        sorted
-    } else {
-        // Arrive and depart keys of one visit differ, and within one key
-        // class visit indices are unique, so (key, vi) reproduces the
-        // stable counting order exactly.
-        events.sort_unstable_by_key(|&(k, vi)| ((k as u64) << 32) | vi as u64);
-        events
-    };
+    } = sweep;
 
     // Sweep state.
     cit.clear();

@@ -87,9 +87,63 @@ impl PersonSlot {
     }
 }
 
-/// Phase 1 for one person: advance health, apply interventions, and emit
-/// today's visit messages into `out`. Returns the symptomatic flag used for
-/// reporting.
+/// What a person's morning decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Morning {
+    /// In the symptomatic state (reported in the day's statistics).
+    pub symptomatic: bool,
+    /// Self-isolating today: only home visits happen.
+    pub stay_home: bool,
+}
+
+/// The morning of phase 1 for one person: advance health, apply the day's
+/// vaccination orders, and draw the stay-home decision. [`person_day`]
+/// runs it before emitting visits; the sequential oracle runs it alone and
+/// applies [`attends`] to the schedule itself.
+#[inline]
+pub fn person_morning(
+    slot: &mut PersonSlot,
+    ptts: &Ptts,
+    effects: &DayEffects,
+    symptomatic_state: Option<StateId>,
+    seed: u64,
+    day: u32,
+) -> Morning {
+    // 1. Health-state recalculation.
+    slot.health.advance(ptts, seed, slot.id as u64, day as u64);
+
+    // 2. Interventions: vaccination orders (one compliance draw per order).
+    for order in &effects.vaccinations {
+        if ptts.is_susceptible(slot.health.state)
+            && order.applies_to(seed, slot.id as u64, day as u64)
+        {
+            slot.health.treatment = order.treatment;
+            slot.sus_scale = (slot.sus_scale as f64 * order.efficacy_factor) as f32;
+        }
+    }
+
+    // 3. The self-isolation draw.
+    let symptomatic = Some(slot.health.state) == symptomatic_state;
+    let stay_home = symptomatic
+        && CounterRng::for_entity(seed, slot.id as u64, day as u64, Purpose::Schedule)
+            .bernoulli(SYMPTOMATIC_STAY_HOME_PROB);
+    Morning {
+        symptomatic,
+        stay_home,
+    }
+}
+
+/// Whether a scheduled visit to a location of `kind` happens today: closed
+/// kinds drop every non-home visit, and a person staying home keeps only
+/// visits `at_home`.
+#[inline]
+pub fn attends(effects: &DayEffects, kind: LocationKind, at_home: bool, stay_home: bool) -> bool {
+    let closed = effects.is_closed(kind as u8) && kind != LocationKind::Home;
+    !closed && (at_home || !stay_home)
+}
+
+/// Phase 1 for one person: [`person_morning`], then emit today's visit
+/// messages into `out`. Returns the symptomatic flag used for reporting.
 ///
 /// `orig_of_location` maps (possibly splitLoc-rewritten) location ids back
 /// to original ids so the stay-home filter recognises every piece of a
@@ -108,31 +162,10 @@ pub fn person_day(
     day: u32,
     out: &mut Vec<VisitMsg>,
 ) -> bool {
-    // 1. Health-state recalculation.
-    slot.health.advance(ptts, seed, slot.id as u64, day as u64);
-
-    // 2. Interventions: vaccination orders (one compliance draw per order).
-    for order in &effects.vaccinations {
-        if ptts.is_susceptible(slot.health.state)
-            && order.applies_to(seed, slot.id as u64, day as u64)
-        {
-            slot.health.treatment = order.treatment;
-            slot.sus_scale = (slot.sus_scale as f64 * order.efficacy_factor) as f32;
-        }
-    }
-
-    // 3. Schedule: normative visits filtered by policy and health.
-    let symptomatic = Some(slot.health.state) == symptomatic_state;
-    let stay_home = symptomatic
-        && CounterRng::for_entity(seed, slot.id as u64, day as u64, Purpose::Schedule)
-            .bernoulli(SYMPTOMATIC_STAY_HOME_PROB);
-
+    let morning = person_morning(slot, ptts, effects, symptomatic_state, seed, day);
     let home = pop.people[slot.id as usize].home;
     for v in pop.visits_of(PersonId(slot.id)) {
         let kind = pop.locations[v.location.0 as usize].kind;
-        if effects.is_closed(kind as u8) && kind != LocationKind::Home {
-            continue;
-        }
         let at_home = match orig_of_location {
             // `home` predates any split, so it maps to itself; a visit is
             // "home" when its (possibly split-piece) location maps back to
@@ -140,12 +173,11 @@ pub fn person_day(
             Some(map) => map[v.location.0 as usize] == home.0,
             None => v.location == home,
         };
-        if stay_home && !at_home {
-            continue;
+        if attends(effects, kind, at_home, morning.stay_home) {
+            out.push(visit_to_msg(v, slot));
         }
-        out.push(visit_to_msg(v, slot));
     }
-    symptomatic
+    morning.symptomatic
 }
 
 /// Convert a schedule visit into today's visit message with the person's
