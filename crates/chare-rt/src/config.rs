@@ -19,9 +19,10 @@ pub enum ExecMode {
     VirtualTime,
     /// Networked multi-process engine: [`NetConfig::n_procs`] OS processes
     /// (the root plus re-executed workers), each owning a contiguous PE
-    /// range, exchanging length-prefixed frames over loopback TCP with a
-    /// dedicated comm thread per process (§IV-A made real). See
-    /// [`crate::net`].
+    /// range, exchanging length-prefixed frames over shared-memory rings
+    /// or loopback TCP (see [`NetTransport`]) with a dedicated comm thread
+    /// per process (§IV-A made real). With one process it runs as the
+    /// sequential engine. See [`crate::net`].
     Net,
 }
 

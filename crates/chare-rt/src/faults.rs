@@ -20,12 +20,9 @@
 //!   of virtual time, which is exactly the schedule that would expose an
 //!   early-firing completion detector.
 //!
-//! The hook is generic ([`FaultHook`]) with a zero-sized no-op
-//! implementation ([`NoFaults`]): engines instantiated with `NoFaults`
-//! monomorphize every hook call to nothing, so the fault machinery costs
-//! zero in fault-free builds, and the production engines
-//! ([`crate::seq::SeqEngine`], [`crate::threads::ThreadEngine`]) never
-//! reference it at all.
+//! Only the virtual-time engine reads these message-level knobs; the
+//! production engines ([`crate::seq::SeqEngine`],
+//! [`crate::threads::ThreadEngine`]) never reference them.
 
 /// SplitMix64: a tiny, high-quality, seedable generator. Every fault
 /// decision derives from this stream, so a `(seed, plan)` pair replays the
@@ -278,28 +275,8 @@ pub struct PacketFate {
     pub stall_ticks: u64,
 }
 
-/// The per-packet decision hook consulted by the virtual-time scheduler's
-/// send path. Implementations must be deterministic functions of their own
-/// state so a seed replays the schedule.
-pub trait FaultHook {
-    /// Decide the fate of one packet from `src` to `dst`.
-    fn packet_fate(&mut self, src_pe: u32, dst_pe: u32) -> PacketFate;
-}
-
-/// The zero-cost hook: no faults, no state, every call inlines to a
-/// constant. An engine instantiated with `NoFaults` carries no fault
-/// machinery in its compiled send/receive path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultHook for NoFaults {
-    #[inline(always)]
-    fn packet_fate(&mut self, _src_pe: u32, _dst_pe: u32) -> PacketFate {
-        PacketFate::default()
-    }
-}
-
-/// A [`FaultHook`] driven by a [`FaultPlan`] and its seeded stream.
+/// Per-packet fates drawn from a [`FaultPlan`] and its seeded stream: the
+/// decision the virtual-time scheduler's send path consults.
 #[derive(Debug, Clone)]
 pub struct PlanFaults {
     plan: FaultPlan,
@@ -307,7 +284,7 @@ pub struct PlanFaults {
 }
 
 impl PlanFaults {
-    /// Hook replaying `plan`.
+    /// Fates replaying `plan`.
     pub fn new(plan: FaultPlan) -> Self {
         PlanFaults {
             rng: FaultRng::new(plan.seed),
@@ -315,14 +292,8 @@ impl PlanFaults {
         }
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl FaultHook for PlanFaults {
-    fn packet_fate(&mut self, _src_pe: u32, _dst_pe: u32) -> PacketFate {
+    /// Decide the fate of the next packet.
+    pub fn packet_fate(&mut self) -> PacketFate {
         let p = &self.plan;
         let mut fate = PacketFate {
             redeliver: p.redeliver,
@@ -373,8 +344,8 @@ mod tests {
     fn plan_replays_identically() {
         let mut a = PlanFaults::new(FaultPlan::chaos(42));
         let mut b = PlanFaults::new(FaultPlan::chaos(42));
-        for i in 0..500u32 {
-            assert_eq!(a.packet_fate(i % 4, i % 7), b.packet_fate(i % 4, i % 7));
+        for _ in 0..500 {
+            assert_eq!(a.packet_fate(), b.packet_fate());
         }
     }
 
@@ -384,13 +355,6 @@ mod tests {
             assert!(plan.is_benign(), "{plan:?}");
         }
         assert!(!FaultPlan::lossy(1).is_benign());
-    }
-
-    #[test]
-    fn no_faults_is_inert() {
-        let fate = NoFaults.packet_fate(0, 1);
-        assert_eq!(fate, PacketFate::default());
-        assert_eq!(std::mem::size_of::<NoFaults>(), 0);
     }
 
     #[test]

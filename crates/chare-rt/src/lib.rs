@@ -31,25 +31,33 @@
 //! deterministic-simulation-testing engine ([`vt`]) that replays arbitrary
 //! delivery interleavings from a seed and injects transport faults
 //! ([`faults`]), and a networked multi-process engine ([`net`]) that runs
-//! one OS process per node over loopback TCP with a dedicated comm thread
-//! per process. Applications built on [`runtime::Runtime`] produce
-//! identical results under every engine and every benign fault plan; the
-//! conformance suites in this crate and in `episim-core` rely on that.
+//! one OS process per node, exchanging frames over shared-memory rings
+//! (loopback TCP where there are none) with a dedicated comm thread per
+//! process; a net runtime without peers is the sequential engine. The
+//! engines differ only in delivery: what a PE does with a message once it
+//! is there — the chare table, the timed entry-method call, the send
+//! count — exists once, in `pe`. Applications built on
+//! [`runtime::Runtime`] produce identical results under every engine and
+//! every benign fault plan; the conformance suites in this crate and in
+//! `episim-core` rely on that.
 
 pub mod chare;
 pub mod completion;
 pub mod config;
 pub mod faults;
 pub mod net;
+mod pe;
 pub mod runtime;
 pub mod seq;
 pub mod stats;
+#[cfg(test)]
+mod testkit;
 pub mod threads;
 pub mod vt;
 
 pub use chare::{Chare, ChareId, Ctx, Message};
 pub use config::{AggregationConfig, ExecMode, NetConfig, NetTransport, RuntimeConfig, SmpConfig};
-pub use faults::{FaultHook, FaultPlan, FaultRng, NoFaults, PacketFate, PlanFaults};
+pub use faults::{FaultPlan, FaultRng, PacketFate, PlanFaults};
 pub use net::{
     align_to_invocation, crc32, read_frame, worker_target, write_frame, write_frames, Backoff,
     EpochStore, FrameBuf, NetEngine, PeerHealth, Polled, RecoveryError, RecoverySnapshot,
@@ -58,8 +66,3 @@ pub use net::{
 pub use runtime::Runtime;
 pub use stats::{PeStats, PhaseStats};
 pub use vt::VtEngine;
-
-/// A processing element: one scheduler queue, analogous to one Charm++
-/// worker thread / core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PeId(pub u32);

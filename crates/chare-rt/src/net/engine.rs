@@ -28,14 +28,15 @@
 //! ([`NetEngine::on_batch`] / [`NetEngine::on_ctl`]); only heartbeats are
 //! always TCP (DESIGN.md §8).
 
-use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
-use crate::config::{NetTransport, RuntimeConfig};
+use crate::chare::{Chare, ChareId, Message};
+use crate::config::{NetTransport, RuntimeConfig, SmpConfig};
 use crate::net::comm::{self, CommHandle, Event};
 use crate::net::launch;
 use crate::net::shm::{Doorbell, RingConsumer, RingProducer, ShmRegion};
 use crate::net::transport::FrameBuf;
 use crate::net::wire::{self, Ctl};
 use crate::net::TransportError;
+use crate::pe::{self, Hop, PeCore};
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -44,9 +45,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Messages drained from one local PE's queue before moving on (same
-/// fairness quantum as the sequential engine).
-const QUANTUM: usize = 256;
 /// Iterations an idle process spins over its rings before futex-parking
 /// (keeps same-host ping-pong in the sub-µs regime; a park costs two
 /// syscalls on the wake path).
@@ -87,9 +85,6 @@ enum Role {
     Root,
     /// A spawned worker at its target invocation.
     Worker,
-    /// No networking: either `n_procs == 1`, or a worker replaying an
-    /// earlier invocation of its driver to reach its target.
-    Standalone,
 }
 
 /// Which inter-process links ride the shared-memory rings.
@@ -198,16 +193,6 @@ fn resolve_transport(cfg: &RuntimeConfig) -> NetTransport {
         .unwrap_or(NetTransport::Auto)
 }
 
-struct OutBuf<M> {
-    items: Vec<(ChareId, M)>,
-}
-
-impl<M: Message> Sender<M> for OutBuf<M> {
-    fn send(&mut self, to: ChareId, msg: M) {
-        self.items.push((to, msg));
-    }
-}
-
 /// A worker's newest CD reply of the current phase, as the root holds it.
 struct CdReply {
     wave: u64,
@@ -230,21 +215,17 @@ pub struct NetEngine<M: Message> {
     cfg: RuntimeConfig,
     role: Role,
     rank: u32,
-    /// First / one-past-last PE owned by this process.
+    /// First PE owned by this process; `queues[i]` is PE `pe_lo + i`'s.
     pe_lo: u32,
-    pe_hi: u32,
-    chares: Vec<Option<Box<dyn Chare<M>>>>,
-    pe_of: Vec<u32>,
+    /// This process's PEs, their chares and counters.
+    core: PeCore<M>,
     queues: Vec<VecDeque<Queued<M>>>,
-    stats: Vec<PeStats>,
-    reductions: ReductionSlots,
-    out: OutBuf<M>,
     phase: u64,
     map_hash: Option<u64>,
     /// Envelopes that arrived tagged one phase ahead, held until we enter
     /// that phase.
     pending: Vec<(ChareId, M)>,
-    comm: Option<CommHandle<M>>,
+    comm: CommHandle<M>,
     children: Vec<Child>,
     /// Exit codes of reaped workers, indexed `rank - 1` (root only, filled
     /// by teardown; `None` = still running when force-killed or unknown).
@@ -275,7 +256,7 @@ pub struct NetEngine<M: Message> {
     shut_down: bool,
     /// Worker: SHUTDOWN arrived.
     shutdown_seen: bool,
-    /// Shared-memory plane (None on TCP-only and standalone runs).
+    /// Shared-memory plane (None on TCP-only runs).
     shm: Option<ShmPlane>,
     /// Frames pushed into rings since the last stats harvest.
     shm_frames_sent: u64,
@@ -285,8 +266,12 @@ pub struct NetEngine<M: Message> {
 
 impl<M: Message> NetEngine<M> {
     /// Build the engine: decide this process's role, wire the socket mesh,
-    /// spawn the comm thread.
-    pub fn new(cfg: RuntimeConfig) -> Self {
+    /// spawn the comm thread. `None` when this process has no peers — one
+    /// process in all, or a worker replaying an earlier invocation of its
+    /// driver to stay in step with it: the caller then runs the sequential
+    /// engine with every PE in one process, which is what a networked run
+    /// without a network is. Every call draws an invocation index.
+    pub fn new(cfg: RuntimeConfig) -> Option<Self> {
         assert!(cfg.net.n_procs >= 1, "need at least one process");
         assert!(
             cfg.n_pes.is_multiple_of(cfg.net.n_procs),
@@ -306,19 +291,22 @@ impl<M: Message> NetEngine<M> {
                     env.rank,
                     env.target
                 );
-                // Replay an earlier invocation standalone to stay in step
-                // with the driver.
-                (Role::Standalone, 0, None, None)
+                return None;
             }
-            None if cfg.net.n_procs <= 1 => (Role::Standalone, 0, None, None),
+            None if cfg.net.n_procs <= 1 => return None,
             None => (Role::Root, 0, None, None),
         };
         let stall_at = wenv.as_ref().and_then(|e| e.stall);
+        // A process is an SMP process: local sends are intra, the rest
+        // cross the wire.
         let ppp = cfg.n_pes / cfg.net.n_procs;
-        let (pe_lo, pe_hi) = match role {
-            Role::Standalone => (0, cfg.n_pes),
-            _ => (rank * ppp, (rank + 1) * ppp),
+        let cfg = RuntimeConfig {
+            smp: SmpConfig {
+                pes_per_process: ppp,
+            },
+            ..cfg
         };
+        let pe_lo = rank * ppp;
         // Heartbeats are symmetric config: every comm thread answers them,
         // but only the root's (rank 0) originates probes and classifies.
         let hb = (cfg.net.heartbeat_interval_ms > 0).then(|| comm::HeartbeatCfg {
@@ -337,7 +325,6 @@ impl<M: Message> NetEngine<M> {
             transport_abort(role, TransportError(format!("shm attach failed: {e}")))
         };
         let (comm, children, shm) = match role {
-            Role::Standalone => (None, Vec::new(), None),
             Role::Root => {
                 // The root is transport-authoritative: it resolves config +
                 // env override here, and workers simply follow the region
@@ -380,7 +367,7 @@ impl<M: Message> NetEngine<M> {
                     ShmPlane::build(&r, mode, 0, cfg.net.n_procs).unwrap_or_else(|e| shm_fail(e))
                 });
                 let bell = plane.as_ref().map(|p| p.my_bell.clone());
-                (Some(spawn_comm(0, sockets, bell)), children, plane)
+                (spawn_comm(0, sockets, bell), children, plane)
             }
             Role::Worker => {
                 let env = wenv.expect("worker role implies worker env");
@@ -401,26 +388,19 @@ impl<M: Message> NetEngine<M> {
                     transport_abort(role, TransportError(format!("mesh setup failed: {e}")))
                 });
                 let bell = plane.as_ref().map(|p| p.my_bell.clone());
-                (Some(spawn_comm(rank, sockets, bell)), Vec::new(), plane)
+                (spawn_comm(rank, sockets, bell), Vec::new(), plane)
             }
         };
-        let n_local = (pe_hi - pe_lo) as usize;
-        NetEngine {
+        Some(NetEngine {
+            core: PeCore::new(&cfg, pe_lo..pe_lo + ppp),
             cfg,
             role,
             rank,
             pe_lo,
-            pe_hi,
-            chares: Vec::new(),
-            pe_of: Vec::new(),
-            queues: (0..n_local).map(|_| VecDeque::new()).collect(),
-            stats: vec![PeStats::default(); n_local],
-            reductions: ReductionSlots::default(),
-            out: OutBuf { items: Vec::new() },
+            queues: (0..ppp).map(|_| VecDeque::new()).collect(),
             phase: 0,
             map_hash: None,
             pending: Vec::new(),
-            comm: None,
             children,
             child_exits: Vec::new(),
             kill_phase,
@@ -437,34 +417,15 @@ impl<M: Message> NetEngine<M> {
             shm,
             shm_frames_sent: 0,
             shm_parks: 0,
-        }
-        .with_comm(comm)
-    }
-
-    fn with_comm(mut self, comm: Option<CommHandle<M>>) -> Self {
-        self.comm = comm;
-        self
+            comm,
+        })
     }
 
     /// Register a chare. Every SPMD process registers the *full* array;
     /// only locally-owned chares are kept, the rest contribute their PE to
     /// the routing map.
     pub fn add_chare(&mut self, id: ChareId, pe: u32, chare: Box<dyn Chare<M>>) {
-        assert!(pe < self.cfg.n_pes, "pe {pe} out of range");
-        let idx = id.0 as usize;
-        if self.pe_of.len() <= idx {
-            self.pe_of.resize(idx + 1, u32::MAX);
-            self.chares.resize_with(idx + 1, || None);
-        }
-        assert!(self.pe_of[idx] == u32::MAX, "duplicate chare id {idx}");
-        self.pe_of[idx] = pe;
-        if pe >= self.pe_lo && pe < self.pe_hi {
-            self.chares[idx] = Some(chare);
-        }
-    }
-
-    fn is_local_pe(&self, pe: u32) -> bool {
-        pe >= self.pe_lo && pe < self.pe_hi
+        self.core.add(id, pe, chare);
     }
 
     /// Abort with a typed [`TransportError`] (root panics with it as the
@@ -474,16 +435,12 @@ impl<M: Message> NetEngine<M> {
     }
 
     fn comm_failed(&self) -> bool {
-        self.comm
-            .as_ref()
-            .is_some_and(|c| c.shared.failure().is_some())
+        self.comm.shared.failure().is_some()
     }
 
     fn fail_if_poisoned(&self) {
-        if let Some(comm) = &self.comm {
-            if let Some(err) = comm.shared.failure() {
-                self.transport_fail(err);
-            }
+        if let Some(err) = self.comm.shared.failure() {
+            self.transport_fail(err);
         }
     }
 
@@ -520,9 +477,7 @@ impl<M: Message> NetEngine<M> {
             .and_then(|plane| plane.producers[d].as_ref())
             .is_some_and(|p| payload.len() + 5 <= p.max_frame());
         if !on_ring {
-            if let Some(comm) = &self.comm {
-                comm.send(dst, kind, payload);
-            }
+            self.comm.send(dst, kind, payload);
             return;
         }
         let mut plane = self.shm.take().expect("on_ring implies a plane");
@@ -567,16 +522,8 @@ impl<M: Message> NetEngine<M> {
     // ------------------------------------------------------------------
 
     fn route(&mut self, src_pe: u32, to: ChareId, msg: M) {
-        let dst_pe = self.pe_of[to.0 as usize];
-        debug_assert_ne!(dst_pe, u32::MAX, "send to unregistered chare {}", to.0);
-        let lp = (src_pe - self.pe_lo) as usize;
-        if self.role == Role::Standalone || self.is_local_pe(dst_pe) {
-            let st = &mut self.stats[lp];
-            if dst_pe == src_pe {
-                st.sent_self += 1;
-            } else {
-                st.sent_intra += 1;
-            }
+        let (dst_pe, hop) = self.core.count_send(src_pe, to, &msg);
+        if hop != Hop::Remote {
             self.queues[(dst_pe - self.pe_lo) as usize].push_back(Queued {
                 to,
                 msg,
@@ -584,10 +531,6 @@ impl<M: Message> NetEngine<M> {
             });
             return;
         }
-        let st = &mut self.stats[lp];
-        st.sent_remote += 1;
-        st.network_packets += 1;
-        st.remote_bytes += msg.size_bytes() as u64;
         // `produced` goes up before the frame leaves the compute thread:
         // the CD soundness invariant.
         self.produced += 1;
@@ -709,11 +652,11 @@ impl<M: Message> NetEngine<M> {
                 },
             ) => {
                 assert!(
-                    n_chares as usize == self.pe_of.len() && Some(map_hash) == self.map_hash,
+                    n_chares as usize == self.core.map().len() && Some(map_hash) == self.map_hash,
                     "rank {} built a different chare topology than the root \
                      ({} chares, map hash {:#x} vs root's {} / {:#x}) — SPMD replay diverged",
                     self.rank,
-                    self.pe_of.len(),
+                    self.core.map().len(),
                     self.map_hash.unwrap_or(0),
                     n_chares,
                     map_hash
@@ -798,41 +741,22 @@ impl<M: Message> NetEngine<M> {
     }
 
     fn comm_has_event(&self) -> bool {
-        self.comm.as_ref().is_some_and(|c| !c.in_rx.is_empty())
+        !self.comm.in_rx.is_empty()
     }
 
     fn process_one(&mut self, lp: usize, q: Queued<M>) {
-        let idx = q.to.0 as usize;
-        let mut chare = self.chares[idx]
-            .take()
-            .unwrap_or_else(|| panic!("message for unregistered chare {idx}"));
-        let start = Instant::now(); // simlint: allow(R2) -- busy_ns load metric only; load balancing consumes it between phases, DES state never does
-        {
-            let mut ctx = Ctx {
-                sender: &mut self.out,
-                reductions: &mut self.reductions,
-                self_id: q.to,
-            };
-            chare.receive(q.msg, &mut ctx);
-        }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.chares[idx] = Some(chare);
-        let st = &mut self.stats[lp];
-        st.busy_ns += elapsed;
-        st.processed += 1;
+        let pe = self.pe_lo + lp as u32;
+        self.core.execute(pe, q.to, q.msg);
         if q.wire {
             self.consumed += 1;
         }
-        let mut items = std::mem::take(&mut self.out.items);
-        let pe = self.pe_lo + lp as u32;
-        for (to, msg) in items.drain(..) {
+        while let Some((to, msg)) = self.core.pop_sent() {
             self.route(pe, to, msg);
         }
-        self.out.items = items;
     }
 
     fn enqueue_wire(&mut self, to: ChareId, msg: M) {
-        let dst_pe = self.pe_of[to.0 as usize];
+        let dst_pe = self.core.pe_of(to);
         self.queues[(dst_pe - self.pe_lo) as usize].push_back(Queued {
             to,
             msg,
@@ -840,22 +764,10 @@ impl<M: Message> NetEngine<M> {
         });
     }
 
-    /// Drain every local queue once (quantum-bounded). Returns whether any
+    /// One round-robin pass over the local queues. Returns whether any
     /// message was processed.
     fn drain_queues(&mut self) -> bool {
-        let mut worked = false;
-        for lp in 0..self.queues.len() {
-            for _ in 0..QUANTUM {
-                match self.queues[lp].pop_front() {
-                    Some(q) => {
-                        self.process_one(lp, q);
-                        worked = true;
-                    }
-                    None => break,
-                }
-            }
-        }
-        worked
+        pe::round_robin(self, |e| &mut e.queues, Self::process_one)
     }
 
     /// Move the envelopes stashed for this phase (they arrived tagged one
@@ -868,14 +780,8 @@ impl<M: Message> NetEngine<M> {
 
     fn inject(&mut self, injections: Vec<(ChareId, M)>) {
         for (to, msg) in injections {
-            let dst_pe = self.pe_of[to.0 as usize];
-            debug_assert_ne!(
-                dst_pe,
-                u32::MAX,
-                "injection for unregistered chare {}",
-                to.0
-            );
-            if self.role == Role::Standalone || self.is_local_pe(dst_pe) {
+            let dst_pe = self.core.pe_of(to);
+            if self.core.holds(dst_pe) {
                 self.queues[(dst_pe - self.pe_lo) as usize].push_back(Queued {
                     to,
                     msg,
@@ -895,24 +801,13 @@ impl<M: Message> NetEngine<M> {
     /// Run one phase to global completion.
     pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
         self.phase += 1;
-        for s in &mut self.stats {
-            *s = PeStats::default();
-        }
-        self.reductions.clear();
+        self.core.begin_phase();
         if self.map_hash.is_none() {
-            self.map_hash = Some(wire::map_hash(&self.pe_of));
+            self.map_hash = Some(wire::map_hash(self.core.map()));
         }
         self.produced = 0;
         self.consumed = 0;
         match self.role {
-            Role::Standalone => {
-                self.inject(injections);
-                while self.drain_queues() {}
-                PhaseStats {
-                    per_pe: self.stats.clone(),
-                    reductions: self.reductions.clone(),
-                }
-            }
             Role::Root => self.root_phase(injections),
             Role::Worker => self.worker_phase(injections),
         }
@@ -932,7 +827,7 @@ impl<M: Message> NetEngine<M> {
         for (pe, st) in self.harvest() {
             per_pe[pe as usize] = st;
         }
-        let mut reductions = self.reductions.clone();
+        let mut reductions = self.core.reductions().clone();
         for reply in self.replies.drain(..).flatten() {
             reductions.merge(&reply.reductions);
             for (pe, st) in reply.per_pe {
@@ -974,7 +869,7 @@ impl<M: Message> NetEngine<M> {
             self.broadcast(&Ctl::CdProbe {
                 phase: self.phase,
                 wave,
-                n_chares: self.pe_of.len() as u32,
+                n_chares: self.core.map().len() as u32,
                 map_hash: self.map_hash.expect("set at phase entry"),
             });
             match self.collect_wave(wave, deadline) {
@@ -1024,7 +919,7 @@ impl<M: Message> NetEngine<M> {
     /// without blocking. Returns whether current-phase work was enqueued.
     fn drain_inbound(&mut self) -> bool {
         let mut worked = self.poll_rings();
-        while let Some(ev) = self.comm.as_ref().and_then(|c| c.in_rx.try_recv().ok()) {
+        while let Ok(ev) = self.comm.in_rx.try_recv() {
             worked |= self.on_event(ev);
         }
         worked
@@ -1056,8 +951,7 @@ impl<M: Message> NetEngine<M> {
             }
             return false;
         }
-        let comm = self.comm.as_ref().expect("networked role has comm");
-        match comm.in_rx.recv_timeout(PARK_TIMEOUT) {
+        match self.comm.in_rx.recv_timeout(PARK_TIMEOUT) {
             Ok(ev) => self.on_event(ev),
             Err(_) => false,
         }
@@ -1095,10 +989,8 @@ impl<M: Message> NetEngine<M> {
                     "[net] rank {} stalling {ms}ms at phase {} (fault injection)",
                     self.rank, self.phase
                 );
-                if let Some(comm) = &self.comm {
-                    comm.shared.stall_ms.store(ms, Ordering::SeqCst);
-                    comm.wake();
-                }
+                self.comm.shared.stall_ms.store(ms, Ordering::SeqCst);
+                self.comm.wake();
                 std::thread::sleep(Duration::from_millis(ms));
             }
         }
@@ -1144,7 +1036,7 @@ impl<M: Message> NetEngine<M> {
             produced: self.produced,
             consumed: self.consumed,
             per_pe: self.harvest(),
-            reductions: self.reductions.clone(),
+            reductions: self.core.reductions().clone(),
         };
         self.send_ctl(0, &reply);
     }
@@ -1157,31 +1049,25 @@ impl<M: Message> NetEngine<M> {
     /// happens after its last harvest is counted in the next phase
     /// instead of nowhere.
     fn harvest(&mut self) -> Vec<(u32, PeStats)> {
-        let st = &mut self.stats[0];
-        if let Some(comm) = &self.comm {
-            let sh = &comm.shared;
-            st.wire_frames_sent += sh.frames_sent.swap(0, Ordering::SeqCst);
-            st.wire_frames_recv += sh.frames_recv.swap(0, Ordering::SeqCst);
-            st.wire_bytes_sent += sh.bytes_sent.swap(0, Ordering::SeqCst);
-            st.wire_bytes_recv += sh.bytes_recv.swap(0, Ordering::SeqCst);
-        }
+        let st = self.core.stats_mut(self.pe_lo);
+        let sh = &self.comm.shared;
+        st.wire_frames_sent += sh.frames_sent.swap(0, Ordering::SeqCst);
+        st.wire_frames_recv += sh.frames_recv.swap(0, Ordering::SeqCst);
+        st.wire_bytes_sent += sh.bytes_sent.swap(0, Ordering::SeqCst);
+        st.wire_bytes_recv += sh.bytes_recv.swap(0, Ordering::SeqCst);
         st.shm_frames_sent += std::mem::take(&mut self.shm_frames_sent);
         st.shm_parks += std::mem::take(&mut self.shm_parks);
         // Cumulative levels, not per-phase counts.
         st.recovery_checkpoints = self.recovery_checkpoints;
         st.recovery_restores = self.recovery_restores;
-        self.stats
-            .iter()
-            .enumerate()
-            .map(|(i, st)| (self.pe_lo + i as u32, *st))
-            .collect()
+        self.core.per_pe()
     }
 
     // ------------------------------------------------------------------
     // Recovery hooks (consumed by the resilient driver in `core`)
     // ------------------------------------------------------------------
 
-    /// This process's rank (0 for the root and standalone runs).
+    /// This process's rank (0 for the root).
     pub fn net_rank(&self) -> u32 {
         self.rank
     }
@@ -1190,14 +1076,7 @@ impl<M: Message> NetEngine<M> {
     /// (`Chare::snapshot` returning `Some`), as `(chare id, bytes)` pairs.
     /// Only meaningful between phases, when the system is quiescent.
     pub fn snapshot_chares(&self) -> Vec<(u32, Vec<u8>)> {
-        self.chares
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                c.as_ref()
-                    .and_then(|c| c.snapshot().map(|bytes| (i as u32, bytes)))
-            })
-            .collect()
+        self.core.snapshot()
     }
 
     /// Record that a recovery snapshot was committed (feeds the
@@ -1225,27 +1104,23 @@ impl<M: Message> NetEngine<M> {
         }
         self.shut_down = true;
         match self.role {
-            Role::Standalone => {}
             Role::Root => {
                 let failed = self.comm_failed();
                 for r in 1..self.cfg.net.n_procs {
-                    match &self.comm {
+                    if failed {
                         // A dead worker never drains its ring, and a full
                         // ring would hold this thread forever; survivors
                         // treat SHUTDOWN as a root abort on either plane.
-                        Some(comm) if failed => {
-                            let (kind, payload) = Ctl::Shutdown.encode();
-                            comm.send(r, kind, payload);
-                        }
-                        _ => self.send_ctl(r, &Ctl::Shutdown),
+                        let (kind, payload) = Ctl::Shutdown.encode();
+                        self.comm.send(r, kind, payload);
+                    } else {
+                        self.send_ctl(r, &Ctl::Shutdown);
                     }
                 }
-                if let Some(comm) = &mut self.comm {
-                    comm.shared.stop.store(true, Ordering::SeqCst);
-                    comm.wake();
-                    if let Some(join) = comm.join.take() {
-                        let _ = join.join();
-                    }
+                self.comm.shared.stop.store(true, Ordering::SeqCst);
+                self.comm.wake();
+                if let Some(join) = self.comm.join.take() {
+                    let _ = join.join();
                 }
                 // After a transport failure the dead worker will never
                 // answer SHUTDOWN — don't make the recovery driver's
@@ -1273,30 +1148,24 @@ impl<M: Message> NetEngine<M> {
                     // Let the panic surface (stderr is inherited); the
                     // process dies with the test harness and the root sees
                     // the EOF.
-                    if let Some(comm) = &self.comm {
-                        comm.shared.stop.store(true, Ordering::SeqCst);
-                    }
+                    self.comm.shared.stop.store(true, Ordering::SeqCst);
                     return;
                 }
                 // Wait for the root's SHUTDOWN (bounded), then leave. It
                 // arrives on the root link's plane, behind the last
                 // PHASE_RESULT; a failure recorded meanwhile (the root's
                 // sockets closing) ends the wait just the same.
-                if self.comm.is_some() {
-                    // simlint: allow(R2) -- bounded teardown wait, post-simulation
-                    let started = Instant::now();
-                    while !self.shutdown_seen && started.elapsed() < Duration::from_secs(10) {
-                        self.drain_inbound();
-                        if self.comm_failed() {
-                            break;
-                        }
-                        self.wait_inbound();
+                // simlint: allow(R2) -- bounded teardown wait, post-simulation
+                let started = Instant::now();
+                while !self.shutdown_seen && started.elapsed() < Duration::from_secs(10) {
+                    self.drain_inbound();
+                    if self.comm_failed() {
+                        break;
                     }
+                    self.wait_inbound();
                 }
-                if let Some(comm) = &self.comm {
-                    comm.shared.stop.store(true, Ordering::SeqCst);
-                    comm.wake();
-                }
+                self.comm.shared.stop.store(true, Ordering::SeqCst);
+                self.comm.wake();
                 std::process::exit(0);
             }
         }
@@ -1309,17 +1178,11 @@ impl<M: Message> NetEngine<M> {
     /// configurations.
     pub fn into_chares(mut self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
         self.teardown();
-        let chares = std::mem::take(&mut self.chares);
-        chares
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (ChareId(i as u32), c)))
-            .collect()
+        self.core.take_chares()
     }
 
     /// Tear down (if not already done) and return every worker's exit
-    /// code, indexed `rank - 1`. Root only — empty on workers and
-    /// standalone runs. The fault-injection tests use this to assert that
+    /// code, indexed `rank - 1`. Root only — empty on workers. The fault-injection tests use this to assert that
     /// a killed worker exited with [`KILL_EXIT`] while every *survivor*
     /// shut down cleanly with [`TRANSPORT_EXIT`] rather than panicking.
     pub fn reap_workers(&mut self) -> Vec<Option<i32>> {

@@ -16,8 +16,8 @@
 //! * `EPISIM_NET_ADDR` — the root's loopback listener address.
 //! * `EPISIM_NET_INVOCATION` — which net-runtime construction (0-based,
 //!   counted per driver thread) this worker should join; earlier net
-//!   constructions replay standalone, so a driver that builds several net
-//!   runtimes in sequence still lines up. Drivers that want to skip the
+//!   constructions replay on the sequential engine, so a driver that
+//!   builds several net runtimes in sequence still lines up. Drivers that want to skip the
 //!   replay instead call [`worker_target`] and [`align_to_invocation`].
 //! * `EPISIM_NET_KILL_PHASE` — optional fault injection: exit abruptly at
 //!   this phase (the conformance suite's kill-one-worker control).

@@ -1,6 +1,6 @@
 //! The networked multi-process engine (`ExecMode::Net`).
 //!
-//! Maps the paper's Blue Waters deployment shape onto loopback TCP: one
+//! Maps the paper's Blue Waters deployment shape onto one host: one
 //! OS process per "node", each owning a contiguous PE range, a dedicated
 //! comm thread per process owning the socket set (the SMP comm-thread
 //! design of §III), one BATCH frame per cross-process message (the

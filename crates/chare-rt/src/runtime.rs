@@ -1,7 +1,7 @@
 //! The engine-agnostic runtime facade.
 
 use crate::chare::{Chare, ChareId, Message};
-use crate::config::{ExecMode, RuntimeConfig};
+use crate::config::{ExecMode, RuntimeConfig, SmpConfig};
 use crate::net::NetEngine;
 use crate::seq::SeqEngine;
 use crate::stats::PhaseStats;
@@ -56,7 +56,17 @@ impl<M: Message> Runtime<M> {
             ExecMode::Sequential => Engine::Seq(SeqEngine::new(cfg)),
             ExecMode::Threads => Engine::Threads(ThreadEngine::new(cfg)),
             ExecMode::VirtualTime => Engine::Vt(Box::new(VtEngine::new(cfg))),
-            ExecMode::Net => Engine::Net(Box::new(NetEngine::new(cfg))),
+            // A net runtime without peers is the sequential engine with
+            // every PE in one process.
+            ExecMode::Net => match NetEngine::new(cfg) {
+                Some(net) => Engine::Net(Box::new(net)),
+                None => Engine::Seq(SeqEngine::new(RuntimeConfig {
+                    smp: SmpConfig {
+                        pes_per_process: cfg.n_pes,
+                    },
+                    ..cfg
+                })),
+            },
         };
         Runtime { engine, cfg }
     }
@@ -101,8 +111,9 @@ impl<M: Message> Runtime<M> {
         }
     }
 
-    /// Net engine: this process's rank (0 for the root and standalone
-    /// runs). 0 for every other engine.
+    /// Net engine: this process's rank (0 for the root, and for a net
+    /// runtime that runs as the sequential engine). 0 for every other
+    /// engine.
     pub fn net_rank(&self) -> u32 {
         match &self.engine {
             Engine::Net(e) => e.net_rank(),
@@ -142,18 +153,10 @@ impl<M: Message> Runtime<M> {
     /// Tear down and return all chares (sorted by id).
     pub fn into_chares(self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
         match self.engine {
-            Engine::Seq(e) => {
-                let mut v = e.into_chares();
-                v.sort_by_key(|(id, _)| *id);
-                v
-            }
+            Engine::Seq(e) => e.into_chares(),
             Engine::Threads(e) => e.into_chares(),
             Engine::Vt(e) => e.into_chares(),
-            Engine::Net(e) => {
-                let mut v = e.into_chares();
-                v.sort_by_key(|(id, _)| *id);
-                v
-            }
+            Engine::Net(e) => e.into_chares(),
         }
     }
 }

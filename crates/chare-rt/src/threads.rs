@@ -18,15 +18,16 @@
 //!    polls: idle workers block in `recv`, the coordinator blocks on the
 //!    stats channel.
 
-use crate::chare::{Chare, ChareId, Ctx, Envelope, Message, Sender};
+use crate::chare::{Chare, ChareId, Envelope, Message};
 use crate::completion::CompletionDetector;
 use crate::config::RuntimeConfig;
+use crate::pe::{Hop, PeCore};
 use crate::stats::{PeStats, PhaseStats, ReductionSlots};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender as ChSender};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 enum Item<M> {
     Direct(Envelope<M>),
@@ -44,79 +45,39 @@ enum PhaseExit {
     Shutdown,
 }
 
-struct OutBuf<M> {
-    items: Vec<(ChareId, M)>,
-}
-
-impl<M: Message> Sender<M> for OutBuf<M> {
-    fn send(&mut self, to: ChareId, msg: M) {
-        self.items.push((to, msg));
-    }
-}
-
-/// Per-PE counters a worker reports back at the end of each phase.
-type StatsReport = (u32, PeStats, ReductionSlots);
+/// A worker's PE and its counters, reported at the end of each phase.
+type StatsReport = (u32, PhaseStats);
 /// A worker's chares, returned at shutdown.
 type ChareCrate<M> = Vec<(ChareId, Box<dyn Chare<M>>)>;
 
 struct Worker<M: Message> {
     pe: u32,
-    cfg: RuntimeConfig,
     rx: Receiver<Item<M>>,
     txs: Vec<ChSender<Item<M>>>,
     cd: Arc<CompletionDetector>,
     stats_tx: ChSender<StatsReport>,
     chares_tx: ChSender<ChareCrate<M>>,
-    pe_of: Arc<Vec<u32>>,
-    chares: Vec<(ChareId, Box<dyn Chare<M>>)>,
-    /// chare id → index into `chares` (only for local chares).
-    local_idx: Vec<u32>,
+    /// This PE's chares and counters.
+    core: PeCore<M>,
     local_q: VecDeque<Envelope<M>>,
-    stats: PeStats,
-    reductions: ReductionSlots,
-    out: OutBuf<M>,
 }
 
 impl<M: Message> Worker<M> {
     fn route(&mut self, to: ChareId, msg: M) {
-        let dst_pe = self.pe_of[to.0 as usize];
-        if dst_pe == self.pe {
-            self.stats.sent_self += 1;
+        let (dst_pe, hop) = self.core.count_send(self.pe, to, &msg);
+        if hop == Hop::Own {
             self.local_q.push_back(Envelope { to, msg });
             return;
         }
         self.cd.produce(self.pe, 1);
-        if self.cfg.smp.same_process(self.pe, dst_pe) {
-            // Shared memory between threads of one process (§IV-A).
-            self.stats.sent_intra += 1;
-        } else {
-            self.stats.sent_remote += 1;
-            self.stats.network_packets += 1;
-            self.stats.remote_bytes += msg.size_bytes() as u64;
-        }
         let _ = self.txs[dst_pe as usize].send(Item::Direct(Envelope { to, msg }));
     }
 
     fn execute(&mut self, env: Envelope<M>) {
-        let li = self.local_idx[env.to.0 as usize] as usize;
-        let start = Instant::now(); // simlint: allow(R2) -- busy_ns load metric only; load balancing consumes it between phases, DES state never does
-        {
-            let chare = &mut self.chares[li].1;
-            let mut ctx = Ctx {
-                sender: &mut self.out,
-                reductions: &mut self.reductions,
-                self_id: env.to,
-            };
-            chare.receive(env.msg, &mut ctx);
-        }
-        self.stats.busy_ns += start.elapsed().as_nanos() as u64;
-        self.stats.processed += 1;
-        // Drain-and-restore keeps the outbox capacity across receives.
-        let mut items = std::mem::take(&mut self.out.items);
-        for (to, msg) in items.drain(..) {
+        self.core.execute(self.pe, env.to, env.msg);
+        while let Some((to, msg)) = self.core.pop_sent() {
             self.route(to, msg);
         }
-        self.out.items = items;
     }
 
     /// Process one inbound item; `Some` when it ends the phase loop.
@@ -193,27 +154,24 @@ impl<M: Message> Worker<M> {
                     unreachable!("data or PhaseEnd between phases on PE {}", self.pe)
                 }
             }
-            self.stats = PeStats::default();
-            self.reductions.clear();
+            self.core.begin_phase();
             match self.run_phase_loop() {
                 PhaseExit::Closed => {
-                    let _ = self
-                        .stats_tx
-                        .send((self.pe, self.stats, self.reductions.clone()));
+                    let _ = self.stats_tx.send((self.pe, self.core.phase_stats()));
                 }
                 PhaseExit::Shutdown => break,
             }
         }
-        let chares = std::mem::take(&mut self.chares);
-        let _ = self.chares_tx.send(chares);
+        let _ = self.chares_tx.send(self.core.take_chares());
     }
 }
 
 /// The threaded engine. Threads spawn on the first phase.
 pub struct ThreadEngine<M: Message> {
     cfg: RuntimeConfig,
-    pending: Vec<(ChareId, u32, Box<dyn Chare<M>>)>,
-    pe_of: Vec<u32>,
+    /// Every chare until the first phase moves them to their workers;
+    /// the chare map after.
+    table: PeCore<M>,
     started: bool,
     txs: Vec<ChSender<Item<M>>>,
     handles: Vec<JoinHandle<()>>,
@@ -227,9 +185,8 @@ impl<M: Message> ThreadEngine<M> {
     pub fn new(cfg: RuntimeConfig) -> Self {
         ThreadEngine {
             cd: Arc::new(CompletionDetector::new(cfg.n_pes)),
+            table: PeCore::new(&cfg, 0..cfg.n_pes),
             cfg,
-            pending: Vec::new(),
-            pe_of: Vec::new(),
             started: false,
             txs: Vec::new(),
             handles: Vec::new(),
@@ -241,14 +198,7 @@ impl<M: Message> ThreadEngine<M> {
     /// Register a chare (before the first phase).
     pub fn add_chare(&mut self, id: ChareId, pe: u32, chare: Box<dyn Chare<M>>) {
         assert!(!self.started, "cannot add chares after the first phase");
-        assert!(pe < self.cfg.n_pes);
-        let idx = id.0 as usize;
-        if self.pe_of.len() <= idx {
-            self.pe_of.resize(idx + 1, u32::MAX);
-        }
-        assert!(self.pe_of[idx] == u32::MAX, "duplicate chare id {idx}");
-        self.pe_of[idx] = pe;
-        self.pending.push((id, pe, chare));
+        self.table.add(id, pe, chare);
     }
 
     fn start(&mut self) {
@@ -263,36 +213,16 @@ impl<M: Message> ThreadEngine<M> {
         let (chares_tx, chares_rx) = unbounded();
         self.stats_rx = Some(stats_rx);
         self.chares_rx = Some(chares_rx);
-        let pe_of = Arc::new(std::mem::take(&mut self.pe_of));
-        self.pe_of = pe_of.as_ref().clone();
-
-        // Distribute pending chares per PE.
-        let mut per_pe: Vec<ChareCrate<M>> = (0..n).map(|_| Vec::new()).collect();
-        for (id, pe, chare) in self.pending.drain(..) {
-            per_pe[pe as usize].push((id, chare));
-        }
-        let n_chares = pe_of.len();
-
-        for (pe, chares) in per_pe.into_iter().enumerate() {
-            let mut local_idx = vec![u32::MAX; n_chares];
-            for (i, (id, _)) in chares.iter().enumerate() {
-                local_idx[id.0 as usize] = i as u32;
-            }
+        for (pe, core) in self.table.split().into_iter().enumerate() {
             let worker = Worker {
                 pe: pe as u32,
-                cfg: self.cfg,
                 rx: rxs[pe].clone(),
                 txs: self.txs.clone(),
                 cd: self.cd.clone(),
                 stats_tx: stats_tx.clone(),
                 chares_tx: chares_tx.clone(),
-                pe_of: pe_of.clone(),
-                chares,
-                local_idx,
+                core,
                 local_q: VecDeque::new(),
-                stats: PeStats::default(),
-                reductions: ReductionSlots::default(),
-                out: OutBuf { items: Vec::new() },
             };
             self.handles.push(
                 std::thread::Builder::new()
@@ -313,7 +243,7 @@ impl<M: Message> ThreadEngine<M> {
         let injections: Vec<(u32, Envelope<M>)> = injections
             .into_iter()
             .map(|(to, msg)| {
-                let pe = self.pe_of[to.0 as usize];
+                let pe = self.table.pe_of(to);
                 self.cd.produce(pe, 1);
                 (pe, Envelope { to, msg })
             })
@@ -337,7 +267,7 @@ impl<M: Message> ThreadEngine<M> {
             } else {
                 rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
             };
-            let (pe, stats, red) = report.unwrap_or_else(|e| {
+            let (pe, part) = report.unwrap_or_else(|e| {
                 panic!(
                     "phase did not close ({e:?}; watchdog {}s, produced {}, consumed {})",
                     self.cfg.watchdog_secs,
@@ -345,8 +275,8 @@ impl<M: Message> ThreadEngine<M> {
                     self.cd.total_consumed()
                 )
             });
-            per_pe[pe as usize] = stats;
-            reductions.merge(&red);
+            per_pe[pe as usize] = part.per_pe[0];
+            reductions.merge(&part.reductions);
         }
         PhaseStats { per_pe, reductions }
     }
@@ -354,8 +284,7 @@ impl<M: Message> ThreadEngine<M> {
     /// Stop the workers and collect all chares.
     pub fn into_chares(mut self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
         if !self.started {
-            let pending = std::mem::take(&mut self.pending);
-            return pending.into_iter().map(|(id, _, c)| (id, c)).collect();
+            return self.table.take_chares();
         }
         self.request_shutdown();
         let rx = self
@@ -404,49 +333,20 @@ impl<M: Message> Drop for ThreadEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RuntimeConfig;
+    use crate::chare::Ctx;
+    use crate::testkit::{self, Token};
 
-    struct Relay {
-        next: ChareId,
-        seen: u64,
-    }
-
-    #[derive(Debug)]
-    struct Token(u64);
-    impl Message for Token {}
-
-    impl Chare<Token> for Relay {
-        fn receive(&mut self, msg: Token, ctx: &mut Ctx<'_, Token>) {
-            self.seen += 1;
-            ctx.contribute(0, 1);
-            if msg.0 > 0 {
-                ctx.send(self.next, Token(msg.0 - 1));
-            }
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
-    }
-
-    fn ring(n_chares: u32, n_pes: u32) -> ThreadEngine<Token> {
-        let mut eng = ThreadEngine::new(RuntimeConfig::threaded(n_pes));
-        for i in 0..n_chares {
-            eng.add_chare(
-                ChareId(i),
-                i % n_pes,
-                Box::new(Relay {
-                    next: ChareId((i + 1) % n_chares),
-                    seen: 0,
-                }),
-            );
+    fn ring(n_chares: u32, cfg: RuntimeConfig) -> ThreadEngine<Token> {
+        let mut eng = ThreadEngine::new(cfg);
+        for (id, pe, chare) in testkit::ring(n_chares, cfg.n_pes) {
+            eng.add_chare(id, pe, chare);
         }
         eng
     }
 
     #[test]
     fn token_ring_across_threads() {
-        let mut eng = ring(8, 4);
+        let mut eng = ring(8, RuntimeConfig::threaded(4));
         let stats = eng.run_phase(vec![(ChareId(0), Token(100))]);
         assert_eq!(stats.reduction(0), 101);
         assert_eq!(stats.totals().processed, 101);
@@ -456,7 +356,7 @@ mod tests {
 
     #[test]
     fn repeated_phases() {
-        let mut eng = ring(6, 3);
+        let mut eng = ring(6, RuntimeConfig::threaded(3));
         for round in 1..=5u64 {
             let stats = eng.run_phase(vec![(ChareId(0), Token(10 * round))]);
             assert_eq!(stats.reduction(0), 10 * round + 1, "round {round}");
@@ -519,7 +419,7 @@ mod tests {
 
     #[test]
     fn empty_phase_terminates() {
-        let mut eng = ring(4, 2);
+        let mut eng = ring(4, RuntimeConfig::threaded(2));
         let stats = eng.run_phase(vec![]);
         assert_eq!(stats.totals().processed, 0);
         eng.into_chares();
@@ -535,11 +435,7 @@ mod tests {
         let n_chares = 16;
         let mut cfg = RuntimeConfig::threaded(4);
         cfg.watchdog_secs = 30;
-        let mut eng = ThreadEngine::new(cfg);
-        for i in 0..n_chares {
-            let next = ChareId((i + 1) % n_chares);
-            eng.add_chare(ChareId(i), i % 4, Box::new(Relay { next, seen: 0 }));
-        }
+        let mut eng = ring(n_chares, cfg);
         for phase in 0..2000u64 {
             let (injections, expect): (Vec<_>, u64) = match phase % 3 {
                 0 => (vec![], 0),
@@ -562,7 +458,7 @@ mod tests {
 
     #[test]
     fn shutdown_before_start_returns_chares() {
-        let eng = ring(5, 2);
+        let eng = ring(5, RuntimeConfig::threaded(2));
         assert_eq!(eng.into_chares().len(), 5);
     }
 }

@@ -5,7 +5,7 @@
 //! — message delivery is driven by a virtual-time event heap whose order is
 //! a deterministic function of a `u64` fault seed. Any interleaving of
 //! packet delivery the threaded engine could exhibit (and many it is
-//! unlikely to) can be replayed exactly, and the [`crate::faults`] hook in
+//! unlikely to) can be replayed exactly, and the [`crate::faults`] plan in
 //! the send path injects delay, reordering, duplicate delivery, bounded
 //! drop-with-redelivery, and PE stalls.
 //!
@@ -29,14 +29,14 @@
 //! wire). A drop without redelivery leaves the envelope stranded — counted
 //! as lost at phase end, never silently eaten.
 
-use crate::chare::{Chare, ChareId, Ctx, Envelope, Message, Sender};
+use crate::chare::{Chare, ChareId, Envelope, Message};
 use crate::completion::CompletionDetector;
 use crate::config::RuntimeConfig;
-use crate::faults::{FaultHook, FaultRng, PlanFaults};
-use crate::stats::{PeStats, PhaseStats, ReductionSlots};
+use crate::faults::{FaultRng, PlanFaults};
+use crate::pe::{Hop, PeCore};
+use crate::stats::PhaseStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::time::Instant;
 
 /// Virtual ticks for an intra-process hop (shared-memory handoff).
 const LAT_INTRA: u64 = 1;
@@ -58,28 +58,15 @@ struct Event {
     pkt: u32,
 }
 
-struct OutBuf<M> {
-    items: Vec<(ChareId, M)>,
-}
-
-impl<M: Message> Sender<M> for OutBuf<M> {
-    fn send(&mut self, to: ChareId, msg: M) {
-        self.items.push((to, msg));
-    }
-}
-
-/// The DST engine. `H` decides per-packet fates; the default
-/// [`PlanFaults`] replays [`RuntimeConfig::faults`], while
-/// [`crate::faults::NoFaults`] yields a pure virtual-time scheduler with
-/// every hook call compiled away.
-pub struct VtEngine<M: Message, H: FaultHook = PlanFaults> {
+/// The DST engine, replaying [`RuntimeConfig::faults`].
+pub struct VtEngine<M: Message> {
     cfg: RuntimeConfig,
-    hook: H,
-    /// Deterministic stream for schedule-shaping choices the hook does not
+    /// Decides each packet's fate from the plan's seeded stream.
+    faults: PlanFaults,
+    /// Deterministic stream for schedule-shaping choices the plan does not
     /// make (duplicate jitter).
     order_rng: FaultRng,
-    chares: Vec<Option<Box<dyn Chare<M>>>>,
-    pe_of: Vec<u32>,
+    core: PeCore<M>,
     heap: BinaryHeap<Reverse<Event>>,
     /// Take-once payload slab of `(source PE, envelope)`: `Some` = in
     /// flight, `None` = delivered.
@@ -91,39 +78,24 @@ pub struct VtEngine<M: Message, H: FaultHook = PlanFaults> {
     /// Virtual-time budget accrued from scheduled packets (watchdog).
     deadline: u64,
     stall_until: Vec<u64>,
-    stats: Vec<PeStats>,
-    reductions: Vec<ReductionSlots>,
-    out: OutBuf<M>,
     local_q: VecDeque<Envelope<M>>,
     cd: CompletionDetector,
 }
 
-impl<M: Message> VtEngine<M, PlanFaults> {
+impl<M: Message> VtEngine<M> {
     /// Engine replaying `cfg.faults`.
     pub fn new(cfg: RuntimeConfig) -> Self {
-        Self::with_hook(cfg, PlanFaults::new(cfg.faults))
-    }
-}
-
-impl<M: Message, H: FaultHook> VtEngine<M, H> {
-    /// Engine with an explicit fault hook.
-    pub fn with_hook(cfg: RuntimeConfig, hook: H) -> Self {
-        let n = cfg.n_pes as usize;
         VtEngine {
-            hook,
+            faults: PlanFaults::new(cfg.faults),
             order_rng: FaultRng::new(cfg.faults.seed ^ 0xD57C0FFEE),
-            chares: Vec::new(),
-            pe_of: Vec::new(),
+            core: PeCore::new(&cfg, 0..cfg.n_pes),
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             in_flight: 0,
             now: 0,
             next_seq: 0,
             deadline: 0,
-            stall_until: vec![0; n],
-            stats: vec![PeStats::default(); n],
-            reductions: vec![ReductionSlots::default(); n],
-            out: OutBuf { items: Vec::new() },
+            stall_until: vec![0; cfg.n_pes as usize],
             local_q: VecDeque::new(),
             cd: CompletionDetector::new(cfg.n_pes),
             cfg,
@@ -132,15 +104,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
 
     /// Register a chare on a PE. Ids must be dense from 0.
     pub fn add_chare(&mut self, id: ChareId, pe: u32, chare: Box<dyn Chare<M>>) {
-        assert!(pe < self.cfg.n_pes, "pe {pe} out of range");
-        let idx = id.0 as usize;
-        if self.chares.len() <= idx {
-            self.chares.resize_with(idx + 1, || None);
-            self.pe_of.resize(idx + 1, u32::MAX);
-        }
-        assert!(self.chares[idx].is_none(), "duplicate chare id {idx}");
-        self.chares[idx] = Some(chare);
-        self.pe_of[idx] = pe;
+        self.core.add(id, pe, chare);
     }
 
     fn schedule(&mut self, at: u64, dst_pe: u32, pkt: u32) {
@@ -158,13 +122,10 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
     }
 
     /// Ship one envelope from `src` to `dst` as a packet, consulting the
-    /// fault hook.
+    /// fault plan.
     fn send_packet(&mut self, src: u32, dst: u32, env: Envelope<M>) {
         let same_proc = self.cfg.smp.same_process(src, dst);
-        if !same_proc {
-            self.stats[src as usize].network_packets += 1;
-        }
-        let fate = self.hook.packet_fate(src, dst);
+        let fate = self.faults.packet_fate();
         if fate.stall_ticks > 0 {
             let s = &mut self.stall_until[dst as usize];
             *s = (*s).max(self.now) + fate.stall_ticks;
@@ -185,7 +146,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
         let pkt = self.slab.len() as u32;
         self.slab.push(Some((src, env)));
         if fate.drop {
-            self.stats[src as usize].faults_dropped += 1;
+            self.core.stats_mut(src).faults_dropped += 1;
             if fate.redeliver {
                 self.schedule(t0 + LAT_RETRANSMIT, dst, pkt);
             }
@@ -203,49 +164,21 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
 
     /// Route one outgoing message from a chare running on `src`.
     fn route(&mut self, src: u32, to: ChareId, msg: M) {
-        let dst = self.pe_of[to.0 as usize];
-        debug_assert_ne!(dst, u32::MAX, "send to unregistered chare {}", to.0);
-        if dst == src {
-            self.stats[src as usize].sent_self += 1;
+        let (dst, hop) = self.core.count_send(src, to, &msg);
+        if hop == Hop::Own {
             self.local_q.push_back(Envelope { to, msg });
             return;
         }
         self.cd.produce(src, 1);
-        let st = &mut self.stats[src as usize];
-        if self.cfg.smp.same_process(src, dst) {
-            st.sent_intra += 1;
-        } else {
-            st.sent_remote += 1;
-            st.remote_bytes += msg.size_bytes() as u64;
-        }
         self.send_packet(src, dst, Envelope { to, msg });
     }
 
     /// Execute one envelope owned by `pe`.
     fn run_chare(&mut self, pe: u32, env: Envelope<M>) {
-        let idx = env.to.0 as usize;
-        let mut chare = self.chares[idx]
-            .take()
-            .unwrap_or_else(|| panic!("message for unregistered chare {idx}"));
-        let start = Instant::now(); // simlint: allow(R2) -- busy_ns load metric only; load balancing consumes it between phases, DES state never does
-        {
-            let mut ctx = Ctx {
-                sender: &mut self.out,
-                reductions: &mut self.reductions[pe as usize],
-                self_id: env.to,
-            };
-            chare.receive(env.msg, &mut ctx);
-        }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.chares[idx] = Some(chare);
-        let st = &mut self.stats[pe as usize];
-        st.busy_ns += elapsed;
-        st.processed += 1;
-        let mut items = std::mem::take(&mut self.out.items);
-        for (to, msg) in items.drain(..) {
+        self.core.execute(pe, env.to, env.msg);
+        while let Some((to, msg)) = self.core.pop_sent() {
             self.route(pe, to, msg);
         }
-        self.out.items = items;
     }
 
     /// Pop and process one event. Returns `false` when the heap is empty.
@@ -266,7 +199,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             None => {
                 // The payload was already taken: this arrival is the
                 // duplicate (or the late original the duplicate overtook).
-                self.stats[pe as usize].faults_dup_suppressed += 1;
+                self.core.stats_mut(pe).faults_dup_suppressed += 1;
             }
             Some((_src, env)) => {
                 self.in_flight -= 1;
@@ -294,12 +227,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
 
     /// Run one phase to completion under the fault schedule.
     pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
-        for s in &mut self.stats {
-            *s = PeStats::default();
-        }
-        for r in &mut self.reductions {
-            r.clear();
-        }
+        self.core.begin_phase();
         self.cd.reset();
         self.now = 0;
         self.deadline = WATCHDOG_SLACK;
@@ -312,7 +240,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
             self.cd.set_idle(pe, true);
         }
         for (to, msg) in injections {
-            let pe = self.pe_of[to.0 as usize];
+            let pe = self.core.pe_of(to);
             // Injections are produced by the coordinator (as in the
             // threaded engine) and ride the faulty transport like any
             // other packet.
@@ -324,7 +252,7 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
         // plan stranded in the slab.
         let mut lost = 0u64;
         for (src, _) in self.slab.drain(..).flatten() {
-            self.stats[src as usize].lost += 1;
+            self.core.stats_mut(src).lost += 1;
             lost += 1;
         }
         self.in_flight = 0;
@@ -349,66 +277,25 @@ impl<M: Message, H: FaultHook> VtEngine<M, H> {
                 "completion detection fired despite {lost} lost message(s)"
             );
         }
-        let mut reductions = ReductionSlots::default();
-        for r in &self.reductions {
-            reductions.merge(r);
-        }
-        PhaseStats {
-            per_pe: self.stats.clone(),
-            reductions,
-        }
+        self.core.phase_stats()
     }
 
     /// Tear down, returning all chares (sorted by id).
-    pub fn into_chares(self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
-        self.chares
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (ChareId(i as u32), c)))
-            .collect()
+    pub fn into_chares(mut self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
+        self.core.take_chares()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RuntimeConfig;
-    use crate::faults::{FaultPlan, NoFaults};
-
-    struct Relay {
-        next: ChareId,
-        seen: u64,
-    }
-
-    #[derive(Debug)]
-    struct Token(u64);
-    impl Message for Token {}
-
-    impl Chare<Token> for Relay {
-        fn receive(&mut self, msg: Token, ctx: &mut Ctx<'_, Token>) {
-            self.seen += 1;
-            ctx.contribute(0, 1);
-            if msg.0 > 0 {
-                ctx.send(self.next, Token(msg.0 - 1));
-            }
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
-    }
+    use crate::faults::FaultPlan;
+    use crate::testkit::{self, Token};
 
     fn ring(n_chares: u32, cfg: RuntimeConfig) -> VtEngine<Token> {
         let mut eng = VtEngine::new(cfg);
-        for i in 0..n_chares {
-            eng.add_chare(
-                ChareId(i),
-                i % cfg.n_pes,
-                Box::new(Relay {
-                    next: ChareId((i + 1) % n_chares),
-                    seen: 0,
-                }),
-            );
+        for (id, pe, chare) in testkit::ring(n_chares, cfg.n_pes) {
+            eng.add_chare(id, pe, chare);
         }
         eng
     }
@@ -420,6 +307,9 @@ mod tests {
         assert_eq!(stats.reduction(0), 101);
         assert_eq!(stats.totals().processed, 101);
         assert_eq!(stats.totals().lost, 0);
+        // With no faults planned, none fire: a pure virtual-time scheduler.
+        assert_eq!(stats.totals().faults_dropped, 0);
+        assert_eq!(stats.totals().faults_dup_suppressed, 0);
     }
 
     #[test]
@@ -499,26 +389,6 @@ mod tests {
         // Outcomes agree across seeds; the fault schedule itself differs.
         let c = run(8);
         assert_eq!(a.0, c.0);
-    }
-
-    #[test]
-    fn no_faults_hook_is_a_pure_virtual_time_scheduler() {
-        let cfg = RuntimeConfig::dst(4, FaultPlan::none(0));
-        let mut eng: VtEngine<Token, NoFaults> = VtEngine::with_hook(cfg, NoFaults);
-        for i in 0..8u32 {
-            eng.add_chare(
-                ChareId(i),
-                i % 4,
-                Box::new(Relay {
-                    next: ChareId((i + 1) % 8),
-                    seen: 0,
-                }),
-            );
-        }
-        let stats = eng.run_phase(vec![(ChareId(0), Token(40))]);
-        assert_eq!(stats.reduction(0), 41);
-        assert_eq!(stats.totals().faults_dropped, 0);
-        assert_eq!(stats.totals().faults_dup_suppressed, 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Property test: the sequential, threaded and DST engines — under any SMP
-//! topology and PE count — produce identical application results for
-//! randomized message storms.
+//! Property test: the sequential, threaded, DST and single-process net
+//! engines — under any SMP topology and PE count — produce identical
+//! application results for randomized message storms, and at equal width
+//! and topology identical per-PE message counters.
 
 use chare_rt::{
     Chare, ChareId, Ctx, ExecMode, FaultPlan, Message, Runtime, RuntimeConfig, SmpConfig,
@@ -64,7 +65,12 @@ impl Chare<Storm> for Mixer {
     }
 }
 
-fn run_storm(cfg: RuntimeConfig, n_chares: u32, hops: u32, seeds: &[u64]) -> (u64, u64) {
+/// The per-PE counters every engine must agree on at equal width and
+/// `SmpConfig`: `[sent_self, sent_intra, sent_remote, network_packets,
+/// remote_bytes, processed]`. Busy time and fault counters may differ.
+type Counts = Vec<[u64; 6]>;
+
+fn run_storm(cfg: RuntimeConfig, n_chares: u32, hops: u32, seeds: &[u64]) -> ((u64, u64), Counts) {
     let mut rt = Runtime::new(cfg);
     for i in 0..n_chares {
         rt.add_chare(
@@ -87,7 +93,21 @@ fn run_storm(cfg: RuntimeConfig, n_chares: u32, hops: u32, seeds: &[u64]) -> (u6
         })
         .collect();
     let stats = rt.run_phase(injections);
-    (stats.reduction(0), stats.reduction(1))
+    let counts = stats
+        .per_pe
+        .iter()
+        .map(|p| {
+            [
+                p.sent_self,
+                p.sent_intra,
+                p.sent_remote,
+                p.network_packets,
+                p.remote_bytes,
+                p.processed,
+            ]
+        })
+        .collect();
+    ((stats.reduction(0), stats.reduction(1)), counts)
 }
 
 proptest! {
@@ -112,19 +132,35 @@ proptest! {
             net: Default::default(),
         };
         // Reference: one sequential PE.
-        let reference = run_storm(make(ExecMode::Sequential, 1), n_chares, hops, &seeds);
+        let (reference, _) = run_storm(make(ExecMode::Sequential, 1), n_chares, hops, &seeds);
         prop_assert!(reference.1 >= seeds.len() as u64);
         // Sequential at the sampled width.
         let seq = run_storm(make(ExecMode::Sequential, pes), n_chares, hops, &seeds);
-        prop_assert_eq!(seq, reference);
-        // Threaded at a modest width (thread spawn cost bounds the sweep).
-        let thr = run_storm(make(ExecMode::Threads, pes.min(3)), n_chares, hops, &seeds);
-        prop_assert_eq!(thr, reference);
+        prop_assert_eq!(seq.0, reference);
+        // Threaded at a modest width (thread spawn cost bounds the sweep),
+        // counter for counter against sequential at that width.
+        let thr_pes = pes.min(3);
+        let thr = run_storm(make(ExecMode::Threads, thr_pes), n_chares, hops, &seeds);
+        prop_assert_eq!(thr.0, reference);
+        let seq_thr = run_storm(make(ExecMode::Sequential, thr_pes), n_chares, hops, &seeds);
+        prop_assert_eq!(thr.1, seq_thr.1);
         // The DST engine under a chaotic-but-benign fault plan must agree
-        // too: delivery timing is not allowed to change application results.
+        // too: delivery timing is not allowed to change application
+        // results, nor which PE sent and processed what.
         let mut dst = make(ExecMode::VirtualTime, pes);
         dst.faults = FaultPlan::chaos(seed);
         let vt = run_storm(dst, n_chares, hops, &seeds);
-        prop_assert_eq!(vt, reference);
+        prop_assert_eq!(vt.0, reference);
+        prop_assert_eq!(&vt.1, &seq.1);
+        // A one-process net runtime holds every PE in one process, so it
+        // matches sequential with `pes_per_process = n_pes`.
+        let mut one_proc = make(ExecMode::Sequential, pes);
+        one_proc.smp.pes_per_process = pes;
+        let seq_one = run_storm(one_proc, n_chares, hops, &seeds);
+        let mut net = make(ExecMode::Net, pes);
+        net.net.n_procs = 1;
+        let net = run_storm(net, n_chares, hops, &seeds);
+        prop_assert_eq!(net.0, reference);
+        prop_assert_eq!(net.1, seq_one.1);
     }
 }

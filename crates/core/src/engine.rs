@@ -16,7 +16,8 @@ pub enum EngineChoice {
     Threads,
     /// Virtual-time deterministic-simulation-testing engine.
     Vt,
-    /// Networked multi-process engine (loopback TCP, SPMD workers).
+    /// Networked multi-process engine (shm rings or loopback TCP, SPMD
+    /// workers).
     Net,
 }
 

@@ -409,7 +409,7 @@ pub fn run_resilient(
         });
     }
 
-    // Root (or standalone) process: own the retry loop.
+    // Root (or one-process) run: own the retry loop.
     let store = EpochStore::open(&rec.dir, rec.keep)?;
     std::env::set_var(ENV_RECOVERY_DIR, abs_dir(&rec.dir));
     let n_ranks = n_ranks_of(rt_cfg);

@@ -74,10 +74,11 @@ impl ScenarioSource {
 
 /// Which execution engine runs the job.
 ///
-/// In-server `Net` jobs always run standalone (`n_procs = 1`): the net
-/// engine's multi-process mode works by re-executing the *current binary*
-/// as SPMD workers, which would fork whole extra servers. Multi-process
-/// net runs stay batch-mode (see DESIGN.md §12).
+/// In-server `Net` jobs always run with `n_procs = 1`, which `chare-rt`
+/// runs as its sequential engine: the net engine's multi-process mode
+/// works by re-executing the *current binary* as SPMD workers, which would
+/// fork whole extra servers. Multi-process net runs stay batch-mode (see
+/// DESIGN.md §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSel {
     /// Deterministic sequential engine.
@@ -86,7 +87,8 @@ pub enum EngineSel {
     Threads,
     /// Virtual-time DST engine.
     Vt,
-    /// Net engine, standalone process (no comm thread, no workers).
+    /// Net engine with one process: the sequential engine (no comm
+    /// thread, no workers).
     Net,
     /// Copy-on-write ensemble sweep (`run_sweep`); requires
     /// [`ScenarioSource::Sweep`].

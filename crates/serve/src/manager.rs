@@ -57,7 +57,7 @@ pub struct EngineCaps {
     pub threads: u32,
     /// Virtual-time-engine jobs.
     pub vt: u32,
-    /// Standalone net-engine jobs.
+    /// One-process net-engine jobs (run on the sequential engine).
     pub net: u32,
     /// Ensemble sweeps (already internally parallel).
     pub ensemble: u32,

@@ -113,8 +113,9 @@ fn engine_choice(engine: EngineSel) -> Option<EngineChoice> {
         EngineSel::Seq => Some(EngineChoice::Seq),
         EngineSel::Threads => Some(EngineChoice::Threads),
         EngineSel::Vt => Some(EngineChoice::Vt),
-        // In-server net jobs run standalone: the SPMD launcher re-execs
-        // the current binary, which must never fork extra servers.
+        // In-server net jobs run with one process, i.e. on the sequential
+        // engine: the SPMD launcher re-execs the current binary, which
+        // must never fork extra servers.
         EngineSel::Net => Some(EngineChoice::Net),
         EngineSel::Ensemble => None,
     }
