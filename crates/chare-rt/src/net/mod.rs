@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use engine::{NetEngine, KILL_EXIT, TRANSPORT_EXIT};
 pub use launch::{align_to_invocation, worker_target};
-pub use recovery::{crc32, Backoff, EpochStore, PeerHealth, RecoveryError, RecoverySnapshot};
+pub use recovery::{Backoff, EpochStore, PeerHealth, RecoveryError, RecoverySnapshot};
 pub use transport::{read_frame, write_frame, write_frames, FrameBuf, Polled, MAX_FRAME};
 
 /// A transport-layer failure: a peer disconnected, a frame failed to

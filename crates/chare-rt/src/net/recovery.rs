@@ -6,7 +6,7 @@
 //! runs, so a long-lived job must survive process loss. This module holds
 //! the engine-agnostic half of that story:
 //!
-//! * [`RecoverySnapshot`] — the CRC-framed per-rank epoch shard codec. A
+//! * [`RecoverySnapshot`] — the CRC-sealed per-rank epoch shard codec. A
 //!   shard carries one process's chare-state blobs plus an opaque driver
 //!   `meta` blob (counters, intervention state, the curve so far — the
 //!   driver decides). The snapshot also records how many messages were
@@ -28,6 +28,7 @@
 //! [`crate::net::comm`]. This file is in simlint R3 scope: a corrupt or
 //! missing shard must surface as a typed [`RecoveryError`], never a panic.
 
+use crate::codec::{self, CodecError};
 use crate::faults::FaultRng;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -39,36 +40,12 @@ use std::time::Duration;
 const MAGIC: &[u8; 4] = b"EPRC";
 const VERSION: u32 = 1;
 
-/// CRC-32 (IEEE 802.3, reflected). Bitwise — snapshot shards are tens of
-/// kilobytes, so a lookup table would be tuning noise.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Why a snapshot or epoch could not be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
-    /// Wrong magic bytes — not a recovery shard.
-    BadMagic,
-    /// Unsupported shard version.
-    BadVersion(u32),
-    /// Buffer ended early.
-    Truncated,
-    /// CRC trailer mismatch (torn or corrupted file).
-    BadCrc {
-        /// CRC stored in the trailer.
-        stored: u32,
-        /// CRC computed over the payload.
-        computed: u32,
-    },
+    /// The shard (or a record inside it) does not decode: wrong magic or
+    /// version, truncated, CRC mismatch, trailing bytes.
+    Codec(CodecError),
     /// The snapshot was taken while messages were still in flight — it is
     /// not a consistent cut and must not be replayed.
     NotQuiescent(u64),
@@ -95,13 +72,7 @@ pub enum RecoveryError {
 impl fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoveryError::BadMagic => write!(f, "not an EPRC recovery shard"),
-            RecoveryError::BadVersion(v) => write!(f, "unsupported recovery shard version {v}"),
-            RecoveryError::Truncated => write!(f, "recovery shard truncated"),
-            RecoveryError::BadCrc { stored, computed } => write!(
-                f,
-                "recovery shard CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            ),
+            RecoveryError::Codec(e) => write!(f, "recovery shard does not decode: {e}"),
             RecoveryError::NotQuiescent(n) => {
                 write!(f, "snapshot taken with {n} messages still in flight")
             }
@@ -121,6 +92,12 @@ impl fmt::Display for RecoveryError {
 }
 
 impl std::error::Error for RecoveryError {}
+
+impl From<CodecError> for RecoveryError {
+    fn from(e: CodecError) -> Self {
+        RecoveryError::Codec(e)
+    }
+}
 
 impl From<std::io::Error> for RecoveryError {
     fn from(e: std::io::Error) -> Self {
@@ -150,97 +127,57 @@ pub struct RecoverySnapshot {
     pub chares: Vec<(u32, Vec<u8>)>,
 }
 
-/// Length-guarded read helper: `Buf` getters panic when short, so every
-/// read goes through this first.
-fn need(buf: &&[u8], n: usize) -> Result<(), RecoveryError> {
-    if buf.remaining() < n {
-        Err(RecoveryError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
 impl RecoverySnapshot {
     /// Serialize with the CRC-32 trailer.
     pub fn encode(&self) -> Bytes {
         let body: usize =
             self.meta.len() + self.chares.iter().map(|(_, b)| b.len() + 8).sum::<usize>();
         let mut buf = BytesMut::with_capacity(64 + body);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
+        codec::put_header(&mut buf, MAGIC, VERSION);
         buf.put_u64_le(self.epoch);
         buf.put_u64_le(self.next_phase);
         buf.put_u32_le(self.rank);
         buf.put_u32_le(self.n_ranks);
         buf.put_u64_le(self.in_flight);
-        buf.put_u32_le(self.meta.len() as u32);
-        buf.put_slice(&self.meta);
+        codec::put_blob(&mut buf, &self.meta);
         buf.put_u32_le(self.chares.len() as u32);
         for (id, bytes) in &self.chares {
             buf.put_u32_le(*id);
-            buf.put_u32_le(bytes.len() as u32);
-            buf.put_slice(bytes);
+            codec::put_blob(&mut buf, bytes);
         }
-        let crc = crc32(buf.as_slice());
-        buf.put_u32_le(crc);
-        buf.freeze()
+        codec::seal(buf)
     }
 
     /// Deserialize, verifying structure, the CRC trailer, and quiescence.
     pub fn decode(data: &[u8]) -> Result<RecoverySnapshot, RecoveryError> {
-        let mut buf = data;
-        need(&buf, 8)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(RecoveryError::BadMagic);
+        let snap = codec::decode_sealed(data, |buf| {
+            codec::get_header(buf, MAGIC, VERSION)?;
+            let epoch = buf.try_get_u64_le()?;
+            let next_phase = buf.try_get_u64_le()?;
+            let rank = buf.try_get_u32_le()?;
+            let n_ranks = buf.try_get_u32_le()?;
+            let in_flight = buf.try_get_u64_le()?;
+            let meta = codec::get_blob(buf)?.to_vec();
+            let n_chares = codec::get_count(buf, 8)?;
+            let mut chares = Vec::with_capacity(n_chares);
+            for _ in 0..n_chares {
+                let id = buf.try_get_u32_le()?;
+                chares.push((id, codec::get_blob(buf)?.to_vec()));
+            }
+            Ok::<_, CodecError>(RecoverySnapshot {
+                epoch,
+                next_phase,
+                rank,
+                n_ranks,
+                in_flight,
+                meta,
+                chares,
+            })
+        })?;
+        if snap.in_flight != 0 {
+            return Err(RecoveryError::NotQuiescent(snap.in_flight));
         }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(RecoveryError::BadVersion(version));
-        }
-        need(&buf, 8 + 8 + 4 + 4 + 8 + 4)?;
-        let epoch = buf.get_u64_le();
-        let next_phase = buf.get_u64_le();
-        let rank = buf.get_u32_le();
-        let n_ranks = buf.get_u32_le();
-        let in_flight = buf.get_u64_le();
-        let meta_len = buf.get_u32_le() as usize;
-        need(&buf, meta_len + 4)?;
-        let (meta_bytes, rest) = buf.split_at(meta_len);
-        let meta = meta_bytes.to_vec();
-        buf = rest;
-        let n_chares = buf.get_u32_le() as usize;
-        let mut chares = Vec::with_capacity(n_chares.min(1 << 16));
-        for _ in 0..n_chares {
-            need(&buf, 8)?;
-            let id = buf.get_u32_le();
-            let len = buf.get_u32_le() as usize;
-            need(&buf, len)?;
-            let (blob, rest) = buf.split_at(len);
-            chares.push((id, blob.to_vec()));
-            buf = rest;
-        }
-        need(&buf, 4)?;
-        let stored = buf.get_u32_le();
-        let payload_len = data.len() - buf.remaining() - 4;
-        let payload = data.get(..payload_len).ok_or(RecoveryError::Truncated)?;
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(RecoveryError::BadCrc { stored, computed });
-        }
-        if in_flight != 0 {
-            return Err(RecoveryError::NotQuiescent(in_flight));
-        }
-        Ok(RecoverySnapshot {
-            epoch,
-            next_phase,
-            rank,
-            n_ranks,
-            in_flight,
-            meta,
-            chares,
-        })
+        Ok(snap)
     }
 }
 
@@ -495,13 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // IEEE CRC-32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn snapshot_roundtrip() {
         let s = snap(3, 1, 4);
         let decoded = RecoverySnapshot::decode(&s.encode()).expect("round trip");
@@ -509,35 +439,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_corruption_and_truncation() {
+    fn snapshot_corruption_errors_are_typed() {
         let data = snap(0, 0, 1).encode();
-        // Every strict prefix is Truncated or structurally invalid.
-        for cut in [0, 4, 11, data.len() / 2, data.len() - 1] {
-            assert!(
-                RecoverySnapshot::decode(&data[..cut]).is_err(),
-                "prefix {cut} decoded"
-            );
-        }
         // A body bit-flip is caught by the CRC.
         let mut bad = data.to_vec();
         let mid = data.len() / 2;
         bad[mid] ^= 0x40;
         assert!(matches!(
             RecoverySnapshot::decode(&bad),
-            Err(RecoveryError::BadCrc { .. })
+            Err(RecoveryError::Codec(CodecError::BadCrc { .. }))
         ));
         // Wrong magic and wrong version are typed.
         let mut m = data.to_vec();
         m[0] = b'X';
         assert_eq!(
             RecoverySnapshot::decode(&m).err(),
-            Some(RecoveryError::BadMagic)
+            Some(RecoveryError::Codec(CodecError::BadMagic))
         );
         let mut v = data.to_vec();
         v[4] = 99;
         assert!(matches!(
             RecoverySnapshot::decode(&v),
-            Err(RecoveryError::BadVersion(99))
+            Err(RecoveryError::Codec(CodecError::BadVersion(99)))
         ));
     }
 
@@ -582,7 +505,7 @@ mod tests {
         assert_eq!(store.latest_committed(1), Some(0));
         assert!(matches!(
             store.load_epoch(1, 1),
-            Err(RecoveryError::Truncated)
+            Err(RecoveryError::Codec(CodecError::Truncated))
         ));
     }
 

@@ -42,8 +42,8 @@ pub fn write_frames(w: &mut impl Write, frames: &[(u8, &[u8])]) -> io::Result<u6
             .checked_add(1)
             .filter(|&n| n <= MAX_FRAME)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-        let len = (body_len as u32).to_le_bytes();
-        headers.push([len[0], len[1], len[2], len[3], *kind]); // simlint: allow(R3) -- len is a [u8; 4], indices 0..=3 are in range by construction
+        let [l0, l1, l2, l3] = (body_len as u32).to_le_bytes();
+        headers.push([l0, l1, l2, l3, *kind]);
         total += 4 + body_len as u64;
     }
     // `skip` tracks how many bytes of the logical stream are already on
@@ -95,11 +95,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
             format!("bad frame length {body_len}"),
         ));
     }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
-    let kind = body[0]; // simlint: allow(R3) -- body_len checked nonzero above, so index 0 exists
-    body.remove(0);
-    Ok((kind, body, 4 + body_len as u64))
+    let mut kind = [0u8; 1];
+    r.read_exact(&mut kind)?;
+    let mut payload = vec![0u8; body_len - 1];
+    r.read_exact(&mut payload)?;
+    let [kind] = kind;
+    Ok((kind, payload, 4 + body_len as u64))
 }
 
 /// What one [`FrameBuf::poll`] produced.
@@ -151,23 +152,18 @@ impl FrameBuf {
 
     fn drain_complete(&mut self, out: &mut Polled) -> io::Result<()> {
         let mut offset = 0usize;
-        loop {
-            let rest = &self.buf[offset..];
-            if rest.len() < 4 {
-                break;
-            }
-            let body_len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize; // simlint: allow(R3) -- rest.len() >= 4 checked two lines up
+        while let Some((len, rest)) = self.buf[offset..].split_first_chunk::<4>() {
+            let body_len = u32::from_le_bytes(*len) as usize;
             if body_len == 0 || body_len > MAX_FRAME {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("bad frame length {body_len}"),
                 ));
             }
-            if rest.len() < 4 + body_len {
+            let Some((&kind, payload)) = rest.get(..body_len).and_then(<[u8]>::split_first) else {
                 break;
-            }
-            let kind = rest[4]; // simlint: allow(R3) -- rest.len() >= 4 + body_len with body_len >= 1 checked above
-            out.frames.push((kind, rest[5..4 + body_len].to_vec()));
+            };
+            out.frames.push((kind, payload.to_vec()));
             offset += 4 + body_len;
         }
         if offset > 0 {

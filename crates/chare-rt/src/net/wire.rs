@@ -3,14 +3,16 @@
 //! `[len: u32][kind: u8][payload]` (the length counts the kind byte plus
 //! the payload — see [`crate::net::transport`]); this module defines what
 //! goes inside the payload for each kind. DESIGN.md §8 documents the
-//! layouts normatively.
+//! layouts normatively. Decoders read through [`crate::codec`] and return
+//! `None` for anything malformed, trailing bytes included.
 
 use crate::chare::{ChareId, Message};
+use crate::codec::{self, CodecError};
 use crate::stats::{PeStats, ReductionSlots, REDUCTION_SLOTS};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// First field of HELLO: "EPNT" interpreted little-endian.
-pub const MAGIC: u32 = 0x544E_5045;
+/// First field of HELLO (then [`VERSION`]).
+pub const MAGIC: &[u8; 4] = b"EPNT";
 /// Wire protocol version; a mismatch is a setup error, never negotiated.
 /// v3: the phase protocol is CD_PROBE / CD_REPLY / PHASE_RESULT only —
 /// probes carry the topology check, replies carry the worker's reductions
@@ -187,32 +189,29 @@ fn put_pe_stats(out: &mut BytesMut, s: &PeStats) {
     }
 }
 
-fn get_pe_stats(buf: &mut &[u8]) -> Option<PeStats> {
-    if buf.remaining() < PE_STATS_FIELDS * 8 {
-        return None;
-    }
-    Some(PeStats {
-        sent_self: buf.get_u64_le(),
-        sent_intra: buf.get_u64_le(),
-        sent_remote: buf.get_u64_le(),
-        network_packets: buf.get_u64_le(),
-        remote_bytes: buf.get_u64_le(),
-        processed: buf.get_u64_le(),
-        busy_ns: buf.get_u64_le(),
-        faults_dropped: buf.get_u64_le(),
-        faults_dup_suppressed: buf.get_u64_le(),
-        lost: buf.get_u64_le(),
-        wire_frames_sent: buf.get_u64_le(),
-        wire_frames_recv: buf.get_u64_le(),
-        wire_bytes_sent: buf.get_u64_le(),
-        wire_bytes_recv: buf.get_u64_le(),
-        wire_flush_batch: buf.get_u64_le(),
-        wire_flush_idle: buf.get_u64_le(),
-        shm_frames_sent: buf.get_u64_le(),
-        shm_parks: buf.get_u64_le(),
-        wire_flush_eager: buf.get_u64_le(),
-        recovery_checkpoints: buf.get_u64_le(),
-        recovery_restores: buf.get_u64_le(),
+fn get_pe_stats(buf: &mut &[u8]) -> Result<PeStats, CodecError> {
+    Ok(PeStats {
+        sent_self: buf.try_get_u64_le()?,
+        sent_intra: buf.try_get_u64_le()?,
+        sent_remote: buf.try_get_u64_le()?,
+        network_packets: buf.try_get_u64_le()?,
+        remote_bytes: buf.try_get_u64_le()?,
+        processed: buf.try_get_u64_le()?,
+        busy_ns: buf.try_get_u64_le()?,
+        faults_dropped: buf.try_get_u64_le()?,
+        faults_dup_suppressed: buf.try_get_u64_le()?,
+        lost: buf.try_get_u64_le()?,
+        wire_frames_sent: buf.try_get_u64_le()?,
+        wire_frames_recv: buf.try_get_u64_le()?,
+        wire_bytes_sent: buf.try_get_u64_le()?,
+        wire_bytes_recv: buf.try_get_u64_le()?,
+        wire_flush_batch: buf.try_get_u64_le()?,
+        wire_flush_idle: buf.try_get_u64_le()?,
+        shm_frames_sent: buf.try_get_u64_le()?,
+        shm_parks: buf.try_get_u64_le()?,
+        wire_flush_eager: buf.try_get_u64_le()?,
+        recovery_checkpoints: buf.try_get_u64_le()?,
+        recovery_restores: buf.try_get_u64_le()?,
     })
 }
 
@@ -222,15 +221,12 @@ fn put_reductions(out: &mut BytesMut, r: &ReductionSlots) {
     }
 }
 
-fn get_reductions(buf: &mut &[u8]) -> Option<ReductionSlots> {
-    if buf.remaining() < REDUCTION_SLOTS * 8 {
-        return None;
-    }
+fn get_reductions(buf: &mut &[u8]) -> Result<ReductionSlots, CodecError> {
     let mut r = ReductionSlots::default();
     for slot in 0..REDUCTION_SLOTS {
-        r.add(slot, buf.get_u64_le());
+        r.add(slot, buf.try_get_u64_le()?);
     }
-    Some(r)
+    Ok(r)
 }
 
 impl Ctl {
@@ -239,8 +235,7 @@ impl Ctl {
         let mut out = BytesMut::with_capacity(64);
         let kind = match self {
             Ctl::Hello(h) => {
-                out.put_u32_le(MAGIC);
-                out.put_u32_le(VERSION);
+                codec::put_header(&mut out, MAGIC, VERSION);
                 out.put_u64_le(h.invocation);
                 out.put_u32_le(h.rank);
                 out.put_u32_le(h.n_procs);
@@ -334,143 +329,88 @@ impl Ctl {
     /// Decode a control frame. `None` means malformed — the transport
     /// treats that as fatal, never skips.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Option<Ctl> {
-        let mut buf = payload;
-        let need = |buf: &&[u8], n: usize| buf.remaining() >= n;
-        let ctl = match kind_byte {
-            kind::HELLO => {
-                if !need(&buf, 30) || buf.get_u32_le() != MAGIC || buf.get_u32_le() != VERSION {
-                    return None;
+        let parse = |buf: &mut &[u8]| -> Result<Ctl, CodecError> {
+            Ok(match kind_byte {
+                kind::HELLO => {
+                    codec::get_header(buf, MAGIC, VERSION)?;
+                    Ctl::Hello(Hello {
+                        invocation: buf.try_get_u64_le()?,
+                        rank: buf.try_get_u32_le()?,
+                        n_procs: buf.try_get_u32_le()?,
+                        n_pes: buf.try_get_u32_le()?,
+                        listen_port: buf.try_get_u16_le()?,
+                    })
                 }
-                Ctl::Hello(Hello {
-                    invocation: buf.get_u64_le(),
-                    rank: buf.get_u32_le(),
-                    n_procs: buf.get_u32_le(),
-                    n_pes: buf.get_u32_le(),
-                    listen_port: buf.get_u16_le(),
-                })
-            }
-            kind::PEERS => {
-                if !need(&buf, 4) {
-                    return None;
+                kind::PEERS => {
+                    let n = codec::get_count(buf, 6)?;
+                    let mut peers = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        peers.push((buf.try_get_u32_le()?, buf.try_get_u16_le()?));
+                    }
+                    Ctl::Peers(peers)
                 }
-                let n = buf.get_u32_le() as usize;
-                if !need(&buf, n.checked_mul(6)?) {
-                    return None;
+                kind::PEER_HELLO => Ctl::PeerHello {
+                    invocation: buf.try_get_u64_le()?,
+                    rank: buf.try_get_u32_le()?,
+                },
+                kind::MESH_OK => Ctl::MeshOk {
+                    rank: buf.try_get_u32_le()?,
+                },
+                kind::CD_PROBE => Ctl::CdProbe {
+                    phase: buf.try_get_u64_le()?,
+                    wave: buf.try_get_u64_le()?,
+                    n_chares: buf.try_get_u32_le()?,
+                    map_hash: buf.try_get_u64_le()?,
+                },
+                kind::CD_REPLY => {
+                    let rank = buf.try_get_u32_le()?;
+                    let phase = buf.try_get_u64_le()?;
+                    let wave = buf.try_get_u64_le()?;
+                    let produced = buf.try_get_u64_le()?;
+                    let consumed = buf.try_get_u64_le()?;
+                    let reductions = get_reductions(buf)?;
+                    let n = codec::get_count(buf, 4 + PE_STATS_FIELDS * 8)?;
+                    let mut per_pe = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        per_pe.push((buf.try_get_u32_le()?, get_pe_stats(buf)?));
+                    }
+                    Ctl::CdReply {
+                        rank,
+                        phase,
+                        wave,
+                        produced,
+                        consumed,
+                        reductions,
+                        per_pe,
+                    }
                 }
-                let mut peers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    peers.push((buf.get_u32_le(), buf.get_u16_le()));
+                kind::PHASE_RESULT => {
+                    let phase = buf.try_get_u64_le()?;
+                    let reductions = get_reductions(buf)?;
+                    let n = codec::get_count(buf, PE_STATS_FIELDS * 8)?;
+                    let mut per_pe = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        per_pe.push(get_pe_stats(buf)?);
+                    }
+                    Ctl::PhaseResult {
+                        phase,
+                        reductions,
+                        per_pe,
+                    }
                 }
-                Ctl::Peers(peers)
-            }
-            kind::PEER_HELLO => {
-                if !need(&buf, 12) {
-                    return None;
-                }
-                Ctl::PeerHello {
-                    invocation: buf.get_u64_le(),
-                    rank: buf.get_u32_le(),
-                }
-            }
-            kind::MESH_OK => {
-                if !need(&buf, 4) {
-                    return None;
-                }
-                Ctl::MeshOk {
-                    rank: buf.get_u32_le(),
-                }
-            }
-            kind::CD_PROBE => {
-                if !need(&buf, 28) {
-                    return None;
-                }
-                Ctl::CdProbe {
-                    phase: buf.get_u64_le(),
-                    wave: buf.get_u64_le(),
-                    n_chares: buf.get_u32_le(),
-                    map_hash: buf.get_u64_le(),
-                }
-            }
-            kind::CD_REPLY => {
-                if !need(&buf, 36) {
-                    return None;
-                }
-                let rank = buf.get_u32_le();
-                let phase = buf.get_u64_le();
-                let wave = buf.get_u64_le();
-                let produced = buf.get_u64_le();
-                let consumed = buf.get_u64_le();
-                let reductions = get_reductions(&mut buf)?;
-                if !need(&buf, 4) {
-                    return None;
-                }
-                let n = buf.get_u32_le() as usize;
-                if !need(&buf, n.checked_mul(4 + PE_STATS_FIELDS * 8)?) {
-                    return None;
-                }
-                let mut per_pe = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let pe = buf.get_u32_le();
-                    per_pe.push((pe, get_pe_stats(&mut buf)?));
-                }
-                Ctl::CdReply {
-                    rank,
-                    phase,
-                    wave,
-                    produced,
-                    consumed,
-                    reductions,
-                    per_pe,
-                }
-            }
-            kind::PHASE_RESULT => {
-                if !need(&buf, 8) {
-                    return None;
-                }
-                let phase = buf.get_u64_le();
-                let reductions = get_reductions(&mut buf)?;
-                if !need(&buf, 4) {
-                    return None;
-                }
-                let n = buf.get_u32_le() as usize;
-                if !need(&buf, n.checked_mul(PE_STATS_FIELDS * 8)?) {
-                    return None;
-                }
-                let mut per_pe = Vec::with_capacity(n);
-                for _ in 0..n {
-                    per_pe.push(get_pe_stats(&mut buf)?);
-                }
-                Ctl::PhaseResult {
-                    phase,
-                    reductions,
-                    per_pe,
-                }
-            }
-            kind::SHUTDOWN => Ctl::Shutdown,
-            kind::HEARTBEAT => {
-                if !need(&buf, 8) {
-                    return None;
-                }
-                Ctl::Heartbeat {
-                    seq: buf.get_u64_le(),
-                }
-            }
-            kind::HEARTBEAT_ACK => {
-                if !need(&buf, 16) {
-                    return None;
-                }
-                Ctl::HeartbeatAck {
-                    rank: buf.get_u32_le(),
-                    seq: buf.get_u64_le(),
-                    mesh_dead: buf.get_u32_le(),
-                }
-            }
-            _ => return None,
+                kind::SHUTDOWN => Ctl::Shutdown,
+                kind::HEARTBEAT => Ctl::Heartbeat {
+                    seq: buf.try_get_u64_le()?,
+                },
+                kind::HEARTBEAT_ACK => Ctl::HeartbeatAck {
+                    rank: buf.try_get_u32_le()?,
+                    seq: buf.try_get_u64_le()?,
+                    mesh_dead: buf.try_get_u32_le()?,
+                },
+                other => return Err(CodecError::BadTag(other)),
+            })
         };
-        if buf.remaining() != 0 {
-            return None; // trailing garbage
-        }
-        Some(ctl)
+        codec::decode_exact(payload, parse).ok()
     }
 }
 
@@ -489,16 +429,11 @@ pub fn encode_batch<M: Message>(phase: u64, to: ChareId, msg: &M) -> Bytes {
 /// header is short or the message codec fails or leaves bytes unread.
 pub fn decode_batch<M: Message>(payload: &[u8]) -> Option<(u64, ChareId, M)> {
     let mut buf = payload;
-    if buf.remaining() < 12 {
-        return None;
-    }
-    let phase = buf.get_u64_le();
-    let to = ChareId(buf.get_u32_le());
+    let phase = buf.try_get_u64_le().ok()?;
+    let to = ChareId(buf.try_get_u32_le().ok()?);
     let msg = M::wire_decode(&mut buf)?;
-    if buf.remaining() != 0 {
-        return None; // codec under-read its own payload
-    }
-    Some((phase, to, msg))
+    // The message codec must consume its own payload exactly.
+    buf.is_empty().then_some((phase, to, msg))
 }
 
 /// FNV-1a over the chare→PE map; every CD_PROBE carries it so a worker whose
@@ -585,21 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_truncation_rejected() {
-        let (kind, payload) = Ctl::HeartbeatAck {
-            rank: 1,
-            seq: 9,
-            mesh_dead: 0,
-        }
-        .encode();
-        for cut in 0..payload.len() {
-            assert!(Ctl::decode(kind, &payload[..cut]).is_none(), "cut {cut}");
-        }
-        let (kind, payload) = Ctl::Heartbeat { seq: 1 }.encode();
-        assert!(Ctl::decode(kind, &payload[..7]).is_none());
-    }
-
-    #[test]
     fn bad_magic_and_truncation_rejected() {
         let (kind, payload) = Ctl::Hello(Hello {
             invocation: 0,
@@ -630,10 +550,7 @@ mod tests {
         }
 
         fn wire_decode(buf: &mut &[u8]) -> Option<Self> {
-            if buf.remaining() < 8 {
-                return None;
-            }
-            Some(Tok(buf.get_u64_le()))
+            buf.try_get_u64_le().ok().map(Tok)
         }
     }
 
@@ -669,11 +586,10 @@ mod tests {
         }
     }
 
-    /// A stats-bearing reply is rejected at every truncation point, and a
-    /// count that promises more PEs than the payload holds is rejected
+    /// A count that promises more PEs than the payload holds is rejected
     /// before anything is reserved for it.
     #[test]
-    fn cd_reply_truncation_and_lying_count_rejected() {
+    fn cd_reply_lying_count_rejected() {
         let (kind, payload) = Ctl::CdReply {
             rank: 1,
             phase: 3,
@@ -684,9 +600,6 @@ mod tests {
             per_pe: vec![(2, PeStats::default()), (3, PeStats::default())],
         }
         .encode();
-        for cut in 0..payload.len() {
-            assert!(Ctl::decode(kind, &payload[..cut]).is_none(), "cut {cut}");
-        }
         let count_at = 36 + REDUCTION_SLOTS * 8;
         let mut lying = payload.to_vec();
         lying[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

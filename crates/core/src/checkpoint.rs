@@ -1,4 +1,5 @@
-//! Checkpoint/restart for long simulations.
+//! Checkpoint/restart for long simulations, and the records a recovery
+//! shard shares with it.
 //!
 //! A checkpoint captures everything a resumed run needs to continue
 //! *bit-exactly*: the next day to simulate, the global epidemic counters,
@@ -10,15 +11,31 @@
 //!
 //! ```text
 //! magic "EPCK" | version u32
-//! next_day u32 | seeds u64 | cumulative u64 | yd_new u64 | yd_infected u64
-//! fired: n u32 + u8 × n
-//! active windows: n u32 + (source u32, end_day u32) × n
-//! persons: n u32 + (state u16, days_remaining u32, treatment u16,
-//!                   sus_scale f32, infected_on u32, infected_by u32) × n
-//!          (u32::MAX encodes "none"; pending infections are always empty
-//!           at day boundaries and are not stored)
+//! carry header := next_day u32 | seeds u64 | cumulative u64 | yd_new u64
+//!                 | yd_infected u64
+//!                 | fired: n u32 + u8 × n
+//!                 | active windows: n u32 + (source u32, end_day u32) × n
+//! persons: n u32 + person × n
 //! crc32 u32 over every preceding byte (v2; torn-write detection)
+//!
+//! person := state u16, days_remaining u32, treatment u16, sus_scale f32,
+//!           infected_on u32, infected_by u32
+//!           (u32::MAX encodes "none"; pending infections are always empty
+//!            at day boundaries and are not stored)
 //! ```
+//!
+//! Two more records are built from the same pieces, and live here so each
+//! piece is written once:
+//! - the *person shard* ([`encode_person_shard`]), a PersonManager's blob in
+//!   a recovery shard: `n u32 + (id u32, person) × n`;
+//! - the *meta record* ([`encode_meta`]), the rank-identical part of a
+//!   recovery shard written by [`crate::resilient`]: `carry header | days:
+//!   n u32 + day × n`, where `day := day u32 + 14 × u64` in [`DayStats`]
+//!   field order ([`put_day`]; episerve's day event carries the same
+//!   record).
+//!
+//! Neither carries its own CRC: the enclosing recovery shard's covers
+//! both.
 //!
 //! [`Checkpoint::save`] is torn-write-safe: it writes to a temp file in
 //! the target directory, fsyncs, and atomically renames — a crash during
@@ -26,17 +43,21 @@
 //! partial temp file can never be mistaken for a checkpoint because the
 //! CRC trailer will not validate.
 
+use crate::output::DayStats;
 use crate::person::PersonSlot;
 use crate::simulator::Carry;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use chare_rt::crc32;
+use chare_rt::codec::{self, CodecError};
 use ptts::intervention::{InterventionSet, InterventionSnapshot};
 use ptts::model::{HealthTracker, StateId, TreatmentId};
-use std::fmt;
 use std::io::Write;
 
 const MAGIC: &[u8; 4] = b"EPCK";
 const VERSION: u32 = 2;
+/// Encoded bytes of one person record.
+const PERSON_WIRE: usize = 20;
+/// Encoded bytes of one [`DayStats`] record.
+const DAY_WIRE: usize = 4 + 14 * 8;
 
 /// A captured simulation state.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,40 +77,6 @@ pub struct Checkpoint {
     /// Every person's state, indexed by person id.
     pub states: Vec<PersonSlot>,
 }
-
-/// Decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Wrong magic bytes.
-    BadMagic,
-    /// Unsupported version.
-    BadVersion(u32),
-    /// Buffer ended early.
-    Truncated,
-    /// CRC trailer mismatch: the body was corrupted (bit rot, torn write).
-    BadCrc {
-        /// CRC stored in the trailer.
-        stored: u32,
-        /// CRC computed over the body.
-        computed: u32,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::BadMagic => write!(f, "not an EPCK checkpoint"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::BadCrc { stored, computed } => write!(
-                f,
-                "checkpoint CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// Capture a checkpoint from epoch state (person states from
 /// [`crate::simulator::Simulator::dismantle`], counters from [`Carry`]).
@@ -126,9 +113,35 @@ impl Checkpoint {
 
     /// Serialize.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.states.len() * 20);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
+        let mut buf = BytesMut::with_capacity(64 + self.states.len() * PERSON_WIRE);
+        codec::put_header(&mut buf, MAGIC, VERSION);
+        self.put_carry(&mut buf);
+        buf.put_u32_le(self.states.len() as u32);
+        for s in &self.states {
+            put_person(&mut buf, s);
+        }
+        codec::seal(buf)
+    }
+
+    /// Deserialize, verifying the structure and the CRC trailer. Header
+    /// corruption is reported as `BadMagic`/`BadVersion`, short buffers as
+    /// `Truncated`, and any surviving body corruption as `BadCrc` (or
+    /// `Trailing`).
+    pub fn decode(data: &[u8]) -> Result<Checkpoint, CodecError> {
+        codec::decode_sealed(data, |buf| {
+            codec::get_header(buf, MAGIC, VERSION)?;
+            let mut ckpt = Checkpoint::get_carry(buf)?;
+            let n = codec::get_count(buf, PERSON_WIRE)?;
+            ckpt.states.reserve_exact(n);
+            for id in 0..n as u32 {
+                ckpt.states.push(get_person(buf, id)?);
+            }
+            Ok(ckpt)
+        })
+    }
+
+    /// Write the carry header (everything but the person table).
+    fn put_carry(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.next_day);
         buf.put_u64_le(self.seeds);
         buf.put_u64_le(self.cumulative);
@@ -143,86 +156,24 @@ impl Checkpoint {
             buf.put_u32_le(source);
             buf.put_u32_le(end_day);
         }
-        buf.put_u32_le(self.states.len() as u32);
-        for s in &self.states {
-            buf.put_u16_le(s.health.state.0);
-            buf.put_u32_le(s.health.days_remaining);
-            buf.put_u16_le(s.health.treatment.0);
-            buf.put_f32_le(s.sus_scale);
-            buf.put_u32_le(s.infected_on.unwrap_or(u32::MAX));
-            buf.put_u32_le(s.infected_by.unwrap_or(u32::MAX));
-        }
-        let crc = crc32(buf.as_slice());
-        buf.put_u32_le(crc);
-        buf.freeze()
     }
 
-    /// Deserialize, verifying the structure and the CRC trailer. Header
-    /// corruption is reported as `BadMagic`/`BadVersion`, short buffers as
-    /// `Truncated`, and any surviving body corruption as `BadCrc`.
-    pub fn decode(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let mut buf = data;
-        let need = |buf: &&[u8], n: usize| -> Result<(), CheckpointError> {
-            if buf.remaining() < n {
-                Err(CheckpointError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        need(&buf, 8)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CheckpointError::BadMagic);
+    /// Read a carry header into a checkpoint with an empty person table.
+    fn get_carry(buf: &mut &[u8]) -> Result<Checkpoint, CodecError> {
+        let next_day = buf.try_get_u32_le()?;
+        let seeds = buf.try_get_u64_le()?;
+        let cumulative = buf.try_get_u64_le()?;
+        let yesterday_new = buf.try_get_u64_le()?;
+        let yesterday_infected = buf.try_get_u64_le()?;
+        let n_fired = codec::get_count(buf, 1)?;
+        let mut fired = Vec::with_capacity(n_fired);
+        for _ in 0..n_fired {
+            fired.push(buf.try_get_u8()? != 0);
         }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        need(&buf, 4 + 8 * 4 + 4)?;
-        let next_day = buf.get_u32_le();
-        let seeds = buf.get_u64_le();
-        let cumulative = buf.get_u64_le();
-        let yesterday_new = buf.get_u64_le();
-        let yesterday_infected = buf.get_u64_le();
-        let n_fired = buf.get_u32_le() as usize;
-        need(&buf, n_fired)?;
-        let fired = (0..n_fired).map(|_| buf.get_u8() != 0).collect();
-        need(&buf, 4)?;
-        let n_active = buf.get_u32_le() as usize;
-        need(&buf, n_active * 8 + 4)?;
-        let active = (0..n_active)
-            .map(|_| (buf.get_u32_le(), buf.get_u32_le()))
-            .collect();
-        let n_states = buf.get_u32_le() as usize;
-        need(&buf, n_states * 20)?;
-        let mut states = Vec::with_capacity(n_states);
-        for id in 0..n_states {
-            let state = StateId(buf.get_u16_le());
-            let days_remaining = buf.get_u32_le();
-            let treatment = TreatmentId(buf.get_u16_le());
-            let sus_scale = buf.get_f32_le();
-            let infected_on = buf.get_u32_le();
-            let infected_by = buf.get_u32_le();
-            states.push(PersonSlot {
-                id: id as u32,
-                health: HealthTracker {
-                    state,
-                    days_remaining,
-                    treatment,
-                },
-                sus_scale,
-                pending: None,
-                infected_on: (infected_on != u32::MAX).then_some(infected_on),
-                infected_by: (infected_by != u32::MAX).then_some(infected_by),
-            });
-        }
-        need(&buf, 4)?;
-        let stored = buf.get_u32_le();
-        let body_len = data.len() - buf.remaining() - 4;
-        let computed = crc32(&data[..body_len]);
-        if stored != computed {
-            return Err(CheckpointError::BadCrc { stored, computed });
+        let n_active = codec::get_count(buf, 8)?;
+        let mut active = Vec::with_capacity(n_active);
+        for _ in 0..n_active {
+            active.push((buf.try_get_u32_le()?, buf.try_get_u32_le()?));
         }
         Ok(Checkpoint {
             next_day,
@@ -231,7 +182,7 @@ impl Checkpoint {
             yesterday_new,
             yesterday_infected,
             interventions: InterventionSnapshot { fired, active },
-            states,
+            states: Vec::new(),
         })
     }
 
@@ -262,68 +213,134 @@ impl Checkpoint {
     }
 }
 
+/// Write one person record (no id: EPCK stores persons densely by id).
+fn put_person(buf: &mut BytesMut, s: &PersonSlot) {
+    buf.put_u16_le(s.health.state.0);
+    buf.put_u32_le(s.health.days_remaining);
+    buf.put_u16_le(s.health.treatment.0);
+    buf.put_f32_le(s.sus_scale);
+    buf.put_u32_le(s.infected_on.unwrap_or(u32::MAX));
+    buf.put_u32_le(s.infected_by.unwrap_or(u32::MAX));
+}
+
+/// Read one person record for person `id`.
+fn get_person(buf: &mut &[u8], id: u32) -> Result<PersonSlot, CodecError> {
+    let health = HealthTracker {
+        state: StateId(buf.try_get_u16_le()?),
+        days_remaining: buf.try_get_u32_le()?,
+        treatment: TreatmentId(buf.try_get_u16_le()?),
+    };
+    let sus_scale = buf.try_get_f32_le()?;
+    let infected_on = buf.try_get_u32_le()?;
+    let infected_by = buf.try_get_u32_le()?;
+    Ok(PersonSlot {
+        id,
+        health,
+        sus_scale,
+        pending: None,
+        infected_on: (infected_on != u32::MAX).then_some(infected_on),
+        infected_by: (infected_by != u32::MAX).then_some(infected_by),
+    })
+}
+
 /// Serialize a *subset* of persons with explicit ids — the per-chare blob
 /// of a recovery shard ([`chare_rt::RecoverySnapshot`]). Unlike the full
 /// [`Checkpoint`] person table, which stores persons densely by id, a
 /// shard holds only the persons a PersonManager owns, so each record
-/// carries its global person id. Pending infections are always empty at
-/// the day-boundary barrier and are not stored.
-///
-/// Layout: `n u32 + (id u32, state u16, days_remaining u32, treatment u16,
-/// sus_scale f32, infected_on u32, infected_by u32) × n`. Integrity is the
-/// enclosing snapshot frame's CRC, not repeated here.
+/// carries its global person id.
 pub fn encode_person_shard(slots: &[PersonSlot]) -> Bytes {
     debug_assert!(
         slots.iter().all(|s| s.pending.is_none()),
         "pending infections must be applied before snapshotting"
     );
-    let mut buf = BytesMut::with_capacity(4 + slots.len() * 24);
+    let mut buf = BytesMut::with_capacity(4 + slots.len() * (4 + PERSON_WIRE));
     buf.put_u32_le(slots.len() as u32);
     for s in slots {
         buf.put_u32_le(s.id);
-        buf.put_u16_le(s.health.state.0);
-        buf.put_u32_le(s.health.days_remaining);
-        buf.put_u16_le(s.health.treatment.0);
-        buf.put_f32_le(s.sus_scale);
-        buf.put_u32_le(s.infected_on.unwrap_or(u32::MAX));
-        buf.put_u32_le(s.infected_by.unwrap_or(u32::MAX));
+        put_person(&mut buf, s);
     }
     buf.freeze()
 }
 
 /// Inverse of [`encode_person_shard`].
-pub fn decode_person_shard(data: &[u8]) -> Result<Vec<PersonSlot>, CheckpointError> {
-    let mut buf = data;
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
+pub fn decode_person_shard(data: &[u8]) -> Result<Vec<PersonSlot>, CodecError> {
+    codec::decode_exact(data, |buf| {
+        let n = codec::get_count(buf, 4 + PERSON_WIRE)?;
+        let mut slots = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = buf.try_get_u32_le()?;
+            slots.push(get_person(buf, id)?);
+        }
+        Ok(slots)
+    })
+}
+
+/// Serialize the meta record: `head`'s carry header (its person table is
+/// not part of the record) and the curve so far.
+pub fn encode_meta(head: &Checkpoint, days: &[DayStats]) -> Vec<u8> {
+    let mut buf = BytesMut::with_capacity(64 + days.len() * DAY_WIRE);
+    head.put_carry(&mut buf);
+    buf.put_u32_le(days.len() as u32);
+    for d in days {
+        put_day(&mut buf, d);
     }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 24 {
-        return Err(CheckpointError::Truncated);
+    buf.as_slice().to_vec()
+}
+
+/// Inverse of [`encode_meta`]; the checkpoint comes back with an empty
+/// person table.
+pub fn decode_meta(data: &[u8]) -> Result<(Checkpoint, Vec<DayStats>), CodecError> {
+    codec::decode_exact(data, |buf| {
+        let head = Checkpoint::get_carry(buf)?;
+        let n = codec::get_count(buf, DAY_WIRE)?;
+        let mut days = Vec::with_capacity(n);
+        for _ in 0..n {
+            days.push(get_day(buf)?);
+        }
+        Ok((head, days))
+    })
+}
+
+/// Write one [`DayStats`] record, every field in declaration order.
+pub fn put_day(buf: &mut BytesMut, d: &DayStats) {
+    buf.put_u32_le(d.day);
+    for v in [
+        d.new_infections,
+        d.infected_now,
+        d.susceptible,
+        d.symptomatic,
+        d.cumulative,
+        d.visits,
+        d.events,
+        d.interactions,
+        d.infects_sent,
+    ] {
+        buf.put_u64_le(v);
     }
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = buf.get_u32_le();
-        let state = StateId(buf.get_u16_le());
-        let days_remaining = buf.get_u32_le();
-        let treatment = TreatmentId(buf.get_u16_le());
-        let sus_scale = buf.get_f32_le();
-        let infected_on = buf.get_u32_le();
-        let infected_by = buf.get_u32_le();
-        slots.push(PersonSlot {
-            id,
-            health: HealthTracker {
-                state,
-                days_remaining,
-                treatment,
-            },
-            sus_scale,
-            pending: None,
-            infected_on: (infected_on != u32::MAX).then_some(infected_on),
-            infected_by: (infected_by != u32::MAX).then_some(infected_by),
-        });
+    for &k in &d.infections_by_kind {
+        buf.put_u64_le(k);
     }
-    Ok(slots)
+}
+
+/// Read one [`DayStats`] record.
+pub fn get_day(buf: &mut &[u8]) -> Result<DayStats, CodecError> {
+    let mut d = DayStats {
+        day: buf.try_get_u32_le()?,
+        new_infections: buf.try_get_u64_le()?,
+        infected_now: buf.try_get_u64_le()?,
+        susceptible: buf.try_get_u64_le()?,
+        symptomatic: buf.try_get_u64_le()?,
+        cumulative: buf.try_get_u64_le()?,
+        visits: buf.try_get_u64_le()?,
+        events: buf.try_get_u64_le()?,
+        interactions: buf.try_get_u64_le()?,
+        infects_sent: buf.try_get_u64_le()?,
+        infections_by_kind: [0; 5],
+    };
+    for slot in d.infections_by_kind.iter_mut() {
+        *slot = buf.try_get_u64_le()?;
+    }
+    Ok(d)
 }
 
 #[cfg(test)]
@@ -358,6 +375,15 @@ mod tests {
         }
     }
 
+    /// A checkpoint after `days` days of a small round-robin run.
+    fn captured(days: u32) -> Checkpoint {
+        let dist = DataDistribution::build(&pop(), Strategy::RoundRobin, 2, 55);
+        let mut carry = Carry::new(cfg().interventions.clone(), 8);
+        let mut sim = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(2));
+        sim.run_days(0, days, &mut carry);
+        capture(days, 8, &carry, sim.dismantle().0)
+    }
+
     #[test]
     fn restart_is_bit_exact() {
         let pop = pop();
@@ -389,13 +415,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let pop = pop();
-        let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 55);
-        let mut carry = Carry::new(cfg().interventions.clone(), 8);
-        let mut sim = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(2));
-        sim.run_days(0, 5, &mut carry);
-        let (states, _) = sim.dismantle();
-        let ckpt = capture(5, 8, &carry, states);
+        let ckpt = captured(5);
         let dir = std::env::temp_dir().join("episim-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.epck");
@@ -487,8 +507,8 @@ mod tests {
             let mut bad = data.to_vec();
             bad[pos] ^= flip | 1; // guarantee at least one bit changes
             match Checkpoint::decode(&bad) {
-                Err(CheckpointError::BadMagic) => prop_assert!(pos < 4),
-                Err(CheckpointError::BadVersion(v)) => {
+                Err(CodecError::BadMagic) => prop_assert!(pos < 4),
+                Err(CodecError::BadVersion(v)) => {
                     prop_assert!(pos >= 4);
                     prop_assert_ne!(v, VERSION);
                 }
@@ -497,7 +517,7 @@ mod tests {
             let cut = cut_seed as usize % data.len();
             prop_assert_eq!(
                 Checkpoint::decode(&data[..cut]).err(),
-                Some(CheckpointError::Truncated)
+                Some(CodecError::Truncated)
             );
         }
     }
@@ -506,30 +526,15 @@ mod tests {
     fn decode_rejects_garbage() {
         assert_eq!(
             Checkpoint::decode(b"XXXXYYYY").err(),
-            Some(CheckpointError::BadMagic)
+            Some(CodecError::BadMagic)
         );
-        assert_eq!(
-            Checkpoint::decode(b"EP").err(),
-            Some(CheckpointError::Truncated)
-        );
-        let pop = pop();
-        let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 55);
-        let mut carry = Carry::new(cfg().interventions.clone(), 8);
-        let mut sim = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(2));
-        sim.run_days(0, 2, &mut carry);
-        let (states, _) = sim.dismantle();
-        let data = capture(2, 8, &carry, states).encode();
-        for cut in [5usize, 20, data.len() / 2, data.len() - 1] {
-            assert!(
-                Checkpoint::decode(&data[..cut]).is_err(),
-                "cut {cut} decoded"
-            );
-        }
+        assert_eq!(Checkpoint::decode(b"EP").err(), Some(CodecError::Truncated));
+        let data = captured(2).encode();
         let mut bad_version = data.to_vec();
         bad_version[4] = 77;
         assert!(matches!(
             Checkpoint::decode(&bad_version),
-            Err(CheckpointError::BadVersion(77))
+            Err(CodecError::BadVersion(77))
         ));
     }
 
@@ -538,13 +543,7 @@ mod tests {
     /// but wrong state, and a body bit-flip must be caught by the CRC.
     #[test]
     fn chopped_or_flipped_file_is_rejected() {
-        let pop = pop();
-        let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 55);
-        let mut carry = Carry::new(cfg().interventions.clone(), 8);
-        let mut sim = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(2));
-        sim.run_days(0, 3, &mut carry);
-        let (states, _) = sim.dismantle();
-        let ckpt = capture(3, 8, &carry, states);
+        let ckpt = captured(3);
         let dir = std::env::temp_dir().join(format!("episim-ckpt-chop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.epck");
@@ -567,7 +566,7 @@ mod tests {
         assert!(Checkpoint::load(&path).is_err(), "bit-flipped file loaded");
         assert!(matches!(
             Checkpoint::decode(&flipped),
-            Err(CheckpointError::BadCrc { .. }) | Err(CheckpointError::Truncated)
+            Err(CodecError::BadCrc { .. }) | Err(CodecError::Truncated)
         ));
 
         // And the pristine file still loads after all that.
@@ -580,13 +579,7 @@ mod tests {
     /// existing checkpoint replaces it in one step.
     #[test]
     fn save_is_atomic_and_cleans_temp() {
-        let pop = pop();
-        let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 55);
-        let mut carry = Carry::new(cfg().interventions.clone(), 8);
-        let mut sim = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(2));
-        sim.run_days(0, 2, &mut carry);
-        let (states, _) = sim.dismantle();
-        let ckpt = capture(2, 8, &carry, states);
+        let ckpt = captured(2);
         let dir = std::env::temp_dir().join(format!("episim-ckpt-atomic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.epck");
@@ -630,9 +623,38 @@ mod tests {
         for cut in [0usize, 3, 10, data.len() - 1] {
             assert_eq!(
                 decode_person_shard(&data[..cut]).err(),
-                Some(CheckpointError::Truncated),
+                Some(CodecError::Truncated),
                 "cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn meta_roundtrip_fills_every_field() {
+        let carry = Carry {
+            interventions: InterventionSet::none(),
+            cumulative: 42,
+            yesterday_new: 5,
+            yesterday_infected: 9,
+        };
+        let days: Vec<DayStats> = (0..3)
+            .map(|day| DayStats {
+                day,
+                new_infections: day as u64 + 1,
+                infected_now: 7,
+                susceptible: 90,
+                symptomatic: 3,
+                cumulative: 11,
+                visits: 40,
+                events: 9,
+                interactions: 100,
+                infects_sent: 2,
+                infections_by_kind: [1, 2, 3, 4, 5],
+            })
+            .collect();
+        let head = capture(3, 10, &carry, Vec::new());
+        let (back, back_days) = decode_meta(&encode_meta(&head, &days)).expect("roundtrip");
+        assert_eq!(back, head);
+        assert_eq!(back_days, days);
     }
 }

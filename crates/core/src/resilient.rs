@@ -9,11 +9,12 @@
 //!
 //! * **Checkpoint.** Every `every` days — a global quiescence point, no
 //!   messages in flight — each rank writes its shard of the simulation
-//!   state (its PersonManager blobs plus a rank-identical meta record:
-//!   resume day, carry counters, intervention state, and the curve so
-//!   far) into a shared [`EpochStore`]. An epoch counts as *committed*
-//!   only once every rank's shard exists and CRC-validates, so a crash
-//!   mid-checkpoint disqualifies the partial epoch harmlessly.
+//!   state (its PersonManager blobs plus a rank-identical meta record,
+//!   [`crate::checkpoint::encode_meta`]: resume day, carry counters,
+//!   intervention state, and the curve so far) into a shared
+//!   [`EpochStore`]. An epoch counts as *committed* only once every
+//!   rank's shard exists and CRC-validates, so a crash mid-checkpoint
+//!   disqualifies the partial epoch harmlessly.
 //! * **Detect.** The heartbeat detector in `net::comm` classifies the
 //!   loss (crashed / stalled / partitioned) and aborts the attempt.
 //! * **Recover.** The root catches the [`chare_rt::TransportError`]
@@ -37,15 +38,13 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, BytesMut};
 use chare_rt::{
     align_to_invocation, worker_target, Backoff, EpochStore, ExecMode, RecoveryError,
     RecoverySnapshot, RuntimeConfig, TransportError,
 };
-use ptts::intervention::{InterventionSet, InterventionSnapshot};
 use ptts::Ptts;
 
-use crate::checkpoint::decode_person_shard;
+use crate::checkpoint::{capture, decode_meta, decode_person_shard, encode_meta, Checkpoint};
 use crate::distribution::DataDistribution;
 use crate::output::{DayStats, EpiCurve};
 use crate::person::PersonSlot;
@@ -106,125 +105,6 @@ pub struct ResilientRun {
     pub resumed_from: Option<u64>,
 }
 
-/// Rank-identical portion of a checkpoint shard: everything needed to
-/// rebuild the driver state besides the person table.
-struct Meta {
-    next_day: u32,
-    seeds: u64,
-    cumulative: u64,
-    yesterday_new: u64,
-    yesterday_infected: u64,
-    interventions: InterventionSnapshot,
-    days: Vec<DayStats>,
-}
-
-fn encode_meta(next_day: u32, seeds: u64, carry: &Carry, days: &[DayStats]) -> Vec<u8> {
-    let snap = carry.interventions.snapshot();
-    let mut buf = BytesMut::with_capacity(64 + days.len() * 120);
-    buf.put_u32_le(next_day);
-    buf.put_u64_le(seeds);
-    buf.put_u64_le(carry.cumulative);
-    buf.put_u64_le(carry.yesterday_new);
-    buf.put_u64_le(carry.yesterday_infected);
-    buf.put_u32_le(snap.fired.len() as u32);
-    for &f in &snap.fired {
-        buf.put_u8(f as u8);
-    }
-    buf.put_u32_le(snap.active.len() as u32);
-    for &(source, end_day) in &snap.active {
-        buf.put_u32_le(source);
-        buf.put_u32_le(end_day);
-    }
-    buf.put_u32_le(days.len() as u32);
-    for d in days {
-        buf.put_u32_le(d.day);
-        buf.put_u64_le(d.new_infections);
-        buf.put_u64_le(d.infected_now);
-        buf.put_u64_le(d.susceptible);
-        buf.put_u64_le(d.symptomatic);
-        buf.put_u64_le(d.cumulative);
-        buf.put_u64_le(d.visits);
-        buf.put_u64_le(d.events);
-        buf.put_u64_le(d.interactions);
-        buf.put_u64_le(d.infects_sent);
-        for &k in &d.infections_by_kind {
-            buf.put_u64_le(k);
-        }
-    }
-    buf.as_slice().to_vec()
-}
-
-fn short(buf: &[u8], bytes: usize) -> Result<(), RecoveryError> {
-    if buf.remaining() < bytes {
-        return Err(RecoveryError::ShardMismatch("truncated meta record".into()));
-    }
-    Ok(())
-}
-
-fn decode_meta(data: &[u8]) -> Result<Meta, RecoveryError> {
-    let mut buf = data;
-    short(buf, 4 + 8 * 4 + 4)?;
-    let next_day = buf.get_u32_le();
-    let seeds = buf.get_u64_le();
-    let cumulative = buf.get_u64_le();
-    let yesterday_new = buf.get_u64_le();
-    let yesterday_infected = buf.get_u64_le();
-    let n_fired = buf.get_u32_le() as usize;
-    short(buf, n_fired + 4)?;
-    let fired = (0..n_fired).map(|_| buf.get_u8() != 0).collect();
-    let n_active = buf.get_u32_le() as usize;
-    short(buf, n_active * 8 + 4)?;
-    let active = (0..n_active)
-        .map(|_| {
-            let source = buf.get_u32_le();
-            let end_day = buf.get_u32_le();
-            (source, end_day)
-        })
-        .collect();
-    let n_days = buf.get_u32_le() as usize;
-    short(buf, n_days * (4 + 8 * 14))?;
-    let days = (0..n_days)
-        .map(|_| {
-            let day = buf.get_u32_le();
-            let new_infections = buf.get_u64_le();
-            let infected_now = buf.get_u64_le();
-            let susceptible = buf.get_u64_le();
-            let symptomatic = buf.get_u64_le();
-            let cumulative = buf.get_u64_le();
-            let visits = buf.get_u64_le();
-            let events = buf.get_u64_le();
-            let interactions = buf.get_u64_le();
-            let infects_sent = buf.get_u64_le();
-            let mut infections_by_kind = [0u64; 5];
-            for slot in infections_by_kind.iter_mut() {
-                *slot = buf.get_u64_le();
-            }
-            DayStats {
-                day,
-                new_infections,
-                infected_now,
-                susceptible,
-                symptomatic,
-                cumulative,
-                visits,
-                events,
-                interactions,
-                infects_sent,
-                infections_by_kind,
-            }
-        })
-        .collect();
-    Ok(Meta {
-        next_day,
-        seeds,
-        cumulative,
-        yesterday_new,
-        yesterday_infected,
-        interventions: InterventionSnapshot { fired, active },
-        days,
-    })
-}
-
 fn n_ranks_of(rt_cfg: &RuntimeConfig) -> u32 {
     if rt_cfg.mode == ExecMode::Net {
         rt_cfg.net.n_procs.max(1)
@@ -233,20 +113,21 @@ fn n_ranks_of(rt_cfg: &RuntimeConfig) -> u32 {
     }
 }
 
-/// Reassemble the full person table (indexed by person id) from every
-/// rank's committed shard of `epoch`.
-fn restore_states(
+/// Reassemble a committed epoch: the meta record (a checkpoint whose
+/// person table is rebuilt, indexed by person id, from every rank's
+/// shards) and the curve so far.
+fn restore(
     store: &EpochStore,
     epoch: u64,
     n_ranks: u32,
     n_people: usize,
-) -> Result<(Meta, Vec<PersonSlot>), RecoveryError> {
+) -> Result<(Checkpoint, Vec<DayStats>), RecoveryError> {
     let shards = store.load_epoch(epoch, n_ranks)?;
     let meta_blob = shards
         .first()
         .map(|s| s.meta.clone())
         .ok_or_else(|| RecoveryError::ShardMismatch("epoch has no shards".into()))?;
-    let meta = decode_meta(&meta_blob)?;
+    let (mut ckpt, days) = decode_meta(&meta_blob)?;
     let mut persons: Vec<Option<PersonSlot>> = Vec::new();
     persons.resize_with(n_people, || None);
     for shard in &shards {
@@ -256,10 +137,8 @@ fn restore_states(
                 shard.rank
             )));
         }
-        for (chare, blob) in &shard.chares {
-            let slots = decode_person_shard(blob)
-                .map_err(|e| RecoveryError::ShardMismatch(format!("chare {chare} shard: {e}")))?;
-            for s in slots {
+        for (_, blob) in &shard.chares {
+            for s in decode_person_shard(blob)? {
                 match persons.get_mut(s.id as usize) {
                     Some(slot) => *slot = Some(s),
                     None => {
@@ -272,7 +151,7 @@ fn restore_states(
             }
         }
     }
-    let states = persons
+    ckpt.states = persons
         .into_iter()
         .enumerate()
         .map(|(id, p)| {
@@ -281,7 +160,7 @@ fn restore_states(
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((meta, states))
+    Ok((ckpt, days))
 }
 
 /// One mesh launch: construct (fresh or from `resume`), run day by day,
@@ -305,17 +184,9 @@ fn run_attempt(
 
     let (mut carry, mut day, mut days, seeds, states) = match resume {
         Some(epoch) => {
-            let (meta, states) = restore_states(store, epoch, n_ranks, n_people)?;
-            let carry = Carry {
-                interventions: InterventionSet::restore(
-                    cfg.interventions.interventions().to_vec(),
-                    &meta.interventions,
-                ),
-                cumulative: meta.cumulative,
-                yesterday_new: meta.yesterday_new,
-                yesterday_infected: meta.yesterday_infected,
-            };
-            (carry, meta.next_day, meta.days, meta.seeds, Some(states))
+            let (ckpt, days) = restore(store, epoch, n_ranks, n_people)?;
+            let carry = ckpt.to_carry(&cfg.interventions);
+            (carry, ckpt.next_day, days, ckpt.seeds, Some(ckpt.states))
         }
         None => {
             let seeds = cfg.initial_infections.min(dist.pop.n_people()) as u64;
@@ -348,7 +219,7 @@ fn run_attempt(
                 rank: sim.net_rank(),
                 n_ranks,
                 in_flight: 0,
-                meta: encode_meta(day, seeds, &carry, &days),
+                meta: encode_meta(&capture(day, seeds, &carry, Vec::new()), &days),
                 chares: sim.snapshot_chares(),
             };
             store.commit_shard(&snap)?;
@@ -477,63 +348,4 @@ fn abs_dir(dir: &Path) -> PathBuf {
     std::env::current_dir()
         .map(|cwd| cwd.join(dir))
         .unwrap_or_else(|_| dir.to_path_buf())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::output::DayStats;
-
-    fn stats(day: u32) -> DayStats {
-        DayStats {
-            day,
-            new_infections: day as u64 + 1,
-            infected_now: 7,
-            susceptible: 90,
-            symptomatic: 3,
-            cumulative: 11,
-            visits: 40,
-            events: 9,
-            interactions: 100,
-            infects_sent: 2,
-            infections_by_kind: [1, 2, 3, 4, 5],
-        }
-    }
-
-    #[test]
-    fn meta_roundtrip() {
-        let interventions = InterventionSet::none();
-        let carry = Carry {
-            interventions,
-            cumulative: 42,
-            yesterday_new: 5,
-            yesterday_infected: 9,
-        };
-        let days = vec![stats(0), stats(1), stats(2)];
-        let blob = encode_meta(3, 10, &carry, &days);
-        let meta = decode_meta(&blob).expect("roundtrip");
-        assert_eq!(meta.next_day, 3);
-        assert_eq!(meta.seeds, 10);
-        assert_eq!(meta.cumulative, 42);
-        assert_eq!(meta.yesterday_new, 5);
-        assert_eq!(meta.yesterday_infected, 9);
-        assert_eq!(meta.days, days);
-    }
-
-    #[test]
-    fn meta_truncation_rejected() {
-        let carry = Carry {
-            interventions: InterventionSet::none(),
-            cumulative: 0,
-            yesterday_new: 0,
-            yesterday_infected: 0,
-        };
-        let blob = encode_meta(1, 1, &carry, &[stats(0)]);
-        for cut in [0, 3, blob.len() / 2, blob.len() - 1] {
-            assert!(
-                decode_meta(&blob[..cut]).is_err(),
-                "cut at {cut} must be rejected"
-            );
-        }
-    }
 }

@@ -1,13 +1,14 @@
 //! The parallel simulation driver: the per-day phase loop of §II-B run on
 //! the chare runtime.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::Checkpoint;
 use crate::distribution::DataDistribution;
 use crate::ensemble::CowWorld;
 use crate::kernel::LocationDayFeatures;
 use crate::managers::{LocationManager, PersonManager};
 use crate::messages::{slots, DayEffects, Shared, SharedRef, SimMsg};
 use crate::output::{DayStats, EpiCurve};
+use chare_rt::codec::CodecError;
 use chare_rt::{ChareId, PhaseStats, Runtime, RuntimeConfig};
 use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::{DayObservables, InterventionSet};
@@ -139,8 +140,8 @@ pub enum ResumeError {
     /// The file could not be read.
     Io(std::io::Error),
     /// The bytes failed structural or CRC validation
-    /// ([`CheckpointError::BadCrc`] et al.).
-    Corrupt(CheckpointError),
+    /// ([`CodecError::BadCrc`] et al.).
+    Corrupt(CodecError),
     /// The checkpoint decodes but does not belong to this invocation:
     /// wrong population size or a resume day beyond the configured run.
     Mismatch(String),

@@ -88,7 +88,7 @@ fn print_help() {
          Reads <root>/simlint.toml and scans the configured trees.\n\
          Rules: R1 default-hasher maps in determinism scopes;\n\
          R2 wall-clock reads outside watchdog/bench scopes;\n\
-         R3 panic paths in the net transport;\n\
+         R3 panic paths (and panicking `Buf` getters) in the net transport and codecs;\n\
          R5 codec encode/decode lockstep;\n\
          R6 transitive hot-path purity — a #[hot_path] fn must not\n\
          reach allocation, panics, or the wall clock through any call\n\

@@ -35,7 +35,7 @@ pub struct Policy {
     /// R2: path prefixes where wall-clock reads are policy-allowed
     /// (benches, pre-simulation setup).
     pub r2_allow: Vec<String>,
-    /// R3: transport-path files where panics must become `TransportError`.
+    /// R3: transport and codec files where panics must become typed errors.
     pub r3_scope: Vec<String>,
     /// R5 codec specs.
     pub codecs: Vec<CodecSpec>,

@@ -236,6 +236,8 @@ fn in_extents(line: u32, extents: &[(u32, u32)]) -> bool {
 enum Pat {
     /// Exactly this identifier.
     I(&'static str),
+    /// Any one of these identifiers.
+    OneOf(&'static [&'static str]),
     /// Exactly this punctuation character.
     P(char),
     /// Any identifier.
@@ -252,6 +254,7 @@ fn pat_matches(tokens: &[Token], at: usize, pat: &[Pat]) -> bool {
         let kind = &tokens[at + k].kind;
         match p {
             Pat::I(s) => kind.is_ident(s),
+            Pat::OneOf(names) => names.iter().any(|s| kind.is_ident(s)),
             Pat::P(c) => kind.is_punct(*c),
             Pat::AnyIdent => kind.ident().is_some(),
             Pat::IntLit => matches!(
@@ -347,10 +350,25 @@ pub fn rule_r2(path: &str, lexed: &Lexed, policy: &Policy) -> Vec<Finding> {
     scan_patterns(path, &lexed.tokens, "R2", PATS, &[], None)
 }
 
-/// R3: panic paths in the net transport. A peer disconnect must surface
-/// as `TransportError`, not a panic: a panicking comm thread takes down
+/// The `Buf` getters that panic on a short buffer (R3).
+const PANICKING_GETTERS: &[&str] = &[
+    "get_u8",
+    "get_u16_le",
+    "get_u32_le",
+    "get_u64_le",
+    "get_f32_le",
+    "get_f64_le",
+    "copy_to_slice",
+];
+
+/// R3: panic paths in the net transport and the binary codecs. A peer
+/// disconnect must surface as `TransportError`, and malformed bytes as a
+/// typed decode error, not a panic: a panicking comm thread takes down
 /// the process with exit 101 and the conformance harness cannot tell a
-/// clean failure from a crash. Skips `#[cfg(test)]` modules.
+/// clean failure from a crash. Besides `unwrap`/`expect`/`panic!`/
+/// `unreachable!` and literal indexing, it flags the panicking `Buf`
+/// getters (`get_u8` … `get_f64_le`, `copy_to_slice`): codecs read with
+/// the fallible `try_get_*` forms. Skips `#[cfg(test)]` modules.
 pub fn rule_r3(path: &str, lexed: &Lexed, policy: &Policy) -> Vec<Finding> {
     if !in_scope(path, &policy.r3_scope) {
         return Vec::new();
@@ -382,6 +400,11 @@ pub fn rule_r3(path: &str, lexed: &Lexed, policy: &Policy) -> Vec<Finding> {
             1,
             "literal indexing can panic on a short frame; length-check and waive, \
              or use `get()`",
+        ),
+        (
+            &[Pat::P('.'), Pat::OneOf(PANICKING_GETTERS), Pat::P('(')],
+            1,
+            "`Buf` getter panics on a short buffer; use its fallible `try_` form",
         ),
     ];
     scan_patterns(path, &lexed.tokens, "R3", PATS, &skip, None)

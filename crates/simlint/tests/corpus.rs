@@ -71,6 +71,19 @@ fn r3_flags_panic_paths_in_transport_scope_only() {
 }
 
 #[test]
+fn r3_flags_panicking_buf_getters_in_codec_scope() {
+    let all = corpus_findings();
+    let pos = in_file(&all, "R3", "src/net/r3_getters_pos.rs");
+    // copy_to_slice, get_u8, get_u32_le, get_f64_le
+    assert_eq!(pos.len(), 4, "{pos:?}");
+    assert!(pos.iter().all(|f| f.message.contains("getter")));
+    assert!(
+        in_file(&all, "R3", "src/net/r3_getters_neg.rs").is_empty(),
+        "fallible getters and #[cfg(test)] bodies are allowed"
+    );
+}
+
+#[test]
 fn r3_covers_the_shm_transport_scope() {
     let all = corpus_findings();
     let pos = in_file(&all, "R3", "src/shm/r3_pos.rs");
@@ -258,7 +271,7 @@ fn workspace_tree_is_clean() {
     }
     // A ratchet: the waiver count may fall, never rise. Lower the bound
     // when a change removes waivers.
-    const MAX_WAIVERS: usize = 32;
+    const MAX_WAIVERS: usize = 22;
     assert!(
         findings.len() <= MAX_WAIVERS,
         "{} waivers in the workspace, at most {MAX_WAIVERS} allowed",

@@ -24,13 +24,11 @@
 //! * [`generator`] — the population generator itself.
 //! * [`graph`] — CSR views of the bipartite graph + degree statistics.
 //! * [`histogram`] — log-binned histograms (Figures 3c/3d/7).
-//! * [`io`] — a compact binary format for generated populations.
 
 pub mod alias;
 pub mod generator;
 pub mod graph;
 pub mod histogram;
-pub mod io;
 pub mod powerlaw;
 pub mod state;
 

@@ -1,56 +1,85 @@
 //! Offline shim for the `bytes` API surface this workspace uses:
 //! [`Buf`] over `&[u8]`, [`BufMut`] over [`BytesMut`], and the
-//! [`BytesMut::freeze`] → [`Bytes`] handoff. Little-endian accessors only —
-//! exactly what the `EPOP`/`EPCK` binary formats need.
+//! [`BytesMut::freeze`] → [`Bytes`] handoff. Little-endian accessors only,
+//! each in the panicking form and the fallible `try_get_*` form upstream
+//! has had since 1.10 (returning [`TryGetError`]) — the binary formats
+//! decode through the fallible ones.
 
+use std::fmt;
 use std::ops::Deref;
+
+/// A fallible read asked for more bytes than remain (mirrors
+/// `bytes::TryGetError`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TryGetError {
+    /// Bytes the read needed.
+    pub requested: usize,
+    /// Bytes that were left.
+    pub available: usize,
+}
+
+impl fmt::Display for TryGetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "not enough bytes remaining in buffer to read value (requested {} but only {} available)",
+            self.requested, self.available
+        )
+    }
+}
+
+impl std::error::Error for TryGetError {}
+
+macro_rules! getters {
+    ($($get:ident, $try_get:ident, $ty:ty, $doc:literal;)*) => {
+        $(
+            #[doc = concat!("Read ", $doc, ".")]
+            ///
+            /// # Panics
+            /// Panics if too few bytes remain.
+            fn $get(&mut self) -> $ty {
+                match self.$try_get() {
+                    Ok(v) => v,
+                    Err(e) => panic!("buffer underflow: {e}"),
+                }
+            }
+
+            #[doc = concat!("Read ", $doc, ", or fail without advancing if too few bytes remain.")]
+            fn $try_get(&mut self) -> Result<$ty, TryGetError> {
+                let mut b = [0u8; std::mem::size_of::<$ty>()];
+                self.try_copy_to_slice(&mut b)?;
+                Ok(<$ty>::from_le_bytes(b))
+            }
+        )*
+    };
+}
 
 /// Read cursor over a byte source (mirrors `bytes::Buf`).
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
+
+    /// Copy `dst.len()` bytes out, advancing the cursor; fails without
+    /// advancing if fewer remain.
+    fn try_copy_to_slice(&mut self, dst: &mut [u8]) -> Result<(), TryGetError>;
+
     /// Copy `dst.len()` bytes out, advancing the cursor.
     ///
     /// # Panics
     /// Panics if fewer than `dst.len()` bytes remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    /// Read one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        if let Err(e) = self.try_copy_to_slice(dst) {
+            panic!("buffer underflow: {e}");
+        }
     }
 
-    /// Read a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
-    /// Read a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Read a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Read a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_bits(self.get_u32_le())
-    }
-
-    /// Read a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
+    getters! {
+        get_u8, try_get_u8, u8, "one byte";
+        get_u16_le, try_get_u16_le, u16, "a little-endian `u16`";
+        get_u32_le, try_get_u32_le, u32, "a little-endian `u32`";
+        get_u64_le, try_get_u64_le, u64, "a little-endian `u64`";
+        get_f32_le, try_get_f32_le, f32, "a little-endian `f32`";
+        get_f64_le, try_get_f64_le, f64, "a little-endian `f64`";
     }
 }
 
@@ -59,11 +88,14 @@ impl Buf for &[u8] {
         self.len()
     }
 
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.len() >= dst.len(), "buffer underflow");
-        let (head, tail) = self.split_at(dst.len());
+    fn try_copy_to_slice(&mut self, dst: &mut [u8]) -> Result<(), TryGetError> {
+        let (head, tail) = self.split_at_checked(dst.len()).ok_or(TryGetError {
+            requested: dst.len(),
+            available: self.len(),
+        })?;
         dst.copy_from_slice(head);
         *self = tail;
+        Ok(())
     }
 }
 
@@ -221,6 +253,22 @@ mod tests {
         r.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"xyz");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn fallible_reads_fail_without_advancing() {
+        let mut r: &[u8] = &[1, 2, 3];
+        assert_eq!(
+            r.try_get_u32_le(),
+            Err(TryGetError {
+                requested: 4,
+                available: 3
+            })
+        );
+        assert_eq!(r.remaining(), 3);
+        assert_eq!(r.try_get_u16_le(), Ok(0x0201));
+        assert_eq!(r.try_get_u8(), Ok(3));
+        assert!(r.try_get_u8().is_err());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The workspace derives serde traits on model types for downstream
 //! interoperability, but nothing in-tree serializes through serde (the
-//! binary formats are hand-rolled in `synthpop::io` and
-//! `episim_core::checkpoint`). These derives therefore expand to nothing,
-//! which keeps the annotations compiling without crates.io access.
+//! binary formats are hand-written on `chare_rt::codec`). These derives
+//! therefore expand to nothing, which keeps the annotations compiling
+//! without crates.io access.
 
 use proc_macro::TokenStream;
 

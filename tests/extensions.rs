@@ -226,14 +226,3 @@ fn venue_attribution_consistent_in_parallel_runs() {
     };
     assert_eq!(sum_kinds(&run), sum_kinds(&run_plain));
 }
-
-#[test]
-fn population_io_round_trip_preserves_simulation() {
-    // Serialize the population, reload it, and get the same epidemic.
-    let pop = pop();
-    let bytes = episimdemics::synthpop::io::encode(&pop);
-    let reloaded = episimdemics::synthpop::io::decode(&bytes).unwrap();
-    let a = run_sequential(&pop, &flu_model(), &cfg(20));
-    let b = run_sequential(&reloaded, &flu_model(), &cfg(20));
-    assert_eq!(a, b);
-}
