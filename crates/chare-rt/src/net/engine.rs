@@ -1072,6 +1072,11 @@ impl<M: Message> NetEngine<M> {
         self.rank
     }
 
+    /// The PEs this process hosts.
+    pub fn local_pes(&self) -> std::ops::Range<u32> {
+        self.pe_lo..self.pe_lo + self.queues.len() as u32
+    }
+
     /// Serialize every locally-owned chare that opts into checkpointing
     /// (`Chare::snapshot` returning `Some`), as `(chare id, bytes)` pairs.
     /// Only meaningful between phases, when the system is quiescent.

@@ -19,7 +19,9 @@ pub const MAGIC: &[u8; 4] = b"EPNT";
 /// and counters, and PHASE_START, PHASE_END and STATS are retired.
 /// v4: a BATCH frame carries exactly one envelope, and [`PeStats`] lost
 /// its six aggregation and relay counters (21 fields).
-pub const VERSION: u32 = 4;
+/// v5: the core's `SimMsg` gains `Updates` (tag 7) and `ComputeDay`
+/// carries the day's closed location kinds.
+pub const VERSION: u32 = 5;
 
 /// Frame kind bytes.
 pub mod kind {

@@ -121,6 +121,16 @@ impl<M: Message> Runtime<M> {
         }
     }
 
+    /// The PEs whose chares this process runs: under the net engine its
+    /// own range, and every PE otherwise (a net runtime that runs as the
+    /// sequential engine included).
+    pub fn local_pes(&self) -> std::ops::Range<u32> {
+        match &self.engine {
+            Engine::Net(e) => e.local_pes(),
+            _ => 0..self.cfg.n_pes,
+        }
+    }
+
     /// Serialize every locally-owned chare that opts into checkpointing
     /// ([`Chare::snapshot`] returning `Some`), as `(chare id, bytes)`
     /// pairs. Only meaningful between phases, when no messages are in

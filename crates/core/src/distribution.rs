@@ -1,6 +1,7 @@
 //! The four data distributions of the evaluation (§III-B labels):
 //! `RR`, `GP`, `RR-splitLoc`, `GP-splitLoc`.
 
+use crate::seq::{SweepCell, SweepLayout};
 use crate::splitloc::{split_heavy_locations, SplitConfig};
 use crate::workload::{build_workload_graph, WorkloadLayout};
 use graph_part::{kway_partition, round_robin, PartitionConfig, PartitionQuality};
@@ -61,7 +62,7 @@ impl Strategy {
 
 /// A complete data distribution: the (possibly split) population plus the
 /// person/location → partition assignments.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DataDistribution {
     /// Strategy used.
     pub strategy: Strategy,
@@ -81,6 +82,25 @@ pub struct DataDistribution {
     pub orig_of_location: Vec<u32>,
     /// Partition quality of the workload graph (GP strategies only).
     pub quality: Option<PartitionQuality>,
+    /// The sweep layout over every partition, built on first use.
+    sweep: SweepCell,
+}
+
+/// A clone starts without a sweep layout: its partition fields may be
+/// rewritten (the rebalancer does), and the layout is ordered by them.
+impl Clone for DataDistribution {
+    fn clone(&self) -> Self {
+        DataDistribution {
+            strategy: self.strategy,
+            k: self.k,
+            pop: self.pop.clone(),
+            person_part: self.person_part.clone(),
+            location_part: self.location_part.clone(),
+            orig_of_location: self.orig_of_location.clone(),
+            quality: self.quality.clone(),
+            sweep: SweepCell::default(),
+        }
+    }
 }
 
 impl DataDistribution {
@@ -141,13 +161,28 @@ impl DataDistribution {
             location_part,
             orig_of_location,
             quality,
+            sweep: SweepCell::default(),
         }
     }
 
+    /// The [`SweepLayout`] of every partition, built on the first call and
+    /// shared after it. The partition fields must not change once it is
+    /// built.
+    pub fn sweep_layout(&self) -> Arc<SweepLayout> {
+        let (part, orig) = (&self.location_part, &self.orig_of_location);
+        self.sweep.full(&self.pop, self.k, part, orig)
+    }
+
+    /// The cell [`DataDistribution::sweep_layout`] fills, for the holders
+    /// that share it.
+    pub(crate) fn sweep_cell(&self) -> &SweepCell {
+        &self.sweep
+    }
+
     /// Bytes this distribution holds on the heap: the population's node,
-    /// visit and offset arrays plus the three assignment vectors, each as
-    /// length × element size. A cache of built worlds charges this against
-    /// its budget.
+    /// visit and offset arrays, the three assignment vectors, and the sweep
+    /// layout once built, each as length × element size. A cache of built
+    /// worlds charges this against its budget.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let pop = &self.pop;
@@ -159,6 +194,7 @@ impl DataDistribution {
             + size_of_val(self.person_part.as_slice())
             + size_of_val(self.location_part.as_slice())
             + size_of_val(self.orig_of_location.as_slice())
+            + self.sweep.get().map_or(0, SweepLayout::heap_bytes)
     }
 
     /// Persons assigned to partition `p`, ascending.

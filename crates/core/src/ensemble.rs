@@ -7,16 +7,18 @@
 //! Those members are embarrassingly parallel, so the scalable axis is
 //! *whole runs*, not PEs within a run:
 //!
-//! * [`CowWorld`] — synthpop, disease model, and the §II-C layout maps are
-//!   computed once and shared immutably (`Arc`) by every member. Building a
-//!   member aliases three pointers; nothing is deep-copied.
+//! * [`CowWorld`] — synthpop, disease model, the §II-C layout maps and
+//!   the sweep layout are computed once and shared immutably (`Arc`) by
+//!   every member. Building a member aliases four pointers; nothing is
+//!   deep-copied.
 //! * [`MemberArena`] — all per-run mutable state (person slots, the day's
 //!   stay-home draws and sublocation marks, the gather buffer, DES
 //!   scratch) packed into one reusable arena. A worker runs its members
 //!   back-to-back out of the same arena, so steady-state ensemble
 //!   throughput allocates almost nothing per run.
-//! * [`run_sweep`] — an ensemble scheduler that builds one [`SweepLayout`]
-//!   (the member path's visit order, see [`crate::seq`]) and fans whole
+//! * [`run_sweep`] — an ensemble scheduler that takes the world's one
+//!   [`SweepLayout`] (the member path's visit order, see [`crate::seq`],
+//!   built on first use) and fans whole
 //!   runs over it across a worker pool (atomic work counter; workers race,
 //!   results don't: placement into the [`ResultStore`] is by `(param
 //!   point, seed)` index, and each member's epidemic is keyed only by its
@@ -38,7 +40,7 @@ use crate::kernel::KernelScratch;
 use crate::messages::{InfectMsg, VisitMsg, WorldLayout};
 use crate::output::{curve_hash, EpiCurve};
 use crate::person::PersonSlot;
-use crate::seq::{run_sequential_into, SweepLayout};
+use crate::seq::{run_sequential_into, SweepCell, SweepLayout};
 use crate::simulator::SimConfig;
 use ptts::intervention::InterventionSet;
 use ptts::Ptts;
@@ -47,10 +49,11 @@ use std::sync::Arc;
 use synthpop::Population;
 
 /// The immutable world every ensemble member aliases: population, disease
-/// model, and the object→chare layout, each behind its own `Arc`.
+/// model, the object→chare layout and the sweep layout, each behind its
+/// own `Arc`.
 ///
 /// Cloning a `CowWorld` (or building a [`crate::Simulator`] from one via
-/// [`crate::Simulator::from_world`]) bumps three reference counts and copies
+/// [`crate::Simulator::from_world`]) bumps four reference counts and copies
 /// nothing — the aliasing tests pin this with `Arc::strong_count`.
 #[derive(Debug, Clone)]
 pub struct CowWorld {
@@ -60,6 +63,9 @@ pub struct CowWorld {
     pub ptts: Arc<Ptts>,
     /// The §II-C index maps.
     pub layout: Arc<WorldLayout>,
+    /// The visits in sweep order, built on first use and shared with the
+    /// distribution the world came from.
+    pub sweep: SweepCell,
 }
 
 impl CowWorld {
@@ -70,7 +76,15 @@ impl CowWorld {
             pop: dist.pop.clone(),
             ptts: Arc::new(ptts),
             layout: Arc::new(WorldLayout::build(dist)),
+            sweep: dist.sweep_cell().clone(),
         }
+    }
+
+    /// The world's [`SweepLayout`], built on the first call.
+    pub fn sweep_layout(&self) -> Arc<SweepLayout> {
+        let layout = &self.layout;
+        let (k, orig) = (layout.k, &layout.orig_of_location);
+        self.sweep.full(&self.pop, k, &layout.location_part, orig)
     }
 }
 
@@ -332,13 +346,13 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
     let total = spec.n_members();
     let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
     let workers = (workers.max(1) as usize).min(total.max(1)).min(hw);
-    let layout = SweepLayout::build(&world.pop);
+    let layout = &*world.sweep_layout();
     let next = AtomicUsize::new(0);
     let mut placed: Vec<Option<EpiCurve>> = (0..total).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers {
-            let (next, layout) = (&next, &layout);
+            let next = &next;
             handles.push(scope.spawn(move || {
                 let mut arena = MemberArena::new();
                 let mut out = Vec::new();
@@ -898,7 +912,11 @@ mod tests {
         // The world aliases the distribution's population…
         assert!(Arc::ptr_eq(&world.pop, &dist.pop));
         let before = Arc::strong_count(&world.pop);
-        // …and simulators stamped from the world alias all three Arcs.
+        // …and its sweep layout, built once for both…
+        let sweep = world.sweep_layout();
+        assert!(Arc::ptr_eq(&sweep, &dist.sweep_layout()));
+        let sweep_before = Arc::strong_count(&sweep);
+        // …and simulators stamped from the world alias its Arcs.
         let sims: Vec<_> = (0..4)
             .map(|i| {
                 let mut c = cfg.clone();
@@ -912,6 +930,7 @@ mod tests {
             })
             .collect();
         assert_eq!(Arc::strong_count(&world.pop), before + 4);
+        assert_eq!(Arc::strong_count(&sweep), sweep_before + 4);
         drop(sims);
         assert_eq!(Arc::strong_count(&world.pop), before);
     }

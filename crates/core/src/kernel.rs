@@ -24,9 +24,8 @@ use ptts::Ptts;
 /// recycled, so the steady-state DES sweep performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Event list: `(key, visit index)` with `key = t << 1 | is_arrive`,
-    /// so departs order before arrives at equal times.
-    pub(crate) events: Vec<(u32, u32)>,
+    /// Event list ([`event`]s).
+    pub(crate) events: Vec<u32>,
     /// The sweep's working memory, apart from `events` so a caller can
     /// feed the sweep an event order it holds elsewhere.
     pub(crate) sweep: SweepScratch,
@@ -256,8 +255,13 @@ fn simulate_sublocation(
 pub(crate) fn order_events(
     visits: &[VisitMsg],
     classes: &InfectivityClasses,
-    events: &mut Vec<(u32, u32)>,
+    events: &mut Vec<u32>,
 ) -> u64 {
+    // Every simulation's `SweepLayout` build checks this for every group.
+    debug_assert!(
+        visits.len() <= MAX_SWEEP_VISITS,
+        "sublocation too large to sweep"
+    );
     events.clear();
     let mut total_inf_arrivals = 0u64;
     for (i, v) in visits.iter().enumerate() {
@@ -267,8 +271,8 @@ pub(crate) fn order_events(
         if classes.class(v.state).is_some() {
             total_inf_arrivals += 1;
         }
-        events.push((arrive, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-        events.push((depart, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
+        events.push(event(arrive, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
+        events.push(event(depart, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
     }
     sort_events(events);
     total_inf_arrivals
@@ -282,24 +286,51 @@ pub(crate) fn event_keys(start_min: u16, end_min: u16) -> Option<(u32, u32)> {
     (end_min > start_min).then_some((((start_min as u32) << 1) | 1, (end_min as u32) << 1))
 }
 
-/// Sort `(key, visit index)` events into sweep order: by key, ties by
-/// index. Arrive and depart keys of one visit differ, so within one key
-/// the indices are unique and the order is total.
+/// Bits of an [`event`] that hold the visit index.
+const EVENT_INDEX_BITS: u32 = 20;
+
+/// The most visits one sweep takes: every visit index fits an [`event`].
+/// A sublocation is a room, so its visits stay far below this; the
+/// `SweepLayout` build, which every simulation runs, checks it for every
+/// sublocation.
+pub(crate) const MAX_SWEEP_VISITS: usize = 1 << EVENT_INDEX_BITS;
+
+/// One sweep event: its key (below 2¹², since `t` < 1440) above the index
+/// of its visit (below [`MAX_SWEEP_VISITS`]), so sorting the packed values
+/// orders by key, ties by index.
 #[inline(always)]
-pub(crate) fn sort_events(events: &mut [(u32, u32)]) {
-    events.sort_unstable_by_key(|&(k, vi)| ((k as u64) << 32) | vi as u64);
+pub(crate) fn event(key: u32, index: u32) -> u32 {
+    (key << EVENT_INDEX_BITS) | index
 }
 
-/// The event sweep of one sublocation. `ordered` holds the `(key, visit
-/// index)` events of `visits` in the order [`order_events`] produces, and
-/// `total_inf_arrivals` counts its infectious arrivals. Inlined into both
-/// callers, so the engines' kernel compiles as one function.
+/// An [`event`]'s key and visit index.
+#[inline(always)]
+pub(crate) fn unpack_event(event: u32) -> (u32, u32) {
+    (
+        event >> EVENT_INDEX_BITS,
+        event & ((1 << EVENT_INDEX_BITS) - 1),
+    )
+}
+
+/// Sort events into sweep order: by key, ties by index. Arrive and depart
+/// keys of one visit differ, so within one key the indices are unique and
+/// the order is total.
+#[inline(always)]
+pub(crate) fn sort_events(events: &mut [u32]) {
+    events.sort_unstable();
+}
+
+/// The event sweep of one sublocation. `ordered` holds the [`event`]s of
+/// `visits` in the order [`order_events`] produces, and
+/// `total_inf_arrivals` counts its infectious arrivals. Inlined into
+/// every caller: [`simulate_location_day`], the LocationManager's sweep
+/// and `core::seq`'s.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 #[simlint_macros::hot_path]
 pub(crate) fn sweep_sublocation(
     visits: &[VisitMsg],
-    ordered: &[(u32, u32)],
+    ordered: &[u32],
     total_inf_arrivals: u64,
     ptts: &Ptts,
     classes: &InfectivityClasses,
@@ -333,7 +364,8 @@ pub(crate) fn sweep_sublocation(
     let mut arrivals = 0u64; // cumulative infectious arrivals (all classes)
     let mut last_t = 0u16;
 
-    for &(key, vi) in ordered {
+    for &ev in ordered {
+        let (key, vi) = unpack_event(ev);
         let t = (key >> 1) as u16;
         let is_arrive = key & 1 == 1;
         // Advance integrals to t.

@@ -6,42 +6,49 @@
 //! individual locations and persons … The individual chares in both arrays
 //! handle the computation and communication of all location or person
 //! objects assigned to them."
+//!
+//! With aggregation on (the default) a day is state deltas over a static
+//! layout. Schedules never change, so a PM runs each person's morning and
+//! sends an [`Update`] to each LM on the person's schedule only when the
+//! person's `(state, sus_scale)` differs from what it last sent. Each LM
+//! caches its visitors' pairs, draws its symptomatic visitors' stay-home
+//! decisions itself, and sweeps only the sublocation groups an infectious
+//! visitor attends, over its range of the static
+//! [`SweepLayout`](crate::seq::SweepLayout), as
+//! `core::seq` does. With aggregation off (`no_opt`) the day is the
+//! paper's protocol: one visit message per attended visit, buffered by the
+//! LM and run through [`simulate_location_day`].
 
 use crate::kernel::{
-    simulate_location_day, InfectivityClasses, KernelScratch, LocationDayFeatures,
+    simulate_location_day, sweep_sublocation, InfectivityClasses, KernelScratch,
+    LocationDayFeatures,
 };
-use crate::messages::{slots, InfectMsg, SharedRef, SimMsg, VisitMsg};
-use crate::person::{person_day, PersonSlot};
-use chare_rt::{AggregationConfig, Chare, ChareId, Ctx};
+use crate::messages::{slots, DayEffects, InfectMsg, SharedRef, SimMsg, Update, VisitMsg};
+use crate::person::{
+    at_home, attended, attends, person_day, person_morning, stays_home, PersonSlot,
+};
+use crate::seq::Member;
+use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
+use synthpop::{LocationKind, PersonId};
 
-/// Most visits (or infects) one batch message carries: about 20 KB of
-/// visits on the wire, well inside the net engine's 256 KB shm ring. A lane
-/// that reaches the cap is sent at once; the remainder goes at the end of
-/// the phase.
+/// Most updates (or infects) one batch message carries: about 10 KB on
+/// the wire, well inside the net engine's 256 KB shm ring. A lane that
+/// reaches the cap is sent at once; the remainder goes at the end of the
+/// phase.
 pub const BATCH_CAP: usize = 1024;
-
-/// The lane cap a runtime configuration asks for: [`BATCH_CAP`] with
-/// aggregation on, 1 with it off — one message per visit, the paper's
-/// "RR no-opt" traffic (§IV-C).
-pub(crate) fn lane_cap(aggregation: AggregationConfig) -> usize {
-    if aggregation.enabled {
-        BATCH_CAP
-    } else {
-        1
-    }
-}
 
 /// A manager's outgoing items for the phase in progress, one lane per
 /// destination chare: the application-aware aggregation of §IV-C, and the
-/// only aggregation level in the system. The manager knows a day's visits
+/// only aggregation level in the system. The manager knows a day's updates
 /// toward one LocationManager (or infects toward one PersonManager) form a
 /// batch, so each lane travels as one message per `cap` items instead of
 /// one message per item.
 struct Lanes<T> {
     /// Lane `i` is bound for chare `first_chare + i`.
     first_chare: u32,
-    /// Items per message ([`lane_cap`]).
+    /// Items per message: [`BATCH_CAP`] with aggregation on, 1 (the
+    /// paper's "RR no-opt" traffic, §IV-C) with it off.
     cap: usize,
     /// The [`SimMsg`] variant that carries a lane.
     wrap: fn(Vec<T>) -> SimMsg,
@@ -49,12 +56,13 @@ struct Lanes<T> {
 }
 
 impl<T> Lanes<T> {
-    fn new(first_chare: u32, n_lanes: u32, cap: usize, wrap: fn(Vec<T>) -> SimMsg) -> Self {
+    fn new(shared: &SharedRef, first_chare: u32, wrap: fn(Vec<T>) -> SimMsg) -> Self {
+        let k = shared.layout.k;
         Lanes {
             first_chare,
-            cap,
+            cap: if shared.aggregated { BATCH_CAP } else { 1 },
             wrap,
-            bufs: (0..n_lanes).map(|_| Vec::new()).collect(),
+            bufs: (0..k).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -93,10 +101,17 @@ pub struct PersonManager {
     infected_today: Vec<Option<(u16, u32)>>,
     /// Local slots set in `infected_today`.
     touched: Vec<u32>,
-    /// Scratch buffer reused across days.
+    /// Per local slot: the `(state, sus_scale bits)` last sent to the
+    /// person's LocationManagers. It starts at the baseline every LM cache
+    /// starts from, so a PM rebuilt from restored states re-sends whoever
+    /// differs from it.
+    sent: Vec<(StateId, u32)>,
+    /// The day's outgoing updates, one lane per LocationManager.
+    updates: Lanes<Update>,
+    /// `no_opt` only: the day's visits, one lane per LocationManager, and
+    /// a scratch buffer reused across persons.
+    visits: Lanes<VisitMsg>,
     visit_buf: Vec<VisitMsg>,
-    /// The day's outgoing visits, one lane per LocationManager.
-    lanes: Lanes<VisitMsg>,
 }
 
 impl PersonManager {
@@ -115,16 +130,18 @@ impl PersonManager {
     pub fn with_states(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
         let k = shared.layout.k;
-        let lanes = Lanes::new(k, k, shared.lane_cap, SimMsg::Visits);
+        let baseline = (shared.ptts.start_state(), 1.0f32.to_bits());
         PersonManager {
-            shared,
             infected_today: vec![None; persons.len()],
+            sent: vec![baseline; persons.len()],
             persons,
             symptomatic_state,
             day: 0,
             touched: Vec::new(),
+            updates: Lanes::new(&shared, k, SimMsg::Updates),
+            visits: Lanes::new(&shared, k, SimMsg::Visits),
             visit_buf: Vec::new(),
-            lanes,
+            shared,
         }
     }
 
@@ -144,48 +161,86 @@ impl PersonManager {
         &self.persons
     }
 
-    fn begin_day(
-        &mut self,
-        day: u32,
-        effects: &crate::messages::DayEffects,
-        ctx: &mut Ctx<'_, SimMsg>,
-    ) {
+    fn begin_day(&mut self, day: u32, effects: &DayEffects, ctx: &mut Ctx<'_, SimMsg>) {
         self.day = day;
         for local in self.touched.drain(..) {
             self.infected_today[local as usize] = None;
         }
         let shared = self.shared.clone();
+        let (pop, layout) = (&*shared.pop, &*shared.layout);
+        let orig = Some(layout.orig_of_location.as_slice());
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
         let mut susceptible = 0u64;
         let mut visits_sent = 0u64;
-        for slot in &mut self.persons {
-            self.visit_buf.clear();
-            let sym = person_day(
-                slot,
-                &shared.pop,
-                &shared.ptts,
-                effects,
-                self.symptomatic_state,
-                Some(&shared.layout.orig_of_location),
-                shared.seed,
-                day,
-                &mut self.visit_buf,
-            );
-            symptomatic += sym as u64;
+        let mut updates_sent = 0u64;
+        for (slot, sent) in self.persons.iter_mut().zip(&mut self.sent) {
+            if !shared.aggregated {
+                self.visit_buf.clear();
+                let sym = person_day(
+                    slot,
+                    pop,
+                    &shared.ptts,
+                    effects,
+                    self.symptomatic_state,
+                    orig,
+                    shared.seed,
+                    day,
+                    &mut self.visit_buf,
+                );
+                symptomatic += sym as u64;
+                visits_sent += self.visit_buf.len() as u64;
+                for visit in self.visit_buf.drain(..) {
+                    let lm = layout.k + layout.location_part[visit.location as usize];
+                    self.visits.push(lm, visit, ctx);
+                }
+            } else {
+                let morning = person_morning(
+                    slot,
+                    &shared.ptts,
+                    effects,
+                    self.symptomatic_state,
+                    shared.seed,
+                    day,
+                );
+                symptomatic += morning.symptomatic as u64;
+                let home = pop.people[slot.id as usize].home.0;
+                let at_home = |i: usize| at_home(home, pop.visits[i].location.0, orig);
+                visits_sent += attended(pop, slot.id, effects, morning.stay_home, at_home) as u64;
+                let now = (slot.health.state, slot.sus_scale.to_bits());
+                if now != *sent {
+                    *sent = now;
+                    let update = Update {
+                        person: slot.id,
+                        state: slot.health.state,
+                        sus_scale: slot.sus_scale,
+                    };
+                    // One update per LocationManager on the schedule.
+                    let schedule = pop.visits_of(PersonId(slot.id));
+                    let lm_of = |v: &synthpop::Visit| {
+                        layout.k + layout.location_part[v.location.0 as usize]
+                    };
+                    for (j, v) in schedule.iter().enumerate() {
+                        let lm = lm_of(v);
+                        if schedule[..j].iter().all(|w| lm_of(w) != lm) {
+                            self.updates.push(lm, update, ctx);
+                            updates_sent += 1;
+                        }
+                    }
+                }
+            }
             infected_now += slot.is_infected() as u64;
             susceptible += shared.ptts.is_susceptible(slot.health.state) as u64;
-            visits_sent += self.visit_buf.len() as u64;
-            for visit in self.visit_buf.drain(..) {
-                let lm = shared.layout.lm_of_location[visit.location as usize];
-                self.lanes.push(lm, visit, ctx);
-            }
         }
-        self.lanes.flush(ctx);
+        self.updates.flush(ctx);
+        self.visits.flush(ctx);
         ctx.contribute(slots::SYMPTOMATIC, symptomatic);
         ctx.contribute(slots::INFECTED_NOW, infected_now);
         ctx.contribute(slots::SUSCEPTIBLE, susceptible);
         ctx.contribute(slots::VISITS_SENT, visits_sent);
+        if updates_sent > 0 {
+            ctx.contribute(slots::UPDATES_SENT, updates_sent);
+        }
     }
 
     /// Phase 5, applied as infects arrive: a person's first infect of the
@@ -242,8 +297,9 @@ impl Chare<SimMsg> for PersonManager {
     fn snapshot(&self) -> Option<Vec<u8>> {
         // Person state is the only chare state that cannot be rebuilt from
         // deterministic construction; LocationManagers keep the default
-        // `None` (visit buffers are empty at day boundaries and feature
-        // totals are analysis-only).
+        // `None` (their caches are rebuilt from the updates of a restored
+        // run's first day, visit buffers are empty at day boundaries, and
+        // feature totals are analysis-only).
         Some(crate::checkpoint::encode_person_shard(&self.persons).to_vec())
     }
 
@@ -252,50 +308,95 @@ impl Chare<SimMsg> for PersonManager {
     }
 }
 
-/// A LocationManager: owns a set of locations, buffers the day's visit
-/// messages, and runs the DES in phase 3.
+/// A LocationManager: owns a set of locations and, in phase 2, runs the
+/// DES over the day's visits to them.
 pub struct LocationManager {
     shared: SharedRef,
+    /// The partition this LM serves.
+    part: u32,
     /// Global location ids owned, ordered by local slot.
     locations: Vec<u32>,
-    /// Per-location visit buffer for the current day.
-    buffers: Vec<Vec<VisitMsg>>,
     classes: InfectivityClasses,
+    symptomatic_state: Option<StateId>,
     /// DES working memory reused across locations and days.
     scratch: KernelScratch,
-    /// Accumulated per-location features of the most recent day (exposed
-    /// for load-model calibration).
-    pub last_features: Vec<LocationDayFeatures>,
-    /// Per-location features summed over every day this LM has computed —
-    /// the measured dynamic load the §VII rebalancer feeds on.
-    pub feature_totals: Vec<LocationDayFeatures>,
+    /// Per location: the features summed over the days it was swept (every
+    /// day under `no_opt`); [`LocationManager::feature_totals`] adds the
+    /// other days' events.
+    swept: Vec<LocationDayFeatures>,
     infect_buf: Vec<InfectMsg>,
     /// The day's outgoing infects, one lane per PersonManager.
     lanes: Lanes<InfectMsg>,
+    /// `no_opt` only: per-location visit buffer for the current day.
+    buffers: Vec<Vec<VisitMsg>>,
+    /// What the delta day knows of the visitors.
+    visitors: Visitors,
+}
+
+/// A LocationManager's visitors under deltas, indexed by their place in
+/// its partition's range of the
+/// [`SweepLayout`](crate::seq::SweepLayout)'s visitors.
+struct Visitors {
+    /// `(state, sus_scale)` as last updated; the baseline until then.
+    health: Vec<(StateId, f32)>,
+    /// Visitors last seen infectious or symptomatic, the only ones whose
+    /// visits can differ from the baseline's day; pruned each day.
+    watch: Vec<u32>,
+    watched: Vec<bool>,
+    /// 1 + the last day the visitor stayed home.
+    stayed_home: Vec<u32>,
+    /// Bitset over the LM's groups: attended by an infectious visitor
+    /// today (cleared as the sweep visits them).
+    marks: Vec<u64>,
+    /// Per location: visits lost to stay-home decisions, over all days.
+    absent: Vec<u64>,
+    /// Per location kind: days it was open.
+    days_open: [u64; 5],
+    /// Per location kind: the LM's scheduled visits there.
+    scheduled: [u64; 5],
+    /// The group being swept, and the gather's rank map.
+    group: Vec<VisitMsg>,
+    rank: Vec<u32>,
 }
 
 impl LocationManager {
-    /// Build an LM owning `location_ids` (local slot order must match
-    /// `Shared::local_of_location`).
-    pub fn new(shared: SharedRef, location_ids: Vec<u32>) -> Self {
-        let n = location_ids.len();
-        let classes = InfectivityClasses::new(&shared.ptts);
-        let lanes = Lanes::new(0, shared.layout.k, shared.lane_cap, SimMsg::Infects);
-        // Sized once here, so no day grows a buffer.
-        let buffers = location_ids
-            .iter()
-            .map(|&l| Vec::with_capacity(shared.layout.visits_per_location[l as usize] as usize))
-            .collect();
+    /// Build the LM of partition `part`, owning
+    /// `Shared::layout.locations_per_part[part]`.
+    pub fn new(shared: SharedRef, part: u32) -> Self {
+        let locations = shared.layout.locations_per_part[part as usize].clone();
+        let n = locations.len();
+        let sweep = &shared.sweep;
+        let n_visitors = sweep.visitors_of(part).len();
+        let groups = sweep.groups_of(part);
+        let mut scheduled = [0u64; 5];
+        for g in groups.clone() {
+            let kind = shared.pop.locations[sweep.place(g).0 as usize].kind;
+            scheduled[kind as usize] += sweep.group_len(g) as u64;
+        }
+        let visitors = Visitors {
+            health: vec![(shared.ptts.start_state(), 1.0); n_visitors],
+            watch: Vec::new(),
+            watched: vec![false; n_visitors],
+            stayed_home: vec![0; n_visitors],
+            marks: vec![0; groups.len().div_ceil(64)],
+            absent: vec![0; n],
+            days_open: [0; 5],
+            scheduled,
+            group: Vec::new(),
+            rank: Vec::new(),
+        };
         LocationManager {
-            shared,
-            locations: location_ids,
-            buffers,
-            classes,
+            classes: InfectivityClasses::new(&shared.ptts),
+            symptomatic_state: shared.ptts.state_by_name("symptomatic"),
+            lanes: Lanes::new(&shared, 0, SimMsg::Infects),
+            part,
+            buffers: vec![Vec::new(); n],
+            swept: vec![LocationDayFeatures::default(); n],
+            locations,
             scratch: KernelScratch::new(),
-            last_features: vec![LocationDayFeatures::default(); n],
-            feature_totals: vec![LocationDayFeatures::default(); n],
             infect_buf: Vec::new(),
-            lanes,
+            visitors,
+            shared,
         }
     }
 
@@ -304,7 +405,189 @@ impl LocationManager {
         &self.locations
     }
 
-    fn compute_day(&mut self, day: u32, r_eff: f64, ctx: &mut Ctx<'_, SimMsg>) {
+    /// Per owned location (in [`LocationManager::locations`] order): its
+    /// features summed over every day this LM has computed, the measured
+    /// dynamic load the §VII rebalancer feeds on.
+    pub fn feature_totals(&self) -> Vec<LocationDayFeatures> {
+        let (pop, sweep, layout) = (&self.shared.pop, &self.shared.sweep, &self.shared.layout);
+        let vs = &self.visitors;
+        let mut totals = self.swept.clone();
+        for g in sweep.groups_of(self.part) {
+            let location = sweep.place(g).0 as usize;
+            let kind = pop.locations[location].kind as usize;
+            let li = layout.local_of_location[location] as usize;
+            totals[li].events += 2 * sweep.group_len(g) as u64 * vs.days_open[kind];
+        }
+        for (total, &absent) in totals.iter_mut().zip(&vs.absent) {
+            total.events -= 2 * absent;
+        }
+        totals
+    }
+
+    /// Cache a lane of updates.
+    fn apply_updates(&mut self, batch: &[Update]) {
+        let sweep = &self.shared.sweep;
+        let persons = &sweep.visitors()[sweep.visitors_of(self.part)];
+        let vs = &mut self.visitors;
+        for u in batch {
+            let v = persons
+                .binary_search(&u.person)
+                .expect("updates come from visitors") as u32;
+            vs.health[v as usize] = (u.state, u.sus_scale);
+            let notable =
+                self.classes.class(u.state).is_some() || Some(u.state) == self.symptomatic_state;
+            if notable && !vs.watched[v as usize] {
+                vs.watched[v as usize] = true;
+                vs.watch.push(v);
+            }
+        }
+    }
+
+    /// Phase 2 under deltas: decide today's attendance of the watched
+    /// visitors, then sweep the groups the infectious attend.
+    fn sweep_day(&mut self, day: u32, r_eff: f64, closed_kinds: u8, ctx: &mut Ctx<'_, SimMsg>) {
+        let shared = self.shared.clone();
+        let (pop, sweep, layout) = (&*shared.pop, &*shared.sweep, &*shared.layout);
+        let fx = DayEffects {
+            closed_kinds,
+            ..DayEffects::none()
+        };
+        let me = self.part;
+        let first_group = sweep.groups_of(self.part).start;
+        let first_visitor = sweep.visitors_of(self.part).start;
+        let persons = &sweep.visitors()[sweep.visitors_of(self.part)];
+        let (classes, symptomatic_state) = (&self.classes, self.symptomatic_state);
+        let Visitors {
+            health,
+            watch,
+            watched,
+            stayed_home,
+            marks,
+            absent,
+            days_open,
+            scheduled,
+            group,
+            rank,
+        } = &mut self.visitors;
+
+        watch.retain(|&v| {
+            let state = health[v as usize].0;
+            let notable = classes.class(state).is_some() || Some(state) == symptomatic_state;
+            watched[v as usize] = notable;
+            notable
+        });
+        let mut absent_today = 0u64;
+        for &v in watch.iter() {
+            let state = health[v as usize].0;
+            let person = persons[v as usize] as usize;
+            let stay_home = stays_home(
+                shared.seed,
+                person as u32,
+                day,
+                Some(state) == symptomatic_state,
+            );
+            if stay_home {
+                stayed_home[v as usize] = day + 1;
+            }
+            let infectious = classes.class(state).is_some();
+            if !infectious && !stay_home {
+                continue;
+            }
+            for i in pop.person_offsets[person] as usize..pop.person_offsets[person + 1] as usize {
+                let location = pop.visits[i].location.0 as usize;
+                if layout.location_part[location] != me {
+                    continue;
+                }
+                let kind = pop.locations[location].kind;
+                let (g, at_home) = sweep.visit(i);
+                if attends(&fx, kind, at_home, stay_home) {
+                    if infectious {
+                        let g = g - first_group;
+                        marks[g / 64] |= 1 << (g % 64);
+                    }
+                } else if attends(&fx, kind, at_home, false) {
+                    absent[layout.local_of_location[location] as usize] += 1;
+                    absent_today += 1;
+                }
+            }
+        }
+        let mut present = 0u64;
+        for kind in LocationKind::ALL {
+            if attends(&fx, kind, false, false) {
+                days_open[kind as usize] += 1;
+                present += scheduled[kind as usize];
+            }
+        }
+        present -= absent_today;
+
+        let mut interactions = 0u64;
+        let mut infects_sent = 0u64;
+        let mut by_kind = [0u64; 5];
+        // Features of the location being swept: `(local slot, features)`.
+        let mut at: Option<(usize, LocationDayFeatures)> = None;
+        let mut settle = |at: Option<(usize, LocationDayFeatures)>| {
+            if let Some((li, f)) = at {
+                let total = &mut self.swept[li];
+                total.interactions += f.interactions;
+                total.sum_reciprocal_interactions += f.sum_reciprocal_interactions;
+                interactions += f.interactions;
+            }
+        };
+        for (w, word) in marks.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let g = first_group + w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let location = sweep.place(g).0 as usize;
+                let li = layout.local_of_location[location] as usize;
+                if at.is_none_or(|(at_li, _)| at_li != li) {
+                    settle(at.replace((li, LocationDayFeatures::default())));
+                }
+                let kind = pop.locations[location].kind;
+                let present = |m: &Member| {
+                    let stayed = stayed_home[m.visitor() - first_visitor] == day + 1;
+                    attends(&fx, kind, m.at_home(), stayed)
+                };
+                let cached = |m: &Member| health[m.visitor() - first_visitor];
+                let (ordered, infectious_arrivals) = sweep.gather(
+                    g,
+                    present,
+                    cached,
+                    classes,
+                    group,
+                    rank,
+                    &mut self.scratch.events,
+                );
+                self.infect_buf.clear();
+                let features = &mut at.as_mut().expect("set above").1;
+                sweep_sublocation(
+                    group,
+                    ordered,
+                    infectious_arrivals,
+                    &shared.ptts,
+                    classes,
+                    r_eff,
+                    shared.seed,
+                    day,
+                    &mut self.scratch.sweep,
+                    &mut self.infect_buf,
+                    features,
+                );
+                infects_sent += self.infect_buf.len() as u64;
+                by_kind[kind as usize] += self.infect_buf.len() as u64;
+                for infect in self.infect_buf.drain(..) {
+                    let pm = layout.pm_of_person[infect.person as usize];
+                    self.lanes.push(pm, infect, ctx);
+                }
+            }
+        }
+        settle(at);
+        self.contribute_day(2 * present, interactions, infects_sent, &by_kind, ctx);
+    }
+
+    /// Phase 2 under `no_opt`: the DES over each location's buffered
+    /// visits.
+    fn simulate_day(&mut self, day: u32, r_eff: f64, ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
         let mut events = 0u64;
         let mut interactions = 0u64;
@@ -328,16 +611,26 @@ impl LocationManager {
             infects_sent += self.infect_buf.len() as u64;
             let kind = shared.pop.locations[self.locations[li] as usize].kind as usize;
             by_kind[kind] += self.infect_buf.len() as u64;
-            self.last_features[li] = features;
-            let tot = &mut self.feature_totals[li];
-            tot.events += features.events;
-            tot.interactions += features.interactions;
-            tot.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
+            let total = &mut self.swept[li];
+            total.events += features.events;
+            total.interactions += features.interactions;
+            total.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
             for infect in self.infect_buf.drain(..) {
                 let pm = shared.layout.pm_of_person[infect.person as usize];
                 self.lanes.push(pm, infect, ctx);
             }
         }
+        self.contribute_day(events, interactions, infects_sent, &by_kind, ctx);
+    }
+
+    fn contribute_day(
+        &mut self,
+        events: u64,
+        interactions: u64,
+        infects_sent: u64,
+        by_kind: &[u64; 5],
+        ctx: &mut Ctx<'_, SimMsg>,
+    ) {
         self.lanes.flush(ctx);
         ctx.contribute(slots::EVENTS, events);
         ctx.contribute(slots::INTERACTIONS, interactions);
@@ -353,21 +646,24 @@ impl LocationManager {
 impl Chare<SimMsg> for LocationManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
+            SimMsg::Updates(batch) => self.apply_updates(&batch),
             SimMsg::Visits(batch) => {
+                let layout = &self.shared.layout;
                 for v in batch {
-                    let layout = &self.shared.layout;
-                    let buf =
-                        &mut self.buffers[layout.local_of_location[v.location as usize] as usize];
-                    debug_assert!(
-                        !self.shared.exactly_once
-                            || buf.len() < layout.visits_per_location[v.location as usize] as usize,
-                        "location {} got more visits than its normative schedule",
-                        v.location
-                    );
-                    buf.push(v);
+                    self.buffers[layout.local_of_location[v.location as usize] as usize].push(v);
                 }
             }
-            SimMsg::ComputeDay { day, r_eff } => self.compute_day(day, r_eff, ctx),
+            SimMsg::ComputeDay {
+                day,
+                r_eff,
+                closed_kinds,
+            } => {
+                if self.shared.aggregated {
+                    self.sweep_day(day, r_eff, closed_kinds, ctx);
+                } else {
+                    self.simulate_day(day, r_eff, ctx);
+                }
+            }
             other => panic!("LocationManager got unexpected message {other:?}"),
         }
     }

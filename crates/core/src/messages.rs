@@ -1,5 +1,6 @@
 //! Simulator messages and shared immutable state.
 
+use crate::seq::SweepLayout;
 use bytes::{Buf, BufMut, BytesMut};
 use chare_rt::codec::{self, CodecError};
 use chare_rt::Message;
@@ -28,6 +29,20 @@ pub struct VisitMsg {
     /// The person's health state today.
     pub state: StateId,
     /// Personal susceptibility multiplier (vaccine efficacy etc.).
+    pub sus_scale: f32,
+}
+
+/// A person's update to a LocationManager it visits: its health state
+/// and susceptibility after today's morning. A PersonManager sends one
+/// only when that pair differs from what it last sent the person's
+/// LocationManagers, who cache it (DESIGN.md §8).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Update {
+    /// The person.
+    pub person: u32,
+    /// Its health state today.
+    pub state: StateId,
+    /// Its susceptibility multiplier today.
     pub sus_scale: f32,
 }
 
@@ -91,11 +106,8 @@ pub enum SimMsg {
         /// Intervention effects in force.
         effects: DayEffects,
     },
-    /// One PM → LM lane's visits: application-aware aggregation (§IV-C).
-    /// The sender knows a day's visits toward one LocationManager form a
-    /// batch, so it ships them as one message (at most
-    /// [`crate::managers::BATCH_CAP`] per message; one visit per message
-    /// with aggregation off).
+    /// Visits from a PM to an LM, one per message: the paper's protocol,
+    /// sent only with aggregation off (`RuntimeConfig::no_opt`).
     Visits(Vec<VisitMsg>),
     /// Phase 2 kick-off, sent to every LocationManager.
     ComputeDay {
@@ -103,11 +115,19 @@ pub enum SimMsg {
         day: u32,
         /// Effective transmissibility `r × r_scale`.
         r_eff: f64,
+        /// Location kinds closed today ([`DayEffects::closed_kinds`]):
+        /// LocationManagers decide attendance.
+        closed_kinds: u8,
     },
     /// One LM → PM lane's disease transmissions, batched like
-    /// [`SimMsg::Visits`]. The receiving PersonManager applies them on
+    /// [`SimMsg::Updates`]. The receiving PersonManager applies them on
     /// arrival, so a day needs no third phase.
     Infects(Vec<InfectMsg>),
+    /// One PM → LM lane's updates: application-aware aggregation (§IV-C).
+    /// The sender knows a day's updates toward one LocationManager form a
+    /// batch, so it ships them as one message (at most
+    /// [`crate::managers::BATCH_CAP`] per message).
+    Updates(Vec<Update>),
 }
 
 /// Wire tags for [`SimMsg`] variants (the first byte of the encoding;
@@ -119,11 +139,14 @@ mod tag {
     pub const COMPUTE_DAY: u8 = 2;
     pub const VISITS: u8 = 5;
     pub const INFECTS: u8 = 6;
+    pub const UPDATES: u8 = 7;
 }
 
-/// Encoded bytes of one [`VisitMsg`] / [`InfectMsg`] / vaccination order.
+/// Encoded bytes of one [`VisitMsg`] / [`InfectMsg`] / [`Update`] /
+/// vaccination order.
 const VISIT_WIRE: usize = 20;
 const INFECT_WIRE: usize = 10;
+const UPDATE_WIRE: usize = 10;
 const VACCINATION_WIRE: usize = 18;
 
 impl Message for SimMsg {
@@ -133,8 +156,9 @@ impl Message for SimMsg {
         match self {
             SimMsg::BeginDay { effects, .. } => 18 + effects.vaccinations.len() * VACCINATION_WIRE,
             SimMsg::Visits(batch) => 5 + batch.len() * VISIT_WIRE,
-            SimMsg::ComputeDay { .. } => 13,
+            SimMsg::ComputeDay { .. } => 14,
             SimMsg::Infects(batch) => 5 + batch.len() * INFECT_WIRE,
+            SimMsg::Updates(batch) => 5 + batch.len() * UPDATE_WIRE,
         }
     }
 
@@ -165,10 +189,15 @@ impl Message for SimMsg {
                     out.put_f32_le(v.sus_scale);
                 }
             }
-            SimMsg::ComputeDay { day, r_eff } => {
+            SimMsg::ComputeDay {
+                day,
+                r_eff,
+                closed_kinds,
+            } => {
                 out.put_u8(tag::COMPUTE_DAY);
                 out.put_u32_le(*day);
                 out.put_f64_le(*r_eff);
+                out.put_u8(*closed_kinds);
             }
             SimMsg::Infects(batch) => {
                 out.put_u8(tag::INFECTS);
@@ -177,6 +206,15 @@ impl Message for SimMsg {
                     out.put_u32_le(i.person);
                     out.put_u16_le(i.time_min);
                     out.put_u32_le(i.infector);
+                }
+            }
+            SimMsg::Updates(batch) => {
+                out.put_u8(tag::UPDATES);
+                out.put_u32_le(batch.len() as u32);
+                for u in batch {
+                    out.put_u32_le(u.person);
+                    out.put_u16_le(u.state.0);
+                    out.put_f32_le(u.sus_scale);
                 }
             }
         }
@@ -228,6 +266,7 @@ impl Message for SimMsg {
                 tag::COMPUTE_DAY => SimMsg::ComputeDay {
                     day: buf.try_get_u32_le()?,
                     r_eff: buf.try_get_f64_le()?,
+                    closed_kinds: buf.try_get_u8()?,
                 },
                 tag::INFECTS => {
                     let n = codec::get_count(buf, INFECT_WIRE)?;
@@ -240,6 +279,18 @@ impl Message for SimMsg {
                         });
                     }
                     SimMsg::Infects(batch)
+                }
+                tag::UPDATES => {
+                    let n = codec::get_count(buf, UPDATE_WIRE)?;
+                    let mut batch = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        batch.push(Update {
+                            person: buf.try_get_u32_le()?,
+                            state: StateId(buf.try_get_u16_le()?),
+                            sus_scale: buf.try_get_f32_le()?,
+                        });
+                    }
+                    SimMsg::Updates(batch)
                 }
                 other => return Err(CodecError::BadTag(other)),
             })
@@ -254,7 +305,7 @@ pub mod slots {
     pub const INFECTED_NOW: usize = 0;
     /// Infections applied this day.
     pub const NEW_INFECTIONS: usize = 1;
-    /// Visit messages sent this day.
+    /// Visits attended this day (visit messages sent, under `no_opt`).
     pub const VISITS_SENT: usize = 2;
     /// Symptomatic persons today.
     pub const SYMPTOMATIC: usize = 3;
@@ -271,6 +322,8 @@ pub mod slots {
     /// kind `k` (venue attribution of transmissions, before per-person
     /// dedup).
     pub const BY_KIND_BASE: usize = 8;
+    /// [`super::Update`] records sent this day.
+    pub const UPDATES_SENT: usize = 13;
 }
 
 /// The object→chare index maps of the two-level hierarchical data
@@ -285,17 +338,13 @@ pub struct WorldLayout {
     pub pm_of_person: Vec<u32>,
     /// person → local slot within its PM.
     pub local_of_person: Vec<u32>,
-    /// location → LocationManager chare id.
-    pub lm_of_location: Vec<u32>,
+    /// location → partition; its LocationManager is chare `k + partition`.
+    pub location_part: Vec<u32>,
     /// location → local slot within its LM.
     pub local_of_location: Vec<u32>,
     /// location → original location id (identity unless splitLoc ran);
     /// the stay-home filter uses it to recognise split home pieces.
     pub orig_of_location: Vec<u32>,
-    /// location → visits in the normative schedule: the most visits the
-    /// location can receive in one day, since a day's schedule only
-    /// filters the normative one.
-    pub visits_per_location: Vec<u32>,
     /// Person ids owned by each partition, in local-slot order.
     pub persons_per_part: Vec<Vec<u32>>,
     /// Location ids owned by each partition, in local-slot order.
@@ -310,7 +359,6 @@ impl WorldLayout {
         let n_locations = dist.pop.n_locations() as usize;
         let mut pm_of_person = vec![0u32; n_people];
         let mut local_of_person = vec![0u32; n_people];
-        let mut lm_of_location = vec![0u32; n_locations];
         let mut local_of_location = vec![0u32; n_locations];
         let mut persons_per_part: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
         let mut locations_per_part: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
@@ -320,24 +368,17 @@ impl WorldLayout {
             local_of_person[p] = persons_per_part[part as usize].len() as u32;
             persons_per_part[part as usize].push(p as u32);
         }
-        for l in 0..n_locations {
-            let part = dist.location_part[l];
-            lm_of_location[l] = k + part;
+        for (l, &part) in dist.location_part.iter().enumerate() {
             local_of_location[l] = locations_per_part[part as usize].len() as u32;
             locations_per_part[part as usize].push(l as u32);
-        }
-        let mut visits_per_location = vec![0u32; n_locations];
-        for v in &dist.pop.visits {
-            visits_per_location[v.location.0 as usize] += 1;
         }
         WorldLayout {
             k,
             pm_of_person,
             local_of_person,
-            lm_of_location,
+            location_part: dist.location_part.clone(),
             local_of_location,
             orig_of_location: dist.orig_of_location.clone(),
-            visits_per_location,
             persons_per_part,
             locations_per_part,
         }
@@ -358,17 +399,17 @@ pub struct Shared {
     pub ptts: Arc<Ptts>,
     /// The object→chare index maps.
     pub layout: Arc<WorldLayout>,
+    /// The visits in sweep order, for the LocationManagers this process
+    /// hosts.
+    pub sweep: Arc<SweepLayout>,
     /// Base transmissibility per minute of contact.
     pub r: f64,
     /// Simulation seed.
     pub seed: u64,
-    /// Items per visit/infect batch message: `BATCH_CAP`, or 1 with
-    /// aggregation off.
-    pub lane_cap: usize,
-    /// Whether the runtime delivers every message exactly once (false only
-    /// under a lossy fault plan, where a lost `ComputeDay` leaves a day's
-    /// visits in their buffers).
-    pub exactly_once: bool,
+    /// Application-aware aggregation is on: PersonManagers send updates
+    /// and managers batch their lanes. Off (`no_opt`), the day is the
+    /// paper's protocol, one message per visit and per infect.
+    pub aggregated: bool,
 }
 
 /// Shared handle.
@@ -426,6 +467,14 @@ mod tests {
         }
     }
 
+    fn update(person: u32) -> Update {
+        Update {
+            person,
+            state: StateId(3),
+            sus_scale: 0.375,
+        }
+    }
+
     fn begin_day(n_orders: usize) -> SimMsg {
         SimMsg::BeginDay {
             day: 7,
@@ -453,9 +502,12 @@ mod tests {
             SimMsg::ComputeDay {
                 day: 3,
                 r_eff: 0.0015,
+                closed_kinds: 0b0000_0100,
             },
             SimMsg::Infects(Vec::new()),
             SimMsg::Infects(vec![infect(99), infect(100)]),
+            SimMsg::Updates(Vec::new()),
+            SimMsg::Updates(vec![update(4), update(5), update(6)]),
         ]
     }
 
@@ -482,11 +534,23 @@ mod tests {
         match roundtrip(&SimMsg::ComputeDay {
             day: 3,
             r_eff: 0.0015,
+            closed_kinds: 0b0000_0100,
         }) {
-            SimMsg::ComputeDay { day, r_eff } => {
+            SimMsg::ComputeDay {
+                day,
+                r_eff,
+                closed_kinds,
+            } => {
                 assert_eq!(day, 3);
                 assert_eq!(r_eff, 0.0015);
+                assert_eq!(closed_kinds, 0b0000_0100);
             }
+            other => panic!("wrong variant: {other:?}"),
+        }
+
+        let updates = vec![update(12345), update(6)];
+        match roundtrip(&SimMsg::Updates(updates.clone())) {
+            SimMsg::Updates(batch) => assert_eq!(batch, updates),
             other => panic!("wrong variant: {other:?}"),
         }
 
@@ -534,6 +598,10 @@ mod tests {
             SimMsg::Infects(vec![infect(1); 7]).size_bytes(),
             1 + 4 + 10 * 7
         );
+        assert_eq!(
+            SimMsg::Updates(vec![update(1); 7]).size_bytes(),
+            1 + 4 + 10 * 7
+        );
     }
 
     /// Bytes after a message are left unread, for the caller
@@ -555,7 +623,7 @@ mod tests {
     /// rejected before any allocation.
     #[test]
     fn batch_count_overflow_is_rejected() {
-        for tag in [tag::VISITS, tag::INFECTS] {
+        for tag in [tag::VISITS, tag::INFECTS, tag::UPDATES] {
             for count in [u32::MAX, u32::MAX / 20 + 1, 2] {
                 let mut bytes = vec![tag];
                 bytes.extend_from_slice(&count.to_le_bytes());

@@ -124,12 +124,35 @@ pub fn person_morning(
 
     // 3. The self-isolation draw.
     let symptomatic = Some(slot.health.state) == symptomatic_state;
-    let stay_home = symptomatic
-        && CounterRng::for_entity(seed, slot.id as u64, day as u64, Purpose::Schedule)
-            .bernoulli(SYMPTOMATIC_STAY_HOME_PROB);
     Morning {
         symptomatic,
-        stay_home,
+        stay_home: stays_home(seed, slot.id, day, symptomatic),
+    }
+}
+
+/// The self-isolation draw: a symptomatic person stays home today with
+/// probability [`SYMPTOMATIC_STAY_HOME_PROB`], keyed by `(seed, person,
+/// day)`, so whoever knows the person's state can draw it.
+#[inline]
+pub fn stays_home(seed: u64, person: u32, day: u32, symptomatic: bool) -> bool {
+    symptomatic
+        && CounterRng::for_entity(seed, person as u64, day as u64, Purpose::Schedule)
+            .bernoulli(SYMPTOMATIC_STAY_HOME_PROB)
+}
+
+/// Whether a visit to `location` is at the visitor's `home`.
+///
+/// `orig_of_location` maps (possibly splitLoc-rewritten) location ids back
+/// to original ids so the stay-home filter recognises every piece of a
+/// split home as "home"; `None` means the population was never split.
+/// `home` predates any split, so it maps to itself. Without the mapping an
+/// aggressive split threshold silently drops the *home* visits of
+/// self-isolating people, changing the epidemic.
+#[inline]
+pub fn at_home(home: u32, location: u32, orig_of_location: Option<&[u32]>) -> bool {
+    match orig_of_location {
+        Some(map) => map[location as usize] == home,
+        None => location == home,
     }
 }
 
@@ -142,14 +165,33 @@ pub fn attends(effects: &DayEffects, kind: LocationKind, at_home: bool, stay_hom
     !closed && (at_home || !stay_home)
 }
 
+/// How many of `person`'s scheduled visits happen today, by [`attends`];
+/// `at_home(i)` says whether visit `i` (an index into `pop.visits`) is at
+/// the person's home.
+#[inline]
+pub fn attended(
+    pop: &Population,
+    person: u32,
+    effects: &DayEffects,
+    stay_home: bool,
+    at_home: impl Fn(usize) -> bool,
+) -> usize {
+    let p = person as usize;
+    let schedule = pop.person_offsets[p] as usize..pop.person_offsets[p + 1] as usize;
+    if !stay_home && effects.closed_kinds == 0 {
+        return schedule.len();
+    }
+    schedule
+        .filter(|&i| {
+            let kind = pop.locations[pop.visits[i].location.0 as usize].kind;
+            attends(effects, kind, at_home(i), stay_home)
+        })
+        .count()
+}
+
 /// Phase 1 for one person: [`person_morning`], then emit today's visit
 /// messages into `out`. Returns the symptomatic flag used for reporting.
-///
-/// `orig_of_location` maps (possibly splitLoc-rewritten) location ids back
-/// to original ids so the stay-home filter recognises every piece of a
-/// split home as "home"; `None` means the population was never split.
-/// Without the mapping an aggressive split threshold silently drops the
-/// *home* visits of self-isolating people, changing the epidemic.
+/// `orig_of_location` is [`at_home`]'s split map.
 #[allow(clippy::too_many_arguments)]
 pub fn person_day(
     slot: &mut PersonSlot,
@@ -163,16 +205,10 @@ pub fn person_day(
     out: &mut Vec<VisitMsg>,
 ) -> bool {
     let morning = person_morning(slot, ptts, effects, symptomatic_state, seed, day);
-    let home = pop.people[slot.id as usize].home;
+    let home = pop.people[slot.id as usize].home.0;
     for v in pop.visits_of(PersonId(slot.id)) {
         let kind = pop.locations[v.location.0 as usize].kind;
-        let at_home = match orig_of_location {
-            // `home` predates any split, so it maps to itself; a visit is
-            // "home" when its (possibly split-piece) location maps back to
-            // the same original.
-            Some(map) => map[v.location.0 as usize] == home.0,
-            None => v.location == home,
-        };
+        let at_home = at_home(home, v.location.0, orig_of_location);
         if attends(effects, kind, at_home, morning.stay_home) {
             out.push(visit_to_msg(v, slot));
         }

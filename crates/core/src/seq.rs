@@ -7,124 +7,303 @@
 //! this oracle must produce *bit-identical* epidemic curves; the
 //! integration tests assert exactly that.
 //!
-//! The engines push: every person sends a message per visit and every
-//! location sorts what it received. This path pulls instead, because only
-//! a sublocation with an infectious visitor can produce an interaction.
-//! [`SweepLayout`] computes once per population every visit in the
-//! canonical `(location, sublocation, start, person)` order, grouped by
-//! sublocation, and each group's arrive/depart event order. Each day the
-//! person pass runs [`person_morning`] for everyone and marks the groups
-//! the infectious attend; the location pass gathers only the marked
-//! groups' present visits and runs the kernel's sweep over the static
-//! event order with the absent visits left out. Nothing is sorted per day.
-//! The layout is not part of [`crate::CowWorld`], whose engine runs never
-//! read it and would pay for its build in their set-up:
-//! [`crate::run_sweep`] builds it once per sweep and shares it read-only
-//! across its workers, and [`run_sequential`] once per run.
+//! The paper's day pushes: every person sends a message per visit and
+//! every location sorts what it received. This path pulls instead,
+//! because only a sublocation with an infectious visitor can produce an
+//! interaction. [`SweepLayout`] computes once per world every visit in
+//! the canonical `(location, sublocation, start, person)` order, grouped
+//! by sublocation, and each group's arrive/depart event order. Each day
+//! the person pass runs [`person_morning`] for everyone and marks the
+//! groups the infectious attend; the location pass gathers only the
+//! marked groups' present visits and runs the kernel's sweep over the
+//! static event order with the absent visits left out. Nothing is sorted
+//! per day. The engines' LocationManagers sweep the same layout, each its
+//! own partition's range, from the states persons send them
+//! (`crate::managers`). A distribution builds it once and shares it with
+//! every simulator, [`crate::CowWorld`] and [`crate::run_sweep`] over it;
+//! [`run_sequential`] builds one per run.
 
 use crate::ensemble::MemberArena;
 use crate::kernel::{
-    canonical_key, event_keys, sort_events, sweep_sublocation, InfectivityClasses,
-    LocationDayFeatures,
+    canonical_key, event, event_keys, sort_events, sweep_sublocation, unpack_event,
+    InfectivityClasses, LocationDayFeatures, MAX_SWEEP_VISITS,
 };
 use crate::messages::{DayEffects, VisitMsg};
 use crate::output::{DayStats, EpiCurve};
-use crate::person::{attends, person_morning, PersonSlot};
+use crate::person::{at_home, attended, attends, person_morning, PersonSlot};
 use crate::simulator::SimConfig;
 use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::DayObservables;
+use ptts::model::StateId;
 use ptts::Ptts;
+use std::sync::{Arc, OnceLock};
 use synthpop::Population;
 
 /// One visit of a [`SweepLayout`] group: what the gather needs to rebuild
 /// its [`VisitMsg`], and the static half of the attendance rule.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    person: u32,
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Member {
+    pub(crate) person: u32,
+    /// Index into [`SweepLayout::visitors`], with [`AT_HOME`] set when the
+    /// visit is at the person's home (so staying home keeps it).
+    visitor: u32,
     start_min: u16,
     end_min: u16,
-    /// The visit is at the person's home, so staying home keeps it.
-    at_home: bool,
 }
+
+impl Member {
+    /// The visitor's index among all of the layout's visitors.
+    #[inline]
+    pub(crate) fn visitor(&self) -> usize {
+        (self.visitor & !AT_HOME) as usize
+    }
+
+    /// Whether the visit is at the visitor's home.
+    #[inline]
+    pub(crate) fn at_home(&self) -> bool {
+        self.visitor & AT_HOME != 0
+    }
+}
+
+/// The top bit of a packed index: the visit is at the person's home.
+const AT_HOME: u32 = 1 << 31;
 
 /// The visits of a population in canonical order, grouped by
 /// `(location, sublocation)`, with each group's static event order.
 ///
-/// Group `g` holds `members[group_start[g]..group_start[g + 1]]`, sorted
-/// by `(start, person, visit index)`, which is the order the kernel sorts a
+/// Groups are ordered by partition, then location, so partition `p`'s
+/// groups are one contiguous range ([`SweepLayout::groups_of`]): a
+/// LocationManager sweeps its own range, and caches its visitors' health
+/// by their index in its range of [`SweepLayout::visitors`]. Group `g`
+/// holds `members[group_start[g]..group_start[g + 1]]`, sorted by `(start,
+/// person, visit index)`, which is the order the kernel sorts a
 /// sublocation into (the visit index only breaks ties the kernel's key
-/// leaves open). Its events are `events[event_start[g]..event_start[g + 1]]`:
-/// `(key, rank in group)` in the `(key, index)` order
+/// leaves open). Its events are `events[event_start[g]..event_start[g +
+/// 1]]`: `(key, rank in group)` in the `(key, index)` order
 /// [`crate::kernel::order_events`] produces over the whole group. Removing
 /// a day's absent visits renumbers the survivors monotonically, so the
 /// filtered static order is that day's sorted order.
+///
+/// A layout may cover only some partitions (a net rank lays out the
+/// LocationManagers it hosts); the others have empty ranges.
 #[derive(Debug, Clone, Default)]
 pub struct SweepLayout {
     members: Vec<Member>,
-    /// Group id of every visit, indexed like `pop.visits`.
-    group_of_visit: Vec<u32>,
+    /// Per visit (indexed like `pop.visits`): its group, with [`AT_HOME`]
+    /// set for a home visit. Meaningless for visits outside the layout.
+    visit_group: Vec<u32>,
     group_start: Vec<u32>,
     /// `(location, sublocation)` of every group.
     place: Vec<(u32, u16)>,
-    events: Vec<(u32, u32)>,
+    events: Vec<u32>,
     event_start: Vec<u32>,
+    /// Partition `p`'s groups are `part_groups[p]..part_groups[p + 1]`.
+    part_groups: Vec<u32>,
+    /// Each partition's distinct visitors, ascending; partition `p`'s are
+    /// `visitors[part_visitors[p]..part_visitors[p + 1]]`.
+    visitors: Vec<u32>,
+    part_visitors: Vec<u32>,
+}
+
+/// A distribution's [`SweepLayout`] of every partition, built on first use,
+/// then shared by every clone of the handle.
+#[derive(Debug, Clone, Default)]
+pub struct SweepCell(Arc<OnceLock<Arc<SweepLayout>>>);
+
+impl SweepCell {
+    /// The layout of every one of the `k` partitions of `location_part`,
+    /// built if no holder has built it yet. The partition map must not
+    /// change once it is built.
+    pub fn full(
+        &self,
+        pop: &Population,
+        k: u32,
+        location_part: &[u32],
+        orig_of_location: &[u32],
+    ) -> Arc<SweepLayout> {
+        let layout = self.0.get_or_init(|| {
+            let all = vec![true; k as usize];
+            Arc::new(SweepLayout::of_world(
+                pop,
+                location_part,
+                orig_of_location,
+                &all,
+            ))
+        });
+        debug_assert!(
+            layout.lays_out(location_part),
+            "the partition map changed after its sweep layout was built"
+        );
+        layout.clone()
+    }
+
+    /// The layout, if it is built.
+    pub fn get(&self) -> Option<&SweepLayout> {
+        self.0.get().map(|layout| &**layout)
+    }
 }
 
 impl SweepLayout {
-    /// Lay out `pop`'s visits. `O(V log V)` for `V` visits; built once
-    /// per population and shared read-only by every run over it.
+    /// Lay out every visit of an unpartitioned, unsplit population (the
+    /// sequential oracle's layout: one partition).
     pub fn build(pop: &Population) -> SweepLayout {
-        // The kernel's order within each location; the visit index breaks
-        // the ties its key leaves open.
-        let mut keyed: Vec<(u32, u64, u32)> = pop
-            .visits
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let key = canonical_key(v.sublocation.0, v.start_min, v.person.0);
-                (v.location.0, key, i as u32)
-            })
-            .collect();
-        keyed.sort_unstable();
+        Self::build_parts(pop, None, |_| 0, &[true])
+    }
+
+    /// Lay out the visits to the locations of the partitions `p` (of
+    /// `location_part`, location → partition) for which `hosted[p]` holds.
+    pub fn of_world(
+        pop: &Population,
+        location_part: &[u32],
+        orig_of_location: &[u32],
+        hosted: &[bool],
+    ) -> SweepLayout {
+        let part_of = |l: usize| location_part[l] as usize;
+        Self::build_parts(pop, Some(orig_of_location), part_of, hosted)
+    }
+
+    /// `O(V)` plus a sort per location, for `V` visits: a counting sort of
+    /// the visits by location, in partition order, then each hosted
+    /// location's visits sorted by the kernel's key and cut into
+    /// sublocation groups.
+    fn build_parts(
+        pop: &Population,
+        orig_of_location: Option<&[u32]>,
+        part_of: impl Fn(usize) -> usize,
+        hosted: &[bool],
+    ) -> SweepLayout {
+        let n_locations = pop.n_locations() as usize;
+
+        // Where each hosted location's visits start, in (partition,
+        // location) order: a counting sort.
+        let mut part_start = vec![0u32; hosted.len() + 1];
+        let mut visit_start = vec![0u32; n_locations + 1];
+        for v in &pop.visits {
+            let l = v.location.0 as usize;
+            if hosted[part_of(l)] {
+                visit_start[l + 1] += 1;
+                part_start[part_of(l) + 1] += 1;
+            }
+        }
+        prefix_sum(&mut part_start);
+        let mut next_in_part = part_start.clone();
+        for l in 0..n_locations {
+            let n = visit_start[l + 1];
+            let slot = &mut next_in_part[part_of(l)];
+            visit_start[l] = *slot;
+            *slot += n;
+        }
+        // The visits placed there, keyed for the sort, and each
+        // partition's visitors. `pop.visits` is ordered by person, so the
+        // visitors come out ascending, and a visitor's index among its
+        // partition's orders like its person id: it stands in for the
+        // person in the key.
+        let mut keyed = vec![Keyed::default(); part_start[hosted.len()] as usize];
+        let mut visitors: Vec<Vec<u32>> = vec![Vec::new(); hosted.len()];
+        let mut next = visit_start.clone();
+        for (i, v) in pop.visits.iter().enumerate() {
+            let l = v.location.0 as usize;
+            let part = part_of(l);
+            if !hosted[part] {
+                continue;
+            }
+            let person = v.person.0;
+            let seen = &mut visitors[part];
+            if seen.last() != Some(&person) {
+                seen.push(person);
+            }
+            let home = pop.people[person as usize].home.0;
+            keyed[next[l] as usize] = Keyed {
+                key: canonical_key(v.sublocation.0, v.start_min, seen.len() as u32 - 1),
+                visit: i as u32,
+                end_min: v.end_min(),
+                at_home: at_home(home, v.location.0, orig_of_location),
+            };
+            next[l] += 1;
+        }
 
         let mut layout = SweepLayout {
             members: Vec::with_capacity(keyed.len()),
-            group_of_visit: vec![0; keyed.len()],
+            visit_group: vec![u32::MAX; pop.visits.len()],
             events: Vec::with_capacity(2 * keyed.len()),
+            part_groups: vec![0],
+            part_visitors: vec![0],
+            visitors: visitors.concat(),
             ..SweepLayout::default()
         };
-        let mut lo = 0;
-        while lo < keyed.len() {
-            let (location, key, _) = keyed[lo];
-            let sublocation = (key >> 48) as u16;
-            let place = (location, sublocation);
-            let hi = lo + keyed[lo..].partition_point(|k| (k.0, (k.1 >> 48) as u16) == place);
-            let g = layout.place.len() as u32;
-            layout.place.push(place);
-            layout.group_start.push(lo as u32);
-            let first_event = layout.events.len();
-            layout.event_start.push(first_event as u32);
-            for (rank, &(_, _, i)) in keyed[lo..hi].iter().enumerate() {
-                let v = &pop.visits[i as usize];
-                let end_min = v.end_min();
-                layout.group_of_visit[i as usize] = g;
-                layout.members.push(Member {
-                    person: v.person.0,
-                    start_min: v.start_min,
-                    end_min,
-                    at_home: pop.people[v.person.0 as usize].home == v.location,
-                });
-                if let Some((arrive, depart)) = event_keys(v.start_min, end_min) {
-                    layout.events.push((arrive, rank as u32));
-                    layout.events.push((depart, rank as u32));
+        let mut departs = Vec::new();
+        for (part, seen) in visitors.iter().enumerate() {
+            let first_visitor = *layout.part_visitors.last().expect("starts at 0");
+            let mut lo = part_start[part] as usize;
+            while lo < part_start[part + 1] as usize {
+                let location = pop.visits[keyed[lo].visit as usize].location.0;
+                let hi = lo + (next[location as usize] - visit_start[location as usize]) as usize;
+                keyed[lo..hi].sort_unstable_by_key(|k| (k.key, k.visit));
+                for group in keyed[lo..hi].chunk_by(|a, b| a.key >> 48 == b.key >> 48) {
+                    let sublocation = (group[0].key >> 48) as u16;
+                    layout.push_group((location, sublocation), first_visitor, group, &mut departs);
                 }
+                lo = hi;
             }
-            sort_events(&mut layout.events[first_event..]);
-            lo = hi;
+            layout.part_groups.push(layout.place.len() as u32);
+            layout.part_visitors.push(first_visitor + seen.len() as u32);
         }
-        layout.group_start.push(keyed.len() as u32);
+        layout.group_start.push(layout.members.len() as u32);
         layout.event_start.push(layout.events.len() as u32);
         layout
+    }
+
+    /// Append one sublocation group: its visits in canonical order, keyed
+    /// by their visitor's index after `first_visitor`. The arrivals come
+    /// out in `sort_events` order already (members sort by start first),
+    /// so only the departures are sorted before they are merged in.
+    fn push_group(
+        &mut self,
+        place: (u32, u16),
+        first_visitor: u32,
+        visits: &[Keyed],
+        departs: &mut Vec<u32>,
+    ) {
+        assert!(
+            visits.len() <= MAX_SWEEP_VISITS,
+            "sublocation too large to sweep"
+        );
+        let g = self.place.len() as u32;
+        self.place.push(place);
+        self.group_start.push(self.members.len() as u32);
+        let first_event = self.events.len();
+        self.event_start.push(first_event as u32);
+        departs.clear();
+        for (rank, k) in visits.iter().enumerate() {
+            let home = if k.at_home { AT_HOME } else { 0 };
+            self.visit_group[k.visit as usize] = g | home;
+            let start_min = (k.key >> 32) as u16;
+            let visitor = first_visitor + k.key as u32;
+            self.members.push(Member {
+                person: self.visitors[visitor as usize],
+                visitor: visitor | home,
+                start_min,
+                end_min: k.end_min,
+            });
+            if let Some((arrive, depart)) = event_keys(start_min, k.end_min) {
+                self.events.push(event(arrive, rank as u32));
+                departs.push(event(depart, rank as u32));
+            }
+        }
+        sort_events(departs);
+        // Merge from the back, into the room the departures take.
+        let (mut a, mut d) = (self.events.len() - first_event, departs.len());
+        self.events.resize(self.events.len() + d, 0);
+        let merged = &mut self.events[first_event..];
+        while d > 0 {
+            if a > 0 && merged[a - 1] > departs[d - 1] {
+                merged[a + d - 1] = merged[a - 1];
+                a -= 1;
+            } else {
+                merged[a + d - 1] = departs[d - 1];
+                d -= 1;
+            }
+        }
     }
 
     /// Number of sublocation groups.
@@ -137,22 +316,83 @@ impl SweepLayout {
         self.members.len()
     }
 
+    /// Bytes this layout holds on the heap (length × element size).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.members.as_slice())
+            + size_of_val(self.visit_group.as_slice())
+            + size_of_val(self.group_start.as_slice())
+            + size_of_val(self.place.as_slice())
+            + size_of_val(self.events.as_slice())
+            + size_of_val(self.event_start.as_slice())
+            + size_of_val(self.part_groups.as_slice())
+            + size_of_val(self.visitors.as_slice())
+            + size_of_val(self.part_visitors.as_slice())
+    }
+
+    /// Whether every laid-out group sits in the partition `location_part`
+    /// assigns its location to.
+    fn lays_out(&self, location_part: &[u32]) -> bool {
+        (0..self.part_groups.len().saturating_sub(1)).all(|part| {
+            self.groups_of(part as u32)
+                .all(|g| location_part[self.place(g).0 as usize] == part as u32)
+        })
+    }
+
+    /// Partition `part`'s groups.
+    pub(crate) fn groups_of(&self, part: u32) -> std::ops::Range<usize> {
+        self.part_groups[part as usize] as usize..self.part_groups[part as usize + 1] as usize
+    }
+
+    /// Partition `part`'s visitors: the range of [`SweepLayout::visitors`]
+    /// its members index.
+    pub(crate) fn visitors_of(&self, part: u32) -> std::ops::Range<usize> {
+        self.part_visitors[part as usize] as usize..self.part_visitors[part as usize + 1] as usize
+    }
+
+    /// The person ids of every partition's visitors; [`Member::visitor`]
+    /// indexes this.
+    #[inline]
+    pub(crate) fn visitors(&self) -> &[u32] {
+        &self.visitors
+    }
+
+    /// Visit `i`'s group, and whether it is at the person's home.
+    #[inline]
+    pub(crate) fn visit(&self, i: usize) -> (usize, bool) {
+        let g = self.visit_group[i];
+        ((g & !AT_HOME) as usize, g & AT_HOME != 0)
+    }
+
+    /// `(location, sublocation)` of group `g`.
+    #[inline]
+    pub(crate) fn place(&self, g: usize) -> (u32, u16) {
+        self.place[g]
+    }
+
+    /// The number of visits in group `g`.
+    #[inline]
+    pub(crate) fn group_len(&self, g: usize) -> usize {
+        (self.group_start[g + 1] - self.group_start[g]) as usize
+    }
+
     /// Gather group `g`'s visits that are `present` today into `visits`,
-    /// in canonical order, with their state read from `slots`. Returns the
-    /// group's event order with the absent visits left out (the static
-    /// slice itself when none is absent, else built in `events` via the
-    /// `rank` map) and its number of infectious arrivals.
+    /// in canonical order, with each member's `(state, sus_scale)` read by
+    /// `health`. Returns the group's event order with the absent visits
+    /// left out (the static slice itself when none is absent, else built
+    /// in `events` via the `rank` map) and its number of infectious
+    /// arrivals.
     #[allow(clippy::too_many_arguments)]
-    fn gather<'a>(
+    pub(crate) fn gather<'a>(
         &'a self,
         g: usize,
         present: impl Fn(&Member) -> bool,
-        slots: &[PersonSlot],
+        health: impl Fn(&Member) -> (StateId, f32),
         classes: &InfectivityClasses,
         visits: &mut Vec<VisitMsg>,
         rank: &mut Vec<u32>,
-        events: &'a mut Vec<(u32, u32)>,
-    ) -> (&'a [(u32, u32)], u64) {
+        events: &'a mut Vec<u32>,
+    ) -> (&'a [u32], u64) {
         let (location, sublocation) = self.place[g];
         let members = &self.members[self.group_start[g] as usize..self.group_start[g + 1] as usize];
         visits.clear();
@@ -164,8 +404,8 @@ impl SweepLayout {
                 continue;
             }
             rank.push(visits.len() as u32);
-            let slot = &slots[m.person as usize];
-            let infectious = classes.class(slot.health.state).is_some();
+            let (state, sus_scale) = health(m);
+            let infectious = classes.class(state).is_some();
             infectious_arrivals += (infectious && m.end_min > m.start_min) as u64;
             visits.push(VisitMsg {
                 person: m.person,
@@ -173,8 +413,8 @@ impl SweepLayout {
                 sublocation,
                 start_min: m.start_min,
                 end_min: m.end_min,
-                state: slot.health.state,
-                sus_scale: slot.sus_scale,
+                state,
+                sus_scale,
             });
         }
         let all = &self.events[self.event_start[g] as usize..self.event_start[g + 1] as usize];
@@ -182,11 +422,29 @@ impl SweepLayout {
             return (all, infectious_arrivals);
         }
         events.clear();
-        events.extend(all.iter().filter_map(|&(key, r)| {
+        events.extend(all.iter().filter_map(|&ev| {
+            let (key, r) = unpack_event(ev);
             let i = rank[r as usize];
-            (i != u32::MAX).then_some((key, i))
+            (i != u32::MAX).then_some(event(key, i))
         }));
         (events, infectious_arrivals)
+    }
+}
+
+/// One visit while the layout is built: the kernel's key (with the
+/// visitor's index in its partition for the person), then what the member
+/// needs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Keyed {
+    key: u64,
+    visit: u32,
+    end_min: u16,
+    at_home: bool,
+}
+
+fn prefix_sum(counts: &mut [u32]) {
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
     }
 }
 
@@ -287,22 +545,17 @@ pub fn run_sequential_into(
             symptomatic += morning.symptomatic as u64;
             infected_now += slot.is_infected() as u64;
             susceptible += ptts.is_susceptible(slot.health.state) as u64;
-            let schedule = pop.person_offsets[p] as usize..pop.person_offsets[p + 1] as usize;
-            let infectious = classes.class(slot.health.state).is_some();
-            if !infectious && !morning.stay_home && effects.closed_kinds == 0 {
-                visits += schedule.len() as u64;
+            if classes.class(slot.health.state).is_none() {
+                let at_home = |i: usize| layout.visit(i).1;
+                visits += attended(pop, p as u32, &effects, morning.stay_home, at_home) as u64;
                 continue;
             }
-            let home = pop.people[p].home;
-            for i in schedule {
-                let v = &pop.visits[i];
-                let kind = pop.locations[v.location.0 as usize].kind;
-                if !attends(&effects, kind, v.location == home, morning.stay_home) {
-                    continue;
-                }
-                visits += 1;
-                if infectious {
-                    let g = layout.group_of_visit[i] as usize;
+            // The infectious count as they mark.
+            for i in pop.person_offsets[p] as usize..pop.person_offsets[p + 1] as usize {
+                let kind = pop.locations[pop.visits[i].location.0 as usize].kind;
+                let (g, at_home) = layout.visit(i);
+                if attends(&effects, kind, at_home, morning.stay_home) {
+                    visits += 1;
                     marks[g / 64] |= 1 << (g % 64);
                 }
             }
@@ -317,13 +570,17 @@ pub fn run_sequential_into(
             while bits != 0 {
                 let g = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let kind = pop.locations[layout.place[g].0 as usize].kind;
+                let kind = pop.locations[layout.place(g).0 as usize].kind;
                 let present =
-                    |m: &Member| attends(&effects, kind, m.at_home, stay_home[m.person as usize]);
+                    |m: &Member| attends(&effects, kind, m.at_home(), stay_home[m.person as usize]);
+                let health = |m: &Member| {
+                    let slot = &slots[m.person as usize];
+                    (slot.health.state, slot.sus_scale)
+                };
                 let (ordered, infectious_arrivals) = layout.gather(
                     g,
                     present,
-                    slots,
+                    health,
                     &classes,
                     group,
                     rank,
@@ -562,6 +819,100 @@ mod tests {
         (z ^ (z >> 31)) % 1000 < per_mille
     }
 
+    /// What a group holds, by person id: its place, its members as
+    /// `(person, start, end)`, and its event order.
+    #[allow(clippy::type_complexity)]
+    fn describe(layout: &SweepLayout, g: usize) -> ((u32, u16), Vec<(u32, u16, u16)>, &[u32]) {
+        let members = &layout.members[layout.group_start[g] as usize..][..layout.group_len(g)];
+        let members = members
+            .iter()
+            .map(|m| (layout.visitors()[m.visitor()], m.start_min, m.end_min))
+            .collect();
+        let events =
+            &layout.events[layout.event_start[g] as usize..layout.event_start[g + 1] as usize];
+        (layout.place(g), members, events)
+    }
+
+    /// A distribution's layout is the one-partition layout's groups,
+    /// regrouped by partition; a layout of some partitions holds exactly
+    /// theirs; each partition's visitors are its members' persons,
+    /// ascending; and a visit is "at home" on any piece of a split home.
+    #[test]
+    fn partition_layouts_hold_each_partitions_groups() {
+        let split = SplitConfig {
+            max_partitions: 64,
+            threshold_override: Some(8),
+        };
+        let model = load_model::PiecewiseModel::paper_constants();
+        let dist = DataDistribution::build_with(
+            &small_pop(),
+            Strategy::GraphPartitionSplit,
+            3,
+            5,
+            &split,
+            &model,
+        );
+        let flat = SweepLayout::build(&dist.pop);
+        let full = dist.sweep_layout();
+        let some = SweepLayout::of_world(
+            &dist.pop,
+            &dist.location_part,
+            &dist.orig_of_location,
+            &[false, true, false],
+        );
+        for part in 0..3u32 {
+            let want: Vec<_> = (0..flat.n_groups())
+                .filter(|&g| dist.location_part[flat.place(g).0 as usize] == part)
+                .map(|g| describe(&flat, g))
+                .collect();
+            let got: Vec<_> = full.groups_of(part).map(|g| describe(&full, g)).collect();
+            assert_eq!(got, want, "partition {part}");
+            let mut persons: Vec<u32> = got
+                .iter()
+                .flat_map(|(_, m, _)| m.iter().map(|v| v.0))
+                .collect();
+            persons.sort_unstable();
+            persons.dedup();
+            assert_eq!(&full.visitors()[full.visitors_of(part)], persons.as_slice());
+            let some_got: Vec<_> = some.groups_of(part).map(|g| describe(&some, g)).collect();
+            if part == 1 {
+                assert_eq!(some_got, got);
+            } else {
+                assert!(some_got.is_empty() && some.visitors_of(part).is_empty());
+            }
+        }
+        let mut split_home_pieces = 0;
+        for (i, v) in dist.pop.visits.iter().enumerate() {
+            let (g, home) = full.visit(i);
+            assert_eq!(full.place(g), (v.location.0, v.sublocation.0));
+            let own = dist.pop.people[v.person.0 as usize].home.0;
+            assert_eq!(
+                home,
+                at_home(own, v.location.0, Some(&dist.orig_of_location))
+            );
+            split_home_pieces += (home && v.location.0 != own) as u32;
+        }
+        assert!(
+            split_home_pieces > 0,
+            "no home was split: the map is untested"
+        );
+        for g in 0..full.n_groups() {
+            let members = &full.members[full.group_start[g] as usize..][..full.group_len(g)];
+            let own = |m: &Member| {
+                dist.pop.people[full.visitors()[m.visitor()] as usize]
+                    .home
+                    .0
+            };
+            let orig = Some(dist.orig_of_location.as_slice());
+            assert!(members
+                .iter()
+                .all(|m| m.at_home() == at_home(own(m), full.place(g).0, orig)));
+            assert!(members
+                .iter()
+                .all(|m| full.visitors()[m.visitor()] == m.person));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -609,9 +960,15 @@ mod tests {
                 (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             for g in 0..layout.n_groups() {
                 let place = layout.place[g];
-                let present = |m: &Member| !absent(salt, per_mille, m.person, place, m.start_min);
-                let (ordered, infectious) = layout
-                    .gather(g, present, &slots, &classes, &mut visits, &mut rank, &mut events);
+                let person = |m: &Member| layout.visitors()[m.visitor()];
+                let present = |m: &Member| !absent(salt, per_mille, person(m), place, m.start_min);
+                let health = |m: &Member| {
+                    let slot = &slots[person(m) as usize];
+                    (slot.health.state, slot.sus_scale)
+                };
+                let (ordered, infectious) = layout.gather(
+                    g, present, health, &classes, &mut visits, &mut rank, &mut events,
+                );
                 let mut want = by_place.remove(&place).unwrap_or_default();
                 want.sort_unstable_by_key(visit_key);
                 prop_assert_eq!(&visits, &want, "group {} at {:?}", g, place);

@@ -8,6 +8,7 @@ use crate::kernel::LocationDayFeatures;
 use crate::managers::{LocationManager, PersonManager};
 use crate::messages::{slots, DayEffects, Shared, SharedRef, SimMsg};
 use crate::output::{DayStats, EpiCurve};
+use crate::seq::SweepLayout;
 use chare_rt::codec::CodecError;
 use chare_rt::{ChareId, PhaseStats, Runtime, RuntimeConfig};
 use ptts::crng::{CounterRng, Purpose};
@@ -220,17 +221,50 @@ impl Simulator {
         rt_cfg: RuntimeConfig,
         states: Option<Vec<crate::person::PersonSlot>>,
     ) -> Simulator {
-        Self::from_world(&CowWorld::build(dist, ptts), cfg, rt_cfg, states)
+        // The runtime first: under the net engine it spawns the workers,
+        // which then lay out their partitions while this process lays out
+        // its own.
+        let runtime = Runtime::new(rt_cfg);
+        let world = CowWorld::build(dist, ptts);
+        let (k, pes) = (dist.k, runtime.local_pes());
+        let hosted: Vec<bool> = (0..k)
+            .map(|part| pes.contains(&crate::engine::pe_for_partition(part, k, rt_cfg.n_pes)))
+            .collect();
+        let sweep = if dist.sweep_cell().get().is_some() || hosted.iter().all(|&h| h) {
+            world.sweep_layout()
+        } else {
+            let (part, orig) = (&dist.location_part, &dist.orig_of_location);
+            Arc::new(SweepLayout::of_world(&dist.pop, part, orig, &hosted))
+        };
+        Self::assemble(&world, sweep, runtime, cfg, states)
     }
 
     /// Build a simulator over a pre-built copy-on-write world: the
-    /// population, disease model, and layout maps are aliased (`Arc`
+    /// population, disease model, and layouts are aliased (`Arc`
     /// clones), never deep-copied. This is the entry point the ensemble
     /// scheduler uses to stamp out many members from one world.
     pub fn from_world(
         world: &CowWorld,
         cfg: SimConfig,
         rt_cfg: RuntimeConfig,
+        states: Option<Vec<crate::person::PersonSlot>>,
+    ) -> Simulator {
+        Self::assemble(
+            world,
+            world.sweep_layout(),
+            Runtime::new(rt_cfg),
+            cfg,
+            states,
+        )
+    }
+
+    /// Add the chares of `world` to `runtime`; `sweep` lays out at least
+    /// the partitions whose LocationManagers `runtime` hosts.
+    fn assemble(
+        world: &CowWorld,
+        sweep: Arc<SweepLayout>,
+        mut runtime: Runtime<SimMsg>,
+        cfg: SimConfig,
         states: Option<Vec<crate::person::PersonSlot>>,
     ) -> Simulator {
         let k = world.layout.k;
@@ -243,10 +277,10 @@ impl Simulator {
             pop: world.pop.clone(),
             ptts: world.ptts.clone(),
             layout: world.layout.clone(),
+            sweep,
             r: cfg.r,
             seed: cfg.seed,
-            lane_cap: crate::managers::lane_cap(rt_cfg.aggregation),
-            exactly_once: rt_cfg.faults.is_benign(),
+            aggregated: runtime.config().aggregation.enabled,
         });
 
         // Choose initial infections deterministically (fresh runs only).
@@ -262,8 +296,7 @@ impl Simulator {
             std::collections::BTreeSet::new()
         };
 
-        let mut runtime = Runtime::new(rt_cfg);
-        let n_pes = rt_cfg.n_pes;
+        let n_pes = runtime.config().n_pes;
         for part in 0..k {
             let ids = &world.layout.persons_per_part[part as usize];
             let mut pm = match &states {
@@ -280,10 +313,7 @@ impl Simulator {
             }
             let pe = crate::engine::pe_for_partition(part, k, n_pes);
             runtime.add_chare(ChareId(part), pe, Box::new(pm));
-            let lm = LocationManager::new(
-                shared.clone(),
-                world.layout.locations_per_part[part as usize].clone(),
-            );
+            let lm = LocationManager::new(shared.clone(), part);
             runtime.add_chare(ChareId(k + part), pe, Box::new(lm));
         }
 
@@ -362,7 +392,14 @@ impl Simulator {
             // Phase 3–6: location phase; PersonManagers apply infects as
             // they arrive, so its close also carries the new infections.
             let injections: Vec<(ChareId, SimMsg)> = (0..self.n_lm)
-                .map(|lm| (ChareId(self.n_pm + lm), SimMsg::ComputeDay { day, r_eff }))
+                .map(|lm| {
+                    let msg = SimMsg::ComputeDay {
+                        day,
+                        r_eff,
+                        closed_kinds: effects.closed_kinds,
+                    };
+                    (ChareId(self.n_pm + lm), msg)
+                })
                 .collect();
             let location_phase = self.runtime.run_phase(injections);
 
@@ -502,8 +539,8 @@ impl Simulator {
                 let lm = any
                     .downcast::<LocationManager>()
                     .expect("LM chare ids hold LocationManagers");
-                for (li, &loc) in lm.locations().iter().enumerate() {
-                    features[loc as usize] = lm.feature_totals[li];
+                for (&loc, totals) in lm.locations().iter().zip(lm.feature_totals()) {
+                    features[loc as usize] = totals;
                 }
             }
         }
@@ -837,6 +874,62 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ResumeError::Mismatch(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// LocationManager caches are not checkpointed: a restored run starts
+    /// them from the baseline and re-sends whoever differs from it. A
+    /// vaccination before the checkpoint moves `sus_scale` and leaves the
+    /// state alone, so a restore that re-sent only changed states would
+    /// diverge here.
+    #[test]
+    fn resume_after_a_vaccination_resends_susceptibility() {
+        use crate::checkpoint::capture;
+        use ptts::intervention::{Action, Intervention};
+        let pop = small_pop();
+        let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 3, 9);
+        let cfg = SimConfig {
+            days: 24,
+            r: 0.0012,
+            seed: 9,
+            initial_infections: 8,
+            stop_when_extinct: false,
+            interventions: InterventionSet::new(vec![Intervention {
+                trigger: ptts::intervention::Trigger::Day(3),
+                action: Action::Vaccinate {
+                    fraction: 0.6,
+                    treatment: ptts::model::TreatmentId(1),
+                    efficacy_factor: 0.1,
+                },
+            }]),
+        };
+        let rt = RuntimeConfig::sequential(3);
+        let straight = Simulator::new(&dist, flu_model(), cfg.clone(), rt)
+            .run()
+            .curve;
+        assert_eq!(
+            straight,
+            crate::seq::run_sequential(&pop, &flu_model(), &cfg)
+        );
+
+        let mut sim = Simulator::new(&dist, flu_model(), cfg.clone(), rt);
+        let mut carry = Carry::new(cfg.interventions.clone(), 8);
+        let (mut days, _, _) = sim.run_days(0, 8, &mut carry);
+        let (states, _) = sim.dismantle();
+        assert!(states
+            .iter()
+            .any(|p| p.sus_scale < 1.0 && p.infected_on.is_none()));
+        let dir = std::env::temp_dir().join(format!("episim-vaccinated-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job.epck");
+        capture(8, 8, &carry, states).save(&path).unwrap();
+        let resumed = Simulator::resume_from(&path, &dist, flu_model(), cfg, rt).unwrap();
+        let (mut sim, mut carry) = (resumed.sim, resumed.carry);
+        days.extend(sim.run_days(8, 24, &mut carry).0);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            days, straight.days,
+            "resume after a vaccination must be bit-exact"
+        );
     }
 
     #[test]

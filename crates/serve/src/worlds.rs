@@ -144,7 +144,13 @@ impl WorldCache {
     /// The world for `spec`: the kept one, the one another lease is
     /// building (waiting for it), or a new build.
     pub fn get(&self, spec: &WorldSpec) -> Arc<DataDistribution> {
-        self.get_or_build(spec, WorldSpec::build)
+        // The sweep layout is built with the world, so its bytes are
+        // charged with it.
+        self.get_or_build(spec, |spec| {
+            let world = spec.build();
+            world.sweep_layout();
+            world
+        })
     }
 
     fn get_or_build(
@@ -316,30 +322,38 @@ mod tests {
         assert_eq!(st.resident_bytes, worlds[0].heap_bytes());
     }
 
+    /// What the cache charges for `spec`'s world.
+    fn charged(spec: &WorldSpec) -> usize {
+        let built = spec.build();
+        built.sweep_layout();
+        built.heap_bytes()
+    }
+
     /// With room for one and a half small worlds, a second small world
     /// evicts the least recently used one, and a world larger than the
     /// whole budget is returned without being kept or evicting anything.
     #[test]
     fn budget_evicts_least_recently_used_and_skips_oversized_worlds() {
-        // Same population, different partition counts: equal byte sizes.
+        // Same population, different partition counts: about equal sizes.
         let (a, b) = (world("small", 200, 2), world("small", 200, 4));
-        let small = a.build().heap_bytes();
-        let cache = WorldCache::new(small * 3 / 2);
+        let (bytes_a, bytes_b) = (charged(&a), charged(&b));
+        let budget = bytes_a.max(bytes_b) * 3 / 2;
+        assert!(bytes_a + bytes_b > budget);
+        let cache = WorldCache::new(budget);
 
         let first_a = cache.get(&a);
         assert!(Arc::ptr_eq(&cache.get(&a), &first_a), "a is kept");
         cache.get(&b);
         let st = cache.stats();
         assert_eq!((st.misses, st.hits, st.evictions), (2, 1, 1));
-        assert_eq!((st.entries, st.resident_bytes), (1, small));
+        assert_eq!((st.entries, st.resident_bytes), (1, bytes_b));
 
         let big = world("big", 600, 2);
         let oversized = cache.get(&big);
-        assert!(oversized.heap_bytes() > small * 3 / 2);
+        assert!(oversized.heap_bytes() > budget);
         let st = cache.stats();
         assert_eq!(st.evictions, 1, "an oversized world evicts nothing");
-        assert_eq!((st.entries, st.resident_bytes), (1, small));
-        assert!(st.resident_bytes <= small * 3 / 2);
+        assert_eq!((st.entries, st.resident_bytes), (1, bytes_b));
 
         cache.get(&b);
         assert_eq!(cache.stats().hits, 2, "b survived both");
@@ -364,5 +378,10 @@ mod tests {
         let st = cache.stats();
         assert_eq!((st.misses, st.hits, st.entries), (2, 0, 1));
         assert_eq!(st.resident_bytes, w.heap_bytes());
+        assert_eq!(st.resident_bytes, charged(&spec));
+        assert!(
+            w.heap_bytes() > spec.build().heap_bytes(),
+            "the charge covers the sweep layout"
+        );
     }
 }

@@ -21,7 +21,7 @@ use episimdemics::chare_rt::{ChareId, EpochStore, PeStats, RecoverySnapshot, Run
 use episimdemics::core::checkpoint::{
     decode_meta, decode_person_shard, encode_meta, encode_person_shard, Checkpoint,
 };
-use episimdemics::core::messages::{DayEffects, InfectMsg, SimMsg, VisitMsg};
+use episimdemics::core::messages::{DayEffects, InfectMsg, SimMsg, Update, VisitMsg};
 use episimdemics::core::person::PersonSlot;
 use episimdemics::core::Strategy as DistStrategy;
 use episimdemics::core::{run_resilient, DataDistribution, DayStats, RecoveryConfig, SimConfig};
@@ -257,6 +257,14 @@ fn infect(person: u32) -> InfectMsg {
     }
 }
 
+fn update(person: u32) -> Update {
+    Update {
+        person,
+        state: StateId(3),
+        sus_scale: 0.375,
+    }
+}
+
 fn begin_day(n_orders: usize) -> SimMsg {
     SimMsg::BeginDay {
         day: 7,
@@ -293,6 +301,7 @@ fn batch_samples() -> Vec<(u64, ChareId, SimMsg)> {
             SimMsg::ComputeDay {
                 day: 3,
                 r_eff: 0.0015,
+                closed_kinds: 0b0000_0100,
             },
         ),
         (4, ChareId(2), SimMsg::Infects(Vec::new())),
@@ -300,6 +309,12 @@ fn batch_samples() -> Vec<(u64, ChareId, SimMsg)> {
             4,
             ChareId(2),
             SimMsg::Infects(vec![infect(99), infect(100)]),
+        ),
+        (1, ChareId(6), SimMsg::Updates(Vec::new())),
+        (
+            1,
+            ChareId(6),
+            SimMsg::Updates(vec![update(4), update(5), update(6)]),
         ),
     ]
 }
@@ -499,7 +514,7 @@ fn formats() -> Vec<Format> {
             ctl_bytes,
             ctl_decode,
             false,
-            0x68d3_db5d_7b12_8025,
+            0x7d88_b6bd_611b_c9f4,
         ),
         format(
             "batch",
@@ -507,7 +522,7 @@ fn formats() -> Vec<Format> {
             |b| encode_batch(b.0, b.1, &b.2).to_vec(),
             decode_batch,
             false,
-            0x75f1_6428_af6c_d6f9,
+            0xfa68_0f9c_5185_694f,
         ),
         format(
             "epck",

@@ -12,9 +12,10 @@ use episimdemics::core::seq::run_sequential_with_states;
 use episimdemics::core::simulator::{SimConfig, Simulator};
 use episimdemics::core::splitloc::SplitConfig;
 use episimdemics::load_model::PiecewiseModel;
+use episimdemics::ptts::intervention::{Action, Intervention, InterventionSet, Trigger};
 use episimdemics::ptts::model::{DwellDist, PttsBuilder, TreatmentId};
 use episimdemics::ptts::{flu_model, Ptts};
-use episimdemics::synthpop::{Population, PopulationConfig};
+use episimdemics::synthpop::{LocationKind, Population, PopulationConfig};
 
 fn pop() -> Population {
     Population::generate(&PopulationConfig::small("CONF", 1000, 19))
@@ -99,6 +100,24 @@ fn net_engine_matches_sequential_across_process_counts() {
                 "net engine diverged at seed {seed} with {n_procs} processes"
             );
         }
+    }
+}
+
+/// A worker that joins a later net run first replays the earlier ones on
+/// the sequential engine, which hosts every PE, so it must lay out every
+/// partition there, not only those its rank hosts in the run it joins.
+/// Two net runs in a row with no [`align_to_invocation`], shaped like a
+/// strong-scaling loop: the second run's worker replays the first. The
+/// reference runs on a clone, so `dist` has no layout built and each rank
+/// of the first run lays out only its own partitions.
+#[test]
+fn net_worker_replaying_an_earlier_run_lays_out_every_partition() {
+    let pop = pop();
+    let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
+    let reference = curve_hash_under(&dist.clone(), 5, RuntimeConfig::sequential(4));
+    for n_pes in [2, 4] {
+        let net = curve_hash_under(&dist, 5, RuntimeConfig::net(n_pes, 2));
+        assert_eq!(net, reference, "net({n_pes}, 2) diverged");
     }
 }
 
@@ -245,6 +264,11 @@ fn negative_control_lossy_transport_changes_the_epidemic() {
         })
         .sum();
     assert!(lost > 0, "lossy plan must report lost messages");
+    let updates_lost: u64 = run.perf.iter().map(|d| d.person_phase.totals().lost).sum();
+    assert!(
+        updates_lost > 0,
+        "the lossy plan must lose person-phase updates"
+    );
     assert_ne!(
         run.curve.hash(),
         reference.hash(),
@@ -254,10 +278,14 @@ fn negative_control_lossy_transport_changes_the_epidemic() {
 
 /// What MAY vary across engines and benign plans: wall time, the
 /// aggregation setting, per-PE message splits. What must NOT: the curve
-/// hash. With aggregation off every visit and every infect is its own
-/// message (the count is pinned by `tests/end_to_end.rs`'s
-/// `no_opt_runtime_same_epidemic`), delivered here under a reordering
-/// plan.
+/// hash. With aggregation off the day is the paper's protocol, every
+/// visit and every infect its own message (the count is pinned by
+/// `tests/end_to_end.rs`'s `no_opt_runtime_same_epidemic`); with it on,
+/// persons send state deltas and LocationManagers sweep a static layout.
+/// The two are compared under a reordering plan, then on a split world
+/// with a school closure and a vaccination order on seq, threads and vt,
+/// curves and transmission trees both: a closure moves attendance, and a
+/// vaccination moves `sus_scale` without moving the state.
 #[test]
 fn aggregation_setting_may_vary_but_curve_may_not() {
     let pop = pop();
@@ -270,6 +298,58 @@ fn aggregation_setting_may_vary_but_curve_may_not() {
         curve_hash_under(&dist, 2, agg_on),
         curve_hash_under(&dist, 2, agg_off)
     );
+
+    let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
+    let cfg = SimConfig {
+        days: 20,
+        initial_infections: 12,
+        interventions: closure_and_vaccination(),
+        ..sim_cfg(4)
+    };
+    for agg_on in [
+        RuntimeConfig::sequential(4),
+        RuntimeConfig::threaded(2),
+        RuntimeConfig::dst(4, FaultPlan::reorder(9)),
+    ] {
+        let mut agg_off = agg_on;
+        agg_off.aggregation.enabled = false;
+        let run = |rt| Simulator::new(&dist, flu_model(), cfg.clone(), rt).run_collecting();
+        let (deltas, delta_states, _) = run(agg_on);
+        let (visits, visit_states, _) = run(agg_off);
+        assert!(
+            deltas.curve.total_infections() > 30,
+            "the epidemic takes off"
+        );
+        assert_eq!(deltas.curve, visits.curve, "{:?}", agg_on.mode);
+        assert_eq!(
+            tree(&delta_states),
+            tree(&visit_states),
+            "{:?}",
+            agg_on.mode
+        );
+    }
+}
+
+/// Schools close from day 2 for a week, and half the population is
+/// offered a vaccine cutting susceptibility to a fifth on day 1.
+fn closure_and_vaccination() -> InterventionSet {
+    InterventionSet::new(vec![
+        Intervention {
+            trigger: Trigger::Day(1),
+            action: Action::Vaccinate {
+                fraction: 0.5,
+                treatment: TreatmentId(1),
+                efficacy_factor: 0.2,
+            },
+        },
+        Intervention {
+            trigger: Trigger::Day(2),
+            action: Action::CloseKind {
+                kind: LocationKind::School as u8,
+                duration: 7,
+            },
+        },
+    ])
 }
 
 /// SIS: an infection leaves a person susceptible again after a geometric

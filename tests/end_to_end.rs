@@ -56,8 +56,8 @@ fn full_pipeline_all_strategies_all_engines() {
 }
 
 /// Visits scheduled on the busiest PM→LM lane of `dist`. A day's visits
-/// are a filter of the schedule, so this bounds what a lane carries on any
-/// day.
+/// are a filter of the schedule, and a person sends a LocationManager at
+/// most one update a day, so this bounds what a lane carries on any day.
 fn max_lane(dist: &DataDistribution, k: u32) -> u64 {
     use episimdemics::synthpop::PersonId;
     let mut lane = vec![0u64; (k * k) as usize];
@@ -72,8 +72,8 @@ fn max_lane(dist: &DataDistribution, k: u32) -> u64 {
 }
 
 /// Person-phase messages with application-aware aggregation on: one
-/// `BeginDay` per PM plus at most ⌈lane / `BATCH_CAP`⌉ `Visits` batches on
-/// each of the k² PM→LM lanes.
+/// `BeginDay` per PM plus at most ⌈lane / `BATCH_CAP`⌉ `Updates` batches
+/// on each of the k² PM→LM lanes.
 fn batched_person_phase_bound(dist: &DataDistribution, k: u32) -> u64 {
     use episimdemics::core::managers::BATCH_CAP;
     u64::from(k) + u64::from(k * k) * max_lane(dist, k).div_ceil(BATCH_CAP as u64)
@@ -118,10 +118,11 @@ fn no_opt_runtime_same_epidemic() {
     }
 }
 
-/// Application-aware aggregation (§IV-C): the person phase delivers one
-/// `BeginDay` per PM plus one `Visits` batch per `BATCH_CAP` visits of each
-/// PM→LM lane — not one message per visit — and still accounts for every
-/// visit.
+/// Application-aware aggregation (§IV-C) over state deltas: the person
+/// phase delivers one `BeginDay` per PM plus one `Updates` batch per
+/// `BATCH_CAP` updates of each PM→LM lane — not one message per visit —
+/// and still counts every attended visit. With `U` updates on a day,
+/// `Σ_lanes ⌈u / BATCH_CAP⌉ ≤ ⌊U / BATCH_CAP⌋ + min(k², U)`.
 #[test]
 fn person_phase_sends_batches_per_lane_not_messages_per_visit() {
     use episimdemics::core::managers::BATCH_CAP;
@@ -130,29 +131,63 @@ fn person_phase_sends_batches_per_lane_not_messages_per_visit() {
     let pop = pop();
     let k = 2u32;
     let dist = DataDistribution::build(&pop, Strategy::RoundRobin, k, 77);
-    assert!(
-        max_lane(&dist, k) > BATCH_CAP as u64,
-        "a lane must overflow one batch or the cap is never exercised"
-    );
-    let bound = batched_person_phase_bound(&dist, k);
-
-    let oracle = run_sequential(&pop, &flu_model(), &cfg());
-    let run = Simulator::new(&dist, flu_model(), cfg(), RuntimeConfig::sequential(k)).run();
+    // Nearly everyone is seeded, so day 0's updates overflow a lane.
+    let cfg = SimConfig {
+        initial_infections: 2400,
+        ..cfg()
+    };
+    let oracle = run_sequential(&pop, &flu_model(), &cfg);
+    let run = Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::sequential(k)).run();
     assert_eq!(run.curve, oracle);
+    let lanes = u64::from(k * k);
     for (perf, day) in run.perf.iter().zip(&oracle.days) {
         let processed = perf.person_phase.totals().processed;
+        let updates = perf.person_phase.reduction(slots::UPDATES_SENT);
+        let bound = u64::from(k) + updates / BATCH_CAP as u64 + updates.min(lanes);
         assert!(
             processed <= bound,
-            "day {}: {processed} person-phase messages, bound {bound}",
+            "day {}: {processed} person-phase messages, {updates} updates, bound {bound}",
             day.day
         );
         assert_eq!(
             perf.person_phase.reduction(slots::VISITS_SENT),
             day.visits,
-            "day {}: visits sent",
+            "day {}: visits attended",
             day.day
         );
         assert!(day.visits > 10 * bound, "day {}: vacuous bound", day.day);
+    }
+    let day0 = run.perf[0].person_phase.reduction(slots::UPDATES_SENT);
+    assert!(
+        day0 > lanes * BATCH_CAP as u64,
+        "a lane must overflow one batch or the cap is never exercised ({day0} updates)"
+    );
+}
+
+/// Schedules are static, so with no one infected no person's state leaves
+/// the baseline: every day's person phase is the k `BeginDay` messages and
+/// nothing else.
+#[test]
+fn person_phase_without_infections_is_begin_day_only() {
+    let pop = pop();
+    let k = 4u32;
+    let dist = DataDistribution::build(&pop, Strategy::GraphPartition, k, 77);
+    let cfg = SimConfig {
+        initial_infections: 0,
+        days: 6,
+        stop_when_extinct: false,
+        ..cfg()
+    };
+    let run = Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::sequential(k)).run();
+    assert_eq!(run.perf.len(), 6);
+    for (perf, day) in run.perf.iter().zip(&run.curve.days) {
+        assert_eq!(
+            perf.person_phase.totals().processed,
+            u64::from(k),
+            "day {}",
+            day.day
+        );
+        assert!(day.visits > 0);
     }
 }
 
