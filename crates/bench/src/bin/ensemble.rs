@@ -187,7 +187,7 @@ fn main() {
     // Surrogate screen cost on the same spec — the point of the screen is
     // that it is orders of magnitude cheaper than one full member run.
     let t0 = Instant::now();
-    let graph = surrogate::ContactGraph::build(&world.pop);
+    let graph = surrogate::ContactGraph::build(&world.dist.pop);
     let graph_wall = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let scores = surrogate::screen(&graph, &world, &spec);

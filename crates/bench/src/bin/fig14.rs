@@ -37,12 +37,7 @@ fn main() {
             let (graph, _) = build_workload_graph(&dist.pop, &model, LoadUnits::default());
             let part = Partition {
                 k,
-                assignment: dist
-                    .person_part
-                    .iter()
-                    .chain(dist.location_part.iter())
-                    .copied()
-                    .collect(),
+                assignment: [dist.person_part(), dist.location_part()].concat(),
             };
             let max_cut = max_partition_cut(&graph, &part);
             // All-remote baseline: every edge cut, spread evenly.

@@ -130,7 +130,7 @@ pub fn speedup_bound_report(strategy: Strategy, title: &str) {
                 // binding Ltot/lmax ceiling is the largest-K one.
                 ceiling_cell = fnum(sub_ceiling(&loads));
             }
-            let sub = speedup_upper_bound(&loads, &dist.location_part, dist.k);
+            let sub = speedup_upper_bound(&loads, dist.location_part(), dist.k());
             row.push(fnum(sub));
         }
         row.insert(1, ceiling_cell);

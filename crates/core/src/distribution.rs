@@ -1,12 +1,14 @@
 //! The four data distributions of the evaluation (§III-B labels):
-//! `RR`, `GP`, `RR-splitLoc`, `GP-splitLoc`.
+//! `RR`, `GP`, `RR-splitLoc`, `GP-splitLoc`, and [`DataDistribution`], the
+//! one immutable world every run loads, as the paper partitions once,
+//! offline, and every run loads the result (§II-C, §III).
 
-use crate::seq::{SweepCell, SweepLayout};
+use crate::seq::SweepLayout;
 use crate::splitloc::{split_heavy_locations, SplitConfig};
-use crate::workload::{build_workload_graph, WorkloadLayout};
+use crate::workload::build_workload_graph;
 use graph_part::{kway_partition, round_robin, PartitionConfig, PartitionQuality};
 use load_model::{LoadUnits, PiecewiseModel};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use synthpop::Population;
 
 /// Distribution strategy.
@@ -60,46 +62,99 @@ impl Strategy {
     }
 }
 
-/// A complete data distribution: the (possibly split) population plus the
-/// person/location → partition assignments.
-#[derive(Debug)]
+/// A complete data distribution: the (possibly split) population, its
+/// person/location → partition assignments, each partition's objects by
+/// local slot (the §II-C index maps), and the [`SweepLayout`] of every
+/// partition, built on first use. Every array sits behind an `Arc`: a
+/// clone copies none and shares the layout whichever of them builds it.
+/// The partition is read through accessors
+///
+/// ```
+/// # use episim_core::{DataDistribution, Strategy};
+/// # use synthpop::{Population, PopulationConfig};
+/// let pop = Population::generate(&PopulationConfig::small("D", 200, 1));
+/// let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 1);
+/// assert_eq!(dist.location_part()[1], 1);
+/// ```
+///
+/// and cannot be written; [`DataDistribution::with_partition`] makes a
+/// new world instead.
+///
+/// ```compile_fail,E0615
+/// # use episim_core::{DataDistribution, Strategy};
+/// # use synthpop::{Population, PopulationConfig};
+/// let pop = Population::generate(&PopulationConfig::small("D", 200, 1));
+/// let mut dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 1);
+/// dist.location_part[0] = 0;
+/// ```
+#[derive(Debug, Clone)]
 pub struct DataDistribution {
     /// Strategy used.
     pub strategy: Strategy,
-    /// Number of partitions.
-    pub k: u32,
     /// The population objects are drawn from (split if the strategy splits).
-    ///
-    /// Held behind an `Arc` so simulators and ensemble members share one
-    /// immutable copy — cloning a distribution (or building many worlds from
-    /// it) never deep-copies the synthetic population.
     pub pop: Arc<Population>,
-    /// Partition per person.
-    pub person_part: Vec<u32>,
-    /// Partition per location.
-    pub location_part: Vec<u32>,
     /// location id → original location id (identity when not split).
-    pub orig_of_location: Vec<u32>,
-    /// Partition quality of the workload graph (GP strategies only).
-    pub quality: Option<PartitionQuality>,
-    /// The sweep layout over every partition, built on first use.
-    sweep: SweepCell,
+    pub orig_of_location: Arc<[u32]>,
+    part: Arc<Partition>,
 }
 
-/// A clone starts without a sweep layout: its partition fields may be
-/// rewritten (the rebalancer does), and the layout is ordered by them.
-impl Clone for DataDistribution {
-    fn clone(&self) -> Self {
-        DataDistribution {
-            strategy: self.strategy,
-            k: self.k,
-            pop: self.pop.clone(),
-            person_part: self.person_part.clone(),
-            location_part: self.location_part.clone(),
-            orig_of_location: self.orig_of_location.clone(),
-            quality: self.quality.clone(),
-            sweep: SweepCell::default(),
+/// The partition of a population and everything derived from it.
+#[derive(Debug)]
+struct Partition {
+    k: u32,
+    /// Partition quality of the workload graph (GP strategies only).
+    quality: Option<PartitionQuality>,
+    persons: Grouping,
+    locations: Grouping,
+    sweep: OnceLock<Arc<SweepLayout>>,
+}
+
+/// One kind of object grouped by partition: the §II-C index maps.
+#[derive(Debug)]
+struct Grouping {
+    /// object → partition.
+    part: Vec<u32>,
+    /// object → its slot among its partition's objects.
+    local: Vec<u32>,
+    /// The objects by partition, ascending within each; partition `p`'s
+    /// are `members[start[p]..start[p + 1]]`.
+    members: Vec<u32>,
+    start: Vec<u32>,
+}
+
+impl Grouping {
+    /// A counting sort of the objects by their partition in `part`.
+    fn new(part: Vec<u32>, k: u32) -> Grouping {
+        let mut start = vec![0u32; k as usize + 1];
+        for &p in &part {
+            assert!(p < k, "partition {p} out of range for k = {k}");
+            start[p as usize + 1] += 1;
         }
+        for p in 0..k as usize {
+            start[p + 1] += start[p];
+        }
+        let mut next = start.clone();
+        let (mut local, mut members) = (vec![0; part.len()], vec![0; part.len()]);
+        for (i, &p) in part.iter().enumerate() {
+            let slot = &mut next[p as usize];
+            local[i] = *slot - start[p as usize];
+            members[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        Grouping {
+            part,
+            local,
+            members,
+            start,
+        }
+    }
+
+    fn of(&self, p: u32) -> &[u32] {
+        &self.members[self.start[p as usize] as usize..self.start[p as usize + 1] as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        4 * (self.part.len() + self.local.len() + self.members.len() + self.start.len())
     }
 }
 
@@ -145,7 +200,8 @@ impl DataDistribution {
             let cfg = PartitionConfig::new(k).with_seed(seed).with_ubfactor(1.10);
             let part = kway_partition(&graph, &cfg);
             let quality = PartitionQuality::compute(&graph, &part);
-            let (pp, lp) = split_assignment(&part.assignment, &layout);
+            let mut pp = part.assignment;
+            let lp = pp.split_off(layout.n_people as usize);
             (pp, lp, Some(quality))
         } else {
             let pp = round_robin(pop.n_people(), k).assignment;
@@ -155,34 +211,91 @@ impl DataDistribution {
 
         DataDistribution {
             strategy,
-            k,
             pop,
-            person_part,
-            location_part,
-            orig_of_location,
-            quality,
-            sweep: SweepCell::default(),
+            orig_of_location: orig_of_location.into(),
+            part: Arc::new(Partition::new(k, person_part, location_part, quality)),
         }
     }
 
-    /// The [`SweepLayout`] of every partition, built on the first call and
-    /// shared after it. The partition fields must not change once it is
-    /// built.
-    pub fn sweep_layout(&self) -> Arc<SweepLayout> {
-        let (part, orig) = (&self.location_part, &self.orig_of_location);
-        self.sweep.full(&self.pop, self.k, part, orig)
+    /// The same population over the same `k` partitions, assigned by
+    /// `person_part` and `location_part` instead: it shares the population
+    /// and the split map, and builds its own index maps and sweep layout.
+    /// Panics unless each map gives every object a partition below `k`.
+    pub fn with_partition(
+        &self,
+        person_part: Vec<u32>,
+        location_part: Vec<u32>,
+    ) -> DataDistribution {
+        assert_eq!(person_part.len(), self.pop.n_people() as usize);
+        assert_eq!(location_part.len(), self.pop.n_locations() as usize);
+        DataDistribution {
+            strategy: self.strategy,
+            pop: self.pop.clone(),
+            orig_of_location: self.orig_of_location.clone(),
+            part: Arc::new(Partition::new(self.k(), person_part, location_part, None)),
+        }
     }
 
-    /// The cell [`DataDistribution::sweep_layout`] fills, for the holders
-    /// that share it.
-    pub(crate) fn sweep_cell(&self) -> &SweepCell {
-        &self.sweep
+    /// Number of partitions.
+    pub fn k(&self) -> u32 {
+        self.part.k
+    }
+
+    /// Partition quality of the workload graph (GP strategies only).
+    pub fn quality(&self) -> Option<&PartitionQuality> {
+        self.part.quality.as_ref()
+    }
+
+    /// Partition per person.
+    pub fn person_part(&self) -> &[u32] {
+        &self.part.persons.part
+    }
+
+    /// Partition per location.
+    pub fn location_part(&self) -> &[u32] {
+        &self.part.locations.part
+    }
+
+    /// Per person, its index in its partition's `persons_of`.
+    pub(crate) fn local_of_person(&self) -> &[u32] {
+        &self.part.persons.local
+    }
+
+    /// Per location, its index in its partition's `locations_of`.
+    pub(crate) fn local_of_location(&self) -> &[u32] {
+        &self.part.locations.local
+    }
+
+    /// Persons assigned to partition `p`, ascending.
+    pub fn persons_of(&self, p: u32) -> &[u32] {
+        self.part.persons.of(p)
+    }
+
+    /// Locations assigned to partition `p`, ascending.
+    pub fn locations_of(&self, p: u32) -> &[u32] {
+        self.part.locations.of(p)
+    }
+
+    /// The [`SweepLayout`] of every partition, built on the first call by
+    /// this distribution or any clone of it, and shared after it.
+    pub fn sweep_layout(&self) -> Arc<SweepLayout> {
+        let all = vec![true; self.k() as usize];
+        let layout = self
+            .part
+            .sweep
+            .get_or_init(|| Arc::new(SweepLayout::of_world(self, &all)));
+        layout.clone()
+    }
+
+    /// The sweep layout, if it is built.
+    pub(crate) fn built_sweep_layout(&self) -> Option<&SweepLayout> {
+        self.part.sweep.get().map(|layout| &**layout)
     }
 
     /// Bytes this distribution holds on the heap: the population's node,
-    /// visit and offset arrays, the three assignment vectors, and the sweep
-    /// layout once built, each as length × element size. A cache of built
-    /// worlds charges this against its budget.
+    /// visit and offset arrays, the split map, the partition and its index
+    /// maps, and the sweep layout once built, each as length × element
+    /// size. A cache of built worlds charges this against its budget.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let pop = &self.pop;
@@ -191,32 +304,18 @@ impl DataDistribution {
             + size_of_val(pop.locations.as_slice())
             + size_of_val(pop.visits.as_slice())
             + size_of_val(pop.person_offsets.as_slice())
-            + size_of_val(self.person_part.as_slice())
-            + size_of_val(self.location_part.as_slice())
-            + size_of_val(self.orig_of_location.as_slice())
-            + self.sweep.get().map_or(0, SweepLayout::heap_bytes)
-    }
-
-    /// Persons assigned to partition `p`, ascending.
-    pub fn persons_of(&self, p: u32) -> Vec<u32> {
-        (0..self.pop.n_people())
-            .filter(|&i| self.person_part[i as usize] == p)
-            .collect()
-    }
-
-    /// Locations assigned to partition `p`, ascending.
-    pub fn locations_of(&self, p: u32) -> Vec<u32> {
-        (0..self.pop.n_locations())
-            .filter(|&i| self.location_part[i as usize] == p)
-            .collect()
+            + size_of_val(&*self.orig_of_location)
+            + self.part.persons.heap_bytes()
+            + self.part.locations.heap_bytes()
+            + self.built_sweep_layout().map_or(0, SweepLayout::heap_bytes)
     }
 
     /// Per-partition location-phase load (visit-count proxy), for quick
     /// balance checks.
     pub fn location_loads(&self) -> Vec<u64> {
-        let mut loads = vec![0u64; self.k as usize];
+        let (mut loads, lp) = (vec![0u64; self.k() as usize], self.location_part());
         for v in &self.pop.visits {
-            loads[self.location_part[v.location.0 as usize] as usize] += 1;
+            loads[lp[v.location.0 as usize] as usize] += 1;
         }
         loads
     }
@@ -228,22 +327,32 @@ impl DataDistribution {
         if self.pop.visits.is_empty() {
             return 0.0;
         }
+        let (pp, lp) = (self.person_part(), self.location_part());
         let remote = self
             .pop
             .visits
             .iter()
-            .filter(|v| {
-                self.person_part[v.person.0 as usize] != self.location_part[v.location.0 as usize]
-            })
+            .filter(|v| pp[v.person.0 as usize] != lp[v.location.0 as usize])
             .count();
         remote as f64 / self.pop.visits.len() as f64
     }
 }
 
-fn split_assignment(assignment: &[u32], layout: &WorkloadLayout) -> (Vec<u32>, Vec<u32>) {
-    let pp = assignment[..layout.n_people as usize].to_vec();
-    let lp = assignment[layout.n_people as usize..].to_vec();
-    (pp, lp)
+impl Partition {
+    fn new(
+        k: u32,
+        person_part: Vec<u32>,
+        location_part: Vec<u32>,
+        quality: Option<PartitionQuality>,
+    ) -> Partition {
+        Partition {
+            k,
+            quality,
+            persons: Grouping::new(person_part, k),
+            locations: Grouping::new(location_part, k),
+            sweep: OnceLock::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -265,10 +374,10 @@ mod tests {
     fn rr_assigns_everything_mod_k() {
         let p = pop();
         let d = DataDistribution::build(&p, Strategy::RoundRobin, 8, 1);
-        assert_eq!(d.person_part[9], 1);
-        assert_eq!(d.location_part[10], 2);
-        assert_eq!(d.person_part.len(), p.n_people() as usize);
-        assert!(d.quality.is_none());
+        assert_eq!(d.person_part()[9], 1);
+        assert_eq!(d.location_part()[10], 2);
+        assert_eq!(d.person_part().len(), p.n_people() as usize);
+        assert!(d.quality().is_none());
     }
 
     #[test]
@@ -289,7 +398,7 @@ mod tests {
         let d = DataDistribution::build(&p, Strategy::GraphPartitionSplit, 64, 1);
         assert!(d.pop.n_locations() >= p.n_locations());
         assert_eq!(d.orig_of_location.len(), d.pop.n_locations() as usize);
-        assert_eq!(d.location_part.len(), d.pop.n_locations() as usize);
+        assert_eq!(d.location_part().len(), d.pop.n_locations() as usize);
     }
 
     #[test]
@@ -311,8 +420,8 @@ mod tests {
         let p = pop();
         for strategy in Strategy::ALL {
             let d = DataDistribution::build(&p, strategy, 5, 3);
-            assert!(d.person_part.iter().all(|&x| x < 5), "{strategy:?}");
-            assert!(d.location_part.iter().all(|&x| x < 5), "{strategy:?}");
+            assert!(d.person_part().iter().all(|&x| x < 5), "{strategy:?}");
+            assert!(d.location_part().iter().all(|&x| x < 5), "{strategy:?}");
             let total: usize = (0..5).map(|q| d.persons_of(q).len()).sum();
             assert_eq!(total, d.pop.n_people() as usize);
         }
@@ -341,11 +450,87 @@ mod tests {
         for q in 0..4 {
             let ps = d.persons_of(q);
             assert!(ps.windows(2).all(|w| w[0] < w[1]));
-            for id in ps {
+            for &id in ps {
                 assert!(!seen[id as usize]);
                 seen[id as usize] = true;
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// A clone copies no array: it shares the population, the split map,
+    /// the partition, its index maps and the sweep layout, whichever of
+    /// the two builds it.
+    #[test]
+    fn a_clone_shares_every_array_and_the_built_layout() {
+        let d = DataDistribution::build(&pop(), Strategy::GraphPartitionSplit, 4, 1);
+        let early = d.clone();
+        let built = d.sweep_layout();
+        let late = d.clone();
+        for c in [&early, &late] {
+            assert!(Arc::ptr_eq(&c.pop, &d.pop));
+            assert!(Arc::ptr_eq(&c.orig_of_location, &d.orig_of_location));
+            assert!(Arc::ptr_eq(&c.part, &d.part));
+            for (a, b) in [
+                (c.person_part(), d.person_part()),
+                (c.location_part(), d.location_part()),
+                (c.local_of_person(), d.local_of_person()),
+                (c.local_of_location(), d.local_of_location()),
+                (c.persons_of(3), d.persons_of(3)),
+                (c.locations_of(3), d.locations_of(3)),
+            ] {
+                assert_eq!(a.as_ptr(), b.as_ptr());
+            }
+            assert!(Arc::ptr_eq(&c.sweep_layout(), &built));
+        }
+    }
+
+    /// `with_partition` shares the population and the split map, and
+    /// builds its own index maps and sweep layout from the new partition.
+    #[test]
+    fn with_partition_shares_the_population_and_lays_out_its_own_partition() {
+        let d = DataDistribution::build(&pop(), Strategy::RoundRobinSplit, 3, 1);
+        let original = d.sweep_layout();
+        let pp: Vec<u32> = (0..d.pop.n_people()).map(|p| (p / 7) % 3).collect();
+        let lp: Vec<u32> = (0..d.pop.n_locations()).map(|l| (l * l + 1) % 3).collect();
+        let e = d.with_partition(pp.clone(), lp.clone());
+        assert!(Arc::ptr_eq(&e.pop, &d.pop));
+        assert!(Arc::ptr_eq(&e.orig_of_location, &d.orig_of_location));
+        assert_eq!(
+            (e.k(), e.person_part(), e.location_part()),
+            (3, &pp[..], &lp[..])
+        );
+        assert!(e.quality().is_none());
+        for p in 0..3 {
+            for (slot, &id) in e.persons_of(p).iter().enumerate() {
+                assert_eq!(
+                    (pp[id as usize], e.local_of_person()[id as usize]),
+                    (p, slot as u32)
+                );
+            }
+            for (slot, &id) in e.locations_of(p).iter().enumerate() {
+                assert_eq!(
+                    (lp[id as usize], e.local_of_location()[id as usize]),
+                    (p, slot as u32)
+                );
+            }
+        }
+        let layout = e.sweep_layout();
+        assert!(!Arc::ptr_eq(&layout, &original));
+        assert_eq!(layout.n_visits(), original.n_visits());
+        for p in 0..3 {
+            assert!(layout
+                .groups_of(p)
+                .all(|g| lp[layout.place(g).0 as usize] == p));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn with_partition_refuses_a_partition_beyond_k() {
+        let d = DataDistribution::build(&pop(), Strategy::RoundRobin, 2, 1);
+        let mut lp = d.location_part().to_vec();
+        lp[0] = 2;
+        d.with_partition(d.person_part().to_vec(), lp);
     }
 }

@@ -7,18 +7,18 @@
 //! Those members are embarrassingly parallel, so the scalable axis is
 //! *whole runs*, not PEs within a run:
 //!
-//! * [`CowWorld`] — synthpop, disease model, the §II-C layout maps and
-//!   the sweep layout are computed once and shared immutably (`Arc`) by
-//!   every member. Building a member aliases four pointers; nothing is
-//!   deep-copied.
+//! * [`CowWorld`] — the world ([`DataDistribution`]: synthpop, the
+//!   partition, its §II-C index maps and the sweep layout) and the disease
+//!   model, each built once and shared immutably (`Arc`) by every member;
+//!   nothing is deep-copied.
 //! * [`MemberArena`] — all per-run mutable state (person slots, the day's
 //!   stay-home draws and sublocation marks, the gather buffer, DES
 //!   scratch) packed into one reusable arena. A worker runs its members
 //!   back-to-back out of the same arena, so steady-state ensemble
 //!   throughput allocates almost nothing per run.
 //! * [`run_sweep`] — an ensemble scheduler that takes the world's one
-//!   [`SweepLayout`] (the member path's visit order, see [`crate::seq`],
-//!   built on first use) and fans whole
+//!   [`crate::seq::SweepLayout`] (the member path's visit order, built on
+//!   first use) and fans whole
 //!   runs over it across a worker pool (atomic work counter; workers race,
 //!   results don't: placement into the [`ResultStore`] is by `(param
 //!   point, seed)` index, and each member's epidemic is keyed only by its
@@ -37,35 +37,28 @@
 
 use crate::distribution::DataDistribution;
 use crate::kernel::KernelScratch;
-use crate::messages::{InfectMsg, VisitMsg, WorldLayout};
+use crate::messages::{InfectMsg, VisitMsg};
 use crate::output::{curve_hash, EpiCurve};
 use crate::person::PersonSlot;
-use crate::seq::{run_sequential_into, SweepCell, SweepLayout};
+use crate::seq::run_sequential_into;
 use crate::simulator::SimConfig;
 use ptts::intervention::InterventionSet;
 use ptts::Ptts;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use synthpop::Population;
 
-/// The immutable world every ensemble member aliases: population, disease
-/// model, the object→chare layout and the sweep layout, each behind its
-/// own `Arc`.
+/// The immutable world every ensemble member aliases: the distribution
+/// and the disease model.
 ///
-/// Cloning a `CowWorld` (or building a [`crate::Simulator`] from one via
-/// [`crate::Simulator::from_world`]) bumps four reference counts and copies
-/// nothing — the aliasing tests pin this with `Arc::strong_count`.
+/// Cloning a `CowWorld` bumps reference counts and copies nothing, and a
+/// [`crate::Simulator`] built over its distribution shares the same
+/// arrays; the aliasing tests pin this with `Arc::strong_count`.
 #[derive(Debug, Clone)]
 pub struct CowWorld {
-    /// The (possibly split) population.
-    pub pop: Arc<Population>,
+    /// The world: population, partition, index maps and sweep layout.
+    pub dist: DataDistribution,
     /// The disease model.
     pub ptts: Arc<Ptts>,
-    /// The §II-C index maps.
-    pub layout: Arc<WorldLayout>,
-    /// The visits in sweep order, built on first use and shared with the
-    /// distribution the world came from.
-    pub sweep: SweepCell,
 }
 
 impl CowWorld {
@@ -73,18 +66,9 @@ impl CowWorld {
     /// shares it.
     pub fn build(dist: &DataDistribution, ptts: Ptts) -> CowWorld {
         CowWorld {
-            pop: dist.pop.clone(),
+            dist: dist.clone(),
             ptts: Arc::new(ptts),
-            layout: Arc::new(WorldLayout::build(dist)),
-            sweep: dist.sweep_cell().clone(),
         }
-    }
-
-    /// The world's [`SweepLayout`], built on the first call.
-    pub fn sweep_layout(&self) -> Arc<SweepLayout> {
-        let layout = &self.layout;
-        let (k, orig) = (layout.k, &layout.orig_of_location);
-        self.sweep.full(&self.pop, k, &layout.location_part, orig)
     }
 }
 
@@ -133,12 +117,6 @@ impl MemberArena {
         self.marks.clear();
         self.marks.resize(n_groups.div_ceil(64), 0);
         self.infects.clear();
-    }
-
-    /// The person states left by the most recent run (the transmission tree
-    /// lives in their provenance fields).
-    pub fn person_states(&self) -> &[PersonSlot] {
-        &self.slots
     }
 
     /// Take the person states out of the arena.
@@ -294,11 +272,6 @@ impl ResultStore {
         &self.curves[point * self.n_seeds..(point + 1) * self.n_seeds]
     }
 
-    /// Every curve, point-major.
-    pub fn all_curves(&self) -> &[EpiCurve] {
-        &self.curves
-    }
-
     /// Replicate summary (quantile bands etc.) of one point.
     pub fn point_ensemble(&self, point: usize) -> Ensemble {
         let runs = self.curves_for_point(point).to_vec();
@@ -330,7 +303,8 @@ impl ResultStore {
 /// Run every member of `spec` over the shared `world`, fanning whole runs
 /// across `workers` OS threads.
 ///
-/// The call builds the world's [`SweepLayout`] once and every worker reads
+/// The call builds the world's [`crate::seq::SweepLayout`] once (if no
+/// holder of the world has yet) and every worker reads
 /// it. Each worker owns one [`MemberArena`] and pulls member indices from
 /// an atomic counter until the sweep is drained. Determinism is structural:
 /// members draw only from counter-based streams keyed by their own seed,
@@ -346,7 +320,7 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
     let total = spec.n_members();
     let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
     let workers = (workers.max(1) as usize).min(total.max(1)).min(hw);
-    let layout = &*world.sweep_layout();
+    let layout = &*world.dist.sweep_layout();
     let next = AtomicUsize::new(0);
     let mut placed: Vec<Option<EpiCurve>> = (0..total).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -363,7 +337,7 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
                     }
                     let cfg = spec.config_for(idx);
                     let curve =
-                        run_sequential_into(&world.pop, layout, &world.ptts, &cfg, &mut arena);
+                        run_sequential_into(&world.dist.pop, layout, &world.ptts, &cfg, &mut arena);
                     out.push((idx, curve));
                 }
                 out
@@ -910,29 +884,25 @@ mod tests {
         let (dist, cfg) = setup();
         let world = CowWorld::build(&dist, flu_model());
         // The world aliases the distribution's population…
-        assert!(Arc::ptr_eq(&world.pop, &dist.pop));
-        let before = Arc::strong_count(&world.pop);
+        assert!(Arc::ptr_eq(&world.dist.pop, &dist.pop));
+        let before = Arc::strong_count(&world.dist.pop);
         // …and its sweep layout, built once for both…
-        let sweep = world.sweep_layout();
+        let sweep = world.dist.sweep_layout();
         assert!(Arc::ptr_eq(&sweep, &dist.sweep_layout()));
         let sweep_before = Arc::strong_count(&sweep);
-        // …and simulators stamped from the world alias its Arcs.
+        // …and simulators over the world alias its Arcs.
         let sims: Vec<_> = (0..4)
             .map(|i| {
                 let mut c = cfg.clone();
                 c.seed = cfg.seed + i;
-                crate::Simulator::from_world(
-                    &world,
-                    c,
-                    chare_rt::RuntimeConfig::sequential(1),
-                    None,
-                )
+                let rt = chare_rt::RuntimeConfig::sequential(1);
+                crate::Simulator::new(&world.dist, (*world.ptts).clone(), c, rt)
             })
             .collect();
-        assert_eq!(Arc::strong_count(&world.pop), before + 4);
+        assert_eq!(Arc::strong_count(&world.dist.pop), before + 4);
         assert_eq!(Arc::strong_count(&sweep), sweep_before + 4);
         drop(sims);
-        assert_eq!(Arc::strong_count(&world.pop), before);
+        assert_eq!(Arc::strong_count(&world.dist.pop), before);
     }
 
     #[test]
@@ -943,9 +913,10 @@ mod tests {
         // Dirty the arena with a different run first.
         let mut other = cfg.clone();
         other.seed = 7777;
-        let layout = SweepLayout::build(&world.pop);
-        let _ = run_sequential_into(&world.pop, &layout, &world.ptts, &other, &mut arena);
-        let reused = run_sequential_into(&world.pop, &layout, &world.ptts, &cfg, &mut arena);
+        let pop = &world.dist.pop;
+        let layout = crate::seq::SweepLayout::build(pop);
+        let _ = run_sequential_into(pop, &layout, &world.ptts, &other, &mut arena);
+        let reused = run_sequential_into(pop, &layout, &world.ptts, &cfg, &mut arena);
         let fresh = crate::seq::run_sequential(&dist.pop, &world.ptts, &cfg);
         assert_eq!(reused, fresh);
     }
@@ -954,7 +925,7 @@ mod tests {
     fn surrogate_monotone_in_transmissibility() {
         let (dist, cfg) = setup();
         let world = CowWorld::build(&dist, flu_model());
-        let graph = surrogate::ContactGraph::build(&world.pop);
+        let graph = surrogate::ContactGraph::build(&world.dist.pop);
         assert!(graph.n_edges() > 0);
         let rs = [0.0001, 0.0004, 0.0012, 0.003, 0.008];
         let spec = EnsembleSpec::grid(&cfg, &rs, 4);

@@ -57,7 +57,7 @@ struct Lanes<T> {
 
 impl<T> Lanes<T> {
     fn new(shared: &SharedRef, first_chare: u32, wrap: fn(Vec<T>) -> SimMsg) -> Self {
-        let k = shared.layout.k;
+        let k = shared.world.k();
         Lanes {
             first_chare,
             cap: if shared.aggregated { BATCH_CAP } else { 1 },
@@ -115,21 +115,12 @@ pub struct PersonManager {
 }
 
 impl PersonManager {
-    /// Build a PM owning `person_ids` (ascending order expected; local slot
-    /// index must match `Shared::local_of_person`).
-    pub fn new(shared: SharedRef, person_ids: Vec<u32>) -> Self {
-        let persons = person_ids
-            .iter()
-            .map(|&id| PersonSlot::new(id, &shared.ptts))
-            .collect();
-        Self::with_states(shared, persons)
-    }
-
-    /// Build a PM from pre-existing person states (chare migration: the
-    /// §VII load-rebalancing path re-homes persons between epochs).
-    pub fn with_states(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
+    /// Build a PM owning `persons`: a partition's persons in the order of
+    /// the world's `local_of_person`, fresh or restored (chare migration:
+    /// the §VII load-rebalancing path re-homes persons between epochs).
+    pub fn new(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
-        let k = shared.layout.k;
+        let k = shared.world.k();
         let baseline = (shared.ptts.start_state(), 1.0f32.to_bits());
         PersonManager {
             infected_today: vec![None; persons.len()],
@@ -150,25 +141,15 @@ impl PersonManager {
         self.persons
     }
 
-    /// Seed an initial infection (before day 0).
-    pub fn seed_infection(&mut self, local_idx: u32) {
-        let shared = self.shared.clone();
-        self.persons[local_idx as usize].seed(&shared.ptts, shared.seed);
-    }
-
-    /// The owned persons (read access for tests and result extraction).
-    pub fn persons(&self) -> &[PersonSlot] {
-        &self.persons
-    }
-
     fn begin_day(&mut self, day: u32, effects: &DayEffects, ctx: &mut Ctx<'_, SimMsg>) {
         self.day = day;
         for local in self.touched.drain(..) {
             self.infected_today[local as usize] = None;
         }
         let shared = self.shared.clone();
-        let (pop, layout) = (&*shared.pop, &*shared.layout);
-        let orig = Some(layout.orig_of_location.as_slice());
+        let world = &shared.world;
+        let (pop, k, location_part) = (&*world.pop, world.k(), world.location_part());
+        let orig = Some(&world.orig_of_location[..]);
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
         let mut susceptible = 0u64;
@@ -191,7 +172,7 @@ impl PersonManager {
                 symptomatic += sym as u64;
                 visits_sent += self.visit_buf.len() as u64;
                 for visit in self.visit_buf.drain(..) {
-                    let lm = layout.k + layout.location_part[visit.location as usize];
+                    let lm = k + location_part[visit.location as usize];
                     self.visits.push(lm, visit, ctx);
                 }
             } else {
@@ -217,9 +198,7 @@ impl PersonManager {
                     };
                     // One update per LocationManager on the schedule.
                     let schedule = pop.visits_of(PersonId(slot.id));
-                    let lm_of = |v: &synthpop::Visit| {
-                        layout.k + layout.location_part[v.location.0 as usize]
-                    };
+                    let lm_of = |v: &synthpop::Visit| k + location_part[v.location.0 as usize];
                     for (j, v) in schedule.iter().enumerate() {
                         let lm = lm_of(v);
                         if schedule[..j].iter().all(|w| lm_of(w) != lm) {
@@ -252,9 +231,10 @@ impl PersonManager {
     fn apply_infects(&mut self, batch: &[InfectMsg], ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
         let day = self.day;
+        let local_of_person = shared.world.local_of_person();
         let mut new_infections = 0u64;
         for infect in batch {
-            let local = shared.layout.local_of_person[infect.person as usize];
+            let local = local_of_person[infect.person as usize];
             let key = (infect.time_min, infect.infector);
             let infected_by = (infect.infector != u32::MAX).then_some(infect.infector);
             let slot = &mut self.persons[local as usize];
@@ -312,10 +292,9 @@ impl Chare<SimMsg> for PersonManager {
 /// DES over the day's visits to them.
 pub struct LocationManager {
     shared: SharedRef,
-    /// The partition this LM serves.
+    /// The partition this LM serves: it owns the world's
+    /// `locations_of(part)`, in local-slot order.
     part: u32,
-    /// Global location ids owned, ordered by local slot.
-    locations: Vec<u32>,
     classes: InfectivityClasses,
     symptomatic_state: Option<StateId>,
     /// DES working memory reused across locations and days.
@@ -360,17 +339,15 @@ struct Visitors {
 }
 
 impl LocationManager {
-    /// Build the LM of partition `part`, owning
-    /// `Shared::layout.locations_per_part[part]`.
+    /// Build the LM of partition `part`.
     pub fn new(shared: SharedRef, part: u32) -> Self {
-        let locations = shared.layout.locations_per_part[part as usize].clone();
-        let n = locations.len();
-        let sweep = &shared.sweep;
+        let n = shared.world.locations_of(part).len();
+        let (pop, sweep) = (&shared.world.pop, &shared.sweep);
         let n_visitors = sweep.visitors_of(part).len();
         let groups = sweep.groups_of(part);
         let mut scheduled = [0u64; 5];
         for g in groups.clone() {
-            let kind = shared.pop.locations[sweep.place(g).0 as usize].kind;
+            let kind = pop.locations[sweep.place(g).0 as usize].kind;
             scheduled[kind as usize] += sweep.group_len(g) as u64;
         }
         let visitors = Visitors {
@@ -392,7 +369,6 @@ impl LocationManager {
             part,
             buffers: vec![Vec::new(); n],
             swept: vec![LocationDayFeatures::default(); n],
-            locations,
             scratch: KernelScratch::new(),
             infect_buf: Vec::new(),
             visitors,
@@ -402,20 +378,20 @@ impl LocationManager {
 
     /// The owned location ids.
     pub fn locations(&self) -> &[u32] {
-        &self.locations
+        self.shared.world.locations_of(self.part)
     }
 
     /// Per owned location (in [`LocationManager::locations`] order): its
     /// features summed over every day this LM has computed, the measured
     /// dynamic load the §VII rebalancer feeds on.
     pub fn feature_totals(&self) -> Vec<LocationDayFeatures> {
-        let (pop, sweep, layout) = (&self.shared.pop, &self.shared.sweep, &self.shared.layout);
+        let (world, sweep) = (&self.shared.world, &self.shared.sweep);
         let vs = &self.visitors;
         let mut totals = self.swept.clone();
         for g in sweep.groups_of(self.part) {
             let location = sweep.place(g).0 as usize;
-            let kind = pop.locations[location].kind as usize;
-            let li = layout.local_of_location[location] as usize;
+            let kind = world.pop.locations[location].kind as usize;
+            let li = world.local_of_location()[location] as usize;
             totals[li].events += 2 * sweep.group_len(g) as u64 * vs.days_open[kind];
         }
         for (total, &absent) in totals.iter_mut().zip(&vs.absent) {
@@ -447,7 +423,9 @@ impl LocationManager {
     /// visitors, then sweep the groups the infectious attend.
     fn sweep_day(&mut self, day: u32, r_eff: f64, closed_kinds: u8, ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
-        let (pop, sweep, layout) = (&*shared.pop, &*shared.sweep, &*shared.layout);
+        let (world, sweep) = (&shared.world, &*shared.sweep);
+        let (pop, location_part) = (&*world.pop, world.location_part());
+        let (local_of_location, person_part) = (world.local_of_location(), world.person_part());
         let fx = DayEffects {
             closed_kinds,
             ..DayEffects::none()
@@ -495,7 +473,7 @@ impl LocationManager {
             }
             for i in pop.person_offsets[person] as usize..pop.person_offsets[person + 1] as usize {
                 let location = pop.visits[i].location.0 as usize;
-                if layout.location_part[location] != me {
+                if location_part[location] != me {
                     continue;
                 }
                 let kind = pop.locations[location].kind;
@@ -506,7 +484,7 @@ impl LocationManager {
                         marks[g / 64] |= 1 << (g % 64);
                     }
                 } else if attends(&fx, kind, at_home, false) {
-                    absent[layout.local_of_location[location] as usize] += 1;
+                    absent[local_of_location[location] as usize] += 1;
                     absent_today += 1;
                 }
             }
@@ -539,7 +517,7 @@ impl LocationManager {
                 let g = first_group + w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let location = sweep.place(g).0 as usize;
-                let li = layout.local_of_location[location] as usize;
+                let li = local_of_location[location] as usize;
                 if at.is_none_or(|(at_li, _)| at_li != li) {
                     settle(at.replace((li, LocationDayFeatures::default())));
                 }
@@ -576,7 +554,7 @@ impl LocationManager {
                 infects_sent += self.infect_buf.len() as u64;
                 by_kind[kind as usize] += self.infect_buf.len() as u64;
                 for infect in self.infect_buf.drain(..) {
-                    let pm = layout.pm_of_person[infect.person as usize];
+                    let pm = person_part[infect.person as usize];
                     self.lanes.push(pm, infect, ctx);
                 }
             }
@@ -589,11 +567,12 @@ impl LocationManager {
     /// visits.
     fn simulate_day(&mut self, day: u32, r_eff: f64, ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
+        let locations = shared.world.locations_of(self.part);
         let mut events = 0u64;
         let mut interactions = 0u64;
         let mut infects_sent = 0u64;
         let mut by_kind = [0u64; 5];
-        for li in 0..self.locations.len() {
+        for (li, &location) in locations.iter().enumerate() {
             self.infect_buf.clear();
             let features = simulate_location_day(
                 &mut self.buffers[li],
@@ -609,14 +588,14 @@ impl LocationManager {
             events += features.events;
             interactions += features.interactions;
             infects_sent += self.infect_buf.len() as u64;
-            let kind = shared.pop.locations[self.locations[li] as usize].kind as usize;
+            let kind = shared.world.pop.locations[location as usize].kind as usize;
             by_kind[kind] += self.infect_buf.len() as u64;
             let total = &mut self.swept[li];
             total.events += features.events;
             total.interactions += features.interactions;
             total.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
             for infect in self.infect_buf.drain(..) {
-                let pm = shared.layout.pm_of_person[infect.person as usize];
+                let pm = shared.world.person_part()[infect.person as usize];
                 self.lanes.push(pm, infect, ctx);
             }
         }
@@ -648,9 +627,9 @@ impl Chare<SimMsg> for LocationManager {
         match msg {
             SimMsg::Updates(batch) => self.apply_updates(&batch),
             SimMsg::Visits(batch) => {
-                let layout = &self.shared.layout;
+                let local_of_location = self.shared.world.local_of_location();
                 for v in batch {
-                    self.buffers[layout.local_of_location[v.location as usize] as usize].push(v);
+                    self.buffers[local_of_location[v.location as usize] as usize].push(v);
                 }
             }
             SimMsg::ComputeDay {

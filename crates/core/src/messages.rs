@@ -1,5 +1,8 @@
-//! Simulator messages and shared immutable state.
+//! Simulator messages, and the immutable state every manager chare
+//! shares: the world ([`DataDistribution`]), the disease model and the
+//! sweep layout.
 
+use crate::distribution::DataDistribution;
 use crate::seq::SweepLayout;
 use bytes::{Buf, BufMut, BytesMut};
 use chare_rt::codec::{self, CodecError};
@@ -8,7 +11,6 @@ use ptts::intervention::VaccinationOrder;
 use ptts::model::{StateId, TreatmentId};
 use ptts::Ptts;
 use std::sync::Arc;
-use synthpop::Population;
 
 /// A visit message: "the object representing the person sends a 'visit'
 /// message to the object representing the visited location with the ID of
@@ -326,81 +328,23 @@ pub mod slots {
     pub const UPDATES_SENT: usize = 13;
 }
 
-/// The object→chare index maps of the two-level hierarchical data
-/// distribution (§II-C), computed once per [`crate::DataDistribution`] and
-/// shared immutably by every simulator (and every ensemble member) built
-/// from it.
-#[derive(Debug, Clone)]
-pub struct WorldLayout {
-    /// Number of partitions (PM chares are `0..k`, LM chares `k..2k`).
-    pub k: u32,
-    /// person → PersonManager chare id.
-    pub pm_of_person: Vec<u32>,
-    /// person → local slot within its PM.
-    pub local_of_person: Vec<u32>,
-    /// location → partition; its LocationManager is chare `k + partition`.
-    pub location_part: Vec<u32>,
-    /// location → local slot within its LM.
-    pub local_of_location: Vec<u32>,
-    /// location → original location id (identity unless splitLoc ran);
-    /// the stay-home filter uses it to recognise split home pieces.
-    pub orig_of_location: Vec<u32>,
-    /// Person ids owned by each partition, in local-slot order.
-    pub persons_per_part: Vec<Vec<u32>>,
-    /// Location ids owned by each partition, in local-slot order.
-    pub locations_per_part: Vec<Vec<u32>>,
-}
-
-impl WorldLayout {
-    /// Compute the layout for a distribution.
-    pub fn build(dist: &crate::distribution::DataDistribution) -> WorldLayout {
-        let k = dist.k;
-        let n_people = dist.pop.n_people() as usize;
-        let n_locations = dist.pop.n_locations() as usize;
-        let mut pm_of_person = vec![0u32; n_people];
-        let mut local_of_person = vec![0u32; n_people];
-        let mut local_of_location = vec![0u32; n_locations];
-        let mut persons_per_part: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
-        let mut locations_per_part: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
-        for p in 0..n_people {
-            let part = dist.person_part[p];
-            pm_of_person[p] = part;
-            local_of_person[p] = persons_per_part[part as usize].len() as u32;
-            persons_per_part[part as usize].push(p as u32);
-        }
-        for (l, &part) in dist.location_part.iter().enumerate() {
-            local_of_location[l] = locations_per_part[part as usize].len() as u32;
-            locations_per_part[part as usize].push(l as u32);
-        }
-        WorldLayout {
-            k,
-            pm_of_person,
-            local_of_person,
-            location_part: dist.location_part.clone(),
-            local_of_location,
-            orig_of_location: dist.orig_of_location.clone(),
-            persons_per_part,
-            locations_per_part,
-        }
-    }
-}
-
 /// Immutable state shared by every manager chare (read-only sharing across
 /// threads is one of the SMP-mode benefits the paper lists in §IV-A).
 ///
-/// Copy-on-write: the population, disease model, and index maps are each
-/// behind their own `Arc`, so many simulators — e.g. the members of a
-/// [`crate::ensemble`] sweep — alias one world instead of deep-copying it.
+/// The world and the disease model are aliased, not copied: cloning a
+/// [`DataDistribution`] bumps reference counts, so many simulators over
+/// one world share its population, partition and index maps.
 #[derive(Debug)]
 pub struct Shared {
-    /// The population (post-splitLoc if applicable).
-    pub pop: Arc<Population>,
+    /// The world: the population (post-splitLoc if applicable), its
+    /// partition, and the §II-C object→chare index maps. PersonManager
+    /// `p` is chare `p`, LocationManager `p` chare `k + p`.
+    pub world: DataDistribution,
     /// The disease model.
     pub ptts: Arc<Ptts>,
-    /// The object→chare index maps.
-    pub layout: Arc<WorldLayout>,
     /// The visits in sweep order, for the LocationManagers this process
-    /// hosts.
+    /// hosts: the world's layout, or a net rank's layout of its own
+    /// partitions.
     pub sweep: Arc<SweepLayout>,
     /// Base transmissibility per minute of contact.
     pub r: f64,

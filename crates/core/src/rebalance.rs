@@ -22,8 +22,9 @@ use crate::distribution::DataDistribution;
 use crate::kernel::LocationDayFeatures;
 use crate::output::EpiCurve;
 use crate::simulator::{Carry, SimConfig, SimRun, Simulator};
+use crate::workload::build_workload_graph_with;
 use chare_rt::RuntimeConfig;
-use graph_part::{kway_partition, GraphBuilder, PartitionConfig};
+use graph_part::{kway_partition, PartitionConfig};
 use ptts::Ptts;
 
 /// Rebalancing parameters.
@@ -94,32 +95,14 @@ pub fn measured_imbalance(loads: &[u64], assignment: &[u32], k: u32) -> f64 {
 /// Re-partition the workload graph using measured location loads for the
 /// location-phase constraint.
 fn repartition(dist: &DataDistribution, measured: &[u64], seed: u64) -> DataDistribution {
-    let pop = &dist.pop;
-    let n_people = pop.n_people();
-    let n_locations = pop.n_locations();
-    let mut b = GraphBuilder::new(n_people + n_locations, 2);
-    for p in 0..n_people {
-        let visits = pop.person_offsets[p as usize + 1] - pop.person_offsets[p as usize];
-        b.set_vwgt(p, &[visits.max(1) as u64, 0]);
-    }
-    for l in 0..n_locations {
-        b.set_vwgt(n_people + l, &[0, measured[l as usize].max(1)]);
-    }
-    for v in &pop.visits {
-        b.add_edge(v.person.0, n_people + v.location.0, 1);
-    }
-    let graph = b.build();
-    let part = kway_partition(
-        &graph,
-        &PartitionConfig::new(dist.k)
-            .with_seed(seed)
-            .with_ubfactor(1.10),
-    );
-    let mut new_dist = dist.clone();
-    new_dist.person_part = part.assignment[..n_people as usize].to_vec();
-    new_dist.location_part = part.assignment[n_people as usize..].to_vec();
-    new_dist.quality = None;
-    new_dist
+    let loads: Vec<u64> = measured.iter().map(|&m| m.max(1)).collect();
+    let (graph, layout) = build_workload_graph_with(&dist.pop, &loads);
+    let cfg = PartitionConfig::new(dist.k())
+        .with_seed(seed)
+        .with_ubfactor(1.10);
+    let mut person_part = kway_partition(&graph, &cfg).assignment;
+    let location_part = person_part.split_off(layout.n_people as usize);
+    dist.with_partition(person_part, location_part)
 }
 
 /// Run the simulation with measurement-based rebalancing between epochs.
@@ -152,9 +135,9 @@ pub fn run_with_rebalancing(
         let (new_states, features) = sim.dismantle();
 
         let loads: Vec<u64> = features.iter().map(dynamic_load).collect();
-        let imbalance = measured_imbalance(&loads, &current.location_part, current.k);
+        let imbalance = measured_imbalance(&loads, current.location_part(), current.k());
         let done = extinct || end >= cfg.days;
-        let repartitioned = !done && current.k > 1 && imbalance > rb.imbalance_threshold;
+        let repartitioned = !done && current.k() > 1 && imbalance > rb.imbalance_threshold;
         if repartitioned {
             current = repartition(&current, &loads, cfg.seed.wrapping_add(epoch as u64));
         }
@@ -250,8 +233,8 @@ mod tests {
         // Start from a deliberately terrible distribution: all locations on
         // one partition. Rebalancing must fix it.
         let pop = pop();
-        let mut dist = DataDistribution::build(&pop, Strategy::RoundRobin, 4, 41);
-        dist.location_part.iter_mut().for_each(|p| *p = 0);
+        let rr = DataDistribution::build(&pop, Strategy::RoundRobin, 4, 41);
+        let dist = rr.with_partition(rr.person_part().to_vec(), vec![0; rr.location_part().len()]);
         let rb = run_with_rebalancing(
             &dist,
             flu_model(),

@@ -19,10 +19,12 @@
 //! static event order with the absent visits left out. Nothing is sorted
 //! per day. The engines' LocationManagers sweep the same layout, each its
 //! own partition's range, from the states persons send them
-//! (`crate::managers`). A distribution builds it once and shares it with
-//! every simulator, [`crate::CowWorld`] and [`crate::run_sweep`] over it;
-//! [`run_sequential`] builds one per run.
+//! (`crate::managers`). A [`DataDistribution`] builds it once, on first
+//! use, and every clone shares it, so every simulator,
+//! [`crate::CowWorld`] and [`crate::run_sweep`] over one world reads one
+//! layout; [`run_sequential`] builds one per run.
 
+use crate::distribution::DataDistribution;
 use crate::ensemble::MemberArena;
 use crate::kernel::{
     canonical_key, event, event_keys, sort_events, sweep_sublocation, unpack_event,
@@ -36,7 +38,6 @@ use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::DayObservables;
 use ptts::model::StateId;
 use ptts::Ptts;
-use std::sync::{Arc, OnceLock};
 use synthpop::Population;
 
 /// One visit of a [`SweepLayout`] group: what the gather needs to rebuild
@@ -105,44 +106,6 @@ pub struct SweepLayout {
     part_visitors: Vec<u32>,
 }
 
-/// A distribution's [`SweepLayout`] of every partition, built on first use,
-/// then shared by every clone of the handle.
-#[derive(Debug, Clone, Default)]
-pub struct SweepCell(Arc<OnceLock<Arc<SweepLayout>>>);
-
-impl SweepCell {
-    /// The layout of every one of the `k` partitions of `location_part`,
-    /// built if no holder has built it yet. The partition map must not
-    /// change once it is built.
-    pub fn full(
-        &self,
-        pop: &Population,
-        k: u32,
-        location_part: &[u32],
-        orig_of_location: &[u32],
-    ) -> Arc<SweepLayout> {
-        let layout = self.0.get_or_init(|| {
-            let all = vec![true; k as usize];
-            Arc::new(SweepLayout::of_world(
-                pop,
-                location_part,
-                orig_of_location,
-                &all,
-            ))
-        });
-        debug_assert!(
-            layout.lays_out(location_part),
-            "the partition map changed after its sweep layout was built"
-        );
-        layout.clone()
-    }
-
-    /// The layout, if it is built.
-    pub fn get(&self) -> Option<&SweepLayout> {
-        self.0.get().map(|layout| &**layout)
-    }
-}
-
 impl SweepLayout {
     /// Lay out every visit of an unpartitioned, unsplit population (the
     /// sequential oracle's layout: one partition).
@@ -150,16 +113,11 @@ impl SweepLayout {
         Self::build_parts(pop, None, |_| 0, &[true])
     }
 
-    /// Lay out the visits to the locations of the partitions `p` (of
-    /// `location_part`, location → partition) for which `hosted[p]` holds.
-    pub fn of_world(
-        pop: &Population,
-        location_part: &[u32],
-        orig_of_location: &[u32],
-        hosted: &[bool],
-    ) -> SweepLayout {
-        let part_of = |l: usize| location_part[l] as usize;
-        Self::build_parts(pop, Some(orig_of_location), part_of, hosted)
+    /// Lay out the visits to the locations of `dist`'s partitions `p` for
+    /// which `hosted[p]` holds.
+    pub fn of_world(dist: &DataDistribution, hosted: &[bool]) -> SweepLayout {
+        let part_of = |l: usize| dist.location_part()[l] as usize;
+        Self::build_parts(&dist.pop, Some(&dist.orig_of_location), part_of, hosted)
     }
 
     /// `O(V)` plus a sort per location, for `V` visits: a counting sort of
@@ -328,15 +286,6 @@ impl SweepLayout {
             + size_of_val(self.part_groups.as_slice())
             + size_of_val(self.visitors.as_slice())
             + size_of_val(self.part_visitors.as_slice())
-    }
-
-    /// Whether every laid-out group sits in the partition `location_part`
-    /// assigns its location to.
-    fn lays_out(&self, location_part: &[u32]) -> bool {
-        (0..self.part_groups.len().saturating_sub(1)).all(|part| {
-            self.groups_of(part as u32)
-                .all(|g| location_part[self.place(g).0 as usize] == part as u32)
-        })
     }
 
     /// Partition `part`'s groups.
@@ -639,7 +588,7 @@ pub fn run_sequential_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::{DataDistribution, Strategy};
+    use crate::distribution::Strategy;
     use crate::kernel::{order_events, visit_key};
     use crate::person::visit_to_msg;
     use crate::simulator::Simulator;
@@ -854,15 +803,10 @@ mod tests {
         );
         let flat = SweepLayout::build(&dist.pop);
         let full = dist.sweep_layout();
-        let some = SweepLayout::of_world(
-            &dist.pop,
-            &dist.location_part,
-            &dist.orig_of_location,
-            &[false, true, false],
-        );
+        let some = SweepLayout::of_world(&dist, &[false, true, false]);
         for part in 0..3u32 {
             let want: Vec<_> = (0..flat.n_groups())
-                .filter(|&g| dist.location_part[flat.place(g).0 as usize] == part)
+                .filter(|&g| dist.location_part()[flat.place(g).0 as usize] == part)
                 .map(|g| describe(&flat, g))
                 .collect();
             let got: Vec<_> = full.groups_of(part).map(|g| describe(&full, g)).collect();
@@ -903,7 +847,7 @@ mod tests {
                     .home
                     .0
             };
-            let orig = Some(dist.orig_of_location.as_slice());
+            let orig = Some(&dist.orig_of_location[..]);
             assert!(members
                 .iter()
                 .all(|m| m.at_home() == at_home(own(m), full.place(g).0, orig)));

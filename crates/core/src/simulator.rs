@@ -3,11 +3,11 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::distribution::DataDistribution;
-use crate::ensemble::CowWorld;
 use crate::kernel::LocationDayFeatures;
 use crate::managers::{LocationManager, PersonManager};
 use crate::messages::{slots, DayEffects, Shared, SharedRef, SimMsg};
 use crate::output::{DayStats, EpiCurve};
+use crate::person::PersonSlot;
 use crate::seq::SweepLayout;
 use chare_rt::codec::CodecError;
 use chare_rt::{ChareId, PhaseStats, Runtime, RuntimeConfig};
@@ -190,8 +190,6 @@ pub struct Simulator {
     runtime: Runtime<SimMsg>,
     shared: SharedRef,
     cfg: SimConfig,
-    n_pm: u32,
-    n_lm: u32,
 }
 
 impl Simulator {
@@ -219,64 +217,29 @@ impl Simulator {
         ptts: Ptts,
         cfg: SimConfig,
         rt_cfg: RuntimeConfig,
-        states: Option<Vec<crate::person::PersonSlot>>,
+        states: Option<Vec<PersonSlot>>,
     ) -> Simulator {
         // The runtime first: under the net engine it spawns the workers,
         // which then lay out their partitions while this process lays out
         // its own.
-        let runtime = Runtime::new(rt_cfg);
-        let world = CowWorld::build(dist, ptts);
-        let (k, pes) = (dist.k, runtime.local_pes());
+        let mut runtime = Runtime::new(rt_cfg);
+        let (k, pes) = (dist.k(), runtime.local_pes());
         let hosted: Vec<bool> = (0..k)
             .map(|part| pes.contains(&crate::engine::pe_for_partition(part, k, rt_cfg.n_pes)))
             .collect();
-        let sweep = if dist.sweep_cell().get().is_some() || hosted.iter().all(|&h| h) {
-            world.sweep_layout()
+        let sweep = if dist.built_sweep_layout().is_some() || hosted.iter().all(|&h| h) {
+            dist.sweep_layout()
         } else {
-            let (part, orig) = (&dist.location_part, &dist.orig_of_location);
-            Arc::new(SweepLayout::of_world(&dist.pop, part, orig, &hosted))
+            Arc::new(SweepLayout::of_world(dist, &hosted))
         };
-        Self::assemble(&world, sweep, runtime, cfg, states)
-    }
-
-    /// Build a simulator over a pre-built copy-on-write world: the
-    /// population, disease model, and layouts are aliased (`Arc`
-    /// clones), never deep-copied. This is the entry point the ensemble
-    /// scheduler uses to stamp out many members from one world.
-    pub fn from_world(
-        world: &CowWorld,
-        cfg: SimConfig,
-        rt_cfg: RuntimeConfig,
-        states: Option<Vec<crate::person::PersonSlot>>,
-    ) -> Simulator {
-        Self::assemble(
-            world,
-            world.sweep_layout(),
-            Runtime::new(rt_cfg),
-            cfg,
-            states,
-        )
-    }
-
-    /// Add the chares of `world` to `runtime`; `sweep` lays out at least
-    /// the partitions whose LocationManagers `runtime` hosts.
-    fn assemble(
-        world: &CowWorld,
-        sweep: Arc<SweepLayout>,
-        mut runtime: Runtime<SimMsg>,
-        cfg: SimConfig,
-        states: Option<Vec<crate::person::PersonSlot>>,
-    ) -> Simulator {
-        let k = world.layout.k;
-        let n_people = world.pop.n_people() as usize;
+        let n_people = dist.pop.n_people() as usize;
         if let Some(st) = &states {
             assert_eq!(st.len(), n_people, "states must cover every person");
         }
 
         let shared: SharedRef = Arc::new(Shared {
-            pop: world.pop.clone(),
-            ptts: world.ptts.clone(),
-            layout: world.layout.clone(),
+            world: dist.clone(),
+            ptts: Arc::new(ptts),
             sweep,
             r: cfg.r,
             seed: cfg.seed,
@@ -298,19 +261,17 @@ impl Simulator {
 
         let n_pes = runtime.config().n_pes;
         for part in 0..k {
-            let ids = &world.layout.persons_per_part[part as usize];
-            let mut pm = match &states {
-                Some(st) => PersonManager::with_states(
-                    shared.clone(),
-                    ids.iter().map(|&pid| st[pid as usize]).collect(),
-                ),
-                None => PersonManager::new(shared.clone(), ids.clone()),
-            };
-            for (local, &pid) in ids.iter().enumerate() {
-                if seeds.contains(&pid) {
-                    pm.seed_infection(local as u32);
+            let persons = dist.persons_of(part).iter().map(|&pid| match &states {
+                Some(st) => st[pid as usize],
+                None => {
+                    let mut slot = PersonSlot::new(pid, &shared.ptts);
+                    if seeds.contains(&pid) {
+                        slot.seed(&shared.ptts, cfg.seed);
+                    }
+                    slot
                 }
-            }
+            });
+            let pm = PersonManager::new(shared.clone(), persons.collect());
             let pe = crate::engine::pe_for_partition(part, k, n_pes);
             runtime.add_chare(ChareId(part), pe, Box::new(pm));
             let lm = LocationManager::new(shared.clone(), part);
@@ -321,8 +282,6 @@ impl Simulator {
             runtime,
             shared,
             cfg,
-            n_pm: k,
-            n_lm: k,
         }
     }
 
@@ -353,7 +312,10 @@ impl Simulator {
         carry: &mut Carry,
         observe: &mut dyn FnMut(&DayStats) -> DayControl,
     ) -> (Vec<DayStats>, Vec<DayPerf>, RunHalt) {
-        let population = self.shared.pop.n_people() as u64;
+        let (population, k) = (
+            self.shared.world.pop.n_people() as u64,
+            self.shared.world.k(),
+        );
         let mut days = Vec::new();
         let mut perf = Vec::new();
         let mut halt = RunHalt::Finished { extinct: false };
@@ -376,7 +338,7 @@ impl Simulator {
             let r_eff = self.shared.r * effects.r_scale;
 
             // Phase 1+2: person phase.
-            let injections: Vec<(ChareId, SimMsg)> = (0..self.n_pm)
+            let injections: Vec<(ChareId, SimMsg)> = (0..k)
                 .map(|pm| {
                     (
                         ChareId(pm),
@@ -391,14 +353,14 @@ impl Simulator {
 
             // Phase 3–6: location phase; PersonManagers apply infects as
             // they arrive, so its close also carries the new infections.
-            let injections: Vec<(ChareId, SimMsg)> = (0..self.n_lm)
+            let injections: Vec<(ChareId, SimMsg)> = (0..k)
                 .map(|lm| {
                     let msg = SimMsg::ComputeDay {
                         day,
                         r_eff,
                         closed_kinds: effects.closed_kinds,
                     };
-                    (ChareId(self.n_pm + lm), msg)
+                    (ChareId(k + lm), msg)
                 })
                 .collect();
             let location_phase = self.runtime.run_phase(injections);
@@ -517,15 +479,15 @@ impl Simulator {
     /// Tear down, reclaiming per-person states (indexed by person id) and
     /// each location's accumulated dynamic features (indexed by global
     /// location id).
-    pub fn dismantle(self) -> (Vec<crate::person::PersonSlot>, Vec<LocationDayFeatures>) {
-        let n_people = self.shared.pop.n_people() as usize;
-        let n_locations = self.shared.pop.n_locations() as usize;
+    pub fn dismantle(self) -> (Vec<PersonSlot>, Vec<LocationDayFeatures>) {
+        let n_people = self.shared.world.pop.n_people() as usize;
+        let n_locations = self.shared.world.pop.n_locations() as usize;
         let ptts = &self.shared.ptts;
-        let mut states: Vec<crate::person::PersonSlot> = (0..n_people)
-            .map(|p| crate::person::PersonSlot::new(p as u32, ptts))
+        let mut states: Vec<PersonSlot> = (0..n_people)
+            .map(|p| PersonSlot::new(p as u32, ptts))
             .collect();
         let mut features = vec![LocationDayFeatures::default(); n_locations];
-        let n_pm = self.n_pm;
+        let n_pm = self.shared.world.k();
         for (id, chare) in self.runtime.into_chares() {
             let any = chare.into_any();
             if id.0 < n_pm {
@@ -550,26 +512,8 @@ impl Simulator {
     /// Run the full simulation and also return the final person states
     /// (carrying the transmission tree) and per-location accumulated
     /// dynamic features.
-    pub fn run_collecting(
-        mut self,
-    ) -> (
-        SimRun,
-        Vec<crate::person::PersonSlot>,
-        Vec<LocationDayFeatures>,
-    ) {
-        let population = self.shared.pop.n_people() as u64;
-        let seeds = self.cfg.initial_infections.min(self.shared.pop.n_people()) as u64;
-        let mut carry = Carry::new(self.cfg.interventions.clone(), seeds);
-        let days = self.cfg.days;
-        let (day_stats, perf, _extinct) = self.run_days(0, days, &mut carry);
-        let run = SimRun {
-            curve: EpiCurve {
-                population,
-                seeds,
-                days: day_stats,
-            },
-            perf,
-        };
+    pub fn run_collecting(mut self) -> (SimRun, Vec<PersonSlot>, Vec<LocationDayFeatures>) {
+        let run = self.run_all();
         let (states, features) = self.dismantle();
         (run, states, features)
     }
@@ -591,8 +535,15 @@ impl Simulator {
 
     /// Run the full simulation.
     pub fn run(mut self) -> SimRun {
-        let population = self.shared.pop.n_people() as u64;
-        let seeds = self.cfg.initial_infections.min(self.shared.pop.n_people()) as u64;
+        self.run_all()
+    }
+
+    fn run_all(&mut self) -> SimRun {
+        let population = self.shared.world.pop.n_people() as u64;
+        let seeds = self
+            .cfg
+            .initial_infections
+            .min(self.shared.world.pop.n_people()) as u64;
         let mut carry = Carry::new(self.cfg.interventions.clone(), seeds);
         let days = self.cfg.days;
         let (day_stats, perf, _extinct) = self.run_days(0, days, &mut carry);

@@ -43,7 +43,19 @@ impl WorkloadLayout {
     }
 }
 
-/// Build the 2-constraint workload graph for a population.
+/// Build the 2-constraint workload graph for a population, with the
+/// static model's location loads ([`location_static_loads`]).
+pub fn build_workload_graph(
+    pop: &Population,
+    model: &PiecewiseModel,
+    units: LoadUnits,
+) -> (CsrGraph, WorkloadLayout) {
+    build_workload_graph_with(pop, &location_static_loads(pop, model, units))
+}
+
+/// Build the 2-constraint workload graph for a population whose location
+/// `l` weighs `location_loads[l]` in the location phase: the static model
+/// at set-up, measured loads when the §VII rebalancer re-partitions.
 ///
 /// The CSR is written directly, in O(visits): a person's visits are
 /// contiguous, so their few locations are sorted and merged in place to
@@ -53,10 +65,9 @@ impl WorkloadLayout {
 ///
 /// # Panics
 /// If `pop.visits` is not grouped by person as `pop.person_offsets` says.
-pub fn build_workload_graph(
+pub fn build_workload_graph_with(
     pop: &Population,
-    model: &PiecewiseModel,
-    units: LoadUnits,
+    location_loads: &[u64],
 ) -> (CsrGraph, WorkloadLayout) {
     let layout = WorkloadLayout {
         n_people: pop.n_people(),
@@ -111,11 +122,7 @@ pub fn build_workload_graph(
         }
     }
 
-    // Location weights: the static model at the location's event count.
-    for (l, load) in location_static_loads(pop, model, units)
-        .into_iter()
-        .enumerate()
-    {
+    for (l, &load) in location_loads.iter().enumerate() {
         vwgt[2 * (n_people + l) + 1] = load;
     }
     (CsrGraph::from_parts(2, xadj, adjncy, adjwgt, vwgt), layout)
@@ -157,16 +164,11 @@ mod tests {
 
     /// The construction this module replaced: every visit as a unit edge,
     /// sorted and merged by `GraphBuilder`.
-    fn reference_graph(pop: &Population) -> CsrGraph {
+    fn reference_graph(pop: &Population, loads: &[u64]) -> CsrGraph {
         let layout = WorkloadLayout {
             n_people: pop.n_people(),
             n_locations: pop.n_locations(),
         };
-        let loads = location_static_loads(
-            pop,
-            &PiecewiseModel::paper_constants(),
-            LoadUnits::default(),
-        );
         let mut b = GraphBuilder::new(layout.n_vertices(), 2);
         for p in 0..pop.n_people() {
             let visits = pop.person_offsets[p as usize + 1] - pop.person_offsets[p as usize];
@@ -205,7 +207,22 @@ mod tests {
                     LoadUnits::default(),
                 );
                 g.validate().unwrap();
-                assert_eq!(g, reference_graph(pop), "{people} people, seed {seed}");
+                let loads = location_static_loads(
+                    pop,
+                    &PiecewiseModel::paper_constants(),
+                    LoadUnits::default(),
+                );
+                assert_eq!(
+                    g,
+                    reference_graph(pop, &loads),
+                    "{people} people, seed {seed}"
+                );
+                // A non-static load vector, as the rebalancer measures.
+                let measured: Vec<u64> = (0..pop.n_locations() as u64)
+                    .map(|l| (l * 7919 + seed) % 53 + 1)
+                    .collect();
+                let (g, _) = build_workload_graph_with(pop, &measured);
+                assert_eq!(g, reference_graph(pop, &measured), "measured loads");
             }
         }
     }

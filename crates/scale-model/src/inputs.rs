@@ -2,6 +2,7 @@
 //! distribution — exact counts, no sampling.
 
 use episim_core::distribution::DataDistribution;
+use episim_core::workload::location_static_loads;
 use load_model::{LoadUnits, PiecewiseModel};
 use std::collections::HashMap;
 
@@ -50,9 +51,10 @@ pub fn inputs_from_distribution(
     model: &PiecewiseModel,
     units: LoadUnits,
 ) -> PartitionInputs {
-    let k = dist.k as usize;
+    let k = dist.k() as usize;
+    let (person_part, location_part) = (dist.person_part(), dist.location_part());
     let mut inputs = PartitionInputs {
-        k: dist.k,
+        k: dist.k(),
         person_visits: vec![0; k],
         location_load: vec![0; k],
         remote_out: vec![0; k],
@@ -61,21 +63,18 @@ pub fn inputs_from_distribution(
         fanout: vec![0; k],
     };
 
-    // Location event counts → static loads.
-    let mut events = vec![0u64; dist.pop.locations.len()];
-    for v in &dist.pop.visits {
-        events[v.location.0 as usize] += 2;
-    }
-    for (l, &e) in events.iter().enumerate() {
-        let part = dist.location_part[l] as usize;
-        inputs.location_load[part] += model.eval_units(e as f64, units.per_second);
+    for (l, load) in location_static_loads(&dist.pop, model, units)
+        .into_iter()
+        .enumerate()
+    {
+        inputs.location_load[location_part[l] as usize] += load;
     }
 
     // Visit traffic.
     let mut pairs: HashMap<(u32, u32), u64> = HashMap::new();
     for v in &dist.pop.visits {
-        let src = dist.person_part[v.person.0 as usize];
-        let dst = dist.location_part[v.location.0 as usize];
+        let src = person_part[v.person.0 as usize];
+        let dst = location_part[v.location.0 as usize];
         inputs.person_visits[src as usize] += 1;
         if src == dst {
             inputs.local[src as usize] += 1;

@@ -28,9 +28,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use synthpop::{Population, PopulationConfig};
 
-/// The server's world budget: about 300 worlds of 2k people (≈ 220 KB
-/// each), or two of the largest a spec may ask for (`MAX_POP_SIZE`
-/// people, ≈ 22 MB each).
+/// The server's world budget: about 120 worlds of 2k people (≈ 560 KB
+/// each, the sweep layout included), or one of the largest a spec may
+/// ask for (`MAX_POP_SIZE` people, ≈ 56 MB).
 pub(crate) const WORLD_CACHE_BUDGET: usize = 64 << 20;
 
 /// Everything a world depends on, and nothing else: the cache key. DSL
@@ -327,6 +327,30 @@ mod tests {
         let built = spec.build();
         built.sweep_layout();
         built.heap_bytes()
+    }
+
+    /// A world is charged its population's arrays; per person its
+    /// partition, local slot and entry in its partition's list; per
+    /// location those three and its original id; two offset arrays of
+    /// `k + 1`; and, once built, the sweep layout.
+    #[test]
+    fn the_charge_covers_the_index_maps_and_the_sweep_layout() {
+        use std::mem::size_of_val;
+        let spec = world("maps", 300, 3);
+        let w = spec.build();
+        let pop = &w.pop;
+        let arrays = pop.code.len()
+            + size_of_val(pop.people.as_slice())
+            + size_of_val(pop.locations.as_slice())
+            + size_of_val(pop.visits.as_slice())
+            + size_of_val(pop.person_offsets.as_slice());
+        let (people, locations) = (pop.n_people() as usize, pop.n_locations() as usize);
+        let maps = 4 * (3 * people + 4 * locations + 2 * (3 + 1));
+        assert_eq!(w.heap_bytes(), arrays + maps);
+        assert_eq!(
+            charged(&spec),
+            arrays + maps + w.sweep_layout().heap_bytes()
+        );
     }
 
     /// With room for one and a half small worlds, a second small world

@@ -21,8 +21,8 @@ fn main() {
     // A hostile starting point: round-robin persons, but every location
     // piled onto partition 0 (as if a naive mapping ignored the location
     // phase entirely).
-    let mut dist = DataDistribution::build(&pop, Strategy::RoundRobin, 8, 31);
-    dist.location_part.iter_mut().for_each(|p| *p = 0);
+    let rr = DataDistribution::build(&pop, Strategy::RoundRobin, 8, 31);
+    let dist = rr.with_partition(rr.person_part().to_vec(), vec![0; rr.location_part().len()]);
 
     let cfg = SimConfig {
         days: 60,

@@ -76,7 +76,7 @@ fn main() {
     // Surrogate screen: bond percolation on the static contact graph,
     // shared uniforms across points, so the ranking is monotone in r.
     // Promote the upper half of the grid to full simulation.
-    let graph = surrogate::ContactGraph::build(&world.pop);
+    let graph = surrogate::ContactGraph::build(&world.dist.pop);
     let scores = surrogate::screen(&graph, &world, &spec);
     let keep = (spec.points.len() + 1) / 2;
     let survivors = surrogate::promote_top_k(&scores, keep);

@@ -95,7 +95,7 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
         if rep == 0 {
             row.hwm_after = vm_hwm_mb();
         }
-        row.edge_cut = dist.quality.as_ref().map_or(0, |q| q.edge_cut);
+        row.edge_cut = dist.quality().map_or(0, |q| q.edge_cut);
         drop(dist);
 
         let (split_pop, split) = timed(|| {
@@ -265,11 +265,10 @@ fn main() {
     for strategy in Strategy::ALL {
         let dist = DataDistribution::build(&pop, strategy, 64, 1);
         let loads = location_static_loads(&dist.pop, &model, LoadUnits::default());
-        let sub = speedup_upper_bound(&loads, &dist.location_part, dist.k);
+        let sub = speedup_upper_bound(&loads, dist.location_part(), dist.k());
         let ceiling = sub_ceiling(&loads);
         let cut = dist
-            .quality
-            .as_ref()
+            .quality()
             .map(|q| q.edge_cut.to_string())
             .unwrap_or_else(|| "-".into());
         println!(

@@ -108,13 +108,15 @@ fn net_engine_matches_sequential_across_process_counts() {
 /// partition there, not only those its rank hosts in the run it joins.
 /// Two net runs in a row with no [`align_to_invocation`], shaped like a
 /// strong-scaling loop: the second run's worker replays the first. The
-/// reference runs on a clone, so `dist` has no layout built and each rank
-/// of the first run lays out only its own partitions.
+/// reference runs on a new world of the same partition (a clone would
+/// share the layout it builds), so `dist` has no layout built and each
+/// rank of the first run lays out only its own partitions.
 #[test]
 fn net_worker_replaying_an_earlier_run_lays_out_every_partition() {
     let pop = pop();
     let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
-    let reference = curve_hash_under(&dist.clone(), 5, RuntimeConfig::sequential(4));
+    let same = dist.with_partition(dist.person_part().to_vec(), dist.location_part().to_vec());
+    let reference = curve_hash_under(&same, 5, RuntimeConfig::sequential(4));
     for n_pes in [2, 4] {
         let net = curve_hash_under(&dist, 5, RuntimeConfig::net(n_pes, 2));
         assert_eq!(net, reference, "net({n_pes}, 2) diverged");
@@ -444,7 +446,7 @@ fn transmission_tree_identical_across_engines() {
     let on_root: Vec<usize> = (0..states.len())
         .filter(|&p| {
             net.smp
-                .same_process(0, pe_for_partition(dist.person_part[p], 4, 4))
+                .same_process(0, pe_for_partition(dist.person_part()[p], 4, 4))
         })
         .collect();
     assert!(

@@ -63,8 +63,8 @@ fn max_lane(dist: &DataDistribution, k: u32) -> u64 {
     let mut lane = vec![0u64; (k * k) as usize];
     for p in 0..dist.pop.n_people() {
         for v in dist.pop.visits_of(PersonId(p)) {
-            let pm = dist.person_part[p as usize];
-            let lm = dist.location_part[v.location.0 as usize];
+            let pm = dist.person_part()[p as usize];
+            let lm = dist.location_part()[v.location.0 as usize];
             lane[(pm * k + lm) as usize] += 1;
         }
     }

@@ -153,7 +153,7 @@ fn surrogate_screen_never_discards_the_true_top_k() {
     });
 
     // Surrogate ranking over the same spec.
-    let graph = surrogate::ContactGraph::build(&world.pop);
+    let graph = surrogate::ContactGraph::build(&world.dist.pop);
     assert!(graph.n_edges() > 0, "contact graph must not be empty");
     let scores = surrogate::screen(&graph, &world, &spec);
 

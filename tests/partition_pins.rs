@@ -15,7 +15,7 @@ use episimdemics::synthpop::{Population, PopulationConfig};
 /// FNV-1a over `person_part ‖ location_part`, little-endian.
 fn assignment_hash(d: &DataDistribution) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
-    for &p in d.person_part.iter().chain(&d.location_part) {
+    for &p in d.person_part().iter().chain(d.location_part()) {
         for b in p.to_le_bytes() {
             h = (h ^ b as u64).wrapping_mul(0x100000001b3);
         }
@@ -34,7 +34,7 @@ fn check(pins: &[Pin]) {
     for &(people, strategy, k, seed, hash, cut) in pins {
         let pop = Population::generate(&PopulationConfig::small("EPB", people, seed));
         let d = DataDistribution::build(&pop, strategy, k, seed);
-        let got = (assignment_hash(&d), d.quality.map(|q| q.edge_cut));
+        let got = (assignment_hash(&d), d.quality().map(|q| q.edge_cut));
         if got != (hash, cut) {
             wrong.push(format!(
                 "{people} people, {}, k={k}, seed {seed}: got ({:#018x}, {:?})",
