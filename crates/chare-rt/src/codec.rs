@@ -2,9 +2,9 @@
 //! format decisions live, as Charm++'s PUP framework is for messages,
 //! checkpoints and migrated chares (paper §II-C).
 //!
-//! The formats themselves (the net wire, `SimMsg`, the EPCK checkpoint
-//! and person shard, the EPRC recovery shard, the resilient meta record,
-//! the episerve payloads) write their own fields with
+//! The formats themselves (the net wire, `SimMsg`, the EPRC recovery
+//! shard — every checkpoint is one — with the person shard and the meta
+//! record inside it, the episerve payloads) write their own fields with
 //! [`bytes::BufMut`] and read them with the shim's fallible `try_get_*`
 //! getters, so a short buffer is an error at the read that hits it. This
 //! module supplies the rest:

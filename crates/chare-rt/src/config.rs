@@ -73,12 +73,6 @@ pub struct NetConfig {
     /// Total process count (root + workers). `1` runs the net engine's
     /// compute loop without any sockets.
     pub n_procs: u32,
-    /// Fault-injection knob for the conformance suite: the worker with this
-    /// rank exits abruptly when it enters phase [`NetConfig::kill_phase`].
-    /// `u32::MAX` (the default) disables the kill.
-    pub kill_rank: u32,
-    /// Phase number (1-based) at which `kill_rank` dies.
-    pub kill_phase: u32,
     /// Deadline in milliseconds for the socket mesh to come up (worker
     /// spawn → HELLO → PEERS → MESH_OK).
     pub connect_timeout_ms: u32,
@@ -106,8 +100,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             n_procs: 1,
-            kill_rank: u32::MAX,
-            kill_phase: 0,
             connect_timeout_ms: 30_000,
             transport: NetTransport::Auto,
             shm_ring_bytes: 256 * 1024,
@@ -286,7 +278,7 @@ mod tests {
         assert_eq!(cfg.smp.process_of(3), 1);
         assert_eq!(cfg.smp.process_of(7), 3);
         assert_eq!(cfg.net.n_procs, 4);
-        assert_eq!(cfg.net.kill_rank, u32::MAX);
+        assert_eq!(cfg.faults.proc_kill_rank, u32::MAX);
         assert!(cfg.watchdog_secs > 0, "net mode must default to a watchdog");
     }
 

@@ -60,9 +60,9 @@ pub use chare::{Chare, ChareId, Ctx, Message};
 pub use config::{AggregationConfig, ExecMode, NetConfig, NetTransport, RuntimeConfig, SmpConfig};
 pub use faults::{FaultPlan, FaultRng, PacketFate, PlanFaults};
 pub use net::{
-    align_to_invocation, read_frame, worker_target, write_frame, write_frames, Backoff, EpochStore,
-    FrameBuf, NetEngine, PeerHealth, Polled, RecoveryError, RecoverySnapshot, TransportError,
-    KILL_EXIT, MAX_FRAME, TRANSPORT_EXIT,
+    align_to_invocation, commit_file, read_frame, worker_target, write_frame, write_frames,
+    Backoff, EpochStore, FrameBuf, NetEngine, PeerHealth, Polled, RecoveryError, RecoverySnapshot,
+    TransportError, KILL_EXIT, MAX_FRAME, TRANSPORT_EXIT,
 };
 pub use runtime::Runtime;
 pub use stats::{PeStats, PhaseStats};

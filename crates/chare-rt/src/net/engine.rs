@@ -54,8 +54,8 @@ const PARK_SPIN: u32 = 200;
 /// and the comm thread rings it after every TCP event and every failure —
 /// it only bounds how stale the watchdog and failure-flag checks can get.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-/// Exit code of a worker killed by the `kill_rank`/`kill_phase` fault
-/// knob.
+/// Exit code of a worker killed by a [`crate::FaultPlan::proc_kill`]
+/// fault.
 pub const KILL_EXIT: i32 = 17;
 /// Exit code of a worker that shut down *cleanly* after a transport
 /// failure (peer loss, root abort). Distinct from 101 (a Rust panic) so

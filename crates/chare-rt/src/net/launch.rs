@@ -204,11 +204,7 @@ pub(crate) fn spawn_mesh_root(
         if let Some((fd, mode)) = shm {
             cmd.env(ENV_SHM_FD, fd.to_string()).env(ENV_SHM_MODE, mode);
         }
-        if cfg.net.kill_rank == rank {
-            cmd.env(ENV_KILL_PHASE, cfg.net.kill_phase.to_string());
-        } else if cfg.faults.proc_kill_rank == rank {
-            // Process-level fault plan: same kill mechanism, scheduled via
-            // the chaos knobs instead of the net-specific legacy pair.
+        if cfg.faults.proc_kill_rank == rank {
             cmd.env(ENV_KILL_PHASE, cfg.faults.proc_kill_phase.to_string());
         }
         if cfg.faults.proc_stall_rank == rank {

@@ -15,8 +15,10 @@
 //! - [`comm`] — the per-process comm thread and its shared state
 //! - [`launch`] — SPMD self-exec launcher, mesh wiring, shm inheritance
 //! - [`engine`] — [`NetEngine`], the phase loop itself
-//! - [`recovery`] — CRC-framed epoch snapshots, the on-disk epoch store,
-//!   and the jittered backoff shared by reconnects and respawns (§10)
+//! - [`recovery`] — CRC-framed epoch snapshots (a checkpoint is the
+//!   one-rank case), the on-disk epoch store, the one durable file
+//!   write, and the jittered backoff shared by reconnects and respawns
+//!   (§10)
 //!
 //! Two transports coexist (DESIGN.md §8): loopback TCP (always present;
 //! carries mesh setup and heartbeats, and everything on links without a
@@ -50,7 +52,7 @@ pub mod wire;
 
 pub use engine::{NetEngine, KILL_EXIT, TRANSPORT_EXIT};
 pub use launch::{align_to_invocation, worker_target};
-pub use recovery::{Backoff, EpochStore, PeerHealth, RecoveryError, RecoverySnapshot};
+pub use recovery::{commit_file, Backoff, EpochStore, PeerHealth, RecoveryError, RecoverySnapshot};
 pub use transport::{read_frame, write_frame, write_frames, FrameBuf, Polled, MAX_FRAME};
 
 /// A transport-layer failure: a peer disconnected, a frame failed to

@@ -6,19 +6,22 @@
 //! runs, so a long-lived job must survive process loss. This module holds
 //! the engine-agnostic half of that story:
 //!
-//! * [`RecoverySnapshot`] — the CRC-sealed per-rank epoch shard codec. A
-//!   shard carries one process's chare-state blobs plus an opaque driver
-//!   `meta` blob (counters, intervention state, the curve so far — the
-//!   driver decides). The snapshot also records how many messages were
-//!   still in flight (sent, not yet consumed) when it was taken; the
-//!   coordinated barrier guarantees that number is zero, and `decode`
-//!   re-checks it so a snapshot taken outside a quiescent point can never
-//!   be replayed.
-//! * [`EpochStore`] — a directory of epoch shards with torn-write-safe
-//!   commits (temp file + fsync + atomic rename) and a *commit rule*: an
-//!   epoch is committed iff the shards of **all** ranks exist and
-//!   CRC-validate. Recovery resumes from the highest committed epoch; the
-//!   last `keep` committed epochs are retained, older ones pruned.
+//! * [`RecoverySnapshot`] — the CRC-sealed per-rank epoch shard codec,
+//!   and the workspace's one snapshot format: a pause/resume checkpoint
+//!   is the one-rank case (`episim-core::checkpoint`). A shard carries
+//!   one process's chare-state blobs plus an opaque driver `meta` blob
+//!   (counters, intervention state, the curve so far — the driver
+//!   decides). The snapshot also records how many messages were still in
+//!   flight (sent, not yet consumed) when it was taken; the coordinated
+//!   barrier guarantees that number is zero, and `decode` re-checks it so
+//!   a snapshot taken outside a quiescent point can never be replayed.
+//! * [`commit_file`] — the one torn-write-safe file write (temp file +
+//!   fsync + atomic rename), used by every shard and every checkpoint.
+//! * [`EpochStore`] — a directory of epoch shards written through
+//!   [`commit_file`], with a *commit rule*: an epoch is committed iff the
+//!   shards of **all** ranks exist and CRC-validate. Recovery resumes from
+//!   the highest committed epoch; the last `keep` committed epochs are
+//!   retained, older ones pruned.
 //! * [`Backoff`] — deterministic jittered exponential backoff, shared by
 //!   the launcher's connect/accept retries and the recovery driver's
 //!   respawn loop.
@@ -56,7 +59,10 @@ pub enum RecoveryError {
         /// The rank whose shard is absent or invalid.
         rank: u32,
     },
-    /// A shard's header disagrees with the epoch being loaded.
+    /// The shards do not form one consistent state of this run: a header
+    /// disagrees with the epoch being loaded, the meta records diverge,
+    /// the persons are not exactly the ids `0..n`, or the state does not
+    /// fit the population or the run it is resumed into.
     ShardMismatch(String),
     /// Filesystem failure (message carries the `io::Error` text).
     Io(String),
@@ -79,7 +85,7 @@ impl fmt::Display for RecoveryError {
             RecoveryError::MissingShard { epoch, rank } => {
                 write!(f, "epoch {epoch} is missing rank {rank}'s shard")
             }
-            RecoveryError::ShardMismatch(why) => write!(f, "shard header mismatch: {why}"),
+            RecoveryError::ShardMismatch(why) => write!(f, "shard mismatch: {why}"),
             RecoveryError::Io(e) => write!(f, "recovery store I/O: {e}"),
             RecoveryError::Exhausted { attempts, last } => {
                 write!(
@@ -184,8 +190,8 @@ impl RecoverySnapshot {
 /// On-disk store of coordinated checkpoint epochs.
 ///
 /// Layout: `<dir>/epoch-<E>.rank-<R>.rsnap`, one shard per rank per epoch.
-/// Shard writes are torn-write-safe (temp + fsync + rename); the commit
-/// rule is structural — an epoch exists iff every rank's shard decodes.
+/// Shard writes go through [`commit_file`]; the commit rule is
+/// structural — an epoch exists iff every rank's shard decodes.
 #[derive(Debug, Clone)]
 pub struct EpochStore {
     dir: PathBuf,
@@ -203,38 +209,20 @@ impl EpochStore {
         })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn shard_path(&self, epoch: u64, rank: u32) -> PathBuf {
         self.dir
             .join(format!("epoch-{epoch:08}.rank-{rank:04}.rsnap"))
     }
 
-    /// Durably write one rank's shard: temp file in the same directory,
-    /// fsync, atomic rename over the final name, then best-effort
-    /// directory fsync so the rename itself survives power loss.
+    /// Durably write one rank's shard ([`commit_file`]).
     pub fn commit_shard(&self, snap: &RecoverySnapshot) -> Result<(), RecoveryError> {
         if snap.in_flight != 0 {
             return Err(RecoveryError::NotQuiescent(snap.in_flight));
         }
-        let finale = self.shard_path(snap.epoch, snap.rank);
-        let tmp = self.dir.join(format!(
-            ".epoch-{:08}.rank-{:04}.tmp",
-            snap.epoch, snap.rank
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&snap.encode())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &finale)?;
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        Ok(commit_file(
+            &self.shard_path(snap.epoch, snap.rank),
+            &snap.encode(),
+        )?)
     }
 
     /// Load one rank's shard of an epoch.
@@ -325,6 +313,26 @@ impl EpochStore {
             }
         }
     }
+}
+
+/// Write `bytes` to `path` so that a crash leaves either the old file or
+/// the new one, never a hybrid: a temp file `.<name>.tmp` in the same
+/// directory (a name [`EpochStore`] never reads as a shard), write,
+/// fsync, atomic rename over `path`, then a best-effort directory fsync
+/// so the rename itself survives power loss.
+pub fn commit_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.tmp"));
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    if let Some(d) = path.parent().and_then(|d| fs::File::open(d).ok()) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 /// Parse `epoch-<E>.rank-<R>.rsnap`, returning the epoch.
@@ -541,7 +549,7 @@ mod tests {
     #[test]
     fn epoch_filename_parse() {
         assert_eq!(parse_epoch("epoch-00000012.rank-0003.rsnap"), Some(12));
-        assert_eq!(parse_epoch(".epoch-00000012.rank-0003.tmp"), None);
+        assert_eq!(parse_epoch(".epoch-00000012.rank-0003.rsnap.tmp"), None);
         assert_eq!(parse_epoch("garbage"), None);
     }
 }

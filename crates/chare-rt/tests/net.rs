@@ -142,8 +142,7 @@ fn net_wire_counters_account_for_cross_process_traffic() {
 #[test]
 fn net_killed_worker_surfaces_transport_error() {
     let mut cfg = RuntimeConfig::net(4, 2);
-    cfg.net.kill_rank = 1;
-    cfg.net.kill_phase = 2;
+    cfg.faults = FaultPlan::proc_kill(0, 1, 2);
     let mut rt = build(cfg);
     rt.run_phase(vec![(
         ChareId(0),
@@ -181,8 +180,7 @@ fn net_killed_worker_surfaces_transport_error() {
 #[test]
 fn net_killed_worker_survivors_exit_cleanly() {
     let mut cfg = RuntimeConfig::net(4, 4);
-    cfg.net.kill_rank = 2;
-    cfg.net.kill_phase = 2;
+    cfg.faults = FaultPlan::proc_kill(0, 2, 2);
     let mut rt = build(cfg);
     rt.run_phase(vec![(
         ChareId(0),
@@ -295,8 +293,7 @@ fn net_mixed_transport_matches_sequential() {
 fn net_killed_worker_exit_codes_forced_tcp() {
     let mut cfg = RuntimeConfig::net(4, 4);
     cfg.net.transport = NetTransport::Tcp;
-    cfg.net.kill_rank = 2;
-    cfg.net.kill_phase = 2;
+    cfg.faults = FaultPlan::proc_kill(0, 2, 2);
     let mut rt = build(cfg);
     rt.run_phase(vec![(
         ChareId(0),
@@ -334,8 +331,7 @@ fn net_killed_worker_exit_codes_forced_tcp() {
 fn net_killed_worker_exit_codes_forced_shm() {
     let mut cfg = RuntimeConfig::net(4, 4);
     cfg.net.transport = NetTransport::Shm;
-    cfg.net.kill_rank = 2;
-    cfg.net.kill_phase = 2;
+    cfg.faults = FaultPlan::proc_kill(0, 2, 2);
     let mut rt = build(cfg);
     rt.run_phase(vec![(
         ChareId(0),
@@ -444,8 +440,7 @@ fn zombie_children() -> usize {
 fn assert_no_zombies_after_kill(transport: NetTransport) {
     let mut cfg = RuntimeConfig::net(4, 4);
     cfg.net.transport = transport;
-    cfg.net.kill_rank = 2;
-    cfg.net.kill_phase = 2;
+    cfg.faults = FaultPlan::proc_kill(0, 2, 2);
     let mut rt = build(cfg);
     rt.run_phase(vec![(
         ChareId(0),
@@ -679,10 +674,7 @@ fn failure_wakes_a_parked_root(transport: NetTransport, fault: Fault) {
     cfg.net.heartbeat_interval_ms = 50;
     cfg.net.heartbeat_timeout_ms = TIMEOUT_MS;
     match fault {
-        Fault::Kill => {
-            cfg.net.kill_rank = 1;
-            cfg.net.kill_phase = 2;
-        }
+        Fault::Kill => cfg.faults = FaultPlan::proc_kill(0, 1, 2),
         Fault::Stall => cfg.faults = FaultPlan::proc_stall(7, 1, 2, 5_000),
     }
     let mut rt: Runtime<Hop> = Runtime::new(cfg);

@@ -1,5 +1,5 @@
-//! Checkpoint/restart for long simulations, and the records a recovery
-//! shard shares with it.
+//! Checkpoint/restart for long simulations, and the records every
+//! snapshot is built from.
 //!
 //! A checkpoint captures everything a resumed run needs to continue
 //! *bit-exactly*: the next day to simulate, the global epidemic counters,
@@ -7,55 +7,47 @@
 //! transmission provenance. Location state needs no capture — visit buffers
 //! are empty at day boundaries and the DES is stateless across days.
 //!
-//! Binary layout (little-endian):
+//! There is one snapshot format, the CRC-sealed recovery shard
+//! ([`chare_rt::RecoverySnapshot`]), and a checkpoint is the one-rank case
+//! of a recovery epoch. [`Checkpoint::shard`] builds every shard:
 //!
 //! ```text
-//! magic "EPCK" | version u32
+//! shard   := epoch = next_day | next_phase = 2·next_day + 1 | rank | n_ranks
+//!            | in_flight = 0 | meta | chares: (chare id, persons) × n
+//! meta    := carry header | days: n u32 + day × n
 //! carry header := next_day u32 | seeds u64 | cumulative u64 | yd_new u64
 //!                 | yd_infected u64
 //!                 | fired: n u32 + u8 × n
 //!                 | active windows: n u32 + (source u32, end_day u32) × n
-//! persons: n u32 + person × n
-//! crc32 u32 over every preceding byte (v2; torn-write detection)
-//!
-//! person := state u16, days_remaining u32, treatment u16, sus_scale f32,
-//!           infected_on u32, infected_by u32
-//!           (u32::MAX encodes "none"; pending infections are always empty
-//!            at day boundaries and are not stored)
+//! persons := n u32 + person × n
+//! person  := id u32, state u16, days_remaining u32, treatment u16,
+//!            sus_scale f32, infected_on u32, infected_by u32
+//!            (u32::MAX encodes "none"; pending infections are always
+//!             empty at day boundaries and are not stored)
+//! day     := day u32 + 14 × u64 in DayStats field order
 //! ```
 //!
-//! Two more records are built from the same pieces, and live here so each
-//! piece is written once:
-//! - the *person shard* ([`encode_person_shard`]), a PersonManager's blob in
-//!   a recovery shard: `n u32 + (id u32, person) × n`;
-//! - the *meta record* ([`encode_meta`]), the rank-identical part of a
-//!   recovery shard written by [`crate::resilient`]: `carry header | days:
-//!   n u32 + day × n`, where `day := day u32 + 14 × u64` in [`DayStats`]
-//!   field order ([`put_day`]; episerve's day event carries the same
-//!   record).
-//!
-//! Neither carries its own CRC: the enclosing recovery shard's covers
-//! both.
-//!
-//! [`Checkpoint::save`] is torn-write-safe: it writes to a temp file in
-//! the target directory, fsyncs, and atomically renames — a crash during
-//! save leaves either the old file or the new one, never a hybrid, and a
-//! partial temp file can never be mistaken for a checkpoint because the
-//! CRC trailer will not validate.
+//! [`Checkpoint::encode`] writes rank 0 of 1 with no curve and every person
+//! in one blob; [`crate::resilient`] writes one shard per rank, with each
+//! PersonManager's blob and the curve so far in the meta record, and
+//! episerve's day event carries the `day` record. Either way
+//! [`Checkpoint::from_shards`] assembles the persons back into one table
+//! indexed by id, and [`crate::simulator::Simulator::resume`] rebuilds the
+//! run. [`Checkpoint::save`] writes through [`chare_rt::commit_file`], so a
+//! crash mid-save leaves the old file or the new one, never a hybrid.
 
 use crate::output::DayStats;
 use crate::person::PersonSlot;
 use crate::simulator::Carry;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use chare_rt::codec::{self, CodecError};
+use chare_rt::{commit_file, RecoveryError, RecoverySnapshot};
 use ptts::intervention::{InterventionSet, InterventionSnapshot};
 use ptts::model::{HealthTracker, StateId, TreatmentId};
-use std::io::Write;
+use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"EPCK";
-const VERSION: u32 = 2;
 /// Encoded bytes of one person record.
-const PERSON_WIRE: usize = 20;
+const PERSON_WIRE: usize = 24;
 /// Encoded bytes of one [`DayStats`] record.
 const DAY_WIRE: usize = 4 + 14 * 8;
 
@@ -99,7 +91,7 @@ pub fn capture(next_day: u32, seeds: u64, carry: &Carry, states: Vec<PersonSlot>
 impl Checkpoint {
     /// Rebuild the [`Carry`] for resumption, given the intervention
     /// configuration (which is part of `SimConfig`, not the checkpoint).
-    pub fn to_carry(&self, interventions: &InterventionSet) -> Carry {
+    pub(crate) fn to_carry(&self, interventions: &InterventionSet) -> Carry {
         Carry {
             interventions: InterventionSet::restore(
                 interventions.interventions().to_vec(),
@@ -111,33 +103,81 @@ impl Checkpoint {
         }
     }
 
-    /// Serialize.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.states.len() * PERSON_WIRE);
-        codec::put_header(&mut buf, MAGIC, VERSION);
-        self.put_carry(&mut buf);
-        buf.put_u32_le(self.states.len() as u32);
-        for s in &self.states {
-            put_person(&mut buf, s);
+    /// Rank `rank`'s shard of the `n_ranks`-rank epoch `next_day`: this
+    /// checkpoint's carry header and the curve `days` as the meta record
+    /// (its person table is not part of it), and `chares` as the blobs.
+    pub fn shard(
+        &self,
+        rank: u32,
+        n_ranks: u32,
+        days: &[DayStats],
+        chares: Vec<(u32, Vec<u8>)>,
+    ) -> RecoverySnapshot {
+        RecoverySnapshot {
+            epoch: self.next_day as u64,
+            next_phase: self.next_day as u64 * 2 + 1,
+            rank,
+            n_ranks,
+            in_flight: 0,
+            meta: encode_meta(self, days),
+            chares,
         }
-        codec::seal(buf)
     }
 
-    /// Deserialize, verifying the structure and the CRC trailer. Header
-    /// corruption is reported as `BadMagic`/`BadVersion`, short buffers as
-    /// `Truncated`, and any surviving body corruption as `BadCrc` (or
-    /// `Trailing`).
-    pub fn decode(data: &[u8]) -> Result<Checkpoint, CodecError> {
-        codec::decode_sealed(data, |buf| {
-            codec::get_header(buf, MAGIC, VERSION)?;
-            let mut ckpt = Checkpoint::get_carry(buf)?;
-            let n = codec::get_count(buf, PERSON_WIRE)?;
-            ckpt.states.reserve_exact(n);
-            for id in 0..n as u32 {
-                ckpt.states.push(get_person(buf, id)?);
+    /// Serialize as rank 0 of a one-rank epoch, every person in one blob.
+    pub fn encode(&self) -> Bytes {
+        let persons = encode_person_shard(&self.states).to_vec();
+        self.shard(0, 1, &[], vec![(0, persons)]).encode()
+    }
+
+    /// Deserialize a one-rank epoch, verifying the structure and the CRC
+    /// trailer ([`RecoveryError::Codec`]) and the person table
+    /// ([`Checkpoint::from_shards`]).
+    pub fn decode(data: &[u8]) -> Result<Checkpoint, RecoveryError> {
+        Self::from_shards(&[RecoverySnapshot::decode(data)?]).map(|(ckpt, _days)| ckpt)
+    }
+
+    /// Assemble an epoch from every rank's shard: the checkpoint, its
+    /// person table rebuilt from every shard's blobs and indexed by id,
+    /// and the curve so far. Every shard's meta record must be byte-equal
+    /// and the persons must be exactly the ids `0..n`, each once; anything
+    /// else is a [`RecoveryError::ShardMismatch`].
+    pub fn from_shards(
+        shards: &[RecoverySnapshot],
+    ) -> Result<(Checkpoint, Vec<DayStats>), RecoveryError> {
+        let mismatch = |why: String| Err(RecoveryError::ShardMismatch(why));
+        let Some(first) = shards.first() else {
+            return mismatch("an epoch needs at least one shard".into());
+        };
+        let (mut ckpt, days) = decode_meta(&first.meta)?;
+        for shard in shards {
+            if shard.meta != first.meta {
+                return mismatch(format!(
+                    "rank {} meta record diverges from rank {}'s (lockstep violated)",
+                    shard.rank, first.rank
+                ));
             }
-            Ok(ckpt)
-        })
+            for (_, blob) in &shard.chares {
+                ckpt.states.extend(decode_person_shard(blob)?);
+            }
+        }
+        // Sorted by id, the persons are exactly 0..n iff each sits at its
+        // id; at the first that does not, a smaller id is a repeat and a
+        // larger one skipped a missing person.
+        ckpt.states.sort_unstable_by_key(|s| s.id);
+        let misplaced = ckpt
+            .states
+            .iter()
+            .enumerate()
+            .find(|&(i, s)| s.id as usize != i);
+        if let Some((i, s)) = misplaced {
+            return mismatch(if (s.id as usize) < i {
+                format!("person {} is stored twice", s.id)
+            } else {
+                format!("person {i} is missing")
+            });
+        }
+        Ok((ckpt, days))
     }
 
     /// Write the carry header (everything but the person table).
@@ -186,78 +226,33 @@ impl Checkpoint {
         })
     }
 
-    /// Write to a file, torn-write-safe: temp file in the same directory,
-    /// fsync, atomic rename, then best-effort directory fsync so the
-    /// rename itself is durable.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-        let tmp = path.with_extension("epck.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = dir {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+    /// Write to a file through [`commit_file`].
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        commit_file(path, &self.encode())
     }
 
     /// Read from a file.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Checkpoint> {
-        let data = std::fs::read(path)?;
-        Self::decode(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    pub fn load(path: &Path) -> Result<Checkpoint, RecoveryError> {
+        Self::decode(&std::fs::read(path)?)
     }
 }
 
-/// Write one person record (no id: EPCK stores persons densely by id).
-fn put_person(buf: &mut BytesMut, s: &PersonSlot) {
-    buf.put_u16_le(s.health.state.0);
-    buf.put_u32_le(s.health.days_remaining);
-    buf.put_u16_le(s.health.treatment.0);
-    buf.put_f32_le(s.sus_scale);
-    buf.put_u32_le(s.infected_on.unwrap_or(u32::MAX));
-    buf.put_u32_le(s.infected_by.unwrap_or(u32::MAX));
-}
-
-/// Read one person record for person `id`.
-fn get_person(buf: &mut &[u8], id: u32) -> Result<PersonSlot, CodecError> {
-    let health = HealthTracker {
-        state: StateId(buf.try_get_u16_le()?),
-        days_remaining: buf.try_get_u32_le()?,
-        treatment: TreatmentId(buf.try_get_u16_le()?),
-    };
-    let sus_scale = buf.try_get_f32_le()?;
-    let infected_on = buf.try_get_u32_le()?;
-    let infected_by = buf.try_get_u32_le()?;
-    Ok(PersonSlot {
-        id,
-        health,
-        sus_scale,
-        pending: None,
-        infected_on: (infected_on != u32::MAX).then_some(infected_on),
-        infected_by: (infected_by != u32::MAX).then_some(infected_by),
-    })
-}
-
-/// Serialize a *subset* of persons with explicit ids — the per-chare blob
-/// of a recovery shard ([`chare_rt::RecoverySnapshot`]). Unlike the full
-/// [`Checkpoint`] person table, which stores persons densely by id, a
-/// shard holds only the persons a PersonManager owns, so each record
-/// carries its global person id.
+/// Serialize a PersonManager's persons — the per-chare blob of a shard.
 pub fn encode_person_shard(slots: &[PersonSlot]) -> Bytes {
     debug_assert!(
         slots.iter().all(|s| s.pending.is_none()),
         "pending infections must be applied before snapshotting"
     );
-    let mut buf = BytesMut::with_capacity(4 + slots.len() * (4 + PERSON_WIRE));
+    let mut buf = BytesMut::with_capacity(4 + slots.len() * PERSON_WIRE);
     buf.put_u32_le(slots.len() as u32);
     for s in slots {
         buf.put_u32_le(s.id);
-        put_person(&mut buf, s);
+        buf.put_u16_le(s.health.state.0);
+        buf.put_u32_le(s.health.days_remaining);
+        buf.put_u16_le(s.health.treatment.0);
+        buf.put_f32_le(s.sus_scale);
+        buf.put_u32_le(s.infected_on.unwrap_or(u32::MAX));
+        buf.put_u32_le(s.infected_by.unwrap_or(u32::MAX));
     }
     buf.freeze()
 }
@@ -265,11 +260,26 @@ pub fn encode_person_shard(slots: &[PersonSlot]) -> Bytes {
 /// Inverse of [`encode_person_shard`].
 pub fn decode_person_shard(data: &[u8]) -> Result<Vec<PersonSlot>, CodecError> {
     codec::decode_exact(data, |buf| {
-        let n = codec::get_count(buf, 4 + PERSON_WIRE)?;
+        let n = codec::get_count(buf, PERSON_WIRE)?;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
             let id = buf.try_get_u32_le()?;
-            slots.push(get_person(buf, id)?);
+            let health = HealthTracker {
+                state: StateId(buf.try_get_u16_le()?),
+                days_remaining: buf.try_get_u32_le()?,
+                treatment: TreatmentId(buf.try_get_u16_le()?),
+            };
+            let sus_scale = buf.try_get_f32_le()?;
+            let infected_on = buf.try_get_u32_le()?;
+            let infected_by = buf.try_get_u32_le()?;
+            slots.push(PersonSlot {
+                id,
+                health,
+                sus_scale,
+                pending: None,
+                infected_on: (infected_on != u32::MAX).then_some(infected_on),
+                infected_by: (infected_by != u32::MAX).then_some(infected_by),
+            });
         }
         Ok(slots)
     })
@@ -347,8 +357,9 @@ pub fn get_day(buf: &mut &[u8]) -> Result<DayStats, CodecError> {
 mod tests {
     use super::*;
     use crate::distribution::{DataDistribution, Strategy};
+    use crate::resilient::{run_resilient, RecoveryConfig, KEEP_EPOCHS};
     use crate::simulator::{SimConfig, Simulator};
-    use chare_rt::RuntimeConfig;
+    use chare_rt::{EpochStore, RuntimeConfig};
     use proptest::prelude::*;
     use ptts::flu_model;
     use ptts::intervention::{Action, Intervention, Trigger};
@@ -372,6 +383,40 @@ mod tests {
                     duration: 10,
                 },
             }]),
+        }
+    }
+
+    /// The version of EPRC, the snapshot format a checkpoint is written in.
+    const EPRC_VERSION: u32 = 1;
+
+    fn slot(id: u32) -> PersonSlot {
+        PersonSlot {
+            id,
+            health: HealthTracker {
+                state: StateId(1),
+                days_remaining: 4 + id,
+                treatment: TreatmentId(0),
+            },
+            sus_scale: 1.0,
+            pending: None,
+            infected_on: Some(1),
+            infected_by: None,
+        }
+    }
+
+    /// A hand-built checkpoint of `n` persons.
+    fn small(n: u32) -> Checkpoint {
+        Checkpoint {
+            next_day: 3,
+            seeds: 8,
+            cumulative: 21,
+            yesterday_new: 2,
+            yesterday_infected: 5,
+            interventions: InterventionSnapshot {
+                fired: vec![true, false],
+                active: vec![(0, 9)],
+            },
+            states: (0..n).map(slot).collect(),
         }
     }
 
@@ -400,16 +445,9 @@ mod tests {
         let ckpt = capture(15, 8, &carry, states);
         let ckpt = Checkpoint::decode(&ckpt.encode()).expect("round trip");
 
-        let mut carry2 = ckpt.to_carry(&cfg().interventions);
-        let mut sim2 = Simulator::with_states(
-            &dist,
-            flu_model(),
-            cfg(),
-            RuntimeConfig::sequential(2),
-            Some(ckpt.states.clone()),
-        );
-        let (tail, _, _) = sim2.run_days(ckpt.next_day, 30, &mut carry2);
-        days.extend(tail);
+        let rt = RuntimeConfig::sequential(2);
+        let mut r = Simulator::resume(ckpt, &dist, flu_model(), cfg(), rt).expect("resumes");
+        days.extend(r.sim.run_days(r.next_day, 30, &mut r.carry).0);
         assert_eq!(days, straight.curve.days, "restart must be bit-exact");
     }
 
@@ -418,7 +456,7 @@ mod tests {
         let ckpt = captured(5);
         let dir = std::env::temp_dir().join("episim-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.epck");
+        let path = dir.join("run.ckpt");
         ckpt.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(ckpt, loaded);
@@ -471,8 +509,8 @@ mod tests {
             prop_assert_eq!(decoded, ckpt);
         }
 
-        /// Any corruption of the magic or version header is rejected with
-        /// the matching error — never a panic, never a silent
+        /// Any corruption of the EPRC magic or version header is rejected
+        /// with the matching error — never a panic, never a silent
         /// misinterpretation — and every strict prefix is `Truncated`.
         #[test]
         fn corrupted_header_and_truncation_rejected(
@@ -480,61 +518,132 @@ mod tests {
             pos in 0usize..8,
             cut_seed in any::<u32>(),
         ) {
-            let ckpt = Checkpoint {
-                next_day: 3,
-                seeds: 8,
-                cumulative: 21,
-                yesterday_new: 2,
-                yesterday_infected: 5,
-                interventions: InterventionSnapshot {
-                    fired: vec![true, false],
-                    active: vec![(0, 9)],
-                },
-                states: vec![PersonSlot {
-                    id: 0,
-                    health: HealthTracker {
-                        state: StateId(1),
-                        days_remaining: 4,
-                        treatment: TreatmentId(0),
-                    },
-                    sus_scale: 1.0,
-                    pending: None,
-                    infected_on: Some(1),
-                    infected_by: None,
-                }],
-            };
-            let data = ckpt.encode();
+            let data = small(1).encode();
+            prop_assert_eq!(&data[..4], b"EPRC");
             let mut bad = data.to_vec();
             bad[pos] ^= flip | 1; // guarantee at least one bit changes
             match Checkpoint::decode(&bad) {
-                Err(CodecError::BadMagic) => prop_assert!(pos < 4),
-                Err(CodecError::BadVersion(v)) => {
+                Err(RecoveryError::Codec(CodecError::BadMagic)) => prop_assert!(pos < 4),
+                Err(RecoveryError::Codec(CodecError::BadVersion(v))) => {
                     prop_assert!(pos >= 4);
-                    prop_assert_ne!(v, VERSION);
+                    prop_assert_ne!(v, EPRC_VERSION);
                 }
                 other => prop_assert!(false, "corrupt header accepted: {:?}", other),
             }
             let cut = cut_seed as usize % data.len();
             prop_assert_eq!(
                 Checkpoint::decode(&data[..cut]).err(),
-                Some(CodecError::Truncated)
+                Some(RecoveryError::Codec(CodecError::Truncated))
             );
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
+        let codec = |e| Some(RecoveryError::Codec(e));
         assert_eq!(
             Checkpoint::decode(b"XXXXYYYY").err(),
-            Some(CodecError::BadMagic)
+            codec(CodecError::BadMagic)
         );
-        assert_eq!(Checkpoint::decode(b"EP").err(), Some(CodecError::Truncated));
+        assert_eq!(
+            Checkpoint::decode(b"EP").err(),
+            codec(CodecError::Truncated)
+        );
         let data = captured(2).encode();
         let mut bad_version = data.to_vec();
         bad_version[4] = 77;
+        assert_eq!(
+            Checkpoint::decode(&bad_version).err(),
+            codec(CodecError::BadVersion(77))
+        );
+    }
+
+    /// A checkpoint is the one-rank case of a recovery epoch: rank 0 of 1,
+    /// epoch `next_day`, the carry header as the meta record with no
+    /// curve, and every person in one blob.
+    #[test]
+    fn checkpoint_is_a_one_rank_recovery_epoch() {
+        let ckpt = captured(4);
+        let snap = RecoverySnapshot::decode(&ckpt.encode()).expect("an EPRC shard");
+        let head = Checkpoint {
+            states: Vec::new(),
+            ..ckpt.clone()
+        };
+        assert_eq!((snap.rank, snap.n_ranks, snap.in_flight), (0, 1, 0));
+        assert_eq!((snap.epoch, snap.next_phase), (4, 9));
+        assert_eq!(snap.meta, encode_meta(&head, &[]));
+        assert_eq!(
+            snap.chares,
+            vec![(0, encode_person_shard(&ckpt.states).to_vec())]
+        );
+    }
+
+    /// The last epoch a resilient run commits is a checkpoint like any
+    /// other: assembled by `from_shards` and rebuilt by `Simulator::resume`,
+    /// it continues bit-identical to a straight run.
+    #[test]
+    fn resilient_epoch_resumes_like_a_checkpoint() {
+        let dist = DataDistribution::build(&pop(), Strategy::GraphPartition, 4, 55);
+        let rt = RuntimeConfig::sequential(2);
+        let straight = Simulator::new(&dist, flu_model(), cfg(), rt).run().curve;
+
+        let dir = std::env::temp_dir().join(format!("episim-ckpt-epoch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let half = SimConfig { days: 15, ..cfg() };
+        run_resilient(&dist, &flu_model(), &half, &rt, &RecoveryConfig::new(&dir))
+            .expect("sequential resilient run");
+        let store = EpochStore::open(&dir, KEEP_EPOCHS).unwrap();
+        let epoch = store.latest_committed(1).expect("a committed epoch");
+        let (ckpt, mut days) = Checkpoint::from_shards(&store.load_epoch(epoch, 1).unwrap())
+            .expect("the epoch assembles");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!((epoch, ckpt.next_day, days.len()), (15, 15, 15));
+
+        let mut r = Simulator::resume(ckpt, &dist, flu_model(), cfg(), rt).expect("resumes");
+        days.extend(r.sim.run_days(r.next_day, 30, &mut r.carry).0);
+        assert_eq!(
+            days, straight.days,
+            "resume from an epoch must be bit-exact"
+        );
+    }
+
+    /// `from_shards` rejects every inconsistent epoch with a typed error.
+    #[test]
+    fn from_shards_rejects_inconsistent_epochs() {
+        let ckpt = small(3);
+        let blob = |ids: &[usize]| {
+            let slots: Vec<PersonSlot> = ids.iter().map(|&i| ckpt.states[i]).collect();
+            encode_person_shard(&slots).to_vec()
+        };
+        let shards = |a: &[usize], b: &[usize], second: &Checkpoint| {
+            [
+                ckpt.shard(0, 2, &[], vec![(0, blob(a))]),
+                second.shard(1, 2, &[], vec![(1, blob(b))]),
+            ]
+        };
+        let (back, days) = Checkpoint::from_shards(&shards(&[0, 2], &[1], &ckpt)).unwrap();
+        assert_eq!((back, days), (ckpt.clone(), Vec::new()));
+
+        let diverged = Checkpoint {
+            cumulative: ckpt.cumulative + 1,
+            ..ckpt.clone()
+        };
+        for (epoch, why) in [
+            (shards(&[0, 2], &[], &ckpt), "person 1 is missing"),
+            (shards(&[0, 2], &[1, 2], &ckpt), "person 2 is stored twice"),
+            (
+                shards(&[0, 2], &[1], &diverged),
+                "rank 1 meta record diverges",
+            ),
+        ] {
+            match Checkpoint::from_shards(&epoch) {
+                Err(RecoveryError::ShardMismatch(got)) => assert!(got.starts_with(why), "{got}"),
+                other => panic!("expected a ShardMismatch ({why}), got {other:?}"),
+            }
+        }
         assert!(matches!(
-            Checkpoint::decode(&bad_version),
-            Err(CodecError::BadVersion(77))
+            Checkpoint::from_shards(&[]),
+            Err(RecoveryError::ShardMismatch(_))
         ));
     }
 
@@ -546,7 +655,7 @@ mod tests {
         let ckpt = captured(3);
         let dir = std::env::temp_dir().join(format!("episim-ckpt-chop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.epck");
+        let path = dir.join("run.ckpt");
         ckpt.save(&path).unwrap();
         let full = std::fs::read(&path).unwrap();
 
@@ -555,7 +664,7 @@ mod tests {
             let cut = full.len() * frac / 10;
             std::fs::write(&path, &full[..cut.min(full.len() - 1)]).unwrap();
             let err = Checkpoint::load(&path).expect_err("chopped file loaded");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut {cut}");
+            assert!(matches!(err, RecoveryError::Codec(_)), "cut {cut}: {err}");
         }
 
         // A single body bit-flip past the header is a CRC failure.
@@ -566,7 +675,9 @@ mod tests {
         assert!(Checkpoint::load(&path).is_err(), "bit-flipped file loaded");
         assert!(matches!(
             Checkpoint::decode(&flipped),
-            Err(CodecError::BadCrc { .. }) | Err(CodecError::Truncated)
+            Err(RecoveryError::Codec(
+                CodecError::BadCrc { .. } | CodecError::Truncated
+            ))
         ));
 
         // And the pristine file still loads after all that.
@@ -581,11 +692,17 @@ mod tests {
     fn save_is_atomic_and_cleans_temp() {
         let ckpt = captured(2);
         let dir = std::env::temp_dir().join(format!("episim-ckpt-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.epck");
+        let path = dir.join("run.ckpt");
         ckpt.save(&path).unwrap();
         ckpt.save(&path).unwrap(); // overwrite path
-        assert!(!path.with_extension("epck.tmp").exists(), "temp lingered");
+        assert!(!dir.join(".run.ckpt.tmp").exists(), "temp lingered");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["run.ckpt"], "only the checkpoint remains");
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -73,7 +73,7 @@ pub use ensemble::{
 pub use output::{DayStats, EpiCurve};
 pub use rebalance::{run_with_rebalancing, RebalanceConfig, RebalanceRun};
 pub use resilient::{run_resilient, RecoveryConfig, ResilientRun};
-pub use simulator::{DayControl, ResumeError, Resumed, RunHalt, SimConfig, Simulator};
+pub use simulator::{DayControl, Resumed, RunHalt, SimConfig, Simulator};
 pub use splitloc::{split_heavy_locations, SplitConfig, SplitResult};
 pub use tree::{transmission_stats, TransmissionStats};
 pub use workload::build_workload_graph;

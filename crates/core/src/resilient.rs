@@ -7,10 +7,10 @@
 //! with [`chare_rt::TRANSPORT_EXIT`]. This module turns that contract
 //! into availability:
 //!
-//! * **Checkpoint.** Every `every` days — a global quiescence point, no
+//! * **Checkpoint.** After every day — a global quiescence point, no
 //!   messages in flight — each rank writes its shard of the simulation
-//!   state (its PersonManager blobs plus a rank-identical meta record,
-//!   [`crate::checkpoint::encode_meta`]: resume day, carry counters,
+//!   state ([`Checkpoint::shard`]: its PersonManager blobs plus a
+//!   rank-identical meta record holding the resume day, carry counters,
 //!   intervention state, and the curve so far) into a shared
 //!   [`EpochStore`]. An epoch counts as *committed* only once every
 //!   rank's shard exists and CRC-validates, so a crash mid-checkpoint
@@ -20,9 +20,11 @@
 //! * **Recover.** The root catches the [`chare_rt::TransportError`]
 //!   panic, reaps the surviving workers (engine teardown), sleeps a
 //!   jittered exponential [`Backoff`], and relaunches the whole mesh
-//!   from the last committed epoch via the ordinary SPMD re-exec path.
-//!   Fault-injection knobs are stripped on retries so an injected crash
-//!   fires exactly once. After `max_retries` failed respawns the driver
+//!   from the last committed epoch via the ordinary SPMD re-exec path,
+//!   which every rank rebuilds as a paused run is rebuilt:
+//!   [`Checkpoint::from_shards`], then [`Simulator::resume`].
+//!   Process faults are stripped on retries so an injected crash fires
+//!   exactly once. After `max_retries` failed respawns the driver
 //!   returns [`RecoveryError::Exhausted`] instead of hanging.
 //!
 //! Workers never iterate the retry loop themselves: each spawned worker
@@ -40,14 +42,13 @@ use std::path::{Path, PathBuf};
 
 use chare_rt::{
     align_to_invocation, worker_target, Backoff, EpochStore, ExecMode, RecoveryError,
-    RecoverySnapshot, RuntimeConfig, TransportError,
+    RuntimeConfig, TransportError,
 };
 use ptts::Ptts;
 
-use crate::checkpoint::{capture, decode_meta, decode_person_shard, encode_meta, Checkpoint};
+use crate::checkpoint::{capture, Checkpoint};
 use crate::distribution::DataDistribution;
-use crate::output::{DayStats, EpiCurve};
-use crate::person::PersonSlot;
+use crate::output::EpiCurve;
 use crate::simulator::{Carry, DayPerf, SimConfig, Simulator};
 
 /// Env var naming the shared checkpoint directory. Exported by the root
@@ -59,34 +60,28 @@ pub const ENV_RECOVERY_DIR: &str = "EPISIM_NET_RECOVERY_DIR";
 /// Absent on the first attempt (fresh start).
 pub const ENV_RESUME_EPOCH: &str = "EPISIM_NET_RESUME_EPOCH";
 
+/// Committed epochs retained on disk (older ones are pruned).
+pub const KEEP_EPOCHS: u32 = 2;
+/// Base delay of the jittered exponential backoff between respawns.
+const BACKOFF_BASE_MS: u64 = 50;
+/// Cap on the backoff delay.
+const BACKOFF_CAP_MS: u64 = 2_000;
+
 /// Knobs for [`run_resilient`].
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// Checkpoint directory, shared by every rank (same filesystem).
     pub dir: PathBuf,
-    /// Committed epochs retained on disk (older ones are pruned).
-    pub keep: u32,
-    /// Checkpoint cadence in days (`1` = after every day).
-    pub every: u32,
     /// Respawn attempts after the initial run before giving up.
     pub max_retries: u32,
-    /// Base delay of the jittered exponential backoff between respawns.
-    pub backoff_base_ms: u64,
-    /// Cap on the backoff delay.
-    pub backoff_cap_ms: u64,
 }
 
 impl RecoveryConfig {
-    /// Defaults tuned for the conformance suite: keep 2 epochs,
-    /// checkpoint daily, 3 respawns, 50ms..2s backoff.
+    /// Three respawns in `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> RecoveryConfig {
         RecoveryConfig {
             dir: dir.into(),
-            keep: 2,
-            every: 1,
             max_retries: 3,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
         }
     }
 }
@@ -113,58 +108,8 @@ fn n_ranks_of(rt_cfg: &RuntimeConfig) -> u32 {
     }
 }
 
-/// Reassemble a committed epoch: the meta record (a checkpoint whose
-/// person table is rebuilt, indexed by person id, from every rank's
-/// shards) and the curve so far.
-fn restore(
-    store: &EpochStore,
-    epoch: u64,
-    n_ranks: u32,
-    n_people: usize,
-) -> Result<(Checkpoint, Vec<DayStats>), RecoveryError> {
-    let shards = store.load_epoch(epoch, n_ranks)?;
-    let meta_blob = shards
-        .first()
-        .map(|s| s.meta.clone())
-        .ok_or_else(|| RecoveryError::ShardMismatch("epoch has no shards".into()))?;
-    let (mut ckpt, days) = decode_meta(&meta_blob)?;
-    let mut persons: Vec<Option<PersonSlot>> = Vec::new();
-    persons.resize_with(n_people, || None);
-    for shard in &shards {
-        if shard.meta != meta_blob {
-            return Err(RecoveryError::ShardMismatch(format!(
-                "rank {} meta record diverges from rank 0 (lockstep violated)",
-                shard.rank
-            )));
-        }
-        for (_, blob) in &shard.chares {
-            for s in decode_person_shard(blob)? {
-                match persons.get_mut(s.id as usize) {
-                    Some(slot) => *slot = Some(s),
-                    None => {
-                        return Err(RecoveryError::ShardMismatch(format!(
-                            "person id {} out of range ({} people)",
-                            s.id, n_people
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    ckpt.states = persons
-        .into_iter()
-        .enumerate()
-        .map(|(id, p)| {
-            p.ok_or_else(|| {
-                RecoveryError::ShardMismatch(format!("person {id} missing from epoch {epoch}"))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((ckpt, days))
-}
-
 /// One mesh launch: construct (fresh or from `resume`), run day by day,
-/// checkpointing at the configured cadence. Workers exit inside the
+/// checkpointing after every day. Workers exit inside the
 /// engine teardown when the run (or their process) ends; only the root
 /// returns. A [`chare_rt::TransportError`] panic out of this function is
 /// the failure signal [`run_resilient`] recovers from.
@@ -173,32 +118,26 @@ fn run_attempt(
     ptts: Ptts,
     cfg: &SimConfig,
     rt_cfg: &RuntimeConfig,
-    rec: &RecoveryConfig,
     store: &EpochStore,
     resume: Option<u64>,
 ) -> Result<(EpiCurve, Vec<DayPerf>), RecoveryError> {
     let n_ranks = n_ranks_of(rt_cfg);
     let population = dist.pop.n_people() as u64;
-    let n_people = population as usize;
-    let every = rec.every.max(1);
 
-    let (mut carry, mut day, mut days, seeds, states) = match resume {
+    let (mut sim, mut carry, mut day, mut days, seeds) = match resume {
         Some(epoch) => {
-            let (ckpt, days) = restore(store, epoch, n_ranks, n_people)?;
-            let carry = ckpt.to_carry(&cfg.interventions);
-            (carry, ckpt.next_day, days, ckpt.seeds, Some(ckpt.states))
+            let (ckpt, days) = Checkpoint::from_shards(&store.load_epoch(epoch, n_ranks)?)?;
+            let mut r = Simulator::resume(ckpt, dist, ptts, cfg.clone(), *rt_cfg)?;
+            r.sim.note_restore();
+            (r.sim, r.carry, r.next_day, days, r.seeds)
         }
         None => {
             let seeds = cfg.initial_infections.min(dist.pop.n_people()) as u64;
             let carry = Carry::new(cfg.interventions.clone(), seeds);
-            (carry, 0u32, Vec::new(), seeds, None)
+            let sim = Simulator::new(dist, ptts, cfg.clone(), *rt_cfg);
+            (sim, carry, 0u32, Vec::new(), seeds)
         }
     };
-
-    let mut sim = Simulator::with_states(dist, ptts, cfg.clone(), *rt_cfg, states);
-    if resume.is_some() {
-        sim.note_restore();
-    }
 
     let mut perf: Vec<DayPerf> = Vec::new();
     let mut extinct = false;
@@ -210,23 +149,13 @@ fn run_attempt(
         day += 1;
         // Day boundaries are global quiescence points: every rank saw the
         // same broadcast reduction, no messages are in flight, and the
-        // extinction decision below is taken in lockstep — so every rank
+        // extinction decision above is taken in lockstep — so every rank
         // reaches this checkpoint (or none does).
-        if day % every == 0 || day == cfg.days || extinct {
-            let snap = RecoverySnapshot {
-                epoch: day as u64,
-                next_phase: day as u64 * 2 + 1,
-                rank: sim.net_rank(),
-                n_ranks,
-                in_flight: 0,
-                meta: encode_meta(&capture(day, seeds, &carry, Vec::new()), &days),
-                chares: sim.snapshot_chares(),
-            };
-            store.commit_shard(&snap)?;
-            sim.note_checkpoint();
-            if sim.net_rank() == 0 {
-                store.retain(n_ranks);
-            }
+        let head = capture(day, seeds, &carry, Vec::new());
+        store.commit_shard(&head.shard(sim.net_rank(), n_ranks, &days, sim.snapshot_chares()))?;
+        sim.note_checkpoint();
+        if sim.net_rank() == 0 {
+            store.retain(n_ranks);
         }
     }
 
@@ -270,8 +199,8 @@ pub fn run_resilient(
         let resume = std::env::var(ENV_RESUME_EPOCH)
             .ok()
             .and_then(|v| v.parse::<u64>().ok());
-        let store = EpochStore::open(&dir, rec.keep)?;
-        let (curve, perf) = run_attempt(dist, ptts.clone(), cfg, rt_cfg, rec, &store, resume)?;
+        let store = EpochStore::open(&dir, KEEP_EPOCHS)?;
+        let (curve, perf) = run_attempt(dist, ptts.clone(), cfg, rt_cfg, &store, resume)?;
         return Ok(ResilientRun {
             curve,
             perf,
@@ -281,10 +210,10 @@ pub fn run_resilient(
     }
 
     // Root (or one-process) run: own the retry loop.
-    let store = EpochStore::open(&rec.dir, rec.keep)?;
+    let store = EpochStore::open(&rec.dir, KEEP_EPOCHS)?;
     std::env::set_var(ENV_RECOVERY_DIR, abs_dir(&rec.dir));
     let n_ranks = n_ranks_of(rt_cfg);
-    let mut backoff = Backoff::new(rec.backoff_base_ms, rec.backoff_cap_ms, cfg.seed);
+    let mut backoff = Backoff::new(BACKOFF_BASE_MS, BACKOFF_CAP_MS, cfg.seed);
     let mut rt = *rt_cfg;
     let mut attempts = 0u32;
     loop {
@@ -295,7 +224,7 @@ pub fn run_resilient(
             None => std::env::remove_var(ENV_RESUME_EPOCH),
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(dist, ptts.clone(), cfg, &rt, rec, &store, resume)
+            run_attempt(dist, ptts.clone(), cfg, &rt, &store, resume)
         }));
         match outcome {
             Ok(Ok((curve, perf))) => {
@@ -329,7 +258,6 @@ pub fn run_resilient(
                         }
                         // An injected fault has fired by now; do not
                         // re-inject it into the respawned mesh.
-                        rt.net.kill_rank = u32::MAX;
                         rt.faults = rt.faults.without_proc_faults();
                         backoff.sleep(attempts - 1);
                     }

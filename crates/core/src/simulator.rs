@@ -9,12 +9,10 @@ use crate::messages::{slots, DayEffects, Shared, SharedRef, SimMsg};
 use crate::output::{DayStats, EpiCurve};
 use crate::person::PersonSlot;
 use crate::seq::SweepLayout;
-use chare_rt::codec::CodecError;
-use chare_rt::{ChareId, PhaseStats, Runtime, RuntimeConfig};
+use chare_rt::{ChareId, PhaseStats, RecoveryError, Runtime, RuntimeConfig};
 use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::{DayObservables, InterventionSet};
 use ptts::Ptts;
-use std::fmt;
 use std::sync::Arc;
 
 /// Simulation parameters.
@@ -135,34 +133,8 @@ pub enum RunHalt {
     },
 }
 
-/// Why [`Simulator::resume_from`] refused a checkpoint file.
-#[derive(Debug)]
-pub enum ResumeError {
-    /// The file could not be read.
-    Io(std::io::Error),
-    /// The bytes failed structural or CRC validation
-    /// ([`CodecError::BadCrc`] et al.).
-    Corrupt(CodecError),
-    /// The checkpoint decodes but does not belong to this invocation:
-    /// wrong population size or a resume day beyond the configured run.
-    Mismatch(String),
-}
-
-impl fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResumeError::Io(e) => write!(f, "checkpoint read failed: {e}"),
-            ResumeError::Corrupt(e) => write!(f, "checkpoint invalid: {e}"),
-            ResumeError::Mismatch(why) => write!(f, "checkpoint mismatch: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
-/// A simulator rebuilt from a checkpoint by [`Simulator::resume_from`],
-/// ready to continue at `next_day` with `carry` — no manual
-/// load→`to_carry`→`with_states` wiring.
+/// A simulator rebuilt from a checkpoint by [`Simulator::resume`], ready
+/// to continue at `next_day` with `carry`.
 pub struct Resumed {
     /// The rebuilt simulator (person states restored).
     pub sim: Simulator,
@@ -411,39 +383,33 @@ impl Simulator {
         (days, perf, halt)
     }
 
-    /// Rebuild a paused run from a checkpoint file in one step: read,
-    /// CRC-validate ([`Checkpoint::decode`]), check the checkpoint against
-    /// this invocation (person count must match the population, the resume
-    /// day must lie inside `cfg.days`), and wire the restored person
-    /// states and [`Carry`] into a fresh simulator. Replaces the manual
-    /// `load` → `to_carry` → `with_states` → `run_days(next_day, …)`
-    /// dance; continuing from the result is bit-exact (the checkpoint
-    /// tests pin this).
-    pub fn resume_from(
-        path: &std::path::Path,
+    /// Rebuild a run from a checkpoint: check it against this invocation
+    /// (the person count must match the population, the resume day must
+    /// lie inside `cfg.days`) and wire its person states and [`Carry`]
+    /// into a fresh simulator. Continuing from the result at `next_day` is
+    /// bit-exact (the checkpoint tests pin this).
+    pub fn resume(
+        ckpt: Checkpoint,
         dist: &DataDistribution,
         ptts: Ptts,
         cfg: SimConfig,
         rt_cfg: RuntimeConfig,
-    ) -> Result<Resumed, ResumeError> {
-        let data = std::fs::read(path).map_err(ResumeError::Io)?;
-        let ckpt = Checkpoint::decode(&data).map_err(ResumeError::Corrupt)?;
+    ) -> Result<Resumed, RecoveryError> {
         let n_people = dist.pop.n_people() as usize;
         if ckpt.states.len() != n_people {
-            return Err(ResumeError::Mismatch(format!(
+            return Err(RecoveryError::ShardMismatch(format!(
                 "checkpoint holds {} persons but the population has {n_people}",
                 ckpt.states.len()
             )));
         }
         if ckpt.next_day > cfg.days {
-            return Err(ResumeError::Mismatch(format!(
+            return Err(RecoveryError::ShardMismatch(format!(
                 "checkpoint resumes at day {} but the run is only {} days",
                 ckpt.next_day, cfg.days
             )));
         }
         let carry = ckpt.to_carry(&cfg.interventions);
-        let next_day = ckpt.next_day;
-        let seeds = ckpt.seeds;
+        let (next_day, seeds) = (ckpt.next_day, ckpt.seeds);
         let sim = Simulator::with_states(dist, ptts, cfg, rt_cfg, Some(ckpt.states));
         Ok(Resumed {
             sim,
@@ -451,6 +417,17 @@ impl Simulator {
             next_day,
             seeds,
         })
+    }
+
+    /// [`Checkpoint::load`] then [`Simulator::resume`].
+    pub fn resume_from(
+        path: &std::path::Path,
+        dist: &DataDistribution,
+        ptts: Ptts,
+        cfg: SimConfig,
+        rt_cfg: RuntimeConfig,
+    ) -> Result<Resumed, RecoveryError> {
+        Self::resume(Checkpoint::load(path)?, dist, ptts, cfg, rt_cfg)
     }
 
     /// SPMD rank of the underlying runtime (0 outside `ExecMode::Net`).
@@ -754,17 +731,14 @@ mod tests {
         let ckpt = capture(12, 8, &carry, states);
         let dir = std::env::temp_dir().join(format!("episim-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("job.epck");
+        let path = dir.join("job.ckpt");
         ckpt.save(&path).unwrap();
 
-        let resumed = Simulator::resume_from(
-            &path,
-            &dist,
-            flu_model(),
-            cfg.clone(),
-            RuntimeConfig::sequential(3),
-        )
-        .expect("valid checkpoint resumes");
+        let resume = |path: &std::path::Path, dist: &DataDistribution, cfg: &SimConfig| {
+            let rt = RuntimeConfig::sequential(3);
+            Simulator::resume_from(path, dist, flu_model(), cfg.clone(), rt)
+        };
+        let resumed = resume(&path, &dist, &cfg).expect("valid checkpoint resumes");
         assert_eq!(resumed.next_day, 12);
         assert_eq!(resumed.seeds, 8);
         let mut carry2 = resumed.carry;
@@ -774,56 +748,28 @@ mod tests {
         assert_eq!(days, straight.days, "resume_from must be bit-exact");
 
         // Missing file → Io.
-        let err = Simulator::resume_from(
-            &dir.join("absent.epck"),
-            &dist,
-            flu_model(),
-            cfg.clone(),
-            RuntimeConfig::sequential(3),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ResumeError::Io(_)), "{err}");
+        let err = resume(&dir.join("absent.ckpt"), &dist, &cfg).unwrap_err();
+        assert!(matches!(err, RecoveryError::Io(_)), "{err}");
 
-        // Bit-flipped body → Corrupt (CRC).
+        // Bit-flipped body → Codec (CRC).
         let mut bad = std::fs::read(&path).unwrap();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
-        let bad_path = dir.join("bad.epck");
+        let bad_path = dir.join("bad.ckpt");
         std::fs::write(&bad_path, &bad).unwrap();
-        let err = Simulator::resume_from(
-            &bad_path,
-            &dist,
-            flu_model(),
-            cfg.clone(),
-            RuntimeConfig::sequential(3),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ResumeError::Corrupt(_)), "{err}");
+        let err = resume(&bad_path, &dist, &cfg).unwrap_err();
+        assert!(matches!(err, RecoveryError::Codec(_)), "{err}");
 
-        // Wrong population → Mismatch.
+        // Wrong population → ShardMismatch.
         let other_pop = Population::generate(&PopulationConfig::small("XL", 2500, 12));
         let other_dist = DataDistribution::build(&other_pop, Strategy::RoundRobin, 3, 9);
-        let err = Simulator::resume_from(
-            &path,
-            &other_dist,
-            flu_model(),
-            cfg.clone(),
-            RuntimeConfig::sequential(3),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ResumeError::Mismatch(_)), "{err}");
+        let err = resume(&path, &other_dist, &cfg).unwrap_err();
+        assert!(matches!(err, RecoveryError::ShardMismatch(_)), "{err}");
 
-        // Resume day beyond the configured run → Mismatch.
+        // Resume day beyond the configured run → ShardMismatch.
         let short_cfg = SimConfig { days: 5, ..cfg };
-        let err = Simulator::resume_from(
-            &path,
-            &dist,
-            flu_model(),
-            short_cfg,
-            RuntimeConfig::sequential(3),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ResumeError::Mismatch(_)), "{err}");
+        let err = resume(&path, &dist, &short_cfg).unwrap_err();
+        assert!(matches!(err, RecoveryError::ShardMismatch(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -871,7 +817,7 @@ mod tests {
             .any(|p| p.sus_scale < 1.0 && p.infected_on.is_none()));
         let dir = std::env::temp_dir().join(format!("episim-vaccinated-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("job.epck");
+        let path = dir.join("job.ckpt");
         capture(8, 8, &carry, states).save(&path).unwrap();
         let resumed = Simulator::resume_from(&path, &dist, flu_model(), cfg, rt).unwrap();
         let (mut sim, mut carry) = (resumed.sim, resumed.carry);

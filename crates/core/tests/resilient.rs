@@ -106,16 +106,14 @@ fn assert_recovers(tag: &str, rt: RuntimeConfig) {
 #[test]
 fn resilient_recovers_from_killed_worker_tcp() {
     let mut rt = net_cfg(NetTransport::Tcp);
-    rt.net.kill_rank = 1;
-    rt.net.kill_phase = FAULT_PHASE;
+    rt.faults = FaultPlan::proc_kill(0, 1, FAULT_PHASE);
     assert_recovers("kill-tcp", rt);
 }
 
 #[test]
 fn resilient_recovers_from_killed_worker_shm() {
     let mut rt = net_cfg(NetTransport::Shm);
-    rt.net.kill_rank = 1;
-    rt.net.kill_phase = FAULT_PHASE;
+    rt.faults = FaultPlan::proc_kill(0, 1, FAULT_PHASE);
     assert_recovers("kill-shm", rt);
 }
 
@@ -164,8 +162,7 @@ fn resilient_exhausted_returns_typed_error() {
     let _guard = on_root.then(|| ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner()));
     let (dist, cfg) = fixture();
     let mut rt = net_cfg(NetTransport::Tcp);
-    rt.net.kill_rank = 1;
-    rt.net.kill_phase = FAULT_PHASE;
+    rt.faults = FaultPlan::proc_kill(0, 1, FAULT_PHASE);
     let mut rec = recovery_cfg("exhausted");
     rec.max_retries = 0;
     let err = run_resilient(&dist, &flu_model(), &cfg, &rt, &rec)
@@ -189,8 +186,7 @@ fn plain_net_run_still_fails_fast_without_recovery() {
     let _guard = on_root.then(|| ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner()));
     let (dist, cfg) = fixture();
     let mut rt = net_cfg(NetTransport::Tcp);
-    rt.net.kill_rank = 1;
-    rt.net.kill_phase = FAULT_PHASE;
+    rt.faults = FaultPlan::proc_kill(0, 1, FAULT_PHASE);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Simulator::new(&dist, flu_model(), cfg, rt).run()
     }))

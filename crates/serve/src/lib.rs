@@ -5,9 +5,10 @@
 //! control plane (DESIGN.md §12): clients submit typed job specs over
 //! localhost TCP, a bounded FIFO+priority queue feeds a worker pool with
 //! per-engine concurrency caps, and per-day curve points stream back over
-//! subscription connections while jobs run. Pause/resume rides the
-//! hardened CRC checkpoint format ([`episim_core::checkpoint`]) through
-//! [`episim_core::Simulator::resume_from`]; cancel is the cooperative
+//! subscription connections while jobs run. A pause writes a checkpoint
+//! ([`episim_core::checkpoint`]), which is a one-rank recovery epoch in
+//! the workspace's one CRC snapshot format, and a resume reads it back
+//! through [`episim_core::Simulator::resume_from`]; cancel is the cooperative
 //! day-boundary stop ([`episim_core::DayControl`]). The determinism
 //! contract survives service-ification: a job's completion event carries
 //! the same FNV-1a `curve_hash` a direct run of the same spec produces —

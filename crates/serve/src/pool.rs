@@ -7,11 +7,11 @@
 //!
 //! * per-day curve points stream out via [`Manager::day_finished`];
 //! * a pending pause turns into `dismantle → capture → Checkpoint::save`
-//!   (the hardened CRC format) and [`Manager::finish_paused`];
+//!   (a one-rank recovery epoch) and [`Manager::finish_paused`];
 //! * a resumed lease goes through [`Simulator::resume_from`] — the
-//!   single validated entry point — so a corrupt or mismatched
-//!   checkpoint fails the job with a typed message instead of crashing
-//!   the worker;
+//!   validated entry point a crash recovery also rebuilds through — so a
+//!   corrupt or mismatched checkpoint fails the job with a typed
+//!   [`chare_rt::RecoveryError`] message instead of crashing the worker;
 //! * cancel is the cooperative day-boundary stop ([`DayControl::Stop`]).
 //!
 //! Panics inside a job (engine bugs, bad downcasts) are caught per-lease
@@ -264,7 +264,7 @@ fn run_engine_lease(
         RunHalt::Paused { next_day } => {
             let (states, _features) = sim.dismantle();
             let ckpt = episim_core::checkpoint::capture(next_day, seeds, &carry, states);
-            let path = mgr.data_dir().join(format!("job-{job}.epck"));
+            let path = mgr.data_dir().join(format!("job-{job}.ckpt"));
             match ckpt.save(&path) {
                 Ok(()) => mgr.finish_paused(job, path),
                 Err(e) => mgr.finish_failed(job, format!("checkpoint save failed: {e}")),

@@ -1,9 +1,9 @@
 //! Every binary format, pinned and checked for totality in one place.
 //!
 //! The formats: the net engine's control frames (`Ctl`) and BATCH payload
-//! with the `SimMsg` codec inside it, the EPCK checkpoint and the person
-//! shard, the EPRC recovery shard, the resilient driver's meta record, and
-//! the episerve request/response/event payloads.
+//! with the `SimMsg` codec inside it, the EPRC recovery shard with the
+//! person shard and the meta record inside it, the checkpoint (a one-rank
+//! EPRC epoch), and the episerve request/response/event payloads.
 //!
 //! * **Golden pins.** An FNV-1a hash over the encoded bytes of a fixed
 //!   sample of every variant of every format. A refactor of a codec must
@@ -12,7 +12,7 @@
 //! * **One totality harness** ([`check_total`]), applied to every format:
 //!   round trip, every strict prefix rejected, a byte appended rejected,
 //!   a lying `u32::MAX` at every offset and arbitrary bytes never panic
-//!   or over-allocate, and in the CRC formats (EPCK, EPRC, serve) every
+//!   or over-allocate, and in the CRC formats (EPRC, serve) every
 //!   single-bit flip rejected.
 
 use episimdemics::chare_rt::net::wire::{decode_batch, encode_batch, Ctl, Hello};
@@ -23,6 +23,7 @@ use episimdemics::core::checkpoint::{
 };
 use episimdemics::core::messages::{DayEffects, InfectMsg, SimMsg, Update, VisitMsg};
 use episimdemics::core::person::PersonSlot;
+use episimdemics::core::resilient::KEEP_EPOCHS;
 use episimdemics::core::Strategy as DistStrategy;
 use episimdemics::core::{run_resilient, DataDistribution, DayStats, RecoveryConfig, SimConfig};
 use episimdemics::episerve::protocol::{
@@ -525,12 +526,12 @@ fn formats() -> Vec<Format> {
             0xfa68_0f9c_5185_694f,
         ),
         format(
-            "epck",
+            "checkpoint",
             checkpoint_samples(),
             |c| c.encode().to_vec(),
             |b| Checkpoint::decode(b).ok(),
             true,
-            0xcf8b_b85a_79f9_558b,
+            0xa4c5_68af_0e9a_e774,
         ),
         format(
             "person_shard",
@@ -626,7 +627,7 @@ fn golden_pin_of_a_resilient_runs_epoch() {
         &rec,
     )
     .expect("resilient run");
-    let store = EpochStore::open(&dir, rec.keep).expect("store");
+    let store = EpochStore::open(&dir, KEEP_EPOCHS).expect("store");
     let epoch = store.latest_committed(1).expect("a committed epoch");
     let shard = store.load_epoch(epoch, 1).expect("epoch loads").remove(0);
     let mut blobs = vec![shard.meta.clone()];

@@ -224,8 +224,7 @@ fn net_killed_worker_is_a_transport_error() {
     let pop = pop();
     let dist = DataDistribution::build(&pop, Strategy::GraphPartition, 4, 19);
     let mut rt = RuntimeConfig::net(4, 2);
-    rt.net.kill_rank = 1;
-    rt.net.kill_phase = 4;
+    rt.faults = FaultPlan::proc_kill(0, 1, 4);
     // Workers re-run this same body; the doomed rank exits inside the
     // runtime before the catch_unwind outcome matters.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

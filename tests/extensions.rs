@@ -62,16 +62,10 @@ fn checkpoint_through_a_rebalanced_run() {
     let (states, _) = sim.dismantle();
     let ckpt = Checkpoint::decode(&capture(10, 7, &carry, states).encode()).unwrap();
 
-    let mut carry2 = ckpt.to_carry(&cfg(20).interventions);
-    let mut sim2 = Simulator::with_states(
-        &dist_b, // resumed on a different distribution
-        flu_model(),
-        cfg(20),
-        RuntimeConfig::sequential(4),
-        Some(ckpt.states),
-    );
-    let (tail, _, _) = sim2.run_days(10, 20, &mut carry2);
-    days.extend(tail);
+    // Resumed on a different distribution.
+    let rt = RuntimeConfig::sequential(4);
+    let mut r = Simulator::resume(ckpt, &dist_b, flu_model(), cfg(20), rt).unwrap();
+    days.extend(r.sim.run_days(10, 20, &mut r.carry).0);
     assert_eq!(days, straight.curve.days);
 }
 
