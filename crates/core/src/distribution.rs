@@ -5,8 +5,8 @@
 
 use crate::seq::SweepLayout;
 use crate::splitloc::{split_heavy_locations, SplitConfig};
-use crate::workload::build_workload_graph;
-use graph_part::{kway_partition, round_robin, PartitionConfig, PartitionQuality};
+use crate::workload::{build_workload_graph, partition_workload};
+use graph_part::{round_robin, PartitionConfig, PartitionQuality};
 use load_model::{LoadUnits, PiecewiseModel};
 use std::sync::{Arc, OnceLock};
 use synthpop::Population;
@@ -198,7 +198,7 @@ impl DataDistribution {
         let (person_part, location_part, quality) = if strategy.partitions() {
             let (graph, layout) = build_workload_graph(&pop, model, LoadUnits::default());
             let cfg = PartitionConfig::new(k).with_seed(seed).with_ubfactor(1.10);
-            let part = kway_partition(&graph, &cfg);
+            let part = partition_workload(&graph, &layout, &cfg);
             let quality = PartitionQuality::compute(&graph, &part);
             let mut pp = part.assignment;
             let lp = pp.split_off(layout.n_people as usize);

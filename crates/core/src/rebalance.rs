@@ -22,9 +22,9 @@ use crate::distribution::DataDistribution;
 use crate::kernel::LocationDayFeatures;
 use crate::output::EpiCurve;
 use crate::simulator::{Carry, SimConfig, SimRun, Simulator};
-use crate::workload::build_workload_graph_with;
+use crate::workload::{build_workload_graph_with, partition_workload};
 use chare_rt::RuntimeConfig;
-use graph_part::{kway_partition, PartitionConfig};
+use graph_part::PartitionConfig;
 use ptts::Ptts;
 
 /// Rebalancing parameters.
@@ -100,7 +100,7 @@ fn repartition(dist: &DataDistribution, measured: &[u64], seed: u64) -> DataDist
     let cfg = PartitionConfig::new(dist.k())
         .with_seed(seed)
         .with_ubfactor(1.10);
-    let mut person_part = kway_partition(&graph, &cfg).assignment;
+    let mut person_part = partition_workload(&graph, &layout, &cfg).assignment;
     let location_part = person_part.split_off(layout.n_people as usize);
     dist.with_partition(person_part, location_part)
 }

@@ -11,7 +11,8 @@
 //! Edges connect persons to the locations they visit, weighted by the
 //! number of daily visits (= messages crossing that edge).
 
-use graph_part::CsrGraph;
+use graph_part::coarsen::{contract, CoarseLevel};
+use graph_part::{kway_partition_from, CsrGraph, Partition, PartitionConfig};
 use load_model::{LoadUnits, PiecewiseModel};
 use synthpop::Population;
 
@@ -128,6 +129,44 @@ pub fn build_workload_graph_with(
     (CsrGraph::from_parts(2, xadj, adjncy, adjwgt, vwgt), layout)
 }
 
+/// The one way a workload graph is partitioned, at set-up and by the §VII
+/// rebalancer: the V-cycle starts from the [`person_level`] if there is one.
+pub fn partition_workload(
+    graph: &CsrGraph,
+    layout: &WorkloadLayout,
+    cfg: &PartitionConfig,
+) -> Partition {
+    kway_partition_from(graph, person_level(graph, layout, cfg), cfg)
+}
+
+/// The person-first coarse level. Persons, 80% of the vertices and of
+/// near-constant degree, are what heavy-edge matching does worst on; one
+/// O(m) contraction merges each into the location it visits most (the
+/// first in adjacency order among equals, HEM's tie rule) and leaves the
+/// location graph. Locations keep their ids; a person with no visits stays
+/// alone, numbered after them. `None` when at most `cfg.coarsen_target()`
+/// vertices would remain, where coarsening stops anyway.
+pub fn person_level(
+    graph: &CsrGraph,
+    layout: &WorkloadLayout,
+    cfg: &PartitionConfig,
+) -> Option<CoarseLevel> {
+    let mut map = Vec::with_capacity(layout.n_vertices() as usize);
+    let mut coarse_n = layout.n_locations;
+    for p in 0..layout.n_people {
+        let heaviest = graph
+            .neighbors(layout.person_vertex(p))
+            .reduce(|best, next| if next.1 > best.1 { next } else { best });
+        map.push(heaviest.map_or(coarse_n, |(l, _)| l - layout.n_people));
+        coarse_n += u32::from(heaviest.is_none());
+    }
+    (coarse_n > cfg.coarsen_target()).then(|| {
+        map.extend(0..layout.n_locations);
+        let graph = contract(graph, &map, coarse_n);
+        CoarseLevel { graph, map }
+    })
+}
+
 /// The per-location static loads used for Table II / Figures 4–8 (the
 /// location side of constraint 1).
 pub fn location_static_loads(
@@ -224,6 +263,48 @@ mod tests {
                 let (g, _) = build_workload_graph_with(pop, &measured);
                 assert_eq!(g, reference_graph(pop, &measured), "measured loads");
             }
+        }
+    }
+
+    #[test]
+    fn person_level_merges_each_person_into_its_heaviest_location() {
+        // 300 locations, above the 256-vertex coarsening target at k = 2.
+        // Person 0 visits nothing; person 1 visits 9 and 5 twice each (a
+        // tie: 5 comes first); person 2 visits 7 once and 3 three times.
+        let layout = WorkloadLayout {
+            n_people: 3,
+            n_locations: 300,
+        };
+        let mut b = GraphBuilder::new(layout.n_vertices(), 2);
+        for p in 0..3 {
+            b.set_vwgt(layout.person_vertex(p), &[1 + p as u64, 0]);
+        }
+        for l in 0..300 {
+            b.set_vwgt(layout.location_vertex(l), &[0, 1 + l as u64 % 4]);
+        }
+        for (p, l, w) in [(1, 9, 2), (1, 5, 2), (2, 7, 1), (2, 3, 3)] {
+            b.add_edge(layout.person_vertex(p), layout.location_vertex(l), w);
+        }
+        let g = b.build();
+        let level = person_level(&g, &layout, &PartitionConfig::new(2)).unwrap();
+        assert_eq!(level.map[..3], [300, 5, 3]);
+        assert!(level.map[3..].iter().copied().eq(0..300));
+        assert_eq!(level.graph.n(), 301);
+        assert_eq!(level.graph.vwgts(300), [1, 0]);
+        assert_eq!(level.graph.total_weights(), g.total_weights());
+        assert_eq!(level.graph.neighbors(5).collect::<Vec<_>>(), [(9, 2)]);
+        assert_eq!(level.graph.neighbors(3).collect::<Vec<_>>(), [(7, 1)]);
+        // At k = 32 coarsening stops at 512 vertices: no person level.
+        assert!(person_level(&g, &layout, &PartitionConfig::new(32)).is_none());
+
+        let (_, g, layout) = setup();
+        let level = person_level(&g, &layout, &PartitionConfig::new(2)).unwrap();
+        assert_eq!(level.graph.n(), layout.n_locations);
+        for p in 0..layout.n_people {
+            let row: Vec<(u32, u32)> = g.neighbors(layout.person_vertex(p)).collect();
+            let heaviest = row.iter().map(|&(_, w)| w).max().unwrap();
+            let first = row.iter().find(|&&(_, w)| w == heaviest).unwrap().0;
+            assert_eq!(level.map[p as usize], first - layout.n_people, "person {p}");
         }
     }
 

@@ -3,7 +3,8 @@
 //! The classic multilevel first phase (Karypis & Kumar): repeatedly contract
 //! a matching that prefers heavy edges, so that the edge weight hidden
 //! inside coarse vertices — weight refinement can no longer cut — is
-//! maximized.
+//! maximized. [`contract`] takes any cluster map, so a caller can also
+//! build a first level of its own ([`crate::kway::kway_partition_from`]).
 
 use crate::graph::CsrGraph;
 use ptts::CounterRng;
@@ -63,14 +64,14 @@ pub fn coarsen_once(g: &CsrGraph, seed: u64) -> Option<CoarseLevel> {
         return None;
     }
     Some(CoarseLevel {
-        graph: contract(g, &mate, &map, coarse_n),
+        graph: contract(g, &map, coarse_n),
         map,
     })
 }
 
 /// Coarse ids for a matching (`mate[v] == v` for a singleton): one per
 /// pair, ascending in the pair's smaller member. Returns the fine→coarse
-/// map and the number of coarse vertices.
+/// map and the number of coarse vertices, as [`contract`] takes them.
 fn coarse_ids(mate: &[u32]) -> (Vec<u32>, u32) {
     let mut map = vec![0u32; mate.len()];
     let mut next = 0u32;
@@ -84,53 +85,59 @@ fn coarse_ids(mate: &[u32]) -> (Vec<u32>, u32) {
     (map, next)
 }
 
-/// The graph `g` becomes when each `v` and `mate[v]` merge into coarse
-/// vertex `map[v]` (as [`coarse_ids`] numbers them): vertex weights add,
-/// parallel edges add (saturating), edges inside a pair vanish.
+/// The graph `g` becomes when every vertex `v` merges into cluster
+/// `map[v]` (`< coarse_n`): vertex weights add per constraint, parallel
+/// edges add (saturating), edges inside a cluster vanish.
 ///
-/// Built as a transpose: coarse vertex `c`, taken in ascending order,
-/// appends itself to the list of every coarse neighbour `d`, so each list
-/// fills in ascending id order ([`CsrGraph`]'s invariant) and a repeated
-/// `(c, d)` is always the entry last written to `d`'s list. Lists start
-/// at upper-bound offsets (the members' fine degrees) and are closed up
-/// afterwards: O(m), no sort, no per-vertex allocation.
-fn contract(g: &CsrGraph, mate: &[u32], map: &[u32], coarse_n: u32) -> CsrGraph {
+/// Built as a transpose: cluster `c`, taken in ascending order with its
+/// members in ascending vertex order, appends itself to the list of every
+/// neighbouring cluster `d`, so each list fills in ascending id order
+/// ([`CsrGraph`]'s invariant) and a repeated `(c, d)` is always the entry
+/// last written to `d`'s list. Lists start at upper-bound offsets (the
+/// members' fine degrees) and are closed up afterwards: O(m), no sort, no
+/// per-vertex allocation.
+pub fn contract(g: &CsrGraph, map: &[u32], coarse_n: u32) -> CsrGraph {
     let ncon = g.ncon();
     let coarse_n = coarse_n as usize;
     let mut vwgt = vec![0u64; coarse_n * ncon];
-    // `xadj[c]` is where c's list starts, `fill[c]` where its next entry goes.
+    // `xadj[c]` is where c's list starts, `fill[c]` where its next entry
+    // goes; `first[c]..first[c + 1]` are c's members in `members`.
     let mut xadj = vec![0u32; coarse_n + 1];
+    let mut first = vec![0u32; coarse_n + 1];
     for v in 0..g.n() {
         let c = map[v as usize] as usize;
         xadj[c + 1] += g.degree(v);
+        first[c + 1] += 1;
         for (acc, w) in vwgt[c * ncon..(c + 1) * ncon].iter_mut().zip(g.vwgts(v)) {
             *acc += w;
         }
     }
     for c in 0..coarse_n {
         xadj[c + 1] += xadj[c];
+        first[c + 1] += first[c];
     }
-    let mut fill = xadj[..coarse_n].to_vec();
+    let mut members = vec![0u32; g.n() as usize];
+    let mut fill = first[..coarse_n].to_vec();
+    for v in 0..g.n() {
+        let at = &mut fill[map[v as usize] as usize];
+        members[*at as usize] = v;
+        *at += 1;
+    }
+    fill.copy_from_slice(&xadj[..coarse_n]);
     let mut adjncy = vec![0u32; xadj[coarse_n] as usize];
     let mut adjwgt = vec![0u32; xadj[coarse_n] as usize];
-    for v in 0..g.n() {
-        let m = mate[v as usize];
-        if v > m {
-            continue;
-        }
-        let c = map[v as usize];
-        let members = [v, m];
-        for &member in &members[..if m == v { 1 } else { 2 }] {
+    for c in 0..coarse_n {
+        for &member in &members[first[c] as usize..first[c + 1] as usize] {
             for (u, w) in g.neighbors(member) {
                 let d = map[u as usize] as usize;
-                if d == c as usize {
+                if d == c {
                     continue;
                 }
                 let at = fill[d] as usize;
-                if at > xadj[d] as usize && adjncy[at - 1] == c {
+                if at > xadj[d] as usize && adjncy[at - 1] == c as u32 {
                     adjwgt[at - 1] = adjwgt[at - 1].saturating_add(w);
                 } else {
-                    adjncy[at] = c;
+                    adjncy[at] = c as u32;
                     adjwgt[at] = w;
                     fill[d] += 1;
                 }
@@ -305,10 +312,27 @@ mod tests {
     /// structure, edge and vertex weights, neighbour order.
     fn assert_matches_reference(g: &CsrGraph, mate: &[u32]) {
         let (map, coarse_n) = coarse_ids(mate);
-        let direct = contract(g, mate, &map, coarse_n);
+        assert_clusters_match_reference(g, &map, coarse_n);
+    }
+
+    /// Contract `g` along any cluster map both ways and compare
+    /// everything; also check per-constraint vertex weights cluster by
+    /// cluster and that no edge inside a cluster survives.
+    fn assert_clusters_match_reference(g: &CsrGraph, map: &[u32], coarse_n: u32) {
+        let direct = contract(g, map, coarse_n);
         direct.validate().unwrap();
-        assert_eq!(direct, contract_reference(g, &map, coarse_n));
+        assert_eq!(direct, contract_reference(g, map, coarse_n));
         assert_eq!(direct.total_weights(), g.total_weights());
+        let mut want = vec![0u64; coarse_n as usize * g.ncon()];
+        for v in 0..g.n() {
+            for (c, &w) in g.vwgts(v).iter().enumerate() {
+                want[map[v as usize] as usize * g.ncon() + c] += w;
+            }
+        }
+        for c in 0..coarse_n {
+            assert_eq!(direct.vwgts(c), &want[c as usize * g.ncon()..][..g.ncon()]);
+            assert!(direct.neighbors(c).all(|(d, _)| d != c), "self-loop at {c}");
+        }
     }
 
     /// A random matching along edges of `g`: each vertex, in id order,
@@ -359,6 +383,37 @@ mod tests {
             let g = b.build();
             assert_matches_reference(&g, &random_matching(&g, &mut rng));
         }
+
+        /// The same for random cluster maps: singletons, clusters of any
+        /// size (the whole graph included), clusters that are not
+        /// connected, isolated and zero-weight vertices, empty clusters,
+        /// and parallel edges merged across clusters.
+        #[test]
+        fn cluster_contraction_equals_builder_reference(
+            n in 1u32..48,
+            ncon in 1usize..4,
+            coarse_n in 1u32..48,
+            edges in collection::vec((0u32..48, 0u32..48, 0u32..6), 0..160),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = CounterRng::from_key(&[seed, 1]);
+            let mut b = GraphBuilder::new(n, ncon);
+            for v in 0..n {
+                for c in 0..ncon {
+                    // One weight in three is zero.
+                    b.add_vwgt(v, c, rng.uniform_u64(9).saturating_sub(3));
+                }
+            }
+            for (u, v, w) in edges {
+                let w = if w == 0 { u32::MAX - 2 } else { w };
+                b.add_edge(u % n, v % n, w);
+            }
+            let g = b.build();
+            let map: Vec<u32> = (0..n)
+                .map(|_| rng.uniform_u64(coarse_n as u64) as u32)
+                .collect();
+            assert_clusters_match_reference(&g, &map, coarse_n);
+        }
     }
 
     #[test]
@@ -397,8 +452,31 @@ mod tests {
         let mate = vec![1, 0, 2, 3];
         assert_matches_reference(&g, &mate);
         let (map, coarse_n) = coarse_ids(&mate);
-        let coarse = contract(&g, &mate, &map, coarse_n);
+        let coarse = contract(&g, &map, coarse_n);
         assert_eq!(coarse.neighbors(0).collect::<Vec<_>>(), [(1, u32::MAX)]);
+    }
+
+    #[test]
+    fn clusters_of_any_size_contract_like_the_reference() {
+        // 0..=3 form one cluster (with 4, which is isolated and weighs
+        // nothing), 5 and 6 stay single, 7 and 8 pair up; 0, 1 and 2 all
+        // reach 5, so three fine edges merge into one.
+        let mut b = GraphBuilder::new(9, 2);
+        for v in 0..9u32 {
+            b.set_vwgt(v, &[u64::from(v != 4), u64::from(v % 3)]);
+        }
+        for (u, v, w) in [(0, 1, 4), (1, 2, 1), (2, 3, 9), (0, 5, 1), (1, 5, 2)] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [(2, 5, 3), (3, 6, 1), (5, 7, 2), (6, 8, 5), (7, 8, 1)] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let map = [0, 0, 0, 0, 0, 1, 2, 3, 3];
+        assert_clusters_match_reference(&g, &map, 4);
+        let coarse = contract(&g, &map, 4);
+        assert_eq!(coarse.neighbors(0).collect::<Vec<_>>(), [(1, 6), (2, 1)]);
+        assert_eq!(coarse.vwgts(0), [4, 4]);
     }
 
     #[test]

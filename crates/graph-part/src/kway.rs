@@ -66,6 +66,17 @@ impl PartitionConfig {
 /// the same `Partition`, bit for bit, in every build; `tests/pins.rs`
 /// holds the hashes.
 pub fn kway_partition(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
+    kway_partition_from(g, None, cfg)
+}
+
+/// [`kway_partition`] from a caller's first coarse level of `g`: matching
+/// continues on `first`'s graph, and the partition is projected through
+/// `first` and refined on `g` like any other level's.
+pub fn kway_partition_from(
+    g: &CsrGraph,
+    first: Option<CoarseLevel>,
+    cfg: &PartitionConfig,
+) -> Partition {
     let k = cfg.k.max(1);
     let n = g.n();
     if k == 1 {
@@ -81,7 +92,9 @@ pub fn kway_partition(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
         };
     }
 
-    let mut levels = coarsen_to(g, cfg.coarsen_target(), cfg.seed);
+    let start = first.as_ref().map_or(g, |l| &l.graph);
+    let hem = coarsen_to(start, cfg.coarsen_target(), cfg.seed);
+    let mut levels: Vec<CoarseLevel> = first.into_iter().chain(hem).collect();
     let rcfg = cfg.refine_config();
     let mut scratch = RefineScratch::default();
 

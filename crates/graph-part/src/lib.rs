@@ -9,7 +9,7 @@
 //! scratch (the substitution is recorded in DESIGN.md):
 //!
 //! * [`graph`] — CSR graphs with multi-constraint (vector) vertex weights,
-//! * [`coarsen`] — heavy-edge matching (HEM) coarsening,
+//! * [`coarsen`] — heavy-edge matching (HEM) coarsening and contraction,
 //! * [`initpart`] — greedy graph-growing initial partitioning,
 //! * [`refine`] — boundary refinement with per-constraint balance limits,
 //! * [`kway`] — the multilevel driver tying the phases together,
@@ -31,7 +31,7 @@ pub mod refine;
 pub mod rr;
 
 pub use graph::{CsrGraph, GraphBuilder};
-pub use kway::{kway_partition, PartitionConfig};
+pub use kway::{kway_partition, kway_partition_from, PartitionConfig};
 pub use metrics::{
     imbalances, max_partition_cut, partition_loads, total_edge_cut, PartitionQuality,
 };

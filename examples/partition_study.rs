@@ -10,7 +10,9 @@
 
 use episimdemics::core::distribution::{DataDistribution, Strategy};
 use episimdemics::core::splitloc::{split_heavy_locations, SplitConfig};
-use episimdemics::core::workload::{build_workload_graph, location_static_loads};
+use episimdemics::core::workload::{
+    build_workload_graph, location_static_loads, partition_workload, person_level,
+};
 use episimdemics::graph_part::coarsen::coarsen_to;
 use episimdemics::graph_part::graph::figure2_example;
 use episimdemics::graph_part::{kway_partition, PartitionConfig, PartitionQuality};
@@ -44,11 +46,13 @@ struct SetupRow {
     generate: f64,
     split: f64,
     graph: f64,
+    person: f64,
     coarsen: f64,
     kway: f64,
     quality: f64,
     build: f64,
-    levels: usize,
+    /// Levels as `person level + HEM levels`, e.g. `1+8`.
+    levels: String,
     /// Σ edges over the finest graph and every coarse level ÷ finest edges:
     /// how many times the V-cycle walks the input (≈2 when coarsening
     /// halves the edges per level).
@@ -72,11 +76,12 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
         generate: f64::INFINITY,
         split: f64::INFINITY,
         graph: f64::INFINITY,
+        person: f64::INFINITY,
         coarsen: f64::INFINITY,
         kway: f64::INFINITY,
         quality: f64::INFINITY,
         build: f64::INFINITY,
-        levels: 0,
+        levels: String::new(),
         edges_walked: 0.0,
         edge_cut: 0,
         hwm_before: 0.0,
@@ -103,20 +108,23 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
                 .splits()
                 .then(|| split_heavy_locations(&pop, &split_cfg).pop)
         });
-        let (graph, graph_ms) = timed(|| {
+        let ((graph, layout), graph_ms) = timed(|| {
             build_workload_graph(
                 split_pop.as_ref().unwrap_or(&pop),
                 &model,
                 LoadUnits::default(),
             )
-            .0
         });
-        let (levels, coarsen) = timed(|| coarsen_to(&graph, cfg.coarsen_target(), seed));
-        row.levels = levels.len();
-        let level_edges: u64 = levels.iter().map(|l| l.graph.m()).sum();
+        let (first, person) = timed(|| person_level(&graph, &layout, &cfg));
+        let (levels, coarsen) = timed(|| {
+            let start = first.as_ref().map_or(&graph, |l| &l.graph);
+            coarsen_to(start, cfg.coarsen_target(), seed)
+        });
+        row.levels = format!("{}+{}", usize::from(first.is_some()), levels.len());
+        let level_edges: u64 = first.iter().chain(&levels).map(|l| l.graph.m()).sum();
         row.edges_walked = (graph.m() + level_edges) as f64 / graph.m().max(1) as f64;
-        drop(levels);
-        let (part, kway) = timed(|| kway_partition(&graph, &cfg));
+        drop((first, levels));
+        let (part, kway) = timed(|| partition_workload(&graph, &layout, &cfg));
         let (quality, quality_ms) = timed(|| PartitionQuality::compute(&graph, &part));
         assert_eq!(
             quality.edge_cut, row.edge_cut,
@@ -126,6 +134,7 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
         row.generate = row.generate.min(generate);
         row.split = row.split.min(split);
         row.graph = row.graph.min(graph_ms);
+        row.person = row.person.min(person);
         row.coarsen = row.coarsen.min(coarsen);
         row.kway = row.kway.min(kway);
         row.quality = row.quality.min(quality_ms);
@@ -145,7 +154,7 @@ const SHAPES: [(u32, Strategy, u32); 4] = [
 
 /// The set-up table's header. A row's `build` time sits at the same
 /// whitespace-separated position as its title does here.
-const HEADER: &str = " people  k generate splitLoc    graph  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB x linear";
+const HEADER: &str = " people  k generate splitLoc    graph   person  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB x linear";
 
 /// Measure one shape and print its row (what a `--setup-row` child does).
 fn print_setup_row(people: u32) {
@@ -155,14 +164,15 @@ fn print_setup_row(people: u32) {
         .expect("--setup-row takes one of the table's population sizes");
     let r = setup_row(people, strategy, k, 42_000);
     println!(
-        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1}",
+        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1}",
         r.people,
         k,
         r.generate,
         r.split,
         r.graph,
+        r.person,
         r.coarsen,
-        r.kway - r.coarsen,
+        r.kway - r.person - r.coarsen,
         r.quality,
         r.build,
         r.levels,
@@ -215,10 +225,9 @@ fn setup_by_stage(quick: bool) {
             None => println!("{row} {:>8}", "-"),
         }
     }
-    println!("init+refine is kway_partition minus a stand-alone coarsen_to of the same graph");
-    println!(
-        "and seed; VmHWM is the process peak before → after the first DataDistribution::build."
-    );
+    println!("init+refine is partition_workload minus a stand-alone person level and coarsen_to");
+    println!("of the same graph and seed; levels are person level + HEM levels; VmHWM is the");
+    println!("process peak before → after the first DataDistribution::build.");
 }
 
 fn main() {

@@ -7,9 +7,16 @@
 //! constant here untouched; a change that is meant to move the partition
 //! regenerates them on purpose and says so.
 //!
+//! Beside each cut sits the cut of the partitioner before the person-first
+//! level, and every cut must stay within 1% of it, so that no later change
+//! trades partition quality away unseen.
+//!
 //! The seeds are deliberately none of the benchmark's (`42xxx`, `7xxx`).
 
 use episimdemics::core::distribution::{DataDistribution, Strategy};
+use episimdemics::core::workload::{build_workload_graph, partition_workload, person_level};
+use episimdemics::graph_part::{kway_partition, PartitionConfig};
+use episimdemics::load_model::{LoadUnits, PiecewiseModel};
 use episimdemics::synthpop::{Population, PopulationConfig};
 
 /// FNV-1a over `person_part ‖ location_part`, little-endian.
@@ -23,28 +30,36 @@ fn assignment_hash(d: &DataDistribution) -> u64 {
     h
 }
 
-/// One pinned world: `(people, strategy, k, seed)` and the expected
-/// `(assignment hash, edge cut)`; round-robin strategies have no cut.
-type Pin = (u32, Strategy, u32, u64, u64, Option<u64>);
+/// One pinned world: `(people, strategy, k, seed)`, the expected
+/// `(assignment hash, edge cut)` and the quality bound's reference cut;
+/// round-robin strategies have no cut.
+type Pin = (u32, Strategy, u32, u64, u64, Option<u64>, Option<u64>);
 
 /// Check every pin and report all mismatches at once, each with the value
-/// actually produced.
+/// actually produced; then check every cut against 1.01 × its reference.
 fn check(pins: &[Pin]) {
     let mut wrong = Vec::new();
-    for &(people, strategy, k, seed, hash, cut) in pins {
+    let mut worse = Vec::new();
+    for &(people, strategy, k, seed, hash, cut, reference) in pins {
         let pop = Population::generate(&PopulationConfig::small("EPB", people, seed));
         let d = DataDistribution::build(&pop, strategy, k, seed);
         let got = (assignment_hash(&d), d.quality().map(|q| q.edge_cut));
+        let world = format!("{people} people, {}, k={k}, seed {seed}", strategy.label());
         if got != (hash, cut) {
-            wrong.push(format!(
-                "{people} people, {}, k={k}, seed {seed}: got ({:#018x}, {:?})",
-                strategy.label(),
-                got.0,
-                got.1
-            ));
+            wrong.push(format!("{world}: got ({:#018x}, {:?})", got.0, got.1));
+        }
+        if let (Some(cut), Some(reference)) = (got.1, reference) {
+            if cut as f64 > 1.01 * reference as f64 {
+                worse.push(format!("{world}: cut {cut} > 1.01 × {reference}"));
+            }
         }
     }
     assert!(wrong.is_empty(), "partition moved:\n{}", wrong.join("\n"));
+    assert!(
+        worse.is_empty(),
+        "partition quality lost:\n{}",
+        worse.join("\n")
+    );
 }
 
 #[test]
@@ -52,12 +67,12 @@ fn benchmark_world_shapes_are_pinned() {
     use Strategy::{GraphPartition as Gp, GraphPartitionSplit as GpSplit};
     #[rustfmt::skip]
     check(&[
-        (2_000,  Gp,      4, 1301, 0x87ef3988166a1236, Some(4_746)),
-        (2_000,  Gp,      4, 1302, 0x3684e0f2ef3fd217, Some(4_655)),
-        (15_000, GpSplit, 2, 1301, 0x4006f60059e50a25, Some(21_677)),
-        (15_000, GpSplit, 2, 1302, 0x169e40df3b914ec5, Some(22_110)),
-        (30_000, GpSplit, 8, 1301, 0x5507782c8ae74ad5, Some(83_970)),
-        (30_000, GpSplit, 8, 1302, 0x9b37fb05e3eda324, Some(83_732)),
+        (2_000,  Gp,      4, 1301, 0x57c612586822f817, Some(4_575),  Some(4_746)),
+        (2_000,  Gp,      4, 1302, 0x91a1f594a348bcd5, Some(4_512),  Some(4_655)),
+        (15_000, GpSplit, 2, 1301, 0xe6b937c820c6b905, Some(21_409), Some(21_677)),
+        (15_000, GpSplit, 2, 1302, 0x6ad282cc5bb34654, Some(21_587), Some(22_110)),
+        (30_000, GpSplit, 8, 1301, 0x3203064f1a70b974, Some(82_257), Some(83_970)),
+        (30_000, GpSplit, 8, 1302, 0xb5f08ae535efc857, Some(84_038), Some(83_732)),
     ]);
 }
 
@@ -65,15 +80,41 @@ fn benchmark_world_shapes_are_pinned() {
 fn every_strategy_is_pinned_at_4k() {
     #[rustfmt::skip]
     let want = [
-        (0xd90175efbf627f25, None),
-        (0xf203b4a12cc2b021, Some(11_193)),
-        (0xd85f14ab0b151352, None),
-        (0x2c7a879baa8e0ca5, Some(11_239)),
+        (0xd90175efbf627f25, None,         None),
+        (0x324678d8e3d216b1, Some(11_108), Some(11_193)),
+        (0xd85f14ab0b151352, None,         None),
+        (0xbf188acf4118c606, Some(11_181), Some(11_239)),
     ];
     let pins: Vec<Pin> = Strategy::ALL
         .into_iter()
         .zip(want)
-        .map(|(strategy, (hash, cut))| (4_000, strategy, 8, 1303, hash, cut))
+        .map(|(strategy, (hash, cut, reference))| (4_000, strategy, 8, 1303, hash, cut, reference))
         .collect();
     check(&pins);
+}
+
+/// A world whose location graph is no larger than the size at which
+/// coarsening stops gets no person level, and its partition is plain
+/// `kway_partition`'s, bit for bit; one a little larger gets the level.
+#[test]
+fn small_worlds_partition_exactly_as_plain_kway() {
+    let model = PiecewiseModel::paper_constants();
+    for (people, k, seed, person_first) in [(1_000, 4, 1304, false), (1_100, 4, 1304, true)] {
+        let pop = Population::generate(&PopulationConfig::small("EPB", people, seed));
+        let (graph, layout) = build_workload_graph(&pop, &model, LoadUnits::default());
+        let cfg = PartitionConfig::new(k).with_seed(seed).with_ubfactor(1.10);
+        assert_eq!(
+            layout.n_locations <= cfg.coarsen_target(),
+            !person_first,
+            "{people} people"
+        );
+        assert_eq!(person_level(&graph, &layout, &cfg).is_some(), person_first);
+        let part = partition_workload(&graph, &layout, &cfg);
+        assert_eq!(part == kway_partition(&graph, &cfg), !person_first);
+        let d = DataDistribution::build(&pop, Strategy::GraphPartition, k, seed);
+        assert_eq!(
+            [d.person_part(), d.location_part()].concat(),
+            part.assignment
+        );
+    }
 }
