@@ -463,7 +463,7 @@ mod tests {
     fn invocation_counter_is_per_thread() {
         assert_eq!(next_invocation(), 0);
         assert_eq!(next_invocation(), 1);
-        let other = std::thread::spawn(|| next_invocation()).join().unwrap();
+        let other = std::thread::spawn(next_invocation).join().unwrap();
         assert_eq!(other, 0, "fresh thread starts at 0");
         align_to_invocation(7);
         assert_eq!(next_invocation(), 7);

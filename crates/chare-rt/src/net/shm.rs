@@ -880,7 +880,8 @@ mod tests {
         // Drain one frame; exactly one slot frees up.
         let mut fb = FrameBuf::default();
         let mut scratch = [0u8; 1024];
-        c.read(&mut scratch).unwrap();
+        let n = c.read(&mut scratch).unwrap();
+        assert_eq!(n, 1024, "one read drains exactly one frame");
         assert!(p.try_push(4, &body), "space must reopen after a drain");
         assert!(!p.try_push(4, &body), "and only one frame's worth");
         // Drain everything left and verify frame integrity end to end.
@@ -898,7 +899,7 @@ mod tests {
                 self.1.read(buf)
             }
         }
-        frames.extend(fb.poll(&mut Chain(&scratch, &mut c)).unwrap().frames);
+        frames.extend(fb.poll(&mut Chain(&scratch[..n], &mut c)).unwrap().frames);
         assert_eq!(frames.len(), 5);
         assert!(frames.iter().all(|(k, b)| *k == 4 && *b == body));
     }

@@ -74,7 +74,7 @@ impl CowWorld {
 
 /// All mutable state of one ensemble member, packed together so a worker
 /// can reuse it across runs: person slots, the day's stay-home draws and
-/// group marks, the gather buffers, the day's infect list, and the DES
+/// group marks, the gather buffer, the day's infect list, and the DES
 /// kernel scratch.
 ///
 /// [`crate::seq::run_sequential_into`] resets the arena at the start of
@@ -91,9 +91,6 @@ pub struct MemberArena {
     pub(crate) marks: Vec<u64>,
     /// The visits of the group being swept, in canonical order.
     pub(crate) group: Vec<VisitMsg>,
-    /// Gather rank map: static position in the group → position in
-    /// `group`, or `u32::MAX` for an absent visit.
-    pub(crate) rank: Vec<u32>,
     /// The day's infect messages.
     pub(crate) infects: Vec<InfectMsg>,
     /// DES kernel working memory.

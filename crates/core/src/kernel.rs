@@ -6,50 +6,35 @@
 //! and infectious people who are at the location at the same time."
 //!
 //! People only interact within the same *sublocation* (§III-C), so the
-//! sweep runs per sublocation. Exposure is accumulated exactly but in
-//! O(E log E) rather than O(pairs): infectivity values are drawn from the
-//! finite PTTS state set, so we maintain one cumulative occupancy-time
-//! integral per distinct infectivity class; a susceptible's pairwise
-//! exposure `Σ_j τ_ij · ln(1 − r·s_i·ι_j)` factors through those class
-//! integrals. Infector attribution (rare) falls back to a pairwise pass.
+//! kernel runs per sublocation. What the paper's DES computes is, for
+//! every (susceptible, infectious) pair, the minutes they are present
+//! together; visit times are integer minutes, so the kernel computes that
+//! co-presence exactly, as the overlap of the two visits' intervals, with
+//! no events at all. A susceptible's exposure `Σ_j τ_ij · ln(1 − r·s_i·ι_j)`
+//! groups by infectivity class, because infectivity values are drawn from
+//! the finite PTTS state set: one integer τ per class, summed over the
+//! infectious visits the susceptible overlaps.
 
 use crate::messages::{InfectMsg, VisitMsg};
 use ptts::crng::{CounterRng, Purpose};
 use ptts::transmission::select_infector;
 use ptts::Ptts;
 
-/// Reusable working memory for [`simulate_location_day`]. One instance per
-/// owner (LocationManager chare or sequential driver) serves every location
-/// and every day: all buffers grow to the high-water mark once and are then
-/// recycled, so the steady-state DES sweep performs no heap allocation.
+/// Reusable working memory of the kernel. One instance per owner
+/// (LocationManager chare, sequential driver or ensemble member) serves
+/// every sublocation and every day: all buffers grow to the high-water
+/// mark once and are then recycled, so the steady-state kernel performs no
+/// heap allocation.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Event list ([`event`]s).
-    pub(crate) events: Vec<u32>,
-    /// The sweep's working memory, apart from `events` so a caller can
-    /// feed the sweep an event order it holds elsewhere.
-    pub(crate) sweep: SweepScratch,
-}
-
-impl KernelScratch {
-    /// Fresh scratch; buffers are grown lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Working memory of [`sweep_sublocation`].
-#[derive(Debug, Default)]
-pub(crate) struct SweepScratch {
-    /// ∫ count_c dt per infectivity class.
-    cit: Vec<f64>,
-    /// Infectious currently present, per class.
-    present: Vec<u32>,
-    /// Per-visit susceptible sweep state for the current sublocation.
-    sus_meta: Vec<SusMeta>,
-    /// Snapshot arena: `cit` captured at each susceptible arrival, stored
-    /// flat with stride `classes.n()` (replaces a per-arrival `Vec` clone).
-    snap_arena: Vec<f64>,
+    /// The group's infectious visits, in canonical order.
+    infectious: Vec<Infectious>,
+    /// The group's susceptible visits as departure keys,
+    /// `end_min << 32 | canonical index`.
+    susceptible: Vec<u64>,
+    /// Co-presence minutes of the susceptible being resolved, per
+    /// infectivity class.
+    tau: Vec<u32>,
     /// Infector-attribution candidates `(visit index, p_j)`.
     cands: Vec<(u32, f64)>,
     /// Candidate probabilities, parallel to `cands`.
@@ -62,31 +47,28 @@ pub(crate) struct SweepScratch {
     lnq_key: (f64, f64),
 }
 
-/// Per-visit sweep state of a susceptible currently inside the sublocation.
-#[derive(Debug, Clone, Copy)]
-struct SusMeta {
-    /// Offset of the arrival `cit` snapshot in `snap_arena`
-    /// (`u32::MAX` = not a tracked susceptible).
-    snap_off: u32,
-    /// Infectious present at the moment of arrival.
-    present_at_arrive: u32,
-    /// Cumulative infectious arrivals seen before this arrival.
-    arrivals_at_arrive: u64,
+impl KernelScratch {
+    /// Fresh scratch; buffers are grown lazily on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
-impl SusMeta {
-    const NONE: SusMeta = SusMeta {
-        snap_off: u32::MAX,
-        present_at_arrive: 0,
-        arrivals_at_arrive: 0,
-    };
+/// One infectious visit of the group being resolved.
+#[derive(Debug, Clone, Copy)]
+struct Infectious {
+    start: u16,
+    end: u16,
+    class: u16,
+    /// The visit's index in the group's canonical order.
+    index: u32,
 }
 
 /// Features the dynamic load model consumes (Figure 3b), accumulated per
 /// location per day.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LocationDayFeatures {
-    /// Arrive + depart events processed (2 × visits).
+    /// Arrive + depart events of the paper's DES (2 × visits).
     pub events: u64,
     /// Total susceptible×infectious interaction pairs.
     pub interactions: u64,
@@ -145,7 +127,7 @@ impl InfectivityClasses {
 /// results are independent of message arrival order). Returns the infect
 /// messages and the load-model features. `r_eff` is the effective
 /// per-minute transmissibility. `scratch` supplies all working memory; a
-/// reused instance makes the sweep allocation-free in steady state.
+/// reused instance makes the kernel allocation-free in steady state.
 #[allow(clippy::too_many_arguments)]
 #[simlint_macros::hot_path]
 pub fn simulate_location_day(
@@ -162,34 +144,19 @@ pub fn simulate_location_day(
         events: 2 * visits.len() as u64,
         ..Default::default()
     };
-    if visits.is_empty() {
-        return features;
-    }
-    // Fast path: with no infectious visitor the sweep provably produces
-    // no interactions and no infections — `features` already holds its
-    // final value. One O(n) scan replaces the sort + event sweep, and
-    // over a whole epidemic most location-days take this exit.
+    // Fast path: with no infectious visitor there are no interactions and
+    // no infections — `features` already holds its final value. One O(n)
+    // scan replaces the sort, and over a whole epidemic most location-days
+    // take this exit.
     if !visits.iter().any(|v| classes.class(v.state).is_some()) {
         return features;
     }
     // Deterministic order: by sublocation, then start, then person — one
     // u64 key (16+16+32 bits) so the sort compares single integers.
     visits.sort_unstable_by_key(visit_key);
-
-    let mut lo = 0usize;
-    while lo < visits.len() {
-        let subloc = visits[lo].sublocation;
-        let mut hi = lo + 1;
-        while hi < visits.len() && visits[hi].sublocation == subloc {
-            hi += 1;
-        }
-        let range = &visits[lo..hi];
-        if !range.iter().any(|v| classes.class(v.state).is_some()) {
-            lo = hi;
-            continue;
-        }
-        simulate_sublocation(
-            range,
+    for group in visits.chunk_by(|a, b| a.sublocation == b.sublocation) {
+        overlap_sublocation(
+            group,
             ptts,
             classes,
             r_eff,
@@ -199,7 +166,6 @@ pub fn simulate_location_day(
             out,
             &mut features,
         );
-        lo = hi;
     }
     features
 }
@@ -216,11 +182,23 @@ pub(crate) fn canonical_key(sublocation: u16, start_min: u16, person: u32) -> u6
     ((sublocation as u64) << 48) | ((start_min as u64) << 32) | person as u64
 }
 
-/// Sweep events of one sublocation (visits already in canonical order):
-/// order the events, then run the sweep.
+/// The interval-overlap kernel: resolve every susceptible of one
+/// sublocation group, whose `visits` are in canonical order.
+///
+/// Two passes. The first lists the infectious visits and the susceptible
+/// ones (a zero-length visit is neither: it meets no one). The second
+/// resolves the susceptibles in departure order, `(end, canonical index)`,
+/// the order the paper's DES reaches their depart events in: each scans
+/// the infectious list once, adding the overlap `min(eᵢ, eⱼ) − max(sᵢ, sⱼ)`
+/// of every infectious visit `j ≠ i` it overlaps to `τ[class j]`.
+///
+/// O(S·I) for S susceptible and I infectious visits. A group is a room,
+/// which `LocationKind::room_capacity` sizes for 8–40 daily visitors, and
+/// I is mostly 1–3, so each susceptible costs a few integer comparisons
+/// and one kernel serves every group, with no switch on its size.
 #[allow(clippy::too_many_arguments)]
 #[simlint_macros::hot_path]
-fn simulate_sublocation(
+pub(crate) fn overlap_sublocation(
     visits: &[VisitMsg],
     ptts: &Ptts,
     classes: &InfectivityClasses,
@@ -231,214 +209,73 @@ fn simulate_sublocation(
     out: &mut Vec<InfectMsg>,
     features: &mut LocationDayFeatures,
 ) {
-    let KernelScratch { events, sweep } = scratch;
-    let total_inf_arrivals = order_events(visits, classes, events);
-    sweep_sublocation(
-        visits,
-        events,
-        total_inf_arrivals,
-        ptts,
-        classes,
-        r_eff,
-        seed,
-        day,
-        sweep,
-        out,
-        features,
-    );
-}
-
-/// Fill `events` with the arrive/depart events of `visits` in sweep order
-/// and return the number of infectious arrivals among them.
-#[inline(always)]
-#[simlint_macros::hot_path]
-pub(crate) fn order_events(
-    visits: &[VisitMsg],
-    classes: &InfectivityClasses,
-    events: &mut Vec<u32>,
-) -> u64 {
-    // Every simulation's `SweepLayout` build checks this for every group.
-    debug_assert!(
-        visits.len() <= MAX_SWEEP_VISITS,
-        "sublocation too large to sweep"
-    );
-    events.clear();
-    let mut total_inf_arrivals = 0u64;
-    for (i, v) in visits.iter().enumerate() {
-        let Some((arrive, depart)) = event_keys(v.start_min, v.end_min) else {
-            continue;
-        };
-        if classes.class(v.state).is_some() {
-            total_inf_arrivals += 1;
-        }
-        events.push(event(arrive, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-        events.push(event(depart, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-    }
-    sort_events(events);
-    total_inf_arrivals
-}
-
-/// The arrive and depart keys of a visit, `key = t << 1 | is_arrive`, so
-/// at equal times departs sort before arrives and zero-overlap pairs don't
-/// interact. A zero-length visit makes no events.
-#[inline(always)]
-pub(crate) fn event_keys(start_min: u16, end_min: u16) -> Option<(u32, u32)> {
-    (end_min > start_min).then_some((((start_min as u32) << 1) | 1, (end_min as u32) << 1))
-}
-
-/// Bits of an [`event`] that hold the visit index.
-const EVENT_INDEX_BITS: u32 = 20;
-
-/// The most visits one sweep takes: every visit index fits an [`event`].
-/// A sublocation is a room, so its visits stay far below this; the
-/// `SweepLayout` build, which every simulation runs, checks it for every
-/// sublocation.
-pub(crate) const MAX_SWEEP_VISITS: usize = 1 << EVENT_INDEX_BITS;
-
-/// One sweep event: its key (below 2¹², since `t` < 1440) above the index
-/// of its visit (below [`MAX_SWEEP_VISITS`]), so sorting the packed values
-/// orders by key, ties by index.
-#[inline(always)]
-pub(crate) fn event(key: u32, index: u32) -> u32 {
-    (key << EVENT_INDEX_BITS) | index
-}
-
-/// An [`event`]'s key and visit index.
-#[inline(always)]
-pub(crate) fn unpack_event(event: u32) -> (u32, u32) {
-    (
-        event >> EVENT_INDEX_BITS,
-        event & ((1 << EVENT_INDEX_BITS) - 1),
-    )
-}
-
-/// Sort events into sweep order: by key, ties by index. Arrive and depart
-/// keys of one visit differ, so within one key the indices are unique and
-/// the order is total.
-#[inline(always)]
-pub(crate) fn sort_events(events: &mut [u32]) {
-    events.sort_unstable();
-}
-
-/// The event sweep of one sublocation. `ordered` holds the [`event`]s of
-/// `visits` in the order [`order_events`] produces, and
-/// `total_inf_arrivals` counts its infectious arrivals. Inlined into
-/// every caller: [`simulate_location_day`], the LocationManager's sweep
-/// and `core::seq`'s.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-#[simlint_macros::hot_path]
-pub(crate) fn sweep_sublocation(
-    visits: &[VisitMsg],
-    ordered: &[u32],
-    total_inf_arrivals: u64,
-    ptts: &Ptts,
-    classes: &InfectivityClasses,
-    r_eff: f64,
-    seed: u64,
-    day: u32,
-    sweep: &mut SweepScratch,
-    out: &mut Vec<InfectMsg>,
-    features: &mut LocationDayFeatures,
-) {
-    let ncls = classes.n();
-    let SweepScratch {
-        cit,
-        present,
-        sus_meta,
-        snap_arena,
+    let KernelScratch {
+        infectious,
+        susceptible,
+        tau,
         cands,
         probs,
         lnq,
         lnq_key,
-    } = sweep;
-
-    // Sweep state.
-    cit.clear();
-    cit.resize(ncls, 0.0); // simlint: allow(R6) -- reused scratch: per-class intensity table, ncls is fixed for a run
-    present.clear();
-    present.resize(ncls, 0); // simlint: allow(R6) -- reused scratch: per-class presence counters, ncls is fixed for a run
-    sus_meta.clear();
-    sus_meta.resize(visits.len(), SusMeta::NONE); // simlint: allow(R6) -- reused scratch: per-visit metadata tracks visits.len(), capacity reused across invocations
-    snap_arena.clear();
-    let mut arrivals = 0u64; // cumulative infectious arrivals (all classes)
-    let mut last_t = 0u16;
-
-    for &ev in ordered {
-        let (key, vi) = unpack_event(ev);
-        let t = (key >> 1) as u16;
-        let is_arrive = key & 1 == 1;
-        // Advance integrals to t.
-        let dt = (t - last_t) as f64;
-        if dt > 0.0 {
-            for (citc, &pres) in cit.iter_mut().zip(present.iter()) {
-                *citc += pres as f64 * dt;
-            }
-            last_t = t;
+    } = scratch;
+    infectious.clear();
+    susceptible.clear();
+    for (i, v) in visits.iter().enumerate() {
+        if v.end_min <= v.start_min {
+            continue;
         }
-        let v = &visits[vi as usize];
-        let v_class = classes.class(v.state);
-        if is_arrive {
-            // Skip the snapshot when no infectious is present and none will
-            // ever arrive again: encounters and every class integral delta
-            // are provably zero, so the departure-side resolve is a no-op.
-            if ptts.is_susceptible(v.state)
-                && v.sus_scale > 0.0
-                && !(arrivals == total_inf_arrivals && present.iter().all(|&p| p == 0))
-            {
-                sus_meta[vi as usize] = SusMeta {
-                    snap_off: snap_arena.len() as u32,
-                    present_at_arrive: present.iter().sum(),
-                    arrivals_at_arrive: arrivals,
-                };
-                snap_arena.extend_from_slice(cit); // simlint: allow(R6) -- reused scratch: snapshot arena grows to the worst sublocation-day once, then recycles
-            }
-            if let Some(c) = v_class {
-                present[c] += 1;
-                arrivals += 1;
-            }
-        } else {
-            if let Some(c) = v_class {
-                present[c] -= 1;
-            }
-            let meta = std::mem::replace(&mut sus_meta[vi as usize], SusMeta::NONE);
-            if meta.snap_off != u32::MAX {
-                let off = meta.snap_off as usize;
-                resolve_susceptible(
-                    v,
-                    &meta,
-                    &snap_arena[off..off + ncls],
-                    cit,
-                    arrivals,
-                    visits,
-                    ptts,
-                    classes,
-                    r_eff,
-                    seed,
-                    day,
-                    cands,
-                    probs,
-                    lnq,
-                    lnq_key,
-                    out,
-                    features,
-                );
+        if let Some(class) = classes.class(v.state) {
+            // simlint: allow(R6) -- reused scratch: the infectious list reaches the largest group's count once, then recycles
+            infectious.push(Infectious {
+                start: v.start_min,
+                end: v.end_min,
+                class: class as u16,
+                index: i as u32,
+            });
+        }
+        if v.sus_scale > 0.0 && ptts.is_susceptible(v.state) {
+            susceptible.push(((v.end_min as u64) << 32) | i as u64); // simlint: allow(R6) -- reused scratch: the susceptible list reaches the largest group's count once, then recycles
+        }
+    }
+    if infectious.is_empty() || susceptible.is_empty() {
+        return;
+    }
+    susceptible.sort_unstable();
+    tau.clear();
+    tau.resize(classes.n(), 0); // simlint: allow(R6) -- reused scratch: per-class minutes, classes.n() is fixed for a run
+    for &key in susceptible.iter() {
+        let i = key as u32;
+        let v = &visits[i as usize];
+        tau.fill(0);
+        let mut encounters = 0u64;
+        for w in infectious.iter() {
+            let overlap = v.end_min.min(w.end) as i32 - v.start_min.max(w.start) as i32;
+            if overlap > 0 && w.index != i {
+                tau[w.class as usize] += overlap as u32;
+                encounters += 1;
             }
         }
+        if encounters == 0 {
+            continue;
+        }
+        features.interactions += encounters;
+        features.sum_reciprocal_interactions += 1.0 / encounters as f64;
+        resolve_susceptible(
+            v, tau, infectious, visits, ptts, classes, r_eff, seed, day, cands, probs, lnq,
+            lnq_key, out,
+        );
     }
 }
 
-/// At a susceptible's departure: compute exposure, draw infection, and if
-/// infected, attribute an infector. `cit_at_arrive` is the arena slice
-/// captured at arrival; `cands`/`probs` are reused scratch vectors.
+/// Draw one susceptible's infection from its per-class co-presence
+/// minutes `tau`, and if infected, attribute an infector among the
+/// group's `infectious` visits. `cands`/`probs` are reused scratch.
 #[allow(clippy::too_many_arguments)]
 #[simlint_macros::hot_path]
 fn resolve_susceptible(
     v: &VisitMsg,
-    meta: &SusMeta,
-    cit_at_arrive: &[f64],
-    cit: &[f64],
-    arrivals_now: u64,
+    tau: &[u32],
+    infectious: &[Infectious],
     visits: &[VisitMsg],
     ptts: &Ptts,
     classes: &InfectivityClasses,
@@ -450,25 +287,11 @@ fn resolve_susceptible(
     lnq: &mut Vec<f64>,
     lnq_key: &mut (f64, f64),
     out: &mut Vec<InfectMsg>,
-    features: &mut LocationDayFeatures,
 ) {
     let s_i = ptts.susceptibility(v.state) * v.sus_scale as f64;
-    // Interaction count: infectious present at arrival + infectious
-    // arrivals during the stay (exact count of overlapping intervals,
-    // minus self if this visit is also infectious).
-    let mut encounters = meta.present_at_arrive as u64 + (arrivals_now - meta.arrivals_at_arrive);
-    let self_class = classes.class(v.state);
-    if self_class.is_some() {
-        encounters = encounters.saturating_sub(1);
-    }
-    features.interactions += encounters;
-    if encounters > 0 {
-        features.sum_reciprocal_interactions += 1.0 / encounters as f64;
-    }
-
-    // Exposure: log-escape via class integrals. The `(-q).ln_1p()` factors
-    // depend only on `(r_eff, s_i, class)`; susceptibility is monomorphic
-    // in practice, so the memo reduces the transcendental calls to one
+    // Exposure: log-escape per class. The `(-q).ln_1p()` factors depend
+    // only on `(r_eff, s_i, class)`; susceptibility is monomorphic in
+    // practice, so the memo reduces the transcendental calls to one
     // rebuild per kernel invocation. `lnq[c]` is exactly the value the
     // un-memoised expression produces, so results are bit-identical.
     if lnq.len() != classes.n() || *lnq_key != (r_eff, s_i) {
@@ -485,19 +308,12 @@ fn resolve_susceptible(
         *lnq_key = (r_eff, s_i);
     }
     let mut log_escape = 0.0f64;
-    #[allow(clippy::needless_range_loop)] // c indexes three parallel arrays
-    for c in 0..classes.n() {
-        let mut tau = cit[c] - cit_at_arrive[c];
-        if Some(c) == self_class {
-            // Exclude self-exposure.
-            tau -= (v.end_min - v.start_min) as f64;
-        }
-        if tau <= 0.0 {
-            continue;
-        }
-        // Adding `tau * 0.0` for a zero-q class leaves the sum unchanged,
+    for (&minutes, &lnq_c) in tau.iter().zip(lnq.iter()) {
+        // Adding `τ * 0.0` for a zero-q class leaves the sum unchanged,
         // matching the original `if q > 0.0` guard exactly.
-        log_escape += tau * lnq[c];
+        if minutes > 0 {
+            log_escape += minutes as f64 * lnq_c;
+        }
     }
     if log_escape == 0.0 {
         // exp(0) = 1 exactly, so p would be 0 — skip the exp.
@@ -517,22 +333,19 @@ fn resolve_susceptible(
     if !rng.bernoulli(p) {
         return;
     }
-    // Attribute an infector: pairwise pass over overlapping infectious
-    // visits in this sublocation (visits slice is the sublocation group).
+    // Attribute an infector: a pairwise pass over the overlapping
+    // infectious visits, in canonical order.
     cands.clear();
-    for (j, w) in visits.iter().enumerate() {
-        if w.person == v.person && w.start_min == v.start_min {
+    for w in infectious {
+        let u = &visits[w.index as usize];
+        if u.person == v.person && u.start_min == v.start_min {
             continue;
         }
-        let Some(c) = classes.class(w.state) else {
-            continue;
-        };
-        let overlap =
-            (v.end_min.min(w.end_min) as i32 - v.start_min.max(w.start_min) as i32).max(0) as f64;
+        let overlap = (v.end_min.min(w.end) as i32 - v.start_min.max(w.start) as i32).max(0) as f64;
         if overlap > 0.0 {
-            let q = (r_eff * s_i * classes.iota[c]).clamp(0.0, 1.0 - 1e-12);
+            let q = (r_eff * s_i * classes.iota[w.class as usize]).clamp(0.0, 1.0 - 1e-12);
             let p_j = 1.0 - (overlap * (-q).ln_1p()).exp();
-            cands.push((j as u32, p_j)); // simlint: allow(R6) -- reused scratch: candidate list reaches the worst overlap count once, then recycles
+            cands.push((w.index, p_j)); // simlint: allow(R6) -- reused scratch: candidate list reaches the worst overlap count once, then recycles
         }
     }
     let infector = if cands.is_empty() {
@@ -556,8 +369,234 @@ fn resolve_susceptible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ptts::flu_model;
-    use ptts::model::StateId;
+    use ptts::model::{DwellDist, PttsBuilder, StateId, TreatmentId};
+
+    /// The paper's per-location DES as the kernel ran it before the
+    /// interval-overlap kernel: arrive/depart events in `(time, arrive
+    /// after depart, index)` order, one cumulative occupancy integral per
+    /// infectivity class, a snapshot of the integrals at each susceptible
+    /// arrival, and the resolve at its departure. Kept as the reference
+    /// the kernel must equal bit for bit.
+    mod event_sweep {
+        use super::*;
+
+        /// Sweep one sublocation group (visits in canonical order).
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn sweep(
+            visits: &[VisitMsg],
+            ptts: &Ptts,
+            classes: &InfectivityClasses,
+            r_eff: f64,
+            seed: u64,
+            day: u32,
+            out: &mut Vec<InfectMsg>,
+            features: &mut LocationDayFeatures,
+        ) {
+            // Events: `key = t << 1 | is_arrive`, so at equal times
+            // departs sort before arrives; ties by visit index.
+            let mut events: Vec<(u32, u32)> = Vec::new();
+            let mut total_inf_arrivals = 0u64;
+            for (i, v) in visits.iter().enumerate() {
+                if v.end_min <= v.start_min {
+                    continue;
+                }
+                if classes.class(v.state).is_some() {
+                    total_inf_arrivals += 1;
+                }
+                events.push((((v.start_min as u32) << 1) | 1, i as u32));
+                events.push(((v.end_min as u32) << 1, i as u32));
+            }
+            events.sort_unstable();
+
+            let ncls = classes.n();
+            let mut cit = vec![0.0f64; ncls];
+            let mut present = vec![0u32; ncls];
+            // Per visit: the integrals at arrival, the infectious present
+            // then, and the infectious arrivals seen before it.
+            let mut snap: Vec<Option<(Vec<f64>, u32, u64)>> = vec![None; visits.len()];
+            let mut arrivals = 0u64;
+            let mut last_t = 0u16;
+            for (key, vi) in events {
+                let t = (key >> 1) as u16;
+                let dt = (t - last_t) as f64;
+                if dt > 0.0 {
+                    for (citc, &pres) in cit.iter_mut().zip(present.iter()) {
+                        *citc += pres as f64 * dt;
+                    }
+                    last_t = t;
+                }
+                let v = &visits[vi as usize];
+                let v_class = classes.class(v.state);
+                if key & 1 == 1 {
+                    if ptts.is_susceptible(v.state)
+                        && v.sus_scale > 0.0
+                        && !(arrivals == total_inf_arrivals && present.iter().all(|&p| p == 0))
+                    {
+                        snap[vi as usize] = Some((cit.clone(), present.iter().sum(), arrivals));
+                    }
+                    if let Some(c) = v_class {
+                        present[c] += 1;
+                        arrivals += 1;
+                    }
+                } else {
+                    if let Some(c) = v_class {
+                        present[c] -= 1;
+                    }
+                    let Some((at_arrive, present_at_arrive, arrivals_at_arrive)) =
+                        snap[vi as usize].take()
+                    else {
+                        continue;
+                    };
+                    let mut encounters = present_at_arrive as u64 + (arrivals - arrivals_at_arrive);
+                    if v_class.is_some() {
+                        encounters = encounters.saturating_sub(1);
+                    }
+                    features.interactions += encounters;
+                    if encounters > 0 {
+                        features.sum_reciprocal_interactions += 1.0 / encounters as f64;
+                    }
+                    let s_i = ptts.susceptibility(v.state) * v.sus_scale as f64;
+                    let mut log_escape = 0.0f64;
+                    #[allow(clippy::needless_range_loop)] // c indexes three parallel arrays
+                    for c in 0..ncls {
+                        let mut tau = cit[c] - at_arrive[c];
+                        if Some(c) == v_class {
+                            tau -= (v.end_min - v.start_min) as f64;
+                        }
+                        if tau <= 0.0 {
+                            continue;
+                        }
+                        let q = (r_eff * s_i * classes.iota[c]).clamp(0.0, 1.0 - 1e-12);
+                        log_escape += tau * if q > 0.0 { (-q).ln_1p() } else { 0.0 };
+                    }
+                    if log_escape == 0.0 {
+                        continue;
+                    }
+                    let p = 1.0 - log_escape.exp();
+                    if p <= 0.0 {
+                        continue;
+                    }
+                    let mut rng = CounterRng::from_key(&[
+                        seed,
+                        v.person as u64,
+                        day as u64,
+                        Purpose::Infection as u64,
+                        v.start_min as u64,
+                    ]);
+                    if !rng.bernoulli(p) {
+                        continue;
+                    }
+                    let mut cands = Vec::new();
+                    for (j, w) in visits.iter().enumerate() {
+                        if w.person == v.person && w.start_min == v.start_min {
+                            continue;
+                        }
+                        let Some(c) = classes.class(w.state) else {
+                            continue;
+                        };
+                        let overlap = (v.end_min.min(w.end_min) as i32
+                            - v.start_min.max(w.start_min) as i32)
+                            .max(0) as f64;
+                        if overlap > 0.0 {
+                            let q = (r_eff * s_i * classes.iota[c]).clamp(0.0, 1.0 - 1e-12);
+                            cands.push((j, 1.0 - (overlap * (-q).ln_1p()).exp()));
+                        }
+                    }
+                    let probs: Vec<f64> = cands.iter().map(|&(_, p)| p).collect();
+                    let infector = match select_infector(&probs, rng.uniform_f64()) {
+                        Some(i) if !cands.is_empty() => visits[cands[i].0].person,
+                        _ => u32::MAX,
+                    };
+                    out.push(InfectMsg {
+                        person: v.person,
+                        time_min: v.start_min,
+                        infector,
+                    });
+                }
+            }
+        }
+    }
+
+    /// All three infectivity classes, and a `carrier` state that is both
+    /// susceptible and infectious, so the self-exclusion term is live.
+    fn carrier_model() -> Ptts {
+        PttsBuilder::new("carrier")
+            .state("susceptible", 0.0, 1.0, DwellDist::Forever)
+            .state("latent", 0.0, 0.0, DwellDist::Fixed(1))
+            .state("carrier", 0.25, 0.5, DwellDist::Forever)
+            .state("symptomatic", 1.0, 0.0, DwellDist::Forever)
+            .state("asymptomatic", 0.5, 0.0, DwellDist::Forever)
+            .state("recovered", 0.0, 0.0, DwellDist::Forever)
+            .transition("latent", TreatmentId::DEFAULT, &[("carrier", 1.0)])
+            .start("susceptible")
+            .exposed("latent")
+            .build()
+            .expect("the carrier model validates")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The interval-overlap kernel equals the event sweep bit for bit:
+        /// the same infect messages in the same order, the same interaction
+        /// count, and the same `Σ 1/interactions` bits. Minutes fall on a
+        /// 30-minute grid, so one visit's departure often meets another's
+        /// arrival (zero overlap, no interaction); a zero duration makes a
+        /// visit that counts nowhere; `sus_scale` 0 shuts a susceptible out;
+        /// and a person may visit the room twice.
+        #[test]
+        fn overlap_kernel_equals_the_event_sweep(
+            raw in collection::vec((0u32..10, 0u16..21, 0u16..9, 0usize..6, 0usize..3), 1..28),
+            r_index in 0usize..3,
+            seed in 0u64..1_000,
+            day in 0u32..100,
+        ) {
+            let r_eff = [1e-4, 2e-3, 0.05][r_index];
+            let ptts = carrier_model();
+            let classes = InfectivityClasses::new(&ptts);
+            assert_eq!(classes.n(), 3);
+            let states = ["susceptible", "susceptible", "carrier", "symptomatic", "asymptomatic", "recovered"];
+            let mut visits: Vec<VisitMsg> = raw
+                .iter()
+                .map(|&(person, start, length, state, scale)| {
+                    let start_min = 30 * start;
+                    VisitMsg {
+                        person,
+                        location: 0,
+                        sublocation: 0,
+                        start_min,
+                        end_min: start_min + 30 * length,
+                        state: ptts.state_by_name(states[state]).unwrap(),
+                        sus_scale: [0.0, 0.5, 1.0][scale],
+                    }
+                })
+                .collect();
+            visits.sort_unstable_by_key(visit_key);
+
+            let mut scratch = KernelScratch::new();
+            let (mut out, mut got) = (Vec::new(), LocationDayFeatures::default());
+            // Twice over one scratch: the second run starts from a used one.
+            for _ in 0..2 {
+                out.clear();
+                got = LocationDayFeatures::default();
+                overlap_sublocation(
+                    &visits, &ptts, &classes, r_eff, seed, day, &mut scratch, &mut out, &mut got,
+                );
+            }
+            let (mut want_out, mut want) = (Vec::new(), LocationDayFeatures::default());
+            event_sweep::sweep(
+                &visits, &ptts, &classes, r_eff, seed, day, &mut want_out, &mut want,
+            );
+            prop_assert_eq!(out, want_out);
+            prop_assert_eq!(got.interactions, want.interactions);
+            prop_assert_eq!(
+                got.sum_reciprocal_interactions.to_bits(),
+                want.sum_reciprocal_interactions.to_bits()
+            );
+        }
+    }
 
     fn visit(person: u32, state: StateId, start: u16, end: u16, subloc: u16) -> VisitMsg {
         VisitMsg {

@@ -20,7 +20,7 @@
 //! LM and run through [`simulate_location_day`].
 
 use crate::kernel::{
-    simulate_location_day, sweep_sublocation, InfectivityClasses, KernelScratch,
+    overlap_sublocation, simulate_location_day, InfectivityClasses, KernelScratch,
     LocationDayFeatures,
 };
 use crate::messages::{slots, DayEffects, InfectMsg, SharedRef, SimMsg, Update, VisitMsg};
@@ -297,7 +297,7 @@ pub struct LocationManager {
     part: u32,
     classes: InfectivityClasses,
     symptomatic_state: Option<StateId>,
-    /// DES working memory reused across locations and days.
+    /// Kernel working memory reused across locations and days.
     scratch: KernelScratch,
     /// Per location: the features summed over the days it was swept (every
     /// day under `no_opt`); [`LocationManager::feature_totals`] adds the
@@ -333,9 +333,8 @@ struct Visitors {
     days_open: [u64; 5],
     /// Per location kind: the LM's scheduled visits there.
     scheduled: [u64; 5],
-    /// The group being swept, and the gather's rank map.
+    /// The group being swept.
     group: Vec<VisitMsg>,
-    rank: Vec<u32>,
 }
 
 impl LocationManager {
@@ -360,7 +359,6 @@ impl LocationManager {
             days_open: [0; 5],
             scheduled,
             group: Vec::new(),
-            rank: Vec::new(),
         };
         LocationManager {
             classes: InfectivityClasses::new(&shared.ptts),
@@ -445,7 +443,6 @@ impl LocationManager {
             days_open,
             scheduled,
             group,
-            rank,
         } = &mut self.visitors;
 
         watch.retain(|&v| {
@@ -527,27 +524,17 @@ impl LocationManager {
                     attends(&fx, kind, m.at_home(), stayed)
                 };
                 let cached = |m: &Member| health[m.visitor() - first_visitor];
-                let (ordered, infectious_arrivals) = sweep.gather(
-                    g,
-                    present,
-                    cached,
-                    classes,
-                    group,
-                    rank,
-                    &mut self.scratch.events,
-                );
+                sweep.gather(g, present, cached, group);
                 self.infect_buf.clear();
                 let features = &mut at.as_mut().expect("set above").1;
-                sweep_sublocation(
+                overlap_sublocation(
                     group,
-                    ordered,
-                    infectious_arrivals,
                     &shared.ptts,
                     classes,
                     r_eff,
                     shared.seed,
                     day,
-                    &mut self.scratch.sweep,
+                    &mut self.scratch,
                     &mut self.infect_buf,
                     features,
                 );

@@ -12,12 +12,12 @@
 //! because only a sublocation with an infectious visitor can produce an
 //! interaction. [`SweepLayout`] computes once per world every visit in
 //! the canonical `(location, sublocation, start, person)` order, grouped
-//! by sublocation, and each group's arrive/depart event order. Each day
-//! the person pass runs [`person_morning`] for everyone and marks the
-//! groups the infectious attend; the location pass gathers only the
-//! marked groups' present visits and runs the kernel's sweep over the
-//! static event order with the absent visits left out. Nothing is sorted
-//! per day. The engines' LocationManagers sweep the same layout, each its
+//! by sublocation. Each day the person pass runs [`person_morning`] for
+//! everyone and marks the groups the infectious attend; the location pass
+//! gathers only the marked groups' present visits, still in canonical
+//! order, and runs the kernel's interval-overlap pass over them. Nothing
+//! is sorted per day but each swept group's few susceptibles. The
+//! engines' LocationManagers sweep the same layout, each its
 //! own partition's range, from the states persons send them
 //! (`crate::managers`). A [`DataDistribution`] builds it once, on first
 //! use, and every clone shares it, so every simulator,
@@ -26,10 +26,7 @@
 
 use crate::distribution::DataDistribution;
 use crate::ensemble::MemberArena;
-use crate::kernel::{
-    canonical_key, event, event_keys, sort_events, sweep_sublocation, unpack_event,
-    InfectivityClasses, LocationDayFeatures, MAX_SWEEP_VISITS,
-};
+use crate::kernel::{canonical_key, overlap_sublocation, InfectivityClasses, LocationDayFeatures};
 use crate::messages::{DayEffects, VisitMsg};
 use crate::output::{DayStats, EpiCurve};
 use crate::person::{at_home, attended, attends, person_morning, PersonSlot};
@@ -70,7 +67,7 @@ impl Member {
 const AT_HOME: u32 = 1 << 31;
 
 /// The visits of a population in canonical order, grouped by
-/// `(location, sublocation)`, with each group's static event order.
+/// `(location, sublocation)`.
 ///
 /// Groups are ordered by partition, then location, so partition `p`'s
 /// groups are one contiguous range ([`SweepLayout::groups_of`]): a
@@ -79,11 +76,8 @@ const AT_HOME: u32 = 1 << 31;
 /// holds `members[group_start[g]..group_start[g + 1]]`, sorted by `(start,
 /// person, visit index)`, which is the order the kernel sorts a
 /// sublocation into (the visit index only breaks ties the kernel's key
-/// leaves open). Its events are `events[event_start[g]..event_start[g +
-/// 1]]`: `(key, rank in group)` in the `(key, index)` order
-/// [`crate::kernel::order_events`] produces over the whole group. Removing
-/// a day's absent visits renumbers the survivors monotonically, so the
-/// filtered static order is that day's sorted order.
+/// leaves open). Leaving a day's absent visits out keeps the survivors in
+/// that order, so a gathered group is what the kernel would have sorted.
 ///
 /// A layout may cover only some partitions (a net rank lays out the
 /// LocationManagers it hosts); the others have empty ranges.
@@ -96,8 +90,6 @@ pub struct SweepLayout {
     group_start: Vec<u32>,
     /// `(location, sublocation)` of every group.
     place: Vec<(u32, u16)>,
-    events: Vec<u32>,
-    event_start: Vec<u32>,
     /// Partition `p`'s groups are `part_groups[p]..part_groups[p + 1]`.
     part_groups: Vec<u32>,
     /// Each partition's distinct visitors, ascending; partition `p`'s are
@@ -183,13 +175,11 @@ impl SweepLayout {
         let mut layout = SweepLayout {
             members: Vec::with_capacity(keyed.len()),
             visit_group: vec![u32::MAX; pop.visits.len()],
-            events: Vec::with_capacity(2 * keyed.len()),
             part_groups: vec![0],
             part_visitors: vec![0],
             visitors: visitors.concat(),
             ..SweepLayout::default()
         };
-        let mut departs = Vec::new();
         for (part, seen) in visitors.iter().enumerate() {
             let first_visitor = *layout.part_visitors.last().expect("starts at 0");
             let mut lo = part_start[part] as usize;
@@ -199,7 +189,7 @@ impl SweepLayout {
                 keyed[lo..hi].sort_unstable_by_key(|k| (k.key, k.visit));
                 for group in keyed[lo..hi].chunk_by(|a, b| a.key >> 48 == b.key >> 48) {
                     let sublocation = (group[0].key >> 48) as u16;
-                    layout.push_group((location, sublocation), first_visitor, group, &mut departs);
+                    layout.push_group((location, sublocation), first_visitor, group);
                 }
                 lo = hi;
             }
@@ -207,60 +197,25 @@ impl SweepLayout {
             layout.part_visitors.push(first_visitor + seen.len() as u32);
         }
         layout.group_start.push(layout.members.len() as u32);
-        layout.event_start.push(layout.events.len() as u32);
         layout
     }
 
     /// Append one sublocation group: its visits in canonical order, keyed
-    /// by their visitor's index after `first_visitor`. The arrivals come
-    /// out in `sort_events` order already (members sort by start first),
-    /// so only the departures are sorted before they are merged in.
-    fn push_group(
-        &mut self,
-        place: (u32, u16),
-        first_visitor: u32,
-        visits: &[Keyed],
-        departs: &mut Vec<u32>,
-    ) {
-        assert!(
-            visits.len() <= MAX_SWEEP_VISITS,
-            "sublocation too large to sweep"
-        );
+    /// by their visitor's index after `first_visitor`.
+    fn push_group(&mut self, place: (u32, u16), first_visitor: u32, visits: &[Keyed]) {
         let g = self.place.len() as u32;
         self.place.push(place);
         self.group_start.push(self.members.len() as u32);
-        let first_event = self.events.len();
-        self.event_start.push(first_event as u32);
-        departs.clear();
-        for (rank, k) in visits.iter().enumerate() {
+        for k in visits {
             let home = if k.at_home { AT_HOME } else { 0 };
             self.visit_group[k.visit as usize] = g | home;
-            let start_min = (k.key >> 32) as u16;
             let visitor = first_visitor + k.key as u32;
             self.members.push(Member {
                 person: self.visitors[visitor as usize],
                 visitor: visitor | home,
-                start_min,
+                start_min: (k.key >> 32) as u16,
                 end_min: k.end_min,
             });
-            if let Some((arrive, depart)) = event_keys(start_min, k.end_min) {
-                self.events.push(event(arrive, rank as u32));
-                departs.push(event(depart, rank as u32));
-            }
-        }
-        sort_events(departs);
-        // Merge from the back, into the room the departures take.
-        let (mut a, mut d) = (self.events.len() - first_event, departs.len());
-        self.events.resize(self.events.len() + d, 0);
-        let merged = &mut self.events[first_event..];
-        while d > 0 {
-            if a > 0 && merged[a - 1] > departs[d - 1] {
-                merged[a + d - 1] = merged[a - 1];
-                a -= 1;
-            } else {
-                merged[a + d - 1] = departs[d - 1];
-                d -= 1;
-            }
         }
     }
 
@@ -281,8 +236,6 @@ impl SweepLayout {
             + size_of_val(self.visit_group.as_slice())
             + size_of_val(self.group_start.as_slice())
             + size_of_val(self.place.as_slice())
-            + size_of_val(self.events.as_slice())
-            + size_of_val(self.event_start.as_slice())
             + size_of_val(self.part_groups.as_slice())
             + size_of_val(self.visitors.as_slice())
             + size_of_val(self.part_visitors.as_slice())
@@ -327,35 +280,19 @@ impl SweepLayout {
 
     /// Gather group `g`'s visits that are `present` today into `visits`,
     /// in canonical order, with each member's `(state, sus_scale)` read by
-    /// `health`. Returns the group's event order with the absent visits
-    /// left out (the static slice itself when none is absent, else built
-    /// in `events` via the `rank` map) and its number of infectious
-    /// arrivals.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gather<'a>(
-        &'a self,
+    /// `health`: the kernel's input.
+    pub(crate) fn gather(
+        &self,
         g: usize,
         present: impl Fn(&Member) -> bool,
         health: impl Fn(&Member) -> (StateId, f32),
-        classes: &InfectivityClasses,
         visits: &mut Vec<VisitMsg>,
-        rank: &mut Vec<u32>,
-        events: &'a mut Vec<u32>,
-    ) -> (&'a [u32], u64) {
+    ) {
         let (location, sublocation) = self.place[g];
         let members = &self.members[self.group_start[g] as usize..self.group_start[g + 1] as usize];
         visits.clear();
-        rank.clear();
-        let mut infectious_arrivals = 0u64;
-        for m in members {
-            if !present(m) {
-                rank.push(u32::MAX);
-                continue;
-            }
-            rank.push(visits.len() as u32);
+        for m in members.iter().filter(|m| present(m)) {
             let (state, sus_scale) = health(m);
-            let infectious = classes.class(state).is_some();
-            infectious_arrivals += (infectious && m.end_min > m.start_min) as u64;
             visits.push(VisitMsg {
                 person: m.person,
                 location,
@@ -366,17 +303,6 @@ impl SweepLayout {
                 sus_scale,
             });
         }
-        let all = &self.events[self.event_start[g] as usize..self.event_start[g + 1] as usize];
-        if visits.len() == members.len() {
-            return (all, infectious_arrivals);
-        }
-        events.clear();
-        events.extend(all.iter().filter_map(|&ev| {
-            let (key, r) = unpack_event(ev);
-            let i = rank[r as usize];
-            (i != u32::MAX).then_some(event(key, i))
-        }));
-        (events, infectious_arrivals)
     }
 }
 
@@ -440,7 +366,6 @@ pub fn run_sequential_into(
         stay_home,
         marks,
         group,
-        rank,
         infects,
         scratch,
     } = arena;
@@ -526,26 +451,16 @@ pub fn run_sequential_into(
                     let slot = &slots[m.person as usize];
                     (slot.health.state, slot.sus_scale)
                 };
-                let (ordered, infectious_arrivals) = layout.gather(
-                    g,
-                    present,
-                    health,
-                    &classes,
-                    group,
-                    rank,
-                    &mut scratch.events,
-                );
+                layout.gather(g, present, health, group);
                 let before = infects.len();
-                sweep_sublocation(
+                overlap_sublocation(
                     group,
-                    ordered,
-                    infectious_arrivals,
                     ptts,
                     &classes,
                     r_eff,
                     cfg.seed,
                     day,
-                    &mut scratch.sweep,
+                    scratch,
                     infects,
                     &mut features,
                 );
@@ -589,7 +504,7 @@ pub fn run_sequential_into(
 mod tests {
     use super::*;
     use crate::distribution::Strategy;
-    use crate::kernel::{order_events, visit_key};
+    use crate::kernel::visit_key;
     use crate::person::visit_to_msg;
     use crate::simulator::Simulator;
     use crate::splitloc::{split_heavy_locations, SplitConfig};
@@ -768,18 +683,16 @@ mod tests {
         (z ^ (z >> 31)) % 1000 < per_mille
     }
 
-    /// What a group holds, by person id: its place, its members as
-    /// `(person, start, end)`, and its event order.
+    /// What a group holds, by person id: its place and its members as
+    /// `(person, start, end)`.
     #[allow(clippy::type_complexity)]
-    fn describe(layout: &SweepLayout, g: usize) -> ((u32, u16), Vec<(u32, u16, u16)>, &[u32]) {
+    fn describe(layout: &SweepLayout, g: usize) -> ((u32, u16), Vec<(u32, u16, u16)>) {
         let members = &layout.members[layout.group_start[g] as usize..][..layout.group_len(g)];
         let members = members
             .iter()
             .map(|m| (layout.visitors()[m.visitor()], m.start_min, m.end_min))
             .collect();
-        let events =
-            &layout.events[layout.event_start[g] as usize..layout.event_start[g + 1] as usize];
-        (layout.place(g), members, events)
+        (layout.place(g), members)
     }
 
     /// A distribution's layout is the one-partition layout's groups,
@@ -813,7 +726,7 @@ mod tests {
             assert_eq!(got, want, "partition {part}");
             let mut persons: Vec<u32> = got
                 .iter()
-                .flat_map(|(_, m, _)| m.iter().map(|v| v.0))
+                .flat_map(|(_, m)| m.iter().map(|v| v.0))
                 .collect();
             persons.sort_unstable();
             persons.dedup();
@@ -861,11 +774,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The one assumption the pull path adds to the kernel: with any
-        /// set of visits absent, a layout group gathers to exactly the
-        /// kernel's sort of the same visits, and its filtered static event
-        /// order is exactly the kernel's `(key, index)` sort of them.
+        /// set of visits absent, on split worlds and whole ones, a layout
+        /// group gathers to exactly its place's present visits, in the
+        /// canonical order the kernel sorts them into.
         #[test]
-        fn gathered_groups_equal_the_kernels_sort(
+        fn gathered_groups_are_the_present_visits_in_canonical_order(
             people in 150u32..900,
             pop_seed in 0u64..1_000,
             split in any::<bool>(),
@@ -880,7 +793,6 @@ mod tests {
                 base
             };
             let ptts = flu_model();
-            let classes = InfectivityClasses::new(&ptts);
             let symptomatic = ptts.state_by_name("symptomatic").unwrap();
             let mut slots: Vec<PersonSlot> =
                 (0..pop.n_people()).map(|p| PersonSlot::new(p, &ptts)).collect();
@@ -900,8 +812,7 @@ mod tests {
                     by_place.entry(place).or_default().push(msg);
                 }
             }
-            let (mut visits, mut rank, mut events, mut want_events) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let mut visits = Vec::new();
             for g in 0..layout.n_groups() {
                 let place = layout.place[g];
                 let person = |m: &Member| layout.visitors()[m.visitor()];
@@ -910,15 +821,10 @@ mod tests {
                     let slot = &slots[person(m) as usize];
                     (slot.health.state, slot.sus_scale)
                 };
-                let (ordered, infectious) = layout.gather(
-                    g, present, health, &classes, &mut visits, &mut rank, &mut events,
-                );
+                layout.gather(g, present, health, &mut visits);
                 let mut want = by_place.remove(&place).unwrap_or_default();
                 want.sort_unstable_by_key(visit_key);
                 prop_assert_eq!(&visits, &want, "group {} at {:?}", g, place);
-                let want_infectious = order_events(&want, &classes, &mut want_events);
-                prop_assert_eq!(ordered, &want_events[..], "group {} at {:?}", g, place);
-                prop_assert_eq!(infectious, want_infectious);
             }
             prop_assert!(by_place.is_empty(), "places missing from the layout");
         }

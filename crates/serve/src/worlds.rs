@@ -28,9 +28,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use synthpop::{Population, PopulationConfig};
 
-/// The server's world budget: about 120 worlds of 2k people (≈ 560 KB
+/// The server's world budget: about 140 worlds of 2k people (≈ 460 KB
 /// each, the sweep layout included), or one of the largest a spec may
-/// ask for (`MAX_POP_SIZE` people, ≈ 56 MB).
+/// ask for (`MAX_POP_SIZE` people, ≈ 46 MB).
 pub(crate) const WORLD_CACHE_BUDGET: usize = 64 << 20;
 
 /// Everything a world depends on, and nothing else: the cache key. DSL

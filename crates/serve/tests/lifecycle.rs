@@ -101,7 +101,7 @@ fn pause_resume_hash_is_bit_identical_across_all_engines() {
         wait_for_state(&mut client, job, JobState::Paused);
         let (_, paused_days) = client.status(job).expect("status");
         assert!(
-            paused_days >= 4 && paused_days < 14,
+            (4..14).contains(&paused_days),
             "{}: pause landed at day {paused_days}, not mid-run",
             engine.as_str()
         );

@@ -78,7 +78,7 @@ fn main() {
     // Promote the upper half of the grid to full simulation.
     let graph = surrogate::ContactGraph::build(&world.dist.pop);
     let scores = surrogate::screen(&graph, &world, &spec);
-    let keep = (spec.points.len() + 1) / 2;
+    let keep = spec.points.len().div_ceil(2);
     let survivors = surrogate::promote_top_k(&scores, keep);
     println!("\nsurrogate screen over {} contact edges:", graph.n_edges());
     for s in &scores {

@@ -45,7 +45,7 @@ fn engine_from_args() -> EngineChoice {
 /// Engine-appropriate runtime config: the net engine splits even PE
 /// counts across two OS processes (odd counts run standalone).
 fn runtime_for(engine: EngineChoice, pes: u32) -> RuntimeConfig {
-    let n_procs = if engine == EngineChoice::Net && pes % 2 == 0 && pes > 1 {
+    let n_procs = if engine == EngineChoice::Net && pes.is_multiple_of(2) && pes > 1 {
         2
     } else {
         1
