@@ -8,16 +8,18 @@
 //! objects assigned to them."
 //!
 //! With aggregation on (the default) a day is state deltas over a static
-//! layout. Schedules never change, so a PM runs each person's morning and
-//! sends an [`Update`] to each LM on the person's schedule only when the
-//! person's `(state, sus_scale)` differs from what it last sent. Each LM
-//! caches its visitors' pairs, draws its symptomatic visitors' stay-home
-//! decisions itself, and sweeps only the sublocation groups an infectious
-//! visitor attends, over its range of the static
-//! [`SweepLayout`](crate::seq::SweepLayout), as
-//! `core::seq` does. With aggregation off (`no_opt`) the day is the
-//! paper's protocol: one visit message per attended visit, buffered by the
-//! LM and run through [`simulate_location_day`].
+//! layout. Schedules never change, so a PM sends an [`Update`] to each LM
+//! on a person's schedule only when the person's `(state, sus_scale)`
+//! differs from what it last sent. On an ordinary day a PM runs only the
+//! mornings of its roster, the persons whose morning can change something;
+//! a day with a vaccination order or a closed kind runs every morning, as
+//! `core::seq` always does. Each LM caches its visitors' pairs, draws its
+//! symptomatic visitors' stay-home decisions itself, and sweeps only the
+//! sublocation groups an infectious visitor attends, over its range of the
+//! static [`SweepLayout`](crate::seq::SweepLayout), as `core::seq` does.
+//! With aggregation off (`no_opt`) the day is the paper's protocol: one
+//! visit message per attended visit, buffered by the LM and run through
+//! [`simulate_location_day`].
 
 use crate::kernel::{
     overlap_sublocation, simulate_location_day, InfectivityClasses, KernelScratch,
@@ -30,6 +32,7 @@ use crate::person::{
 use crate::seq::Member;
 use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
+use ptts::Ptts;
 use synthpop::{LocationKind, PersonId};
 
 /// Most updates (or infects) one batch message carries: about 10 KB on
@@ -106,6 +109,14 @@ pub struct PersonManager {
     /// starts from, so a PM rebuilt from restored states re-sends whoever
     /// differs from it.
     sent: Vec<(StateId, u32)>,
+    /// Bitset over local slots: the persons [`on_roster`], whose mornings
+    /// are the only ones an ordinary day runs.
+    roster: Vec<u64>,
+    /// Persons in a susceptible state, kept at every state change.
+    susceptible: u64,
+    /// The persons' scheduled visits; on an ordinary day everyone off the
+    /// roster attends all of theirs.
+    scheduled: u64,
     /// The day's outgoing updates, one lane per LocationManager.
     updates: Lanes<Update>,
     /// `no_opt` only: the day's visits, one lane per LocationManager, and
@@ -114,14 +125,35 @@ pub struct PersonManager {
     visit_buf: Vec<VisitMsg>,
 }
 
+/// Whether a person's morning can change anything: a finite dwell, an
+/// infectious or symptomatic state (a daily stay-home draw), or an update
+/// owed. Anyone else keeps their state and, with no kind closed, attends.
+fn on_roster(ptts: &Ptts, sym: Option<StateId>, slot: &PersonSlot, sent: (StateId, u32)) -> bool {
+    let state = slot.health.state;
+    slot.is_infected()
+        || ptts.is_infectious(state)
+        || Some(state) == sym
+        || (state, slot.sus_scale.to_bits()) != sent
+}
+
 impl PersonManager {
     /// Build a PM owning `persons`: a partition's persons in the order of
     /// the world's `local_of_person`, fresh or restored (chare migration:
     /// the §VII load-rebalancing path re-homes persons between epochs).
+    /// One pass lists the roster, so day 0 runs only its mornings.
     pub fn new(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
         let k = shared.world.k();
         let baseline = (shared.ptts.start_state(), 1.0f32.to_bits());
+        let (ptts, offsets) = (&*shared.ptts, &shared.world.pop.person_offsets);
+        let mut roster = vec![0; persons.len().div_ceil(64)];
+        let (mut susceptible, mut scheduled) = (0, 0);
+        for (local, slot) in persons.iter().enumerate() {
+            let listed = on_roster(ptts, symptomatic_state, slot, baseline);
+            roster[local / 64] |= u64::from(listed) << (local % 64);
+            susceptible += u64::from(ptts.is_susceptible(slot.health.state));
+            scheduled += u64::from(offsets[slot.id as usize + 1] - offsets[slot.id as usize]);
+        }
         PersonManager {
             infected_today: vec![None; persons.len()],
             sent: vec![baseline; persons.len()],
@@ -129,6 +161,9 @@ impl PersonManager {
             symptomatic_state,
             day: 0,
             touched: Vec::new(),
+            roster,
+            susceptible,
+            scheduled,
             updates: Lanes::new(&shared, k, SimMsg::Updates),
             visits: Lanes::new(&shared, k, SimMsg::Visits),
             visit_buf: Vec::new(),
@@ -147,75 +182,94 @@ impl PersonManager {
             self.infected_today[local as usize] = None;
         }
         let shared = self.shared.clone();
-        let world = &shared.world;
+        let (world, ptts) = (&shared.world, &*shared.ptts);
         let (pop, k, location_part) = (&*world.pop, world.k(), world.location_part());
         let orig = Some(&world.orig_of_location[..]);
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
-        let mut susceptible = 0u64;
-        let mut visits_sent = 0u64;
+        let mut visits_sent = self.scheduled;
         let mut updates_sent = 0u64;
-        for (slot, sent) in self.persons.iter_mut().zip(&mut self.sent) {
-            if !shared.aggregated {
-                self.visit_buf.clear();
-                let sym = person_day(
-                    slot,
-                    pop,
-                    &shared.ptts,
-                    effects,
-                    self.symptomatic_state,
-                    orig,
-                    shared.seed,
-                    day,
-                    &mut self.visit_buf,
-                );
-                symptomatic += sym as u64;
-                visits_sent += self.visit_buf.len() as u64;
-                for visit in self.visit_buf.drain(..) {
-                    let lm = k + location_part[visit.location as usize];
-                    self.visits.push(lm, visit, ctx);
-                }
-            } else {
-                let morning = person_morning(
-                    slot,
-                    &shared.ptts,
-                    effects,
-                    self.symptomatic_state,
-                    shared.seed,
-                    day,
-                );
-                symptomatic += morning.symptomatic as u64;
-                let home = pop.people[slot.id as usize].home.0;
-                let at_home = |i: usize| at_home(home, pop.visits[i].location.0, orig);
-                visits_sent += attended(pop, slot.id, effects, morning.stay_home, at_home) as u64;
-                let now = (slot.health.state, slot.sus_scale.to_bits());
-                if now != *sent {
-                    *sent = now;
-                    let update = Update {
-                        person: slot.id,
-                        state: slot.health.state,
-                        sus_scale: slot.sus_scale,
-                    };
-                    // One update per LocationManager on the schedule.
-                    let schedule = pop.visits_of(PersonId(slot.id));
-                    let lm_of = |v: &synthpop::Visit| k + location_part[v.location.0 as usize];
-                    for (j, v) in schedule.iter().enumerate() {
-                        let lm = lm_of(v);
-                        if schedule[..j].iter().all(|w| lm_of(w) != lm) {
-                            self.updates.push(lm, update, ctx);
-                            updates_sent += 1;
+        // A vaccination order or a closed kind can change anyone's day, and
+        // `no_opt` sends every visit: then every morning runs.
+        let everyone =
+            !shared.aggregated || effects.closed_kinds != 0 || !effects.vaccinations.is_empty();
+        for word in 0..self.roster.len() {
+            let listed = std::mem::take(&mut self.roster[word]);
+            let all = u64::MAX >> (64 - (self.persons.len() - 64 * word).min(64));
+            let mut bits = if everyone { all } else { listed };
+            while bits != 0 {
+                let local = 64 * word + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = &mut self.persons[local];
+                let sent = &mut self.sent[local];
+                let was_susceptible = ptts.is_susceptible(slot.health.state);
+                let p = slot.id as usize;
+                let scheduled = u64::from(pop.person_offsets[p + 1] - pop.person_offsets[p]);
+                if !shared.aggregated {
+                    self.visit_buf.clear();
+                    let sym = person_day(
+                        slot,
+                        pop,
+                        ptts,
+                        effects,
+                        self.symptomatic_state,
+                        orig,
+                        shared.seed,
+                        day,
+                        &mut self.visit_buf,
+                    );
+                    symptomatic += sym as u64;
+                    visits_sent -= scheduled - self.visit_buf.len() as u64;
+                    for visit in self.visit_buf.drain(..) {
+                        let lm = k + location_part[visit.location as usize];
+                        self.visits.push(lm, visit, ctx);
+                    }
+                } else {
+                    let morning = person_morning(
+                        slot,
+                        ptts,
+                        effects,
+                        self.symptomatic_state,
+                        shared.seed,
+                        day,
+                    );
+                    symptomatic += morning.symptomatic as u64;
+                    let home = pop.people[p].home.0;
+                    let at_home = |i: usize| at_home(home, pop.visits[i].location.0, orig);
+                    let now = (slot.health.state, slot.sus_scale.to_bits());
+                    if now != *sent {
+                        *sent = now;
+                        let update = Update {
+                            person: slot.id,
+                            state: slot.health.state,
+                            sus_scale: slot.sus_scale,
+                        };
+                        // One update per LocationManager on the schedule.
+                        let schedule = pop.visits_of(PersonId(slot.id));
+                        let lm_of = |v: &synthpop::Visit| k + location_part[v.location.0 as usize];
+                        for (j, v) in schedule.iter().enumerate() {
+                            let lm = lm_of(v);
+                            if schedule[..j].iter().all(|w| lm_of(w) != lm) {
+                                self.updates.push(lm, update, ctx);
+                                updates_sent += 1;
+                            }
                         }
                     }
+                    let attended = attended(pop, slot.id, effects, morning.stay_home, at_home);
+                    visits_sent -= scheduled - attended as u64;
                 }
+                infected_now += slot.is_infected() as u64;
+                self.susceptible += u64::from(ptts.is_susceptible(slot.health.state));
+                self.susceptible -= u64::from(was_susceptible);
+                let listed = on_roster(ptts, self.symptomatic_state, slot, *sent);
+                self.roster[word] |= u64::from(listed) << (local % 64);
             }
-            infected_now += slot.is_infected() as u64;
-            susceptible += shared.ptts.is_susceptible(slot.health.state) as u64;
         }
         self.updates.flush(ctx);
         self.visits.flush(ctx);
         ctx.contribute(slots::SYMPTOMATIC, symptomatic);
         ctx.contribute(slots::INFECTED_NOW, infected_now);
-        ctx.contribute(slots::SUSCEPTIBLE, susceptible);
+        ctx.contribute(slots::SUSCEPTIBLE, self.susceptible);
         ctx.contribute(slots::VISITS_SENT, visits_sent);
         if updates_sent > 0 {
             ctx.contribute(slots::UPDATES_SENT, updates_sent);
@@ -253,6 +307,9 @@ impl PersonManager {
                         slot.infected_on = Some(day);
                         slot.infected_by = infected_by;
                         *today = Some(key);
+                        self.roster[local as usize / 64] |= 1 << (local % 64);
+                        let now = shared.ptts.is_susceptible(slot.health.state);
+                        self.susceptible = self.susceptible + u64::from(now) - 1;
                         self.touched.push(local);
                         new_infections += 1;
                     }
@@ -636,5 +693,226 @@ impl Chare<SimMsg> for LocationManager {
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distribution::{DataDistribution, Strategy};
+    use crate::messages::Shared;
+    use chare_rt::{Runtime, RuntimeConfig};
+    use ptts::intervention::VaccinationOrder;
+    use ptts::model::{DwellDist, PttsBuilder, TreatmentId};
+    use std::sync::Arc;
+    use synthpop::{Population, PopulationConfig};
+
+    /// An infection ends in a state that never changes: an infectious
+    /// `carrier`, a `symptomatic` state that infects no one but draws the
+    /// stay-home coin every day, or `recovered` after a finite `sick`
+    /// spell. In `flu_model` every infectious or symptomatic state has a
+    /// finite dwell, so only a model like this one tells the roster's
+    /// clauses apart.
+    fn stuck_model() -> Ptts {
+        PttsBuilder::new("stuck")
+            .treatments(2)
+            .state("susceptible", 0.0, 1.0, DwellDist::Forever)
+            .state("latent", 0.0, 0.0, DwellDist::Uniform(1, 2))
+            .state("carrier", 0.5, 0.0, DwellDist::Forever)
+            .state("symptomatic", 0.0, 0.0, DwellDist::Forever)
+            .state("sick", 1.0, 0.0, DwellDist::Uniform(2, 4))
+            .state("recovered", 0.0, 0.0, DwellDist::Forever)
+            .transition(
+                "latent",
+                TreatmentId::DEFAULT,
+                &[("carrier", 0.25), ("symptomatic", 0.25), ("sick", 0.5)],
+            )
+            .transition("sick", TreatmentId::DEFAULT, &[("recovered", 1.0)])
+            .start("susceptible")
+            .exposed("latent")
+            .build()
+            .expect("the stuck model validates")
+    }
+
+    /// The roster rule, restated over every person: a finite dwell, an
+    /// infectious or the symptomatic state, or an update owed.
+    fn brute_force_roster(pm: &PersonManager) -> Vec<u32> {
+        let ptts = &pm.shared.ptts;
+        let symptomatic = ptts.state_by_name("symptomatic");
+        (0..)
+            .zip(pm.persons.iter().zip(&pm.sent))
+            .filter(|(_, (slot, &sent))| {
+                let state = slot.health.state;
+                slot.health.days_remaining != u32::MAX
+                    || ptts.infectivity(state) > 0.0
+                    || Some(state) == symptomatic
+                    || (state, slot.sus_scale.to_bits()) != sent
+            })
+            .map(|(local, _)| local)
+            .collect()
+    }
+
+    /// The mornings the PM's next ordinary day runs.
+    fn next_mornings(pm: &PersonManager) -> Vec<u32> {
+        let listed = |local: &u32| pm.roster[*local as usize / 64] >> (local % 64) & 1 == 1;
+        (0..pm.persons.len() as u32).filter(listed).collect()
+    }
+
+    fn assert_rosters(pms: &[PersonManager], when: &str) {
+        for (part, pm) in pms.iter().enumerate() {
+            let tail = pm.persons.len() % 64;
+            let past_the_end = pm.roster.last().map_or(0, |w| w >> tail);
+            assert!(tail == 0 || past_the_end == 0, "PM {part} {when}");
+            assert_eq!(
+                next_mornings(pm),
+                brute_force_roster(pm),
+                "PM {part} {when}"
+            );
+            let ptts = &pm.shared.ptts;
+            let susceptible = pm
+                .persons
+                .iter()
+                .filter(|s| ptts.is_susceptible(s.health.state));
+            assert_eq!(
+                pm.susceptible,
+                susceptible.count() as u64,
+                "PM {part} {when}"
+            );
+        }
+    }
+
+    type Managers = (Vec<PersonManager>, Vec<LocationManager>);
+
+    /// Every partition's managers, the PMs holding `slot_of` each person.
+    fn managers(shared: &SharedRef, slot_of: impl Fn(u32) -> PersonSlot) -> Managers {
+        let parts = 0..shared.world.k();
+        let pms = parts.clone().map(|part| {
+            let persons = shared.world.persons_of(part).iter();
+            PersonManager::new(shared.clone(), persons.map(|&p| slot_of(p)).collect())
+        });
+        let lms = parts.map(|part| LocationManager::new(shared.clone(), part));
+        (pms.collect(), lms.collect())
+    }
+
+    /// Run `days` as the simulator does, on a fresh runtime per day, so
+    /// the rosters can be checked at every day boundary.
+    fn run_days(
+        shared: &SharedRef,
+        (mut pms, mut lms): Managers,
+        days: std::ops::Range<u32>,
+        effects: impl Fn(u32) -> DayEffects,
+    ) -> Managers {
+        let k = shared.world.k();
+        for day in days {
+            let mut rt = Runtime::new(RuntimeConfig::sequential(2));
+            for (part, (pm, lm)) in (0..).zip(pms.into_iter().zip(lms)) {
+                rt.add_chare(ChareId(part), part % 2, Box::new(pm));
+                rt.add_chare(ChareId(k + part), part % 2, Box::new(lm));
+            }
+            let fx = effects(day);
+            let (r_eff, closed_kinds) = (shared.r * fx.r_scale, fx.closed_kinds);
+            rt.run_phase(
+                (0..k)
+                    .map(|pm| {
+                        let effects = fx.clone();
+                        (ChareId(pm), SimMsg::BeginDay { day, effects })
+                    })
+                    .collect(),
+            );
+            rt.run_phase(
+                (0..k)
+                    .map(|lm| {
+                        let msg = SimMsg::ComputeDay {
+                            day,
+                            r_eff,
+                            closed_kinds,
+                        };
+                        (ChareId(k + lm), msg)
+                    })
+                    .collect(),
+            );
+            (pms, lms) = (Vec::new(), Vec::new());
+            for (id, chare) in rt.into_chares() {
+                let any = chare.into_any();
+                if id.0 < k {
+                    pms.push(*any.downcast().expect("a PersonManager"));
+                } else {
+                    lms.push(*any.downcast().expect("a LocationManager"));
+                }
+            }
+            assert_rosters(&pms, &format!("after day {day}"));
+        }
+        (pms, lms)
+    }
+
+    /// After every day, each PM's next mornings are exactly the persons the
+    /// roster rule names, its susceptible count is exact, and a PM rebuilt
+    /// from mid-epidemic states lists whoever owes an update. Day 2 carries
+    /// a vaccination order and days 4–6 close the schools, so the full
+    /// passes write the roster too.
+    #[test]
+    fn roster_is_exactly_the_persons_whose_morning_can_change() {
+        let pop = Population::generate(&PopulationConfig::small("ROSTER", 800, 5));
+        let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 3, 5);
+        let shared: SharedRef = Arc::new(Shared {
+            world: dist.clone(),
+            ptts: Arc::new(stuck_model()),
+            sweep: dist.sweep_layout(),
+            r: 0.004,
+            seed: 11,
+            aggregated: true,
+        });
+        let ptts = &shared.ptts;
+        let order = VaccinationOrder {
+            fraction: 0.5,
+            treatment: TreatmentId(1),
+            efficacy_factor: 0.3,
+        };
+        let effects = |day: u32| DayEffects {
+            closed_kinds: if (4..7).contains(&day) {
+                1 << (LocationKind::School as u8)
+            } else {
+                0
+            },
+            r_scale: 1.0,
+            vaccinations: if day == 2 { vec![order] } else { Vec::new() },
+        };
+        let fresh = managers(&shared, |p| {
+            let mut slot = PersonSlot::new(p, ptts);
+            if p % 40 == 0 {
+                slot.seed(ptts, shared.seed);
+            }
+            slot
+        });
+        assert_rosters(&fresh.0, "at construction");
+        let (pms, _) = run_days(&shared, fresh, 0..10, effects);
+
+        // Rebuild every manager from the day-10 states: whoever differs
+        // from the baseline owes the fresh LocationManagers an update.
+        let mut states: Vec<PersonSlot> = pms.into_iter().flat_map(|pm| pm.persons).collect();
+        states.sort_by_key(|s| s.id);
+        let rebuilt = managers(&shared, |p| states[p as usize]);
+        assert_rosters(&rebuilt.0, "rebuilt");
+        let owed_only = rebuilt.0.iter().flat_map(|pm| &pm.persons).filter(|s| {
+            let state = s.health.state;
+            !s.is_infected()
+                && !ptts.is_infectious(state)
+                && ptts.state_by_name("symptomatic") != Some(state)
+                && (state, s.sus_scale) != (ptts.start_state(), 1.0)
+        });
+        assert!(
+            owed_only.count() > 0,
+            "no person is listed for an owed update alone"
+        );
+        let (pms, _) = run_days(&shared, rebuilt, 10..30, effects);
+
+        let now_in = |name: &str| {
+            let state = ptts.state_by_name(name);
+            let persons = pms.iter().flat_map(|pm| &pm.persons);
+            persons.filter(|s| Some(s.health.state) == state).count()
+        };
+        assert!(now_in("carrier") > 0, "no absorbing infectious person");
+        assert!(now_in("symptomatic") > 0, "no absorbing symptomatic person");
+        assert!(now_in("recovered") > 0, "no one left the finite dwells");
     }
 }

@@ -307,7 +307,10 @@ pub mod slots {
     pub const INFECTED_NOW: usize = 0;
     /// Infections applied this day.
     pub const NEW_INFECTIONS: usize = 1;
-    /// Visits attended this day (visit messages sent, under `no_opt`).
+    /// Visits attended this day (visit messages sent, under `no_opt`). A
+    /// PersonManager counts its scheduled visits less what the mornings it
+    /// ran took away, so a person off its roster counts their whole
+    /// schedule unread.
     pub const VISITS_SENT: usize = 2;
     /// Symptomatic persons today.
     pub const SYMPTOMATIC: usize = 3;

@@ -459,3 +459,91 @@ fn transmission_tree_identical_across_engines() {
         );
     }
 }
+
+/// An infection ends in a state that never changes: an infectious
+/// `carrier`, a `symptomatic` state that infects no one but draws the
+/// stay-home coin every day, or `recovered` after a finite `sick` spell.
+fn stuck_model() -> Ptts {
+    PttsBuilder::new("stuck")
+        .treatments(2)
+        .state("susceptible", 0.0, 1.0, DwellDist::Forever)
+        .state("latent", 0.0, 0.0, DwellDist::Uniform(1, 2))
+        .state("carrier", 0.5, 0.0, DwellDist::Forever)
+        .state("symptomatic", 0.0, 0.0, DwellDist::Forever)
+        .state("sick", 1.0, 0.0, DwellDist::Uniform(2, 4))
+        .state("recovered", 0.0, 0.0, DwellDist::Forever)
+        .transition(
+            "latent",
+            TreatmentId::DEFAULT,
+            &[("carrier", 0.25), ("symptomatic", 0.25), ("sick", 0.5)],
+        )
+        .transition("sick", TreatmentId::DEFAULT, &[("recovered", 1.0)])
+        .start("susceptible")
+        .exposed("latent")
+        .build()
+        .expect("the stuck model validates")
+}
+
+/// A PersonManager runs the mornings of its roster only, except on a day
+/// with a vaccination order or a closed kind. On a model with absorbing
+/// infectious and symptomatic states, under a vaccination and a school
+/// closure, seq, threads and vt equal the full-scan oracle in curve and
+/// transmission tree, and so do a run resumed mid-closure (its PMs list
+/// whoever owes an update) and a rebalanced run (re-homed PMs).
+#[test]
+fn person_roster_runs_equal_the_full_scan_oracle() {
+    use episimdemics::core::checkpoint::capture;
+    use episimdemics::core::simulator::Carry;
+    use episimdemics::core::{run_with_rebalancing, RebalanceConfig};
+    let pop = pop();
+    let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
+    let cfg = SimConfig {
+        days: 30,
+        r: 0.003,
+        initial_infections: 12,
+        interventions: closure_and_vaccination(),
+        stop_when_extinct: false,
+        ..sim_cfg(5)
+    };
+    let (oracle, oracle_states) = run_sequential_with_states(&dist.pop, &stuck_model(), &cfg);
+    let ptts = stuck_model();
+    let ended_in = |name: &str| {
+        let state = ptts.state_by_name(name);
+        oracle_states
+            .iter()
+            .filter(|s| Some(s.health.state) == state)
+            .count()
+    };
+    assert!(ended_in("carrier") > 0 && ended_in("symptomatic") > 0);
+    assert!(oracle.total_infections() > 30, "the epidemic takes off");
+
+    for rt in [
+        RuntimeConfig::sequential(4),
+        RuntimeConfig::threaded(2),
+        RuntimeConfig::dst(4, FaultPlan::chaos(5)),
+    ] {
+        let (run, states, _) =
+            Simulator::new(&dist, stuck_model(), cfg.clone(), rt).run_collecting();
+        assert_eq!(run.curve, oracle, "{:?}", rt.mode);
+        assert_eq!(tree(&states), tree(&oracle_states), "{:?}", rt.mode);
+    }
+
+    let rt = RuntimeConfig::sequential(4);
+    let mut sim = Simulator::new(&dist, stuck_model(), cfg.clone(), rt);
+    let mut carry = Carry::new(cfg.interventions.clone(), oracle.seeds);
+    let (mut days, _, _) = sim.run_days(0, 5, &mut carry);
+    let (states, _) = sim.dismantle();
+    let ckpt = capture(5, oracle.seeds, &carry, states);
+    let mut resumed = Simulator::resume(ckpt, &dist, stuck_model(), cfg.clone(), rt)
+        .expect("the checkpoint fits the run");
+    days.extend(resumed.sim.run_days(5, cfg.days, &mut resumed.carry).0);
+    assert_eq!(days, oracle.days, "resumed mid-closure");
+
+    let rb = RebalanceConfig {
+        epoch_days: 7,
+        imbalance_threshold: 1.0,
+    };
+    let rebalanced = run_with_rebalancing(&dist, stuck_model(), cfg, rt, rb);
+    assert!(rebalanced.epochs.iter().any(|e| e.repartitioned));
+    assert_eq!(rebalanced.run.curve, oracle, "rebalanced");
+}
