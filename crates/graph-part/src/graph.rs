@@ -12,8 +12,8 @@
 /// id order (hence duplicate-free), holds no self-loop, and mirrors the
 /// list of each neighbour with the same weight. Results rest on the
 /// order: heavy-edge matching keeps the *first* of equally heavy
-/// neighbours and refinement visits candidate partitions in the order a
-/// vertex's neighbours name them, so two graphs that differ only in
+/// neighbours and refinement gives equally good moves to the partition a
+/// vertex's neighbours name first, so two graphs that differ only in
 /// adjacency order partition differently. [`GraphBuilder::build`]
 /// establishes the invariant, [`CsrGraph::from_parts`] requires it, and
 /// [`CsrGraph::validate`] checks it.

@@ -33,14 +33,15 @@ pub fn recursive_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
     }
     let mut assignment = vec![0u32; n as usize];
     let all: Vec<u32> = (0..n).collect();
-    let mut local = vec![u32::MAX; n as usize];
-    split(g, &all, 0, k, cfg, &mut assignment, &mut local);
+    let mut bufs = (vec![u32::MAX; n as usize], RefineScratch::default());
+    split(g, &all, 0, k, cfg, &mut assignment, &mut bufs);
     Partition { k, assignment }
 }
 
 /// Recursively split `vertices` (ids into `g`) into partitions
-/// `base..base + parts`, writing into `assignment`. `local` is
-/// [`induced_subgraph`]'s scratch, shared by every node of the recursion.
+/// `base..base + parts`, writing into `assignment`. `bufs` holds
+/// [`induced_subgraph`]'s scratch and the refinement's, shared by every
+/// node of the recursion.
 fn split(
     g: &CsrGraph,
     vertices: &[u32],
@@ -48,7 +49,7 @@ fn split(
     parts: u32,
     cfg: &PartitionConfig,
     assignment: &mut [u32],
-    local: &mut [u32],
+    bufs: &mut (Vec<u32>, RefineScratch),
 ) {
     if parts == 1 || vertices.is_empty() {
         for &v in vertices {
@@ -58,9 +59,9 @@ fn split(
     }
     let left_parts = parts.div_ceil(2);
     let right_parts = parts - left_parts;
-    let sub = induced_subgraph(g, vertices, local);
+    let sub = induced_subgraph(g, vertices, &mut bufs.0);
     let frac_left = left_parts as f64 / parts as f64;
-    let side = bisect(&sub, frac_left, cfg);
+    let side = bisect(&sub, frac_left, cfg, &mut bufs.1);
 
     let mut left = Vec::with_capacity((vertices.len() as f64 * frac_left) as usize);
     let mut right = Vec::new();
@@ -71,9 +72,9 @@ fn split(
             right.push(v);
         }
     }
-    split(g, &left, base, left_parts, cfg, assignment, local);
+    split(g, &left, base, left_parts, cfg, assignment, bufs);
     let base = base + left_parts;
-    split(g, &right, base, right_parts, cfg, assignment, local);
+    split(g, &right, base, right_parts, cfg, assignment, bufs);
 }
 
 /// Build the subgraph induced by `vertices`; its vertex `i` is
@@ -100,7 +101,7 @@ fn induced_subgraph(g: &CsrGraph, vertices: &[u32], local: &mut [u32]) -> CsrGra
 
 /// Greedy-grow one side to `frac_left` of the total weight, then refine the
 /// 2-way cut. Returns 0/1 per vertex.
-fn bisect(g: &CsrGraph, frac_left: f64, cfg: &PartitionConfig) -> Vec<u32> {
+fn bisect(g: &CsrGraph, frac_left: f64, cfg: &PartitionConfig, rs: &mut RefineScratch) -> Vec<u32> {
     let n = g.n();
     if n <= 1 {
         return vec![0; n as usize];
@@ -142,14 +143,7 @@ fn bisect(g: &CsrGraph, frac_left: f64, cfg: &PartitionConfig) -> Vec<u32> {
         k: 2,
         assignment: side,
     };
-    let scratch = &mut RefineScratch::default();
-    refine_targets(
-        g,
-        &mut part,
-        &cfg.refine_config(),
-        Some(&fractions),
-        scratch,
-    );
+    refine_targets(g, &mut part, &cfg.refine_config(), Some(&fractions), rs);
     part.assignment
 }
 
