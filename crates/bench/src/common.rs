@@ -5,9 +5,7 @@ use episim_core::distribution::{DataDistribution, Strategy};
 use episim_core::simulator::{SimConfig, Simulator};
 use load_model::{LoadUnits, PiecewiseModel};
 use ptts::flu_model;
-use scale_model::{
-    calibrate_from_run, inputs_from_distribution, project_day, MachineModel, RuntimeOptions,
-};
+use scale_model::{calibrate_from_run, MachineModel};
 use synthpop::state::by_code;
 use synthpop::{Population, PopulationConfig};
 
@@ -81,25 +79,6 @@ pub fn calibrated_machine() -> MachineModel {
         Some(cal) => cal.apply_to(MachineModel::default()),
         None => MachineModel::default(),
     }
-}
-
-/// Project seconds-per-day for `(population, strategy, k)` under the given
-/// machine and runtime options.
-pub fn project_state_day(
-    pop: &Population,
-    strategy: Strategy,
-    k: u32,
-    machine: &MachineModel,
-    opts: &RuntimeOptions,
-) -> f64 {
-    let k = clamp_k(k, pop);
-    let dist = DataDistribution::build(pop, strategy, k, 1);
-    let inputs = inputs_from_distribution(
-        &dist,
-        &PiecewiseModel::paper_constants(),
-        LoadUnits::default(),
-    );
-    project_day(&inputs, machine, opts).seconds
 }
 
 /// The Figure 4/8 report: per-state speedup upper bounds `Sub = Ltot/Lmax`

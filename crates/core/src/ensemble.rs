@@ -31,9 +31,9 @@
 //!   parameter points on a static contact graph before promoting survivors
 //!   to full EpiSimdemics runs.
 //!
-//! Whole-run parallelism versus intra-run `ExecMode::Threads` is a measured
-//! crossover, not an assumption: `BENCH_ensemble.json` (emitted by the
-//! `ensemble` bench) reports both, per worker count.
+//! Whole-run parallelism beat intra-run `ExecMode::Threads` at every worker
+//! count it was measured at (EXPERIMENTS.md, "Ensemble crossover"); the
+//! benchmark's `sweep-10k.oracle2` workload times `run_sweep` today.
 
 use crate::distribution::DataDistribution;
 use crate::kernel::KernelScratch;

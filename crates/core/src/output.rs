@@ -32,8 +32,8 @@ pub struct DayStats {
 
 /// FNV-1a over every field of the epidemic curve, in declaration order;
 /// bit-identical output across kernel versions, runtime engines, and fault
-/// schedules is the determinism contract of record (DESIGN.md §7). The
-/// pinned baseline value lives in `results/hotpath_baseline.json`.
+/// schedules is the determinism contract of record (DESIGN.md §7). Its
+/// pinned values live in `tests/conformance.rs`.
 pub fn curve_hash(days: &[DayStats]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |v: u64| {
