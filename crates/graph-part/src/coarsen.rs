@@ -161,21 +161,45 @@ pub fn contract(g: &CsrGraph, map: &[u32], coarse_n: u32) -> CsrGraph {
     CsrGraph::from_parts(ncon, xadj, adjncy, adjwgt, vwgt)
 }
 
+/// A level that keeps more than this share of the last kept level's edges
+/// is folded into the next level (see [`coarsen_to`]).
+const FOLD_EDGE_SHARE: f64 = 0.9;
+
 /// Coarsen until at most `target_n` vertices remain or progress stalls.
-/// Returns the levels from finest to coarsest. Every level is built by
-/// [`CsrGraph::from_parts`], which validates it in debug builds.
+/// Returns the levels from finest to coarsest; each map takes the previous
+/// returned level's vertices (`g`'s for the first) to its own. Every level
+/// is built by [`CsrGraph::from_parts`], which validates it in debug builds.
+///
+/// A level that sheds less than 10% of the edges of the last level kept
+/// (HEM on a hub-heavy graph merges many vertices and few edges) is folded
+/// unless it is the coarsest: the next level is matched and contracted from
+/// it as usual, then its map is composed into the next one's and its graph
+/// is freed. So every returned graph is the one the unfolded chain of
+/// [`coarsen_once`] builds at that size, and a V-cycle neither holds nor
+/// refines a near-copy of the level above it.
 pub fn coarsen_to(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
+    let mut folding: Option<CoarseLevel> = None;
     for round in 0u64.. {
-        let current = levels.last().map_or(g, |l| &l.graph);
+        let current = folding.as_ref().or(levels.last()).map_or(g, |l| &l.graph);
         if current.n() <= target_n {
             break;
         }
-        let Some(level) = coarsen_once(current, seed.wrapping_add(round)) else {
+        let Some(mut level) = coarsen_once(current, seed.wrapping_add(round)) else {
             break;
         };
-        levels.push(level);
+        if let Some(CoarseLevel { mut map, .. }) = folding.take() {
+            map.iter_mut().for_each(|c| *c = level.map[*c as usize]);
+            level.map = map;
+        }
+        let kept_m = levels.last().map_or(g, |l| &l.graph).m();
+        if level.graph.m() as f64 > FOLD_EDGE_SHARE * kept_m as f64 {
+            folding = Some(level);
+        } else {
+            levels.push(level);
+        }
     }
+    levels.extend(folding);
     levels
 }
 
@@ -184,6 +208,20 @@ mod tests {
     use super::*;
     use crate::graph::{figure2_example, GraphBuilder};
     use proptest::prelude::*;
+
+    fn grid(side: u32) -> CsrGraph {
+        let mut b = GraphBuilder::new(side * side, 1);
+        for v in 0..side * side {
+            b.set_vwgt(v, &[1]);
+            if v % side + 1 < side {
+                b.add_edge(v, v + 1, 1);
+            }
+            if v + side < side * side {
+                b.add_edge(v, v + side, 1);
+            }
+        }
+        b.build()
+    }
 
     fn path_graph(n: u32) -> CsrGraph {
         let mut b = GraphBuilder::new(n, 1);
@@ -477,6 +515,125 @@ mod tests {
         let coarse = contract(&g, &map, 4);
         assert_eq!(coarse.neighbors(0).collect::<Vec<_>>(), [(1, 6), (2, 1)]);
         assert_eq!(coarse.vwgts(0), [4, 4]);
+    }
+
+    /// The unfolded chain: [`coarsen_once`] repeated with [`coarsen_to`]'s
+    /// seeds and stop rules, every level kept.
+    fn unfolded_chain(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
+        let mut levels: Vec<CoarseLevel> = Vec::new();
+        for round in 0u64.. {
+            let current = levels.last().map_or(g, |l| &l.graph);
+            if current.n() <= target_n {
+                break;
+            }
+            let Some(level) = coarsen_once(current, seed.wrapping_add(round)) else {
+                break;
+            };
+            levels.push(level);
+        }
+        levels
+    }
+
+    /// Check `coarsen_to` against the unfolded chain: each returned graph
+    /// is the chain's graph of the same size, bit for bit; each map is the
+    /// composition of the chain's maps from the level kept before it;
+    /// weights are conserved; and every level but the coarsest sheds at
+    /// least 10% of the last kept level's edges. Returns the levels folded.
+    fn assert_folds_the_chain(g: &CsrGraph, target_n: u32, seed: u64) -> usize {
+        let chain = unfolded_chain(g, target_n, seed);
+        let kept = coarsen_to(g, target_n, seed);
+        let mut steps = chain.iter();
+        let mut fine = g;
+        for (i, level) in kept.iter().enumerate() {
+            let mut map: Vec<u32> = (0..fine.n()).collect();
+            let same = loop {
+                let step = steps.next().expect("a kept level the chain never built");
+                map.iter_mut().for_each(|c| *c = step.map[*c as usize]);
+                if step.graph.n() == level.graph.n() {
+                    break step;
+                }
+            };
+            assert_eq!(level.graph, same.graph, "level {i}");
+            assert_eq!(level.map, map, "level {i}");
+            assert_eq!(level.graph.total_weights(), g.total_weights());
+            if i + 1 < kept.len() {
+                let (m, kept_m) = (level.graph.m() as f64, fine.m() as f64);
+                assert!(
+                    m <= FOLD_EDGE_SHARE * kept_m,
+                    "level {i}: {m} of {kept_m} edges"
+                );
+            }
+            fine = &level.graph;
+        }
+        assert!(
+            steps.next().is_none(),
+            "the chain coarsened past the last kept level"
+        );
+        chain.len() - kept.len()
+    }
+
+    /// `hubs` vertices joined to about half of all the others each, over
+    /// random edges of mean degree `degree`. Once that passes 10 on a graph
+    /// sparse enough that a matched pair rarely shares a neighbour, HEM
+    /// merges many vertices and sheds few edges, as on the location graph.
+    fn hub_graph(n: u32, ncon: usize, hubs: u32, degree: u32, rng: &mut CounterRng) -> CsrGraph {
+        let mut b = GraphBuilder::new(n, ncon);
+        for v in 0..n {
+            for c in 0..ncon {
+                b.add_vwgt(v, c, 1 + rng.uniform_u64(4));
+            }
+        }
+        for hub in 0..hubs.min(n) {
+            for v in 0..n {
+                if v != hub && rng.uniform_u64(2) == 0 {
+                    b.add_edge(hub, v, 1 + rng.uniform_u64(3) as u32);
+                }
+            }
+        }
+        for _ in 0..n * degree / 2 {
+            let (u, v) = (rng.uniform_u64(n as u64), rng.uniform_u64(n as u64));
+            b.add_edge(u as u32, v as u32, 1 + rng.uniform_u64(5) as u32);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Folding drops levels and never changes one it keeps.
+        #[test]
+        fn folding_keeps_the_chains_levels(
+            n in 2u32..2_000,
+            ncon in 1usize..3,
+            hubs in 0u32..4,
+            degree in 0u32..32,
+            target_n in 1u32..40,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = CounterRng::from_key(&[seed, 2]);
+            let g = hub_graph(n, ncon, hubs, degree, &mut rng);
+            assert_folds_the_chain(&g, target_n, seed);
+        }
+    }
+
+    #[test]
+    fn a_hub_heavy_graph_folds_and_the_pinned_graphs_do_not() {
+        let mut rng = CounterRng::from_key(&[3]);
+        let hubs = hub_graph(10_000, 2, 4, 24, &mut rng);
+        assert!(assert_folds_the_chain(&hubs, 16, 5) >= 2);
+        let mut star = GraphBuilder::new(601, 1);
+        for v in 1..601 {
+            star.add_edge(0, v, 1 + v % 3);
+        }
+        for (name, g) in [
+            ("grid", grid(48)),
+            ("star", star.build()),
+            ("figure 2", figure2_example()),
+        ] {
+            for target_n in [1, 4, 256] {
+                assert_eq!(assert_folds_the_chain(&g, target_n, 11), 0, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -15,17 +15,6 @@ pub fn round_robin(n: u32, k: u32) -> Partition {
     }
 }
 
-/// Assign contiguous blocks of `ceil(n/k)` vertices to each partition
-/// (the other common trivial mapping; useful as an ablation).
-pub fn block(n: u32, k: u32) -> Partition {
-    assert!(k >= 1);
-    let per = n.div_ceil(k).max(1);
-    Partition {
-        k,
-        assignment: (0..n).map(|v| (v / per).min(k - 1)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,23 +38,14 @@ mod tests {
     }
 
     #[test]
-    fn block_is_contiguous() {
-        let p = block(10, 3);
-        assert_eq!(p.assignment, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
-    }
-
-    #[test]
     fn k_larger_than_n() {
         let p = round_robin(3, 10);
         p.validate().unwrap();
         assert_eq!(p.assignment, [0, 1, 2]);
-        let b = block(3, 10);
-        b.validate().unwrap();
     }
 
     #[test]
     fn k_one() {
         assert!(round_robin(5, 1).assignment.iter().all(|&a| a == 0));
-        assert!(block(5, 1).assignment.iter().all(|&a| a == 0));
     }
 }

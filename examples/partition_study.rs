@@ -6,6 +6,7 @@
 //! ```sh
 //! cargo run --release --example partition_study             # 2k, 15k, 30k, 200k people
 //! cargo run --release --example partition_study -- --quick  # set-up block at 2k and 15k only
+//! cargo run --release --example partition_study -- --setup-row 1000000  # one set-up row
 //! ```
 
 use episimdemics::core::distribution::{DataDistribution, Strategy};
@@ -28,12 +29,13 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// This process's peak resident set (`VmHWM`) in MB; 0 without `/proc`.
-fn vm_hwm_mb() -> f64 {
+/// A size in this process's `/proc/self/status` (`"VmHWM:"` is the peak
+/// resident set, `"VmRSS:"` the current one) in MB; 0 without `/proc`.
+fn status_mb(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|status| {
-            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            let line = status.lines().find(|l| l.starts_with(field))?;
             line.split_whitespace().nth(1)?.parse::<f64>().ok()
         })
         .map_or(0.0, |kb| kb / 1024.0)
@@ -60,6 +62,8 @@ struct SetupRow {
     edge_cut: u64,
     hwm_before: f64,
     hwm_after: f64,
+    /// `VmRSS` with the built distribution still held.
+    rss_after: f64,
 }
 
 /// Time the stages of set-up for `people` people, composed exactly as
@@ -86,6 +90,7 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
         edge_cut: 0,
         hwm_before: 0.0,
         hwm_after: 0.0,
+        rss_after: 0.0,
     };
     for rep in 0..3 {
         let (pop, generate) =
@@ -94,11 +99,11 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
             // Writing 5 to clear_refs resets VmHWM to the current RSS, so
             // the pair brackets the first build alone.
             let _ = std::fs::write("/proc/self/clear_refs", "5");
-            row.hwm_before = vm_hwm_mb();
+            row.hwm_before = status_mb("VmHWM:");
         }
         let (dist, build) = timed(|| DataDistribution::build(&pop, strategy, k, seed));
         if rep == 0 {
-            row.hwm_after = vm_hwm_mb();
+            (row.hwm_after, row.rss_after) = (status_mb("VmHWM:"), status_mb("VmRSS:"));
         }
         row.edge_cut = dist.quality().map_or(0, |q| q.edge_cut);
         drop(dist);
@@ -144,7 +149,8 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
 }
 
 /// The world shapes of the set-up table: the benchmark's three, plus one
-/// an order of magnitude larger.
+/// an order of magnitude larger. `--setup-row` builds any other size as
+/// GP-splitLoc with k = 8.
 const SHAPES: [(u32, Strategy, u32); 4] = [
     (2_000, Strategy::GraphPartition, 4),
     (15_000, Strategy::GraphPartitionSplit, 2),
@@ -154,17 +160,19 @@ const SHAPES: [(u32, Strategy, u32); 4] = [
 
 /// The set-up table's header. A row's `build` time sits at the same
 /// whitespace-separated position as its title does here.
-const HEADER: &str = " people  k generate splitLoc    graph   person  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB x linear";
+const HEADER: &str = " people  k generate splitLoc    graph   person  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB  VmRSS x linear";
 
-/// Measure one shape and print its row (what a `--setup-row` child does).
+/// Measure one shape and print the header and its row (what a
+/// `--setup-row` child does).
 fn print_setup_row(people: u32) {
-    let &(_, strategy, k) = SHAPES
+    let (strategy, k) = SHAPES
         .iter()
         .find(|s| s.0 == people)
-        .expect("--setup-row takes one of the table's population sizes");
+        .map_or((Strategy::GraphPartitionSplit, 8), |s| (s.1, s.2));
     let r = setup_row(people, strategy, k, 42_000);
+    println!("{HEADER}");
     println!(
-        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1}",
+        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1} {:>6.1}",
         r.people,
         k,
         r.generate,
@@ -180,6 +188,7 @@ fn print_setup_row(people: u32) {
         r.edge_cut,
         r.hwm_before,
         r.hwm_after,
+        r.rss_after,
     );
 }
 
@@ -200,7 +209,8 @@ fn setup_by_stage(quick: bool) {
                 .output()
                 .expect("start a --setup-row child");
             assert!(out.status.success(), "--setup-row {people} failed");
-            let row = String::from_utf8_lossy(&out.stdout).trim_end().to_string();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let row = stdout.lines().last().expect("the child's row").to_string();
             let build_at = HEADER
                 .split_whitespace()
                 .position(|title| title == "build")
@@ -227,7 +237,8 @@ fn setup_by_stage(quick: bool) {
     }
     println!("init+refine is partition_workload minus a stand-alone person level and coarsen_to");
     println!("of the same graph and seed; levels are person level + HEM levels; VmHWM is the");
-    println!("process peak before → after the first DataDistribution::build.");
+    println!("process peak before → after the first DataDistribution::build, VmRSS the resident");
+    println!("set after it with the distribution still held.");
 }
 
 fn main() {
@@ -239,7 +250,7 @@ fn main() {
             return print_setup_row(people.parse().expect("a population size"))
         }
         _ => {
-            eprintln!("usage: partition_study [--quick]");
+            eprintln!("usage: partition_study [--quick | --setup-row PEOPLE]");
             std::process::exit(2);
         }
     }
