@@ -172,10 +172,10 @@ pub struct RuntimeConfig {
     /// Keep [`FaultPlan::none`] elsewhere (the default).
     pub faults: FaultPlan,
     /// Threaded/net-engine phase watchdog in seconds (`0` = disabled): if
-    /// a phase has not closed after this long (on `threads`: no PE has
-    /// reported the close for this long), the coordinator panics with the
-    /// detector's counters instead of waiting forever — a hung
-    /// conformance run becomes a diagnosable failure, not a CI timeout.
+    /// a phase has not closed after this long (on `threads`: PE 0 has
+    /// waited this long), the caller panics with the detector's counters
+    /// instead of waiting forever — a hung conformance run becomes a
+    /// diagnosable failure, not a CI timeout.
     pub watchdog_secs: u16,
     /// Networked-engine settings, honoured only by [`ExecMode::Net`].
     pub net: NetConfig,
@@ -196,7 +196,7 @@ impl RuntimeConfig {
         }
     }
 
-    /// A threaded runtime with `n_pes` OS threads.
+    /// A threaded runtime with `n_pes` PEs, PE 0 on the caller's thread.
     pub fn threaded(n_pes: u32) -> Self {
         RuntimeConfig {
             mode: ExecMode::Threads,

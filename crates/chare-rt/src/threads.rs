@@ -1,33 +1,43 @@
-//! The threaded engine: one OS thread per PE, crossbeam channels between
-//! them, completion detection for phase termination.
+//! The threaded engine: one OS thread per PE, PE 0 on the caller's thread,
+//! crossbeam channels between them, completion detection for phase
+//! termination.
 //!
 //! The protocol per phase:
 //!
-//! 1. the coordinator resets the [`CompletionDetector`] and counts every
-//!    injection as produced, then sends `PhaseStart` to every worker and the
-//!    injections after it, so no worker can see an empty phase while an
-//!    injection is still in flight;
-//! 2. workers drain their channels, execute chares, and send each message
-//!    on at once; a worker that runs dry raises its idle flag and runs the
-//!    two-wave detection itself, since its idle transition may be the one
-//!    that completes the phase;
-//! 3. the one worker whose detection succeeds and whose
+//! 1. the caller resets the [`CompletionDetector`] and counts every
+//!    injection as produced, then sends `PhaseStart` to every spawned
+//!    worker (PEs 1..n) and the injections after it, so no worker can see
+//!    an empty phase while an injection is still in flight;
+//! 2. the caller's thread runs PE 0, as the net engine's root runs its PE,
+//!    so `threaded(1)` starts no thread; each PE drains its channel,
+//!    executes chares, and sends each message on at once; a PE that runs
+//!    dry raises its idle flag and runs the two-wave detection itself,
+//!    since its idle transition may be the one that completes the phase;
+//! 3. the one PE whose detection succeeds and whose
 //!    [`CompletionDetector::claim_done`] wins sends `PhaseEnd` to every
-//!    other worker; each worker reports its counters on `PhaseEnd` (the
-//!    winner at once) and blocks awaiting the next `PhaseStart`. Nothing
-//!    polls: idle workers block in `recv`, the coordinator blocks on the
-//!    stats channel.
+//!    other PE; each worker reports its counters on `PhaseEnd` (the winner
+//!    at once), and PE 0 merges the reports with its own.
+//!
+//! Every wait (a worker between phases, a PE run dry, PE 0 awaiting the
+//! reports) polls its channel [`POLL_TRIES`] times, yielding between
+//! tries, before it blocks: a message that arrives within the poll costs
+//! no wake-up. It yields and does not spin on `spin_loop`: with more
+//! runnable threads than cores, the PE a spinning poller waits for may be
+//! queued on the poller's own CPU, and runs only once the spin is spent.
 
 use crate::chare::{Chare, ChareId, Envelope, Message};
 use crate::completion::CompletionDetector;
 use crate::config::RuntimeConfig;
 use crate::pe::{Hop, PeCore};
-use crate::stats::{PeStats, PhaseStats, ReductionSlots};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender as ChSender};
+use crate::stats::{PeStats, PhaseStats};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender as ChSender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// `try_recv` tries, with a `yield_now` between two, before a wait blocks.
+const POLL_TRIES: u32 = 50;
 
 enum Item<M> {
     Direct(Envelope<M>),
@@ -37,7 +47,7 @@ enum Item<M> {
     Shutdown,
 }
 
-/// How a worker's phase loop ends.
+/// How a PE's phase loop ends.
 enum PhaseExit {
     /// The phase closed; report counters.
     Closed,
@@ -50,13 +60,38 @@ type StatsReport = (u32, PhaseStats);
 /// A worker's chares, returned at shutdown.
 type ChareCrate<M> = Vec<(ChareId, Box<dyn Chare<M>>)>;
 
+/// Receive from `rx`: poll [`POLL_TRIES`] times, yielding between tries,
+/// then block, for at most `watchdog_secs` unless that is 0.
+fn poll_then_park<T>(rx: &Receiver<T>, watchdog_secs: u16) -> Result<T, RecvTimeoutError> {
+    for _ in 0..POLL_TRIES {
+        match rx.try_recv() {
+            Ok(item) => return Ok(item),
+            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    if watchdog_secs > 0 {
+        rx.recv_timeout(Duration::from_secs(u64::from(watchdog_secs)))
+    } else {
+        rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+    }
+}
+
+/// Fail a phase that did not close in time with the detector's counters,
+/// instead of blocking until the CI timeout.
+fn phase_hung(e: RecvTimeoutError, watchdog_secs: u16, cd: &CompletionDetector) -> ! {
+    panic!(
+        "phase did not close ({e:?}; watchdog {watchdog_secs}s, produced {}, consumed {})",
+        cd.total_produced(),
+        cd.total_consumed()
+    )
+}
+
 struct Worker<M: Message> {
     pe: u32,
     rx: Receiver<Item<M>>,
     txs: Vec<ChSender<Item<M>>>,
     cd: Arc<CompletionDetector>,
-    stats_tx: ChSender<StatsReport>,
-    chares_tx: ChSender<ChareCrate<M>>,
     /// This PE's chares and counters.
     core: PeCore<M>,
     local_q: VecDeque<Envelope<M>>,
@@ -114,9 +149,10 @@ impl<M: Message> Worker<M> {
         true
     }
 
-    /// Work until the phase closes or the engine shuts down. The caller has
-    /// already reset the phase counters.
-    fn run_phase_loop(&mut self) -> PhaseExit {
+    /// Reset the counters and work until the phase closes or the engine
+    /// shuts down. A wait longer than `watchdog_secs` (unless 0) panics.
+    fn run_phase_loop(&mut self, watchdog_secs: u16) -> PhaseExit {
+        self.core.begin_phase();
         loop {
             // Eat everything available without blocking.
             self.drain_local();
@@ -127,13 +163,15 @@ impl<M: Message> Worker<M> {
                 continue;
             }
             // Dry: go idle, close the phase if that completed it, else
-            // block until something arrives.
+            // wait until something arrives.
             self.cd.set_idle(self.pe, true);
             if self.try_close() {
                 return PhaseExit::Closed;
             }
-            let Ok(item) = self.rx.recv() else {
-                return PhaseExit::Shutdown;
+            let item = match poll_then_park(&self.rx, watchdog_secs) {
+                Ok(item) => item,
+                Err(RecvTimeoutError::Disconnected) => return PhaseExit::Shutdown,
+                Err(e) => phase_hung(e, watchdog_secs, &self.cd),
             };
             self.cd.set_idle(self.pe, false);
             if let Some(exit) = self.handle(item) {
@@ -142,101 +180,100 @@ impl<M: Message> Worker<M> {
         }
     }
 
-    fn run(mut self) {
+    /// A spawned worker's life: one phase per `PhaseStart`, its counters to
+    /// `stats_tx` after each, its chares to `chares_tx` at shutdown.
+    fn run(mut self, stats_tx: ChSender<StatsReport>, chares_tx: ChSender<ChareCrate<M>>) {
         loop {
             // Between phases only `PhaseStart` or `Shutdown` can arrive: the
-            // coordinator sends `PhaseStart` to every worker before any
+            // caller sends `PhaseStart` to every worker before any
             // injection, and a phase's `PhaseEnd` is consumed inside it.
-            match self.rx.recv() {
+            match poll_then_park(&self.rx, 0) {
                 Ok(Item::PhaseStart) => {}
                 Ok(Item::Shutdown) | Err(_) => break,
                 Ok(Item::Direct(_) | Item::PhaseEnd) => {
                     unreachable!("data or PhaseEnd between phases on PE {}", self.pe)
                 }
             }
-            self.core.begin_phase();
-            match self.run_phase_loop() {
+            // PE 0's watchdog covers the workers' waits.
+            match self.run_phase_loop(0) {
                 PhaseExit::Closed => {
-                    let _ = self.stats_tx.send((self.pe, self.core.phase_stats()));
+                    let _ = stats_tx.send((self.pe, self.core.phase_stats()));
                 }
                 PhaseExit::Shutdown => break,
             }
         }
-        let _ = self.chares_tx.send(self.core.take_chares());
+        let _ = chares_tx.send(self.core.take_chares());
     }
 }
 
-/// The threaded engine. Threads spawn on the first phase.
+/// The threaded engine. Worker threads spawn on the first phase.
 pub struct ThreadEngine<M: Message> {
     cfg: RuntimeConfig,
-    /// Every chare until the first phase moves them to their workers;
-    /// the chare map after.
+    /// Every chare until the first phase moves them to their PEs; the
+    /// chare map after.
     table: PeCore<M>,
-    started: bool,
+    /// PE 0, run on the caller's thread; `None` until the first phase.
+    pe0: Option<Box<Worker<M>>>,
+    /// Every PE's channel, PE 0's included.
     txs: Vec<ChSender<Item<M>>>,
+    /// The spawned workers, PEs 1..n.
     handles: Vec<JoinHandle<()>>,
     cd: Arc<CompletionDetector>,
-    stats_rx: Option<Receiver<StatsReport>>,
-    chares_rx: Option<Receiver<ChareCrate<M>>>,
+    stats: (ChSender<StatsReport>, Receiver<StatsReport>),
+    chares: (ChSender<ChareCrate<M>>, Receiver<ChareCrate<M>>),
 }
 
 impl<M: Message> ThreadEngine<M> {
-    /// Create an engine for `cfg.n_pes` OS threads.
+    /// Create an engine for `cfg.n_pes` PEs: the caller's thread and
+    /// `cfg.n_pes - 1` OS threads.
     pub fn new(cfg: RuntimeConfig) -> Self {
         ThreadEngine {
             cd: Arc::new(CompletionDetector::new(cfg.n_pes)),
             table: PeCore::new(&cfg, 0..cfg.n_pes),
             cfg,
-            started: false,
+            pe0: None,
             txs: Vec::new(),
             handles: Vec::new(),
-            stats_rx: None,
-            chares_rx: None,
+            stats: unbounded(),
+            chares: unbounded(),
         }
     }
 
     /// Register a chare (before the first phase).
     pub fn add_chare(&mut self, id: ChareId, pe: u32, chare: Box<dyn Chare<M>>) {
-        assert!(!self.started, "cannot add chares after the first phase");
+        assert!(self.pe0.is_none(), "add chares before the first phase");
         self.table.add(id, pe, chare);
     }
 
     fn start(&mut self) {
-        let n = self.cfg.n_pes as usize;
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            self.txs.push(tx);
-            rxs.push(rx);
-        }
-        let (stats_tx, stats_rx) = unbounded();
-        let (chares_tx, chares_rx) = unbounded();
-        self.stats_rx = Some(stats_rx);
-        self.chares_rx = Some(chares_rx);
-        for (pe, core) in self.table.split().into_iter().enumerate() {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..self.cfg.n_pes).map(|_| unbounded()).unzip();
+        self.txs = txs;
+        for ((pe, core), rx) in self.table.split().into_iter().enumerate().zip(rxs) {
             let worker = Worker {
                 pe: pe as u32,
-                rx: rxs[pe].clone(),
+                rx,
                 txs: self.txs.clone(),
                 cd: self.cd.clone(),
-                stats_tx: stats_tx.clone(),
-                chares_tx: chares_tx.clone(),
                 core,
                 local_q: VecDeque::new(),
             };
+            if pe == 0 {
+                self.pe0 = Some(Box::new(worker));
+                continue;
+            }
+            let (stats_tx, chares_tx) = (self.stats.0.clone(), self.chares.0.clone());
             self.handles.push(
                 std::thread::Builder::new()
                     .name(format!("chare-pe-{pe}"))
-                    .spawn(move || worker.run())
+                    .spawn(move || worker.run(stats_tx, chares_tx))
                     .expect("spawn worker"),
             );
         }
-        self.started = true;
     }
 
     /// Run one phase to completion.
     pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
-        if !self.started {
+        if self.pe0.is_none() {
             self.start();
         }
         self.cd.reset();
@@ -248,33 +285,26 @@ impl<M: Message> ThreadEngine<M> {
                 (pe, Envelope { to, msg })
             })
             .collect();
-        for tx in &self.txs {
+        for tx in &self.txs[1..] {
             let _ = tx.send(Item::PhaseStart);
         }
         for (pe, env) in injections {
             let _ = self.txs[pe as usize].send(Item::Direct(env));
         }
-        // Collect per-PE stats as the workers report the close. With a
-        // watchdog, a hung phase fails with the detector's counters
-        // instead of blocking until the CI timeout.
-        let rx = self.stats_rx.as_ref().unwrap();
-        let watchdog = Duration::from_secs(u64::from(self.cfg.watchdog_secs));
-        let mut per_pe = vec![PeStats::default(); self.cfg.n_pes as usize];
-        let mut reductions = ReductionSlots::default();
-        for _ in 0..self.cfg.n_pes {
-            let report = if self.cfg.watchdog_secs > 0 {
-                rx.recv_timeout(watchdog)
-            } else {
-                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
-            };
-            let (pe, part) = report.unwrap_or_else(|e| {
-                panic!(
-                    "phase did not close ({e:?}; watchdog {}s, produced {}, consumed {})",
-                    self.cfg.watchdog_secs,
-                    self.cd.total_produced(),
-                    self.cd.total_consumed()
-                )
-            });
+        let pe0 = self.pe0.as_mut().expect("started above");
+        let watchdog_secs = self.cfg.watchdog_secs;
+        if let PhaseExit::Shutdown = pe0.run_phase_loop(watchdog_secs) {
+            unreachable!("PE 0 shut down inside a phase");
+        }
+        // PE 0's counters, then each worker's as it reports the close.
+        let PhaseStats {
+            mut per_pe,
+            mut reductions,
+        } = pe0.core.phase_stats();
+        per_pe.resize(self.cfg.n_pes as usize, PeStats::default());
+        for _ in 1..self.cfg.n_pes {
+            let (pe, part) = poll_then_park(&self.stats.1, watchdog_secs)
+                .unwrap_or_else(|e| phase_hung(e, watchdog_secs, &self.cd));
             per_pe[pe as usize] = part.per_pe[0];
             reductions.merge(&part.reductions);
         }
@@ -283,17 +313,13 @@ impl<M: Message> ThreadEngine<M> {
 
     /// Stop the workers and collect all chares.
     pub fn into_chares(mut self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
-        if !self.started {
+        let Some(pe0) = self.pe0.as_mut() else {
             return self.table.take_chares();
-        }
+        };
+        let mut all = pe0.core.take_chares();
         self.request_shutdown();
-        let rx = self
-            .chares_rx
-            .take()
-            .expect("a started engine has a chares channel");
-        let mut all = Vec::new();
-        for _ in 0..self.cfg.n_pes {
-            all.extend(rx.recv().expect("worker chares"));
+        for _ in 1..self.cfg.n_pes {
+            all.extend(self.chares.1.recv().expect("worker chares"));
         }
         self.join_workers();
         all.sort_by_key(|(id, _)| *id);
@@ -316,8 +342,8 @@ impl<M: Message> ThreadEngine<M> {
 }
 
 /// Dropping an engine without [`ThreadEngine::into_chares`] must not leave
-/// its PE threads parked in `recv` forever: every worker holds a clone of
-/// every sender, so no channel ever disconnects on its own.
+/// its worker threads parked in `recv` forever: every worker holds a clone
+/// of every sender, so no channel ever disconnects on its own.
 impl<M: Message> Drop for ThreadEngine<M> {
     fn drop(&mut self) {
         self.request_shutdown();
@@ -362,6 +388,64 @@ mod tests {
             assert_eq!(stats.reduction(0), 10 * round + 1, "round {round}");
         }
         eng.into_chares();
+    }
+
+    /// PE 0 runs on the caller's thread: `threaded(1)` spawns nothing, and
+    /// `threaded(n)` spawns one thread per other PE.
+    #[test]
+    fn pe0_runs_on_the_callers_thread() {
+        for n_pes in [1u32, 2, 4] {
+            let mut eng = ring(8, RuntimeConfig::threaded(n_pes));
+            for round in 1..=3u64 {
+                let stats = eng.run_phase(vec![(ChareId(1), Token(round * 7))]);
+                assert_eq!(stats.reduction(0), round * 7 + 1, "{n_pes} PEs");
+                assert_eq!(stats.per_pe.len(), n_pes as usize);
+            }
+            assert_eq!(eng.handles.len(), n_pes as usize - 1, "{n_pes} PEs");
+            assert_eq!(eng.into_chares().len(), 8);
+        }
+    }
+
+    /// Contributes 1 to slot 0 after sleeping its time.
+    struct Nap(Duration);
+    impl Chare<Token> for Nap {
+        fn receive(&mut self, _msg: Token, ctx: &mut Ctx<'_, Token>) {
+            std::thread::sleep(self.0);
+            ctx.contribute(0, 1);
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// The phase's only work is on PE 1, so PE 0 is idle from its first
+    /// look: it must wait for PE 1's work, not close the phase on its own.
+    #[test]
+    fn idle_pe0_waits_for_work_on_pe1() {
+        let mut eng = ThreadEngine::new(RuntimeConfig::threaded(2));
+        eng.add_chare(ChareId(0), 0, Box::new(Nap(Duration::ZERO)));
+        eng.add_chare(ChareId(1), 1, Box::new(Nap(Duration::from_millis(20))));
+        for phase in 0..5 {
+            let stats = eng.run_phase(vec![(ChareId(1), Token(0))]);
+            assert_eq!(stats.reduction(0), 1, "phase {phase}");
+            assert_eq!(stats.per_pe[0].processed, 0, "phase {phase}");
+            assert_eq!(stats.per_pe[1].processed, 1, "phase {phase}");
+        }
+        eng.into_chares();
+    }
+
+    /// A PE-1 chare outlives the watchdog while PE 0 waits on the caller's
+    /// thread: the phase fails with the detector's counters, not a hang.
+    #[test]
+    #[should_panic(expected = "phase did not close (Timeout; watchdog 1s, produced 1, consumed 0)")]
+    fn watchdog_fails_a_phase_pe0_waits_on() {
+        let mut cfg = RuntimeConfig::threaded(2);
+        cfg.watchdog_secs = 1;
+        let mut eng = ThreadEngine::new(cfg);
+        eng.add_chare(ChareId(0), 0, Box::new(Nap(Duration::ZERO)));
+        eng.add_chare(ChareId(1), 1, Box::new(Nap(Duration::from_secs(3))));
+        eng.run_phase(vec![(ChareId(1), Token(0))]);
     }
 
     #[test]
@@ -426,34 +510,38 @@ mod tests {
     }
 
     /// Phase-close stress: 2,000 phases cycling through an empty phase, a
-    /// cross-PE token storm and 64 injections whose chares send nothing.
-    /// An early close (an injection not yet counted), a stale or lost
-    /// `PhaseEnd`, or a double claim shows up as a wrong count, a panic, or
-    /// the watchdog firing, never as a hang.
+    /// cross-PE token storm and 64 injections whose chares send nothing,
+    /// on 4 PEs, on the benchmark's 2 and on PE 0 alone. An early close (an
+    /// injection not yet counted), a stale or lost `PhaseEnd`, or a double
+    /// claim shows up as a wrong count, a panic, or the watchdog firing,
+    /// never as a hang.
     #[test]
     fn phase_close_stress() {
         let n_chares = 16;
-        let mut cfg = RuntimeConfig::threaded(4);
-        cfg.watchdog_secs = 30;
-        let mut eng = ring(n_chares, cfg);
-        for phase in 0..2000u64 {
-            let (injections, expect): (Vec<_>, u64) = match phase % 3 {
-                0 => (vec![], 0),
-                1 => {
-                    let hops = phase % 40;
-                    let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
-                    (tokens, 4 * (hops + 1))
-                }
-                _ => {
-                    let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
-                    (quiet, 64)
-                }
-            };
-            let stats = eng.run_phase(injections);
-            assert_eq!(stats.reduction(0), expect, "phase {phase} reduction");
-            assert_eq!(stats.totals().processed, expect, "phase {phase} processed");
+        for n_pes in [4, 2, 1] {
+            let mut cfg = RuntimeConfig::threaded(n_pes);
+            cfg.watchdog_secs = 30;
+            let mut eng = ring(n_chares, cfg);
+            for phase in 0..2000u64 {
+                let (injections, expect): (Vec<_>, u64) = match phase % 3 {
+                    0 => (vec![], 0),
+                    1 => {
+                        let hops = phase % 40;
+                        let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
+                        (tokens, 4 * (hops + 1))
+                    }
+                    _ => {
+                        let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
+                        (quiet, 64)
+                    }
+                };
+                let stats = eng.run_phase(injections);
+                let at = format!("{n_pes} PEs, phase {phase}");
+                assert_eq!(stats.reduction(0), expect, "{at} reduction");
+                assert_eq!(stats.totals().processed, expect, "{at} processed");
+            }
+            eng.into_chares();
         }
-        eng.into_chares();
     }
 
     #[test]

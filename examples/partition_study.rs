@@ -64,6 +64,8 @@ struct SetupRow {
     hwm_after: f64,
     /// `VmRSS` with the built distribution still held.
     rss_after: f64,
+    /// The distribution's own bytes, `DataDistribution::heap_bytes()`, MB.
+    heap: f64,
 }
 
 /// Time the stages of set-up for `people` people, composed exactly as
@@ -91,6 +93,7 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
         hwm_before: 0.0,
         hwm_after: 0.0,
         rss_after: 0.0,
+        heap: 0.0,
     };
     for rep in 0..3 {
         let (pop, generate) =
@@ -104,6 +107,7 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
         let (dist, build) = timed(|| DataDistribution::build(&pop, strategy, k, seed));
         if rep == 0 {
             (row.hwm_after, row.rss_after) = (status_mb("VmHWM:"), status_mb("VmRSS:"));
+            row.heap = dist.heap_bytes() as f64 / (1024.0 * 1024.0);
         }
         row.edge_cut = dist.quality().map_or(0, |q| q.edge_cut);
         drop(dist);
@@ -160,7 +164,7 @@ const SHAPES: [(u32, Strategy, u32); 4] = [
 
 /// The set-up table's header. A row's `build` time sits at the same
 /// whitespace-separated position as its title does here.
-const HEADER: &str = " people  k generate splitLoc    graph   person  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB  VmRSS x linear";
+const HEADER: &str = " people  k generate splitLoc    graph   person  coarsen init+refine  quality     build levels  Σm/m0  edge_cut        VmHWM MB  VmRSS   heap x linear";
 
 /// Measure one shape and print the header and its row (what a
 /// `--setup-row` child does).
@@ -172,7 +176,7 @@ fn print_setup_row(people: u32) {
     let r = setup_row(people, strategy, k, 42_000);
     println!("{HEADER}");
     println!(
-        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1} {:>6.1}",
+        "{:>7} {:>2} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.1} {:>8.1} {:>9.1} {:>6} {:>6.2} {:>9} {:>6.1} → {:<6.1} {:>6.1} {:>6.1}",
         r.people,
         k,
         r.generate,
@@ -189,6 +193,7 @@ fn print_setup_row(people: u32) {
         r.hwm_before,
         r.hwm_after,
         r.rss_after,
+        r.heap,
     );
 }
 
@@ -238,7 +243,8 @@ fn setup_by_stage(quick: bool) {
     println!("init+refine is partition_workload minus a stand-alone person level and coarsen_to");
     println!("of the same graph and seed; levels are person level + HEM levels; VmHWM is the");
     println!("process peak before → after the first DataDistribution::build, VmRSS the resident");
-    println!("set after it with the distribution still held.");
+    println!("set after it with the distribution still held, heap the distribution's own");
+    println!("DataDistribution::heap_bytes().");
 }
 
 fn main() {
