@@ -7,16 +7,17 @@
 //! handle the computation and communication of all location or person
 //! objects assigned to them."
 //!
-//! With aggregation on (the default) a day is state deltas over a static
-//! layout. Schedules never change, so a PM sends an [`Update`] to each LM
-//! on a person's schedule only when the person's `(state, sus_scale)`
-//! differs from what it last sent. On an ordinary day a PM runs only the
-//! mornings of its roster, the persons whose morning can change something;
-//! a day with a vaccination order or a closed kind runs every morning, as
-//! `core::seq` always does. Each LM caches its visitors' pairs, draws its
-//! symptomatic visitors' stay-home decisions itself, and sweeps only the
-//! sublocation groups an infectious visitor attends, over its range of the
-//! static [`SweepLayout`](crate::seq::SweepLayout), as `core::seq` does.
+//! With aggregation on (the default) a day is state deltas over the
+//! world's static [`SweepLayout`](crate::seq::SweepLayout). A PM sends an
+//! [`Update`] down a person's `(partition, slot)` routes only when its
+//! `(state, sus_scale)` differs from what it last sent. On an ordinary day
+//! a PM runs only the mornings of its roster, the persons whose morning
+//! can change something; a day with a vaccination order or a closed kind
+//! runs every morning, as `core::seq` always does. Each LM caches its
+//! visitors' pairs by slot, draws its symptomatic visitors' stay-home
+//! decisions, walks only their own visits, counts the day's visits, and
+//! sweeps only the sublocation groups an infectious visitor attends, over
+//! its range of the layout, as `core::seq` does.
 //! With aggregation off (`no_opt`) the day is the paper's protocol: one
 //! visit message per attended visit, buffered by the LM and run through
 //! [`simulate_location_day`].
@@ -26,14 +27,12 @@ use crate::kernel::{
     LocationDayFeatures,
 };
 use crate::messages::{slots, DayEffects, InfectMsg, SharedRef, SimMsg, Update, VisitMsg};
-use crate::person::{
-    at_home, attended, attends, person_day, person_morning, stays_home, PersonSlot,
-};
+use crate::person::{attends, person_day, person_morning, stays_home, PersonSlot};
 use crate::seq::Member;
 use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
 use ptts::Ptts;
-use synthpop::{LocationKind, PersonId};
+use synthpop::LocationKind;
 
 /// Most updates (or infects) one batch message carries: about 10 KB on
 /// the wire, well inside the net engine's 256 KB shm ring. A lane that
@@ -55,7 +54,8 @@ struct Lanes<T> {
     cap: usize,
     /// The [`SimMsg`] variant that carries a lane.
     wrap: fn(Vec<T>) -> SimMsg,
-    bufs: Vec<Vec<T>>,
+    /// Per lane: its items, and the size of the batch it last flushed.
+    bufs: Vec<(Vec<T>, usize)>,
 }
 
 impl<T> Lanes<T> {
@@ -65,13 +65,16 @@ impl<T> Lanes<T> {
             first_chare,
             cap: if shared.aggregated { BATCH_CAP } else { 1 },
             wrap,
-            bufs: (0..k).map(|_| Vec::new()).collect(),
+            bufs: (0..k).map(|_| (Vec::new(), 0)).collect(),
         }
     }
 
     /// Queue `item` for chare `to`, sending its lane if that fills it.
     fn push(&mut self, to: u32, item: T, ctx: &mut Ctx<'_, SimMsg>) {
-        let buf = &mut self.bufs[(to - self.first_chare) as usize];
+        let (buf, last) = &mut self.bufs[(to - self.first_chare) as usize];
+        if buf.capacity() == 0 {
+            buf.reserve(*last);
+        }
         buf.push(item);
         if buf.len() >= self.cap {
             // A lane that filled once will likely fill again today.
@@ -82,8 +85,9 @@ impl<T> Lanes<T> {
 
     /// Send what is left in every lane (end of the phase's sends).
     fn flush(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        for (to, buf) in (self.first_chare..).zip(&mut self.bufs) {
+        for (to, (buf, last)) in (self.first_chare..).zip(&mut self.bufs) {
             if !buf.is_empty() {
+                *last = buf.len();
                 ctx.send(ChareId(to), (self.wrap)(std::mem::take(buf)));
             }
         }
@@ -114,15 +118,11 @@ pub struct PersonManager {
     roster: Vec<u64>,
     /// Persons in a susceptible state, kept at every state change.
     susceptible: u64,
-    /// The persons' scheduled visits; on an ordinary day everyone off the
-    /// roster attends all of theirs.
-    scheduled: u64,
     /// The day's outgoing updates, one lane per LocationManager.
     updates: Lanes<Update>,
     /// `no_opt` only: the day's visits, one lane per LocationManager, and
     /// a scratch buffer reused across persons.
-    visits: Lanes<VisitMsg>,
-    visit_buf: Vec<VisitMsg>,
+    visits: Option<(Lanes<VisitMsg>, Vec<VisitMsg>)>,
 }
 
 /// Whether a person's morning can change anything: a finite dwell, an
@@ -145,14 +145,13 @@ impl PersonManager {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
         let k = shared.world.k();
         let baseline = (shared.ptts.start_state(), 1.0f32.to_bits());
-        let (ptts, offsets) = (&*shared.ptts, &shared.world.pop.person_offsets);
+        let ptts = &*shared.ptts;
         let mut roster = vec![0; persons.len().div_ceil(64)];
-        let (mut susceptible, mut scheduled) = (0, 0);
+        let mut susceptible = 0;
         for (local, slot) in persons.iter().enumerate() {
             let listed = on_roster(ptts, symptomatic_state, slot, baseline);
             roster[local / 64] |= u64::from(listed) << (local % 64);
             susceptible += u64::from(ptts.is_susceptible(slot.health.state));
-            scheduled += u64::from(offsets[slot.id as usize + 1] - offsets[slot.id as usize]);
         }
         PersonManager {
             infected_today: vec![None; persons.len()],
@@ -163,10 +162,9 @@ impl PersonManager {
             touched: Vec::new(),
             roster,
             susceptible,
-            scheduled,
             updates: Lanes::new(&shared, k, SimMsg::Updates),
-            visits: Lanes::new(&shared, k, SimMsg::Visits),
-            visit_buf: Vec::new(),
+            visits: (!shared.aggregated)
+                .then(|| (Lanes::new(&shared, k, SimMsg::Visits), Vec::new())),
             shared,
         }
     }
@@ -182,12 +180,11 @@ impl PersonManager {
             self.infected_today[local as usize] = None;
         }
         let shared = self.shared.clone();
-        let (world, ptts) = (&shared.world, &*shared.ptts);
+        let (world, ptts, sweep) = (&shared.world, &*shared.ptts, &*shared.sweep);
         let (pop, k, location_part) = (&*world.pop, world.k(), world.location_part());
         let orig = Some(&world.orig_of_location[..]);
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
-        let mut visits_sent = self.scheduled;
         let mut updates_sent = 0u64;
         // A vaccination order or a closed kind can change anyone's day, and
         // `no_opt` sends every visit: then every morning runs.
@@ -203,10 +200,8 @@ impl PersonManager {
                 let slot = &mut self.persons[local];
                 let sent = &mut self.sent[local];
                 let was_susceptible = ptts.is_susceptible(slot.health.state);
-                let p = slot.id as usize;
-                let scheduled = u64::from(pop.person_offsets[p + 1] - pop.person_offsets[p]);
-                if !shared.aggregated {
-                    self.visit_buf.clear();
+                if let Some((lanes, visit_buf)) = &mut self.visits {
+                    visit_buf.clear();
                     let sym = person_day(
                         slot,
                         pop,
@@ -216,13 +211,12 @@ impl PersonManager {
                         orig,
                         shared.seed,
                         day,
-                        &mut self.visit_buf,
+                        visit_buf,
                     );
                     symptomatic += sym as u64;
-                    visits_sent -= scheduled - self.visit_buf.len() as u64;
-                    for visit in self.visit_buf.drain(..) {
+                    for visit in visit_buf.drain(..) {
                         let lm = k + location_part[visit.location as usize];
-                        self.visits.push(lm, visit, ctx);
+                        lanes.push(lm, visit, ctx);
                     }
                 } else {
                     let morning = person_morning(
@@ -234,29 +228,22 @@ impl PersonManager {
                         day,
                     );
                     symptomatic += morning.symptomatic as u64;
-                    let home = pop.people[p].home.0;
-                    let at_home = |i: usize| at_home(home, pop.visits[i].location.0, orig);
                     let now = (slot.health.state, slot.sus_scale.to_bits());
                     if now != *sent {
                         *sent = now;
-                        let update = Update {
-                            person: slot.id,
-                            state: slot.health.state,
-                            sus_scale: slot.sus_scale,
-                        };
-                        // One update per LocationManager on the schedule.
-                        let schedule = pop.visits_of(PersonId(slot.id));
-                        let lm_of = |v: &synthpop::Visit| k + location_part[v.location.0 as usize];
-                        for (j, v) in schedule.iter().enumerate() {
-                            let lm = lm_of(v);
-                            if schedule[..j].iter().all(|w| lm_of(w) != lm) {
-                                self.updates.push(lm, update, ctx);
-                                updates_sent += 1;
-                            }
+                        // One update per LocationManager on the schedule,
+                        // addressed to the person's slot there.
+                        let routes = sweep.routes_of(slot.id as usize);
+                        for &(part, visitor) in routes {
+                            let update = Update {
+                                slot: visitor,
+                                state: slot.health.state,
+                                sus_scale: slot.sus_scale,
+                            };
+                            self.updates.push(k + part, update, ctx);
                         }
+                        updates_sent += routes.len() as u64;
                     }
-                    let attended = attended(pop, slot.id, effects, morning.stay_home, at_home);
-                    visits_sent -= scheduled - attended as u64;
                 }
                 infected_now += slot.is_infected() as u64;
                 self.susceptible += u64::from(ptts.is_susceptible(slot.health.state));
@@ -266,11 +253,12 @@ impl PersonManager {
             }
         }
         self.updates.flush(ctx);
-        self.visits.flush(ctx);
+        if let Some((lanes, _)) = &mut self.visits {
+            lanes.flush(ctx);
+        }
         ctx.contribute(slots::SYMPTOMATIC, symptomatic);
         ctx.contribute(slots::INFECTED_NOW, infected_now);
         ctx.contribute(slots::SUSCEPTIBLE, self.susceptible);
-        ctx.contribute(slots::VISITS_SENT, visits_sent);
         if updates_sent > 0 {
             ctx.contribute(slots::UPDATES_SENT, updates_sent);
         }
@@ -369,8 +357,8 @@ pub struct LocationManager {
     visitors: Visitors,
 }
 
-/// A LocationManager's visitors under deltas, indexed by their place in
-/// its partition's range of the
+/// A LocationManager's visitors under deltas, indexed by their slot: their
+/// place in its partition's range of the
 /// [`SweepLayout`](crate::seq::SweepLayout)'s visitors.
 struct Visitors {
     /// `(state, sus_scale)` as last updated; the baseline until then.
@@ -422,7 +410,7 @@ impl LocationManager {
             symptomatic_state: shared.ptts.state_by_name("symptomatic"),
             lanes: Lanes::new(&shared, 0, SimMsg::Infects),
             part,
-            buffers: vec![Vec::new(); n],
+            buffers: vec![Vec::new(); if shared.aggregated { 0 } else { n }],
             swept: vec![LocationDayFeatures::default(); n],
             scratch: KernelScratch::new(),
             infect_buf: Vec::new(),
@@ -457,19 +445,15 @@ impl LocationManager {
 
     /// Cache a lane of updates.
     fn apply_updates(&mut self, batch: &[Update]) {
-        let sweep = &self.shared.sweep;
-        let persons = &sweep.visitors()[sweep.visitors_of(self.part)];
         let vs = &mut self.visitors;
         for u in batch {
-            let v = persons
-                .binary_search(&u.person)
-                .expect("updates come from visitors") as u32;
-            vs.health[v as usize] = (u.state, u.sus_scale);
+            let v = u.slot as usize;
+            vs.health[v] = (u.state, u.sus_scale);
             let notable =
                 self.classes.class(u.state).is_some() || Some(u.state) == self.symptomatic_state;
-            if notable && !vs.watched[v as usize] {
-                vs.watched[v as usize] = true;
-                vs.watch.push(v);
+            if notable && !vs.watched[v] {
+                vs.watched[v] = true;
+                vs.watch.push(u.slot);
             }
         }
     }
@@ -479,13 +463,12 @@ impl LocationManager {
     fn sweep_day(&mut self, day: u32, r_eff: f64, closed_kinds: u8, ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
         let (world, sweep) = (&shared.world, &*shared.sweep);
-        let (pop, location_part) = (&*world.pop, world.location_part());
+        let pop = &*world.pop;
         let (local_of_location, person_part) = (world.local_of_location(), world.person_part());
         let fx = DayEffects {
             closed_kinds,
             ..DayEffects::none()
         };
-        let me = self.part;
         let first_group = sweep.groups_of(self.part).start;
         let first_visitor = sweep.visitors_of(self.part).start;
         let persons = &sweep.visitors()[sweep.visitors_of(self.part)];
@@ -511,13 +494,8 @@ impl LocationManager {
         let mut absent_today = 0u64;
         for &v in watch.iter() {
             let state = health[v as usize].0;
-            let person = persons[v as usize] as usize;
-            let stay_home = stays_home(
-                shared.seed,
-                person as u32,
-                day,
-                Some(state) == symptomatic_state,
-            );
+            let person = persons[v as usize];
+            let stay_home = stays_home(shared.seed, person, day, Some(state) == symptomatic_state);
             if stay_home {
                 stayed_home[v as usize] = day + 1;
             }
@@ -525,20 +503,16 @@ impl LocationManager {
             if !infectious && !stay_home {
                 continue;
             }
-            for i in pop.person_offsets[person] as usize..pop.person_offsets[person + 1] as usize {
-                let location = pop.visits[i].location.0 as usize;
-                if location_part[location] != me {
-                    continue;
-                }
-                let kind = pop.locations[location].kind;
-                let (g, at_home) = sweep.visit(i);
+            for own in sweep.own_visits(first_visitor + v as usize) {
+                let (kind, at_home) = (own.kind(), own.at_home());
                 if attends(&fx, kind, at_home, stay_home) {
                     if infectious {
-                        let g = g - first_group;
+                        let g = own.group() - first_group;
                         marks[g / 64] |= 1 << (g % 64);
                     }
                 } else if attends(&fx, kind, at_home, false) {
-                    absent[local_of_location[location] as usize] += 1;
+                    let location = sweep.place(own.group()).0;
+                    absent[local_of_location[location as usize] as usize] += 1;
                     absent_today += 1;
                 }
             }

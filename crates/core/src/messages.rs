@@ -1,6 +1,6 @@
 //! Simulator messages, and the immutable state every manager chare
 //! shares: the world ([`DataDistribution`]), the disease model and the
-//! sweep layout.
+//! sweep layout, whose slots address every [`Update`].
 
 use crate::distribution::DataDistribution;
 use crate::seq::SweepLayout;
@@ -37,11 +37,13 @@ pub struct VisitMsg {
 /// A person's update to a LocationManager it visits: its health state
 /// and susceptibility after today's morning. A PersonManager sends one
 /// only when that pair differs from what it last sent the person's
-/// LocationManagers, who cache it (DESIGN.md §8).
+/// LocationManagers, who cache it by the person's slot, so the receiver
+/// indexes its cache and searches nothing (DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Update {
-    /// The person.
-    pub person: u32,
+    /// The person's slot: its index among the receiving partition's
+    /// visitors in the world's [`SweepLayout`].
+    pub slot: u32,
     /// Its health state today.
     pub state: StateId,
     /// Its susceptibility multiplier today.
@@ -134,14 +136,15 @@ pub enum SimMsg {
 
 /// Wire tags for [`SimMsg`] variants (the first byte of the encoding;
 /// DESIGN.md §8 pins them). Tags 1 and 3 were the per-visit `Visit` and
-/// per-transmission `Infect` messages, and tag 4 the `ApplyDay` phase
-/// kick-off; they are retired and never reused.
+/// per-transmission `Infect` messages, tag 4 the `ApplyDay` phase
+/// kick-off, and tag 7 the person-addressed `Updates`; they are retired
+/// and never reused.
 mod tag {
     pub const BEGIN_DAY: u8 = 0;
     pub const COMPUTE_DAY: u8 = 2;
     pub const VISITS: u8 = 5;
     pub const INFECTS: u8 = 6;
-    pub const UPDATES: u8 = 7;
+    pub const UPDATES: u8 = 8;
 }
 
 /// Encoded bytes of one [`VisitMsg`] / [`InfectMsg`] / [`Update`] /
@@ -214,7 +217,7 @@ impl Message for SimMsg {
                 out.put_u8(tag::UPDATES);
                 out.put_u32_le(batch.len() as u32);
                 for u in batch {
-                    out.put_u32_le(u.person);
+                    out.put_u32_le(u.slot);
                     out.put_u16_le(u.state.0);
                     out.put_f32_le(u.sus_scale);
                 }
@@ -287,7 +290,7 @@ impl Message for SimMsg {
                     let mut batch = Vec::with_capacity(n);
                     for _ in 0..n {
                         batch.push(Update {
-                            person: buf.try_get_u32_le()?,
+                            slot: buf.try_get_u32_le()?,
                             state: StateId(buf.try_get_u16_le()?),
                             sus_scale: buf.try_get_f32_le()?,
                         });
@@ -307,16 +310,12 @@ pub mod slots {
     pub const INFECTED_NOW: usize = 0;
     /// Infections applied this day.
     pub const NEW_INFECTIONS: usize = 1;
-    /// Visits attended this day (visit messages sent, under `no_opt`). A
-    /// PersonManager counts its scheduled visits less what the mornings it
-    /// ran took away, so a person off its roster counts their whole
-    /// schedule unread.
-    pub const VISITS_SENT: usize = 2;
     /// Symptomatic persons today.
     pub const SYMPTOMATIC: usize = 3;
     /// Still-susceptible persons.
     pub const SUSCEPTIBLE: usize = 4;
-    /// Arrive/depart events processed by locations today.
+    /// Arrive/depart events processed by locations today: two per visit
+    /// attended (slot 2, the PersonManagers' count of those, is retired).
     pub const EVENTS: usize = 5;
     /// Susceptible×infectious interactions counted today.
     pub const INTERACTIONS: usize = 6;
@@ -414,9 +413,9 @@ mod tests {
         }
     }
 
-    fn update(person: u32) -> Update {
+    fn update(slot: u32) -> Update {
         Update {
-            person,
+            slot,
             state: StateId(3),
             sus_scale: 0.375,
         }
@@ -510,8 +509,8 @@ mod tests {
 
     #[test]
     fn wire_decode_rejects_garbage() {
-        // Unknown tag, and the retired tags 1, 3 and 4.
-        for tag in [200u8, 1, 3, 4] {
+        // Unknown tag, and the retired tags 1, 3, 4 and 7.
+        for tag in [200u8, 1, 3, 4, 7] {
             let mut buf: &[u8] = &[tag, 0, 0, 0, 0];
             assert!(SimMsg::wire_decode(&mut buf).is_none(), "tag {tag}");
         }
@@ -645,7 +644,7 @@ mod tests {
             /// decode to a message that re-encodes to exactly the bytes
             /// consumed, or are rejected — never a panic or an over-read.
             #[test]
-            fn decoder_is_total(tag in 0u8..8, body in collection::vec(any::<u8>(), 0..96)) {
+            fn decoder_is_total(tag in 0u8..9, body in collection::vec(any::<u8>(), 0..96)) {
                 let mut bytes = vec![tag];
                 bytes.extend_from_slice(&body);
                 let mut slice: &[u8] = &bytes;

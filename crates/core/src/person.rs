@@ -165,30 +165,6 @@ pub fn attends(effects: &DayEffects, kind: LocationKind, at_home: bool, stay_hom
     !closed && (at_home || !stay_home)
 }
 
-/// How many of `person`'s scheduled visits happen today, by [`attends`];
-/// `at_home(i)` says whether visit `i` (an index into `pop.visits`) is at
-/// the person's home.
-#[inline]
-pub fn attended(
-    pop: &Population,
-    person: u32,
-    effects: &DayEffects,
-    stay_home: bool,
-    at_home: impl Fn(usize) -> bool,
-) -> usize {
-    let p = person as usize;
-    let schedule = pop.person_offsets[p] as usize..pop.person_offsets[p + 1] as usize;
-    if !stay_home && effects.closed_kinds == 0 {
-        return schedule.len();
-    }
-    schedule
-        .filter(|&i| {
-            let kind = pop.locations[pop.visits[i].location.0 as usize].kind;
-            attends(effects, kind, at_home(i), stay_home)
-        })
-        .count()
-}
-
 /// Phase 1 for one person: [`person_morning`], then emit today's visit
 /// messages into `out`. Returns the symptomatic flag used for reporting.
 /// `orig_of_location` is [`at_home`]'s split map.

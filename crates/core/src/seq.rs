@@ -12,34 +12,34 @@
 //! because only a sublocation with an infectious visitor can produce an
 //! interaction. [`SweepLayout`] computes once per world every visit in
 //! the canonical `(location, sublocation, start, person)` order, grouped
-//! by sublocation. Each day the person pass runs [`person_morning`] for
-//! everyone and marks the groups the infectious attend; the location pass
-//! gathers only the marked groups' present visits, still in canonical
-//! order, and runs the kernel's interval-overlap pass over them. Nothing
-//! is sorted per day but each swept group's few susceptibles. The
-//! engines' LocationManagers sweep the same layout, each its
-//! own partition's range, from the states persons send them
-//! (`crate::managers`). A [`DataDistribution`] builds it once, on first
-//! use, and every clone shares it, so every simulator,
-//! [`crate::CowWorld`] and [`crate::run_sweep`] over one world reads one
-//! layout; [`run_sequential`] builds one per run.
+//! by sublocation, and where each person's visits go. Each day the person
+//! pass runs [`person_morning`] for everyone and marks the groups the
+//! infectious attend; the location pass gathers only the marked groups'
+//! present visits, still in canonical order, and runs the kernel's
+//! interval-overlap pass over them. Nothing is sorted per day but each
+//! swept group's few susceptibles. The engines' managers address their
+//! updates by the same layout, and each LocationManager sweeps its own
+//! partition's range of it (`crate::managers`). A [`DataDistribution`]
+//! builds it once, on first use, and every clone shares it, so every
+//! simulator, [`crate::CowWorld`] and [`crate::run_sweep`] over one world
+//! reads one layout; [`run_sequential`] builds one per run.
 
 use crate::distribution::DataDistribution;
 use crate::ensemble::MemberArena;
-use crate::kernel::{canonical_key, overlap_sublocation, InfectivityClasses, LocationDayFeatures};
+use crate::kernel::{overlap_sublocation, InfectivityClasses, LocationDayFeatures};
 use crate::messages::{DayEffects, VisitMsg};
 use crate::output::{DayStats, EpiCurve};
-use crate::person::{at_home, attended, attends, person_morning, PersonSlot};
+use crate::person::{at_home, attends, person_morning, PersonSlot};
 use crate::simulator::SimConfig;
 use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::DayObservables;
 use ptts::model::StateId;
 use ptts::Ptts;
-use synthpop::Population;
+use synthpop::{LocationKind, Population, Visit};
 
 /// One visit of a [`SweepLayout`] group: what the gather needs to rebuild
 /// its [`VisitMsg`], and the static half of the attendance rule.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Member {
     pub(crate) person: u32,
     /// Index into [`SweepLayout::visitors`], with [`AT_HOME`] set when the
@@ -66,27 +66,51 @@ impl Member {
 /// The top bit of a packed index: the visit is at the person's home.
 const AT_HOME: u32 = 1 << 31;
 
+/// One visit as its visitor's LocationManager walks it, in one word: its
+/// group, its location's kind from bit [`KIND_SHIFT`], and [`AT_HOME`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OwnVisit(u32);
+
+const KIND_SHIFT: u32 = 28;
+
+impl OwnVisit {
+    #[inline]
+    pub(crate) fn group(self) -> usize {
+        (self.0 & ((1 << KIND_SHIFT) - 1)) as usize
+    }
+
+    #[inline]
+    pub(crate) fn kind(self) -> LocationKind {
+        LocationKind::ALL[(self.0 >> KIND_SHIFT & 7) as usize]
+    }
+
+    #[inline]
+    pub(crate) fn at_home(self) -> bool {
+        self.0 & AT_HOME != 0
+    }
+}
+
 /// The visits of a population in canonical order, grouped by
-/// `(location, sublocation)`.
+/// `(location, sublocation)`, and the routes to them.
 ///
 /// Groups are ordered by partition, then location, so partition `p`'s
 /// groups are one contiguous range ([`SweepLayout::groups_of`]): a
 /// LocationManager sweeps its own range, and caches its visitors' health
-/// by their index in its range of [`SweepLayout::visitors`]. Group `g`
-/// holds `members[group_start[g]..group_start[g + 1]]`, sorted by `(start,
-/// person, visit index)`, which is the order the kernel sorts a
+/// by their *slot*, their index in its range of [`SweepLayout::visitors`].
+/// Group `g` holds `members[group_start[g]..group_start[g + 1]]`, sorted by
+/// `(start, person, visit index)`, which is the order the kernel sorts a
 /// sublocation into (the visit index only breaks ties the kernel's key
 /// leaves open). Leaving a day's absent visits out keeps the survivors in
 /// that order, so a gathered group is what the kernel would have sorted.
 ///
 /// A layout may cover only some partitions (a net rank lays out the
-/// LocationManagers it hosts); the others have empty ranges.
+/// LocationManagers it hosts; the others have empty ranges), but each
+/// person's `(partition, slot)` pairs (`SweepLayout::routes_of`), which
+/// address its updates, cover every partition. A visitor's own visits
+/// (`SweepLayout::own_visits`) are all its LocationManager walks of it.
 #[derive(Debug, Clone, Default)]
 pub struct SweepLayout {
     members: Vec<Member>,
-    /// Per visit (indexed like `pop.visits`): its group, with [`AT_HOME`]
-    /// set for a home visit. Meaningless for visits outside the layout.
-    visit_group: Vec<u32>,
     group_start: Vec<u32>,
     /// `(location, sublocation)` of every group.
     place: Vec<(u32, u16)>,
@@ -96,127 +120,151 @@ pub struct SweepLayout {
     /// `visitors[part_visitors[p]..part_visitors[p + 1]]`.
     visitors: Vec<u32>,
     part_visitors: Vec<u32>,
+    /// Person `p`'s `(partition, slot)` pairs, in the order of its first
+    /// visit to each partition: `routes[route_start[p]..route_start[p + 1]]`.
+    routes: Vec<(u32, u32)>,
+    route_start: Vec<u32>,
+    /// Each visitor's own visits, in schedule order: visitor `v`'s are
+    /// `own[own_start[v]..own_start[v + 1]]`.
+    own: Vec<OwnVisit>,
+    own_start: Vec<u32>,
 }
 
 impl SweepLayout {
     /// Lay out every visit of an unpartitioned, unsplit population (the
     /// sequential oracle's layout: one partition).
     pub fn build(pop: &Population) -> SweepLayout {
-        Self::build_parts(pop, None, |_| 0, &[true])
+        let all: Vec<u32> = (0..pop.n_locations()).collect();
+        Self::build_parts(pop, None, |_| 0, |_| &all, &[true])
     }
 
     /// Lay out the visits to the locations of `dist`'s partitions `p` for
     /// which `hosted[p]` holds.
     pub fn of_world(dist: &DataDistribution, hosted: &[bool]) -> SweepLayout {
         let part_of = |l: usize| dist.location_part()[l] as usize;
-        Self::build_parts(&dist.pop, Some(&dist.orig_of_location), part_of, hosted)
+        let locations_of = |p: usize| dist.locations_of(p as u32);
+        let orig = Some(&dist.orig_of_location[..]);
+        Self::build_parts(&dist.pop, orig, part_of, locations_of, hosted)
     }
 
-    /// `O(V)` plus a sort per location, for `V` visits: a counting sort of
-    /// the visits by location, in partition order, then each hosted
-    /// location's visits sorted by the kernel's key and cut into
-    /// sublocation groups.
-    fn build_parts(
+    /// `O(V + L + S)` for `V` visits, `L` locations and `S` sublocations,
+    /// plus a stable sort by start minute per group: one pass over the
+    /// person-ordered visits lists the routes and numbers every
+    /// partition's visitors; a second counts the hosted visits per room
+    /// and per visitor; a third deals them out to their groups and
+    /// visitors in person order, which the sort by start makes canonical.
+    fn build_parts<'a>(
         pop: &Population,
         orig_of_location: Option<&[u32]>,
         part_of: impl Fn(usize) -> usize,
+        locations_of: impl Fn(usize) -> &'a [u32],
         hosted: &[bool],
     ) -> SweepLayout {
-        let n_locations = pop.n_locations() as usize;
-
-        // Where each hosted location's visits start, in (partition,
-        // location) order: a counting sort.
-        let mut part_start = vec![0u32; hosted.len() + 1];
-        let mut visit_start = vec![0u32; n_locations + 1];
-        for v in &pop.visits {
-            let l = v.location.0 as usize;
-            if hosted[part_of(l)] {
-                visit_start[l + 1] += 1;
-                part_start[part_of(l) + 1] += 1;
-            }
-        }
-        prefix_sum(&mut part_start);
-        let mut next_in_part = part_start.clone();
-        for l in 0..n_locations {
-            let n = visit_start[l + 1];
-            let slot = &mut next_in_part[part_of(l)];
-            visit_start[l] = *slot;
-            *slot += n;
-        }
-        // The visits placed there, keyed for the sort, and each
-        // partition's visitors. `pop.visits` is ordered by person, so the
-        // visitors come out ascending, and a visitor's index among its
-        // partition's orders like its person id: it stands in for the
-        // person in the key.
-        let mut keyed = vec![Keyed::default(); part_start[hosted.len()] as usize];
-        let mut visitors: Vec<Vec<u32>> = vec![Vec::new(); hosted.len()];
-        let mut next = visit_start.clone();
-        for (i, v) in pop.visits.iter().enumerate() {
-            let l = v.location.0 as usize;
-            let part = part_of(l);
-            if !hosted[part] {
-                continue;
-            }
-            let person = v.person.0;
-            let seen = &mut visitors[part];
-            if seen.last() != Some(&person) {
-                seen.push(person);
-            }
-            let home = pop.people[person as usize].home.0;
-            keyed[next[l] as usize] = Keyed {
-                key: canonical_key(v.sublocation.0, v.start_min, seen.len() as u32 - 1),
-                visit: i as u32,
-                end_min: v.end_min(),
-                at_home: at_home(home, v.location.0, orig_of_location),
-            };
-            next[l] += 1;
-        }
-
+        let k = hosted.len();
         let mut layout = SweepLayout {
-            members: Vec::with_capacity(keyed.len()),
-            visit_group: vec![u32::MAX; pop.visits.len()],
+            route_start: vec![0],
+            group_start: vec![0],
             part_groups: vec![0],
-            part_visitors: vec![0],
-            visitors: visitors.concat(),
             ..SweepLayout::default()
         };
-        for (part, seen) in visitors.iter().enumerate() {
-            let first_visitor = *layout.part_visitors.last().expect("starts at 0");
-            let mut lo = part_start[part] as usize;
-            while lo < part_start[part + 1] as usize {
-                let location = pop.visits[keyed[lo].visit as usize].location.0;
-                let hi = lo + (next[location as usize] - visit_start[location as usize]) as usize;
-                keyed[lo..hi].sort_unstable_by_key(|k| (k.key, k.visit));
-                for group in keyed[lo..hi].chunk_by(|a, b| a.key >> 48 == b.key >> 48) {
-                    let sublocation = (group[0].key >> 48) as u16;
-                    layout.push_group((location, sublocation), first_visitor, group);
+
+        // The routes and each visit's slot: a person becomes a partition's
+        // next visitor at its first visit there. A hosted location has one
+        // cell per room its visits use; the prefix sum places them.
+        let (mut last, mut n_slots) = (vec![u32::MAX; k], vec![0u32; k]);
+        let mut visitors = vec![Vec::new(); k];
+        let mut slot_of = vec![0u32; pop.visits.len()];
+        let mut first_cell = vec![0u32; pop.n_locations() as usize + 1];
+        for p in 0..pop.n_people() {
+            let schedule = pop.person_offsets[p as usize]..pop.person_offsets[p as usize + 1];
+            for i in schedule.map(|i| i as usize) {
+                let v = &pop.visits[i];
+                let l = v.location.0 as usize;
+                let part = part_of(l);
+                if last[part] != p {
+                    last[part] = p;
+                    layout.routes.push((part as u32, n_slots[part]));
+                    n_slots[part] += 1;
+                    if hosted[part] {
+                        visitors[part].push(p);
+                    }
                 }
-                lo = hi;
+                slot_of[i] = n_slots[part] - 1;
+                if hosted[part] {
+                    let rooms = &mut first_cell[l + 1];
+                    *rooms = (*rooms).max(u32::from(v.sublocation.0) + 1);
+                }
+            }
+            layout.route_start.push(layout.routes.len() as u32);
+        }
+        let mut part_visitors = vec![0];
+        part_visitors.extend(visitors.iter().map(|seen| seen.len() as u32));
+        prefix_sum(&mut part_visitors);
+        prefix_sum(&mut first_cell);
+        layout.visitors = visitors.concat();
+
+        let hosted_visits = || {
+            let visits = pop.visits.iter().enumerate();
+            visits.filter(|(_, v)| hosted[part_of(v.location.0 as usize)])
+        };
+        let cell =
+            |v: &Visit| (first_cell[v.location.0 as usize] + u32::from(v.sublocation.0)) as usize;
+        let visitor =
+            |i: usize, v: &Visit| part_visitors[part_of(v.location.0 as usize)] + slot_of[i];
+        let mut group_of_cell = vec![0u32; *first_cell.last().expect("n + 1 entries") as usize];
+        let mut own_start = vec![0u32; layout.visitors.len() + 1];
+        for (i, v) in hosted_visits() {
+            group_of_cell[cell(v)] += 1;
+            own_start[visitor(i, v) as usize + 1] += 1;
+        }
+        prefix_sum(&mut own_start);
+
+        // Each visited room is a group, in (partition, location, room)
+        // order.
+        for part in 0..k {
+            for &l in locations_of(part) {
+                let cells = first_cell[l as usize] as usize..first_cell[l as usize + 1] as usize;
+                for (room, c) in cells.enumerate() {
+                    let visits = std::mem::replace(&mut group_of_cell[c], u32::MAX);
+                    if visits > 0 {
+                        group_of_cell[c] = layout.place.len() as u32;
+                        layout.place.push((l, room as u16));
+                        layout.group_start.push(visits);
+                    }
+                }
             }
             layout.part_groups.push(layout.place.len() as u32);
-            layout.part_visitors.push(first_visitor + seen.len() as u32);
         }
-        layout.group_start.push(layout.members.len() as u32);
-        layout
-    }
+        prefix_sum(&mut layout.group_start);
+        assert!(layout.place.len() < 1 << KIND_SHIFT, "too many groups");
 
-    /// Append one sublocation group: its visits in canonical order, keyed
-    /// by their visitor's index after `first_visitor`.
-    fn push_group(&mut self, place: (u32, u16), first_visitor: u32, visits: &[Keyed]) {
-        let g = self.place.len() as u32;
-        self.place.push(place);
-        self.group_start.push(self.members.len() as u32);
-        for k in visits {
-            let home = if k.at_home { AT_HOME } else { 0 };
-            self.visit_group[k.visit as usize] = g | home;
-            let visitor = first_visitor + k.key as u32;
-            self.members.push(Member {
-                person: self.visitors[visitor as usize],
+        // Deal the visits out to their groups and their visitors.
+        let n_visits = own_start[layout.visitors.len()] as usize;
+        layout.members = vec![Member::default(); n_visits];
+        layout.own = vec![OwnVisit(0); n_visits];
+        let (mut next, mut own_next) = (layout.group_start.clone(), own_start.clone());
+        for (i, v) in hosted_visits() {
+            let (g, visitor) = (group_of_cell[cell(v)], visitor(i, v));
+            let own_home = pop.people[v.person.0 as usize].home.0;
+            let home = u32::from(at_home(own_home, v.location.0, orig_of_location)) * AT_HOME;
+            layout.members[next[g as usize] as usize] = Member {
+                person: v.person.0,
                 visitor: visitor | home,
-                start_min: (k.key >> 32) as u16,
-                end_min: k.end_min,
-            });
+                start_min: v.start_min,
+                end_min: v.end_min(),
+            };
+            next[g as usize] += 1;
+            let kind = (pop.locations[v.location.0 as usize].kind as u32) << KIND_SHIFT;
+            layout.own[own_next[visitor as usize] as usize] = OwnVisit(g | kind | home);
+            own_next[visitor as usize] += 1;
         }
+        for g in 0..layout.place.len() {
+            let members = layout.group_start[g] as usize..layout.group_start[g + 1] as usize;
+            layout.members[members].sort_by_key(|m| m.start_min);
+        }
+        layout.part_visitors = part_visitors;
+        layout.own_start = own_start;
+        layout
     }
 
     /// Number of sublocation groups.
@@ -233,12 +281,15 @@ impl SweepLayout {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
         size_of_val(self.members.as_slice())
-            + size_of_val(self.visit_group.as_slice())
             + size_of_val(self.group_start.as_slice())
             + size_of_val(self.place.as_slice())
             + size_of_val(self.part_groups.as_slice())
             + size_of_val(self.visitors.as_slice())
             + size_of_val(self.part_visitors.as_slice())
+            + size_of_val(self.routes.as_slice())
+            + size_of_val(self.route_start.as_slice())
+            + size_of_val(self.own.as_slice())
+            + size_of_val(self.own_start.as_slice())
     }
 
     /// Partition `part`'s groups.
@@ -247,7 +298,7 @@ impl SweepLayout {
     }
 
     /// Partition `part`'s visitors: the range of [`SweepLayout::visitors`]
-    /// its members index.
+    /// its members index. A visitor's slot is its index in this range.
     pub(crate) fn visitors_of(&self, part: u32) -> std::ops::Range<usize> {
         self.part_visitors[part as usize] as usize..self.part_visitors[part as usize + 1] as usize
     }
@@ -259,11 +310,18 @@ impl SweepLayout {
         &self.visitors
     }
 
-    /// Visit `i`'s group, and whether it is at the person's home.
+    /// Person `person`'s `(partition, slot)` pairs, one per partition it
+    /// visits, laid out or not, in the order of its first visit to each.
     #[inline]
-    pub(crate) fn visit(&self, i: usize) -> (usize, bool) {
-        let g = self.visit_group[i];
-        ((g & !AT_HOME) as usize, g & AT_HOME != 0)
+    pub(crate) fn routes_of(&self, person: usize) -> &[(u32, u32)] {
+        &self.routes[self.route_start[person] as usize..self.route_start[person + 1] as usize]
+    }
+
+    /// Visitor `v`'s visits to its partition (`v` indexes
+    /// [`SweepLayout::visitors`]), in schedule order.
+    #[inline]
+    pub(crate) fn own_visits(&self, v: usize) -> &[OwnVisit] {
+        &self.own[self.own_start[v] as usize..self.own_start[v + 1] as usize]
     }
 
     /// `(location, sublocation)` of group `g`.
@@ -304,17 +362,6 @@ impl SweepLayout {
             });
         }
     }
-}
-
-/// One visit while the layout is built: the kernel's key (with the
-/// visitor's index in its partition for the person), then what the member
-/// needs.
-#[derive(Debug, Clone, Copy, Default)]
-struct Keyed {
-    key: u64,
-    visit: u32,
-    end_min: u16,
-    at_home: bool,
 }
 
 fn prefix_sum(counts: &mut [u32]) {
@@ -419,18 +466,22 @@ pub fn run_sequential_into(
             symptomatic += morning.symptomatic as u64;
             infected_now += slot.is_infected() as u64;
             susceptible += ptts.is_susceptible(slot.health.state) as u64;
-            if classes.class(slot.health.state).is_none() {
-                let at_home = |i: usize| layout.visit(i).1;
-                visits += attended(pop, p as u32, &effects, morning.stay_home, at_home) as u64;
+            let infectious = classes.class(slot.health.state).is_some();
+            if !infectious && !morning.stay_home && effects.closed_kinds == 0 {
+                visits += u64::from(pop.person_offsets[p + 1] - pop.person_offsets[p]);
                 continue;
             }
-            // The infectious count as they mark.
-            for i in pop.person_offsets[p] as usize..pop.person_offsets[p + 1] as usize {
-                let kind = pop.locations[pop.visits[i].location.0 as usize].kind;
-                let (g, at_home) = layout.visit(i);
-                if attends(&effects, kind, at_home, morning.stay_home) {
-                    visits += 1;
-                    marks[g / 64] |= 1 << (g % 64);
+            // The layout is whole, so a person's own visits in every
+            // partition are its schedule. The infectious mark as they count.
+            for &(part, slot) in layout.routes_of(p) {
+                let v = layout.visitors_of(part).start + slot as usize;
+                for own in layout.own_visits(v) {
+                    if attends(&effects, own.kind(), own.at_home(), morning.stay_home) {
+                        visits += 1;
+                        if infectious {
+                            marks[own.group() / 64] |= 1 << (own.group() % 64);
+                        }
+                    }
                 }
             }
         }
@@ -504,7 +555,7 @@ pub fn run_sequential_into(
 mod tests {
     use super::*;
     use crate::distribution::Strategy;
-    use crate::kernel::visit_key;
+    use crate::kernel::{canonical_key, visit_key};
     use crate::person::visit_to_msg;
     use crate::simulator::Simulator;
     use crate::splitloc::{split_heavy_locations, SplitConfig};
@@ -512,8 +563,172 @@ mod tests {
     use proptest::prelude::*;
     use ptts::flu_model;
     use ptts::intervention::{Action, Intervention, InterventionSet, Trigger};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use synthpop::PopulationConfig;
+
+    /// The comparison-sort build the counting sorts replaced, kept as the
+    /// reference for the layout's sweep half (members, groups, places and
+    /// visitors; no routes): a counting sort of the hosted visits by
+    /// location in partition order, then each location's visits sorted
+    /// by the kernel's key, with a visitor's index in its partition
+    /// standing in for the person, and cut into sublocation groups.
+    fn reference_build(
+        pop: &Population,
+        orig_of_location: Option<&[u32]>,
+        part_of: impl Fn(usize) -> usize,
+        hosted: &[bool],
+    ) -> SweepLayout {
+        let n_locations = pop.n_locations() as usize;
+        let mut part_start = vec![0u32; hosted.len() + 1];
+        let mut visit_start = vec![0u32; n_locations + 1];
+        for v in &pop.visits {
+            let l = v.location.0 as usize;
+            if hosted[part_of(l)] {
+                visit_start[l + 1] += 1;
+                part_start[part_of(l) + 1] += 1;
+            }
+        }
+        prefix_sum(&mut part_start);
+        let mut next_in_part = part_start.clone();
+        for l in 0..n_locations {
+            let n = visit_start[l + 1];
+            let slot = &mut next_in_part[part_of(l)];
+            visit_start[l] = *slot;
+            *slot += n;
+        }
+        // (key, visit, at home) per hosted visit, by location.
+        let mut keyed = vec![(0u64, 0u32, false); part_start[hosted.len()] as usize];
+        let mut visitors: Vec<Vec<u32>> = vec![Vec::new(); hosted.len()];
+        let mut next = visit_start.clone();
+        for (i, v) in pop.visits.iter().enumerate() {
+            let l = v.location.0 as usize;
+            let part = part_of(l);
+            if !hosted[part] {
+                continue;
+            }
+            let person = v.person.0;
+            let seen = &mut visitors[part];
+            if seen.last() != Some(&person) {
+                seen.push(person);
+            }
+            let home = pop.people[person as usize].home.0;
+            let key = canonical_key(v.sublocation.0, v.start_min, seen.len() as u32 - 1);
+            keyed[next[l] as usize] = (key, i as u32, at_home(home, l as u32, orig_of_location));
+            next[l] += 1;
+        }
+        let mut layout = SweepLayout {
+            part_groups: vec![0],
+            part_visitors: vec![0],
+            visitors: visitors.concat(),
+            ..SweepLayout::default()
+        };
+        for (part, seen) in visitors.iter().enumerate() {
+            let first_visitor = *layout.part_visitors.last().expect("starts at 0");
+            let mut lo = part_start[part] as usize;
+            while lo < part_start[part + 1] as usize {
+                let location = pop.visits[keyed[lo].1 as usize].location.0;
+                let hi = lo + (next[location as usize] - visit_start[location as usize]) as usize;
+                keyed[lo..hi].sort_unstable_by_key(|&(key, visit, _)| (key, visit));
+                for group in keyed[lo..hi].chunk_by(|a, b| a.0 >> 48 == b.0 >> 48) {
+                    layout.place.push((location, (group[0].0 >> 48) as u16));
+                    layout.group_start.push(layout.members.len() as u32);
+                    for &(key, visit, home) in group {
+                        let visitor = first_visitor + key as u32;
+                        layout.members.push(Member {
+                            person: pop.visits[visit as usize].person.0,
+                            visitor: visitor | if home { AT_HOME } else { 0 },
+                            start_min: (key >> 32) as u16,
+                            end_min: pop.visits[visit as usize].end_min(),
+                        });
+                    }
+                }
+                lo = hi;
+            }
+            layout.part_groups.push(layout.place.len() as u32);
+            layout.part_visitors.push(first_visitor + seen.len() as u32);
+        }
+        layout.group_start.push(layout.members.len() as u32);
+        layout
+    }
+
+    /// The sweep half of a layout, for comparison with the reference.
+    #[allow(clippy::type_complexity)]
+    fn sweep_half(l: &SweepLayout) -> (&[Member], &[u32], &[(u32, u16)], &[u32], &[u32], &[u32]) {
+        (
+            &l.members,
+            &l.group_start,
+            &l.place,
+            &l.part_groups,
+            &l.visitors,
+            &l.part_visitors,
+        )
+    }
+
+    /// Check `layout`'s routes and own visits against a walk of every
+    /// schedule: each person's `(partition, slot)` pairs are its
+    /// schedule's partitions in first-visit order, each slot its position
+    /// among the partition's visitors, and each hosted slot's own visits
+    /// the schedule filtered to the partition. Returns how many persons
+    /// route to more than one partition.
+    fn check_tables(dist: &DataDistribution, layout: &SweepLayout, hosted: &[bool]) -> usize {
+        let (pop, part_of) = (&dist.pop, dist.location_part());
+        let mut persons_of = vec![BTreeSet::new(); hosted.len()];
+        for v in &pop.visits {
+            persons_of[part_of[v.location.0 as usize] as usize].insert(v.person.0);
+        }
+        let persons_of: Vec<Vec<u32>> = persons_of.into_iter().map(Vec::from_iter).collect();
+        let group_of: BTreeMap<(u32, u16), usize> = (0..layout.n_groups())
+            .map(|g| (layout.place(g), g))
+            .collect();
+        let mut spread = 0;
+        for p in 0..pop.n_people() {
+            let schedule = pop.visits_of(synthpop::PersonId(p));
+            let mut want = Vec::new();
+            for v in schedule {
+                let part = part_of[v.location.0 as usize];
+                if want.iter().all(|&(seen, _)| seen != part) {
+                    let slot = persons_of[part as usize]
+                        .binary_search(&p)
+                        .expect("a visitor");
+                    want.push((part, slot as u32));
+                }
+            }
+            assert_eq!(layout.routes_of(p as usize), want.as_slice(), "person {p}");
+            spread += usize::from(want.len() > 1);
+            for &(part, slot) in &want {
+                let visitors = layout.visitors_of(part);
+                if !hosted[part as usize] {
+                    assert!(visitors.is_empty(), "partition {part} is not hosted");
+                    continue;
+                }
+                let v = visitors.start + slot as usize;
+                assert_eq!(layout.visitors()[v], p);
+                let home = pop.people[p as usize].home.0;
+                let walk: Vec<OwnVisit> = schedule
+                    .iter()
+                    .filter(|v| part_of[v.location.0 as usize] == part)
+                    .map(|v| {
+                        let g = group_of[&(v.location.0, v.sublocation.0)];
+                        let kind = pop.locations[v.location.0 as usize].kind;
+                        let orig = Some(&dist.orig_of_location[..]);
+                        let home = at_home(home, v.location.0, orig);
+                        OwnVisit(g as u32 | (kind as u32) << KIND_SHIFT | u32::from(home) << 31)
+                    })
+                    .collect();
+                assert_eq!(
+                    layout.own_visits(v),
+                    walk.as_slice(),
+                    "person {p} at {part}"
+                );
+            }
+        }
+        for (part, persons) in persons_of.iter().enumerate() {
+            if hosted[part] {
+                assert_eq!(&layout.visitors()[layout.visitors_of(part as u32)], persons);
+            }
+        }
+        spread
+    }
 
     fn small_pop() -> Population {
         Population::generate(&PopulationConfig::small("T", 1200, 23))
@@ -698,7 +913,9 @@ mod tests {
     /// A distribution's layout is the one-partition layout's groups,
     /// regrouped by partition; a layout of some partitions holds exactly
     /// theirs; each partition's visitors are its members' persons,
-    /// ascending; and a visit is "at home" on any piece of a split home.
+    /// ascending; routes and own visits match the schedules, whole or
+    /// partly hosted; and a visit is "at home" on any piece of a split
+    /// home.
     #[test]
     fn partition_layouts_hold_each_partitions_groups() {
         let split = SplitConfig {
@@ -738,19 +955,14 @@ mod tests {
                 assert!(some_got.is_empty() && some.visitors_of(part).is_empty());
             }
         }
-        let mut split_home_pieces = 0;
-        for (i, v) in dist.pop.visits.iter().enumerate() {
-            let (g, home) = full.visit(i);
-            assert_eq!(full.place(g), (v.location.0, v.sublocation.0));
+        assert!(check_tables(&dist, &full, &[true; 3]) > 0);
+        assert!(check_tables(&dist, &some, &[false, true, false]) > 0);
+        let split_home_pieces = dist.pop.visits.iter().filter(|v| {
             let own = dist.pop.people[v.person.0 as usize].home.0;
-            assert_eq!(
-                home,
-                at_home(own, v.location.0, Some(&dist.orig_of_location))
-            );
-            split_home_pieces += (home && v.location.0 != own) as u32;
-        }
+            v.location.0 != own && at_home(own, v.location.0, Some(&dist.orig_of_location))
+        });
         assert!(
-            split_home_pieces > 0,
+            split_home_pieces.count() > 0,
             "no home was split: the map is untested"
         );
         for g in 0..full.n_groups() {
@@ -827,6 +1039,38 @@ mod tests {
                 prop_assert_eq!(&visits, &want, "group {} at {:?}", g, place);
             }
             prop_assert!(by_place.is_empty(), "places missing from the layout");
+        }
+
+        /// On split and whole worlds, laid out whole or in part, the
+        /// counting-sort build equals the comparison-sort reference, and
+        /// its routes and own visits match the schedules.
+        #[test]
+        fn counting_sort_build_equals_the_reference_and_the_schedules(
+            people in 150u32..700,
+            pop_seed in 0u64..1_000,
+            split in any::<bool>(),
+            k in 1u32..6,
+            mask in any::<u8>(),
+        ) {
+            let pop = Population::generate(&PopulationConfig::small("TAB", people, pop_seed));
+            let (strategy, split_cfg) = if split {
+                let cfg = SplitConfig { max_partitions: 64, threshold_override: Some(12) };
+                (Strategy::RoundRobinSplit, cfg)
+            } else {
+                (Strategy::RoundRobin, SplitConfig::default())
+            };
+            let model = load_model::PiecewiseModel::paper_constants();
+            let dist = DataDistribution::build_with(&pop, strategy, k, pop_seed, &split_cfg, &model);
+            let hosted: Vec<bool> = (0..k).map(|p| mask >> p & 1 == 1).collect();
+            let layout = SweepLayout::of_world(&dist, &hosted);
+            let part_of = |l: usize| dist.location_part()[l] as usize;
+            let orig = Some(&dist.orig_of_location[..]);
+            let reference = reference_build(&dist.pop, orig, part_of, &hosted);
+            prop_assert_eq!(sweep_half(&layout), sweep_half(&reference));
+            check_tables(&dist, &layout, &hosted);
+            let flat = SweepLayout::build(&pop);
+            let flat_reference = reference_build(&pop, None, |_| 0, &[true]);
+            prop_assert_eq!(sweep_half(&flat), sweep_half(&flat_reference));
         }
     }
 }

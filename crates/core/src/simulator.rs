@@ -346,7 +346,7 @@ impl Simulator {
                 susceptible: person_phase.reduction(slots::SUSCEPTIBLE),
                 symptomatic: person_phase.reduction(slots::SYMPTOMATIC),
                 cumulative: carry.cumulative,
-                visits: person_phase.reduction(slots::VISITS_SENT),
+                visits: location_phase.reduction(slots::EVENTS) / 2,
                 events: location_phase.reduction(slots::EVENTS),
                 interactions: location_phase.reduction(slots::INTERACTIONS),
                 infects_sent: location_phase.reduction(slots::INFECTS_SENT),

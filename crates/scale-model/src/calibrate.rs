@@ -91,7 +91,9 @@ mod tests {
         };
         let run = Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::sequential(2)).run();
         let cal = calibrate_from_run(&run, units).expect("calibration");
-        assert!(cal.person_visit_ns > 1.0, "{}", cal.person_visit_ns);
+        // The delta day runs only the roster's mornings and walks no
+        // schedule, so its person phase costs well under 1 ns per visit.
+        assert!(cal.person_visit_ns > 0.0, "{}", cal.person_visit_ns);
         assert!(cal.person_visit_ns < 1e6);
         assert!(cal.location_unit_scale > 0.0);
         let m = cal.apply_to(MachineModel::default());

@@ -258,9 +258,9 @@ fn infect(person: u32) -> InfectMsg {
     }
 }
 
-fn update(person: u32) -> Update {
+fn update(slot: u32) -> Update {
     Update {
-        person,
+        slot,
         state: StateId(3),
         sus_scale: 0.375,
     }
@@ -523,7 +523,7 @@ fn formats() -> Vec<Format> {
             |b| encode_batch(b.0, b.1, &b.2).to_vec(),
             decode_batch,
             false,
-            0xfa68_0f9c_5185_694f,
+            0x4286_4ebf_ec6c_a679,
         ),
         format(
             "checkpoint",

@@ -150,8 +150,8 @@ fn person_phase_sends_batches_per_lane_not_messages_per_visit() {
             day.day
         );
         assert_eq!(
-            perf.person_phase.reduction(slots::VISITS_SENT),
-            day.visits,
+            perf.location_phase.reduction(slots::EVENTS),
+            2 * day.visits,
             "day {}: visits attended",
             day.day
         );
