@@ -54,8 +54,8 @@ pub fn clamp_k(k: u32, pop: &Population) -> u32 {
 }
 
 /// A machine model whose compute constants were calibrated against a real
-/// measured run of the simulator on this host (§III-A's methodology).
-/// Falls back to defaults if the measurement degenerates.
+/// measured `no_opt` run of the simulator on this host (§III-A's
+/// methodology). Falls back to defaults if the measurement degenerates.
 pub fn calibrated_machine() -> MachineModel {
     let pop = Population::generate(&PopulationConfig::small("CAL", 2000, 99));
     let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 1);
@@ -74,7 +74,8 @@ pub fn calibrated_machine() -> MachineModel {
         stop_when_extinct: false,
         ..Default::default()
     };
-    let run = Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::sequential(2)).run();
+    let no_opt = RuntimeConfig::sequential(2).no_opt();
+    let run = Simulator::new(&dist, flu_model(), cfg, no_opt).run();
     match calibrate_from_run(&run, units) {
         Some(cal) => cal.apply_to(MachineModel::default()),
         None => MachineModel::default(),

@@ -352,7 +352,7 @@ pub struct LocationManager {
     /// The day's outgoing infects, one lane per PersonManager.
     lanes: Lanes<InfectMsg>,
     /// `no_opt` only: per-location visit buffer for the current day.
-    buffers: Vec<Vec<VisitMsg>>,
+    buffers: Option<Vec<Vec<VisitMsg>>>,
     /// What the delta day knows of the visitors.
     visitors: Visitors,
 }
@@ -410,7 +410,7 @@ impl LocationManager {
             symptomatic_state: shared.ptts.state_by_name("symptomatic"),
             lanes: Lanes::new(&shared, 0, SimMsg::Infects),
             part,
-            buffers: vec![Vec::new(); if shared.aggregated { 0 } else { n }],
+            buffers: (!shared.aggregated).then(|| vec![Vec::new(); n]),
             swept: vec![LocationDayFeatures::default(); n],
             scratch: KernelScratch::new(),
             infect_buf: Vec::new(),
@@ -586,6 +586,7 @@ impl LocationManager {
     fn simulate_day(&mut self, day: u32, r_eff: f64, ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
         let locations = shared.world.locations_of(self.part);
+        let buffers = self.buffers.as_mut().expect("no_opt buffers visits");
         let mut events = 0u64;
         let mut interactions = 0u64;
         let mut infects_sent = 0u64;
@@ -593,7 +594,7 @@ impl LocationManager {
         for (li, &location) in locations.iter().enumerate() {
             self.infect_buf.clear();
             let features = simulate_location_day(
-                &mut self.buffers[li],
+                &mut buffers[li],
                 &shared.ptts,
                 &self.classes,
                 r_eff,
@@ -602,7 +603,7 @@ impl LocationManager {
                 &mut self.scratch,
                 &mut self.infect_buf,
             );
-            self.buffers[li].clear();
+            buffers[li].clear();
             events += features.events;
             interactions += features.interactions;
             infects_sent += self.infect_buf.len() as u64;
@@ -646,8 +647,9 @@ impl Chare<SimMsg> for LocationManager {
             SimMsg::Updates(batch) => self.apply_updates(&batch),
             SimMsg::Visits(batch) => {
                 let local_of_location = self.shared.world.local_of_location();
+                let buffers = self.buffers.as_mut().expect("visits come under no_opt");
                 for v in batch {
-                    self.buffers[local_of_location[v.location as usize] as usize].push(v);
+                    buffers[local_of_location[v.location as usize] as usize].push(v);
                 }
             }
             SimMsg::ComputeDay {

@@ -35,7 +35,7 @@ use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::DayObservables;
 use ptts::model::StateId;
 use ptts::Ptts;
-use synthpop::{LocationKind, Population, Visit};
+use synthpop::{LocationKind, PersonId, Population, Visit};
 
 /// One visit of a [`SweepLayout`] group: what the gather needs to rebuild
 /// its [`VisitMsg`], and the static half of the attendance rule.
@@ -134,30 +134,27 @@ impl SweepLayout {
     /// Lay out every visit of an unpartitioned, unsplit population (the
     /// sequential oracle's layout: one partition).
     pub fn build(pop: &Population) -> SweepLayout {
-        let all: Vec<u32> = (0..pop.n_locations()).collect();
-        Self::build_parts(pop, None, |_| 0, |_| &all, &[true])
+        Self::build_parts(pop, None, |_| 0, &[true])
     }
 
     /// Lay out the visits to the locations of `dist`'s partitions `p` for
     /// which `hosted[p]` holds.
     pub fn of_world(dist: &DataDistribution, hosted: &[bool]) -> SweepLayout {
         let part_of = |l: usize| dist.location_part()[l] as usize;
-        let locations_of = |p: usize| dist.locations_of(p as u32);
         let orig = Some(&dist.orig_of_location[..]);
-        Self::build_parts(&dist.pop, orig, part_of, locations_of, hosted)
+        Self::build_parts(&dist.pop, orig, part_of, hosted)
     }
 
-    /// `O(V + L + S)` for `V` visits, `L` locations and `S` sublocations,
-    /// plus a stable sort by start minute per group: one pass over the
-    /// person-ordered visits lists the routes and numbers every
-    /// partition's visitors; a second counts the hosted visits per room
-    /// and per visitor; a third deals them out to their groups and
-    /// visitors in person order, which the sort by start makes canonical.
-    fn build_parts<'a>(
+    /// `O(V + L log L + S)` for `V` visits, `L` locations and `S` rooms,
+    /// plus a stable sort by start per group: a pass over the person-ordered
+    /// visits lists the routes and numbers every partition's visitors; a
+    /// second counts the hosted visits per room and per visitor; the rooms
+    /// become groups in partition order; a third pass deals the visits out
+    /// in person order, which the sort by start makes canonical.
+    fn build_parts(
         pop: &Population,
         orig_of_location: Option<&[u32]>,
         part_of: impl Fn(usize) -> usize,
-        locations_of: impl Fn(usize) -> &'a [u32],
         hosted: &[bool],
     ) -> SweepLayout {
         let k = hosted.len();
@@ -220,9 +217,12 @@ impl SweepLayout {
         prefix_sum(&mut own_start);
 
         // Each visited room is a group, in (partition, location, room)
-        // order.
+        // order: a stable sort of the location ids by partition.
+        let mut by_part: Vec<u32> = (0..pop.n_locations()).collect();
+        by_part.sort_by_key(|&l| part_of(l as usize));
+        let mut by_part = by_part.into_iter().peekable();
         for part in 0..k {
-            for &l in locations_of(part) {
+            while let Some(l) = by_part.next_if(|&l| part_of(l as usize) == part) {
                 let cells = first_cell[l as usize] as usize..first_cell[l as usize + 1] as usize;
                 for (room, c) in cells.enumerate() {
                     let visits = std::mem::replace(&mut group_of_cell[c], u32::MAX);
@@ -471,12 +471,13 @@ pub fn run_sequential_into(
                 visits += u64::from(pop.person_offsets[p + 1] - pop.person_offsets[p]);
                 continue;
             }
-            // The layout is whole, so a person's own visits in every
-            // partition are its schedule. The infectious mark as they count.
+            // One partition: a person's one route leads to its schedule, in
+            // order. The kind is the population's, not the layout's.
             for &(part, slot) in layout.routes_of(p) {
-                let v = layout.visitors_of(part).start + slot as usize;
-                for own in layout.own_visits(v) {
-                    if attends(&effects, own.kind(), own.at_home(), morning.stay_home) {
+                let own = layout.own_visits(layout.visitors_of(part).start + slot as usize);
+                for (v, own) in pop.visits_of(PersonId(p as u32)).iter().zip(own) {
+                    let kind = pop.locations[v.location.0 as usize].kind;
+                    if attends(&effects, kind, own.at_home(), morning.stay_home) {
                         visits += 1;
                         if infectious {
                             marks[own.group() / 64] |= 1 << (own.group() % 64);

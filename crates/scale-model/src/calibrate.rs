@@ -25,20 +25,26 @@ pub struct Calibration {
     pub location_busy_ns: u64,
 }
 
-/// Fit the per-visit and location-unit constants from a measured run.
+/// Fit the per-visit and location-unit constants from a measured run of
+/// the paper's protocol (`RuntimeConfig::no_opt`), the one the projection
+/// models: a message per visit from the person phase, and every location's
+/// DES. `None` for an empty run or a delta-day run (aggregation on), whose
+/// person phase sends fewer messages than there are visits.
 ///
 /// `location_units` is the summed static-model load (in `LoadUnits`) of the
 /// population the run executed, so the scale is measured-ns per unit.
 pub fn calibrate_from_run(run: &SimRun, location_units_per_day: u64) -> Option<Calibration> {
     let mut visits = 0u64;
+    let mut visit_messages = 0u64;
     let mut person_busy = 0u64;
     let mut location_busy = 0u64;
     for (day, perf) in run.perf.iter().enumerate() {
         visits += run.curve.days.get(day).map(|d| d.visits).unwrap_or(0);
+        visit_messages += perf.person_phase.totals().sent_total();
         person_busy += perf.person_phase.totals().busy_ns;
         location_busy += perf.location_phase.totals().busy_ns;
     }
-    if visits == 0 || location_units_per_day == 0 || run.perf.is_empty() {
+    if visits == 0 || visit_messages < visits || location_units_per_day == 0 {
         return None;
     }
     let days = run.perf.len() as u64;
@@ -89,15 +95,17 @@ mod tests {
             stop_when_extinct: false,
             ..Default::default()
         };
-        let run = Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::sequential(2)).run();
+        let no_opt = RuntimeConfig::sequential(2).no_opt();
+        let run = Simulator::new(&dist, flu_model(), cfg.clone(), no_opt).run();
         let cal = calibrate_from_run(&run, units).expect("calibration");
-        // The delta day runs only the roster's mornings and walks no
-        // schedule, so its person phase costs well under 1 ns per visit.
-        assert!(cal.person_visit_ns > 0.0, "{}", cal.person_visit_ns);
+        assert!(cal.person_visit_ns > 1.0, "{}", cal.person_visit_ns);
         assert!(cal.person_visit_ns < 1e6);
         assert!(cal.location_unit_scale > 0.0);
         let m = cal.apply_to(MachineModel::default());
         assert_eq!(m.person_visit_ns, cal.person_visit_ns);
+        // A delta day prices neither constant.
+        let deltas = Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::sequential(2)).run();
+        assert!(calibrate_from_run(&deltas, units).is_none());
     }
 
     #[test]

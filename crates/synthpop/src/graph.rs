@@ -5,7 +5,7 @@
 //! [`BipartiteGraph`] holds both directions plus the degree statistics used
 //! throughout §III.
 
-use crate::generator::{Population, Visit};
+use crate::generator::Population;
 use crate::{LocationId, PersonId};
 
 /// Both CSR directions of the person–location graph.
@@ -83,13 +83,6 @@ impl BipartiteGraph {
         ps.len() as u32
     }
 
-    /// All location degrees.
-    pub fn location_degrees(&self) -> Vec<u32> {
-        (0..self.n_locations)
-            .map(|l| self.location_degree(LocationId(l)))
-            .collect()
-    }
-
     /// Degree statistics of the location side.
     pub fn location_degree_stats(&self) -> DegreeStats {
         DegreeStats::from_degrees(
@@ -153,12 +146,6 @@ pub fn events_per_location(graph: &BipartiteGraph) -> Vec<u64> {
     (0..graph.n_locations())
         .map(|l| 2 * graph.location_degree(LocationId(l)) as u64)
         .collect()
-}
-
-/// Access a visit through a graph index pair.
-#[inline]
-pub fn visit_at(pop: &Population, idx: u32) -> &Visit {
-    &pop.visits[idx as usize]
 }
 
 #[cfg(test)]

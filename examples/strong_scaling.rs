@@ -76,7 +76,6 @@ fn main() {
         "PEs", "total_inf", "max_busy_ms", "imbalance"
     );
     let mut baseline: Option<(Vec<u64>, f64)> = None;
-    let mut calibration_run = None;
     for pes in [1u32, 2, 4, 8] {
         let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, pes, 5);
         let run = Simulator::new(&dist, flu_model(), cfg.clone(), runtime_for(engine, pes)).run();
@@ -105,13 +104,14 @@ fn main() {
                 assert_eq!(base_series, &series, "results must not depend on PE count")
             }
         }
-        if pes == 2 {
-            calibration_run = Some(run);
-        }
     }
     println!("(epidemic identical at every PE count — determinism by construction)\n");
 
-    // ---- Calibrate the machine model from the measured run and project.
+    // ---- Calibrate the machine model from a measured run of the paper's
+    // protocol (one message per visit, every location's DES) and project.
+    let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 2, 5);
+    let no_opt = RuntimeConfig::sequential(2).no_opt();
+    let calibration_run = Simulator::new(&dist, flu_model(), cfg, no_opt).run();
     let units: u64 = episimdemics::core::workload::location_static_loads(
         &pop,
         &PiecewiseModel::paper_constants(),
@@ -119,7 +119,7 @@ fn main() {
     )
     .iter()
     .sum();
-    let machine = calibrate_from_run(calibration_run.as_ref().unwrap(), units)
+    let machine = calibrate_from_run(&calibration_run, units)
         .map(|c| c.apply_to(MachineModel::default()))
         .unwrap_or_default();
     println!("== projection to a Cray-XE6-like machine (calibrated) ==");
