@@ -5,15 +5,13 @@
 //! 2. TRAM 2D routing (§IV-C footnote) — vs plain aggregation over P;
 //! 3. partitioner balance tolerance (ubfactor, §III-A's METIS constraint);
 //! 4. splitLoc threshold (§III-C) — ceiling gain vs graph growth;
-//! 5. the §VII dynamic-LB epoch length — measured imbalance trajectory;
-//! 6. over-decomposition granularity (§II-C) — chares per PE vs measured
+//! 5. over-decomposition granularity (§II-C) — chares per PE vs measured
 //!    runtime overhead ("a large number of chares, each with little work
 //!    increases flexibility, but also results in higher overhead").
 
 use bench::{calibrated_machine, clamp_k, fnum, gen_state, print_table};
 use chare_rt::RuntimeConfig;
 use episim_core::distribution::{DataDistribution, Strategy};
-use episim_core::rebalance::{run_with_rebalancing, RebalanceConfig};
 use episim_core::simulator::SimConfig;
 use episim_core::splitloc::{split_heavy_locations, SplitConfig};
 use episim_core::workload::{build_workload_graph, location_static_loads};
@@ -160,48 +158,7 @@ fn main() {
         );
     }
 
-    // ---- 5. dynamic-LB epoch length.
-    {
-        let dist = DataDistribution::build(&pop, Strategy::GraphPartition, 8, 1);
-        let cfg = SimConfig {
-            days: 30,
-            r: 0.0012,
-            seed: 5,
-            initial_infections: 20,
-            stop_when_extinct: false,
-            ..Default::default()
-        };
-        let mut rows = Vec::new();
-        for epoch_days in [5u32, 10, 30] {
-            let rb = run_with_rebalancing(
-                &dist,
-                flu_model(),
-                cfg.clone(),
-                RuntimeConfig::sequential(4),
-                RebalanceConfig {
-                    epoch_days,
-                    imbalance_threshold: 1.10,
-                },
-            );
-            let lbs = rb.epochs.iter().filter(|e| e.repartitioned).count();
-            let first = rb.epochs.first().map(|e| e.imbalance).unwrap_or(1.0);
-            let last = rb.epochs.last().map(|e| e.imbalance).unwrap_or(1.0);
-            rows.push(vec![
-                epoch_days.to_string(),
-                lbs.to_string(),
-                format!("{first:.3}"),
-                format!("{last:.3}"),
-            ]);
-        }
-        print_table(
-            "5. §VII dynamic LB: measured location-load imbalance",
-            &["epoch_days", "lb_phases", "imb_first", "imb_last"],
-            &rows,
-        );
-        println!("(the epidemic itself is bit-identical in every row — see tests)\n");
-    }
-
-    // ---- 6. over-decomposition granularity (§II-C): k chare-pairs on a
+    // ---- 5. over-decomposition granularity (§II-C): k chare-pairs on a
     // fixed 4 PEs, measured with the real sequential engine.
     {
         use episim_core::simulator::Simulator;
@@ -247,7 +204,7 @@ fn main() {
             ]);
         }
         print_table(
-            "6. over-decomposition (4 PEs, 3 days): chares vs overhead",
+            "5. over-decomposition (4 PEs, 3 days): chares vs overhead",
             &["partitions", "chares", "messages", "busy_ms", "wall_ms"],
             &rows,
         );

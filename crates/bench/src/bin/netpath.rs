@@ -202,7 +202,6 @@ fn main() {
     // Scrub the transport override so every run's transport comes from its
     // RuntimeConfig and replayed workers can't diverge from the root.
     std::env::remove_var("ChareNetTransport");
-    std::env::remove_var("CHARE_NET_TRANSPORT");
 
     let hops: u32 = env_or("NETPATH_HOPS", 400);
     let inject: u32 = env_or("NETPATH_INJECT", 8);

@@ -60,8 +60,8 @@ pub trait Chare<M: Message>: Send {
     fn receive(&mut self, msg: M, ctx: &mut Ctx<'_, M>);
 
     /// Downcast support: applications that reclaim chare state after
-    /// [`crate::Runtime::into_chares`] (e.g. for chare migration / load
-    /// rebalancing) implement this as `fn into_any(self: Box<Self>) ->
+    /// [`crate::Runtime::into_chares`] (e.g. to take person states out of
+    /// a finished run) implement this as `fn into_any(self: Box<Self>) ->
     /// Box<dyn Any> { self }`.
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 

@@ -31,11 +31,11 @@ pub enum ExecMode {
 /// Application batches and the phase protocol (completion detection, the
 /// phase close, shutdown) travel together on each link's plane; mesh
 /// setup and liveness heartbeats always ride the loopback TCP mesh. When
-/// the configured value is [`NetTransport::Auto`],
-/// the environment variable `ChareNetTransport` (fallback spelling
-/// `CHARE_NET_TRANSPORT`) overrides it with `tcp`, `shm`, `mixed`, or
-/// `auto`; a config that forces a specific plane is not overridden (CI's
-/// transport matrix relies on forced-plane tests keeping their meaning).
+/// the configured value is [`NetTransport::Auto`], the environment
+/// variable `ChareNetTransport` overrides it with `tcp`, `shm`, `mixed`,
+/// or `auto`; a config that forces a specific plane is not overridden
+/// (CI's transport matrix relies on forced-plane tests keeping their
+/// meaning).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetTransport {
     /// Pick the best available backend: shared-memory rings when the

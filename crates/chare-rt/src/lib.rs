@@ -61,7 +61,7 @@ pub use config::{AggregationConfig, ExecMode, NetConfig, NetTransport, RuntimeCo
 pub use faults::{FaultPlan, FaultRng, PacketFate, PlanFaults};
 pub use net::{
     align_to_invocation, commit_file, read_frame, worker_target, write_frame, write_frames,
-    Backoff, EpochStore, FrameBuf, NetEngine, PeerHealth, Polled, RecoveryError, RecoverySnapshot,
+    Backoff, EpochStore, FrameBuf, NetEngine, Polled, RecoveryError, RecoverySnapshot,
     TransportError, KILL_EXIT, MAX_FRAME, TRANSPORT_EXIT,
 };
 pub use runtime::Runtime;

@@ -10,7 +10,6 @@
 //! queueing outbound work, timed out at the next heartbeat deadline.
 
 use crate::chare::{ChareId, Message};
-use crate::net::recovery::PeerHealth;
 use crate::net::shm::{self, Doorbell, PollFd};
 use crate::net::transport::{write_frame, write_frames, FrameBuf};
 use crate::net::wire::{self, Ctl};
@@ -60,10 +59,6 @@ pub struct CommShared {
     /// indistinguishable from one that received SIGSTOP. Follow a store
     /// with [`CommHandle::wake`].
     pub stall_ms: AtomicU64,
-    /// Per-peer liveness classification, indexed by rank (root only;
-    /// updated by the failure detector before it records the failure, so
-    /// the surfaced [`TransportError`] and this table always agree).
-    pub health: Mutex<Vec<PeerHealth>>,
 }
 
 impl CommShared {
@@ -79,19 +74,6 @@ impl CommShared {
     /// The recorded failure, if any.
     pub fn failure(&self) -> Option<TransportError> {
         lock_recover(&self.failed).clone()
-    }
-
-    /// The failure detector's per-rank classification (root only; every
-    /// entry is [`PeerHealth::Alive`] until a failure is recorded).
-    pub fn peer_health(&self) -> Vec<PeerHealth> {
-        lock_recover(&self.health).clone()
-    }
-
-    fn set_health(&self, rank: u32, h: PeerHealth) {
-        let mut v = lock_recover(&self.health);
-        if let Some(slot) = v.get_mut(rank as usize) {
-            *slot = h;
-        }
     }
 }
 
@@ -202,11 +184,6 @@ pub fn spawn<M: Message>(
     wake_tx.set_nonblocking(true)?;
     wake_rx.set_nonblocking(true)?;
     let shared = Arc::new(CommShared::default());
-    {
-        let max_rank = sockets.iter().map(|(r, _)| *r).max().unwrap_or(0);
-        let mut health = lock_recover(&shared.health);
-        health.resize(max_rank as usize + 1, PeerHealth::Alive);
-    }
     let shared2 = shared.clone();
     let inbox = Inbox { tx: in_tx, bell };
     let join = std::thread::Builder::new()
@@ -312,7 +289,6 @@ fn comm_loop<M: Message>(
                         }
                         Err(e) => {
                             p.dead = true;
-                            shared.set_health(dst, PeerHealth::Crashed);
                             fatal(&shared, &in_tx, format!("write to rank {dst} failed: {e}"));
                         }
                     }
@@ -334,7 +310,6 @@ fn comm_loop<M: Message>(
                     Ok(polled) => polled,
                     Err(e) => {
                         p.dead = true;
-                        shared.set_health(rank, PeerHealth::Crashed);
                         fatal(&shared, &in_tx, format!("rank {rank} disconnected: {e}"));
                         continue;
                     }
@@ -367,7 +342,6 @@ fn comm_loop<M: Message>(
                     p.dead = true;
                 }
                 if my_rank == 0 || rank == 0 {
-                    shared.set_health(rank, PeerHealth::Crashed);
                     fatal(
                         &shared,
                         &in_tx,
@@ -405,7 +379,6 @@ fn comm_loop<M: Message>(
                     }
                 }
                 for (rank, e) in crashed {
-                    shared.set_health(rank, PeerHealth::Crashed);
                     fatal(
                         &shared,
                         &in_tx,
@@ -434,7 +407,6 @@ fn comm_loop<M: Message>(
                     p.dead = true;
                 }
                 d.last_heard.remove(&rank);
-                shared.set_health(rank, PeerHealth::Stalled);
                 fatal(
                     &shared,
                     &in_tx,
@@ -557,7 +529,6 @@ fn dispatch<M: Message>(
                     // The worker answered us, so its root link is healthy —
                     // but it reports dead links inside the worker mesh.
                     // That is a partition, not a crash.
-                    shared.set_health(rank, PeerHealth::Partitioned);
                     let msg = format!(
                         "rank {rank} partitioned: its links to ranks [{}] are down while its root link is healthy",
                         (0..32)

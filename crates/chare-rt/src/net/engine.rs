@@ -175,18 +175,16 @@ impl ShmPlane {
     }
 }
 
-/// The effective transport: the `ChareNetTransport` env override (fallback
-/// `CHARE_NET_TRANSPORT`) applies when [`RuntimeConfig`] leaves the choice
-/// at [`NetTransport::Auto`]; a config that *forces* a plane keeps it (the
-/// transport-matrix tests rely on that meaning under CI's env matrix).
-/// Only the root consults either — workers follow the inherited region fd,
-/// so both sides always agree.
+/// The effective transport: the `ChareNetTransport` env override applies
+/// when [`RuntimeConfig`] leaves the choice at [`NetTransport::Auto`]; a
+/// config that *forces* a plane keeps it (the transport-matrix tests rely
+/// on that meaning under CI's env matrix). Only the root consults it —
+/// workers follow the inherited region fd, so both sides always agree.
 fn resolve_transport(cfg: &RuntimeConfig) -> NetTransport {
     if cfg.net.transport != NetTransport::Auto {
         return cfg.net.transport;
     }
     std::env::var("ChareNetTransport")
-        .or_else(|_| std::env::var("CHARE_NET_TRANSPORT"))
         .ok()
         .as_deref()
         .and_then(NetTransport::parse)

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use engine::{NetEngine, KILL_EXIT, TRANSPORT_EXIT};
 pub use launch::{align_to_invocation, worker_target};
-pub use recovery::{commit_file, Backoff, EpochStore, PeerHealth, RecoveryError, RecoverySnapshot};
+pub use recovery::{commit_file, Backoff, EpochStore, RecoveryError, RecoverySnapshot};
 pub use transport::{read_frame, write_frame, write_frames, FrameBuf, Polled, MAX_FRAME};
 
 /// A transport-layer failure: a peer disconnected, a frame failed to

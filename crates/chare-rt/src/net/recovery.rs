@@ -384,38 +384,6 @@ impl Backoff {
     }
 }
 
-/// Peer liveness as seen by the failure detector (DESIGN.md §10). The
-/// detector runs on the comm thread: every inbound frame from a peer
-/// refreshes its liveness; heartbeats fill the gaps when the phase is
-/// quiet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerHealth {
-    /// Frames (or heartbeat acks) arriving within the timeout.
-    Alive,
-    /// Connection closed or reset — the process is gone.
-    Crashed,
-    /// Socket open but silent past the heartbeat timeout: the process is
-    /// alive but not scheduling its comm thread (SIGSTOP, livelock, GC
-    /// pause). Indistinguishable from a network partition on loopback;
-    /// over a real fabric a partition also surfaces as send-path timeouts,
-    /// reported as [`PeerHealth::Partitioned`].
-    Stalled,
-    /// Send path reports the peer unreachable while the connection is
-    /// nominally open (route loss rather than process death).
-    Partitioned,
-}
-
-impl fmt::Display for PeerHealth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PeerHealth::Alive => write!(f, "alive"),
-            PeerHealth::Crashed => write!(f, "crashed"),
-            PeerHealth::Stalled => write!(f, "stalled"),
-            PeerHealth::Partitioned => write!(f, "partitioned"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

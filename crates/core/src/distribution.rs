@@ -77,8 +77,8 @@ impl Strategy {
 /// assert_eq!(dist.location_part()[1], 1);
 /// ```
 ///
-/// and cannot be written; [`DataDistribution::with_partition`] makes a
-/// new world instead.
+/// and cannot be written; a new partition is a new
+/// [`DataDistribution::build`].
 ///
 /// ```compile_fail,E0615
 /// # use episim_core::{DataDistribution, Strategy};
@@ -213,26 +213,13 @@ impl DataDistribution {
             strategy,
             pop,
             orig_of_location: orig_of_location.into(),
-            part: Arc::new(Partition::new(k, person_part, location_part, quality)),
-        }
-    }
-
-    /// The same population over the same `k` partitions, assigned by
-    /// `person_part` and `location_part` instead: it shares the population
-    /// and the split map, and builds its own index maps and sweep layout.
-    /// Panics unless each map gives every object a partition below `k`.
-    pub fn with_partition(
-        &self,
-        person_part: Vec<u32>,
-        location_part: Vec<u32>,
-    ) -> DataDistribution {
-        assert_eq!(person_part.len(), self.pop.n_people() as usize);
-        assert_eq!(location_part.len(), self.pop.n_locations() as usize);
-        DataDistribution {
-            strategy: self.strategy,
-            pop: self.pop.clone(),
-            orig_of_location: self.orig_of_location.clone(),
-            part: Arc::new(Partition::new(self.k(), person_part, location_part, None)),
+            part: Arc::new(Partition {
+                k,
+                quality,
+                persons: Grouping::new(person_part, k),
+                locations: Grouping::new(location_part, k),
+                sweep: OnceLock::new(),
+            }),
         }
     }
 
@@ -335,23 +322,6 @@ impl DataDistribution {
             .filter(|v| pp[v.person.0 as usize] != lp[v.location.0 as usize])
             .count();
         remote as f64 / self.pop.visits.len() as f64
-    }
-}
-
-impl Partition {
-    fn new(
-        k: u32,
-        person_part: Vec<u32>,
-        location_part: Vec<u32>,
-        quality: Option<PartitionQuality>,
-    ) -> Partition {
-        Partition {
-            k,
-            quality,
-            persons: Grouping::new(person_part, k),
-            locations: Grouping::new(location_part, k),
-            sweep: OnceLock::new(),
-        }
     }
 }
 
@@ -483,54 +453,5 @@ mod tests {
             }
             assert!(Arc::ptr_eq(&c.sweep_layout(), &built));
         }
-    }
-
-    /// `with_partition` shares the population and the split map, and
-    /// builds its own index maps and sweep layout from the new partition.
-    #[test]
-    fn with_partition_shares_the_population_and_lays_out_its_own_partition() {
-        let d = DataDistribution::build(&pop(), Strategy::RoundRobinSplit, 3, 1);
-        let original = d.sweep_layout();
-        let pp: Vec<u32> = (0..d.pop.n_people()).map(|p| (p / 7) % 3).collect();
-        let lp: Vec<u32> = (0..d.pop.n_locations()).map(|l| (l * l + 1) % 3).collect();
-        let e = d.with_partition(pp.clone(), lp.clone());
-        assert!(Arc::ptr_eq(&e.pop, &d.pop));
-        assert!(Arc::ptr_eq(&e.orig_of_location, &d.orig_of_location));
-        assert_eq!(
-            (e.k(), e.person_part(), e.location_part()),
-            (3, &pp[..], &lp[..])
-        );
-        assert!(e.quality().is_none());
-        for p in 0..3 {
-            for (slot, &id) in e.persons_of(p).iter().enumerate() {
-                assert_eq!(
-                    (pp[id as usize], e.local_of_person()[id as usize]),
-                    (p, slot as u32)
-                );
-            }
-            for (slot, &id) in e.locations_of(p).iter().enumerate() {
-                assert_eq!(
-                    (lp[id as usize], e.local_of_location()[id as usize]),
-                    (p, slot as u32)
-                );
-            }
-        }
-        let layout = e.sweep_layout();
-        assert!(!Arc::ptr_eq(&layout, &original));
-        assert_eq!(layout.n_visits(), original.n_visits());
-        for p in 0..3 {
-            assert!(layout
-                .groups_of(p)
-                .all(|g| lp[layout.place(g).0 as usize] == p));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn with_partition_refuses_a_partition_beyond_k() {
-        let d = DataDistribution::build(&pop(), Strategy::RoundRobin, 2, 1);
-        let mut lp = d.location_part().to_vec();
-        lp[0] = 2;
-        d.with_partition(d.person_part().to_vec(), lp);
     }
 }

@@ -35,8 +35,6 @@
 //! * [`simulator`] — the parallel driver (day loop over runtime phases).
 //! * [`engine`] — engine selection (`--engine seq|threads|vt|net`) and the
 //!   block partition→PE placement.
-//! * [`rebalance`] — measurement-based dynamic load balancing between
-//!   epochs (the paper's §VII future work, implemented).
 //! * [`seq`] — a direct sequential implementation used as the correctness
 //!   oracle for the parallel one.
 //! * [`checkpoint`] — save/restore a simulation mid-run (restart is
@@ -57,7 +55,6 @@ pub mod managers;
 pub mod messages;
 pub mod output;
 pub mod person;
-pub mod rebalance;
 pub mod resilient;
 pub mod seq;
 pub mod simulator;
@@ -71,7 +68,6 @@ pub use ensemble::{
     run_ensemble, run_sweep, CowWorld, Ensemble, EnsembleSpec, MemberArena, ParamPoint, ResultStore,
 };
 pub use output::{DayStats, EpiCurve};
-pub use rebalance::{run_with_rebalancing, RebalanceConfig, RebalanceRun};
 pub use resilient::{run_resilient, RecoveryConfig, ResilientRun};
 pub use simulator::{DayControl, Resumed, RunHalt, SimConfig, Simulator};
 pub use splitloc::{split_heavy_locations, SplitConfig, SplitResult};

@@ -138,8 +138,8 @@ fn on_roster(ptts: &Ptts, sym: Option<StateId>, slot: &PersonSlot, sent: (StateI
 
 impl PersonManager {
     /// Build a PM owning `persons`: a partition's persons in the order of
-    /// the world's `local_of_person`, fresh or restored (chare migration:
-    /// the §VII load-rebalancing path re-homes persons between epochs).
+    /// the world's `local_of_person`, fresh or restored from a checkpoint
+    /// (which may come from another distribution of the population).
     /// One pass lists the roster, so day 0 runs only its mornings.
     pub fn new(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
@@ -425,8 +425,8 @@ impl LocationManager {
     }
 
     /// Per owned location (in [`LocationManager::locations`] order): its
-    /// features summed over every day this LM has computed, the measured
-    /// dynamic load the §VII rebalancer feeds on.
+    /// features summed over every day this LM has computed, as
+    /// [`crate::simulator::Simulator::dismantle`] returns them.
     pub fn feature_totals(&self) -> Vec<LocationDayFeatures> {
         let (world, sweep) = (&self.shared.world, &self.shared.sweep);
         let vs = &self.visitors;

@@ -71,9 +71,9 @@ pub struct SimRun {
     pub perf: Vec<DayPerf>,
 }
 
-/// Epidemic bookkeeping that persists across epochs when the simulation is
-/// driven in spans (the §VII rebalancing path): intervention activation
-/// state and the running global counts.
+/// Epidemic bookkeeping that persists from one span of days to the next
+/// ([`Simulator::run_days`], a checkpoint and its resume): intervention
+/// activation state and the running global counts.
 #[derive(Debug, Clone)]
 pub struct Carry {
     /// Intervention activation state.
@@ -181,10 +181,10 @@ impl Simulator {
     }
 
     /// Like [`Simulator::new`] but resuming from pre-existing person states
-    /// (indexed by person id) — the chare-migration path used between
-    /// rebalancing epochs. When `states` is `None`, fresh persons are
-    /// created and initial infections are seeded.
-    pub fn with_states(
+    /// (indexed by person id), which [`Simulator::resume`] takes from a
+    /// checkpoint of any distribution of the population. When `states` is
+    /// `None`, fresh persons are created and initial infections are seeded.
+    fn with_states(
         dist: &DataDistribution,
         ptts: Ptts,
         cfg: SimConfig,

@@ -216,12 +216,11 @@ mod tests {
         let (_, oracle_states) = run_sequential_with_states(&pop, &flu_model(), &cfg);
         let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 9);
         let mut carry = crate::simulator::Carry::new(cfg.interventions.clone(), 5);
-        let mut sim = Simulator::with_states(
+        let mut sim = Simulator::new(
             &dist,
             flu_model(),
             cfg.clone(),
             RuntimeConfig::sequential(4),
-            None,
         );
         sim.run_days(0, cfg.days, &mut carry);
         let (par_states, _) = sim.dismantle();

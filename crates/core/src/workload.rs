@@ -55,8 +55,7 @@ pub fn build_workload_graph(
 }
 
 /// Build the 2-constraint workload graph for a population whose location
-/// `l` weighs `location_loads[l]` in the location phase: the static model
-/// at set-up, measured loads when the §VII rebalancer re-partitions.
+/// `l` weighs `location_loads[l]` in the location phase.
 ///
 /// The CSR is written directly, in O(visits): a person's visits are
 /// contiguous, so their few locations are sorted and merged in place to
@@ -66,7 +65,7 @@ pub fn build_workload_graph(
 ///
 /// # Panics
 /// If `pop.visits` is not grouped by person as `pop.person_offsets` says.
-pub fn build_workload_graph_with(
+fn build_workload_graph_with(
     pop: &Population,
     location_loads: &[u64],
 ) -> (CsrGraph, WorkloadLayout) {
@@ -129,8 +128,8 @@ pub fn build_workload_graph_with(
     (CsrGraph::from_parts(2, xadj, adjncy, adjwgt, vwgt), layout)
 }
 
-/// The one way a workload graph is partitioned, at set-up and by the §VII
-/// rebalancer: the V-cycle starts from the [`person_level`] if there is one.
+/// The one way a workload graph is partitioned: the V-cycle starts from
+/// the [`person_level`] if there is one.
 pub fn partition_workload(
     graph: &CsrGraph,
     layout: &WorkloadLayout,
@@ -256,7 +255,7 @@ mod tests {
                     reference_graph(pop, &loads),
                     "{people} people, seed {seed}"
                 );
-                // A non-static load vector, as the rebalancer measures.
+                // Any load vector, not only the static model's.
                 let measured: Vec<u64> = (0..pop.n_locations() as u64)
                     .map(|l| (l * 7919 + seed) % 53 + 1)
                     .collect();

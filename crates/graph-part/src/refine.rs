@@ -3,7 +3,7 @@
 //! After each uncoarsening step the projected partition is improved by
 //! moving boundary vertices between partitions. A move is accepted when it
 //! reduces the edge cut without violating the balance limit, or when it
-//! strictly improves the worst fullness (rebalancing moves). This is the
+//! strictly improves the worst fullness (balance moves). This is the
 //! k-way analogue of Fiduccia–Mattheyses used by METIS's refinement phase.
 //! As in METIS, a vertex is judged from its *row*, its connectivity to each
 //! partition its neighbours lie in: tallied once a call, updated by moves.
@@ -507,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn rebalancing_moves_fix_overload() {
+    fn balance_moves_fix_overload() {
         // All vertices initially in partition 0 of 2: refinement must move
         // roughly half across even though the cut temporarily dislikes it.
         let g = ring(32);
@@ -517,7 +517,7 @@ mod tests {
         };
         refine(&g, &mut p, &RefineConfig::default());
         let imb = imbalances(&g, &p);
-        assert!(imb[0] < 1.6, "imbalance {} — rebalancing failed", imb[0]);
+        assert!(imb[0] < 1.6, "imbalance {} — balance moves failed", imb[0]);
     }
 
     #[test]

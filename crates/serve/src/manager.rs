@@ -375,16 +375,6 @@ impl Manager {
         self.work_bell.notify_all();
     }
 
-    /// Has [`Manager::shutdown`] been called?
-    pub fn is_shutting_down(&self) -> bool {
-        self.lock_state().shutdown
-    }
-
-    /// Are any jobs currently leased?
-    pub fn running_count(&self) -> u32 {
-        self.lock_state().running.values().sum()
-    }
-
     // -- pool-facing ------------------------------------------------------
 
     /// Block until a job is available under the engine caps (leasing it),

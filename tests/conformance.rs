@@ -108,14 +108,16 @@ fn net_engine_matches_sequential_across_process_counts() {
 /// partition there, not only those its rank hosts in the run it joins.
 /// Two net runs in a row with no [`align_to_invocation`], shaped like a
 /// strong-scaling loop: the second run's worker replays the first. The
-/// reference runs on a new world of the same partition (a clone would
+/// reference runs on a second build of the same world (a clone would
 /// share the layout it builds), so `dist` has no layout built and each
 /// rank of the first run lays out only its own partitions.
 #[test]
 fn net_worker_replaying_an_earlier_run_lays_out_every_partition() {
     let pop = pop();
     let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
-    let same = dist.with_partition(dist.person_part().to_vec(), dist.location_part().to_vec());
+    let same = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
+    assert_eq!(same.person_part(), dist.person_part());
+    assert_eq!(same.location_part(), dist.location_part());
     let reference = curve_hash_under(&same, 5, RuntimeConfig::sequential(4));
     for n_pes in [2, 4] {
         let net = curve_hash_under(&dist, 5, RuntimeConfig::net(n_pes, 2));
@@ -488,13 +490,13 @@ fn stuck_model() -> Ptts {
 /// with a vaccination order or a closed kind. On a model with absorbing
 /// infectious and symptomatic states, under a vaccination and a school
 /// closure, seq, threads and vt equal the full-scan oracle in curve and
-/// transmission tree, and so do a run resumed mid-closure (its PMs list
-/// whoever owes an update) and a rebalanced run (re-homed PMs).
+/// transmission tree, and so does a run resumed mid-closure (its PMs list
+/// whoever owes an update), on the same partition or on another one
+/// (re-homed persons).
 #[test]
 fn person_roster_runs_equal_the_full_scan_oracle() {
     use episimdemics::core::checkpoint::capture;
     use episimdemics::core::simulator::Carry;
-    use episimdemics::core::{run_with_rebalancing, RebalanceConfig};
     let pop = pop();
     let dist = DataDistribution::build(&pop, Strategy::GraphPartitionSplit, 4, 19);
     let cfg = SimConfig {
@@ -528,22 +530,28 @@ fn person_roster_runs_equal_the_full_scan_oracle() {
         assert_eq!(tree(&states), tree(&oracle_states), "{:?}", rt.mode);
     }
 
+    // A checkpoint taken mid-closure resumes on the same partition and on
+    // another one of the same split population: migrating persons between
+    // partitions is a resume on a different distribution.
+    let rr = DataDistribution::build(&pop, Strategy::RoundRobinSplit, 4, 19);
+    assert_eq!(rr.orig_of_location, dist.orig_of_location, "same split");
+    assert_ne!(rr.person_part(), dist.person_part());
     let rt = RuntimeConfig::sequential(4);
-    let mut sim = Simulator::new(&dist, stuck_model(), cfg.clone(), rt);
-    let mut carry = Carry::new(cfg.interventions.clone(), oracle.seeds);
-    let (mut days, _, _) = sim.run_days(0, 5, &mut carry);
-    let (states, _) = sim.dismantle();
-    let ckpt = capture(5, oracle.seeds, &carry, states);
-    let mut resumed = Simulator::resume(ckpt, &dist, stuck_model(), cfg.clone(), rt)
-        .expect("the checkpoint fits the run");
-    days.extend(resumed.sim.run_days(5, cfg.days, &mut resumed.carry).0);
-    assert_eq!(days, oracle.days, "resumed mid-closure");
-
-    let rb = RebalanceConfig {
-        epoch_days: 7,
-        imbalance_threshold: 1.0,
-    };
-    let rebalanced = run_with_rebalancing(&dist, stuck_model(), cfg, rt, rb);
-    assert!(rebalanced.epochs.iter().any(|e| e.repartitioned));
-    assert_eq!(rebalanced.run.curve, oracle, "rebalanced");
+    for (name, resume_on) in [("same partition", &dist), ("RR partition", &rr)] {
+        let mut sim = Simulator::new(&dist, stuck_model(), cfg.clone(), rt);
+        let mut carry = Carry::new(cfg.interventions.clone(), oracle.seeds);
+        let (mut days, _, _) = sim.run_days(0, 5, &mut carry);
+        assert!(
+            !carry.interventions.snapshot().active.is_empty(),
+            "mid-closure"
+        );
+        let (states, _) = sim.dismantle();
+        let ckpt = capture(5, oracle.seeds, &carry, states);
+        let mut resumed = Simulator::resume(ckpt, resume_on, stuck_model(), cfg.clone(), rt)
+            .expect("the checkpoint fits the run");
+        days.extend(resumed.sim.run_days(5, cfg.days, &mut resumed.carry).0);
+        assert_eq!(days, oracle.days, "resumed on the {name}");
+        let (states, _) = resumed.sim.dismantle();
+        assert_eq!(tree(&states), tree(&oracle_states), "resumed on the {name}");
+    }
 }

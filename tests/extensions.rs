@@ -1,5 +1,5 @@
 //! Integration tests for the beyond-the-paper extensions, exercised in
-//! combination: checkpointing across a rebalanced run, ensembles vs
+//! combination: a checkpoint resumed on another distribution, ensembles vs
 //! explicit replicates, endemic dynamics under interventions, and the
 //! everything-on configuration (SMP + aggregation + splitLoc + threads)
 //! against the oracle.
@@ -8,7 +8,6 @@ use episimdemics::chare_rt::RuntimeConfig;
 use episimdemics::core::checkpoint::{capture, Checkpoint};
 use episimdemics::core::distribution::{DataDistribution, Strategy};
 use episimdemics::core::ensemble::run_ensemble;
-use episimdemics::core::rebalance::{run_with_rebalancing, RebalanceConfig};
 use episimdemics::core::seq::{run_sequential, run_sequential_with_states};
 use episimdemics::core::simulator::{Carry, SimConfig, Simulator};
 use episimdemics::core::tree::transmission_stats;
@@ -46,10 +45,10 @@ fn everything_on_matches_oracle() {
 }
 
 #[test]
-fn checkpoint_through_a_rebalanced_run() {
-    // Epoch 1 runs on one distribution; checkpoint; resume on a *different*
-    // distribution (as the rebalancer would). The combined curve must equal
-    // a straight run — migration + checkpoint compose.
+fn checkpoint_resumes_on_another_distribution() {
+    // The first span runs on one distribution; checkpoint; resume on a
+    // *different* distribution. The combined curve must equal a straight
+    // run — migration + checkpoint compose.
     let pop = pop();
     let dist_a = DataDistribution::build(&pop, Strategy::RoundRobin, 4, 99);
     let dist_b = DataDistribution::build(&pop, Strategy::GraphPartition, 4, 99);
@@ -70,9 +69,10 @@ fn checkpoint_through_a_rebalanced_run() {
 }
 
 #[test]
-fn rebalanced_seirs_with_interventions_matches_plain() {
-    // The tallest stack on the epidemiology side: endemic disease, a
-    // prevalence-triggered school closure, and dynamic LB underneath.
+fn seirs_with_interventions_resumed_on_another_distribution_matches_plain() {
+    // The tallest stack on the epidemiology side: endemic disease and a
+    // prevalence-triggered school closure, checkpointed while the school
+    // is closed and resumed on another distribution with another k.
     let pop = pop();
     let interventions = InterventionSet::new(vec![Intervention {
         trigger: Trigger::PrevalenceAbove(0.05),
@@ -84,6 +84,7 @@ fn rebalanced_seirs_with_interventions_matches_plain() {
     let mut c = cfg(40);
     c.interventions = interventions;
     let dist = DataDistribution::build(&pop, Strategy::GraphPartition, 5, 99);
+    let other = DataDistribution::build(&pop, Strategy::RoundRobin, 3, 99);
     let plain = Simulator::new(
         &dist,
         seirs_model(15.0),
@@ -91,18 +92,27 @@ fn rebalanced_seirs_with_interventions_matches_plain() {
         RuntimeConfig::sequential(2),
     )
     .run();
-    let rb = run_with_rebalancing(
+
+    let mid = 10; // the closure runs from day 4 to day 17
+    let mut carry = Carry::new(c.interventions.clone(), plain.curve.seeds);
+    let mut sim = Simulator::new(
         &dist,
         seirs_model(15.0),
-        c,
+        c.clone(),
         RuntimeConfig::sequential(2),
-        RebalanceConfig {
-            epoch_days: 8,
-            imbalance_threshold: 1.0,
-        },
     );
-    assert_eq!(plain.curve, rb.run.curve);
-    assert!(rb.epochs.len() >= 4);
+    let (mut days, _, _) = sim.run_days(0, mid, &mut carry);
+    assert!(
+        !carry.interventions.snapshot().active.is_empty(),
+        "mid-closure"
+    );
+    let (states, _) = sim.dismantle();
+    let ckpt = capture(mid, plain.curve.seeds, &carry, states);
+    let ckpt = Checkpoint::decode(&ckpt.encode()).unwrap();
+    let rt = RuntimeConfig::sequential(3);
+    let mut r = Simulator::resume(ckpt, &other, seirs_model(15.0), c.clone(), rt).unwrap();
+    days.extend(r.sim.run_days(mid, c.days, &mut r.carry).0);
+    assert_eq!(days, plain.curve.days);
 }
 
 #[test]
