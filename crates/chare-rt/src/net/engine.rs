@@ -27,6 +27,14 @@
 //! ([`NetEngine::send_frame`]) and one receive path
 //! ([`NetEngine::on_batch`] / [`NetEngine::on_ctl`]); only heartbeats are
 //! always TCP (DESIGN.md §8).
+//!
+//! Every idle wait — the root collecting a wave, a worker idling or
+//! awaiting `PHASE_RESULT`, teardown awaiting `SHUTDOWN` — is one call,
+//! `wait_inbound`, through the runtime's shared wait that the threaded
+//! engine uses too: poll the rings and the comm thread's channel with a
+//! `yield_now` after each miss, then park on the rank's doorbell (on the
+//! channel on TCP-only runs). A rank that shares a CPU with the peer it
+//! waits for thus hands that peer the CPU instead of spinning it away.
 
 use crate::chare::{Chare, ChareId, Message};
 use crate::config::{NetTransport, RuntimeConfig, SmpConfig};
@@ -45,10 +53,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Iterations an idle process spins over its rings before futex-parking
-/// (keeps same-host ping-pong in the sub-µs regime; a park costs two
-/// syscalls on the wake path).
-const PARK_SPIN: u32 = 200;
 /// Upper bound on one idle wait (futex park, or channel wait on TCP-only
 /// runs). Progress never depends on it — every ring push rings the bell
 /// and the comm thread rings it after every TCP event and every failure —
@@ -166,7 +170,7 @@ impl ShmPlane {
     }
 
     /// Any ring holding undelivered bytes? Cheap (one Acquire load per
-    /// peer) — this is what the idle spin polls.
+    /// peer) — this is what an idle wait polls.
     fn has_inbound(&self) -> bool {
         self.consumers
             .iter()
@@ -479,7 +483,7 @@ impl<M: Message> NetEngine<M> {
             return;
         }
         let mut plane = self.shm.take().expect("on_ring implies a plane");
-        let mut spins = 0u32;
+        let mut tries = 0u32;
         while !plane.producers[d]
             .as_ref()
             .is_some_and(|p| p.try_push(kind, &payload))
@@ -488,13 +492,14 @@ impl<M: Message> NetEngine<M> {
             // mutually-full peers cannot deadlock (each side's consumer
             // frees the other's producer). A peer that died with its ring
             // full never frees it; the comm thread's failure flag ends
-            // that wait.
+            // that wait. Yield, not spin: the peer that frees the ring
+            // may be queued on this CPU.
             self.drain_plane(&mut plane);
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(1024) {
+            tries = tries.wrapping_add(1);
+            if tries.is_multiple_of(1024) {
                 self.fail_if_poisoned();
             }
-            std::hint::spin_loop();
+            std::thread::yield_now();
         }
         if let Some(bell) = &plane.bells[d] {
             bell.ring();
@@ -923,35 +928,35 @@ impl<M: Message> NetEngine<M> {
         worked
     }
 
-    /// Block until something may have arrived. With the shm plane active:
-    /// spin briefly over both sources (keeps same-host ping-pong sub-µs),
-    /// then futex-park on our doorbell — remote producers ring it after
-    /// every push and our comm thread after every TCP event. Without it,
-    /// block on the comm thread's channel and run the one event received
-    /// through [`Self::on_event`]; returns whether that enqueued
-    /// current-phase work.
+    /// Wait until something may have arrived, through the runtime's one
+    /// idle wait ([`pe::poll_then_park`]). With the shm plane active: poll
+    /// both sources, then futex-park on our doorbell — remote producers
+    /// ring it after every push and our comm thread after every TCP event.
+    /// Without it, poll the comm thread's channel, then block on it, and
+    /// run the one event received through [`Self::on_event`]; returns
+    /// whether that enqueued current-phase work.
     fn wait_inbound(&mut self) -> bool {
         if let Some(plane) = &self.shm {
-            for _ in 0..PARK_SPIN {
-                if plane.has_inbound() || self.comm_has_event() {
-                    return false;
-                }
-                std::hint::spin_loop();
-            }
-            // Snapshot seq, then re-check both sources: a push in between
-            // bumps seq and aborts the park.
-            let seen = plane.my_bell.read_seq();
-            if !plane.has_inbound()
-                && !self.comm_has_event()
-                && plane.my_bell.park(seen, PARK_TIMEOUT)
-            {
-                self.shm_parks += 1;
-            }
+            let ready = || plane.has_inbound() || self.comm_has_event();
+            let parked = pe::poll_then_park(
+                || ready().then_some(false),
+                || {
+                    // Snapshot seq, then re-check both sources: a push in
+                    // between bumps seq and aborts the park.
+                    let seen = plane.my_bell.read_seq();
+                    !ready() && plane.my_bell.park(seen, PARK_TIMEOUT)
+                },
+            );
+            self.shm_parks += u64::from(parked);
             return false;
         }
-        match self.comm.in_rx.recv_timeout(PARK_TIMEOUT) {
-            Ok(ev) => self.on_event(ev),
-            Err(_) => false,
+        let rx = &self.comm.in_rx;
+        match pe::poll_then_park(
+            || rx.try_recv().ok().map(Some),
+            || rx.recv_timeout(PARK_TIMEOUT).ok(),
+        ) {
+            Some(ev) => self.on_event(ev),
+            None => false,
         }
     }
 

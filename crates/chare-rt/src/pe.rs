@@ -5,7 +5,8 @@
 //! round-robin queues ([`crate::seq`]), channels ([`crate::threads`]), a
 //! seeded virtual-time heap ([`crate::vt`]), the wire ([`crate::net`]).
 //! What happens once it is there lives here, once: the dense chare table,
-//! the timed entry-method call, the send count, and the phase's counters.
+//! the timed entry-method call, the send count, the phase's counters, and
+//! how an idle PE of `threads` or `net` waits for its next message.
 
 use crate::chare::{Chare, ChareId, Ctx, Message, Sender};
 use crate::config::{RuntimeConfig, SmpConfig};
@@ -17,6 +18,9 @@ use std::time::Instant;
 /// Messages drained from one PE's queue before moving to the next
 /// (fairness quantum of a round-robin pass).
 const QUANTUM: usize = 256;
+/// Polls an idle wait makes, with a `yield_now` after each miss, before
+/// it parks.
+pub(crate) const POLL_TRIES: u32 = 50;
 
 /// What a chare sent from inside one entry method, in send order.
 struct OutBuf<M> {
@@ -248,4 +252,60 @@ pub(crate) fn round_robin<E, T>(
         }
     }
     ran
+}
+
+/// How every idle PE of a multi-PE engine waits: `poll` its source
+/// [`POLL_TRIES`] times, yielding the CPU after each miss, and return the
+/// first `Some`; after the last miss, `park` (block until woken or timed
+/// out) and return what it does. A message that arrives within the poll
+/// costs no wake-up. It yields rather than busy-spins: with more runnable
+/// threads or processes than cores, the PE a spinning poller waits for may
+/// be queued on the poller's own CPU, and runs only once the spin is
+/// spent.
+pub(crate) fn poll_then_park<T>(
+    mut poll: impl FnMut() -> Option<T>,
+    park: impl FnOnce() -> T,
+) -> T {
+    for _ in 0..POLL_TRIES {
+        if let Some(ready) = poll() {
+            return ready;
+        }
+        std::thread::yield_now();
+    }
+    park()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_source_ready_within_the_poll_returns_without_parking() {
+        for ready_at in [1, 2, POLL_TRIES] {
+            let mut polls = 0;
+            let got = poll_then_park(
+                || {
+                    polls += 1;
+                    (polls == ready_at).then_some(polls)
+                },
+                || panic!("parked although poll {ready_at} was ready"),
+            );
+            assert_eq!(got, ready_at);
+            assert_eq!(polls, ready_at);
+        }
+    }
+
+    #[test]
+    fn an_empty_source_parks_only_after_every_poll_missed() {
+        let polls = std::cell::Cell::new(0);
+        let polls_at_park = poll_then_park(
+            || {
+                polls.set(polls.get() + 1);
+                None
+            },
+            || polls.get(),
+        );
+        assert_eq!(polls_at_park, POLL_TRIES);
+        assert_eq!(polls.get(), POLL_TRIES);
+    }
 }

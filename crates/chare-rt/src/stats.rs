@@ -90,8 +90,8 @@ pub struct PeStats {
     /// BATCH frames pushed directly into shared-memory rings, bypassing the
     /// comm thread and the socket (net engine, shm transport only).
     pub shm_frames_sent: u64,
-    /// Times a worker's compute thread parked on its doorbell futex instead
-    /// of spinning while idle (net engine, shm transport only).
+    /// Times a rank's compute thread, idle past the shared poll, parked on
+    /// its doorbell futex (net engine, shm transport only).
     pub shm_parks: u64,
     /// Always 0 (see `wire_flush_batch`); was the eager-flush count.
     pub wire_flush_eager: u64,

@@ -19,25 +19,22 @@
 //!    at once), and PE 0 merges the reports with its own.
 //!
 //! Every wait (a worker between phases, a PE run dry, PE 0 awaiting the
-//! reports) polls its channel [`POLL_TRIES`] times, yielding between
-//! tries, before it blocks: a message that arrives within the poll costs
-//! no wake-up. It yields and does not spin on `spin_loop`: with more
-//! runnable threads than cores, the PE a spinning poller waits for may be
-//! queued on the poller's own CPU, and runs only once the spin is spent.
+//! reports) is the runtime's one idle wait, `pe::poll_then_park`, which
+//! the net engine's ranks use too: it polls the channel with a `yield_now`
+//! after each miss before it blocks, so a message that arrives within the
+//! poll costs no wake-up, and a partner queued on the poller's CPU gets
+//! it.
 
 use crate::chare::{Chare, ChareId, Envelope, Message};
 use crate::completion::CompletionDetector;
 use crate::config::RuntimeConfig;
-use crate::pe::{Hop, PeCore};
+use crate::pe::{self, Hop, PeCore};
 use crate::stats::{PeStats, PhaseStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender as ChSender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// `try_recv` tries, with a `yield_now` between two, before a wait blocks.
-const POLL_TRIES: u32 = 50;
 
 enum Item<M> {
     Direct(Envelope<M>),
@@ -60,21 +57,20 @@ type StatsReport = (u32, PhaseStats);
 /// A worker's chares, returned at shutdown.
 type ChareCrate<M> = Vec<(ChareId, Box<dyn Chare<M>>)>;
 
-/// Receive from `rx`: poll [`POLL_TRIES`] times, yielding between tries,
-/// then block, for at most `watchdog_secs` unless that is 0.
-fn poll_then_park<T>(rx: &Receiver<T>, watchdog_secs: u16) -> Result<T, RecvTimeoutError> {
-    for _ in 0..POLL_TRIES {
-        match rx.try_recv() {
-            Ok(item) => return Ok(item),
-            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => std::thread::yield_now(),
-        }
-    }
-    if watchdog_secs > 0 {
-        rx.recv_timeout(Duration::from_secs(u64::from(watchdog_secs)))
-    } else {
-        rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
-    }
+/// Receive from `rx` through the shared idle wait ([`pe::poll_then_park`]),
+/// blocking for at most `watchdog_secs` unless that is 0.
+fn recv<T>(rx: &Receiver<T>, watchdog_secs: u16) -> Result<T, RecvTimeoutError> {
+    pe::poll_then_park(
+        || match rx.try_recv() {
+            Ok(item) => Some(Ok(item)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        },
+        || match watchdog_secs {
+            0 => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            secs => rx.recv_timeout(Duration::from_secs(u64::from(secs))),
+        },
+    )
 }
 
 /// Fail a phase that did not close in time with the detector's counters,
@@ -168,7 +164,7 @@ impl<M: Message> Worker<M> {
             if self.try_close() {
                 return PhaseExit::Closed;
             }
-            let item = match poll_then_park(&self.rx, watchdog_secs) {
+            let item = match recv(&self.rx, watchdog_secs) {
                 Ok(item) => item,
                 Err(RecvTimeoutError::Disconnected) => return PhaseExit::Shutdown,
                 Err(e) => phase_hung(e, watchdog_secs, &self.cd),
@@ -187,7 +183,7 @@ impl<M: Message> Worker<M> {
             // Between phases only `PhaseStart` or `Shutdown` can arrive: the
             // caller sends `PhaseStart` to every worker before any
             // injection, and a phase's `PhaseEnd` is consumed inside it.
-            match poll_then_park(&self.rx, 0) {
+            match recv(&self.rx, 0) {
                 Ok(Item::PhaseStart) => {}
                 Ok(Item::Shutdown) | Err(_) => break,
                 Ok(Item::Direct(_) | Item::PhaseEnd) => {
@@ -303,7 +299,7 @@ impl<M: Message> ThreadEngine<M> {
         } = pe0.core.phase_stats();
         per_pe.resize(self.cfg.n_pes as usize, PeStats::default());
         for _ in 1..self.cfg.n_pes {
-            let (pe, part) = poll_then_park(&self.stats.1, watchdog_secs)
+            let (pe, part) = recv(&self.stats.1, watchdog_secs)
                 .unwrap_or_else(|e| phase_hung(e, watchdog_secs, &self.cd));
             per_pe[pe as usize] = part.per_pe[0];
             reductions.merge(&part.reductions);
@@ -446,6 +442,19 @@ mod tests {
         eng.add_chare(ChareId(0), 0, Box::new(Nap(Duration::ZERO)));
         eng.add_chare(ChareId(1), 1, Box::new(Nap(Duration::from_secs(3))));
         eng.run_phase(vec![(ChareId(1), Token(0))]);
+    }
+
+    /// The shared wait keeps what the engine reads off a channel: an item,
+    /// a disconnect (a worker's shutdown) within the poll, and a timeout
+    /// (PE 0's watchdog) once it has parked.
+    #[test]
+    fn recv_reports_items_disconnects_and_timeouts() {
+        let (tx, rx) = unbounded();
+        tx.send(7u32).unwrap();
+        assert_eq!(recv(&rx, 1), Ok(7));
+        assert_eq!(recv(&rx, 1), Err(RecvTimeoutError::Timeout));
+        drop(tx);
+        assert_eq!(recv(&rx, 0), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]

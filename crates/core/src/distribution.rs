@@ -6,7 +6,7 @@
 use crate::seq::SweepLayout;
 use crate::splitloc::{split_heavy_locations, SplitConfig};
 use crate::workload::{build_workload_graph, partition_workload};
-use graph_part::{round_robin, PartitionConfig, PartitionQuality};
+use graph_part::{round_robin, PartitionConfig};
 use load_model::{LoadUnits, PiecewiseModel};
 use std::sync::{Arc, OnceLock};
 use synthpop::Population;
@@ -102,8 +102,6 @@ pub struct DataDistribution {
 #[derive(Debug)]
 struct Partition {
     k: u32,
-    /// Partition quality of the workload graph (GP strategies only).
-    quality: Option<PartitionQuality>,
     persons: Grouping,
     locations: Grouping,
     sweep: OnceLock<Arc<SweepLayout>>,
@@ -195,18 +193,16 @@ impl DataDistribution {
             (Arc::new(pop.clone()), (0..pop.n_locations()).collect())
         };
 
-        let (person_part, location_part, quality) = if strategy.partitions() {
+        let (person_part, location_part) = if strategy.partitions() {
             let (graph, layout) = build_workload_graph(&pop, model, LoadUnits::default());
             let cfg = PartitionConfig::new(k).with_seed(seed).with_ubfactor(1.10);
-            let part = partition_workload(&graph, &layout, &cfg);
-            let quality = PartitionQuality::compute(&graph, &part);
-            let mut pp = part.assignment;
+            let mut pp = partition_workload(&graph, &layout, &cfg).assignment;
             let lp = pp.split_off(layout.n_people as usize);
-            (pp, lp, Some(quality))
+            (pp, lp)
         } else {
             let pp = round_robin(pop.n_people(), k).assignment;
             let lp = round_robin(pop.n_locations(), k).assignment;
-            (pp, lp, None)
+            (pp, lp)
         };
 
         DataDistribution {
@@ -215,7 +211,6 @@ impl DataDistribution {
             orig_of_location: orig_of_location.into(),
             part: Arc::new(Partition {
                 k,
-                quality,
                 persons: Grouping::new(person_part, k),
                 locations: Grouping::new(location_part, k),
                 sweep: OnceLock::new(),
@@ -228,9 +223,11 @@ impl DataDistribution {
         self.part.k
     }
 
-    /// Partition quality of the workload graph (GP strategies only).
-    pub fn quality(&self) -> Option<&PartitionQuality> {
-        self.part.quality.as_ref()
+    /// The workload graph's edge cut (GP strategies only): an edge joins a
+    /// person to a location and weighs their visits, so the cut is the
+    /// number of remote visits. Counted on each call, off the build path.
+    pub fn edge_cut(&self) -> Option<u64> {
+        self.strategy.partitions().then(|| self.remote_visits())
     }
 
     /// Partition per person.
@@ -314,14 +311,17 @@ impl DataDistribution {
         if self.pop.visits.is_empty() {
             return 0.0;
         }
+        self.remote_visits() as f64 / self.pop.visits.len() as f64
+    }
+
+    /// Visits whose person and location sit in different partitions.
+    fn remote_visits(&self) -> u64 {
         let (pp, lp) = (self.person_part(), self.location_part());
-        let remote = self
-            .pop
+        self.pop
             .visits
             .iter()
             .filter(|v| pp[v.person.0 as usize] != lp[v.location.0 as usize])
-            .count();
-        remote as f64 / self.pop.visits.len() as f64
+            .count() as u64
     }
 }
 
@@ -347,7 +347,7 @@ mod tests {
         assert_eq!(d.person_part()[9], 1);
         assert_eq!(d.location_part()[10], 2);
         assert_eq!(d.person_part().len(), p.n_people() as usize);
-        assert!(d.quality().is_none());
+        assert!(d.edge_cut().is_none());
     }
 
     #[test]
@@ -360,6 +360,21 @@ mod tests {
         // RR has essentially no locality: ~ (k−1)/k remote.
         assert!(f_rr > 0.8, "RR remote fraction {f_rr}");
         assert!(f_gp < 0.75 * f_rr, "GP {f_gp} vs RR {f_rr}");
+    }
+
+    /// The cut counted from the visits is the workload graph's cut.
+    #[test]
+    fn edge_cut_is_the_workload_graphs_cut() {
+        for strategy in [Strategy::GraphPartition, Strategy::GraphPartitionSplit] {
+            let d = DataDistribution::build(&pop(), strategy, 4, 1);
+            let model = PiecewiseModel::paper_constants();
+            let (graph, _) = build_workload_graph(&d.pop, &model, LoadUnits::default());
+            let mut assignment = d.person_part().to_vec();
+            assignment.extend_from_slice(d.location_part());
+            let part = graph_part::Partition { k: 4, assignment };
+            let want = graph_part::PartitionQuality::compute(&graph, &part).edge_cut;
+            assert_eq!(d.edge_cut(), Some(want), "{strategy:?}");
+        }
     }
 
     #[test]

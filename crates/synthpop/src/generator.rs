@@ -158,9 +158,6 @@ impl PopulationConfig {
     }
 }
 
-/// How many persons one generation task handles (parallel path).
-const GEN_CHUNK: u32 = 8192;
-
 /// A complete synthetic population: the bipartite person–location graph with
 /// visit times, kinds, and sublocations.
 #[derive(Debug, Clone)]
@@ -181,49 +178,10 @@ pub struct Population {
 }
 
 impl Population {
-    /// Generate a population using `n_threads` worker threads. Produces a
-    /// result bit-identical to [`Population::generate`] at any thread
-    /// count: every stochastic draw is keyed by `(seed, person)`, so the
-    /// person loop parallelizes by chunking with no shared stream.
-    pub fn generate_parallel(cfg: &PopulationConfig, n_threads: u32) -> Population {
-        if n_threads <= 1 || cfg.n_people <= GEN_CHUNK {
-            return Self::generate(cfg);
-        }
-        // Phase 1 (parallel): per-chunk people + visits.
-        let chunks: Vec<(u32, u32)> = (0..cfg.n_people)
-            .step_by(GEN_CHUNK as usize)
-            .map(|lo| (lo, (lo + GEN_CHUNK).min(cfg.n_people)))
-            .collect();
-        let shared = GenShared::prepare(cfg);
-        let mut parts: Vec<Option<GenPart>> = (0..chunks.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let mut handles = Vec::new();
-            for (i, &(lo, hi)) in chunks.iter().enumerate() {
-                handles.push((i, scope.spawn(move || shared.generate_range(lo, hi))));
-            }
-            for (i, h) in handles {
-                parts[i] = Some(h.join().expect("generator worker panicked"));
-            }
-        });
-        // Phase 2 (sequential): stitch chunks in order and finish.
-        let mut people = Vec::with_capacity(cfg.n_people as usize);
-        let mut visits = Vec::new();
-        let mut person_offsets = Vec::with_capacity(cfg.n_people as usize + 1);
-        person_offsets.push(0u32);
-        for part in parts.into_iter().flatten() {
-            let base = visits.len() as u32;
-            people.extend(part.people);
-            visits.extend(part.visits);
-            person_offsets.extend(part.offsets.iter().skip(1).map(|&o| base + o));
-        }
-        shared.finish(cfg, people, visits, person_offsets)
-    }
-
     /// Generate a population from a config.
     pub fn generate(cfg: &PopulationConfig) -> Population {
         let shared = GenShared::prepare(cfg);
-        let part = shared.generate_range(0, cfg.n_people);
+        let part = shared.generate_people(cfg.n_people);
         shared.finish(cfg, part.people, part.visits, part.offsets)
     }
 
@@ -260,16 +218,15 @@ impl Population {
     }
 }
 
-/// Per-chunk output of the parallel generator.
+/// The person side of a population, before sublocations are assigned.
 struct GenPart {
     people: Vec<Person>,
     visits: Vec<Visit>,
-    /// CSR offsets local to this chunk (starting at 0).
+    /// CSR offsets (starting at 0).
     offsets: Vec<u32>,
 }
 
-/// Location tables and samplers prepared once, shared read-only by every
-/// generation worker.
+/// Location tables and samplers, prepared before the person loop.
 struct GenShared {
     seed: u64,
     mean_visits: f64,
@@ -381,9 +338,9 @@ impl GenShared {
         }
     }
 
-    /// Generate persons `lo..hi` and their visits (independent of any other
-    /// range — every draw is keyed by the person id).
-    fn generate_range(&self, lo: u32, hi: u32) -> GenPart {
+    /// Generate persons `0..n_people` and their visits (every draw is
+    /// keyed by the person id).
+    fn generate_people(&self, n_people: u32) -> GenPart {
         let seed = self.seed;
         let visits_dist = ClippedNormal {
             mean: self.mean_visits,
@@ -391,14 +348,14 @@ impl GenShared {
             lo: 2.0,
             hi: 15.0,
         };
-        let n = (hi - lo) as usize;
+        let n = n_people as usize;
         let n_homes = self.home_range.1 - self.home_range.0;
         let mut people = Vec::with_capacity(n);
         let mut visits: Vec<Visit> = Vec::with_capacity((n as f64 * self.mean_visits) as usize);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
 
-        for p in lo..hi {
+        for p in 0..n_people {
             let mut rng = CounterRng::from_key(&[seed, Purpose::Synthesis as u64, 2, p as u64]);
             let home = LocationId(self.home_range.0 + rng.uniform_u64(n_homes as u64) as u32);
             // 22% children (school anchor), else 75% of adults work.
@@ -532,25 +489,6 @@ mod tests {
         assert_eq!(a.people, b.people);
         let c = pop(2000, 8);
         assert_ne!(a.visits, c.visits);
-    }
-
-    #[test]
-    fn parallel_generation_bit_identical() {
-        let cfg = PopulationConfig::small("PAR", 20_000, 77);
-        let seq = Population::generate(&cfg);
-        for threads in [2u32, 3, 7] {
-            let par = Population::generate_parallel(&cfg, threads);
-            assert_eq!(seq.people, par.people, "{threads} threads");
-            assert_eq!(seq.visits, par.visits, "{threads} threads");
-            assert_eq!(seq.locations, par.locations, "{threads} threads");
-            assert_eq!(seq.person_offsets, par.person_offsets);
-        }
-        // Small populations take the sequential shortcut.
-        let tiny_cfg = PopulationConfig::small("PAR2", 100, 7);
-        assert_eq!(
-            Population::generate(&tiny_cfg).visits,
-            Population::generate_parallel(&tiny_cfg, 4).visits
-        );
     }
 
     #[test]

@@ -69,7 +69,9 @@ struct SetupRow {
 }
 
 /// Time the stages of set-up for `people` people, composed exactly as
-/// `DataDistribution::build` composes them, then `build` itself.
+/// `DataDistribution::build` composes them, then `build` itself. The
+/// `quality` column times `PartitionQuality::compute`, which checks the
+/// staged cut against the built one; `build` does not pay it.
 fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
     let model = PiecewiseModel::paper_constants();
     let split_cfg = SplitConfig {
@@ -109,7 +111,7 @@ fn setup_row(people: u32, strategy: Strategy, k: u32, seed: u64) -> SetupRow {
             (row.hwm_after, row.rss_after) = (status_mb("VmHWM:"), status_mb("VmRSS:"));
             row.heap = dist.heap_bytes() as f64 / (1024.0 * 1024.0);
         }
-        row.edge_cut = dist.quality().map_or(0, |q| q.edge_cut);
+        row.edge_cut = dist.edge_cut().unwrap_or(0);
         drop(dist);
 
         let (split_pop, split) = timed(|| {
@@ -294,8 +296,8 @@ fn main() {
         let sub = speedup_upper_bound(&loads, dist.location_part(), dist.k());
         let ceiling = sub_ceiling(&loads);
         let cut = dist
-            .quality()
-            .map(|q| q.edge_cut.to_string())
+            .edge_cut()
+            .map(|cut| cut.to_string())
             .unwrap_or_else(|| "-".into());
         println!(
             "{:<14} {:>10} {:>11.1}% {:>10.1} {:>12.1} {:>10}",

@@ -44,7 +44,7 @@ fn check(pins: &[Pin]) {
     for &(people, strategy, k, seed, hash, cut, reference) in pins {
         let pop = Population::generate(&PopulationConfig::small("EPB", people, seed));
         let d = DataDistribution::build(&pop, strategy, k, seed);
-        let got = (assignment_hash(&d), d.quality().map(|q| q.edge_cut));
+        let got = (assignment_hash(&d), d.edge_cut());
         let world = format!("{people} people, {}, k={k}, seed {seed}", strategy.label());
         if got != (hash, cut) {
             wrong.push(format!("{world}: got ({:#018x}, {:?})", got.0, got.1));
