@@ -11,19 +11,15 @@
 //!   partition, its §II-C index maps and the sweep layout) and the disease
 //!   model, each built once and shared immutably (`Arc`) by every member;
 //!   nothing is deep-copied.
-//! * [`MemberArena`] — all per-run mutable state (person slots, the day's
-//!   stay-home draws and sublocation marks, the gather buffer, DES
-//!   scratch) packed into one reusable arena. A worker runs its members
-//!   back-to-back out of the same arena, so steady-state ensemble
-//!   throughput allocates almost nothing per run.
-//! * [`run_sweep`] — an ensemble scheduler that takes the world's one
-//!   [`crate::seq::SweepLayout`] (the member path's visit order, built on
-//!   first use) and fans whole
-//!   runs over it across a worker pool (atomic work counter; workers race,
+//! * [`run_sweep`] — an ensemble scheduler that fans whole runs across a
+//!   worker pool. Each member is one chare-rt sequential-engine run
+//!   ([`Simulator::run_curve`]) over the world's distribution, the same
+//!   day loop every single-curve job runs, reading the world's one
+//!   [`crate::seq::SweepLayout`] (built on first use). Workers race,
 //!   results don't: placement into the [`ResultStore`] is by `(param
 //!   point, seed)` index, and each member's epidemic is keyed only by its
 //!   own seed, so worker count and interleaving can never change a bit of
-//!   output).
+//!   output.
 //! * [`EnsembleSpec`] — the sweep front-end: parameter grids over
 //!   transmissibility and intervention variants, driven either
 //!   programmatically or from the ptts DSL's `sweep` directive.
@@ -36,12 +32,9 @@
 //! benchmark's `sweep-10k.oracle2` workload times `run_sweep` today.
 
 use crate::distribution::DataDistribution;
-use crate::kernel::KernelScratch;
-use crate::messages::{InfectMsg, VisitMsg};
 use crate::output::{curve_hash, EpiCurve};
-use crate::person::PersonSlot;
-use crate::seq::run_sequential_into;
-use crate::simulator::SimConfig;
+use crate::simulator::{SimConfig, Simulator};
+use chare_rt::RuntimeConfig;
 use ptts::intervention::InterventionSet;
 use ptts::Ptts;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,56 +62,6 @@ impl CowWorld {
             dist: dist.clone(),
             ptts: Arc::new(ptts),
         }
-    }
-}
-
-/// All mutable state of one ensemble member, packed together so a worker
-/// can reuse it across runs: person slots, the day's stay-home draws and
-/// group marks, the gather buffer, the day's infect list, and the DES
-/// kernel scratch.
-///
-/// [`crate::seq::run_sequential_into`] resets the arena at the start of
-/// every run, so results are bit-identical whether an arena is fresh or has
-/// already hosted a thousand members — only the allocations are amortised.
-#[derive(Debug, Default)]
-pub struct MemberArena {
-    /// Per-person disease state.
-    pub(crate) slots: Vec<PersonSlot>,
-    /// Per-person stay-home draw of the current day.
-    pub(crate) stay_home: Vec<bool>,
-    /// Bitset over sublocation groups: attended today by an infectious
-    /// person (cleared as the location pass visits them).
-    pub(crate) marks: Vec<u64>,
-    /// The visits of the group being swept, in canonical order.
-    pub(crate) group: Vec<VisitMsg>,
-    /// The day's infect messages.
-    pub(crate) infects: Vec<InfectMsg>,
-    /// DES kernel working memory.
-    pub(crate) scratch: KernelScratch,
-}
-
-impl MemberArena {
-    /// An empty arena; first use sizes it to the world.
-    pub fn new() -> MemberArena {
-        MemberArena::default()
-    }
-
-    /// Reset to the initial state for a fresh run over `n_people` persons
-    /// and `n_groups` sublocation groups, reusing capacity.
-    pub(crate) fn reset(&mut self, n_people: usize, n_groups: usize, ptts: &Ptts) {
-        self.slots.clear();
-        self.slots
-            .extend((0..n_people).map(|p| PersonSlot::new(p as u32, ptts)));
-        self.stay_home.clear();
-        self.stay_home.resize(n_people, false);
-        self.marks.clear();
-        self.marks.resize(n_groups.div_ceil(64), 0);
-        self.infects.clear();
-    }
-
-    /// Take the person states out of the arena.
-    pub fn into_person_states(self) -> Vec<PersonSlot> {
-        self.slots
     }
 }
 
@@ -269,11 +212,11 @@ impl ResultStore {
         &self.curves[point * self.n_seeds..(point + 1) * self.n_seeds]
     }
 
-    /// Replicate summary (quantile bands etc.) of one point.
+    /// Replicate summary of one point.
     pub fn point_ensemble(&self, point: usize) -> Ensemble {
-        let runs = self.curves_for_point(point).to_vec();
-        let bands = bands_of(&runs);
-        Ensemble { runs, bands }
+        Ensemble {
+            runs: self.curves_for_point(point).to_vec(),
+        }
     }
 
     /// Mean attack rate across a point's replicates.
@@ -298,12 +241,13 @@ impl ResultStore {
 }
 
 /// Run every member of `spec` over the shared `world`, fanning whole runs
-/// across `workers` OS threads.
+/// across `workers` OS threads, the caller's among them.
 ///
-/// The call builds the world's [`crate::seq::SweepLayout`] once (if no
-/// holder of the world has yet) and every worker reads
-/// it. Each worker owns one [`MemberArena`] and pulls member indices from
-/// an atomic counter until the sweep is drained. Determinism is structural:
+/// Each worker pulls member indices from an atomic counter until the sweep
+/// is drained and runs each member on the sequential engine over the
+/// world's distribution; the first member to start builds the world's
+/// [`crate::seq::SweepLayout`] (if no holder of the world has yet) and
+/// every member reads it. Determinism is structural:
 /// members draw only from counter-based streams keyed by their own seed,
 /// and results land in the store by index — so any worker count, including
 /// 1, yields bit-identical output (the determinism proptest varies it).
@@ -312,38 +256,36 @@ impl ResultStore {
 /// additionally clamped to the member count and the machine's available
 /// parallelism, because oversubscribing CPU-bound whole runs only buys
 /// context-switch and cache pressure. The clamp is unobservable in the
-/// results, by the determinism argument above.
+/// results, by the determinism argument above. The caller's thread runs
+/// one worker's members, so `workers - 1` threads are spawned and one
+/// worker's simulators reuse the heap the caller has already grown.
 pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultStore {
     let total = spec.n_members();
     let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
     let workers = (workers.max(1) as usize).min(total.max(1)).min(hw);
-    let layout = &*world.dist.sweep_layout();
     let next = AtomicUsize::new(0);
     let mut placed: Vec<Option<EpiCurve>> = (0..total).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut arena = MemberArena::new();
-                let mut out = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= total {
-                        break;
-                    }
-                    let cfg = spec.config_for(idx);
-                    let curve =
-                        run_sequential_into(&world.dist.pop, layout, &world.ptts, &cfg, &mut arena);
-                    out.push((idx, curve));
-                }
-                out
-            }));
-        }
-        for h in handles {
-            for (idx, curve) in h.join().expect("ensemble worker panicked") {
-                placed[idx] = Some(curve);
+    let work = || {
+        let mut out = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= total {
+                break;
             }
+            let (ptts, cfg) = ((*world.ptts).clone(), spec.config_for(idx));
+            let rt = RuntimeConfig::sequential(1);
+            out.push((idx, Simulator::run_curve(&world.dist, ptts, cfg, rt)));
+        }
+        out
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in handles {
+            done.extend(h.join().expect("ensemble worker panicked"));
+        }
+        for (idx, curve) in done {
+            placed[idx] = Some(curve);
         }
     });
     ResultStore {
@@ -356,25 +298,11 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
     }
 }
 
-/// Summary of one day across an ensemble's replicates.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DayBand {
-    /// Simulation day.
-    pub day: u32,
-    /// Quantiles of the day's *new infections* across replicates:
-    /// (10th percentile, median, 90th percentile).
-    pub new_infections: (u64, u64, u64),
-    /// Quantiles of the day's currently-infected count.
-    pub infected_now: (u64, u64, u64),
-}
-
-/// Result of an ensemble: per-replicate curves plus day-wise bands.
+/// Result of an ensemble: one curve per replicate.
 #[derive(Debug, Clone, Default)]
 pub struct Ensemble {
     /// One epidemic curve per replicate (ordered by seed).
     pub runs: Vec<EpiCurve>,
-    /// Day-wise quantile bands (length = the longest replicate).
-    pub bands: Vec<DayBand>,
 }
 
 impl Ensemble {
@@ -404,70 +332,12 @@ impl Ensemble {
     }
 }
 
-/// Day-wise quantile bands over a set of replicate curves (replicates that
-/// ended early contribute zeros, which is the true epidemic state after
-/// extinction).
-pub fn bands_of(runs: &[EpiCurve]) -> Vec<DayBand> {
-    let horizon = runs.iter().map(|r| r.days.len()).max().unwrap_or(0);
-    let mut bands = Vec::with_capacity(horizon);
-    for d in 0..horizon {
-        let mut new_inf: Vec<u64> = runs
-            .iter()
-            .map(|r| r.days.get(d).map(|x| x.new_infections).unwrap_or(0))
-            .collect();
-        let mut inf_now: Vec<u64> = runs
-            .iter()
-            .map(|r| r.days.get(d).map(|x| x.infected_now).unwrap_or(0))
-            .collect();
-        new_inf.sort_unstable();
-        inf_now.sort_unstable();
-        bands.push(DayBand {
-            day: d as u32,
-            new_infections: (
-                quantile_u64(&new_inf, 0.1),
-                quantile_u64(&new_inf, 0.5),
-                quantile_u64(&new_inf, 0.9),
-            ),
-            infected_now: (
-                quantile_u64(&inf_now, 0.1),
-                quantile_u64(&inf_now, 0.5),
-                quantile_u64(&inf_now, 0.9),
-            ),
-        });
-    }
-    bands
-}
-
-fn quantile_u64(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
 fn quantile_f64(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
     let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
     sorted[idx]
-}
-
-/// Run `replicates` copies of the scenario with seeds `base_seed + i`,
-/// spread over `n_threads` worker threads — the replicate-band front door,
-/// now a thin wrapper over [`run_sweep`] with a single parameter point.
-pub fn run_ensemble(
-    dist: &DataDistribution,
-    ptts: &Ptts,
-    cfg: &SimConfig,
-    replicates: u32,
-    n_threads: u32,
-) -> Ensemble {
-    let world = CowWorld::build(dist, ptts.clone());
-    let spec = EnsembleSpec::replicates(cfg, replicates);
-    let store = run_sweep(&world, &spec, n_threads);
-    store.point_ensemble(0)
 }
 
 pub mod surrogate {
@@ -752,45 +622,44 @@ mod tests {
         (dist, cfg)
     }
 
+    /// `n` replicates of `cfg` over `dist`, swept on `workers` workers.
+    fn replicates(dist: &DataDistribution, cfg: &SimConfig, n: u32, workers: u32) -> Ensemble {
+        let world = CowWorld::build(dist, flu_model());
+        run_sweep(&world, &EnsembleSpec::replicates(cfg, n), workers).point_ensemble(0)
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
         let (dist, cfg) = setup();
-        let ptts = flu_model();
-        let a = run_ensemble(&dist, &ptts, &cfg, 8, 1);
-        let b = run_ensemble(&dist, &ptts, &cfg, 8, 4);
+        let a = replicates(&dist, &cfg, 8, 1);
+        let b = replicates(&dist, &cfg, 8, 4);
         assert_eq!(a.runs, b.runs);
-        assert_eq!(a.bands, b.bands);
     }
 
     #[test]
     fn replicates_differ_but_share_structure() {
         let (dist, cfg) = setup();
-        let ensemble = run_ensemble(&dist, &flu_model(), &cfg, 6, 2);
+        let ensemble = replicates(&dist, &cfg, 6, 2);
         assert_eq!(ensemble.runs.len(), 6);
         // Different seeds → (generically) different totals.
         let totals: std::collections::BTreeSet<u64> =
             ensemble.runs.iter().map(|r| r.total_infections()).collect();
         assert!(totals.len() > 1, "all replicates identical");
-        // Bands are ordered quantiles.
-        for b in &ensemble.bands {
-            assert!(b.new_infections.0 <= b.new_infections.1);
-            assert!(b.new_infections.1 <= b.new_infections.2);
-        }
     }
 
     #[test]
-    fn quantile_helpers() {
-        assert_eq!(quantile_u64(&[], 0.5), 0);
-        assert_eq!(quantile_u64(&[7], 0.0), 7);
-        assert_eq!(quantile_u64(&[1, 2, 3, 4, 5], 0.5), 3);
-        assert_eq!(quantile_u64(&[1, 2, 3, 4, 5], 1.0), 5);
+    fn quantile_helper() {
+        assert_eq!(quantile_f64(&[], 0.5), 0.0);
+        assert_eq!(quantile_f64(&[7.0], 0.0), 7.0);
+        assert_eq!(quantile_f64(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.5), 3.0);
+        assert_eq!(quantile_f64(&[1.0, 2.0, 3.0, 4.0, 5.0], 1.0), 5.0);
         assert_eq!(quantile_f64(&[0.1, 0.9], 0.0), 0.1);
     }
 
     #[test]
     fn takeoff_probability_sane() {
         let (dist, cfg) = setup();
-        let ensemble = run_ensemble(&dist, &flu_model(), &cfg, 10, 3);
+        let ensemble = replicates(&dist, &cfg, 10, 3);
         let p = ensemble.takeoff_probability(0.02);
         assert!((0.0..=1.0).contains(&p));
         // With r = 0.0012 on this town most replicates take off.
@@ -799,26 +668,17 @@ mod tests {
         assert!(ensemble.attack_rate_quantile(0.1) <= ensemble.attack_rate_quantile(0.9));
     }
 
-    /// Every member of `store` against the chare-rt sequential engine,
-    /// which shares only `person_morning`, the sweep body and the PTTS with
-    /// the pull path the sweep runs.
-    fn assert_members_match_engine(
-        dist: &DataDistribution,
-        world: &CowWorld,
-        spec: &EnsembleSpec,
-        store: &ResultStore,
-    ) {
+    /// Every member of `store` against the sequential oracle: the sweep
+    /// runs its members on the engine, so an engine run of the same config
+    /// would check the engine against itself.
+    fn assert_members_match_oracle(world: &CowWorld, spec: &EnsembleSpec, store: &ResultStore) {
         for idx in 0..spec.n_members() {
             let (point, seed) = spec.member(idx);
-            let engine = crate::Simulator::run_curve(
-                dist,
-                (*world.ptts).clone(),
-                spec.config_for(idx),
-                chare_rt::RuntimeConfig::sequential(1),
-            );
+            let oracle =
+                crate::seq::run_sequential(&world.dist.pop, &world.ptts, &spec.config_for(idx));
             assert_eq!(
                 store.curve(point, seed),
-                &engine,
+                &oracle,
                 "member {idx} ({}, seed {})",
                 spec.points[point].label,
                 spec.seeds[seed]
@@ -836,15 +696,15 @@ mod tests {
         assert_eq!(one.hash(), many.hash());
         assert_eq!(one.n_points(), 3);
         assert_eq!(one.n_seeds(), 3);
-        // Index placement: member (point, seed) equals an engine run of
+        // Index placement: member (point, seed) equals an oracle run of
         // that member's config.
-        assert_members_match_engine(&dist, &world, &spec, &one);
+        assert_members_match_oracle(&world, &spec, &one);
         // More transmissible points infect more on average.
         assert!(one.mean_attack_rate(0) <= one.mean_attack_rate(2));
     }
 
     #[test]
-    fn sweep_with_closure_and_vaccination_matches_the_engine() {
+    fn sweep_with_closure_and_vaccination_matches_the_oracle() {
         use ptts::intervention::{Action, Intervention, Trigger};
         let (dist, cfg) = setup();
         let world = CowWorld::build(&dist, flu_model());
@@ -871,7 +731,7 @@ mod tests {
         let variants = [("none", InterventionSet::none()), ("school+vax", package)];
         let spec = EnsembleSpec::grid_over(&cfg, &[0.0012, 0.002], &variants, 2);
         let store = run_sweep(&world, &spec, 2);
-        assert_members_match_engine(&dist, &world, &spec, &store);
+        assert_members_match_oracle(&world, &spec, &store);
         let (plain, package) = (store.curve(0, 0), store.curve(1, 0));
         assert_ne!(plain, package, "the package changed nothing");
     }
@@ -900,22 +760,6 @@ mod tests {
         assert_eq!(Arc::strong_count(&sweep), sweep_before + 4);
         drop(sims);
         assert_eq!(Arc::strong_count(&world.dist.pop), before);
-    }
-
-    #[test]
-    fn arena_reuse_is_bit_identical() {
-        let (dist, cfg) = setup();
-        let world = CowWorld::build(&dist, flu_model());
-        let mut arena = MemberArena::new();
-        // Dirty the arena with a different run first.
-        let mut other = cfg.clone();
-        other.seed = 7777;
-        let pop = &world.dist.pop;
-        let layout = crate::seq::SweepLayout::build(pop);
-        let _ = run_sequential_into(pop, &layout, &world.ptts, &other, &mut arena);
-        let reused = run_sequential_into(pop, &layout, &world.ptts, &cfg, &mut arena);
-        let fresh = crate::seq::run_sequential(&dist.pop, &world.ptts, &cfg);
-        assert_eq!(reused, fresh);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use ptts::transmission::select_infector;
 use ptts::Ptts;
 
 /// Reusable working memory of the kernel. One instance per owner
-/// (LocationManager chare, sequential driver or ensemble member) serves
+/// (LocationManager chare or the sequential oracle's run) serves
 /// every sublocation and every day: all buffers grow to the high-water
 /// mark once and are then recycled, so the steady-state kernel performs no
 /// heap allocation.

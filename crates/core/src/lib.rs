@@ -40,8 +40,9 @@
 //! * [`checkpoint`] — save/restore a simulation mid-run (restart is
 //!   bit-exact).
 //! * [`ensemble`] — the copy-on-write ensemble engine: whole-run
-//!   parallelism over one `Arc`-shared world, parameter sweeps, quantile
-//!   bands, and the FastSIR-style surrogate screen (DESIGN.md §11).
+//!   parallelism over one `Arc`-shared world, parameter sweeps,
+//!   attack-rate quantiles, and the FastSIR-style surrogate screen
+//!   (DESIGN.md §11).
 //! * [`tree`] — transmission-tree analytics (R_t, generation intervals,
 //!   offspring distribution).
 //! * [`output`] — epidemic curves and TSV rendering.
@@ -64,9 +65,7 @@ pub mod workload;
 
 pub use distribution::{DataDistribution, Strategy};
 pub use engine::{pe_for_partition, EngineChoice};
-pub use ensemble::{
-    run_ensemble, run_sweep, CowWorld, Ensemble, EnsembleSpec, MemberArena, ParamPoint, ResultStore,
-};
+pub use ensemble::{run_sweep, CowWorld, Ensemble, EnsembleSpec, ParamPoint, ResultStore};
 pub use output::{DayStats, EpiCurve};
 pub use resilient::{run_resilient, RecoveryConfig, ResilientRun};
 pub use simulator::{DayControl, Resumed, RunHalt, SimConfig, Simulator};

@@ -1,5 +1,5 @@
-//! A direct sequential EpiSimdemics implementation — the correctness oracle,
-//! and the member path of the ensemble engine.
+//! A direct sequential EpiSimdemics implementation: the correctness oracle
+//! that the engines' tests and the benchmark's checks compare against.
 //!
 //! Runs the same per-day algorithm with plain loops and no runtime. Because
 //! every stochastic decision in the parallel simulator is keyed by
@@ -25,8 +25,7 @@
 //! reads one layout; [`run_sequential`] builds one per run.
 
 use crate::distribution::DataDistribution;
-use crate::ensemble::MemberArena;
-use crate::kernel::{overlap_sublocation, InfectivityClasses, LocationDayFeatures};
+use crate::kernel::{overlap_sublocation, InfectivityClasses, KernelScratch, LocationDayFeatures};
 use crate::messages::{DayEffects, VisitMsg};
 use crate::output::{DayStats, EpiCurve};
 use crate::person::{at_home, attends, person_morning, PersonSlot};
@@ -272,11 +271,6 @@ impl SweepLayout {
         self.place.len()
     }
 
-    /// Number of visits laid out.
-    pub fn n_visits(&self) -> usize {
-        self.members.len()
-    }
-
     /// Bytes this layout holds on the heap (length × element size).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
@@ -383,39 +377,14 @@ pub fn run_sequential_with_states(
     cfg: &SimConfig,
 ) -> (EpiCurve, Vec<PersonSlot>) {
     let layout = SweepLayout::build(pop);
-    let mut arena = MemberArena::new();
-    let curve = run_sequential_into(pop, &layout, ptts, cfg, &mut arena);
-    (curve, arena.into_person_states())
-}
-
-/// Run the sequential simulation over `layout` (built from `pop`) with all
-/// mutable per-run state drawn from `arena`. Reusing one layout and one
-/// arena across many runs (the ensemble scheduler shares the layout and
-/// gives each worker its own arena) amortises the set-up and the
-/// allocations; the epidemic itself is bit-identical to [`run_sequential`]
-/// because the arena is reset to the same initial state every run.
-pub fn run_sequential_into(
-    pop: &Population,
-    layout: &SweepLayout,
-    ptts: &Ptts,
-    cfg: &SimConfig,
-    arena: &mut MemberArena,
-) -> EpiCurve {
-    assert_eq!(
-        layout.n_visits() as u64,
-        pop.n_visits(),
-        "the layout was built from another population"
-    );
     let n_people = pop.n_people() as usize;
-    arena.reset(n_people, layout.n_groups(), ptts);
-    let MemberArena {
-        slots,
-        stay_home,
-        marks,
-        group,
-        infects,
-        scratch,
-    } = arena;
+    let mut slots: Vec<PersonSlot> = (0..n_people)
+        .map(|p| PersonSlot::new(p as u32, ptts))
+        .collect();
+    let mut stay_home = vec![false; n_people];
+    let mut marks = vec![0u64; layout.n_groups().div_ceil(64)];
+    let (mut group, mut infects) = (Vec::new(), Vec::new());
+    let mut scratch = KernelScratch::new();
 
     // Initial infections: identical draw to `Simulator::new`.
     let mut seeds = std::collections::BTreeSet::new();
@@ -503,17 +472,17 @@ pub fn run_sequential_into(
                     let slot = &slots[m.person as usize];
                     (slot.health.state, slot.sus_scale)
                 };
-                layout.gather(g, present, health, group);
+                layout.gather(g, present, health, &mut group);
                 let before = infects.len();
                 overlap_sublocation(
-                    group,
+                    &group,
                     ptts,
                     &classes,
                     r_eff,
                     cfg.seed,
                     day,
-                    scratch,
-                    infects,
+                    &mut scratch,
+                    &mut infects,
                     &mut features,
                 );
                 infections_by_kind[kind as usize] += (infects.len() - before) as u64;
@@ -549,7 +518,7 @@ pub fn run_sequential_into(
             break;
         }
     }
-    curve
+    (curve, slots)
 }
 
 #[cfg(test)]

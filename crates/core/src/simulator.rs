@@ -487,12 +487,10 @@ impl Simulator {
     }
 
     /// Run the full simulation and also return the final person states
-    /// (carrying the transmission tree) and per-location accumulated
-    /// dynamic features.
-    pub fn run_collecting(mut self) -> (SimRun, Vec<PersonSlot>, Vec<LocationDayFeatures>) {
+    /// (carrying the transmission tree).
+    pub fn run_collecting(mut self) -> (SimRun, Vec<PersonSlot>) {
         let run = self.run_all();
-        let (states, features) = self.dismantle();
-        (run, states, features)
+        (run, self.dismantle().0)
     }
 
     /// Engine-agnostic entry point: build a simulator and run it to the

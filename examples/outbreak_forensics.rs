@@ -27,7 +27,7 @@ fn main() {
         initial_infections: 10,
         ..Default::default()
     };
-    let (run, states, _) =
+    let (run, states) =
         Simulator::new(&dist, flu_model(), cfg, RuntimeConfig::threaded(4)).run_collecting();
     let curve = &run.curve;
     println!(

@@ -317,8 +317,8 @@ fn aggregation_setting_may_vary_but_curve_may_not() {
         let mut agg_off = agg_on;
         agg_off.aggregation.enabled = false;
         let run = |rt| Simulator::new(&dist, flu_model(), cfg.clone(), rt).run_collecting();
-        let (deltas, delta_states, _) = run(agg_on);
-        let (visits, visit_states, _) = run(agg_off);
+        let (deltas, delta_states) = run(agg_on);
+        let (visits, visit_states) = run(agg_off);
         assert!(
             deltas.curve.total_infections() > 30,
             "the epidemic takes off"
@@ -437,12 +437,12 @@ fn transmission_tree_identical_across_engines() {
         ("threads", RuntimeConfig::threaded(3)),
         ("vt chaos", RuntimeConfig::dst(4, FaultPlan::chaos(23))),
     ] {
-        let (_, states, _) = Simulator::new(&dist, sis_model(), cfg.clone(), rt).run_collecting();
+        let (_, states) = Simulator::new(&dist, sis_model(), cfg.clone(), rt).run_collecting();
         assert_eq!(tree(&states), oracle, "{name} transmission tree diverged");
     }
 
     // A net root reclaims only the persons of its own PersonManagers.
-    let (_, states, _) = Simulator::new(&dist, sis_model(), cfg, net).run_collecting();
+    let (_, states) = Simulator::new(&dist, sis_model(), cfg, net).run_collecting();
     let states = tree(&states);
     let on_root: Vec<usize> = (0..states.len())
         .filter(|&p| {
@@ -524,8 +524,7 @@ fn person_roster_runs_equal_the_full_scan_oracle() {
         RuntimeConfig::threaded(2),
         RuntimeConfig::dst(4, FaultPlan::chaos(5)),
     ] {
-        let (run, states, _) =
-            Simulator::new(&dist, stuck_model(), cfg.clone(), rt).run_collecting();
+        let (run, states) = Simulator::new(&dist, stuck_model(), cfg.clone(), rt).run_collecting();
         assert_eq!(run.curve, oracle, "{:?}", rt.mode);
         assert_eq!(tree(&states), tree(&oracle_states), "{:?}", rt.mode);
     }

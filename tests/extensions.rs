@@ -7,7 +7,7 @@
 use episimdemics::chare_rt::RuntimeConfig;
 use episimdemics::core::checkpoint::{capture, Checkpoint};
 use episimdemics::core::distribution::{DataDistribution, Strategy};
-use episimdemics::core::ensemble::run_ensemble;
+use episimdemics::core::ensemble::{run_sweep, CowWorld, EnsembleSpec};
 use episimdemics::core::seq::{run_sequential, run_sequential_with_states};
 use episimdemics::core::simulator::{Carry, SimConfig, Simulator};
 use episimdemics::core::tree::transmission_stats;
@@ -120,12 +120,13 @@ fn ensemble_equals_explicit_replicates() {
     let pop = pop();
     let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 1, 99);
     let base = cfg(15);
-    let ens = run_ensemble(&dist, &flu_model(), &base, 5, 3);
+    let world = CowWorld::build(&dist, flu_model());
+    let store = run_sweep(&world, &EnsembleSpec::replicates(&base, 5), 3);
     for rep in 0..5u32 {
         let mut c = base.clone();
         c.seed = base.seed + rep as u64;
         let explicit = run_sequential(&dist.pop, &flu_model(), &c);
-        assert_eq!(ens.runs[rep as usize], explicit, "replicate {rep}");
+        assert_eq!(store.curve(0, rep as usize), &explicit, "replicate {rep}");
     }
 }
 
@@ -137,7 +138,7 @@ fn surrogate_screen_never_discards_the_true_top_k() {
     // percolation attack, the truth by mean simulated attack rate; both
     // are monotone in transmissibility, so the retention bound is the
     // test of the surrogate's ranking fidelity, not of exact scores.
-    use episimdemics::core::ensemble::{run_sweep, surrogate, CowWorld, EnsembleSpec};
+    use episimdemics::core::ensemble::surrogate;
 
     let pop = pop();
     let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 2, 99);
