@@ -22,8 +22,7 @@
 //! persons := n u32 + person × n
 //! person  := id u32, state u16, days_remaining u32, treatment u16,
 //!            sus_scale f32, infected_on u32, infected_by u32
-//!            (u32::MAX encodes "none"; pending infections are always
-//!             empty at day boundaries and are not stored)
+//!            (u32::MAX encodes "none")
 //! day     := day u32 + 14 × u64 in DayStats field order
 //! ```
 //!
@@ -73,10 +72,6 @@ pub struct Checkpoint {
 /// Capture a checkpoint from epoch state (person states from
 /// [`crate::simulator::Simulator::dismantle`], counters from [`Carry`]).
 pub fn capture(next_day: u32, seeds: u64, carry: &Carry, states: Vec<PersonSlot>) -> Checkpoint {
-    debug_assert!(
-        states.iter().all(|s| s.pending.is_none()),
-        "pending infections must be applied before checkpointing"
-    );
     Checkpoint {
         next_day,
         seeds,
@@ -239,10 +234,6 @@ impl Checkpoint {
 
 /// Serialize a PersonManager's persons — the per-chare blob of a shard.
 pub fn encode_person_shard(slots: &[PersonSlot]) -> Bytes {
-    debug_assert!(
-        slots.iter().all(|s| s.pending.is_none()),
-        "pending infections must be applied before snapshotting"
-    );
     let mut buf = BytesMut::with_capacity(4 + slots.len() * PERSON_WIRE);
     buf.put_u32_le(slots.len() as u32);
     for s in slots {
@@ -276,7 +267,6 @@ pub fn decode_person_shard(data: &[u8]) -> Result<Vec<PersonSlot>, CodecError> {
                 id,
                 health,
                 sus_scale,
-                pending: None,
                 infected_on: (infected_on != u32::MAX).then_some(infected_on),
                 infected_by: (infected_by != u32::MAX).then_some(infected_by),
             });
@@ -398,7 +388,6 @@ mod tests {
                 treatment: TreatmentId(0),
             },
             sus_scale: 1.0,
-            pending: None,
             infected_on: Some(1),
             infected_by: None,
         }
@@ -491,7 +480,6 @@ mod tests {
                         treatment: TreatmentId((packed >> 16) as u16),
                     },
                     sus_scale: sus,
-                    pending: None,
                     infected_on: (on % 3 != 0).then_some(on),
                     infected_by: (by % 5 != 0).then_some(by),
                 })
@@ -718,7 +706,6 @@ mod tests {
                     treatment: TreatmentId(1),
                 },
                 sus_scale: 0.75,
-                pending: None,
                 infected_on: Some(4),
                 infected_by: None,
             },
@@ -730,7 +717,6 @@ mod tests {
                     treatment: TreatmentId(0),
                 },
                 sus_scale: 1.0,
-                pending: None,
                 infected_on: None,
                 infected_by: Some(17),
             },

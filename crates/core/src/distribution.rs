@@ -3,7 +3,7 @@
 //! one immutable world every run loads, as the paper partitions once,
 //! offline, and every run loads the result (§II-C, §III).
 
-use crate::seq::SweepLayout;
+use crate::layout::SweepLayout;
 use crate::splitloc::{split_heavy_locations, SplitConfig};
 use crate::workload::{build_workload_graph, partition_workload};
 use graph_part::{round_robin, PartitionConfig};

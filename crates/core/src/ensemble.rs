@@ -15,7 +15,7 @@
 //!   worker pool. Each member is one chare-rt sequential-engine run
 //!   ([`Simulator::run_curve`]) over the world's distribution, the same
 //!   day loop every single-curve job runs, reading the world's one
-//!   [`crate::seq::SweepLayout`] (built on first use). Workers race,
+//!   [`crate::layout::SweepLayout`] (built on first use). Workers race,
 //!   results don't: placement into the [`ResultStore`] is by `(param
 //!   point, seed)` index, and each member's epidemic is keyed only by its
 //!   own seed, so worker count and interleaving can never change a bit of
@@ -246,7 +246,7 @@ impl ResultStore {
 /// Each worker pulls member indices from an atomic counter until the sweep
 /// is drained and runs each member on the sequential engine over the
 /// world's distribution; the first member to start builds the world's
-/// [`crate::seq::SweepLayout`] (if no holder of the world has yet) and
+/// [`crate::layout::SweepLayout`] (if no holder of the world has yet) and
 /// every member reads it. Determinism is structural:
 /// members draw only from counter-based streams keyed by their own seed,
 /// and results land in the store by index — so any worker count, including

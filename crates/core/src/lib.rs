@@ -26,6 +26,8 @@
 //! * [`kernel`] — the location DES: class-binned exposure integrals, the
 //!   Barrett transmission function, infector attribution.
 //! * [`person`] — person-side scheduling (health + interventions).
+//! * [`layout`] — the static visit layout (`SweepLayout`) the engines
+//!   and the oracle sweep, and the routes a person's updates take.
 //! * [`managers`] — PersonManager / LocationManager chares (§II-C's
 //!   two-level hierarchical data distribution).
 //! * [`splitloc`] — §III-C's heavy-location splitting preprocessor.
@@ -52,6 +54,7 @@ pub mod distribution;
 pub mod engine;
 pub mod ensemble;
 pub mod kernel;
+pub mod layout;
 pub mod managers;
 pub mod messages;
 pub mod output;

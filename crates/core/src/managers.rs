@@ -8,7 +8,7 @@
 //! objects assigned to them."
 //!
 //! With aggregation on (the default) a day is state deltas over the
-//! world's static [`SweepLayout`](crate::seq::SweepLayout). A PM sends an
+//! world's static [`SweepLayout`](crate::layout::SweepLayout). A PM sends an
 //! [`Update`] down a person's `(partition, slot)` routes only when its
 //! `(state, sus_scale)` differs from what it last sent. On an ordinary day
 //! a PM runs only the mornings of its roster, the persons whose morning
@@ -26,9 +26,9 @@ use crate::kernel::{
     overlap_sublocation, simulate_location_day, InfectivityClasses, KernelScratch,
     LocationDayFeatures,
 };
+use crate::layout::Member;
 use crate::messages::{slots, DayEffects, InfectMsg, SharedRef, SimMsg, Update, VisitMsg};
 use crate::person::{attends, person_day, person_morning, stays_home, PersonSlot};
-use crate::seq::Member;
 use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
 use ptts::Ptts;
@@ -102,12 +102,11 @@ pub struct PersonManager {
     symptomatic_state: Option<StateId>,
     /// The day in progress (set by `BeginDay`).
     day: u32,
-    /// Per local slot: the winning `(time_min, infector)` key of a person
-    /// this PM infected today; `None` for everyone else. Reset at the next
-    /// `BeginDay`, so it never outlives the day.
-    infected_today: Vec<Option<(u16, u32)>>,
-    /// Local slots set in `infected_today`.
-    touched: Vec<u32>,
+    /// Per local slot: 1 + the start minute of the infect that won the
+    /// person's latest infection, so `(won_at, infected_by)` is the winning
+    /// key while `infected_on` is today; 0 (no winner) until an infect
+    /// infects the person, so a seed is never taken for infected today.
+    won_at: Vec<u16>,
     /// Per local slot: the `(state, sus_scale bits)` last sent to the
     /// person's LocationManagers. It starts at the baseline every LM cache
     /// starts from, so a PM rebuilt from restored states re-sends whoever
@@ -154,12 +153,11 @@ impl PersonManager {
             susceptible += u64::from(ptts.is_susceptible(slot.health.state));
         }
         PersonManager {
-            infected_today: vec![None; persons.len()],
+            won_at: vec![0; persons.len()],
             sent: vec![baseline; persons.len()],
             persons,
             symptomatic_state,
             day: 0,
-            touched: Vec::new(),
             roster,
             susceptible,
             updates: Lanes::new(&shared, k, SimMsg::Updates),
@@ -176,9 +174,6 @@ impl PersonManager {
 
     fn begin_day(&mut self, day: u32, effects: &DayEffects, ctx: &mut Ctx<'_, SimMsg>) {
         self.day = day;
-        for local in self.touched.drain(..) {
-            self.infected_today[local as usize] = None;
-        }
         let shared = self.shared.clone();
         let (world, ptts, sweep) = (&shared.world, &*shared.ptts, &*shared.sweep);
         let (pop, k, location_part) = (&*world.pop, world.k(), world.location_part());
@@ -264,44 +259,39 @@ impl PersonManager {
         }
     }
 
-    /// Phase 5, applied as infects arrive: a person's first infect of the
-    /// day infects them if they are still susceptible; a later infect with
-    /// a smaller `(time_min, infector)` key only re-attributes a person
-    /// infected today. The outcome is the sequential oracle's
-    /// record-then-apply: no location reads person state, and the dwell
-    /// draw is keyed by `(seed, person, day)`, not by which infect won.
+    /// Phase 5, applied as infects arrive: the first infect of the day
+    /// infects a susceptible person, and a later one re-attributes a person
+    /// an infect infected today if `(time_min + 1, infector)` beats `(won_at,
+    /// infected_by)`. A seed has no winner, so an infect changes it only by
+    /// infecting it again after a day-0 recovery. As in the oracle's
+    /// minimum-then-apply, no location reads person state and the dwell draw
+    /// is keyed by `(seed, person, day)`, so arrival order cannot matter.
     fn apply_infects(&mut self, batch: &[InfectMsg], ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
         let day = self.day;
         let local_of_person = shared.world.local_of_person();
         let mut new_infections = 0u64;
         for infect in batch {
-            let local = local_of_person[infect.person as usize];
-            let key = (infect.time_min, infect.infector);
+            let local = local_of_person[infect.person as usize] as usize;
+            let key = (infect.time_min + 1, infect.infector);
             let infected_by = (infect.infector != u32::MAX).then_some(infect.infector);
-            let slot = &mut self.persons[local as usize];
-            match &mut self.infected_today[local as usize] {
-                Some(best) => {
-                    if key < *best {
-                        *best = key;
-                        slot.infected_by = infected_by;
-                    }
+            let (slot, won_at) = (&mut self.persons[local], &mut self.won_at[local]);
+            if slot.infected_on == Some(day) && *won_at != 0 {
+                if key < (*won_at, slot.infected_by.unwrap_or(u32::MAX)) {
+                    *won_at = key.0;
+                    slot.infected_by = infected_by;
                 }
-                today @ None => {
-                    if slot
-                        .health
-                        .infect(&shared.ptts, shared.seed, slot.id as u64, day as u64)
-                    {
-                        slot.infected_on = Some(day);
-                        slot.infected_by = infected_by;
-                        *today = Some(key);
-                        self.roster[local as usize / 64] |= 1 << (local % 64);
-                        let now = shared.ptts.is_susceptible(slot.health.state);
-                        self.susceptible = self.susceptible + u64::from(now) - 1;
-                        self.touched.push(local);
-                        new_infections += 1;
-                    }
-                }
+            } else if slot
+                .health
+                .infect(&shared.ptts, shared.seed, slot.id as u64, day as u64)
+            {
+                slot.infected_on = Some(day);
+                slot.infected_by = infected_by;
+                *won_at = key.0;
+                self.roster[local / 64] |= 1 << (local % 64);
+                let now = shared.ptts.is_susceptible(slot.health.state);
+                self.susceptible = self.susceptible + u64::from(now) - 1;
+                new_infections += 1;
             }
         }
         if new_infections > 0 {
@@ -359,7 +349,7 @@ pub struct LocationManager {
 
 /// A LocationManager's visitors under deltas, indexed by their slot: their
 /// place in its partition's range of the
-/// [`SweepLayout`](crate::seq::SweepLayout)'s visitors.
+/// [`SweepLayout`](crate::layout::SweepLayout)'s visitors.
 struct Visitors {
     /// `(state, sus_scale)` as last updated; the baseline until then.
     health: Vec<(StateId, f32)>,
@@ -770,55 +760,68 @@ mod tests {
         (pms.collect(), lms.collect())
     }
 
+    /// A runtime holding `managers` (PM `p` as chare `p`, LM `p` as chare
+    /// `k + p`) that has run day `day`'s `BeginDay` phase.
+    fn open_day(
+        shared: &SharedRef,
+        (pms, lms): Managers,
+        day: u32,
+        fx: &DayEffects,
+    ) -> Runtime<SimMsg> {
+        let k = shared.world.k();
+        let mut rt = Runtime::new(RuntimeConfig::sequential(2));
+        for (part, (pm, lm)) in (0..).zip(pms.into_iter().zip(lms)) {
+            rt.add_chare(ChareId(part), part % 2, Box::new(pm));
+            rt.add_chare(ChareId(k + part), part % 2, Box::new(lm));
+        }
+        let begin = |pm| {
+            let effects = fx.clone();
+            (ChareId(pm), SimMsg::BeginDay { day, effects })
+        };
+        rt.run_phase((0..k).map(begin).collect());
+        rt
+    }
+
+    /// The managers back out of an [`open_day`] runtime.
+    fn close_day(shared: &SharedRef, rt: Runtime<SimMsg>) -> Managers {
+        let (mut pms, mut lms) = (Vec::new(), Vec::new());
+        for (id, chare) in rt.into_chares() {
+            let any = chare.into_any();
+            if id.0 < shared.world.k() {
+                pms.push(*any.downcast().expect("a PersonManager"));
+            } else {
+                lms.push(*any.downcast().expect("a LocationManager"));
+            }
+        }
+        (pms, lms)
+    }
+
     /// Run `days` as the simulator does, on a fresh runtime per day, so
     /// the rosters can be checked at every day boundary.
     fn run_days(
         shared: &SharedRef,
-        (mut pms, mut lms): Managers,
+        mut managers: Managers,
         days: std::ops::Range<u32>,
         effects: impl Fn(u32) -> DayEffects,
     ) -> Managers {
         let k = shared.world.k();
         for day in days {
-            let mut rt = Runtime::new(RuntimeConfig::sequential(2));
-            for (part, (pm, lm)) in (0..).zip(pms.into_iter().zip(lms)) {
-                rt.add_chare(ChareId(part), part % 2, Box::new(pm));
-                rt.add_chare(ChareId(k + part), part % 2, Box::new(lm));
-            }
             let fx = effects(day);
+            let mut rt = open_day(shared, managers, day, &fx);
             let (r_eff, closed_kinds) = (shared.r * fx.r_scale, fx.closed_kinds);
-            rt.run_phase(
-                (0..k)
-                    .map(|pm| {
-                        let effects = fx.clone();
-                        (ChareId(pm), SimMsg::BeginDay { day, effects })
-                    })
-                    .collect(),
-            );
-            rt.run_phase(
-                (0..k)
-                    .map(|lm| {
-                        let msg = SimMsg::ComputeDay {
-                            day,
-                            r_eff,
-                            closed_kinds,
-                        };
-                        (ChareId(k + lm), msg)
-                    })
-                    .collect(),
-            );
-            (pms, lms) = (Vec::new(), Vec::new());
-            for (id, chare) in rt.into_chares() {
-                let any = chare.into_any();
-                if id.0 < k {
-                    pms.push(*any.downcast().expect("a PersonManager"));
-                } else {
-                    lms.push(*any.downcast().expect("a LocationManager"));
-                }
-            }
-            assert_rosters(&pms, &format!("after day {day}"));
+            let compute = |lm| {
+                let msg = SimMsg::ComputeDay {
+                    day,
+                    r_eff,
+                    closed_kinds,
+                };
+                (ChareId(k + lm), msg)
+            };
+            rt.run_phase((0..k).map(compute).collect());
+            managers = close_day(shared, rt);
+            assert_rosters(&managers.0, &format!("after day {day}"));
         }
-        (pms, lms)
+        managers
     }
 
     /// After every day, each PM's next mornings are exactly the persons the
@@ -890,5 +893,106 @@ mod tests {
         assert!(now_in("carrier") > 0, "no absorbing infectious person");
         assert!(now_in("symptomatic") > 0, "no absorbing symptomatic person");
         assert!(now_in("recovered") > 0, "no one left the finite dwells");
+    }
+
+    /// Run day `day`'s `BeginDay`, then deliver each of `infects` to its
+    /// person's PersonManager as a batch of its own.
+    fn infect_day(
+        shared: &SharedRef,
+        managers: Managers,
+        day: u32,
+        infects: &[InfectMsg],
+    ) -> Managers {
+        let mut rt = open_day(shared, managers, day, &DayEffects::none());
+        for &infect in infects {
+            let pm = shared.world.person_part()[infect.person as usize];
+            rt.run_phase(vec![(ChareId(pm), SimMsg::Infects(vec![infect]))]);
+        }
+        close_day(shared, rt)
+    }
+
+    /// The infect rule on one PersonManager under an SIS model: an infect
+    /// never re-attributes a seed that is still infected on day 0, but
+    /// infects a seed the day-0 morning returned to susceptible, as the
+    /// oracle does; two infects for one susceptible give the oracle's
+    /// minimum `(time, infector)` in either arrival order, an environment
+    /// infect (`u32::MAX`) included; and a reinfection is decided by its
+    /// own day's infects, whatever won the person's earlier infection.
+    #[test]
+    fn infects_settle_on_the_days_minimum_and_spare_the_seeds() {
+        let pop = Population::generate(&PopulationConfig::small("INFECT", 200, 3));
+        let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 1, 3);
+        let sis = PttsBuilder::new("sis")
+            .state("susceptible", 0.0, 1.0, DwellDist::Forever)
+            .state("infectious", 1.0, 0.0, DwellDist::Geometric(0.5))
+            .transition("infectious", TreatmentId::DEFAULT, &[("susceptible", 1.0)])
+            .start("susceptible")
+            .exposed("infectious")
+            .build()
+            .expect("the SIS model validates");
+        let shared: SharedRef = Arc::new(Shared {
+            world: dist.clone(),
+            ptts: Arc::new(sis),
+            sweep: dist.sweep_layout(),
+            r: 0.0,
+            seed: 7,
+            aggregated: true,
+        });
+        let ptts = &*shared.ptts;
+        let seeded = |p: u32| {
+            let mut slot = PersonSlot::new(p, ptts);
+            if p < 16 {
+                slot.seed(ptts, shared.seed);
+            }
+            slot
+        };
+        let lapses = |p: u32| {
+            let mut slot = seeded(p);
+            slot.health.advance(ptts, shared.seed, p as u64, 0);
+            ptts.is_susceptible(slot.health.state)
+        };
+        let kept = (0..16)
+            .find(|&p| !lapses(p))
+            .expect("a seed infected all day 0");
+        let lapsed = (0..16)
+            .find(|&p| lapses(p))
+            .expect("a seed that recovers on day 0");
+        let (a, b) = (20, 21);
+        let tree = |(pms, _): &Managers, p: u32| {
+            let slot = &pms[0].persons[dist.local_of_person()[p as usize] as usize];
+            (slot.infected_on, slot.infected_by)
+        };
+        let infect = |person, time_min, infector| InfectMsg {
+            person,
+            time_min,
+            infector,
+        };
+        let day0 = [
+            infect(kept, 10, 3),
+            infect(lapsed, 300, 9),
+            infect(lapsed, 200, 42),
+            infect(a, 300, 9),
+            infect(a, 200, 42),
+            infect(b, 200, 42),
+            infect(b, 100, u32::MAX),
+        ];
+        let reversed: Vec<InfectMsg> = day0.iter().rev().copied().collect();
+        let mut run = infect_day(&shared, managers(&shared, seeded), 0, &day0);
+        let other = infect_day(&shared, managers(&shared, seeded), 0, &reversed);
+        for (p, want) in [(kept, None), (lapsed, Some(42)), (a, Some(42)), (b, None)] {
+            assert_eq!(tree(&run, p), (Some(0), want), "person {p}");
+            assert_eq!(tree(&other, p), tree(&run, p), "person {p}, reversed");
+        }
+
+        // Once `a` is susceptible again, a day's infects reinfect it.
+        let again = [infect(a, 500, 7), infect(a, 400, 8), infect(a, 600, 1)];
+        for day in 1..40 {
+            run = infect_day(&shared, run, day, &again);
+            if tree(&run, a).0 != Some(0) {
+                assert_eq!(tree(&run, a), (Some(day), Some(8)), "day {day}");
+                return;
+            }
+        }
+        panic!("person {a} was never reinfected");
     }
 }

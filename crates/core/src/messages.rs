@@ -3,7 +3,7 @@
 //! sweep layout, whose slots address every [`Update`].
 
 use crate::distribution::DataDistribution;
-use crate::seq::SweepLayout;
+use crate::layout::SweepLayout;
 use bytes::{Buf, BufMut, BytesMut};
 use chare_rt::codec::{self, CodecError};
 use chare_rt::Message;

@@ -1,10 +1,8 @@
-//! Person-side logic (§II-B steps 1 and 5): daily health update, reaction
-//! to interventions, schedule realization, and infection application.
-//!
-//! All of it is pure functions over [`PersonSlot`] so the PersonManager
-//! chare and the sequential oracle share one implementation.
+//! Person-side logic (§II-B step 1): [`PersonSlot`], the state a
+//! PersonManager owns per person, and the morning (health update,
+//! interventions, schedule realization) it and the oracle both run.
 
-use crate::messages::{DayEffects, InfectMsg, VisitMsg};
+use crate::messages::{DayEffects, VisitMsg};
 use ptts::crng::{CounterRng, Purpose};
 use ptts::model::{HealthTracker, StateId};
 use ptts::Ptts;
@@ -25,11 +23,6 @@ pub struct PersonSlot {
     /// Personal susceptibility multiplier (1.0 = unmodified; lowered by
     /// vaccination).
     pub sus_scale: f32,
-    /// Best pending infection for today, if any: `(time, infector)` —
-    /// deterministic dedup keeps the minimum. Only the sequential oracle
-    /// records here; a PersonManager applies infects on arrival, so on the
-    /// chare path this stays `None`.
-    pub pending: Option<(u16, u32)>,
     /// Day this person was infected (`Some(0)` for seeds).
     pub infected_on: Option<u32>,
     /// Who infected this person (`None` for seeds and environment-only
@@ -44,7 +37,6 @@ impl PersonSlot {
             id,
             health: HealthTracker::new(ptts),
             sus_scale: 1.0,
-            pending: None,
             infected_on: None,
             infected_by: None,
         }
@@ -62,28 +54,6 @@ impl PersonSlot {
     #[inline]
     pub fn is_infected(&self) -> bool {
         self.health.days_remaining != u32::MAX
-    }
-
-    /// Record an infect message, keeping the deterministic minimum.
-    pub fn record_infection(&mut self, msg: &InfectMsg) {
-        let cand = (msg.time_min, msg.infector);
-        match self.pending {
-            Some(best) if best <= cand => {}
-            _ => self.pending = Some(cand),
-        }
-    }
-
-    /// Phase 5: apply the pending infection, if the person is still
-    /// susceptible. Returns `true` on a new infection.
-    pub fn apply_pending(&mut self, ptts: &Ptts, seed: u64, day: u32) -> bool {
-        if let Some((_, infector)) = self.pending.take() {
-            if self.health.infect(ptts, seed, self.id as u64, day as u64) {
-                self.infected_on = Some(day);
-                self.infected_by = (infector != u32::MAX).then_some(infector);
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -285,62 +255,6 @@ mod tests {
         assert!((slot.sus_scale - 0.3).abs() < 1e-6);
         assert_eq!(slot.health.treatment, TreatmentId(1));
         assert!(out.iter().all(|m| (m.sus_scale - 0.3).abs() < 1e-6));
-    }
-
-    #[test]
-    fn infection_dedup_keeps_minimum() {
-        let (_, ptts) = setup();
-        let mut slot = PersonSlot::new(1, &ptts);
-        slot.record_infection(&InfectMsg {
-            person: 1,
-            time_min: 500,
-            infector: 9,
-        });
-        slot.record_infection(&InfectMsg {
-            person: 1,
-            time_min: 200,
-            infector: 42,
-        });
-        slot.record_infection(&InfectMsg {
-            person: 1,
-            time_min: 200,
-            infector: 50,
-        });
-        assert_eq!(slot.pending, Some((200, 42)));
-    }
-
-    #[test]
-    fn apply_pending_infects_once() {
-        let (_, ptts) = setup();
-        let mut slot = PersonSlot::new(1, &ptts);
-        slot.record_infection(&InfectMsg {
-            person: 1,
-            time_min: 100,
-            infector: 2,
-        });
-        assert!(slot.apply_pending(&ptts, 1, 0));
-        assert!(slot.is_infected());
-        assert_eq!(slot.health.state, ptts.exposed_state());
-        // No pending left; re-applying does nothing.
-        assert!(!slot.apply_pending(&ptts, 1, 1));
-    }
-
-    #[test]
-    fn apply_pending_noop_when_already_infected() {
-        let (_, ptts) = setup();
-        let mut slot = PersonSlot::new(1, &ptts);
-        slot.record_infection(&InfectMsg {
-            person: 1,
-            time_min: 100,
-            infector: 2,
-        });
-        slot.apply_pending(&ptts, 1, 0);
-        slot.record_infection(&InfectMsg {
-            person: 1,
-            time_min: 50,
-            infector: 3,
-        });
-        assert!(!slot.apply_pending(&ptts, 1, 1), "already latent");
     }
 
     #[test]

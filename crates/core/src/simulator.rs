@@ -4,11 +4,11 @@
 use crate::checkpoint::Checkpoint;
 use crate::distribution::DataDistribution;
 use crate::kernel::LocationDayFeatures;
+use crate::layout::SweepLayout;
 use crate::managers::{LocationManager, PersonManager};
 use crate::messages::{slots, DayEffects, Shared, SharedRef, SimMsg};
 use crate::output::{DayStats, EpiCurve};
 use crate::person::PersonSlot;
-use crate::seq::SweepLayout;
 use chare_rt::{ChareId, PhaseStats, RecoveryError, Runtime, RuntimeConfig};
 use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::{DayObservables, InterventionSet};

@@ -23,7 +23,7 @@ cargo fmt --check
 # opens its `mod tests` (the attribute counts; other `#[cfg(test)]` items
 # do not end the count). MAX_NON_TEST_LINES is a ratchet: lower it when
 # the count falls, and raise it only in a change whose issue names why.
-MAX_NON_TEST_LINES=26524
+MAX_NON_TEST_LINES=26449
 rs_files=$(git ls-files '*.rs' | grep -v '^benchmark/')
 total=$(echo "$rs_files" | xargs cat | wc -l)
 non_test=$(echo "$rs_files" | grep -Ev '(^|/)(tests|benches|fixtures)/' | xargs awk '

@@ -329,7 +329,6 @@ fn slot(id: u32, state: u16, on: Option<u32>, by: Option<u32>) -> PersonSlot {
             treatment: TreatmentId(state % 2),
         },
         sus_scale: 0.75,
-        pending: None,
         infected_on: on,
         infected_by: by,
     }
