@@ -7,12 +7,19 @@
 //! globally."
 //!
 //! The detector is the classic 4-counter two-wave scheme over monotonic
-//! counters: read `(P₁, C₁)` while all PEs report idle; if `P₁ == C₁`,
-//! re-read after another all-idle observation; if the pair is unchanged,
-//! no message can be in flight (an in-flight message would have been
-//! produced but not consumed, forcing `P > C`).
+//! counters: read `(P₁, C₁)` while all PEs report idle; if the pair
+//! balances, re-read after another all-idle observation; if the pair is
+//! unchanged, no message can be in flight (an in-flight message would have
+//! been produced but not consumed, forcing `P > C`).
+//!
+//! A phase runs in stages, each delivered once the stages before it are
+//! complete. Every stage's injections count as produced when the phase
+//! opens, and no PE runs a message of a stage not yet released, so stage
+//! `r` is complete when `P == C + held(r)`, the injections of the stages
+//! after it, on both waves (one stage: the plain `P == C`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Shared detection state for one phase. All counters are monotonic within
 /// a phase.
@@ -21,8 +28,10 @@ pub struct CompletionDetector {
     produced: Vec<AtomicU64>,
     consumed: Vec<AtomicU64>,
     idle: Vec<AtomicBool>,
-    /// Set by the one caller of [`Self::claim_done`] that closes the phase.
-    done: AtomicBool,
+    /// Stages released so far; stage `released` is the open one.
+    released: AtomicU32,
+    /// Each stage's injection count, set by [`Self::reset`].
+    sizes: Mutex<Vec<u64>>,
 }
 
 impl CompletionDetector {
@@ -32,23 +41,26 @@ impl CompletionDetector {
             produced: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
             consumed: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
             idle: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
-            done: AtomicBool::new(false),
+            released: AtomicU32::new(0),
+            // A one-stage phase with no injections until the first reset.
+            sizes: Mutex::new(vec![0]),
         }
     }
 
-    /// Reset for a new phase. Must only be called while no worker is
-    /// executing (between phases).
-    pub fn reset(&self) {
-        for p in &self.produced {
+    /// Open a phase whose stages inject `stage_sizes` messages each, and
+    /// count every one of them as produced (on PE 0). Must only be called
+    /// while no worker is executing (between phases).
+    pub fn reset(&self, stage_sizes: impl IntoIterator<Item = usize>) {
+        for ((p, c), i) in self.produced.iter().zip(&self.consumed).zip(&self.idle) {
             p.store(0, Ordering::Relaxed);
-        }
-        for c in &self.consumed {
             c.store(0, Ordering::Relaxed);
-        }
-        for i in &self.idle {
             i.store(false, Ordering::Relaxed);
         }
-        self.done.store(false, Ordering::SeqCst);
+        let mut sizes = self.sizes.lock().unwrap_or_else(PoisonError::into_inner);
+        sizes.clear();
+        sizes.extend(stage_sizes.into_iter().map(|n| n as u64));
+        self.produced[0].store(sizes.iter().sum(), Ordering::SeqCst);
+        self.released.store(0, Ordering::SeqCst);
     }
 
     /// Record that PE `pe` produced (sent) `n` countable messages.
@@ -69,14 +81,10 @@ impl CompletionDetector {
         self.idle[pe as usize].store(idle, Ordering::SeqCst);
     }
 
-    /// Claim the close of a phase whose completion [`Self::try_detect`]
-    /// has just confirmed. Several PEs may detect the same completion;
-    /// exactly one call per phase returns `true`, and its caller closes
-    /// the phase.
-    pub fn claim_done(&self) -> bool {
-        self.done
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+    /// The number of stages released so far in this phase.
+    #[inline]
+    pub fn released(&self) -> u32 {
+        self.released.load(Ordering::SeqCst)
     }
 
     fn snapshot(&self) -> Option<(u64, u64)> {
@@ -89,21 +97,32 @@ impl CompletionDetector {
         Some((p, c))
     }
 
-    /// One two-wave detection attempt. Returns `true` when completion is
-    /// certain. Non-blocking; a PE calls it right after raising its idle
-    /// flag, because only an idle transition can complete a phase.
-    pub fn try_detect(&self) -> bool {
+    /// One two-wave detection attempt: every PE idle on both waves, with
+    /// `P == C + held(stage)` and the counters unchanged between them.
+    fn stage_complete(&self, stage: u32) -> bool {
         let Some((p1, c1)) = self.snapshot() else {
             return false;
         };
-        if p1 != c1 {
-            return false;
+        let sizes = self.sizes.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(later) = sizes.get(stage as usize + 1..) else {
+            return false; // no stage left to claim
+        };
+        p1 == c1 + later.iter().sum::<u64>() && self.snapshot() == Some((p1, c1))
+    }
+
+    /// Release the open stage if it is complete, and return it: a
+    /// compare-and-swap of the released count read before the waves, so one
+    /// of several PEs that detect it wins, and none once the last stage is
+    /// released. Non-blocking; a PE calls it right after raising its idle
+    /// flag, because only an idle transition can complete a stage.
+    pub fn try_claim(&self) -> Option<u32> {
+        let stage = self.released();
+        if !self.stage_complete(stage) {
+            return None;
         }
-        // Second wave: counters and idleness must be unchanged.
-        match self.snapshot() {
-            Some((p2, c2)) => p2 == p1 && c2 == c1,
-            None => false,
-        }
+        self.released
+            .compare_exchange(stage, stage + 1, Ordering::SeqCst, Ordering::SeqCst)
+            .ok()
     }
 
     /// Total messages produced so far.
@@ -122,14 +141,19 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Whether the open stage is complete, without claiming it.
+    fn detect(cd: &CompletionDetector) -> bool {
+        cd.stage_complete(cd.released())
+    }
+
     #[test]
     fn no_detection_while_any_pe_active() {
         let cd = CompletionDetector::new(2);
         cd.set_idle(0, true);
         // PE 1 never reported idle.
-        assert!(!cd.try_detect());
+        assert!(!detect(&cd));
         cd.set_idle(1, true);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
     }
 
     #[test]
@@ -138,9 +162,9 @@ mod tests {
         cd.set_idle(0, true);
         cd.set_idle(1, true);
         cd.produce(0, 1); // sent but not yet consumed
-        assert!(!cd.try_detect());
+        assert!(!detect(&cd));
         cd.consume(1, 1);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
     }
 
     #[test]
@@ -151,7 +175,7 @@ mod tests {
             cd.consume((pe + 1) % 4, 10);
             cd.set_idle(pe, true);
         }
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
         assert_eq!(cd.total_produced(), 40);
         assert_eq!(cd.total_consumed(), 40);
     }
@@ -162,34 +186,117 @@ mod tests {
         cd.produce(0, 5);
         cd.consume(0, 5);
         cd.set_idle(0, true);
-        assert!(cd.claim_done());
-        assert!(!cd.claim_done(), "a phase closes once");
-        cd.reset();
+        assert_eq!(cd.try_claim(), Some(0));
+        assert_eq!(cd.try_claim(), None, "a phase closes once");
+        cd.reset([0]);
         assert_eq!(cd.total_produced(), 0);
-        assert!(!cd.try_detect(), "idle flags must reset too");
-        assert!(cd.claim_done(), "reset reopens the claim");
+        assert_eq!(cd.released(), 0);
+        assert!(!detect(&cd), "idle flags must reset too");
+        cd.set_idle(0, true);
+        assert_eq!(cd.try_claim(), Some(0), "reset reopens the claim");
+    }
+
+    /// A one-stage phase is today's close: its injections are counted as
+    /// produced at reset, it releases once they are consumed, and the one
+    /// claim closes it.
+    #[test]
+    fn one_stage_closes_as_a_plain_phase() {
+        let cd = CompletionDetector::new(2);
+        cd.reset([3]);
+        assert_eq!(cd.total_produced(), 3);
+        cd.set_idle(0, true);
+        cd.set_idle(1, true);
+        assert_eq!(cd.try_claim(), None, "3 injections unconsumed");
+        cd.consume(1, 3);
+        assert_eq!(cd.try_claim(), Some(0));
+        assert_eq!(cd.released(), 1);
+    }
+
+    /// The injections of later stages are unconsumed while a stage is
+    /// open, and must not count as its traffic: a stage releases exactly
+    /// when all but the later stages' injections are consumed.
+    #[test]
+    fn held_injections_block_a_release() {
+        let cd = CompletionDetector::new(2);
+        cd.reset([2, 3, 1]);
+        cd.set_idle(0, true);
+        cd.set_idle(1, true);
+        cd.consume(0, 1);
+        assert_eq!(cd.try_claim(), None, "a stage-0 injection is unconsumed");
+        cd.consume(1, 1);
+        assert_eq!(cd.try_claim(), Some(0), "4 unconsumed = held(0)");
+        assert_eq!(cd.try_claim(), None, "stage 1's 3 injections wait");
+        cd.produce(0, 2); // stage 1 sends on
+        cd.consume(1, 4);
+        assert_eq!(cd.try_claim(), None, "one stage-1 message in flight");
+        cd.consume(0, 1);
+        assert_eq!(cd.try_claim(), Some(1));
+        cd.consume(0, 1);
+        assert_eq!(cd.try_claim(), Some(2));
+    }
+
+    /// A stage with no injections has no messages at all: it releases on
+    /// the claim right after the one before it.
+    #[test]
+    fn an_empty_middle_stage_releases_at_once() {
+        let cd = CompletionDetector::new(3);
+        cd.reset([1, 0, 2]);
+        for pe in 0..3 {
+            cd.set_idle(pe, true);
+        }
+        cd.consume(2, 1);
+        assert_eq!(cd.try_claim(), Some(0));
+        assert_eq!(cd.try_claim(), Some(1), "stage 1 is empty");
+        assert_eq!(cd.try_claim(), None, "stage 2 holds 2 injections");
+        cd.consume(0, 2);
+        assert_eq!(cd.try_claim(), Some(2));
+    }
+
+    /// A PE that runs dry after the last release, before it reads the
+    /// close, must not claim a stage that does not exist (and so must not
+    /// send a second close).
+    #[test]
+    fn nothing_is_claimed_after_the_last_stage() {
+        let cd = CompletionDetector::new(2);
+        cd.reset([1, 1]);
+        cd.set_idle(0, true);
+        cd.set_idle(1, true);
+        cd.consume(0, 1);
+        assert_eq!(cd.try_claim(), Some(0));
+        cd.consume(1, 1);
+        assert_eq!(cd.try_claim(), Some(1));
+        for _ in 0..3 {
+            assert_eq!(cd.try_claim(), None);
+        }
+        assert_eq!(cd.released(), 2);
     }
 
     #[test]
-    fn claim_done_has_exactly_one_winner() {
+    fn eight_racing_claims_release_once() {
         for _ in 0..200 {
             let cd = Arc::new(CompletionDetector::new(8));
+            cd.reset([0, 0]);
+            for pe in 0..8 {
+                cd.set_idle(pe, true);
+            }
             let start = Arc::new(std::sync::Barrier::new(8));
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let (cd, start) = (cd.clone(), start.clone());
                     std::thread::spawn(move || {
                         start.wait();
-                        cd.claim_done()
+                        cd.try_claim()
                     })
                 })
                 .collect();
-            let winners = handles
+            let mut won: Vec<u32> = handles
                 .into_iter()
-                .map(|h| h.join().unwrap())
-                .filter(|&won| won)
-                .count();
-            assert_eq!(winners, 1);
+                .filter_map(|h| h.join().unwrap())
+                .collect();
+            won.sort_unstable();
+            // Each stage has exactly one winner; a racer may win stage 1
+            // after another released stage 0, never the same stage twice.
+            assert!(won == [0] || won == [0, 1], "{won:?}");
         }
     }
 
@@ -211,7 +318,7 @@ mod tests {
         let h1 = mk(1, cd.clone());
         h0.join().unwrap();
         h1.join().unwrap();
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
         assert_eq!(cd.total_produced(), 20_000);
     }
 
@@ -220,12 +327,12 @@ mod tests {
         // A phase with no injections at all: workers report idle without
         // ever producing; detection must fire on 0 == 0.
         let cd = CompletionDetector::new(3);
-        assert!(!cd.try_detect(), "nobody idle yet");
+        assert!(!detect(&cd), "nobody idle yet");
         cd.set_idle(0, true);
         cd.set_idle(1, true);
-        assert!(!cd.try_detect(), "one PE still active");
+        assert!(!detect(&cd), "one PE still active");
         cd.set_idle(2, true);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
         assert_eq!(cd.total_produced(), 0);
     }
 
@@ -236,11 +343,11 @@ mod tests {
         let cd = CompletionDetector::new(1);
         cd.set_idle(0, true);
         cd.produce(0, 3);
-        assert!(!cd.try_detect(), "3 in flight");
+        assert!(!detect(&cd), "3 in flight");
         cd.consume(0, 2);
-        assert!(!cd.try_detect(), "1 in flight");
+        assert!(!detect(&cd), "1 in flight");
         cd.consume(0, 1);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
     }
 
     #[test]
@@ -252,15 +359,15 @@ mod tests {
         cd.produce(0, 7);
         cd.consume(1, 3);
         cd.set_idle(0, true);
-        assert!(!cd.try_detect());
-        cd.reset();
+        assert!(!detect(&cd));
+        cd.reset([0]);
         assert_eq!((cd.total_produced(), cd.total_consumed()), (0, 0));
-        assert!(!cd.try_detect(), "reset clears idle flags");
+        assert!(!detect(&cd), "reset clears idle flags");
         cd.produce(0, 2);
         cd.consume(1, 2);
         cd.set_idle(0, true);
         cd.set_idle(1, true);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
     }
 
     #[test]
@@ -270,13 +377,13 @@ mod tests {
         let cd = CompletionDetector::new(2);
         cd.set_idle(0, true);
         cd.set_idle(1, true);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
         cd.set_idle(1, false); // woke up with a new message
         cd.produce(1, 1);
-        assert!(!cd.try_detect());
+        assert!(!detect(&cd));
         cd.consume(1, 1);
         cd.set_idle(1, true);
-        assert!(cd.try_detect());
+        assert!(detect(&cd));
     }
 
     #[test]
@@ -287,8 +394,8 @@ mod tests {
         let s1 = cd.snapshot().unwrap();
         assert_eq!(s1, (0, 0));
         cd.produce(0, 1);
-        // The public try_detect always re-snapshots, so an imbalanced pair
-        // is rejected.
-        assert!(!cd.try_detect());
+        // Detection always re-snapshots, so an imbalanced pair is
+        // rejected.
+        assert!(!detect(&cd));
     }
 }

@@ -16,7 +16,9 @@
 //!   separately. The net engine gives each process a dedicated
 //!   communication thread (§IV-A).
 //! * **Completion detection** ([`completion`]): the 4-counter two-wave
-//!   produce/consume algorithm Charm++ exposes as CD (§IV-B).
+//!   produce/consume algorithm Charm++ exposes as CD (§IV-B), staged: one
+//!   phase ([`runtime::Runtime::run_stages`]) can hold several stages, each
+//!   delivered once the stages before it are complete.
 //!
 //! Message aggregation (§IV-C) is the application's: it knows which items
 //! travel together and batches them into one message, and every engine

@@ -801,8 +801,13 @@ impl<M: Message> NetEngine<M> {
     // Phase loop
     // ------------------------------------------------------------------
 
-    /// Run one phase to global completion.
-    pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
+    /// Run a phase of stages, each a wire phase of its own.
+    pub fn run_stages(&mut self, stages: Vec<Vec<(ChareId, M)>>) -> Vec<PhaseStats> {
+        stages.into_iter().map(|s| self.wire_phase(s)).collect()
+    }
+
+    /// Run one wire phase to global completion.
+    fn wire_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
         self.phase += 1;
         self.core.begin_phase();
         if self.map_hash.is_none() {

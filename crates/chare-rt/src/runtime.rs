@@ -87,15 +87,23 @@ impl<M: Message> Runtime<M> {
         }
     }
 
-    /// Inject the given messages and run until completion detection fires
-    /// (no message awaiting processing or in transit).
-    pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
+    /// Run one phase of stages, each stage's injections delivered once the
+    /// stage before it is complete (no message of it in flight or
+    /// unprocessed), and return one [`PhaseStats`] per stage.
+    pub fn run_stages(&mut self, stages: Vec<Vec<(ChareId, M)>>) -> Vec<PhaseStats> {
+        assert!(!stages.is_empty(), "a phase has at least one stage");
         match &mut self.engine {
-            Engine::Seq(e) => e.run_phase(injections),
-            Engine::Threads(e) => e.run_phase(injections),
-            Engine::Vt(e) => e.run_phase(injections),
-            Engine::Net(e) => e.run_phase(injections),
+            Engine::Seq(e) => e.run_stages(stages),
+            Engine::Threads(e) => e.run_stages(stages),
+            Engine::Vt(e) => e.run_stages(stages),
+            Engine::Net(e) => e.run_stages(stages),
         }
+    }
+
+    /// Inject the given messages and run until completion detection fires
+    /// (no message awaiting processing or in transit): one stage.
+    pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
+        self.run_stages(vec![injections]).remove(0)
     }
 
     /// Net engine, root process only: tear down (broadcast SHUTDOWN, stop

@@ -33,15 +33,18 @@ impl<M: Message> SeqEngine<M> {
         self.core.add(id, pe, chare);
     }
 
-    /// Run one phase to completion: inject, then drain round-robin until no
-    /// queue holds a message.
-    pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
-        self.core.begin_phase();
-        for (to, msg) in injections {
-            self.queues[self.core.pe_of(to) as usize].push_back(Envelope { to, msg });
-        }
-        while pe::round_robin(self, |e| &mut e.queues, Self::process) {}
-        self.core.phase_stats()
+    /// Run a phase's stages back to back, each to completion: inject, then
+    /// drain round-robin until no queue holds a message.
+    pub fn run_stages(&mut self, stages: Vec<Vec<(ChareId, M)>>) -> Vec<PhaseStats> {
+        let stage = |e: &mut Self, injections: Vec<(ChareId, M)>| {
+            e.core.begin_phase();
+            for (to, msg) in injections {
+                e.queues[e.core.pe_of(to) as usize].push_back(Envelope { to, msg });
+            }
+            while pe::round_robin(e, |e| &mut e.queues, Self::process) {}
+            e.core.phase_stats()
+        };
+        stages.into_iter().map(|s| stage(self, s)).collect()
     }
 
     /// Execute one envelope on `pe` and queue what it sent.
@@ -73,6 +76,11 @@ mod tests {
     use crate::chare::Ctx;
     use crate::testkit::{self, Relay, Token};
 
+    /// A one-stage phase.
+    fn one_stage<M: Message>(eng: &mut SeqEngine<M>, injections: Vec<(ChareId, M)>) -> PhaseStats {
+        eng.run_stages(vec![injections]).remove(0)
+    }
+
     fn ring_engine(n_chares: u32, n_pes: u32) -> SeqEngine<Token> {
         let mut eng = SeqEngine::new(RuntimeConfig::sequential(n_pes));
         for (id, pe, chare) in testkit::ring(n_chares, n_pes) {
@@ -84,7 +92,7 @@ mod tests {
     #[test]
     fn token_ring_completes() {
         let mut eng = ring_engine(8, 4);
-        let stats = eng.run_phase(vec![(ChareId(0), Token(100))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(100))]);
         // 101 deliveries total (token value 100 → 0).
         assert_eq!(stats.reduction(0), 101);
         assert_eq!(stats.totals().processed, 101);
@@ -99,7 +107,7 @@ mod tests {
         for (id, pe, chare) in testkit::ring(4, 4) {
             eng.add_chare(id, pe, chare);
         }
-        let stats = eng.run_phase(vec![(ChareId(0), Token(3))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(3))]);
         let t = stats.totals();
         // Hops: 0→1 (intra), 1→2 (remote), 2→3 (intra); injection isn't a
         // send.
@@ -124,7 +132,7 @@ mod tests {
         }
         let mut eng = SeqEngine::new(RuntimeConfig::sequential(2));
         eng.add_chare(ChareId(0), 0, Box::new(SelfLooper));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(10))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(10))]);
         let t = stats.totals();
         assert_eq!(t.sent_self, 10);
         assert_eq!(t.sent_remote, 0);
@@ -134,8 +142,8 @@ mod tests {
     #[test]
     fn multiple_phases_reset_counters() {
         let mut eng = ring_engine(4, 2);
-        let s1 = eng.run_phase(vec![(ChareId(0), Token(10))]);
-        let s2 = eng.run_phase(vec![(ChareId(0), Token(5))]);
+        let s1 = one_stage(&mut eng, vec![(ChareId(0), Token(10))]);
+        let s2 = one_stage(&mut eng, vec![(ChareId(0), Token(5))]);
         assert_eq!(s1.reduction(0), 11);
         assert_eq!(s2.reduction(0), 6);
         // Chare state persists across phases.
@@ -166,7 +174,7 @@ mod tests {
         }
         let mut eng = SeqEngine::new(RuntimeConfig::sequential(1));
         eng.add_chare(ChareId(0), 0, Box::new(Spin));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(0))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(0))]);
         assert!(stats.max_busy_ns() > 0);
     }
 

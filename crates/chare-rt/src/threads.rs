@@ -2,28 +2,29 @@
 //! crossbeam channels between them, completion detection for phase
 //! termination.
 //!
-//! The protocol per phase:
+//! The protocol per phase of `n` stages:
 //!
-//! 1. the caller resets the [`CompletionDetector`] and counts every
-//!    injection as produced, then sends `PhaseStart` to every spawned
-//!    worker (PEs 1..n) and the injections after it, so no worker can see
-//!    an empty phase while an injection is still in flight;
+//! 1. the caller resets the [`CompletionDetector`], which counts every
+//!    stage's injections as produced, then sends `PhaseStart(n)` to every
+//!    spawned worker (PEs 1..n) and the injections after it;
 //! 2. the caller's thread runs PE 0, as the net engine's root runs its PE,
 //!    so `threaded(1)` starts no thread; each PE drains its channel,
-//!    executes chares, and sends each message on at once; a PE that runs
-//!    dry raises its idle flag and runs the two-wave detection itself,
-//!    since its idle transition may be the one that completes the phase;
-//! 3. the one PE whose detection succeeds and whose
-//!    [`CompletionDetector::claim_done`] wins sends `PhaseEnd` to every
-//!    other PE; each worker reports its counters on `PhaseEnd` (the winner
-//!    at once), and PE 0 merges the reports with its own.
+//!    executes chares, and sends each message on at once, tagged with its
+//!    stage; a message that arrives before its PE entered its stage (a
+//!    later stage's injection, or one from a PE that entered it first)
+//!    waits in the PE's one reused buffer;
+//! 3. a PE that runs dry raises its idle flag and tries to release the
+//!    open stage itself; the one whose [`CompletionDetector::try_claim`]
+//!    wins sends `Release` to every other PE, or `PhaseEnd` after the last
+//!    stage. Each worker reports one set of counters per stage on
+//!    `PhaseEnd`, and PE 0 merges the reports with its own.
 //!
 //! Every wait (a worker between phases, a PE run dry, PE 0 awaiting the
 //! reports) is the runtime's one idle wait, `pe::poll_then_park`, which
 //! the net engine's ranks use too: it polls the channel with a `yield_now`
 //! after each miss before it blocks, so a message that arrives within the
 //! poll costs no wake-up, and a partner queued on the poller's CPU gets
-//! it.
+//! it. A worker that panics fails the phase on PE 0 ("PE n panicked").
 
 use crate::chare::{Chare, ChareId, Envelope, Message};
 use crate::completion::CompletionDetector;
@@ -32,28 +33,35 @@ use crate::pe::{self, Hop, PeCore};
 use crate::stats::{PeStats, PhaseStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender as ChSender, TryRecvError};
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 enum Item<M> {
-    Direct(Envelope<M>),
-    PhaseStart,
+    /// A message of the given stage.
+    Direct(u32, Envelope<M>),
+    /// A phase of this many stages starts.
+    PhaseStart(u32),
+    /// A stage was released: enter the open one.
+    Release,
     /// The phase is complete: report counters and await the next phase.
     PhaseEnd,
+    /// The worker of this PE panicked (to PE 0 only).
+    Failed(u32),
     Shutdown,
 }
 
 /// How a PE's phase loop ends.
 enum PhaseExit {
-    /// The phase closed; report counters.
-    Closed,
+    /// The phase closed; its counters, one set per stage.
+    Closed(Vec<PhaseStats>),
     /// The engine is shutting down.
     Shutdown,
 }
 
-/// A worker's PE and its counters, reported at the end of each phase.
-type StatsReport = (u32, PhaseStats);
+/// A worker's counters per stage, or the PE whose worker panicked.
+type StatsReport = Result<(u32, Vec<PhaseStats>), u32>;
 /// A worker's chares, returned at shutdown.
 type ChareCrate<M> = Vec<(ChareId, Box<dyn Chare<M>>)>;
 
@@ -91,6 +99,13 @@ struct Worker<M: Message> {
     /// This PE's chares and counters.
     core: PeCore<M>,
     local_q: VecDeque<Envelope<M>>,
+    /// The stage this PE is in, of the phase's `n_stages`.
+    stage: u32,
+    n_stages: u32,
+    /// Messages of stages this PE has not entered yet, in arrival order.
+    early: VecDeque<(u32, Envelope<M>)>,
+    /// The counters of the stages left in this phase.
+    left: Vec<PhaseStats>,
 }
 
 impl<M: Message> Worker<M> {
@@ -101,7 +116,7 @@ impl<M: Message> Worker<M> {
             return;
         }
         self.cd.produce(self.pe, 1);
-        let _ = self.txs[dst_pe as usize].send(Item::Direct(Envelope { to, msg }));
+        let _ = self.txs[dst_pe as usize].send(Item::Direct(self.stage, Envelope { to, msg }));
     }
 
     fn execute(&mut self, env: Envelope<M>) {
@@ -111,17 +126,57 @@ impl<M: Message> Worker<M> {
         }
     }
 
+    /// Enter every stage released since this PE last looked (all of them
+    /// once the phase closed): close the counters of each stage left, run
+    /// the early arrivals of each stage entered.
+    fn advance(&mut self) {
+        while self.stage < self.cd.released() {
+            self.left.push(self.core.phase_stats());
+            self.core.begin_phase();
+            self.stage += 1;
+            for _ in 0..self.early.len() {
+                let (stage, env) = self.early.pop_front().expect("counted above");
+                if stage == self.stage {
+                    self.execute(env);
+                    self.cd.consume(self.pe, 1);
+                } else {
+                    self.early.push_back((stage, env));
+                }
+            }
+        }
+    }
+
+    /// The phase closed: hand over every stage's counters.
+    fn close(&mut self) -> PhaseExit {
+        self.advance();
+        PhaseExit::Closed(std::mem::take(&mut self.left))
+    }
+
     /// Process one inbound item; `Some` when it ends the phase loop.
     fn handle(&mut self, item: Item<M>) -> Option<PhaseExit> {
         match item {
-            Item::Direct(env) => {
-                self.execute(env);
-                self.cd.consume(self.pe, 1);
+            Item::Direct(stage, env) => {
+                if stage > self.stage {
+                    self.advance();
+                }
+                if stage == self.stage {
+                    self.execute(env);
+                    self.cd.consume(self.pe, 1);
+                } else {
+                    self.early.push_back((stage, env));
+                }
                 None
             }
-            Item::PhaseEnd => Some(PhaseExit::Closed),
+            // A `Release` that arrives after the PE entered the stage, or in
+            // the next phase (PE 0), enters nothing.
+            Item::Release => {
+                self.advance();
+                None
+            }
+            Item::PhaseEnd => Some(self.close()),
             Item::Shutdown => Some(PhaseExit::Shutdown),
-            Item::PhaseStart => unreachable!("PhaseStart inside a phase on PE {}", self.pe),
+            Item::Failed(pe) => panic!("PE {pe} panicked"),
+            Item::PhaseStart(_) => unreachable!("PhaseStart inside a phase on PE {}", self.pe),
         }
     }
 
@@ -131,24 +186,12 @@ impl<M: Message> Worker<M> {
         }
     }
 
-    /// Close the phase if this PE's idle transition completed it: detection
-    /// passed and this PE won the claim. Tells every other PE.
-    fn try_close(&self) -> bool {
-        if !(self.cd.try_detect() && self.cd.claim_done()) {
-            return false;
-        }
-        for (pe, tx) in self.txs.iter().enumerate() {
-            if pe as u32 != self.pe {
-                let _ = tx.send(Item::PhaseEnd);
-            }
-        }
-        true
-    }
-
-    /// Reset the counters and work until the phase closes or the engine
-    /// shuts down. A wait longer than `watchdog_secs` (unless 0) panics.
-    fn run_phase_loop(&mut self, watchdog_secs: u16) -> PhaseExit {
+    /// Reset the counters and work through a phase of `n_stages` stages
+    /// until it closes or the engine shuts down. A wait longer than
+    /// `watchdog_secs` (unless 0) panics.
+    fn run_phase_loop(&mut self, n_stages: u32, watchdog_secs: u16) -> PhaseExit {
         self.core.begin_phase();
+        (self.stage, self.n_stages) = (0, n_stages);
         loop {
             // Eat everything available without blocking.
             self.drain_local();
@@ -158,11 +201,22 @@ impl<M: Message> Worker<M> {
                 }
                 continue;
             }
-            // Dry: go idle, close the phase if that completed it, else
+            // Dry: go idle, release the stage if that completed it, else
             // wait until something arrives.
             self.cd.set_idle(self.pe, true);
-            if self.try_close() {
-                return PhaseExit::Closed;
+            if let Some(stage) = self.cd.try_claim() {
+                let last = stage + 1 == self.n_stages;
+                for (pe, tx) in self.txs.iter().enumerate() {
+                    if pe as u32 != self.pe {
+                        let _ = tx.send(if last { Item::PhaseEnd } else { Item::Release });
+                    }
+                }
+                if last {
+                    return self.close();
+                }
+                self.cd.set_idle(self.pe, false);
+                self.advance();
+                continue;
             }
             let item = match recv(&self.rx, watchdog_secs) {
                 Ok(item) => item,
@@ -178,22 +232,24 @@ impl<M: Message> Worker<M> {
 
     /// A spawned worker's life: one phase per `PhaseStart`, its counters to
     /// `stats_tx` after each, its chares to `chares_tx` at shutdown.
-    fn run(mut self, stats_tx: ChSender<StatsReport>, chares_tx: ChSender<ChareCrate<M>>) {
+    fn run(mut self, stats_tx: &ChSender<StatsReport>, chares_tx: ChSender<ChareCrate<M>>) {
         loop {
-            // Between phases only `PhaseStart` or `Shutdown` can arrive: the
+            // Between phases only `PhaseStart`, `Shutdown` or a `Release`
+            // that lost the race with its phase's close can arrive: the
             // caller sends `PhaseStart` to every worker before any
-            // injection, and a phase's `PhaseEnd` is consumed inside it.
-            match recv(&self.rx, 0) {
-                Ok(Item::PhaseStart) => {}
+            // injection, and a phase's one `PhaseEnd` is consumed inside it.
+            let n_stages = match recv(&self.rx, 0) {
+                Ok(Item::PhaseStart(n_stages)) => n_stages,
+                Ok(Item::Release) => continue,
                 Ok(Item::Shutdown) | Err(_) => break,
-                Ok(Item::Direct(_) | Item::PhaseEnd) => {
+                Ok(Item::Direct(..) | Item::PhaseEnd | Item::Failed(_)) => {
                     unreachable!("data or PhaseEnd between phases on PE {}", self.pe)
                 }
-            }
+            };
             // PE 0's watchdog covers the workers' waits.
-            match self.run_phase_loop(0) {
-                PhaseExit::Closed => {
-                    let _ = stats_tx.send((self.pe, self.core.phase_stats()));
+            match self.run_phase_loop(n_stages, 0) {
+                PhaseExit::Closed(stages) => {
+                    let _ = stats_tx.send(Ok((self.pe, stages)));
                 }
                 PhaseExit::Shutdown => break,
             }
@@ -252,59 +308,76 @@ impl<M: Message> ThreadEngine<M> {
                 cd: self.cd.clone(),
                 core,
                 local_q: VecDeque::new(),
+                stage: 0,
+                n_stages: 1,
+                early: VecDeque::new(),
+                left: Vec::new(),
             };
             if pe == 0 {
                 self.pe0 = Some(Box::new(worker));
                 continue;
             }
             let (stats_tx, chares_tx) = (self.stats.0.clone(), self.chares.0.clone());
+            let to_pe0 = self.txs[0].clone();
+            let pe = pe as u32;
             self.handles.push(
                 std::thread::Builder::new()
                     .name(format!("chare-pe-{pe}"))
-                    .spawn(move || worker.run(stats_tx, chares_tx))
+                    .spawn(move || {
+                        let run = AssertUnwindSafe(|| worker.run(&stats_tx, chares_tx));
+                        // A panic fails the phase on PE 0, wherever it waits:
+                        // in its phase loop or for the reports.
+                        if std::panic::catch_unwind(run).is_err() {
+                            let _ = to_pe0.send(Item::Failed(pe));
+                            let _ = stats_tx.send(Err(pe));
+                        }
+                    })
                     .expect("spawn worker"),
             );
         }
     }
 
-    /// Run one phase to completion.
-    pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
+    /// Run a phase of stages to completion, each stage's injections
+    /// delivered once the stages before it are complete; one
+    /// [`PhaseStats`] per stage.
+    pub fn run_stages(&mut self, stages: Vec<Vec<(ChareId, M)>>) -> Vec<PhaseStats> {
         if self.pe0.is_none() {
             self.start();
         }
-        self.cd.reset();
-        let injections: Vec<(u32, Envelope<M>)> = injections
-            .into_iter()
-            .map(|(to, msg)| {
-                let pe = self.table.pe_of(to);
-                self.cd.produce(pe, 1);
-                (pe, Envelope { to, msg })
-            })
-            .collect();
+        let n_stages = stages.len() as u32;
+        self.cd.reset(stages.iter().map(Vec::len));
         for tx in &self.txs[1..] {
-            let _ = tx.send(Item::PhaseStart);
+            let _ = tx.send(Item::PhaseStart(n_stages));
         }
-        for (pe, env) in injections {
-            let _ = self.txs[pe as usize].send(Item::Direct(env));
+        for (stage, injections) in (0..).zip(stages) {
+            for (to, msg) in injections {
+                let pe = self.table.pe_of(to) as usize;
+                let _ = self.txs[pe].send(Item::Direct(stage, Envelope { to, msg }));
+            }
         }
         let pe0 = self.pe0.as_mut().expect("started above");
         let watchdog_secs = self.cfg.watchdog_secs;
-        if let PhaseExit::Shutdown = pe0.run_phase_loop(watchdog_secs) {
+        let PhaseExit::Closed(mut stages) = pe0.run_phase_loop(n_stages, watchdog_secs) else {
             unreachable!("PE 0 shut down inside a phase");
-        }
+        };
         // PE 0's counters, then each worker's as it reports the close.
-        let PhaseStats {
-            mut per_pe,
-            mut reductions,
-        } = pe0.core.phase_stats();
-        per_pe.resize(self.cfg.n_pes as usize, PeStats::default());
-        for _ in 1..self.cfg.n_pes {
-            let (pe, part) = recv(&self.stats.1, watchdog_secs)
-                .unwrap_or_else(|e| phase_hung(e, watchdog_secs, &self.cd));
-            per_pe[pe as usize] = part.per_pe[0];
-            reductions.merge(&part.reductions);
+        for stage in &mut stages {
+            stage
+                .per_pe
+                .resize(self.cfg.n_pes as usize, PeStats::default());
         }
-        PhaseStats { per_pe, reductions }
+        for _ in 1..self.cfg.n_pes {
+            let (pe, parts) = match recv(&self.stats.1, watchdog_secs) {
+                Ok(Ok(report)) => report,
+                Ok(Err(pe)) => panic!("PE {pe} panicked"),
+                Err(e) => phase_hung(e, watchdog_secs, &self.cd),
+            };
+            for (stage, part) in stages.iter_mut().zip(parts) {
+                stage.per_pe[pe as usize] = part.per_pe[0];
+                stage.reductions.merge(&part.reductions);
+            }
+        }
+        stages
     }
 
     /// Stop the workers and collect all chares.
@@ -358,6 +431,14 @@ mod tests {
     use crate::chare::Ctx;
     use crate::testkit::{self, Token};
 
+    /// A one-stage phase.
+    fn one_stage<M: Message>(
+        eng: &mut ThreadEngine<M>,
+        injections: Vec<(ChareId, M)>,
+    ) -> PhaseStats {
+        eng.run_stages(vec![injections]).remove(0)
+    }
+
     fn ring(n_chares: u32, cfg: RuntimeConfig) -> ThreadEngine<Token> {
         let mut eng = ThreadEngine::new(cfg);
         for (id, pe, chare) in testkit::ring(n_chares, cfg.n_pes) {
@@ -369,7 +450,7 @@ mod tests {
     #[test]
     fn token_ring_across_threads() {
         let mut eng = ring(8, RuntimeConfig::threaded(4));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(100))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(100))]);
         assert_eq!(stats.reduction(0), 101);
         assert_eq!(stats.totals().processed, 101);
         let chares = eng.into_chares();
@@ -380,7 +461,7 @@ mod tests {
     fn repeated_phases() {
         let mut eng = ring(6, RuntimeConfig::threaded(3));
         for round in 1..=5u64 {
-            let stats = eng.run_phase(vec![(ChareId(0), Token(10 * round))]);
+            let stats = one_stage(&mut eng, vec![(ChareId(0), Token(10 * round))]);
             assert_eq!(stats.reduction(0), 10 * round + 1, "round {round}");
         }
         eng.into_chares();
@@ -393,7 +474,7 @@ mod tests {
         for n_pes in [1u32, 2, 4] {
             let mut eng = ring(8, RuntimeConfig::threaded(n_pes));
             for round in 1..=3u64 {
-                let stats = eng.run_phase(vec![(ChareId(1), Token(round * 7))]);
+                let stats = one_stage(&mut eng, vec![(ChareId(1), Token(round * 7))]);
                 assert_eq!(stats.reduction(0), round * 7 + 1, "{n_pes} PEs");
                 assert_eq!(stats.per_pe.len(), n_pes as usize);
             }
@@ -423,7 +504,7 @@ mod tests {
         eng.add_chare(ChareId(0), 0, Box::new(Nap(Duration::ZERO)));
         eng.add_chare(ChareId(1), 1, Box::new(Nap(Duration::from_millis(20))));
         for phase in 0..5 {
-            let stats = eng.run_phase(vec![(ChareId(1), Token(0))]);
+            let stats = one_stage(&mut eng, vec![(ChareId(1), Token(0))]);
             assert_eq!(stats.reduction(0), 1, "phase {phase}");
             assert_eq!(stats.per_pe[0].processed, 0, "phase {phase}");
             assert_eq!(stats.per_pe[1].processed, 1, "phase {phase}");
@@ -441,7 +522,7 @@ mod tests {
         let mut eng = ThreadEngine::new(cfg);
         eng.add_chare(ChareId(0), 0, Box::new(Nap(Duration::ZERO)));
         eng.add_chare(ChareId(1), 1, Box::new(Nap(Duration::from_secs(3))));
-        eng.run_phase(vec![(ChareId(1), Token(0))]);
+        one_stage(&mut eng, vec![(ChareId(1), Token(0))]);
     }
 
     /// The shared wait keeps what the engine reads off a channel: an item,
@@ -505,7 +586,7 @@ mod tests {
         for i in 1..=n {
             eng.add_chare(ChareId(i), i % 4, Box::new(Leaf));
         }
-        let stats = eng.run_phase(vec![(ChareId(0), M2::Go)]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), M2::Go)]);
         assert_eq!(stats.reduction(1), n as u64);
         eng.into_chares();
     }
@@ -513,17 +594,19 @@ mod tests {
     #[test]
     fn empty_phase_terminates() {
         let mut eng = ring(4, RuntimeConfig::threaded(2));
-        let stats = eng.run_phase(vec![]);
+        let stats = one_stage(&mut eng, vec![]);
         assert_eq!(stats.totals().processed, 0);
         eng.into_chares();
     }
 
     /// Phase-close stress: 2,000 phases cycling through an empty phase, a
-    /// cross-PE token storm and 64 injections whose chares send nothing,
-    /// on 4 PEs, on the benchmark's 2 and on PE 0 alone. An early close (an
-    /// injection not yet counted), a stale or lost `PhaseEnd`, or a double
-    /// claim shows up as a wrong count, a panic, or the watchdog firing,
-    /// never as a hang.
+    /// cross-PE token storm, 64 injections whose chares send nothing, a
+    /// storm then a quiet stage, and three stages with an empty one in the
+    /// middle, on 4 PEs, on the benchmark's 2 and on PE 0 alone. An early
+    /// close or release (an injection not yet counted), a stale or lost
+    /// `Release` or `PhaseEnd`, or a double claim shows up as a wrong
+    /// count in some stage, a panic, or the watchdog firing, never as a
+    /// hang.
     #[test]
     fn phase_close_stress() {
         let n_chares = 16;
@@ -532,25 +615,128 @@ mod tests {
             cfg.watchdog_secs = 30;
             let mut eng = ring(n_chares, cfg);
             for phase in 0..2000u64 {
-                let (injections, expect): (Vec<_>, u64) = match phase % 3 {
-                    0 => (vec![], 0),
-                    1 => {
-                        let hops = phase % 40;
-                        let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
-                        (tokens, 4 * (hops + 1))
-                    }
-                    _ => {
-                        let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
-                        (quiet, 64)
-                    }
+                let hops = phase % 40;
+                let storm = || -> (Vec<_>, u64) {
+                    let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
+                    (tokens, 4 * (hops + 1))
                 };
-                let stats = eng.run_phase(injections);
-                let at = format!("{n_pes} PEs, phase {phase}");
-                assert_eq!(stats.reduction(0), expect, "{at} reduction");
-                assert_eq!(stats.totals().processed, expect, "{at} processed");
+                let quiet = || -> (Vec<_>, u64) {
+                    let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
+                    (quiet, 64)
+                };
+                let stages: Vec<(Vec<_>, u64)> = match phase % 5 {
+                    0 => vec![(vec![], 0)],
+                    1 => vec![storm()],
+                    2 => vec![quiet()],
+                    3 => vec![storm(), quiet()],
+                    _ => vec![quiet(), (vec![], 0), storm()],
+                };
+                let (injections, expect): (Vec<_>, Vec<u64>) = stages.into_iter().unzip();
+                let stats = eng.run_stages(injections);
+                assert_eq!(stats.len(), expect.len(), "{n_pes} PEs, phase {phase}");
+                for (stage, (stats, expect)) in stats.iter().zip(expect).enumerate() {
+                    let at = format!("{n_pes} PEs, phase {phase}, stage {stage}");
+                    assert_eq!(stats.reduction(0), expect, "{at} reduction");
+                    assert_eq!(stats.totals().processed, expect, "{at} processed");
+                    assert_eq!(stats.per_pe.len(), n_pes as usize, "{at}");
+                }
             }
             eng.into_chares();
         }
+    }
+
+    /// The day's shape: `k` PMs and `k` LMs spread over the PEs. Stage 0's
+    /// `Begin` makes every PM send an update to every LM; stage 1's
+    /// `Compute` finds all `k` updates at its LM, which then sends an
+    /// infect to every PM. Each kind of delivery counts in a slot of its
+    /// own, so a stage-1 infect that overtakes the release to its PE and
+    /// runs in that PE's stage 0 (possible on 3 or more PEs) shows as a
+    /// count in the wrong stage.
+    #[derive(Debug)]
+    enum Day {
+        Begin,
+        Update,
+        Compute,
+        Infect,
+    }
+    impl Message for Day {}
+
+    struct Manager {
+        k: u32,
+        updates: u32,
+    }
+    impl Chare<Day> for Manager {
+        fn receive(&mut self, msg: Day, ctx: &mut Ctx<'_, Day>) {
+            let k = self.k;
+            match msg {
+                Day::Begin => (k..2 * k).for_each(|lm| ctx.send(ChareId(lm), Day::Update)),
+                Day::Update => self.updates += 1,
+                Day::Compute => {
+                    assert_eq!(self.updates, k, "an LM computed before its updates");
+                    self.updates = 0;
+                    (0..k).for_each(|pm| ctx.send(ChareId(pm), Day::Infect));
+                }
+                Day::Infect => {}
+            }
+            ctx.contribute(msg as usize, 1);
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    #[test]
+    fn two_stage_days_count_each_stage_exactly() {
+        let k = 8u32;
+        let kk = u64::from(k * k);
+        for n_pes in [4, 2, 1] {
+            let mut cfg = RuntimeConfig::threaded(n_pes);
+            cfg.watchdog_secs = 30;
+            let mut eng = ThreadEngine::new(cfg);
+            for id in 0..2 * k {
+                eng.add_chare(ChareId(id), id % n_pes, Box::new(Manager { k, updates: 0 }));
+            }
+            for day in 0..500 {
+                let begin = (0..k).map(|pm| (ChareId(pm), Day::Begin)).collect();
+                let compute = (k..2 * k).map(|lm| (ChareId(lm), Day::Compute)).collect();
+                let stats = eng.run_stages(vec![begin, compute]);
+                let slots = |stage: usize| -> Vec<u64> {
+                    (0..4).map(|slot| stats[stage].reduction(slot)).collect()
+                };
+                let at = format!("{n_pes} PEs, day {day}");
+                assert_eq!(slots(0), [k.into(), kk, 0, 0], "{at} stage 0");
+                assert_eq!(slots(1), [0, 0, k.into(), kk], "{at} stage 1");
+                assert_eq!(stats[0].totals().processed, u64::from(k) + kk, "{at}");
+                assert_eq!(stats[1].totals().processed, u64::from(k) + kk, "{at}");
+            }
+            eng.into_chares();
+        }
+    }
+
+    /// Panics on every message.
+    struct Bomb;
+    impl Chare<Token> for Bomb {
+        fn receive(&mut self, _msg: Token, _ctx: &mut Ctx<'_, Token>) {
+            panic!("bomb");
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// A chare that panics on PE 1 fails the phase on the caller's thread,
+    /// with no watchdog to end the wait.
+    #[test]
+    #[should_panic(expected = "PE 1 panicked")]
+    fn a_worker_panic_fails_the_phase() {
+        let cfg = RuntimeConfig::threaded(2);
+        assert_eq!(cfg.watchdog_secs, 0);
+        let mut eng = ThreadEngine::new(cfg);
+        eng.add_chare(ChareId(0), 0, Box::new(Nap(Duration::ZERO)));
+        eng.add_chare(ChareId(1), 1, Box::new(Bomb));
+        one_stage(&mut eng, vec![(ChareId(1), Token(0))]);
     }
 
     #[test]

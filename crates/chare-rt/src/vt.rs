@@ -14,13 +14,14 @@
 //! produce/consume/idle protocol the threaded workers use and asserts, on
 //! every event,
 //!
-//! * **no early signal** — if `try_detect()` returns `true` while any
-//!   payload is still in flight, the detector (or our counting) is broken;
+//! * **no early signal** — if `try_claim()` releases a stage while any
+//!   payload of that stage is still in flight, the detector (or our
+//!   counting) is broken;
 //! * **bounded liveness** — virtual time may not exceed the budget accrued
 //!   from scheduled packets (a runaway stall/retransmit loop trips it), and
-//!   once the transport drains the detector *must* fire (unless the plan
-//!   deliberately lost messages, in which case it must *not* fire and the
-//!   loss is surfaced in [`PeStats::lost`]).
+//!   once the transport drains the detector *must* release the stage
+//!   (unless the plan deliberately lost messages, in which case it must
+//!   *not* fire and the loss is surfaced in [`PeStats::lost`]).
 //!
 //! Every routed message is its own packet. Transport reliability is
 //! modelled with a take-once payload slab: every packet's envelope is
@@ -214,70 +215,76 @@ impl<M: Message> VtEngine<M> {
             }
         }
         // §IV-B contract, checked on every event: the detector may only
-        // signal when nothing is in flight.
-        if self.cd.try_detect() {
+        // release the open stage when none of its payloads is in flight
+        // (the later stages' injections are not sent yet).
+        if let Some(stage) = self.cd.try_claim() {
             assert_eq!(
                 self.in_flight, 0,
-                "completion detection signalled early: {} envelope(s) still in flight at t={}",
+                "completion detection released stage {stage} early: {} envelope(s) \
+                 still in flight at t={}",
                 self.in_flight, self.now
             );
         }
         true
     }
 
-    /// Run one phase to completion under the fault schedule.
-    pub fn run_phase(&mut self, injections: Vec<(ChareId, M)>) -> PhaseStats {
-        self.core.begin_phase();
-        self.cd.reset();
+    /// Run a phase of stages under the fault schedule: each stage's
+    /// injections ride the faulty transport once the one before it has
+    /// drained, and the detector must have released that stage by then.
+    pub fn run_stages(&mut self, stages: Vec<Vec<(ChareId, M)>>) -> Vec<PhaseStats> {
+        self.cd.reset(stages.iter().map(Vec::len));
         self.now = 0;
         self.deadline = WATCHDOG_SLACK;
         self.next_seq = 0;
-        self.slab.clear();
-        self.in_flight = 0;
         self.stall_until.iter_mut().for_each(|s| *s = 0);
         // All PEs start drained.
         for pe in 0..self.cfg.n_pes {
             self.cd.set_idle(pe, true);
         }
-        for (to, msg) in injections {
-            let pe = self.core.pe_of(to);
-            // Injections are produced by the coordinator (as in the
-            // threaded engine) and ride the faulty transport like any
-            // other packet.
-            self.cd.produce(pe, 1);
-            self.send_packet(pe, pe, Envelope { to, msg });
-        }
-        while self.step() {}
-        // Quiescence: the heap is empty. Account any envelopes a non-benign
-        // plan stranded in the slab.
         let mut lost = 0u64;
-        for (src, _) in self.slab.drain(..).flatten() {
-            self.core.stats_mut(src).lost += 1;
-            lost += 1;
+        let mut out = Vec::with_capacity(stages.len());
+        for (stage, mut injections) in (0u32..).zip(stages) {
+            self.core.begin_phase();
+            if lost > 0 {
+                injections.clear(); // a stage that lost messages is never released
+            }
+            for (to, msg) in injections {
+                // Injections ride the faulty transport like any other packet.
+                let pe = self.core.pe_of(to);
+                self.send_packet(pe, pe, Envelope { to, msg });
+            }
+            while self.step() {}
+            // Quiescence: the heap is empty. Account any envelopes a
+            // non-benign plan stranded in the slab.
+            for (src, _) in self.slab.drain(..).flatten() {
+                self.core.stats_mut(src).lost += 1;
+                lost += 1;
+            }
+            self.in_flight = 0;
+            if lost == 0 {
+                // Bounded liveness: with nothing lost, the detector must
+                // release the stage the moment the transport drains.
+                assert!(
+                    self.cd.released() > stage || self.cd.try_claim() == Some(stage),
+                    "completion detection failed to release stage {stage} at quiescence \
+                     (produced {}, consumed {})",
+                    self.cd.total_produced(),
+                    self.cd.total_consumed()
+                );
+            } else {
+                // Messages were lost: produced > consumed for good, so the
+                // detector must *not* release — the stage ends only because
+                // the lossy transport is out of packets, and the loss is
+                // visible in the stats.
+                assert_eq!(
+                    self.cd.try_claim(),
+                    None,
+                    "completion detection fired despite {lost} lost message(s)"
+                );
+            }
+            out.push(self.core.phase_stats());
         }
-        self.in_flight = 0;
-        if lost == 0 {
-            // Bounded liveness: with nothing lost, the detector must fire
-            // the moment the transport drains.
-            assert!(
-                self.cd.try_detect(),
-                "completion detection failed to fire at quiescence \
-                 (produced {}, consumed {})",
-                self.cd.total_produced(),
-                self.cd.total_consumed()
-            );
-            debug_assert_eq!(self.cd.total_produced(), self.cd.total_consumed());
-        } else {
-            // Messages were lost: produced > consumed, so the detector must
-            // *not* report completion — the phase ends only because the
-            // lossy transport is out of packets, and the loss is visible in
-            // the stats.
-            assert!(
-                !self.cd.try_detect(),
-                "completion detection fired despite {lost} lost message(s)"
-            );
-        }
-        self.core.phase_stats()
+        out
     }
 
     /// Tear down, returning all chares (sorted by id).
@@ -292,6 +299,11 @@ mod tests {
     use crate::faults::FaultPlan;
     use crate::testkit::{self, Token};
 
+    /// A one-stage phase.
+    fn one_stage<M: Message>(eng: &mut VtEngine<M>, injections: Vec<(ChareId, M)>) -> PhaseStats {
+        eng.run_stages(vec![injections]).remove(0)
+    }
+
     fn ring(n_chares: u32, cfg: RuntimeConfig) -> VtEngine<Token> {
         let mut eng = VtEngine::new(cfg);
         for (id, pe, chare) in testkit::ring(n_chares, cfg.n_pes) {
@@ -303,7 +315,7 @@ mod tests {
     #[test]
     fn token_ring_completes_fault_free() {
         let mut eng = ring(8, RuntimeConfig::dst(4, FaultPlan::none(1)));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(100))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(100))]);
         assert_eq!(stats.reduction(0), 101);
         assert_eq!(stats.totals().processed, 101);
         assert_eq!(stats.totals().lost, 0);
@@ -316,13 +328,13 @@ mod tests {
     fn every_grid_plan_preserves_the_outcome() {
         let reference = {
             let mut eng = ring(8, RuntimeConfig::dst(4, FaultPlan::none(0)));
-            eng.run_phase(vec![(ChareId(0), Token(200))]).reduction(0)
+            one_stage(&mut eng, vec![(ChareId(0), Token(200))]).reduction(0)
         };
         for plan in FaultPlan::GRID {
             for seed in [1u64, 2, 3] {
                 let cfg = RuntimeConfig::dst(4, plan.with_seed(seed));
                 let mut eng = ring(8, cfg);
-                let stats = eng.run_phase(vec![(ChareId(0), Token(200))]);
+                let stats = one_stage(&mut eng, vec![(ChareId(0), Token(200))]);
                 assert_eq!(stats.reduction(0), reference, "{plan:?} seed {seed}");
                 assert_eq!(stats.totals().lost, 0, "{plan:?} seed {seed}");
             }
@@ -334,7 +346,7 @@ mod tests {
         let mut plan = FaultPlan::duplicates(9);
         plan.dup_permille = 1000; // duplicate every packet
         let mut eng = ring(6, RuntimeConfig::dst(3, plan));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(50))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(50))]);
         assert_eq!(stats.reduction(0), 51, "duplicates must not re-execute");
         assert!(stats.totals().faults_dup_suppressed > 0);
     }
@@ -344,7 +356,7 @@ mod tests {
         let mut plan = FaultPlan::drops(3);
         plan.drop_permille = 1000; // every first transmission lost
         let mut eng = ring(6, RuntimeConfig::dst(3, plan));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(50))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(50))]);
         assert_eq!(stats.reduction(0), 51);
         assert!(stats.totals().faults_dropped > 0);
         assert_eq!(stats.totals().lost, 0);
@@ -353,7 +365,7 @@ mod tests {
     #[test]
     fn lossy_plan_loses_messages_and_reports_them() {
         let mut eng = ring(6, RuntimeConfig::dst(3, FaultPlan::lossy(5)));
-        let stats = eng.run_phase(vec![(ChareId(0), Token(50))]);
+        let stats = one_stage(&mut eng, vec![(ChareId(0), Token(50))]);
         // Even the injection is dropped: nothing executes, everything is
         // accounted as lost rather than silently vanishing.
         assert_eq!(stats.reduction(0), 0);
@@ -366,7 +378,7 @@ mod tests {
         plan.stall_permille = 300;
         let mut eng = ring(8, RuntimeConfig::dst(4, plan));
         for round in 0..3 {
-            let stats = eng.run_phase(vec![(ChareId(0), Token(80))]);
+            let stats = one_stage(&mut eng, vec![(ChareId(0), Token(80))]);
             assert_eq!(stats.reduction(0), 81, "round {round}");
         }
     }
@@ -376,7 +388,7 @@ mod tests {
         let run = |seed: u64| {
             let cfg = RuntimeConfig::dst(4, FaultPlan::chaos(seed));
             let mut eng = ring(8, cfg);
-            let s = eng.run_phase(vec![(ChareId(0), Token(120))]);
+            let s = one_stage(&mut eng, vec![(ChareId(0), Token(120))]);
             (
                 s.reduction(0),
                 s.totals().faults_dropped,
@@ -394,14 +406,14 @@ mod tests {
     #[test]
     fn empty_phase_terminates_immediately() {
         let mut eng = ring(4, RuntimeConfig::dst(2, FaultPlan::chaos(1)));
-        let stats = eng.run_phase(vec![]);
+        let stats = one_stage(&mut eng, vec![]);
         assert_eq!(stats.totals().processed, 0);
     }
 
     #[test]
     fn chares_survive_phases_and_return() {
         let mut eng = ring(5, RuntimeConfig::dst(2, FaultPlan::reorder(2)));
-        eng.run_phase(vec![(ChareId(0), Token(9))]);
+        one_stage(&mut eng, vec![(ChareId(0), Token(9))]);
         let chares = eng.into_chares();
         assert_eq!(chares.len(), 5);
         assert_eq!(chares[3].0, ChareId(3));

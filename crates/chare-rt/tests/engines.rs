@@ -1,7 +1,8 @@
 //! Property test: the sequential, threaded, DST and single-process net
 //! engines — under any SMP topology and PE count — produce identical
-//! application results for randomized message storms, and at equal width
-//! and topology identical per-PE message counters.
+//! application results for randomized message storms, one-stage and
+//! staged, and at equal width and topology identical per-PE message
+//! counters, stage by stage.
 
 use chare_rt::{
     Chare, ChareId, Ctx, ExecMode, FaultPlan, Message, Runtime, RuntimeConfig, SmpConfig,
@@ -12,6 +13,10 @@ use proptest::prelude::*;
 struct Storm {
     hops: u32,
     value: u64,
+    /// Contribute what the chare has accumulated instead of mixing: a
+    /// report run before the stages ahead of it are complete misses some
+    /// of their values.
+    report: bool,
 }
 impl Message for Storm {}
 
@@ -33,6 +38,10 @@ fn mix(x: u64) -> u64 {
 
 impl Chare<Storm> for Mixer {
     fn receive(&mut self, msg: Storm, ctx: &mut Ctx<'_, Storm>) {
+        if msg.report {
+            ctx.contribute(2, self.acc & 0xFFFF_FFFF);
+            return;
+        }
         let h = mix(msg.value ^ self.id);
         self.acc = self.acc.wrapping_add(h);
         ctx.contribute(0, h & 0xFFFF);
@@ -45,6 +54,7 @@ impl Chare<Storm> for Mixer {
                 Storm {
                     hops: msg.hops - 1,
                     value: h,
+                    report: false,
                 },
             );
             if h & 1 == 1 {
@@ -54,6 +64,7 @@ impl Chare<Storm> for Mixer {
                     Storm {
                         hops: msg.hops - 1,
                         value: h ^ 0xABCD,
+                        report: false,
                     },
                 );
             }
@@ -69,8 +80,45 @@ impl Chare<Storm> for Mixer {
 /// `SmpConfig`: `[sent_self, sent_intra, sent_remote, network_packets,
 /// remote_bytes, processed]`. Busy time and fault counters may differ.
 type Counts = Vec<[u64; 6]>;
+/// One stage's reductions (slots 0–2) and per-PE counters.
+type StageOutcome = ([u64; 3], Counts);
+/// A phase's injections, stage by stage.
+type Stages = Vec<Vec<(ChareId, Storm)>>;
 
-fn run_storm(cfg: RuntimeConfig, n_chares: u32, hops: u32, seeds: &[u64]) -> ((u64, u64), Counts) {
+/// Storms of `hops` hops from `seeds`.
+fn storms(n_chares: u32, hops: u32, seeds: &[u64]) -> Vec<(ChareId, Storm)> {
+    let storm = |&value: &u64| {
+        let to = ChareId((value % n_chares as u64) as u32);
+        let report = false;
+        (
+            to,
+            Storm {
+                hops,
+                value,
+                report,
+            },
+        )
+    };
+    seeds.iter().map(storm).collect()
+}
+
+/// A report from every chare.
+fn reports(n_chares: u32) -> Vec<(ChareId, Storm)> {
+    let report = |i| {
+        let (hops, value, report) = (0, 0, true);
+        (
+            ChareId(i),
+            Storm {
+                hops,
+                value,
+                report,
+            },
+        )
+    };
+    (0..n_chares).map(report).collect()
+}
+
+fn run_storm(cfg: RuntimeConfig, n_chares: u32, stages: Stages) -> Vec<StageOutcome> {
     let mut rt = Runtime::new(cfg);
     for i in 0..n_chares {
         rt.add_chare(
@@ -83,31 +131,84 @@ fn run_storm(cfg: RuntimeConfig, n_chares: u32, hops: u32, seeds: &[u64]) -> ((u
             }),
         );
     }
-    let injections = seeds
-        .iter()
-        .map(|&s| {
-            (
-                ChareId((s % n_chares as u64) as u32),
-                Storm { hops, value: s },
-            )
-        })
-        .collect();
-    let stats = rt.run_phase(injections);
-    let counts = stats
-        .per_pe
-        .iter()
-        .map(|p| {
-            [
-                p.sent_self,
-                p.sent_intra,
-                p.sent_remote,
-                p.network_packets,
-                p.remote_bytes,
-                p.processed,
-            ]
-        })
-        .collect();
-    ((stats.reduction(0), stats.reduction(1)), counts)
+    let outcome = |stats: chare_rt::PhaseStats| {
+        let counts = stats
+            .per_pe
+            .iter()
+            .map(|p| {
+                [
+                    p.sent_self,
+                    p.sent_intra,
+                    p.sent_remote,
+                    p.network_packets,
+                    p.remote_bytes,
+                    p.processed,
+                ]
+            })
+            .collect();
+        ([0, 1, 2].map(|slot| stats.reduction(slot)), counts)
+    };
+    rt.run_stages(stages).into_iter().map(outcome).collect()
+}
+
+/// Every engine runs the phase `stages()` builds and agrees with one
+/// sequential PE on each stage's reductions; at equal width and topology
+/// the engines agree on each stage's per-PE counters too.
+fn engines_agree(
+    n_chares: u32,
+    pes: u32,
+    pes_per_process: u32,
+    seed: u64,
+    stages: impl Fn() -> Stages,
+) {
+    let make = |mode: ExecMode, n_pes: u32| RuntimeConfig {
+        n_pes,
+        mode,
+        smp: SmpConfig { pes_per_process },
+        aggregation: Default::default(),
+        faults: FaultPlan::none(0),
+        watchdog_secs: 30,
+        net: Default::default(),
+    };
+    let reductions = |run: &[StageOutcome]| run.iter().map(|s| s.0).collect::<Vec<_>>();
+    let counts = |run: &[StageOutcome]| run.iter().map(|s| s.1.clone()).collect::<Vec<_>>();
+    // Reference: one sequential PE.
+    let reference = reductions(&run_storm(
+        make(ExecMode::Sequential, 1),
+        n_chares,
+        stages(),
+    ));
+    prop_assert!(reference[0][1] > 0);
+    // Sequential at the sampled width.
+    let seq = run_storm(make(ExecMode::Sequential, pes), n_chares, stages());
+    prop_assert_eq!(&reductions(&seq), &reference);
+    // Threaded at a modest width (thread spawn cost bounds the sweep),
+    // counter for counter against sequential at that width.
+    let thr_pes = pes.min(3);
+    let thr = run_storm(make(ExecMode::Threads, thr_pes), n_chares, stages());
+    prop_assert_eq!(&reductions(&thr), &reference);
+    let seq_thr = run_storm(make(ExecMode::Sequential, thr_pes), n_chares, stages());
+    prop_assert_eq!(counts(&thr), counts(&seq_thr));
+    // The DST engine under every benign fault plan must agree too:
+    // delivery timing is not allowed to change application results, nor
+    // which PE sent and processed what.
+    for plan in FaultPlan::GRID {
+        let mut dst = make(ExecMode::VirtualTime, pes);
+        dst.faults = plan.with_seed(seed);
+        let vt = run_storm(dst, n_chares, stages());
+        prop_assert_eq!(&reductions(&vt), &reference, "{:?}", plan);
+        prop_assert_eq!(counts(&vt), counts(&seq), "{:?}", plan);
+    }
+    // A one-process net runtime holds every PE in one process, so it
+    // matches sequential with `pes_per_process = n_pes`.
+    let mut one_proc = make(ExecMode::Sequential, pes);
+    one_proc.smp.pes_per_process = pes;
+    let seq_one = run_storm(one_proc, n_chares, stages());
+    let mut net = make(ExecMode::Net, pes);
+    net.net.n_procs = 1;
+    let net = run_storm(net, n_chares, stages());
+    prop_assert_eq!(&reductions(&net), &reference);
+    prop_assert_eq!(counts(&net), counts(&seq_one));
 }
 
 proptest! {
@@ -122,45 +223,30 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let seeds: Vec<u64> = (0..4).map(|i| mix(seed + i)).collect();
-        let make = |mode: ExecMode, n_pes: u32| RuntimeConfig {
-            n_pes,
-            mode,
-            smp: SmpConfig { pes_per_process },
-            aggregation: Default::default(),
-            faults: FaultPlan::none(0),
-            watchdog_secs: 30,
-            net: Default::default(),
-        };
-        // Reference: one sequential PE.
-        let (reference, _) = run_storm(make(ExecMode::Sequential, 1), n_chares, hops, &seeds);
-        prop_assert!(reference.1 >= seeds.len() as u64);
-        // Sequential at the sampled width.
-        let seq = run_storm(make(ExecMode::Sequential, pes), n_chares, hops, &seeds);
-        prop_assert_eq!(seq.0, reference);
-        // Threaded at a modest width (thread spawn cost bounds the sweep),
-        // counter for counter against sequential at that width.
-        let thr_pes = pes.min(3);
-        let thr = run_storm(make(ExecMode::Threads, thr_pes), n_chares, hops, &seeds);
-        prop_assert_eq!(thr.0, reference);
-        let seq_thr = run_storm(make(ExecMode::Sequential, thr_pes), n_chares, hops, &seeds);
-        prop_assert_eq!(thr.1, seq_thr.1);
-        // The DST engine under a chaotic-but-benign fault plan must agree
-        // too: delivery timing is not allowed to change application
-        // results, nor which PE sent and processed what.
-        let mut dst = make(ExecMode::VirtualTime, pes);
-        dst.faults = FaultPlan::chaos(seed);
-        let vt = run_storm(dst, n_chares, hops, &seeds);
-        prop_assert_eq!(vt.0, reference);
-        prop_assert_eq!(&vt.1, &seq.1);
-        // A one-process net runtime holds every PE in one process, so it
-        // matches sequential with `pes_per_process = n_pes`.
-        let mut one_proc = make(ExecMode::Sequential, pes);
-        one_proc.smp.pes_per_process = pes;
-        let seq_one = run_storm(one_proc, n_chares, hops, &seeds);
-        let mut net = make(ExecMode::Net, pes);
-        net.net.n_procs = 1;
-        let net = run_storm(net, n_chares, hops, &seeds);
-        prop_assert_eq!(net.0, reference);
-        prop_assert_eq!(net.1, seq_one.1);
+        engines_agree(n_chares, pes, pes_per_process, seed, || {
+            vec![storms(n_chares, hops, &seeds)]
+        });
+    }
+
+    /// A storm, an empty stage, a report from every chare (which sees the
+    /// whole first storm only if its stage waited for it), and a second
+    /// storm (which must not reach a chare before its report).
+    #[test]
+    fn staged_storms_agree_across_engines(
+        n_chares in 2u32..40,
+        hops in 0u32..8,
+        pes in 1u32..6,
+        pes_per_process in 1u32..4,
+        seed in 0u64..1000,
+    ) {
+        let seeds: Vec<u64> = (0..8).map(|i| mix(seed + i)).collect();
+        engines_agree(n_chares, pes, pes_per_process, seed, || {
+            vec![
+                storms(n_chares, hops, &seeds[..4]),
+                vec![],
+                reports(n_chares),
+                storms(n_chares, hops, &seeds[4..]),
+            ]
+        });
     }
 }

@@ -34,7 +34,8 @@
 //! * [`workload`] — the 2-constraint partitioner input graph (§III-A).
 //! * [`distribution`] — the four data distributions of the evaluation:
 //!   `RR`, `GP`, `RR-splitLoc`, `GP-splitLoc`.
-//! * [`simulator`] — the parallel driver (day loop over runtime phases).
+//! * [`simulator`] — the parallel driver (a day is one runtime phase of two
+//!   stages).
 //! * [`engine`] — engine selection (`--engine seq|threads|vt|net`) and the
 //!   block partition→PE placement.
 //! * [`seq`] — a direct sequential implementation used as the correctness

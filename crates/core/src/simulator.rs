@@ -45,16 +45,18 @@ impl Default for SimConfig {
     }
 }
 
-/// Per-day runtime counters: one [`PhaseStats`] per runtime phase. A day
-/// is two phases, each closed by one global sync (PAPER.md §1).
+/// Per-day runtime counters: one [`PhaseStats`] per stage of the day's one
+/// runtime phase. The paper's day has two global syncs (PAPER.md §1); here
+/// the first is the release of the phase's second stage, and only the
+/// second closes the phase (on `net`, each stage is a wire phase).
 #[derive(Debug, Clone, Default)]
 pub struct DayPerf {
-    /// Phase 1+2: person updates and visit messages (ends at the first
-    /// completion detection).
+    /// Stage 0, steps 1+2: person updates and visit messages (ends when
+    /// completion detection releases stage 1).
     pub person_phase: PhaseStats,
-    /// Phase 3–6: location DES, infect messages, infection application on
-    /// arrival, and the global reduction (ends at the second completion
-    /// detection).
+    /// Stage 1, steps 3–6: location DES, infect messages, infection
+    /// application on arrival, and the global reduction (ends when
+    /// completion detection closes the phase).
     pub location_phase: PhaseStats,
     /// Always `PhaseStats::default()`: infections are applied inside the
     /// location phase. Kept only because a benchmark reader still sums it.
@@ -309,23 +311,17 @@ impl Simulator {
             };
             let r_eff = self.shared.r * effects.r_scale;
 
-            // Phase 1+2: person phase.
-            let injections: Vec<(ChareId, SimMsg)> = (0..k)
+            // One phase of two stages. Stage 0 is steps 1+2: the person
+            // phase. Stage 1 is steps 3–6: the location phase, released
+            // once every update has arrived; PersonManagers apply infects
+            // as they arrive, so its close also carries the new infections.
+            let begin_day = (0..k)
                 .map(|pm| {
-                    (
-                        ChareId(pm),
-                        SimMsg::BeginDay {
-                            day,
-                            effects: effects.clone(),
-                        },
-                    )
+                    let effects = effects.clone();
+                    (ChareId(pm), SimMsg::BeginDay { day, effects })
                 })
                 .collect();
-            let person_phase = self.runtime.run_phase(injections);
-
-            // Phase 3–6: location phase; PersonManagers apply infects as
-            // they arrive, so its close also carries the new infections.
-            let injections: Vec<(ChareId, SimMsg)> = (0..k)
+            let compute_day = (0..k)
                 .map(|lm| {
                     let msg = SimMsg::ComputeDay {
                         day,
@@ -335,7 +331,9 @@ impl Simulator {
                     (ChareId(k + lm), msg)
                 })
                 .collect();
-            let location_phase = self.runtime.run_phase(injections);
+            let [person_phase, location_phase] =
+                <[PhaseStats; 2]>::try_from(self.runtime.run_stages(vec![begin_day, compute_day]))
+                    .expect("one PhaseStats per stage");
 
             let new_infections = location_phase.reduction(slots::NEW_INFECTIONS);
             carry.cumulative += new_infections;
