@@ -19,7 +19,7 @@
 //! after it, on both waves (one stage: the plain `P == C`).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Shared detection state for one phase. All counters are monotonic within
 /// a phase.
@@ -30,8 +30,9 @@ pub struct CompletionDetector {
     idle: Vec<AtomicBool>,
     /// Stages released so far; stage `released` is the open one.
     released: AtomicU32,
-    /// Each stage's injection count, set by [`Self::reset`].
-    sizes: Mutex<Vec<u64>>,
+    /// `held(r)` for each stage `r`, the injections of the stages after
+    /// it, set by [`Self::reset`]; its length is the phase's stage count.
+    held: Mutex<Vec<u64>>,
 }
 
 impl CompletionDetector {
@@ -43,7 +44,7 @@ impl CompletionDetector {
             idle: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
             released: AtomicU32::new(0),
             // A one-stage phase with no injections until the first reset.
-            sizes: Mutex::new(vec![0]),
+            held: Mutex::new(vec![0]),
         }
     }
 
@@ -56,11 +57,25 @@ impl CompletionDetector {
             c.store(0, Ordering::Relaxed);
             i.store(false, Ordering::Relaxed);
         }
-        let mut sizes = self.sizes.lock().unwrap_or_else(PoisonError::into_inner);
-        sizes.clear();
-        sizes.extend(stage_sizes.into_iter().map(|n| n as u64));
-        self.produced[0].store(sizes.iter().sum(), Ordering::SeqCst);
+        let mut held = self.held();
+        held.clear();
+        held.extend(stage_sizes.into_iter().map(|n| n as u64));
+        // Each stage's size becomes the sum of the sizes after it.
+        let mut after = 0;
+        for h in held.iter_mut().rev() {
+            (*h, after) = (after, after + *h);
+        }
+        self.produced[0].store(after, Ordering::SeqCst);
         self.released.store(0, Ordering::SeqCst);
+    }
+
+    /// The number of stages of the open phase.
+    pub fn n_stages(&self) -> u32 {
+        self.held().len() as u32
+    }
+
+    fn held(&self) -> MutexGuard<'_, Vec<u64>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record that PE `pe` produced (sent) `n` countable messages.
@@ -92,9 +107,7 @@ impl CompletionDetector {
         if !self.idle.iter().all(|i| i.load(Ordering::SeqCst)) {
             return None;
         }
-        let p: u64 = self.produced.iter().map(|x| x.load(Ordering::SeqCst)).sum();
-        let c: u64 = self.consumed.iter().map(|x| x.load(Ordering::SeqCst)).sum();
-        Some((p, c))
+        Some((self.total_produced(), self.total_consumed()))
     }
 
     /// One two-wave detection attempt: every PE idle on both waves, with
@@ -103,11 +116,10 @@ impl CompletionDetector {
         let Some((p1, c1)) = self.snapshot() else {
             return false;
         };
-        let sizes = self.sizes.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(later) = sizes.get(stage as usize + 1..) else {
+        let Some(&held) = self.held().get(stage as usize) else {
             return false; // no stage left to claim
         };
-        p1 == c1 + later.iter().sum::<u64>() && self.snapshot() == Some((p1, c1))
+        p1 == c1 + held && self.snapshot() == Some((p1, c1))
     }
 
     /// Release the open stage if it is complete, and return it: a

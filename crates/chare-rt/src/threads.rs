@@ -5,14 +5,15 @@
 //! The protocol per phase of `n` stages:
 //!
 //! 1. the caller resets the [`CompletionDetector`], which counts every
-//!    stage's injections as produced, then sends `PhaseStart(n)` to every
+//!    stage's injections as produced, then sends `PhaseStart` to every
 //!    spawned worker (PEs 1..n) and the injections after it;
 //! 2. the caller's thread runs PE 0, as the net engine's root runs its PE,
 //!    so `threaded(1)` starts no thread; each PE drains its channel,
 //!    executes chares, and sends each message on at once, tagged with its
-//!    stage; a message that arrives before its PE entered its stage (a
-//!    later stage's injection, or one from a PE that entered it first)
-//!    waits in the PE's one reused buffer;
+//!    stage. A message of a stage its PE has not entered moves the PE
+//!    into it (that stage is released, and stays open while the message
+//!    is unconsumed); only a later stage's injection, sent when the phase
+//!    opens, waits for its release, in the PE's one reused buffer;
 //! 3. a PE that runs dry raises its idle flag and tries to release the
 //!    open stage itself; the one whose [`CompletionDetector::try_claim`]
 //!    wins sends `Release` to every other PE, or `PhaseEnd` after the last
@@ -41,8 +42,8 @@ use std::time::Duration;
 enum Item<M> {
     /// A message of the given stage.
     Direct(u32, Envelope<M>),
-    /// A phase of this many stages starts.
-    PhaseStart(u32),
+    /// A phase starts; the detector holds its stage count.
+    PhaseStart,
     /// A stage was released: enter the open one.
     Release,
     /// The phase is complete: report counters and await the next phase.
@@ -99,10 +100,9 @@ struct Worker<M: Message> {
     /// This PE's chares and counters.
     core: PeCore<M>,
     local_q: VecDeque<Envelope<M>>,
-    /// The stage this PE is in, of the phase's `n_stages`.
+    /// The stage this PE is in.
     stage: u32,
-    n_stages: u32,
-    /// Messages of stages this PE has not entered yet, in arrival order.
+    /// Injections of stages not released yet, in stage order.
     early: VecDeque<(u32, Envelope<M>)>,
     /// The counters of the stages left in this phase.
     left: Vec<PhaseStats>,
@@ -128,20 +128,15 @@ impl<M: Message> Worker<M> {
 
     /// Enter every stage released since this PE last looked (all of them
     /// once the phase closed): close the counters of each stage left, run
-    /// the early arrivals of each stage entered.
+    /// the injections of each stage entered. They arrived in stage order.
     fn advance(&mut self) {
         while self.stage < self.cd.released() {
             self.left.push(self.core.phase_stats());
             self.core.begin_phase();
             self.stage += 1;
-            for _ in 0..self.early.len() {
-                let (stage, env) = self.early.pop_front().expect("counted above");
-                if stage == self.stage {
-                    self.execute(env);
-                    self.cd.consume(self.pe, 1);
-                } else {
-                    self.early.push_back((stage, env));
-                }
+            while let Some((_, env)) = self.early.pop_front_if(|(s, _)| *s == self.stage) {
+                self.execute(env);
+                self.cd.consume(self.pe, 1);
             }
         }
     }
@@ -176,7 +171,7 @@ impl<M: Message> Worker<M> {
             Item::PhaseEnd => Some(self.close()),
             Item::Shutdown => Some(PhaseExit::Shutdown),
             Item::Failed(pe) => panic!("PE {pe} panicked"),
-            Item::PhaseStart(_) => unreachable!("PhaseStart inside a phase on PE {}", self.pe),
+            Item::PhaseStart => unreachable!("PhaseStart inside a phase on PE {}", self.pe),
         }
     }
 
@@ -186,12 +181,11 @@ impl<M: Message> Worker<M> {
         }
     }
 
-    /// Reset the counters and work through a phase of `n_stages` stages
-    /// until it closes or the engine shuts down. A wait longer than
-    /// `watchdog_secs` (unless 0) panics.
-    fn run_phase_loop(&mut self, n_stages: u32, watchdog_secs: u16) -> PhaseExit {
+    /// Reset the counters and work until the phase closes or the engine
+    /// shuts down. A wait longer than `watchdog_secs` (unless 0) panics.
+    fn run_phase_loop(&mut self, watchdog_secs: u16) -> PhaseExit {
         self.core.begin_phase();
-        (self.stage, self.n_stages) = (0, n_stages);
+        self.stage = 0;
         loop {
             // Eat everything available without blocking.
             self.drain_local();
@@ -205,7 +199,7 @@ impl<M: Message> Worker<M> {
             // wait until something arrives.
             self.cd.set_idle(self.pe, true);
             if let Some(stage) = self.cd.try_claim() {
-                let last = stage + 1 == self.n_stages;
+                let last = stage + 1 == self.cd.n_stages();
                 for (pe, tx) in self.txs.iter().enumerate() {
                     if pe as u32 != self.pe {
                         let _ = tx.send(if last { Item::PhaseEnd } else { Item::Release });
@@ -238,16 +232,16 @@ impl<M: Message> Worker<M> {
             // that lost the race with its phase's close can arrive: the
             // caller sends `PhaseStart` to every worker before any
             // injection, and a phase's one `PhaseEnd` is consumed inside it.
-            let n_stages = match recv(&self.rx, 0) {
-                Ok(Item::PhaseStart(n_stages)) => n_stages,
+            match recv(&self.rx, 0) {
+                Ok(Item::PhaseStart) => {}
                 Ok(Item::Release) => continue,
                 Ok(Item::Shutdown) | Err(_) => break,
                 Ok(Item::Direct(..) | Item::PhaseEnd | Item::Failed(_)) => {
                     unreachable!("data or PhaseEnd between phases on PE {}", self.pe)
                 }
-            };
+            }
             // PE 0's watchdog covers the workers' waits.
-            match self.run_phase_loop(n_stages, 0) {
+            match self.run_phase_loop(0) {
                 PhaseExit::Closed(stages) => {
                     let _ = stats_tx.send(Ok((self.pe, stages)));
                 }
@@ -309,7 +303,6 @@ impl<M: Message> ThreadEngine<M> {
                 core,
                 local_q: VecDeque::new(),
                 stage: 0,
-                n_stages: 1,
                 early: VecDeque::new(),
                 left: Vec::new(),
             };
@@ -344,10 +337,9 @@ impl<M: Message> ThreadEngine<M> {
         if self.pe0.is_none() {
             self.start();
         }
-        let n_stages = stages.len() as u32;
         self.cd.reset(stages.iter().map(Vec::len));
         for tx in &self.txs[1..] {
-            let _ = tx.send(Item::PhaseStart(n_stages));
+            let _ = tx.send(Item::PhaseStart);
         }
         for (stage, injections) in (0..).zip(stages) {
             for (to, msg) in injections {
@@ -357,15 +349,10 @@ impl<M: Message> ThreadEngine<M> {
         }
         let pe0 = self.pe0.as_mut().expect("started above");
         let watchdog_secs = self.cfg.watchdog_secs;
-        let PhaseExit::Closed(mut stages) = pe0.run_phase_loop(n_stages, watchdog_secs) else {
+        let PhaseExit::Closed(mut stages) = pe0.run_phase_loop(watchdog_secs) else {
             unreachable!("PE 0 shut down inside a phase");
         };
         // PE 0's counters, then each worker's as it reports the close.
-        for stage in &mut stages {
-            stage
-                .per_pe
-                .resize(self.cfg.n_pes as usize, PeStats::default());
-        }
         for _ in 1..self.cfg.n_pes {
             let (pe, parts) = match recv(&self.stats.1, watchdog_secs) {
                 Ok(Ok(report)) => report,
@@ -373,6 +360,8 @@ impl<M: Message> ThreadEngine<M> {
                 Err(e) => phase_hung(e, watchdog_secs, &self.cd),
             };
             for (stage, part) in stages.iter_mut().zip(parts) {
+                let n_pes = self.cfg.n_pes as usize;
+                stage.per_pe.resize(n_pes, PeStats::default());
                 stage.per_pe[pe as usize] = part.per_pe[0];
                 stage.reductions.merge(&part.reductions);
             }
@@ -599,47 +588,56 @@ mod tests {
         eng.into_chares();
     }
 
-    /// Phase-close stress: 2,000 phases cycling through an empty phase, a
-    /// cross-PE token storm, 64 injections whose chares send nothing, a
-    /// storm then a quiet stage, and three stages with an empty one in the
-    /// middle, on 4 PEs, on the benchmark's 2 and on PE 0 alone. An early
-    /// close or release (an injection not yet counted), a stale or lost
-    /// `Release` or `PhaseEnd`, or a double claim shows up as a wrong
-    /// count in some stage, a panic, or the watchdog firing, never as a
-    /// hang.
+    /// Phase-close stress, on 4 PEs, on the benchmark's 2 and on PE 0
+    /// alone: 2,000 one-stage phases cycling through an empty phase, a
+    /// cross-PE token storm of every hop count below 40 and 64 injections
+    /// whose chares send nothing; then 1,000 staged phases alternating a
+    /// storm then a quiet stage with three stages of which the middle one
+    /// is empty, each shape over every hop count. An early close or release
+    /// (an injection not yet counted), a stale or lost `Release` or
+    /// `PhaseEnd`, or a double claim shows up as a wrong count in some
+    /// stage, a panic, or the watchdog firing, never as a hang.
     #[test]
     fn phase_close_stress() {
         let n_chares = 16;
+        let storm = |hops: u64| -> (Vec<_>, u64) {
+            let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
+            (tokens, 4 * (hops + 1))
+        };
+        let quiet = || -> (Vec<_>, u64) {
+            let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
+            (quiet, 64)
+        };
         for n_pes in [4, 2, 1] {
             let mut cfg = RuntimeConfig::threaded(n_pes);
             cfg.watchdog_secs = 30;
             let mut eng = ring(n_chares, cfg);
-            for phase in 0..2000u64 {
-                let hops = phase % 40;
-                let storm = || -> (Vec<_>, u64) {
-                    let tokens = (0..4).map(|c| (ChareId(c * 3), Token(hops))).collect();
-                    (tokens, 4 * (hops + 1))
-                };
-                let quiet = || -> (Vec<_>, u64) {
-                    let quiet = (0..64).map(|i| (ChareId(i % n_chares), Token(0))).collect();
-                    (quiet, 64)
-                };
-                let stages: Vec<(Vec<_>, u64)> = match phase % 5 {
-                    0 => vec![(vec![], 0)],
-                    1 => vec![storm()],
-                    2 => vec![quiet()],
-                    3 => vec![storm(), quiet()],
-                    _ => vec![quiet(), (vec![], 0), storm()],
-                };
+            let mut run = |at: &str, stages: Vec<(Vec<_>, u64)>| {
                 let (injections, expect): (Vec<_>, Vec<u64>) = stages.into_iter().unzip();
                 let stats = eng.run_stages(injections);
-                assert_eq!(stats.len(), expect.len(), "{n_pes} PEs, phase {phase}");
+                assert_eq!(stats.len(), expect.len(), "{n_pes} PEs, {at}");
                 for (stage, (stats, expect)) in stats.iter().zip(expect).enumerate() {
-                    let at = format!("{n_pes} PEs, phase {phase}, stage {stage}");
+                    let at = format!("{n_pes} PEs, {at}, stage {stage}");
                     assert_eq!(stats.reduction(0), expect, "{at} reduction");
                     assert_eq!(stats.totals().processed, expect, "{at} processed");
                     assert_eq!(stats.per_pe.len(), n_pes as usize, "{at}");
                 }
+            };
+            for phase in 0..2000u64 {
+                let stage = match phase % 3 {
+                    0 => (vec![], 0),
+                    1 => storm(phase % 40),
+                    _ => quiet(),
+                };
+                run(&format!("phase {phase}"), vec![stage]);
+            }
+            for phase in 0..1000u64 {
+                let hops = (phase / 2) % 40;
+                let stages = match phase % 2 {
+                    0 => vec![storm(hops), quiet()],
+                    _ => vec![quiet(), (vec![], 0), storm(hops)],
+                };
+                run(&format!("staged phase {phase}"), stages);
             }
             eng.into_chares();
         }
@@ -649,9 +647,10 @@ mod tests {
     /// `Begin` makes every PM send an update to every LM; stage 1's
     /// `Compute` finds all `k` updates at its LM, which then sends an
     /// infect to every PM. Each kind of delivery counts in a slot of its
-    /// own, so a stage-1 infect that overtakes the release to its PE and
-    /// runs in that PE's stage 0 (possible on 3 or more PEs) shows as a
-    /// count in the wrong stage.
+    /// own. A stage-1 infect can overtake the release to its PE (on 3 or
+    /// more PEs); it must move that PE into stage 1 before it runs, and
+    /// one that ran in the PE's stage 0 shows as a count in the wrong
+    /// stage.
     #[derive(Debug)]
     enum Day {
         Begin,
@@ -712,6 +711,58 @@ mod tests {
             }
             eng.into_chares();
         }
+    }
+
+    /// An infect that overtook the `Release` to its PE (on 3 or more PEs,
+    /// a PE that entered stage 1 sent it before the releaser's `Release`
+    /// to this PE went out) runs in stage 1, not in the PE's stage 0.
+    /// The day test meets this only when the scheduler splits the
+    /// releaser's sends; here PE 2's worker is handed the infect first.
+    #[test]
+    fn a_message_that_overtakes_its_release_runs_in_its_stage() {
+        let cfg = RuntimeConfig::threaded(3);
+        let cd = Arc::new(CompletionDetector::new(3));
+        let mut core = PeCore::new(&cfg, 2..3);
+        for id in 0..3 {
+            core.add(ChareId(id), id, Box::new(Nap(Duration::ZERO)));
+        }
+        let (tx, rx) = unbounded();
+        let mut pe2 = Worker {
+            pe: 2,
+            rx,
+            txs: vec![tx.clone(), tx.clone(), tx],
+            cd: cd.clone(),
+            core,
+            local_q: VecDeque::new(),
+            stage: 0,
+            early: VecDeque::new(),
+            left: Vec::new(),
+        };
+        pe2.core.begin_phase();
+        // Stage 0's one injection ran on PE 0, and stage 0 is released.
+        cd.reset([1, 0]);
+        (0..3).for_each(|pe| cd.set_idle(pe, true));
+        cd.consume(0, 1);
+        assert_eq!(cd.try_claim(), Some(0));
+        // PE 1 entered stage 1 and sent on before PE 2 heard the release.
+        cd.produce(1, 1);
+        let infect = Envelope {
+            to: ChareId(2),
+            msg: Token(0),
+        };
+        assert!(pe2.handle(Item::Direct(1, infect)).is_none());
+        assert!(
+            pe2.handle(Item::Release).is_none(),
+            "a late release enters nothing"
+        );
+        assert_eq!(cd.try_claim(), Some(1));
+        let Some(PhaseExit::Closed(stages)) = pe2.handle(Item::PhaseEnd) else {
+            panic!("PhaseEnd closes the phase");
+        };
+        assert_eq!(stages.len(), 2);
+        assert_eq!(stages[0].reduction(0), 0, "the infect ran in stage 0");
+        assert_eq!(stages[1].reduction(0), 1);
+        assert_eq!(stages[1].totals().processed, 1);
     }
 
     /// Panics on every message.

@@ -16,12 +16,14 @@
 //!
 //! * **no early signal** — if `try_claim()` releases a stage while any
 //!   payload of that stage is still in flight, the detector (or our
-//!   counting) is broken;
+//!   counting) is broken (a stage's injections are sent once the one
+//!   before it drains, so unlike on `threads` none is in flight early);
 //! * **bounded liveness** — virtual time may not exceed the budget accrued
 //!   from scheduled packets (a runaway stall/retransmit loop trips it), and
 //!   once the transport drains the detector *must* release the stage
 //!   (unless the plan deliberately lost messages, in which case it must
-//!   *not* fire and the loss is surfaced in [`PeStats::lost`]).
+//!   *not* fire, and the loss, the later stages' injections included, is
+//!   surfaced in [`PeStats::lost`]).
 //!
 //! Every routed message is its own packet. Transport reliability is
 //! modelled with a take-once payload slab: every packet's envelope is
@@ -243,15 +245,16 @@ impl<M: Message> VtEngine<M> {
         }
         let mut lost = 0u64;
         let mut out = Vec::with_capacity(stages.len());
-        for (stage, mut injections) in (0u32..).zip(stages) {
+        for (stage, injections) in (0u32..).zip(stages) {
             self.core.begin_phase();
-            if lost > 0 {
-                injections.clear(); // a stage that lost messages is never released
-            }
             for (to, msg) in injections {
-                // Injections ride the faulty transport like any other packet.
+                // Injections ride the faulty transport like any other packet;
+                // once a stage lost messages, no later one is released.
                 let pe = self.core.pe_of(to);
-                self.send_packet(pe, pe, Envelope { to, msg });
+                match lost {
+                    0 => self.send_packet(pe, pe, Envelope { to, msg }),
+                    _ => self.core.stats_mut(pe).lost += 1,
+                }
             }
             while self.step() {}
             // Quiescence: the heap is empty. Account any envelopes a
@@ -370,6 +373,22 @@ mod tests {
         // accounted as lost rather than silently vanishing.
         assert_eq!(stats.reduction(0), 0);
         assert!(stats.totals().lost > 0);
+    }
+
+    /// A stage after one that lost messages is never released: it runs
+    /// nothing, and each of its injections is lost at its chare's PE.
+    #[test]
+    fn a_lossy_stage_loses_the_stages_after_it() {
+        let mut eng = ring(6, RuntimeConfig::dst(3, FaultPlan::lossy(5)));
+        let later = vec![(ChareId(1), Token(5)), (ChareId(2), Token(5))];
+        let stats = eng.run_stages(vec![vec![(ChareId(0), Token(50))], later]);
+        assert_eq!(stats.len(), 2);
+        assert!(stats[0].totals().lost > 0, "stage 0 loses its injection");
+        assert_eq!(stats[1].reduction(0), 0);
+        assert_eq!(stats[1].totals().processed, 0);
+        assert_eq!(stats[1].totals().faults_dropped, 0, "nothing was sent");
+        let lost: Vec<u64> = stats[1].per_pe.iter().map(|p| p.lost).collect();
+        assert_eq!(lost, [0, 1, 1], "ring chare i lives on PE i % 3");
     }
 
     #[test]
